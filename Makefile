@@ -9,9 +9,10 @@ GO ?= go
 # in `make check` (go test -fuzz accepts exactly one target per run).
 FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                divide:FuzzContinuousCutAfter divide:FuzzWorkUnitsCutAfter \
-               divide:FuzzScanSeparators sim:FuzzHeapInvariant
+               divide:FuzzScanSeparators sim:FuzzHeapInvariant \
+               transport:FuzzServerFrames daemon:FuzzDecodeWire
 
-.PHONY: all build vet test race race-fault race-daemon race-transport race-trace race-cosched race-net fuzz-smoke bench-smoke lint check bench
+.PHONY: all build vet test race bench-module fuzz-smoke bench-smoke lint check bench
 
 all: check
 
@@ -27,54 +28,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-fault drives the fault-injection and retry paths specifically
-# under the race detector: crashes, stalls, blacklisting, and chunk
-# re-dispatch exercise engine locking on code paths the fault-free
-# suite never enters.
-race-fault:
-	$(GO) test -race -run 'Fault|Retry|Blacklist|Lifecycle|Crash|Stall|Close|CallTimeout' \
-		./internal/engine ./internal/grid ./internal/live
-
-# race-daemon drives the job scheduler's concurrency surface under the
-# race detector: admission, priority dispatch, cancellation (including
-# the live worker-abort path), drain, worker leasing, and the client's
-# polling loops all cross goroutines and RPC boundaries.
-race-daemon:
-	$(GO) test -race ./internal/daemon ./internal/live ./internal/client
-
-# race-transport hammers the frame transport's concurrency surface —
-# multiplexed ids, the client pool's coalesced writer, the server's
-# bounded worker pool, overload shedding, and mid-call connection
-# teardown — plus the cross-transport error-contract tests, all under
-# the race detector.
-race-transport:
-	$(GO) test -race ./internal/transport ./internal/client ./internal/loadgen
-
-# race-cosched drives the multi-load co-scheduling layer under the race
-# detector: the share pool's concurrent acquire/revise/release, the
-# daemon's policy transitions (grants, revisions, cancellation
-# returning shares to peers), the shared-world simulation's barrier
-# protocol, and the policy sweep.
-race-cosched:
-	$(GO) test -race -run 'Share|Cosched|MultiWorld|MultiJob' \
-		./internal/live ./internal/daemon ./internal/grid ./internal/experiment
-
-# race-trace drives the tracing layer under the race detector: the
-# collector's ring/stats locking, then every Trace-named test across
-# the surfaces a trace crosses — frame header propagation, daemon
-# stitching, the fast-reject terminal span, and sim determinism.
-race-trace:
-	$(GO) test -race ./internal/obs/trace
-	$(GO) test -race -run 'Trace' ./internal/transport ./internal/daemon ./internal/client ./internal/engine
-
-# race-net drives the link-graph network model and peer redistribution
-# under the race detector: topology construction and validation, the
-# fluid fair-share rescaling in the grid backend, peer transfers with
-# crash truncation, the engine's redistribution retry path, and the
-# redistribution sweep across parallel runner widths.
-race-net:
-	$(GO) test -race -run 'Topology|Link|Peer|Redistrib|NewPlatform' \
-		./internal/model ./internal/grid ./internal/engine ./internal/experiment
+# bench-module builds and tests the nested benchmark module. It is its
+# own Go module, so ./... at the root cannot see it: without this step
+# an internal API change would break the frozen benchmark silently.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke gives every fuzz target a 2-second run: long enough to
 # catch a freshly broken invariant, short enough for every `make check`.
@@ -147,7 +105,7 @@ lint: vet
 		echo "lint: (install with: go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-check: build vet race race-fault race-daemon race-transport race-trace race-cosched race-net fuzz-smoke bench-smoke lint
+check: build vet race bench-module fuzz-smoke bench-smoke lint
 
 # bench records the runner's sequential-vs-parallel wall time and the
 # observability layer's overhead into BENCH_<n>.json (see

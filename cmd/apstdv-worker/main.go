@@ -25,7 +25,6 @@ func main() {
 		listen      = flag.String("listen", "127.0.0.1:0", "address to serve on")
 		workPerUnit = flag.Int("workperunit", 1_000_000, "compute iterations per load unit")
 		speed       = flag.Float64("speed", 1.0, "relative speed factor (2 = twice as fast)")
-		transportK  = flag.String("transport", "frame", "wire protocol: frame or rpc; must match the daemon's -worker-transport")
 	)
 	flag.Parse()
 	if *workPerUnit <= 0 {
@@ -37,9 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("apstdv-worker: %v", err)
 	}
-	if _, err := live.ServeListener(*transportK, svc, ln); err != nil {
-		log.Fatalf("apstdv-worker: %v", err)
-	}
-	log.Printf("apstdv-worker: serving %s on %s (workperunit=%d speed=%.2f)", *transportK, ln.Addr(), *workPerUnit, *speed)
+	live.ServeListener(svc, ln)
+	log.Printf("apstdv-worker: serving on %s (workperunit=%d speed=%.2f)", ln.Addr(), *workPerUnit, *speed)
 	select {}
 }

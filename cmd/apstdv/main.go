@@ -28,14 +28,13 @@ import (
 
 func main() {
 	daemonAddr := flag.String("daemon", "127.0.0.1:4321", "daemon address")
-	transportK := flag.String("transport", "frame", "wire protocol: frame or rpc; must match the daemon's -transport")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usage()
 	}
 	cmd := flag.Arg(0)
 
-	c, err := client.DialOptions(*daemonAddr, client.Options{Transport: *transportK})
+	c, err := client.Dial(*daemonAddr)
 	if err != nil {
 		fatal(err)
 	}

@@ -47,8 +47,6 @@ func main() {
 		maxJobs     = flag.Int("max-concurrent-jobs", 0, "jobs allowed to run at once (0 = mode default: 1 in live, unlimited in sim)")
 		queueDepth  = flag.Int("queue-depth", 0, "admission queue bound; overflow is rejected (0 = unbounded)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for running jobs before they are cancelled")
-		transportK  = flag.String("transport", "frame", "client-facing wire protocol: frame (pooled binary transport) or rpc (legacy net/rpc)")
-		workerTK    = flag.String("worker-transport", "frame", "daemon↔worker wire protocol: frame or rpc; external -workeraddrs workers must serve the same")
 		traceOn     = flag.Bool("trace", false, "record per-job spans; inspect via 'apstdv trace' or /debug/trace")
 		traceSpans  = flag.Int("trace-spans", 0, "span ring capacity (0 = default; implies -trace)")
 		traceOut    = flag.String("trace-out", "", "stream spans as Chrome-trace JSONL here, for Perfetto (implies -trace)")
@@ -94,17 +92,17 @@ func main() {
 		cfg.Mode = daemon.ModeLive
 		if *workerAddrs != "" {
 			for _, addr := range strings.Split(*workerAddrs, ",") {
-				cfg.LiveWorkers = append(cfg.LiveWorkers, live.WorkerConn{Addr: strings.TrimSpace(addr), Transport: *workerTK})
+				cfg.LiveWorkers = append(cfg.LiveWorkers, live.WorkerConn{Addr: strings.TrimSpace(addr)})
 			}
 			break
 		}
 		for i := 0; i < *workers; i++ {
 			svc := live.NewWorkerService(*workPerUnit, 1)
-			addr, _, err := live.ServeOn(*workerTK, svc)
+			addr, _, err := live.Serve(svc)
 			if err != nil {
 				log.Fatalf("apstdvd: starting worker %d: %v", i, err)
 			}
-			cfg.LiveWorkers = append(cfg.LiveWorkers, live.WorkerConn{Addr: addr, Transport: *workerTK})
+			cfg.LiveWorkers = append(cfg.LiveWorkers, live.WorkerConn{Addr: addr})
 			log.Printf("apstdvd: worker %d at %s", i, addr)
 		}
 	default:
@@ -132,7 +130,7 @@ func main() {
 		}()
 		log.Printf("apstdvd: telemetry on http://%s/metrics", tln.Addr())
 	}
-	log.Printf("apstdvd: %s mode, serving %s on %s", *mode, *transportK, ln.Addr())
+	log.Printf("apstdvd: %s mode, serving on %s", *mode, ln.Addr())
 
 	// SIGINT/SIGTERM drains gracefully: stop admitting, cancel the
 	// queue, let running jobs finish within -drain-timeout, then cancel
@@ -140,14 +138,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
-	switch *transportK {
-	case "frame":
-		go func() { serveErr <- d.ServeFrame(ln) }()
-	case "rpc":
-		go func() { serveErr <- d.Serve(ln) }()
-	default:
-		log.Fatalf("apstdvd: unknown transport %q (want frame or rpc)", *transportK)
-	}
+	go func() { serveErr <- d.ServeFrame(ln) }()
 	select {
 	case err := <-serveErr:
 		closeTrace()

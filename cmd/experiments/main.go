@@ -28,6 +28,7 @@ import (
 	"apstdv/internal/daemon"
 	"apstdv/internal/experiment"
 	"apstdv/internal/loadgen"
+	otrace "apstdv/internal/obs/trace"
 	"apstdv/internal/workload"
 )
 
@@ -218,56 +219,47 @@ func main() {
 	}
 }
 
-// runServing compares the frame and net/rpc serving paths under an
-// open-loop Poisson submission storm against self-hosted sim daemons —
-// the cmd/loadgen defaults, rendered as a table.
+// runServing load-tests the serving path with an open-loop Poisson
+// submission storm against a self-hosted sim daemon — the cmd/loadgen
+// defaults, rendered as a table.
 func runServing() error {
 	p, err := workload.ParsePlatform("das2:4")
 	if err != nil {
 		return err
 	}
-	cmp, err := loadgen.Compare(
-		daemon.Config{
-			Mode: daemon.ModeSim, Platform: p, Seed: 1,
-			MaxConcurrentJobs: 1, QueueDepth: 2, RetainJobs: 2048,
-		},
-		loadgen.Config{
-			Conns: 2, Rate: 150000, Duration: 4 * time.Second,
-			MaxOutstanding: 512, Seed: 1,
-			TaskXML: loadgen.BenchSpec(500),
-			SimApp:  &daemon.SimApp{UnitCost: 0.05, BytesPerUnit: 1000},
-			Trace:   true,
-		})
+	addr, stop, err := loadgen.SelfHost(daemon.Config{
+		Mode: daemon.ModeSim, Platform: p, Seed: 1,
+		MaxConcurrentJobs: 1, QueueDepth: 2, RetainJobs: 2048,
+		Trace: otrace.New(0),
+	})
+	if err != nil {
+		return err
+	}
+	defer stop()
+	r, err := loadgen.Run(addr, loadgen.Config{
+		Conns: 2, Rate: 150000, Duration: 4 * time.Second,
+		MaxOutstanding: 512, Seed: 1,
+		TaskXML: loadgen.BenchSpec(500),
+		SimApp:  &daemon.SimApp{UnitCost: 0.05, BytesPerUnit: 1000},
+		Trace:   true,
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Println("Serving-path load test (open-loop Poisson, self-hosted sim daemon):")
-	fmt.Printf("%-6s %12s %12s %12s %12s %12s\n", "", "sustained/s", "p50 ms", "p99 ms", "p99.9 ms", "rejected")
-	for _, r := range []*loadgen.Result{cmp.RPC, cmp.Frame} {
-		fmt.Printf("%-6s %12.0f %12.2f %12.2f %12.2f %12d\n",
-			r.Transport, r.SustainedHz, r.Submit.P50, r.Submit.P99, r.Submit.P999, r.Rejected)
-	}
-	fmt.Printf("frame vs rpc: %.2fx sustained submissions/sec at %.2fx the p99 latency\n",
-		cmp.SustainedRatio, cmp.P99Ratio)
-	// Latency attribution per serving stage, from the daemons' trace
-	// collectors: where an accepted submission actually spends its time.
-	fmt.Println("\nPer-stage latency attribution (p50/p99 ms):")
-	fmt.Printf("%-14s %10s %10s %12s %10s %10s\n", "stage", "rpc p50", "rpc p99", "", "frame p50", "frame p99")
+	fmt.Printf("%12s %12s %12s %12s %12s\n", "sustained/s", "p50 ms", "p99 ms", "p99.9 ms", "rejected")
+	fmt.Printf("%12.0f %12.2f %12.2f %12.2f %12d\n",
+		r.SustainedHz, r.Submit.P50, r.Submit.P99, r.Submit.P999, r.Rejected)
+	// Latency attribution per serving stage, from the daemon's trace
+	// collector: where an accepted submission actually spends its time.
+	fmt.Println("\nPer-stage latency attribution (ms):")
+	fmt.Printf("%-14s %10s %10s\n", "stage", "p50", "p99")
 	for _, name := range []string{"decode", "admission", "queue", "lease", "execute"} {
-		row := func(r *loadgen.Result) (p50, p99 float64, ok bool) {
-			for _, s := range r.Stages {
-				if s.Stage == name {
-					return s.P50Ms, s.P99Ms, true
-				}
+		for _, s := range r.Stages {
+			if s.Stage == name {
+				fmt.Printf("%-14s %10.3f %10.3f\n", name, s.P50Ms, s.P99Ms)
 			}
-			return 0, 0, false
 		}
-		r50, r99, rok := row(cmp.RPC)
-		f50, f99, fok := row(cmp.Frame)
-		if !rok && !fok {
-			continue
-		}
-		fmt.Printf("%-14s %10.3f %10.3f %12s %10.3f %10.3f\n", name, r50, r99, "", f50, f99)
 	}
 	return nil
 }

@@ -3,19 +3,19 @@
 // percentiles, the sustained completed-submission rate, and post-drain
 // queue-wait percentiles.
 //
-//	# compare frame vs net/rpc against self-hosted sim daemons
+//	# load-test a self-hosted sim daemon
 //	loadgen -rate 2000 -duration 5s
 //
 //	# drive an already-running daemon
-//	loadgen -addr 127.0.0.1:4321 -transport frame -rate 500 -duration 10s
+//	loadgen -addr 127.0.0.1:4321 -rate 500 -duration 10s
 //
 //	# machine-readable output (scripts/bench.sh consumes this)
 //	loadgen -json
 //
-// Without -addr, each measured transport gets a fresh in-process sim
-// daemon with bounded admission (queue depth and one slot), so the run
-// exercises the production backpressure path: accepted jobs queue and
-// run, overflow is fast-rejected with a typed error.
+// Without -addr, the run gets a fresh in-process sim daemon with
+// bounded admission (queue depth and one slot), so it exercises the
+// production backpressure path: accepted jobs queue and run, overflow
+// is fast-rejected with a typed error.
 package main
 
 import (
@@ -35,8 +35,7 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "", "daemon address (empty = self-host a sim daemon per transport)")
-		transportK  = flag.String("transport", "both", "frame, rpc, or both (both requires self-hosting)")
+		addr        = flag.String("addr", "", "daemon address (empty = self-host a sim daemon)")
 		rate        = flag.Float64("rate", 2000, "offered load, submissions/sec (Poisson)")
 		duration    = flag.Duration("duration", 5*time.Second, "generation window")
 		outstanding = flag.Int("outstanding", 256, "max in-flight submissions before arrivals are shed")
@@ -51,7 +50,7 @@ func main() {
 		retainJobs  = flag.Int("retain-jobs", 2048, "self-host: terminal jobs retained (0 = all; bounded so the post-run job listing stays under the frame size cap)")
 		jsonOut     = flag.Bool("json", false, "emit JSON instead of text")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run here")
-		traceOn     = flag.Bool("trace", true, "self-host: run the daemons with tracing so per-stage latency attribution lands in the result")
+		traceOn     = flag.Bool("trace", true, "self-host: run the daemon with tracing so per-stage latency attribution lands in the result")
 		multijob    = flag.Bool("multijob", false, "run the multi-job co-scheduling sweep instead of the serving-path load test")
 	)
 	flag.Parse()
@@ -84,86 +83,55 @@ func main() {
 		Trace:  *traceOn,
 	}
 
-	if *addr != "" {
-		if *transportK == "both" {
-			fatal(fmt.Errorf("-transport both needs self-hosting; pick frame or rpc with -addr"))
-		}
-		cfg.Transport = *transportK
-		res, err := loadgen.Run(*addr, cfg)
+	if *addr == "" {
+		p, err := workload.ParsePlatform(*platform)
 		if err != nil {
 			fatal(err)
 		}
-		emit(*jsonOut, res, nil)
-		return
-	}
-
-	p, err := workload.ParsePlatform(*platform)
-	if err != nil {
-		fatal(err)
-	}
-	dcfg := daemon.Config{
-		Mode: daemon.ModeSim, Platform: p, Seed: 1,
-		MaxConcurrentJobs: *maxJobs, QueueDepth: *queueDepth, RetainJobs: *retainJobs,
-	}
-	switch *transportK {
-	case "both":
-		cmp, err := loadgen.Compare(dcfg, cfg)
-		if err != nil {
-			fatal(err)
+		dcfg := daemon.Config{
+			Mode: daemon.ModeSim, Platform: p, Seed: 1,
+			MaxConcurrentJobs: *maxJobs, QueueDepth: *queueDepth, RetainJobs: *retainJobs,
 		}
-		emit(*jsonOut, nil, cmp)
-	default:
 		if *traceOn {
 			dcfg.Trace = otrace.New(0)
 		}
-		a, stop, err := loadgen.SelfHost(*transportK, dcfg)
+		a, stop, err := loadgen.SelfHost(dcfg)
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Transport = *transportK
-		res, err := loadgen.Run(a, cfg)
-		stop()
-		if err != nil {
-			fatal(err)
-		}
-		emit(*jsonOut, res, nil)
+		defer stop()
+		*addr = a
 	}
+	res, err := loadgen.Run(*addr, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	emit(*jsonOut, res)
 }
 
-func emit(asJSON bool, res *loadgen.Result, cmp *loadgen.Comparison) {
+func emit(asJSON bool, res *loadgen.Result) {
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if cmp != nil {
-			enc.Encode(cmp)
-		} else {
-			enc.Encode(res)
-		}
-		return
-	}
-	if cmp != nil {
-		printResult(cmp.RPC)
-		printResult(cmp.Frame)
-		fmt.Printf("frame vs rpc: %.2fx sustained, %.2fx p99 latency\n",
-			cmp.SustainedRatio, cmp.P99Ratio)
+		enc.Encode(res)
 		return
 	}
 	printResult(res)
 }
 
 func printResult(r *loadgen.Result) {
-	fmt.Printf("%-5s  offered %d (%.0f/s for %.1fs)  accepted %d  rejected %d  shed %d  errors %d\n",
-		r.Transport, r.Offered, r.RateHz, r.Seconds, r.Accepted, r.Rejected, r.Shed, r.Errors)
-	fmt.Printf("       sustained %.0f submissions/s\n", r.SustainedHz)
-	fmt.Printf("       submit latency  p50 %.2fms  p90 %.2fms  p99 %.2fms  p99.9 %.2fms  max %.2fms (n=%d)\n",
+	fmt.Printf("offered %d (%.0f/s for %.1fs)  accepted %d  rejected %d  shed %d  errors %d\n",
+		r.Offered, r.RateHz, r.Seconds, r.Accepted, r.Rejected, r.Shed, r.Errors)
+	fmt.Printf("  sustained %.0f submissions/s\n", r.SustainedHz)
+	fmt.Printf("  submit latency  p50 %.2fms  p90 %.2fms  p99 %.2fms  p99.9 %.2fms  max %.2fms (n=%d)\n",
 		r.Submit.P50, r.Submit.P90, r.Submit.P99, r.Submit.P999, r.Submit.Max, r.Submit.N)
 	if r.QueueWait.N > 0 {
-		fmt.Printf("       queue wait      p50 %.0fms  p99 %.0fms  max %.0fms (n=%d, %.0f%% of accepted)\n",
+		fmt.Printf("  queue wait      p50 %.0fms  p99 %.0fms  max %.0fms (n=%d, %.0f%% of accepted)\n",
 			r.QueueWait.P50, r.QueueWait.P99, r.QueueWait.Max, r.QueueWait.N,
 			r.QueueWaitSampledFraction*100)
 	}
 	for _, s := range r.Stages {
-		fmt.Printf("       stage %-10s p50 %8.3fms  p90 %8.3fms  p99 %8.3fms  max %8.3fms (n=%d of %d)\n",
+		fmt.Printf("  stage %-10s p50 %8.3fms  p90 %8.3fms  p99 %8.3fms  max %8.3fms (n=%d of %d)\n",
 			s.Stage, s.P50Ms, s.P90Ms, s.P99Ms, s.MaxMs, s.Sampled, s.Count)
 	}
 }

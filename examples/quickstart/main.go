@@ -62,8 +62,9 @@ func main() {
 	}
 
 	// The same engine, the same algorithm, but real goroutine workers
-	// behind net/rpc on localhost: real bytes cross TCP and real CPU
-	// burns per load unit. Scaled down so the demo finishes in seconds.
+	// behind the frame transport on localhost: real bytes cross TCP and
+	// real CPU burns per load unit. Scaled down so the demo finishes in
+	// seconds.
 	fmt.Println("\n=== live run (real time, 4 RPC workers on localhost) ===")
 	liveApp := &model.Application{
 		Name:         "quickstart-live",

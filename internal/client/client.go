@@ -1,19 +1,17 @@
 // Package client is the library behind the APST-DV console (cmd/apstdv):
 // a thin, typed wrapper around the daemon's serving interface.
 //
-// Two transports speak the same protocol: the frame transport (default;
-// see internal/transport) and the legacy net/rpc fallback. Every call
-// decodes transported errors with errcode.Decode, so the daemon's typed
-// sentinels (daemon.ErrQueueFull, daemon.ErrJobNotFound, ...) survive
-// either transport and errors.Is works on this side.
+// Calls travel over a self-healing pool of frame-transport connections
+// (see internal/transport). Every call decodes transported errors with
+// errcode.Decode, so the daemon's typed sentinels (daemon.ErrQueueFull,
+// daemon.ErrJobNotFound, ...) survive the wire and errors.Is works on
+// this side.
 package client
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net/rpc"
-	"sync"
 	"time"
 
 	"apstdv/internal/daemon"
@@ -23,209 +21,74 @@ import (
 	"apstdv/internal/transport"
 )
 
-// Transport names accepted by Options.Transport and the cmd -transport
-// flags.
-const (
-	TransportFrame = "frame"
-	TransportRPC   = "rpc"
-)
-
-// Options configures a connection. The zero value means the frame
-// transport with the package defaults.
+// Options configures a connection. The zero value means the package
+// defaults.
 type Options struct {
-	// Transport selects TransportFrame (default) or TransportRPC.
-	Transport string
-	// Conns is the frame connection pool size (default 1; the frame
-	// transport multiplexes, so one connection carries many calls).
+	// Conns is the connection pool size (default 1; the transport
+	// multiplexes, so one connection carries many calls).
 	Conns int
-	// Window bounds in-flight calls per frame connection (default
-	// transport.DefaultWindow). Ignored for rpc.
+	// Window bounds in-flight calls per connection (default
+	// transport.DefaultWindow).
 	Window int
 	// Metrics, when set, receives client-side transport counters.
-	// Ignored for rpc.
 	Metrics *obs.TransportMetrics
 	// Tracer, when set, makes Submit mint a trace id and record a
 	// "client.submit" span locally; the id rides to the daemon in the
-	// frame header (frame transport) or the SubmitArgs themselves
-	// (rpc), so one trace stitches client, daemon, engine and workers.
+	// frame header, so one trace stitches client, daemon, engine and
+	// workers.
 	Tracer *otrace.Collector
 }
 
-func (o Options) withDefaults() (Options, error) {
-	switch o.Transport {
-	case "":
-		o.Transport = TransportFrame
-	case TransportFrame, TransportRPC:
-	default:
-		return o, fmt.Errorf("client: unknown transport %q (want %s or %s)",
-			o.Transport, TransportFrame, TransportRPC)
-	}
-	if o.Conns <= 0 {
-		o.Conns = 1
-	}
-	return o, nil
-}
-
-// caller is the transport seam: one implementation per wire protocol,
-// both mapping net/rpc-style method names onto their encoding. tc is
-// the request's trace context: the frame transport carries it in the
-// frame header; rpc drops it (traced args carry the ids in-band).
-type caller interface {
-	Call(method string, args, reply any, tc transport.TraceContext) error
-	Close() error
-}
-
-// rpcCaller speaks classic net/rpc.
-type rpcCaller struct{ rc *rpc.Client }
-
-func (r *rpcCaller) Call(method string, args, reply any, _ transport.TraceContext) error {
-	return r.rc.Call(method, args, reply)
-}
-func (r *rpcCaller) Close() error { return r.rc.Close() }
-
-// frameCaller speaks the frame transport through a self-healing
-// connection pool.
-type frameCaller struct{ pool *transport.Pool }
-
-func (f *frameCaller) Call(method string, args, reply any, tc transport.TraceContext) error {
-	id, ok := daemon.FrameMethods[method]
-	if !ok {
-		return fmt.Errorf("client: no frame method id for %q", method)
-	}
-	a, _ := args.(transport.Appender)
-	r, _ := reply.(transport.Decoder)
-	return f.pool.CallTrace(id, a, r, tc)
-}
-func (f *frameCaller) Close() error { return f.pool.Close() }
-
 // Client talks to one daemon.
 type Client struct {
-	addr string
-	opts Options
-
-	mu sync.Mutex
-	c  caller
+	pool   *transport.Pool
+	tracer *otrace.Collector
 }
 
-// Dial connects to a daemon at addr (host:port) over the frame
-// transport.
+// Dial connects to a daemon at addr (host:port).
 func Dial(addr string) (*Client, error) {
 	return DialOptions(addr, Options{})
 }
 
-// DialOptions connects with explicit transport options.
+// DialOptions connects with explicit options.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
+	c := &Client{
+		pool: transport.NewPool(addr, opts.Conns, transport.Config{
+			Window: opts.Window, Metrics: opts.Metrics,
+		}),
+		tracer: opts.Tracer,
 	}
-	c := &Client{addr: addr, opts: opts}
-	cl, err := c.dial()
-	if err != nil {
-		return nil, err
+	// The pool dials lazily; probe eagerly so Dial keeps its
+	// connect-or-error contract.
+	if _, err := c.Algorithms(); err != nil {
+		c.pool.Close()
+		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	c.c = cl
 	return c, nil
 }
 
-func (c *Client) dial() (caller, error) {
-	if c.opts.Transport == TransportRPC {
-		rc, err := rpc.Dial("tcp", c.addr)
-		if err != nil {
-			return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
-		}
-		return &rpcCaller{rc: rc}, nil
-	}
-	// Pool construction is lazy; the probe call below in redial (and
-	// the first real call here) surfaces dial errors. Probe eagerly so
-	// Dial keeps its connect-or-error contract.
-	p := transport.NewPool(c.addr, c.opts.Conns, transport.Config{
-		Window: c.opts.Window, Metrics: c.opts.Metrics,
-	})
-	fc := &frameCaller{pool: p}
-	var reply daemon.AlgorithmsReply
-	if err := fc.Call("APSTDV.Algorithms", &daemon.AlgorithmsArgs{}, &reply, transport.TraceContext{}); err != nil {
-		p.Close()
-		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
-	}
-	return fc, nil
-}
-
-// Close releases the connection. Idempotent.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	cl := c.c
-	c.mu.Unlock()
-	if cl == nil {
-		return nil
-	}
-	return cl.Close()
-}
-
-func (c *Client) caller() caller {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.c
-}
-
-// redial replaces a dead connection, keeping concurrent callers on one
-// shared replacement: only the caller holding the broken conn swaps.
-// The frame pool redials internally, so redial there is a no-op.
-func (c *Client) redial(broken caller) error {
-	if c.opts.Transport == TransportFrame {
-		return nil
-	}
-	c.mu.Lock()
-	if c.c != broken {
-		c.mu.Unlock()
-		return nil // someone else already replaced it
-	}
-	c.mu.Unlock()
-	fresh, err := c.dial()
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	if c.c != broken {
-		// Lost the race; discard ours.
-		c.mu.Unlock()
-		fresh.Close()
-		return nil
-	}
-	c.c = fresh
-	c.mu.Unlock()
-	broken.Close()
-	return nil
-}
+// Close releases the connections. Idempotent.
+func (c *Client) Close() error { return c.pool.Close() }
 
 // call performs one RPC, re-attaching registered error sentinels to the
 // string the transport flattened the server error into.
-func (c *Client) call(method string, args, reply any) error {
-	return c.callTrace(method, args, reply, transport.TraceContext{})
+func (c *Client) call(method uint16, args transport.Appender, reply transport.Decoder) error {
+	return errcode.Decode(c.pool.Call(method, args, reply))
 }
 
-// callTrace is call with an explicit trace context on the wire.
-func (c *Client) callTrace(method string, args, reply any, tc transport.TraceContext) error {
-	return errcode.Decode(c.caller().Call(method, args, reply, tc))
-}
-
-// transient reports whether err is a connection-level failure worth a
-// reconnect: the server never answered. A handler answer — an rpc
-// ServerError, a frame error response, anything carrying an errcode
+// transient reports whether err is a connection-level failure: the
+// server never answered, and the pool redials on the next call. A
+// handler answer — a frame error response, anything carrying an errcode
 // marker — is authoritative and not transient.
 func transient(err error) bool {
-	if err == nil {
-		return false
-	}
-	var se rpc.ServerError
-	if errors.As(err, &se) {
-		return false
-	}
-	if transport.IsRemote(err) {
-		return false
-	}
-	return errcode.Code(err) == ""
+	return err != nil && !transport.IsRemote(err) && errcode.Code(err) == ""
 }
+
+// shed reports whether the server fast-rejected the call with
+// transport.ErrOverloaded before any decode or handler ran: the answer
+// says nothing about the request, so a polling loop asks again. One-shot
+// calls such as Submit still surface it immediately.
+func shed(err error) bool { return errors.Is(err, transport.ErrOverloaded) }
 
 // Submit sends a task specification. algorithm (optional) overrides the
 // spec's algorithm attribute; priority is the admission class (high,
@@ -236,20 +99,18 @@ func (c *Client) Submit(taskXML, algorithm, priority string, simApp *daemon.SimA
 		TaskXML: taskXML, Algorithm: algorithm, Priority: priority, SimApp: simApp,
 	}
 	// With a tracer, mint the trace here so the daemon's spans parent
-	// under the client's view of the submit. The ids travel both in the
-	// args (rpc's only channel) and the frame header (which also lets
-	// the transport server attribute its decode work to the trace).
+	// under the client's view of the submit. The ids ride the frame
+	// header, which also lets the transport server attribute its decode
+	// work to the trace.
 	var tc transport.TraceContext
 	var sp otrace.Span
-	if tr := c.opts.Tracer; tr != nil {
+	if tr := c.tracer; tr != nil {
 		tid := tr.NewTraceID()
 		sp = tr.Begin(tid, 0, "client.submit")
-		args.TraceID = uint64(tid)
-		args.ParentSpan = uint64(sp.ID())
-		tc = transport.TraceContext{Trace: args.TraceID, Span: args.ParentSpan}
+		tc = transport.TraceContext{Trace: uint64(tid), Span: uint64(sp.ID())}
 	}
 	var reply daemon.SubmitReply
-	err := c.callTrace("APSTDV.Submit", args, &reply, tc)
+	err := errcode.Decode(c.pool.CallTrace(daemon.MethodSubmit, args, &reply, tc))
 	sp.End(err)
 	return reply, err
 }
@@ -257,7 +118,7 @@ func (c *Client) Submit(taskXML, algorithm, priority string, simApp *daemon.SimA
 // Status fetches a job's state.
 func (c *Client) Status(jobID int) (daemon.Job, error) {
 	var reply daemon.StatusReply
-	err := c.call("APSTDV.Status", &daemon.StatusArgs{JobID: jobID}, &reply)
+	err := c.call(daemon.MethodStatus, &daemon.StatusArgs{JobID: jobID}, &reply)
 	return reply.Job, err
 }
 
@@ -266,21 +127,21 @@ func (c *Client) Status(jobID int) (daemon.Job, error) {
 // asynchronously; poll Status or WaitDone for the terminal state).
 func (c *Client) Cancel(jobID int) (daemon.JobState, error) {
 	var reply daemon.CancelReply
-	err := c.call("APSTDV.Cancel", &daemon.CancelArgs{JobID: jobID}, &reply)
+	err := c.call(daemon.MethodCancel, &daemon.CancelArgs{JobID: jobID}, &reply)
 	return reply.State, err
 }
 
 // Report fetches a finished job's execution report.
 func (c *Client) Report(jobID int) (daemon.ReportReply, error) {
 	var reply daemon.ReportReply
-	err := c.call("APSTDV.Report", &daemon.ReportArgs{JobID: jobID}, &reply)
+	err := c.call(daemon.MethodReport, &daemon.ReportArgs{JobID: jobID}, &reply)
 	return reply, err
 }
 
 // Algorithms lists the scheduler names the daemon accepts.
 func (c *Client) Algorithms() ([]string, error) {
 	var reply daemon.AlgorithmsReply
-	err := c.call("APSTDV.Algorithms", &daemon.AlgorithmsArgs{}, &reply)
+	err := c.call(daemon.MethodAlgorithms, &daemon.AlgorithmsArgs{}, &reply)
 	return reply.Names, err
 }
 
@@ -294,7 +155,7 @@ func (c *Client) Jobs() ([]daemon.Job, error) {
 // co-scheduling policy alongside the job summaries.
 func (c *Client) ListJobs() (daemon.ListJobsReply, error) {
 	var reply daemon.ListJobsReply
-	err := c.call("APSTDV.ListJobs", &daemon.ListJobsArgs{}, &reply)
+	err := c.call(daemon.MethodListJobs, &daemon.ListJobsArgs{}, &reply)
 	return reply, err
 }
 
@@ -302,14 +163,14 @@ func (c *Client) ListJobs() (daemon.ListJobsReply, error) {
 // daemon.ErrTracingOff when the daemon runs without a collector.
 func (c *Client) Trace(jobID int) (daemon.TraceReply, error) {
 	var reply daemon.TraceReply
-	err := c.call("APSTDV.Trace", &daemon.TraceArgs{JobID: jobID}, &reply)
+	err := c.call(daemon.MethodTrace, &daemon.TraceArgs{JobID: jobID}, &reply)
 	return reply, err
 }
 
 // TraceStats fetches the daemon's per-stage latency aggregates.
 func (c *Client) TraceStats() (daemon.TraceStatsReply, error) {
 	var reply daemon.TraceStatsReply
-	err := c.call("APSTDV.TraceStats", &daemon.TraceStatsArgs{}, &reply)
+	err := c.call(daemon.MethodTraceStats, &daemon.TraceStatsArgs{}, &reply)
 	return reply, err
 }
 
@@ -318,7 +179,7 @@ func (c *Client) TraceStats() (daemon.TraceStatsReply, error) {
 // events the cursor missed.
 func (c *Client) Events(jobID int, afterSeq int64) ([]obs.Event, daemon.JobState, bool, error) {
 	var reply daemon.EventsReply
-	err := c.call("APSTDV.Events", &daemon.EventsArgs{JobID: jobID, AfterSeq: afterSeq}, &reply)
+	err := c.call(daemon.MethodEvents, &daemon.EventsArgs{JobID: jobID, AfterSeq: afterSeq}, &reply)
 	return reply.Events, reply.State, reply.Dropped, err
 }
 
@@ -327,8 +188,8 @@ func active(state daemon.JobState) bool {
 	return state == daemon.JobRunning || state == daemon.JobQueued
 }
 
-// Reconnect backoff for FollowEvents: exponential from followBackoffMin
-// capped at followBackoffMax.
+// Retry backoff for the polling loops (FollowEvents, WaitDone):
+// exponential from followBackoffMin capped at followBackoffMax.
 const (
 	followBackoffMin = 100 * time.Millisecond
 	followBackoffMax = 5 * time.Second
@@ -339,11 +200,12 @@ const (
 // state and the stream is drained, or ctx is cancelled (the context
 // error is returned).
 //
-// Transient connection failures — daemon restart, dropped conn — do not
-// end the follow: the client reconnects with capped exponential backoff
-// and resumes from its cursor, so the caller sees a gap only if the
-// ring evicted events meanwhile. Server-side errors (unknown job, and
-// any other answer the daemon actually produced) return immediately.
+// Transient connection failures — daemon restart, dropped conn — and
+// polls shed by an overloaded server do not end the follow: the client
+// retries with capped exponential backoff and resumes from its cursor,
+// so the caller sees a gap only if the ring evicted events meanwhile.
+// Server-side errors (unknown job, and any other answer the daemon
+// actually produced) return immediately.
 func (c *Client) FollowEvents(ctx context.Context, jobID int, poll time.Duration, fn func(obs.Event)) error {
 	return c.FollowEventsFrom(ctx, jobID, -1, poll, fn)
 }
@@ -357,10 +219,8 @@ func (c *Client) FollowEventsFrom(ctx context.Context, jobID int, afterSeq int64
 	after := afterSeq
 	backoff := followBackoffMin
 	for {
-		cl := c.caller()
 		var reply daemon.EventsReply
-		err := errcode.Decode(cl.Call("APSTDV.Events",
-			&daemon.EventsArgs{JobID: jobID, AfterSeq: after}, &reply, transport.TraceContext{}))
+		err := c.call(daemon.MethodEvents, &daemon.EventsArgs{JobID: jobID, AfterSeq: after}, &reply)
 		switch {
 		case err == nil:
 			backoff = followBackoffMin
@@ -376,16 +236,13 @@ func (c *Client) FollowEventsFrom(ctx context.Context, jobID int, afterSeq int64
 				return fmt.Errorf("client: following job %d events: %w", jobID, context.Cause(ctx))
 			case <-time.After(poll):
 			}
-		case transient(err):
+		case transient(err) || shed(err):
 			select {
 			case <-ctx.Done():
 				return fmt.Errorf("client: following job %d events: %w", jobID, context.Cause(ctx))
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > followBackoffMax {
-				backoff = followBackoffMax
-			}
-			c.redial(cl) // best-effort; the next Call reports failures
+			backoff = min(2*backoff, followBackoffMax)
 		default:
 			return err
 		}
@@ -394,20 +251,30 @@ func (c *Client) FollowEventsFrom(ctx context.Context, jobID int, afterSeq int64
 
 // WaitDone polls until the job reaches a terminal state (done, failed,
 // cancelled or rejected) or ctx is cancelled, in which case the last
-// observed job snapshot and the context error are returned.
+// observed job snapshot and the context error are returned. A poll shed
+// by an overloaded server is retried under the follow backoff; any
+// other error ends the wait.
 func (c *Client) WaitDone(ctx context.Context, jobID int, poll time.Duration) (daemon.Job, error) {
+	var job daemon.Job
+	backoff := followBackoffMin
 	for {
-		job, err := c.Status(jobID)
-		if err != nil {
+		wait := poll
+		j, err := c.Status(jobID)
+		switch {
+		case err == nil:
+			job, backoff = j, followBackoffMin
+			if !active(job.State) {
+				return job, nil
+			}
+		case shed(err):
+			wait, backoff = backoff, min(2*backoff, followBackoffMax)
+		default:
 			return job, err
-		}
-		if !active(job.State) {
-			return job, nil
 		}
 		select {
 		case <-ctx.Done():
 			return job, fmt.Errorf("client: job %d still %s: %w", jobID, job.State, context.Cause(ctx))
-		case <-time.After(poll):
+		case <-time.After(wait):
 		}
 	}
 }

@@ -3,7 +3,7 @@ package daemon_test
 // RPC-level acceptance test for the job scheduler: a live-mode daemon
 // with -max-concurrent-jobs=2 -queue-depth=2 semantics, driven entirely
 // through the client as a user would, down to errors.Is on the decoded
-// sentinel after the error has been flattened by net/rpc.
+// sentinel after the wire has flattened the error to a string.
 
 import (
 	"errors"

@@ -67,10 +67,11 @@ func coschedPolicy(name string) grid.SharePolicy {
 }
 
 // allocSharesLocked grants a starting job its workers. Partition
-// reproduces the historical LeasePool arithmetic exactly (lowest-index
-// free workers, free/slots each, at least one); fair and srpt grant the
-// whole pool and revise everyone's fractions. Caller holds d.mu; the
-// job is already counted in d.running.
+// grants whole workers: the lowest-index free ones, free/slots of them
+// per job and at least one, so lease sets are deterministic for a given
+// admission order; fair and srpt grant the whole pool and revise
+// everyone's fractions. Caller holds d.mu; the job is already counted
+// in d.running.
 func (d *Daemon) allocSharesLocked(p *pendingJob) {
 	if d.shares == nil {
 		return
@@ -100,8 +101,8 @@ func (d *Daemon) allocSharesLocked(p *pendingJob) {
 }
 
 // partitionAcquireLocked takes full shares of up to n entirely free
-// workers, lowest indexes first — LeasePool.Acquire semantics on the
-// share pool. Returns nil when no worker is free.
+// workers, lowest indexes first, or fewer when fewer are free. Returns
+// nil when no worker is free.
 func (d *Daemon) partitionAcquireLocked(jobID, n int) []int {
 	occ := d.shares.Occupancy()
 	vec := make([]float64, len(occ))

@@ -2,12 +2,13 @@
 // service that accepts divisible load application submissions (the XML
 // task specification), deploys them on its configured platform with the
 // requested DLS algorithm, and reports progress and execution reports to
-// clients. Clients talk to the daemon over net/rpc — the console in
-// cmd/apstdv is one such client.
+// clients. Clients talk to the daemon over the frame transport
+// (internal/transport; method ids and codecs in wire.go) — the console
+// in cmd/apstdv is one such client.
 //
 // The daemon runs in one of two modes:
 //
-//   - live: chunks move to real RPC workers and burn real CPU
+//   - live: chunks move to real worker processes and burn real CPU
 //     (package live);
 //   - sim: the platform is simulated (package grid) — the mode used to
 //     dry-run a deployment or reproduce the paper's experiments.
@@ -16,8 +17,6 @@ package daemon
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/rpc"
 	"strings"
 	"sync"
 	"time"
@@ -330,10 +329,10 @@ type SubmitArgs struct {
 	// (what reality supplies in live mode). Ignored in live mode.
 	SimApp *SimApp
 	// TraceID and ParentSpan stitch the daemon's spans under the
-	// client's trace. Over the frame transport they ride the frame
-	// header (the handler copies them in); over net/rpc they travel here
-	// via gob. Both zero means the client is not tracing; a tracing
-	// daemon then mints its own trace id.
+	// client's trace. They are not part of the wire body: they ride the
+	// frame header and the Submit handler copies them in. Both zero
+	// means the client is not tracing; a tracing daemon then mints its
+	// own trace id.
 	TraceID    uint64
 	ParentSpan uint64
 }
@@ -759,20 +758,4 @@ func (d *Daemon) Wait() {
 		d.idle.Wait()
 	}
 	d.mu.Unlock()
-}
-
-// Serve registers the daemon under the "APSTDV" RPC name and serves on
-// the listener until it is closed.
-func (d *Daemon) Serve(ln net.Listener) error {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("APSTDV", d); err != nil {
-		return err
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go srv.ServeConn(conn)
-	}
 }

@@ -3,7 +3,7 @@ package daemon
 import "apstdv/internal/errcode"
 
 // Typed daemon errors. They are errcode sentinels, so the stable code
-// embedded in the message survives the net/rpc string flattening and
+// embedded in the message survives the error frame's string and
 // clients recover errors.Is-able values with errcode.Decode (package
 // client does this on every call).
 var (

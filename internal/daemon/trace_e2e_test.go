@@ -13,117 +13,108 @@ import (
 	"apstdv/internal/workload"
 )
 
-// TestTraceStitchedAcrossTransports is the tentpole guarantee: one
-// trace id minted in the client stitches client.submit → transport →
-// daemon admission/queue/lease → engine execute → per-chunk lifecycle,
-// over the frame transport (ids in the frame header) and net/rpc (ids
-// in the SubmitArgs) alike.
-func TestTraceStitchedAcrossTransports(t *testing.T) {
-	for _, tr := range []string{client.TransportFrame, client.TransportRPC} {
-		t.Run(tr, func(t *testing.T) {
-			col := otrace.New(0)
-			d, err := daemon.New(daemon.Config{
-				Mode:     daemon.ModeSim,
-				Platform: workload.Meteor(2),
-				Seed:     1,
-				Trace:    col,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			if tr == client.TransportFrame {
-				go d.ServeFrame(ln)
-			} else {
-				go d.Serve(ln)
-			}
-			ctr := otrace.New(0)
-			c, err := client.DialOptions(ln.Addr().String(), client.Options{Transport: tr, Tracer: ctr})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+// TestTraceStitchedAcrossWire is the tentpole guarantee: one trace id
+// minted in the client stitches client.submit → transport → daemon
+// admission/queue/lease → engine execute → per-chunk lifecycle, the ids
+// riding the frame header.
+func TestTraceStitchedAcrossWire(t *testing.T) {
+	col := otrace.New(0)
+	d, err := daemon.New(daemon.Config{
+		Mode:     daemon.ModeSim,
+		Platform: workload.Meteor(2),
+		Seed:     1,
+		Trace:    col,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go d.ServeFrame(ln)
+	ctr := otrace.New(0)
+	c, err := client.DialOptions(ln.Addr().String(), client.Options{Tracer: ctr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
-			reply, err := c.Submit(taskXML, "", "", &daemon.SimApp{UnitCost: 0.01, BytesPerUnit: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			job, err := waitDone(c, reply.JobID, 10*time.Second, 10*time.Millisecond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if job.State != daemon.JobDone {
-				t.Fatalf("job %s: %s", job.State, job.Err)
-			}
+	reply, err := c.Submit(taskXML, "", "", &daemon.SimApp{UnitCost: 0.01, BytesPerUnit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := waitDone(c, reply.JobID, 10*time.Second, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State != daemon.JobDone {
+		t.Fatalf("job %s: %s", job.State, job.Err)
+	}
 
-			// The client's view: one client.submit span rooted at the
-			// trace id the client minted.
-			var clientTID, clientSpan uint64
-			for _, sp := range ctr.Snapshot() {
-				if sp.Name == "client.submit" {
-					clientTID, clientSpan = sp.Trace, sp.ID
-				}
-			}
-			if clientTID == 0 {
-				t.Fatal("client collector recorded no client.submit span")
-			}
+	// The client's view: one client.submit span rooted at the
+	// trace id the client minted.
+	var clientTID, clientSpan uint64
+	for _, sp := range ctr.Snapshot() {
+		if sp.Name == "client.submit" {
+			clientTID, clientSpan = sp.Trace, sp.ID
+		}
+	}
+	if clientTID == 0 {
+		t.Fatal("client collector recorded no client.submit span")
+	}
 
-			trep, err := c.Trace(reply.JobID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if trep.TraceID != clientTID {
-				t.Fatalf("daemon trace id %#x, client minted %#x — trace not stitched over %s",
-					trep.TraceID, clientTID, tr)
-			}
-			names := map[string]int{}
-			var submitParent uint64
-			for _, sp := range trep.Spans {
-				if sp.Trace != clientTID {
-					t.Fatalf("span %q on trace %#x, want %#x", sp.Name, sp.Trace, clientTID)
-				}
-				names[sp.Name]++
-				if sp.Name == "daemon.submit" {
-					submitParent = sp.Parent
-				}
-			}
-			for _, want := range []string{
-				"daemon.submit", "submit.parse", "submit.admit",
-				"job.queue", "job.lease", "job.execute",
-				"chunk", "chunk.transfer", "chunk.compute",
-			} {
-				if names[want] == 0 {
-					t.Errorf("%s: no %q span in job trace (got %v)", tr, want, names)
-				}
-			}
-			if tr == client.TransportFrame && names["rpc.decode"] == 0 {
-				t.Errorf("frame transport recorded no rpc.decode span")
-			}
-			if submitParent != clientSpan {
-				t.Errorf("daemon.submit parent %#x, want the client.submit span %#x", submitParent, clientSpan)
-			}
+	trep, err := c.Trace(reply.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trep.TraceID != clientTID {
+		t.Fatalf("daemon trace id %#x, client minted %#x — trace not stitched",
+			trep.TraceID, clientTID)
+	}
+	names := map[string]int{}
+	var submitParent uint64
+	for _, sp := range trep.Spans {
+		if sp.Trace != clientTID {
+			t.Fatalf("span %q on trace %#x, want %#x", sp.Name, sp.Trace, clientTID)
+		}
+		names[sp.Name]++
+		if sp.Name == "daemon.submit" {
+			submitParent = sp.Parent
+		}
+	}
+	for _, want := range []string{
+		"daemon.submit", "submit.parse", "submit.admit",
+		"job.queue", "job.lease", "job.execute",
+		"chunk", "chunk.transfer", "chunk.compute",
+	} {
+		if names[want] == 0 {
+			t.Errorf("no %q span in job trace (got %v)", want, names)
+		}
+	}
+	if names["rpc.decode"] == 0 {
+		t.Errorf("transport server recorded no rpc.decode span")
+	}
+	if submitParent != clientSpan {
+		t.Errorf("daemon.submit parent %#x, want the client.submit span %#x", submitParent, clientSpan)
+	}
 
-			ts, err := c.TraceStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ts.Enabled || ts.Recorded == 0 {
-				t.Fatalf("trace stats: %+v", ts)
-			}
-			stages := map[string]bool{}
-			for _, s := range ts.Stages {
-				stages[s.Stage] = true
-			}
-			for _, want := range []string{"admission", "queue", "lease", "execute"} {
-				if !stages[want] {
-					t.Errorf("stage stats missing %q (got %v)", want, ts.Stages)
-				}
-			}
-		})
+	ts, err := c.TraceStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ts.Enabled || ts.Recorded == 0 {
+		t.Fatalf("trace stats: %+v", ts)
+	}
+	stages := map[string]bool{}
+	for _, s := range ts.Stages {
+		stages[s.Stage] = true
+	}
+	for _, want := range []string{"admission", "queue", "lease", "execute"} {
+		if !stages[want] {
+			t.Errorf("stage stats missing %q (got %v)", want, ts.Stages)
+		}
 	}
 }
 

@@ -23,20 +23,6 @@ const (
 	MethodTraceStats uint16 = 9
 )
 
-// FrameMethods maps net/rpc service-method names to frame method ids,
-// so a client can speak either transport behind one call site.
-var FrameMethods = map[string]uint16{
-	"APSTDV.Submit":     MethodSubmit,
-	"APSTDV.Status":     MethodStatus,
-	"APSTDV.Cancel":     MethodCancel,
-	"APSTDV.Report":     MethodReport,
-	"APSTDV.Algorithms": MethodAlgorithms,
-	"APSTDV.ListJobs":   MethodListJobs,
-	"APSTDV.Events":     MethodEvents,
-	"APSTDV.Trace":      MethodTrace,
-	"APSTDV.TraceStats": MethodTraceStats,
-}
-
 // NewFrameServer builds a transport server with every daemon RPC
 // registered. Zero-value cfg uses the transport defaults; the daemon's
 // transport metrics are attached regardless.
@@ -49,8 +35,7 @@ func (d *Daemon) NewFrameServer(cfg transport.ServerConfig) *transport.Server {
 	}
 	s := transport.NewServer(cfg)
 	// Submit consumes the frame header's trace context: the args carry
-	// the ids from there on, so the net/rpc path (where gob carries them
-	// in the args directly) and the frame path converge before Submit.
+	// the ids from there on.
 	transport.RegisterTraced[SubmitArgs, SubmitReply](s, MethodSubmit,
 		func(tc transport.TraceContext, a *SubmitArgs, r *SubmitReply) error {
 			if tc.Valid() {
@@ -77,8 +62,8 @@ func (d *Daemon) NewFrameServer(cfg transport.ServerConfig) *transport.Server {
 	return s
 }
 
-// ServeFrame serves the frame transport on ln until the server or the
-// listener closes. The counterpart of Serve for -transport=frame.
+// ServeFrame serves the daemon protocol on ln until the server or the
+// listener closes.
 func (d *Daemon) ServeFrame(ln net.Listener) error {
 	return d.NewFrameServer(transport.ServerConfig{}).Serve(ln)
 }
@@ -217,7 +202,7 @@ func (r *AlgorithmsReply) AppendWire(b []byte) []byte {
 // DecodeWire implements transport.Decoder.
 func (r *AlgorithmsReply) DecodeWire(d *transport.Dec) {
 	n := int(d.Uvarint())
-	if d.Err() != nil || n > d.Len() {
+	if d.Err() != nil || n < 0 || n > d.Len() {
 		return
 	}
 	r.Names = make([]string, 0, n)
@@ -244,7 +229,7 @@ func (r *ListJobsReply) AppendWire(b []byte) []byte {
 // DecodeWire implements transport.Decoder.
 func (r *ListJobsReply) DecodeWire(d *transport.Dec) {
 	n := int(d.Uvarint())
-	if d.Err() != nil || n > d.Len() {
+	if d.Err() != nil || n < 0 || n > d.Len() {
 		return
 	}
 	r.Jobs = make([]Job, n)
@@ -279,7 +264,7 @@ func (r *EventsReply) AppendWire(b []byte) []byte {
 // DecodeWire implements transport.Decoder.
 func (r *EventsReply) DecodeWire(d *transport.Dec) {
 	n := int(d.Uvarint())
-	if d.Err() != nil || n > d.Len() {
+	if d.Err() != nil || n < 0 || n > d.Len() {
 		return
 	}
 	r.Events = make([]obs.Event, n)
@@ -329,7 +314,7 @@ func decodeJob(d *transport.Dec, j *Job) {
 	j.Code = d.String()
 	j.QueuePos = int(d.Varint())
 	n := int(d.Uvarint())
-	if d.Err() != nil || n > d.Len() {
+	if d.Err() != nil || n < 0 || n > d.Len() {
 		return
 	}
 	if n > 0 {
@@ -340,7 +325,7 @@ func decodeJob(d *transport.Dec, j *Job) {
 	}
 	j.TraceID = d.Uvarint()
 	n = int(d.Uvarint())
-	if d.Err() != nil || n > d.Len() {
+	if d.Err() != nil || n < 0 || n > d.Len() {
 		return
 	}
 	if n > 0 {
@@ -698,7 +683,7 @@ func (r *TraceReply) AppendWire(b []byte) []byte {
 func (r *TraceReply) DecodeWire(d *transport.Dec) {
 	r.TraceID = d.Uvarint()
 	n := int(d.Uvarint())
-	if d.Err() != nil || n > d.Len() {
+	if d.Err() != nil || n < 0 || n > d.Len() {
 		return
 	}
 	r.Spans = make([]otrace.SpanRecord, n)
@@ -738,7 +723,7 @@ func (r *TraceStatsReply) DecodeWire(d *transport.Dec) {
 	r.Recorded = d.Uvarint()
 	r.Retained = int(d.Varint())
 	n := int(d.Uvarint())
-	if d.Err() != nil || n > d.Len() {
+	if d.Err() != nil || n < 0 || n > d.Len() {
 		return
 	}
 	r.Stages = make([]otrace.StageStat, n)

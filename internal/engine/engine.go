@@ -6,7 +6,7 @@
 //
 // The engine is execution-backend agnostic: package grid provides the
 // discrete-event simulation of the paper's testbed, package live a real
-// concurrent runtime over net/rpc. Both implement Backend. All engine
+// concurrent runtime over TCP workers. Both implement Backend. All engine
 // state is guarded by one mutex so that live backends may invoke
 // callbacks from arbitrary goroutines.
 package engine

@@ -3,7 +3,7 @@ package engine
 import "apstdv/internal/errcode"
 
 // Typed terminal errors. They carry stable codes (package errcode) so
-// they survive the daemon's net/rpc boundary: the daemon records the
+// they survive the daemon's wire boundary: the daemon records the
 // code on the failed job, and the client re-attaches the sentinel with
 // errcode.Decode, making errors.Is work on the far side of the wire.
 var (

@@ -1,17 +1,18 @@
 // Package errcode gives sentinel errors a stable machine-readable code
-// that survives string-only transports. net/rpc flattens a server-side
-// error to its message (rpc.ServerError is just a string), so a client
-// cannot use errors.Is against the server's sentinels directly. A coded
-// sentinel embeds " [code=X]" in its message; Decode on the receiving
-// side recognizes the marker and re-attaches the registered sentinel,
-// making errors.Is work across the wire:
+// that survives string-only transports. The frame transport carries a
+// server-side error as its message (a transport.RemoteError is just a
+// string), so a client cannot use errors.Is against the server's
+// sentinels directly. A coded sentinel embeds " [code=X]" in its
+// message; Decode on the receiving side recognizes the marker and
+// re-attaches the registered sentinel, making errors.Is work across the
+// wire:
 //
 //	// server
 //	var ErrQueueFull = errcode.New("queue_full", "daemon: run queue full")
 //	return fmt.Errorf("job %d: %w", id, ErrQueueFull)
 //
 //	// client
-//	err := errcode.Decode(rc.Call(...))
+//	err := errcode.Decode(conn.Call(...))
 //	errors.Is(err, daemon.ErrQueueFull) // true
 //
 // Codes are registered process-wide by New; both ends of an RPC link in

@@ -3,7 +3,6 @@ package errcode
 import (
 	"errors"
 	"fmt"
-	"net/rpc"
 	"testing"
 )
 
@@ -36,8 +35,8 @@ func TestCodeSurvivesWrapping(t *testing.T) {
 }
 
 func TestDecodeAcrossStringTransport(t *testing.T) {
-	// net/rpc delivers server errors as rpc.ServerError — a bare string.
-	wire := rpc.ServerError(fmt.Errorf("job 7: %w", errTestFull).Error())
+	// The wire delivers a server error as a bare string.
+	wire := errors.New(fmt.Errorf("job 7: %w", errTestFull).Error())
 	dec := Decode(wire)
 	if !errors.Is(dec, errTestFull) {
 		t.Errorf("errors.Is failed after transport: %v", dec)

@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -16,8 +15,7 @@ import (
 // value is valid: no metrics, no tracing.
 type Config struct {
 	// Metrics, when set, receives the client-side frame/byte counters
-	// for every frame-transport worker link (net/rpc links record
-	// nothing — that protocol has no metrics seam).
+	// for every worker connection.
 	Metrics *obs.TransportMetrics
 }
 
@@ -30,94 +28,10 @@ type NetModel struct {
 	Bandwidth float64 // bytes per second; 0 = unlimited
 }
 
-// Worker transport kinds for WorkerConn.Transport, ServeOn and
-// ClusterOn.
-const (
-	TransportFrame = "frame"
-	TransportRPC   = "rpc"
-)
-
 // WorkerConn describes one worker the backend drives.
 type WorkerConn struct {
 	Addr string
 	Net  NetModel
-	// Transport selects the wire protocol: TransportFrame (default) or
-	// TransportRPC. Must match what the worker serves.
-	Transport string
-}
-
-// workerLink is the transport seam between the backend and one worker:
-// one implementation per wire protocol. Call's timeout semantics differ
-// by transport — see each implementation.
-type workerLink interface {
-	// Call performs one round-trip; timeout <= 0 means unbounded. tc is
-	// the caller's trace context: the frame transport carries it in the
-	// frame header; net/rpc has no header seam and drops it.
-	Call(method string, args, reply any, timeout time.Duration, tc transport.TraceContext) error
-	Close() error
-}
-
-// rpcLink drives a worker over net/rpc. A timed-out call closes the
-// connection: net/rpc has no way to retire a request id, so the stale
-// reply must never be readable.
-type rpcLink struct{ rc *rpc.Client }
-
-func (l *rpcLink) Call(method string, args, reply any, timeout time.Duration, _ transport.TraceContext) error {
-	if timeout <= 0 {
-		return l.rc.Call(method, args, reply)
-	}
-	done := l.rc.Go(method, args, reply, make(chan *rpc.Call, 1)).Done
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case call := <-done:
-		return call.Error
-	case <-timer.C:
-		// Abandon the call: close the connection so the stale reply can
-		// never be mistaken for a later call's.
-		l.rc.Close()
-		return fmt.Errorf("live: %s exceeded %v deadline", method, timeout)
-	}
-}
-func (l *rpcLink) Close() error { return l.rc.Close() }
-
-// frameLink drives a worker over the frame transport, which retires
-// timed-out request ids natively — the connection survives a deadline.
-type frameLink struct{ c *transport.Conn }
-
-func (l *frameLink) Call(method string, args, reply any, timeout time.Duration, tc transport.TraceContext) error {
-	id, ok := workerFrameMethods[method]
-	if !ok {
-		return fmt.Errorf("live: no frame method id for %q", method)
-	}
-	a, _ := args.(transport.Appender)
-	r, _ := reply.(transport.Decoder)
-	err := l.c.CallTimeoutTrace(id, a, r, timeout, tc)
-	if errors.Is(err, transport.ErrTimeout) {
-		return fmt.Errorf("live: %s exceeded %v deadline: %w", method, timeout, err)
-	}
-	return err
-}
-func (l *frameLink) Close() error { return l.c.Close() }
-
-// dialWorker connects one worker link over its configured transport.
-func dialWorker(w WorkerConn, cfg Config) (workerLink, error) {
-	switch w.Transport {
-	case "", TransportFrame:
-		c, err := transport.Dial(w.Addr, transport.Config{Metrics: cfg.Metrics})
-		if err != nil {
-			return nil, err
-		}
-		return &frameLink{c: c}, nil
-	case TransportRPC:
-		rc, err := rpc.Dial("tcp", w.Addr)
-		if err != nil {
-			return nil, err
-		}
-		return &rpcLink{rc: rc}, nil
-	default:
-		return nil, fmt.Errorf("live: unknown worker transport %q", w.Transport)
-	}
 }
 
 // Backend is the live engine.Backend: real RPC, real bytes, real CPU.
@@ -131,7 +45,7 @@ type Backend struct {
 	t0 time.Time
 
 	mu      sync.Mutex
-	clients []workerLink
+	clients []*transport.Conn
 	nets    []NetModel
 	stopped bool
 	closed  bool
@@ -151,9 +65,9 @@ type Backend struct {
 	// FragmentSize is the Store fragment granularity (default 256 KiB).
 	FragmentSize int
 	// CallTimeout bounds each RPC round-trip; a call that exceeds it
-	// fails with a deadline error (the connection is closed so the
-	// abandoned call cannot complete later and confuse the worker's
-	// FIFO). 0 disables the bound.
+	// fails with a deadline error (the transport retires its request
+	// id, so the connection survives and a late reply is dropped).
+	// 0 disables the bound.
 	CallTimeout time.Duration
 
 	// Trace state installed by SetTrace before the run starts: every
@@ -166,7 +80,7 @@ type Backend struct {
 }
 
 // Dial connects to the given workers. The optional cfg (at most one)
-// threads metrics into the frame links; omitting it keeps the
+// threads metrics into the connections; omitting it keeps the
 // zero-dependency behaviour.
 func Dial(workers []WorkerConn, cfg ...Config) (*Backend, error) {
 	var c0 Config
@@ -179,7 +93,7 @@ func Dial(workers []WorkerConn, cfg ...Config) (*Backend, error) {
 		FragmentSize: 256 << 10,
 	}
 	for _, w := range workers {
-		c, err := dialWorker(w, c0)
+		c, err := transport.Dial(w.Addr, transport.Config{Metrics: c0.Metrics})
 		if err != nil {
 			b.Close()
 			return nil, fmt.Errorf("live: dial %s: %w", w.Addr, err)
@@ -227,36 +141,25 @@ func Cluster(n, workPerUnit int, netModel NetModel) (*Backend, []*WorkerService,
 	return b, services, all, nil
 }
 
-// Close shuts every worker connection down and reports the joined close
-// errors. It is idempotent and safe to race with in-flight operations:
-// connection teardown happens under the backend mutex, and calls racing
-// a Close observe RPC errors through their own done callbacks.
+// Close shuts every worker connection down. It is idempotent and safe
+// to race with in-flight operations: connection teardown happens under
+// the backend mutex, and calls racing a Close observe RPC errors through
+// their own done callbacks. The error is always nil (a transport.Conn
+// close cannot fail); the signature is io.Closer's.
 func (b *Backend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.closeAllLocked()
-}
-
-// closeAllLocked closes every live connection, joining the per-
-// connection close errors instead of discarding them (a lost FIN on a
-// wedged connection used to vanish silently here). Caller holds the
-// mutex.
-func (b *Backend) closeAllLocked() error {
 	if b.closed {
 		return nil
 	}
 	b.closed = true
-	var errs []error
 	for i, c := range b.clients {
-		if c == nil {
-			continue
+		if c != nil {
+			c.Close()
+			b.clients[i] = nil
 		}
-		if err := c.Close(); err != nil && !errors.Is(err, rpc.ErrShutdown) && !errors.Is(err, transport.ErrClosed) {
-			errs = append(errs, fmt.Errorf("live: close worker %d: %w", i, err))
-		}
-		b.clients[i] = nil
 	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // Cancel aborts the backend: it fires a best-effort Worker.Abort at
@@ -268,7 +171,7 @@ func (b *Backend) closeAllLocked() error {
 // delay cancellation of the rest.
 func (b *Backend) Cancel() {
 	b.mu.Lock()
-	clients := make([]workerLink, len(b.clients))
+	clients := make([]*transport.Conn, len(b.clients))
 	copy(clients, b.clients)
 	b.mu.Unlock()
 	var wg sync.WaitGroup
@@ -277,10 +180,9 @@ func (b *Backend) Cancel() {
 			continue
 		}
 		wg.Add(1)
-		go func(c workerLink) {
+		go func(c *transport.Conn) {
 			defer wg.Done()
-			var reply AbortReply
-			c.Call("Worker.Abort", &AbortArgs{}, &reply, time.Second, transport.TraceContext{})
+			c.CallTimeout(methodAbort, &AbortArgs{}, &AbortReply{}, time.Second)
 		}(c)
 	}
 	wg.Wait()
@@ -289,7 +191,7 @@ func (b *Backend) Cancel() {
 
 // client returns worker w's connection, or an error once the backend is
 // closed.
-func (b *Backend) client(w int) (workerLink, error) {
+func (b *Backend) client(w int) (*transport.Conn, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed || b.clients[w] == nil {
@@ -300,10 +202,10 @@ func (b *Backend) client(w int) (workerLink, error) {
 
 // SetTrace installs the trace context for the coming run: worker
 // operations record "worker.store"/"worker.compute"/"worker.fetch"
-// spans parented under parent, and frame-transport calls propagate the
-// trace id to the worker in their headers. Must be called before the
-// engine starts driving the backend (operation goroutines read the
-// fields without locks; the goroutine-start edge orders the writes).
+// spans parented under parent, and calls propagate the trace id to the
+// worker in their frame headers. Must be called before the engine
+// starts driving the backend (operation goroutines read the fields
+// without locks; the goroutine-start edge orders the writes).
 func (b *Backend) SetTrace(c *otrace.Collector, tid otrace.TraceID, parent otrace.SpanID) {
 	b.tracer = c
 	b.traceID = tid
@@ -400,15 +302,18 @@ func (b *Backend) opFailed(err error) error {
 	return err
 }
 
-// call performs one RPC bounded by CallTimeout. Deadline handling is
-// the link's: the frame transport retires the request id and keeps the
-// connection; net/rpc must close it.
-func (b *Backend) call(w int, method string, args, reply any) error {
+// call performs one RPC bounded by CallTimeout. The transport retires
+// a timed-out request id, so the connection survives a deadline.
+func (b *Backend) call(w int, method uint16, args transport.Appender, reply transport.Decoder) error {
 	c, err := b.client(w)
 	if err != nil {
 		return err
 	}
-	if err := c.Call(method, args, reply, b.CallTimeout, b.traceContext()); err != nil {
+	err = c.CallTimeoutTrace(method, args, reply, b.CallTimeout, b.traceContext())
+	if errors.Is(err, transport.ErrTimeout) {
+		return fmt.Errorf("worker %d: exceeded %v deadline: %w", w, b.CallTimeout, err)
+	}
+	if err != nil {
 		return fmt.Errorf("worker %d: %w", w, err)
 	}
 	return nil
@@ -451,7 +356,7 @@ func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, e
 			}
 			args := StoreArgs{Chunk: int(chunk), Data: buf[:n], Last: n == remaining}
 			var reply StoreReply
-			if err := b.call(w, "Worker.Store", &args, &reply); err != nil {
+			if err := b.call(w, methodStore, &args, &reply); err != nil {
 				err = b.opFailed(fmt.Errorf("live: store on worker %d: %w", w, err))
 				sp.End(err)
 				done(start, b.Now(), err)
@@ -486,7 +391,7 @@ func (b *Backend) Execute(w int, size float64, probe bool, done func(start, end 
 		start := b.Now()
 		args := ComputeArgs{Chunk: int(b.nextChunk()), Units: size, Probe: probe}
 		var reply ComputeReply
-		if err := b.call(w, "Worker.Compute", &args, &reply); err != nil {
+		if err := b.call(w, methodCompute, &args, &reply); err != nil {
 			err = b.opFailed(fmt.Errorf("live: compute on worker %d: %w", w, err))
 			sp.End(err)
 			done(start, b.Now(), err)
@@ -505,7 +410,7 @@ func (b *Backend) ReturnOutput(w int, bytes float64, done func(start, end float6
 		sp := b.opSpan("worker.fetch")
 		start := b.Now()
 		var reply FetchReply
-		if err := b.call(w, "Worker.Fetch", &FetchArgs{Bytes: int(bytes)}, &reply); err != nil {
+		if err := b.call(w, methodFetch, &FetchArgs{Bytes: int(bytes)}, &reply); err != nil {
 			err = b.opFailed(fmt.Errorf("live: fetch from worker %d: %w", w, err))
 			sp.End(err)
 			done(start, b.Now(), err)

@@ -26,10 +26,10 @@ const shareEpsilon = 1e-9
 // SharePool tracks fractional worker allocations across concurrently
 // running jobs: each job holds a share vector — one CPU fraction per
 // worker of a fixed pool — and the pool enforces the invariant that no
-// worker's shares ever sum above 1.0. It is the share-based successor
-// of LeasePool's boolean leases: a boolean lease is the special case of
-// a full (1.0) share, and disjoint full-share vectors reproduce the
-// strict-partition behaviour exactly.
+// worker's shares ever sum above 1.0. An exclusive whole-worker lease
+// is the special case of a full (1.0) share: disjoint full-share
+// vectors are strict partitioning, where two running jobs never share
+// a worker.
 //
 // The pool is mechanism only. Policy — who gets how much, and when
 // shares are revised — lives in the daemon's co-scheduling layer;
@@ -133,9 +133,9 @@ func (p *SharePool) SetAll(vectors map[int][]float64) error {
 
 // Release returns all of a job's shares to the pool. Releasing a job
 // that holds nothing — a double release, or a job that never acquired —
-// returns ErrShareNotHeld; share accounting is a correctness invariant,
-// but unlike LeasePool's historical panic the caller decides whether a
-// violation is fatal.
+// returns ErrShareNotHeld rather than panicking: share accounting is a
+// correctness invariant, but a violation must not crash a daemon
+// mid-drain, so the caller decides whether it is fatal.
 func (p *SharePool) Release(jobID int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -173,9 +173,8 @@ func (p *SharePool) Occupancy() []float64 {
 	return append([]float64(nil), p.total...)
 }
 
-// FreeWorkers returns how many workers are entirely unallocated — the
-// share-pool analogue of LeasePool.Free, used by the strict-partition
-// policy to size new grants.
+// FreeWorkers returns how many workers are entirely unallocated; the
+// strict-partition policy sizes new grants from it.
 func (p *SharePool) FreeWorkers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

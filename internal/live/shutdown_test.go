@@ -1,13 +1,14 @@
 package live
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestCloseIsIdempotentAndJoinsErrors(t *testing.T) {
+func TestCloseIsIdempotent(t *testing.T) {
 	svc := NewWorkerService(1, 1)
 	addr, stop, err := Serve(svc)
 	if err != nil {
@@ -111,4 +112,69 @@ func TestCallTimeoutFailsSlowRPC(t *testing.T) {
 	}
 	b.Stop()
 	b.Run()
+}
+
+// TestAbortKillsRunningCompute pins the cancellation path: a compute
+// burning a large chunk stops with an error shortly after Abort instead
+// of running to completion.
+func TestAbortKillsRunningCompute(t *testing.T) {
+	svc := NewWorkerService(200_000_000, 1) // several seconds of work
+	done := make(chan error, 1)
+	go func() {
+		var reply ComputeReply
+		done <- svc.Compute(ComputeArgs{Chunk: 1, Units: 10}, &reply)
+	}()
+	// Let the loop start, then abort.
+	time.Sleep(50 * time.Millisecond)
+	var ar AbortReply
+	if err := svc.Abort(AbortArgs{}, &ar); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, errAborted) {
+			t.Fatalf("compute returned %v, want errAborted", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("abort did not stop the compute loop")
+	}
+	// A computation submitted after the abort runs normally.
+	var reply ComputeReply
+	if err := svc.Compute(ComputeArgs{Chunk: 2, Units: 0.001}, &reply); err != nil {
+		t.Fatalf("post-abort compute failed: %v", err)
+	}
+	if svc.Computed() != 1 {
+		t.Fatalf("computed = %d, want 1 (aborted chunk must not count)", svc.Computed())
+	}
+}
+
+// TestBackendCancelUnblocksRun pins the daemon-facing contract: Cancel
+// aborts worker compute and closes connections, after which Run (once
+// stopped) returns because the in-flight operations fail fast.
+func TestBackendCancelUnblocksRun(t *testing.T) {
+	b, _, cleanup, err := Cluster(2, 200_000_000, NetModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	opDone := make(chan error, 1)
+	b.Execute(0, 10, false, func(start, end float64, err error) { opDone <- err })
+	time.Sleep(50 * time.Millisecond)
+	b.Cancel()
+	select {
+	case err := <-opDone:
+		if err == nil {
+			t.Fatal("compute survived Cancel")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cancel did not fail the in-flight compute")
+	}
+	b.Stop()
+	ran := make(chan struct{})
+	go func() { b.Run(); close(ran) }()
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after Cancel + Stop")
+	}
 }

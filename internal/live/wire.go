@@ -12,15 +12,6 @@ const (
 	methodAbort   uint16 = 4
 )
 
-// workerFrameMethods maps net/rpc service-method names onto frame
-// method ids, mirroring daemon.FrameMethods for the worker protocol.
-var workerFrameMethods = map[string]uint16{
-	"Worker.Store":   methodStore,
-	"Worker.Compute": methodCompute,
-	"Worker.Fetch":   methodFetch,
-	"Worker.Abort":   methodAbort,
-}
-
 // AppendWire implements transport.Appender.
 func (a *StoreArgs) AppendWire(b []byte) []byte {
 	b = transport.AppendVarint(b, int64(a.Chunk))

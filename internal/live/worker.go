@@ -1,10 +1,11 @@
-// Package live is the real execution backend: workers are net/rpc
-// services (in-process or remote) that receive actual chunk bytes over
-// TCP and burn actual CPU for each load unit. It implements the same
-// engine.Backend interface as the simulator, demonstrating that the
-// scheduling layer is execution-agnostic — the paper's point about APST
-// working over Ssh/Scp, Globus, or anything else that moves files and
-// starts processes.
+// Package live is the real execution backend: workers are frame-
+// transport services (in-process or remote; method ids and codecs in
+// wire.go) that receive actual chunk bytes over TCP and burn actual CPU
+// for each load unit. It implements the same engine.Backend interface
+// as the simulator, demonstrating that the scheduling layer is
+// execution-agnostic — the paper's point about APST working over
+// Ssh/Scp, Globus, or anything else that moves files and starts
+// processes.
 //
 // To make scheduling effects observable on a single machine, the backend
 // can impose a network model on transfers (latency + bandwidth pacing)
@@ -17,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"sync/atomic"
 
@@ -196,91 +196,30 @@ func (s *WorkerService) BytesReceived() int64 {
 	return s.bytesIn
 }
 
-// Serve exposes the service over the frame transport on a loopback TCP
-// listener, returning the address and a shutdown function. The shutdown
-// function kills the worker outright: it closes the listener and every
-// active connection, so in-flight RPCs fail the way they would if the
-// node crashed — and aborts any compute those connections had queued,
-// so a stopped worker does not keep burning CPU.
+// Serve exposes the service on a loopback TCP listener, returning the
+// address and a shutdown function. The shutdown function kills the
+// worker outright: it closes the listener and every active connection,
+// so in-flight RPCs fail the way they would if the node crashed — and
+// aborts any compute those connections had queued, so a stopped worker
+// does not keep burning CPU.
 func Serve(svc *WorkerService) (addr string, stop func(), err error) {
-	return ServeOn(TransportFrame, svc)
-}
-
-// ServeOn is Serve with an explicit transport kind (TransportFrame or
-// TransportRPC); the dialing backend's WorkerConn.Transport must match.
-func ServeOn(kind string, svc *WorkerService) (addr string, stop func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, fmt.Errorf("live: listen: %w", err)
 	}
-	stop, err = ServeListener(kind, svc, ln)
-	if err != nil {
-		ln.Close()
-		return "", nil, err
-	}
-	return ln.Addr().String(), stop, nil
+	return ln.Addr().String(), ServeListener(svc, ln), nil
 }
 
 // ServeListener serves the worker protocol on an established listener
-// (Serve/ServeOn with a caller-owned bind address, as cmd/apstdv-worker
-// needs). The stop function has Serve's crash semantics.
-func ServeListener(kind string, svc *WorkerService, ln net.Listener) (stop func(), err error) {
-	switch kind {
-	case "", TransportFrame:
-		srv := newWorkerFrameServer(svc, transport.ServerConfig{})
-		go srv.Serve(ln)
-		return func() {
-			srv.Close()
-			// Kill any compute the dead connections abandoned: a crashed
-			// node stops burning CPU, and so must a stopped worker.
-			svc.Abort(AbortArgs{}, &AbortReply{})
-		}, nil
-	case TransportRPC:
-		return serveRPC(svc, ln)
-	default:
-		return nil, fmt.Errorf("live: unknown worker transport %q", kind)
-	}
-}
-
-// serveRPC is the net/rpc fallback worker server.
-func serveRPC(svc *WorkerService, ln net.Listener) (stop func(), err error) {
-	srv := rpc.NewServer()
-	// Each worker gets its own server, so the service name is fixed.
-	if err := srv.RegisterName("Worker", svc); err != nil {
-		return nil, err
-	}
-	var mu sync.Mutex
-	var conns []net.Conn
-	stopped := false
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			if stopped {
-				mu.Unlock()
-				conn.Close()
-				return
-			}
-			conns = append(conns, conn)
-			mu.Unlock()
-			go srv.ServeConn(conn)
-		}
-	}()
-	stop = func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
-			return
-		}
-		stopped = true
-		ln.Close()
-		for _, c := range conns {
-			c.Close()
-		}
+// (Serve with a caller-owned bind address, as cmd/apstdv-worker needs).
+// The stop function has Serve's crash semantics.
+func ServeListener(svc *WorkerService, ln net.Listener) (stop func()) {
+	srv := newWorkerFrameServer(svc, transport.ServerConfig{})
+	go srv.Serve(ln)
+	return func() {
+		srv.Close()
+		// Kill any compute the dead connections abandoned: a crashed
+		// node stops burning CPU, and so must a stopped worker.
 		svc.Abort(AbortArgs{}, &AbortReply{})
 	}
-	return stop, nil
 }

@@ -32,9 +32,6 @@ import (
 
 // Config parameterizes one load-generation run.
 type Config struct {
-	// Transport selects the wire protocol (client.TransportFrame or
-	// client.TransportRPC).
-	Transport string
 	// Conns is the client connection-pool width.
 	Conns int
 	// Rate is the offered load in submissions per second.
@@ -57,10 +54,8 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Trace gives the generator's client a trace collector, so every
 	// submission carries a trace id and the daemon (when it traces too)
-	// attributes its decode work to the request. Compare additionally
-	// runs each leg's self-hosted daemon with a fresh collector, so both
-	// transports report per-stage latency attribution (Result.Stages)
-	// over identical instrumentation.
+	// attributes its decode work to the request and the run reports
+	// per-stage latency attribution (Result.Stages).
 	Trace bool
 }
 
@@ -76,9 +71,8 @@ type Percentiles struct {
 
 // Result is one run's measurement.
 type Result struct {
-	Transport string  `json:"transport"`
-	RateHz    float64 `json:"offered_rate_hz"`
-	Seconds   float64 `json:"window_seconds"`
+	RateHz  float64 `json:"offered_rate_hz"`
+	Seconds float64 `json:"window_seconds"`
 
 	// Arrival accounting: Offered = Sent + Shed;
 	// Sent = Accepted + Rejected + Errors.
@@ -133,7 +127,7 @@ func Run(addr string, cfg Config) (*Result, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
-	opts := client.Options{Transport: cfg.Transport, Conns: cfg.Conns}
+	opts := client.Options{Conns: cfg.Conns}
 	if cfg.Trace {
 		// A client-side collector makes every Submit mint a trace id
 		// that rides the wire, so a tracing daemon attributes even its
@@ -147,7 +141,7 @@ func Run(addr string, cfg Config) (*Result, error) {
 	}
 	defer cl.Close()
 
-	res := &Result{Transport: cfg.Transport, RateHz: cfg.Rate, Seconds: cfg.Duration.Seconds()}
+	res := &Result{RateHz: cfg.Rate, Seconds: cfg.Duration.Seconds()}
 	var (
 		mu        sync.Mutex
 		latencies []float64 // seconds
@@ -158,7 +152,7 @@ func Run(addr string, cfg Config) (*Result, error) {
 	// job must be observed terminal before the retention FIFO evicts
 	// it, and under sustained load most evictions happen mid-run. The
 	// poll costs ~20 list RPCs/s against an offered load thousands of
-	// times that, and both transports pay it identically.
+	// times that.
 	ws := newWaitSampler()
 	pollStop := make(chan struct{})
 	pollDone := make(chan struct{})

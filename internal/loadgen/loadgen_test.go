@@ -4,57 +4,52 @@ import (
 	"testing"
 	"time"
 
-	"apstdv/internal/client"
 	"apstdv/internal/daemon"
 	"apstdv/internal/workload"
 )
 
-// TestRunAgainstSelfHostedDaemon smoke-tests the full measurement loop
-// over both transports: generate a short burst, check the arrival
-// accounting balances, and check the drain left the daemon idle. The
-// rate is modest on purpose — this pins correctness of the harness,
-// not the numbers it reports.
+// TestRunAgainstSelfHostedDaemon smoke-tests the full measurement
+// loop: generate a short burst, check the arrival accounting balances,
+// and check the drain left the daemon idle. The rate is modest on
+// purpose — this pins correctness of the harness, not the numbers it
+// reports.
 func TestRunAgainstSelfHostedDaemon(t *testing.T) {
 	p, err := workload.ParsePlatform("das2:4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, transport := range []string{client.TransportFrame, client.TransportRPC} {
-		t.Run(transport, func(t *testing.T) {
-			addr, stop, err := SelfHost(transport, daemon.Config{
-				Mode: daemon.ModeSim, Platform: p, Seed: 1,
-				MaxConcurrentJobs: 1, QueueDepth: 8, RetainJobs: 512,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer stop()
-			res, err := Run(addr, Config{
-				Transport: transport, Conns: 1,
-				Rate: 500, Duration: 300 * time.Millisecond,
-				MaxOutstanding: 64, Seed: 1,
-				TaskXML: BenchSpec(5),
-				SimApp:  &daemon.SimApp{UnitCost: 0.05, BytesPerUnit: 1000},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Offered == 0 || res.Accepted == 0 {
-				t.Fatalf("no load generated: %+v", res)
-			}
-			if got := res.Shed + res.Accepted + res.Rejected + res.Errors; got != res.Offered {
-				t.Errorf("arrival accounting: shed+accepted+rejected+errors = %d, offered = %d", got, res.Offered)
-			}
-			if res.Errors != 0 {
-				t.Errorf("%d untyped errors against a healthy daemon", res.Errors)
-			}
-			if res.Submit.N != res.Accepted+res.Rejected {
-				t.Errorf("latency samples %d, want accepted+rejected = %d", res.Submit.N, res.Accepted+res.Rejected)
-			}
-			if res.SustainedHz <= 0 {
-				t.Errorf("sustained rate %v, want > 0", res.SustainedHz)
-			}
-		})
+	addr, stop, err := SelfHost(daemon.Config{
+		Mode: daemon.ModeSim, Platform: p, Seed: 1,
+		MaxConcurrentJobs: 1, QueueDepth: 8, RetainJobs: 512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	res, err := Run(addr, Config{
+		Conns: 1,
+		Rate:  500, Duration: 300 * time.Millisecond,
+		MaxOutstanding: 64, Seed: 1,
+		TaskXML: BenchSpec(5),
+		SimApp:  &daemon.SimApp{UnitCost: 0.05, BytesPerUnit: 1000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Offered == 0 || res.Accepted == 0 {
+		t.Fatalf("no load generated: %+v", res)
+	}
+	if got := res.Shed + res.Accepted + res.Rejected + res.Errors; got != res.Offered {
+		t.Errorf("arrival accounting: shed+accepted+rejected+errors = %d, offered = %d", got, res.Offered)
+	}
+	if res.Errors != 0 {
+		t.Errorf("%d untyped errors against a healthy daemon", res.Errors)
+	}
+	if res.Submit.N != res.Accepted+res.Rejected {
+		t.Errorf("latency samples %d, want accepted+rejected = %d", res.Submit.N, res.Accepted+res.Rejected)
+	}
+	if res.SustainedHz <= 0 {
+		t.Errorf("sustained rate %v, want > 0", res.SustainedHz)
 	}
 }
 

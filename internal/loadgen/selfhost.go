@@ -6,9 +6,7 @@ import (
 	"net"
 	"time"
 
-	"apstdv/internal/client"
 	"apstdv/internal/daemon"
-	otrace "apstdv/internal/obs/trace"
 )
 
 // BenchSpec returns the builtin benchmark task specification: a
@@ -22,11 +20,11 @@ func BenchSpec(load int) string {
 </task>`, load, load)
 }
 
-// SelfHost starts an in-process daemon on a loopback listener serving
-// the given transport, so the benchmark measures the serving path
-// without a separate daemon process. The shutdown function drains the
-// daemon and closes the listener.
-func SelfHost(transport string, cfg daemon.Config) (addr string, shutdown func(), err error) {
+// SelfHost starts an in-process daemon on a loopback listener, so the
+// benchmark measures the serving path without a separate daemon
+// process. The shutdown function drains the daemon and closes the
+// listener.
+func SelfHost(cfg daemon.Config) (addr string, shutdown func(), err error) {
 	d, err := daemon.New(cfg)
 	if err != nil {
 		return "", nil, err
@@ -35,16 +33,7 @@ func SelfHost(transport string, cfg daemon.Config) (addr string, shutdown func()
 	if err != nil {
 		return "", nil, err
 	}
-	switch transport {
-	case client.TransportFrame:
-		go d.ServeFrame(ln)
-	case client.TransportRPC:
-		go d.Serve(ln)
-	default:
-		ln.Close()
-		return "", nil, fmt.Errorf("loadgen: unknown transport %q (want %s or %s)",
-			transport, client.TransportFrame, client.TransportRPC)
-	}
+	go d.ServeFrame(ln)
 	shutdown = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		d.Shutdown(ctx)
@@ -52,54 +41,4 @@ func SelfHost(transport string, cfg daemon.Config) (addr string, shutdown func()
 		ln.Close()
 	}
 	return ln.Addr().String(), shutdown, nil
-}
-
-// Comparison pairs the two transports' results over identical daemons
-// and offered load.
-type Comparison struct {
-	Frame *Result `json:"frame"`
-	RPC   *Result `json:"rpc"`
-	// SustainedRatio is frame sustained Hz over rpc sustained Hz.
-	SustainedRatio float64 `json:"frame_vs_rpc_sustained_ratio"`
-	// P99Ratio is frame p99 submit latency over rpc p99 (< 1 means
-	// frame's tail is tighter).
-	P99Ratio float64 `json:"frame_vs_rpc_p99_ratio"`
-}
-
-// Compare runs the benchmark over the rpc and frame transports against
-// fresh, identically configured self-hosted daemons and reports both
-// results with their ratios.
-func Compare(dcfg daemon.Config, cfg Config) (*Comparison, error) {
-	run := func(tr string) (*Result, error) {
-		dc := dcfg
-		if cfg.Trace && dc.Trace == nil {
-			// A fresh collector per leg: stage stats must not bleed from
-			// one transport's run into the other's report.
-			dc.Trace = otrace.New(0)
-		}
-		addr, stop, err := SelfHost(tr, dc)
-		if err != nil {
-			return nil, err
-		}
-		defer stop()
-		c := cfg
-		c.Transport = tr
-		return Run(addr, c)
-	}
-	rpc, err := run(client.TransportRPC)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: rpc leg: %w", err)
-	}
-	frame, err := run(client.TransportFrame)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: frame leg: %w", err)
-	}
-	cmp := &Comparison{Frame: frame, RPC: rpc}
-	if rpc.SustainedHz > 0 {
-		cmp.SustainedRatio = frame.SustainedHz / rpc.SustainedHz
-	}
-	if rpc.Submit.P99 > 0 {
-		cmp.P99Ratio = frame.Submit.P99 / rpc.Submit.P99
-	}
-	return cmp, nil
 }

@@ -106,8 +106,7 @@ func (c *Conn) Call(method uint16, args Appender, reply Decoder) error {
 
 // CallTimeout is Call with a deadline. On timeout the call is
 // abandoned — its id is retired and the eventual response dropped —
-// but the connection stays healthy, unlike net/rpc where the only
-// escape is closing the Client.
+// but the connection stays healthy.
 func (c *Conn) CallTimeout(method uint16, args Appender, reply Decoder, timeout time.Duration) error {
 	return c.CallTimeoutTrace(method, args, reply, timeout, TraceContext{})
 }

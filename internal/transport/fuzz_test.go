@@ -1,0 +1,135 @@
+package transport
+
+import (
+	"bufio"
+	"net"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// FuzzServerFrames writes hostile bytes into the server's read loop —
+// the one place bytes from a client socket are first interpreted. Per
+// input it checks, on a fresh connection to one shared server:
+//
+//   - survival: an oversized frame built from the fuzzed id, kind and
+//     excess length is answered with ErrTooLarge, and a well-formed
+//     echo behind it on the same connection still gets its reply;
+//   - no panic and no hang: the arbitrary bytes that follow are read
+//     until the stream ends, and closing the client end tears the
+//     server connection down;
+//   - bounded allocation: nothing read off the wire makes the server
+//     allocate beyond MaxFrame-sized buffers, however large a length a
+//     header announces.
+func FuzzServerFrames(f *testing.F) {
+	const maxFrame = 4096
+	s := NewServer(ServerConfig{Workers: 1, MaxFrame: maxFrame})
+	f.Cleanup(func() { s.Close() })
+	Register[echoArgs, echoReply](s, methodEcho, func(a *echoArgs, r *echoReply) error {
+		r.Text, r.N, r.F = a.Text, a.N, a.F
+		return nil
+	})
+
+	echoFrame := func(id uint64) []byte {
+		b := beginFrame(nil, id, kindRequest)
+		b = AppendUvarint(b, methodEcho)
+		b = (&echoArgs{Text: "ping", N: int64(id)}).AppendWire(b)
+		return finishFrame(b)
+	}
+	f.Add(uint64(7), byte(kindRequest), uint16(0), echoFrame(9))
+	f.Add(uint64(1<<63), byte(kindRequest|kindTraceFlag), uint16(5000), echoFrame(9)[:7])
+	f.Add(uint64(0), byte(kindResponse), uint16(1), []byte{})
+	// A header announcing 2 GiB and one announcing 4 GiB-1, each with
+	// almost no body behind it.
+	f.Add(uint64(3), byte(kindError), uint16(0), []byte{0x7f, 0xff, 0xff, 0xff, 0x01, 0x00})
+	f.Add(uint64(3), byte(kindRequest), uint16(0), []byte{0xff, 0xff, 0xff, 0xff, 0x01})
+	// A traced frame whose trace varints never terminate, and a frame
+	// too short to hold a kind byte.
+	f.Add(uint64(3), byte(kindRequest), uint16(0), []byte{0, 0, 0, 4, 0x01, kindTraceFlag, 0xff, 0xff})
+	f.Add(uint64(3), byte(kindRequest), uint16(0), []byte{0, 0, 0, 1, 0x01})
+
+	f.Fuzz(func(t *testing.T, id uint64, kind byte, excess uint16, data []byte) {
+		cli, srv := net.Pipe()
+		defer cli.Close()
+		// One watchdog for the whole input (armed here, outside the
+		// measured window below: arming a timer can grow the runtime's
+		// timer heap, which would count against the server). It breaks
+		// the pipe, so a read loop stuck on it fails the input instead
+		// of hanging the fuzzer.
+		var hung atomic.Bool
+		watchdog := time.AfterFunc(10*time.Second, func() {
+			hung.Store(true)
+			cli.Close()
+			srv.Close()
+		})
+		defer watchdog.Stop()
+		sc := s.serveConn(srv)
+
+		// An oversized frame, complete on the wire, then an echo.
+		n := maxFrame + 1 + int(excess)
+		big := make([]byte, 4, 4+n)
+		big = AppendUvarint(big, id)
+		big = append(big, kind)
+		big = finishFrame(big[:4+n])
+		echoID := id + 1
+		go func() {
+			cli.Write(big)
+			cli.Write(echoFrame(echoID))
+		}()
+		fr := &frameReader{br: bufio.NewReader(cli), max: maxFrame, metrics: nopMetrics}
+		gotID, gotKind, _, payload, err := fr.next()
+		if err != nil {
+			t.Fatalf("reading the oversized frame's answer: %v", err)
+		}
+		if msg := NewDec(*payload).String(); gotID != id || gotKind != kindError || msg != ErrTooLarge.Error() {
+			t.Fatalf("oversized frame %d answered with id %d kind %d %q", id, gotID, gotKind, msg)
+		}
+		gotID, gotKind, _, payload, err = fr.next()
+		if err != nil {
+			t.Fatalf("connection did not survive the oversized frame: %v", err)
+		}
+		var reply echoReply
+		reply.DecodeWire(NewDec(*payload))
+		if gotID != echoID || gotKind != kindResponse || reply.Text != "ping" {
+			t.Fatalf("echo behind the oversized frame: id %d kind %d reply %+v", gotID, gotKind, reply)
+		}
+
+		// Arbitrary bytes. Whatever the server answers is drained so its
+		// writer never blocks on the pipe.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for {
+				_, _, _, payload, err := fr.next()
+				if err != nil {
+					return
+				}
+				putBuf(payload)
+			}
+		}()
+		cli.Write(data) // fails midway if the server already hung up
+		cli.Close()
+		<-sc.snd.quit
+		<-drained
+		if hung.Load() {
+			t.Fatal("server connection not torn down after the client closed")
+		}
+		// Requests this input queued are served before measuring, so
+		// their cost lands in this input's window, not the next one's.
+		for len(s.queue) > 0 {
+			runtime.Gosched()
+		}
+		runtime.ReadMemStats(&after)
+		// The smallest frame is 6 bytes and can cost a pooled 1 KiB
+		// buffer at each of three stops (request payload, response,
+		// the drain above), hence the per-byte factor; a length taken
+		// on trust from a header would exceed the bound by orders of
+		// magnitude.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*maxFrame+1024*len(data)); got > bound {
+			t.Fatalf("%d bytes allocated serving %d hostile bytes (bound %d)", got, len(data), bound)
+		}
+	})
+}

@@ -9,8 +9,7 @@ import (
 // Pool spreads calls over a fixed set of connections to one address,
 // redialing dead slots lazily. With multiplexed connections a handful
 // of conns is plenty — the pool exists to spread the per-connection
-// windows and write queues across writers, not to serialize calls the
-// way a net/rpc pool must.
+// windows and write queues across writers, not to serialize calls.
 type Pool struct {
 	addr string
 	cfg  Config

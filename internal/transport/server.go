@@ -62,8 +62,8 @@ type task struct {
 }
 
 // Server dispatches frames from any number of connections onto a
-// bounded queue drained by a fixed worker pool. Unlike net/rpc there
-// is no goroutine per request: concurrency is capped by Workers, and
+// bounded queue drained by a fixed worker pool. There is no goroutine
+// per request: concurrency is capped by Workers, and
 // load beyond QueueDepth is rejected before any decoding or handler
 // work happens.
 type Server struct {

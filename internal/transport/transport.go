@@ -1,12 +1,12 @@
-// Package transport is the daemon's serving transport: a length-
-// prefixed binary framing protocol with multiplexed request ids,
-// replacing net/rpc on the client↔daemon and daemon↔worker paths.
+// Package transport is the repository's one wire: a length-prefixed
+// binary framing protocol with multiplexed request ids, spoken on both
+// the client↔daemon and daemon↔worker paths.
 //
-// Why not net/rpc: it is frozen upstream, encodes with gob (reflection
-// on every call, per-connection type dictionaries), spawns one
-// goroutine per in-flight request on the server, and issues one write
-// syscall per message. At the submission rates the daemon is built for,
-// those per-call costs — not the scheduler — are the ceiling.
+// It is hand-rolled rather than net/rpc because at the submission rates
+// the daemon is built for, per-call costs — reflection-driven gob
+// encoding, a goroutine per in-flight request, a write syscall per
+// message — and not the scheduler were the ceiling (the archived
+// comparison is in BENCH_5–9.json: 4.7–6.8× the sustained rate).
 //
 // The protocol. Every message is one frame:
 //
@@ -50,7 +50,7 @@
 // Error semantics: a handler error travels as the error string and
 // resurfaces as *RemoteError; because errcode sentinels embed their
 // [code=…] marker in the message, errcode.Decode re-attaches typed
-// errors on the client side exactly as it does over net/rpc.
+// errors on the client side.
 package transport
 
 import (
@@ -110,9 +110,9 @@ var (
 var (
 	// ErrClosed reports a call against a closed connection or pool.
 	ErrClosed = errors.New("transport: connection closed")
-	// ErrTimeout reports a call abandoned by its deadline. Unlike
-	// net/rpc the connection survives: the request id is retired, so a
-	// late response is discarded instead of being mistaken for another
+	// ErrTimeout reports a call abandoned by its deadline. The
+	// connection survives: the request id is retired, so a late
+	// response is discarded instead of being mistaken for another
 	// call's.
 	ErrTimeout = errors.New("transport: call timed out")
 )
