@@ -10,7 +10,8 @@ GO ?= go
 FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                divide:FuzzContinuousCutAfter divide:FuzzWorkUnitsCutAfter \
                divide:FuzzScanSeparators sim:FuzzHeapInvariant \
-               transport:FuzzServerFrames daemon:FuzzDecodeWire
+               transport:FuzzServerFrames daemon:FuzzDecodeWire \
+               dls:FuzzUMRSearchMatchesReference
 
 .PHONY: all build vet test race bench-module fuzz-smoke bench-smoke lint check bench
 

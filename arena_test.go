@@ -152,18 +152,27 @@ func TestForEachSlotReusesScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pass() // builds each slot's backend + arena
+	pass() // builds the backend + arena of every slot that gets a run
 
+	// Which slot takes which run is the scheduler's business: four runs
+	// this short can all go to the first pool goroutine to start, so a
+	// slot may still be empty here. Identity is asserted for the slots
+	// that did run; one that first runs below costs a cold run's ~200
+	// extra allocations, well inside the budget's headroom.
 	before := make([]*grid.Backend, len(scratch))
+	ran := 0
 	for i := range scratch {
 		before[i] = scratch[i].backend
-		if before[i] == nil {
-			t.Fatalf("slot %d never ran", i)
+		if before[i] != nil {
+			ran++
 		}
+	}
+	if ran == 0 {
+		t.Fatal("no slot ran in the first pass")
 	}
 	allocs := testing.AllocsPerRun(5, pass)
 	for i := range scratch {
-		if scratch[i].backend != before[i] {
+		if before[i] != nil && scratch[i].backend != before[i] {
 			t.Errorf("slot %d rebuilt its backend across passes", i)
 		}
 	}

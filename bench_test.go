@@ -613,18 +613,32 @@ func BenchmarkSimEngineEvents(b *testing.B) {
 	eng.Run()
 }
 
-// BenchmarkUMRPlanning measures the cost of the round-count search on
-// the 16-node platform.
+// BenchmarkUMRPlanning measures PlanUMRRounds on the 16-node platform.
+// The planner keeps the answer for the input it saw last, so a loop over
+// one input would time the comparison that finds it: cold alternates two
+// inputs (the full load and RUMR's 80% first phase) so that every
+// iteration searches, and repeat re-plans one input, which is what the
+// runs of a sweep cell do.
 func BenchmarkUMRPlanning(b *testing.B) {
 	app := workload.Synthetic(0)
 	platform := workload.DAS2(16)
 	ests := model.TrueEstimates(app, platform)
 	plan := dls.Plan{TotalLoad: float64(app.TotalLoad), MinChunk: 10, Workers: ests}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := dls.PlanUMRRounds(plan, plan.TotalLoad); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		loads [2]float64
+	}{
+		{"cold", [2]float64{plan.TotalLoad, 0.8 * plan.TotalLoad}},
+		{"repeat", [2]float64{plan.TotalLoad, plan.TotalLoad}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := dls.PlanUMRRounds(plan, bc.loads[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -187,42 +187,6 @@ type SwitchObservable interface {
 	DrainSwitchDecisions() []SwitchDecision
 }
 
-// predictMakespan simulates a planned dispatch sequence against the
-// estimated cost model: a serialized master uplink and per-worker FIFO
-// compute, both affine. It is exact for the plan (no approximation), so
-// algorithms that search over plan parameters (UMR's number of rounds)
-// can compare candidates faithfully.
-func predictMakespan(ests []model.Estimate, seq []Decision) float64 {
-	return predictMakespanInto(ests, seq, make([]float64, len(ests)))
-}
-
-// predictMakespanInto is predictMakespan with caller-provided per-worker
-// scratch (len(ests) entries, contents ignored), so searches that call
-// it per candidate (UMR's round search) stay allocation-free.
-func predictMakespanInto(ests []model.Estimate, seq []Decision, compFree []float64) float64 {
-	linkFree := 0.0
-	compFree = compFree[:len(ests)]
-	for i := range compFree {
-		compFree[i] = 0
-	}
-	makespan := 0.0
-	for _, d := range seq {
-		e := ests[d.Worker]
-		sendEnd := linkFree + e.CommLatency + d.Size*e.UnitComm
-		linkFree = sendEnd
-		start := sendEnd
-		if compFree[d.Worker] > start {
-			start = compFree[d.Worker]
-		}
-		end := start + e.CompLatency + d.Size*e.UnitComp
-		compFree[d.Worker] = end
-		if end > makespan {
-			makespan = end
-		}
-	}
-	return makespan
-}
-
 // sumSizes totals the load covered by a dispatch sequence.
 func sumSizes(seq []Decision) float64 {
 	total := 0.0

@@ -84,9 +84,11 @@ func (u *UMR) Observe(Observation) {}
 // rounds are retargeted onto the survivors.
 func (u *UMR) WorkerLost(worker int, returnedLoad float64) { u.workerLost(worker) }
 
-// maxUMRRounds bounds the search for the optimal number of rounds. Round
-// start-up costs grow linearly in M, so the predicted-makespan minimum is
-// far below this for any sane platform.
+// maxUMRRounds bounds the search for the number of rounds. Round start-up
+// costs grow linearly in M, so the predicted-makespan minimum is far below
+// this for any sane platform. Feasibility is not: on the paper's platforms
+// 74 of the 128 round counts are feasible for the average plan, so the
+// search cannot lean on infeasibility to cut itself short.
 const maxUMRRounds = 128
 
 // PlanUMRRounds computes the UMR schedule for the given amount of load
@@ -94,6 +96,11 @@ const maxUMRRounds = 128
 // decisions (workers in fastest-first order within each round) and the
 // predicted makespan of the schedule. RUMR and Fixed-RUMR reuse it for
 // their first phase, planning only a fraction of the total load.
+//
+// The round count is found by trying every M = 1…maxUMRRounds and keeping
+// the smallest predicted makespan (the first such M on a tie). There is
+// deliberately no rule that stops once the prediction has passed a
+// minimum: it is not unimodal in M (TestUMRPredictionIsNotUnimodal).
 func PlanUMRRounds(p Plan, load float64) ([][]Decision, float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, 0, err
@@ -102,7 +109,125 @@ func PlanUMRRounds(p Plan, load float64) ([][]Decision, float64, error) {
 		return nil, 0, fmt.Errorf("umr: load %g outside (0, total %g]", load, p.TotalLoad)
 	}
 
-	// Aggregate cost-model constants.
+	sc := umrScratchPool.Get().(*umrScratch)
+	rounds, pred, err := sc.plan(p, load)
+	umrScratchPool.Put(sc)
+	return rounds, pred, err
+}
+
+// plan is PlanUMRRounds on validated input.
+func (sc *umrScratch) plan(p Plan, load float64) ([][]Decision, float64, error) {
+	// Probes are noise-free, so the runs of a sweep cell plan the very
+	// same input one after another; a scratch that still holds this
+	// input's tables also holds the answer of the search over them.
+	if !sc.holds(p, load) {
+		sc.prepare(p, load)
+		sc.rounds = sc.search()
+	}
+	m, w := sc.rounds, len(sc.workers)
+	if m == 0 {
+		return nil, 0, fmt.Errorf("umr: no feasible round count for load %g on %d workers", load, w)
+	}
+	// Materialize the winner through the same arithmetic the search ran,
+	// so decisions and prediction are bit-identical to the search pass:
+	// one backing array, one header per round, nothing shared with sc.
+	backing := make([]Decision, m*w)
+	pred, _ := sc.candidate(m, backing)
+	rounds := make([][]Decision, m)
+	for j := 0; j < m; j++ {
+		rounds[j] = backing[j*w : (j+1)*w : (j+1)*w]
+	}
+	return rounds, pred, nil
+}
+
+// umrWorker is one worker's estimate together with the search's state for
+// it. The scratch keeps them fastest-first, the order chunks are sent in,
+// so the inner loop walks one array front to back.
+type umrWorker struct {
+	id                                   int
+	commLat, unitComm, compLat, unitComp float64
+	// last is the worker's chunk in the candidate's final round, kept
+	// aside because drift is absorbed there before the round is replayed.
+	last float64
+	// compFree is when the worker's CPU frees up in the replay.
+	compFree float64
+}
+
+// receive replays one chunk on the estimated cost model (serialized
+// master uplink, per-worker FIFO compute, both affine) and returns when
+// its transfer and its computation end.
+func (w *umrWorker) receive(linkFree, size float64) (sendEnd, end float64) {
+	sendEnd = linkFree + w.commLat + size*w.unitComm
+	start := sendEnd
+	if w.compFree > start {
+		start = w.compFree
+	}
+	end = start + w.compLat + size*w.unitComp
+	w.compFree = end
+	return sendEnd, end
+}
+
+// The three shapes the round-duration recurrence T_{j+1} = (T_j − L + B)/A
+// takes, by the aggregate comm/comp ratio A.
+const (
+	umrSingleRound = iota // A ≤ 0: free communication, only M = 1 means anything
+	umrArithmetic         // A = 1: T_j = T0 + j·step
+	umrGeometric          // otherwise: T_j = ratio^j·(T0 − fixed) + fixed
+)
+
+// umrScratch is the working state of one round search. The pool carries
+// it across plans, so the steady-state search allocates nothing, and a
+// plan over the input the scratch was last prepared for skips the search
+// (the input is compared by bit pattern, so −0/+0 and NaNs cannot alias).
+type umrScratch struct {
+	// The input the rest of the scratch was derived from.
+	load, minChunk float64
+	ests           []model.Estimate
+	// rounds is the search's answer for that input: the chosen M, or 0
+	// when no round count is feasible.
+	rounds int
+
+	workers    []umrWorker // fastest-first
+	sumP, sumC float64     // Σ 1/unitComp, Σ compLat/unitComp
+	shape      int
+	step       float64 // umrArithmetic: B − L
+	fixed      float64 // umrGeometric: the recurrence's fixed point F
+	// umrGeometric: pow[j] = ratio^j and geom[m] = Σ_{j<m} ratio^j,
+	// multiplied and summed in that order once per plan (every candidate
+	// used to rebuild the same floats from j = 0).
+	pow, geom [maxUMRRounds + 1]float64
+	// limit is one past the largest M worth trying.
+	limit     int
+	durations [maxUMRRounds]float64
+}
+
+var umrScratchPool = sync.Pool{New: func() any { return new(umrScratch) }}
+
+// holds reports whether the scratch was prepared for exactly this input.
+func (sc *umrScratch) holds(p Plan, load float64) bool {
+	if len(sc.ests) != len(p.Workers) || !sameBits(sc.load, load) || !sameBits(sc.minChunk, p.MinChunk) {
+		return false
+	}
+	for i, e := range p.Workers {
+		k := &sc.ests[i]
+		if k.Worker != e.Worker ||
+			!sameBits(k.UnitComm, e.UnitComm) || !sameBits(k.CommLatency, e.CommLatency) ||
+			!sameBits(k.UnitComp, e.UnitComp) || !sameBits(k.CompLatency, e.CompLatency) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// prepare derives everything that does not depend on M: the aggregate
+// cost-model constants, the fastest-first worker array and the geometric
+// tables.
+func (sc *umrScratch) prepare(p Plan, load float64) {
+	sc.load, sc.minChunk = load, p.MinChunk
+	sc.ests = append(sc.ests[:0], p.Workers...)
+
 	var sumA, sumB, sumL, sumP, sumC float64
 	for _, e := range p.Workers {
 		sumA += e.UnitComm / e.UnitComp
@@ -111,157 +236,207 @@ func PlanUMRRounds(p Plan, load float64) ([][]Decision, float64, error) {
 		sumP += 1 / e.UnitComp
 		sumC += e.CompLatency / e.UnitComp
 	}
-	order := model.BySpeed(p.Workers)
-	w := len(order)
-
-	sc := umrScratchPool.Get().(*umrScratch)
-	bestM, bestPred := 0, math.Inf(1)
-	for m := 1; m <= maxUMRRounds; m++ {
-		flat, ok := umrCandidate(p, load, m, sumA, sumB, sumL, sumP, sumC, order, sc)
-		if !ok {
-			continue
-		}
-		pred := predictMakespanInto(p.Workers, flat, sc.grow(&sc.compFree, len(p.Workers)))
-		if pred < bestPred {
-			bestM, bestPred = m, pred
-		}
+	sc.sumP, sc.sumC = sumP, sumC
+	sc.workers = sc.workers[:0]
+	for _, i := range model.BySpeed(p.Workers) {
+		e := &p.Workers[i]
+		sc.workers = append(sc.workers, umrWorker{
+			id: i, commLat: e.CommLatency, unitComm: e.UnitComm, compLat: e.CompLatency, unitComp: e.UnitComp,
+		})
 	}
-	if bestM == 0 {
-		umrScratchPool.Put(sc)
-		return nil, 0, fmt.Errorf("umr: no feasible round count for load %g on %d workers", load, len(p.Workers))
-	}
-	// Re-derive the winning candidate (pure arithmetic, so the decisions
-	// are bit-identical to the search pass) and materialize it once: one
-	// backing array, one header per round.
-	flat, _ := umrCandidate(p, load, bestM, sumA, sumB, sumL, sumP, sumC, order, sc)
-	backing := make([]Decision, len(flat))
-	copy(backing, flat)
-	rounds := make([][]Decision, bestM)
-	for j := 0; j < bestM; j++ {
-		rounds[j] = backing[j*w : (j+1)*w : (j+1)*w]
-	}
-	umrScratchPool.Put(sc)
-	return rounds, bestPred, nil
-}
 
-// umrScratch holds the buffers the candidate search reuses across all M
-// candidates; the pool carries them across plans, so the steady-state
-// search allocates nothing (the old per-candidate slices were ~80% of a
-// full simulated run's allocations).
-type umrScratch struct {
-	durations []float64
-	flat      []Decision
-	compFree  []float64
-}
-
-var umrScratchPool = sync.Pool{New: func() any { return new(umrScratch) }}
-
-// grow returns (*buf)[:n], reallocating only when capacity is short.
-func (sc *umrScratch) grow(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// growFlat is grow for the Decision buffer.
-func (sc *umrScratch) growFlat(n int) []Decision {
-	if cap(sc.flat) < n {
-		sc.flat = make([]Decision, n)
-	}
-	sc.flat = sc.flat[:n]
-	return sc.flat
-}
-
-// umrCandidate builds the M-round schedule into sc's flat buffer (round
-// j occupies entries [j·W, (j+1)·W), workers fastest-first), or reports
-// ok=false when M is infeasible (some round duration would require
-// negative chunks, or chunks fall below the division granularity). The
-// returned slice aliases sc and is only valid until the next call.
-func umrCandidate(p Plan, load float64, m int, sumA, sumB, sumL, sumP, sumC float64, order []int, sc *umrScratch) ([]Decision, bool) {
-	// Round durations: T_j = r^j·(T0 − F) + F with r = 1/A.
-	// Total load constraint: sumP·ΣT_j − M·sumC = load.
-	durations := sc.grow(&sc.durations, m)
+	sc.limit = maxUMRRounds + 1
 	switch {
 	case sumA <= 0:
 		// Free communication: the recurrence degenerates; a pipelined
 		// multi-round schedule has no structure to exploit, so only the
 		// single-round candidate is meaningful.
-		if m != 1 {
-			return nil, false
-		}
-		durations[0] = (load + sumC) / sumP
+		sc.shape, sc.limit = umrSingleRound, 2
 	case math.Abs(sumA-1) < 1e-12:
 		// T_{j+1} = T_j − L + B: arithmetic progression with d = B − L.
-		d := sumB - sumL
-		// sumP·Σ(T0 + j·d) − M·sumC = load
-		t0 := (load + float64(m)*sumC - sumP*d*float64(m*(m-1))/2) / (sumP * float64(m))
-		for j := 0; j < m; j++ {
-			durations[j] = t0 + float64(j)*d
-		}
+		sc.shape, sc.step = umrArithmetic, sumB-sumL
 	default:
-		r := 1 / sumA
-		f := (sumL - sumB) / (1 - sumA)
+		sc.shape, sc.fixed = umrGeometric, (sumL-sumB)/(1-sumA)
 		// g = Σ_{j<M} r^j, summed iteratively so extreme ratios stay
-		// finite for small M instead of producing Inf/Inf.
+		// finite for small M instead of producing Inf/Inf. Both sequences
+		// are monotone, so the first M at which either overflows is the
+		// end of the search: every larger M overflows too.
+		r := 1 / sumA
 		g, pow := 0.0, 1.0
-		for j := 0; j < m; j++ {
+		sc.pow[0] = pow
+		for m := 1; m <= maxUMRRounds; m++ {
 			g += pow
 			pow *= r
 			if math.IsInf(g, 0) || math.IsInf(pow, 0) {
-				return nil, false
+				sc.limit = m
+				break
 			}
+			sc.geom[m], sc.pow[m] = g, pow
 		}
+	}
+}
+
+// search tries every round count and returns the one with the smallest
+// predicted makespan (the first on a tie), or 0 when none is feasible.
+func (sc *umrScratch) search() int {
+	bestM, bestPred := 0, math.Inf(1)
+	for m := 1; m < sc.limit; m++ {
+		if pred, ok := sc.candidate(m, nil); ok && pred < bestPred {
+			bestM, bestPred = m, pred
+		}
+	}
+	return bestM
+}
+
+// roundDurations fills sc.durations[:m] with the M-round schedule's round
+// durations and returns them with their sum. The total-load constraint
+// sumP·ΣT_j − M·sumC = load fixes T0.
+func (sc *umrScratch) roundDurations(m int) (durations []float64, total float64) {
+	durations = sc.durations[:m]
+	load, sumP, sumC := sc.load, sc.sumP, sc.sumC
+	switch sc.shape {
+	case umrSingleRound:
+		durations[0] = (load + sumC) / sumP
+	case umrArithmetic:
+		d := sc.step
+		// sumP·Σ(T0 + j·d) − M·sumC = load
+		t0 := (load + float64(m)*sumC - sumP*d*float64(m*(m-1))/2) / (sumP * float64(m))
+		for j := range durations {
+			durations[j] = t0 + float64(j)*d
+		}
+	default:
+		f := sc.fixed
 		// sumP·[(T0−F)·g + M·F] − M·sumC = load
-		t0 := f + (load+float64(m)*sumC-sumP*float64(m)*f)/(sumP*g)
-		pow = 1.0
-		for j := 0; j < m; j++ {
-			durations[j] = pow*(t0-f) + f
-			pow *= r
+		t0 := f + (load+float64(m)*sumC-sumP*float64(m)*f)/(sumP*sc.geom[m])
+		for j := range durations {
+			durations[j] = sc.pow[j]*(t0-f) + f
+		}
+	}
+	for _, tj := range durations {
+		total += tj
+	}
+	return durations, total
+}
+
+// umrBoundSlack is the relative slack of candidate's lower bound on the
+// dispatched load. The quantities it covers are accurate to about
+// M·W·2⁻⁵³ ≤ 2.3e-13, three orders of magnitude less.
+const umrBoundSlack = 1e-9
+
+// candidate evaluates the M-round schedule: it reports ok=false when M is
+// infeasible (some round would need negative chunks, chunks fall below the
+// division granularity, or the last round cannot absorb the drift) and
+// otherwise returns the schedule's predicted makespan. With a non-nil out
+// (M·W entries) it also writes the schedule there, round j in entries
+// [j·W, (j+1)·W), workers fastest-first. The search passes nil: it needs
+// one number per candidate, and only the winner's decisions are ever read.
+func (sc *umrScratch) candidate(m int, out []Decision) (float64, bool) {
+	durations, sumT := sc.roundDurations(m)
+	load, ws := sc.load, sc.workers
+
+	// Feasibility, from the two end rounds alone. A round passes when its
+	// duration t is positive and finite and every chunk (t − compLat)/unitComp
+	// is neither negative nor below the granularity floor. Subtracting and
+	// dividing by positive constants round monotonically, so a chunk's
+	// size is non-decreasing in t (or NaN for every finite t, which passes
+	// every time): a round that passes at t passes at any larger finite t.
+	// The durations are monotone in j in floating point: ratio^j is
+	// (each step multiplies by the same positive constant), hence so are
+	// pow·(T0−F) and pow·(T0−F)+F; likewise j·step and T0+j·step. Every
+	// middle duration therefore lies between the end two, is positive and
+	// finite when they are, and passes when the smaller of them does. A
+	// non-finite T0−F, F, T0 or step makes round 0 itself non-finite.
+	first, last := durations[0], durations[m-1]
+	if !(first > 0) || math.IsInf(first, 0) || !(last > 0) || math.IsInf(last, 0) {
+		return 0, false
+	}
+	// Chunks below the division granularity could not be materialized;
+	// a single-round plan is always allowed as a fallback.
+	floor := 0.0
+	if m > 1 && sc.minChunk > 0 {
+		floor = sc.minChunk
+	}
+	lastTotal := 0.0
+	for k := range ws {
+		w := &ws[k]
+		if (first-w.compLat)/w.unitComp < floor {
+			return 0, false
+		}
+		w.last = (last - w.compLat) / w.unitComp
+		if w.last < floor {
+			return 0, false
+		}
+		lastTotal += w.last
+	}
+
+	// Past the round count where fixed-size rounds already cover the load
+	// the schedule is garbage: T0 − F has collapsed to 0, every round is
+	// the fixed point, and M of them dispatch far more than the load, more
+	// than the last round can give back. That verdict does not need the
+	// M·W-term sum. The sum is of non-negative sizes, so in floating point
+	// it is at least its exact value sumP·ΣT_j − M·sumC less rounding;
+	// all of that rounding (in the sizes, their sum, and the two products)
+	// is relative to the products, and umrBoundSlack of them covers it
+	// provided the slack itself is a normal number, so that underflow in
+	// a quotient is covered too. A NaN anywhere makes the comparisons
+	// false. When the bound is not decisive the exact sum below decides;
+	// the bound only ever rejects what the exact check rejects.
+	whole, latency := sc.sumP*sumT, float64(m)*sc.sumC
+	if slack := umrBoundSlack * (whole + latency); slack >= 0x1p-1022 {
+		most := load - ((whole - latency) - slack) // no less than the exact drift
+		if most < -load*1e-12 && lastTotal+most < 0 {
+			return 0, false
 		}
 	}
 
-	flat := sc.growFlat(m * len(order))
-	dispatched := 0.0
-	n := 0
-	for j := 0; j < m; j++ {
-		tj := durations[j]
-		if !(tj > 0) || math.IsInf(tj, 0) || math.IsNaN(tj) {
-			return nil, false
-		}
-		for _, w := range order {
-			e := p.Workers[w]
-			size := (tj - e.CompLatency) / e.UnitComp
-			if size < 0 {
-				return nil, false
-			}
-			// Reject candidates whose chunks are below the division
-			// granularity (they could not be materialized), except that
-			// a single-round plan is always allowed as a fallback.
-			if m > 1 && p.MinChunk > 0 && size < p.MinChunk {
-				return nil, false
-			}
-			flat[n] = Decision{Worker: w, Size: size}
-			n++
+	for k := range ws {
+		ws[k].compFree = 0
+	}
+	linkFree, makespan, dispatched, n := 0.0, 0.0, 0.0, 0
+	for _, tj := range durations[:m-1] {
+		for k := range ws {
+			w := &ws[k]
+			size := (tj - w.compLat) / w.unitComp
 			dispatched += size
+			if out != nil {
+				out[n] = Decision{Worker: w.id, Size: size}
+				n++
+			}
+			var end float64
+			linkFree, end = w.receive(linkFree, size)
+			if end > makespan {
+				makespan = end
+			}
 		}
 	}
 
 	// Absorb floating-point drift into the last round, spread across all
 	// workers in proportion to their chunk so the equal-finish property
 	// is preserved.
+	for k := range ws {
+		dispatched += ws[k].last
+	}
 	drift := load - dispatched
 	if math.Abs(drift) > load*1e-12 {
-		last := flat[(m-1)*len(order):]
-		lastTotal := sumSizes(last)
 		if lastTotal <= 0 || lastTotal+drift < 0 {
-			return nil, false
+			return 0, false
 		}
 		scale := (lastTotal + drift) / lastTotal
-		for i := range last {
-			last[i].Size *= scale
+		for k := range ws {
+			ws[k].last *= scale
 		}
 	}
-	return flat, true
+	for k := range ws {
+		w := &ws[k]
+		if out != nil {
+			out[n] = Decision{Worker: w.id, Size: w.last}
+			n++
+		}
+		var end float64
+		linkFree, end = w.receive(linkFree, w.last)
+		if end > makespan {
+			makespan = end
+		}
+	}
+	return makespan, true
 }

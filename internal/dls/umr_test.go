@@ -3,8 +3,6 @@ package dls
 import (
 	"math"
 	"testing"
-
-	"apstdv/internal/model"
 )
 
 func TestUMRPlanCoversLoad(t *testing.T) {
@@ -159,19 +157,12 @@ func TestUMRBeatsOneRoundPrediction(t *testing.T) {
 
 // umrSinglePrediction evaluates the M=1 candidate directly.
 func umrSinglePrediction(p Plan) (float64, bool) {
-	var sumA, sumB, sumL, sumP, sumC float64
-	for _, e := range p.Workers {
-		sumA += e.UnitComm / e.UnitComp
-		sumB += e.UnitComm * e.CompLatency / e.UnitComp
-		sumL += e.CommLatency
-		sumP += 1 / e.UnitComp
-		sumC += e.CompLatency / e.UnitComp
-	}
-	flat, ok := umrCandidate(p, p.TotalLoad, 1, sumA, sumB, sumL, sumP, sumC, model.BySpeed(p.Workers), new(umrScratch))
+	var ref refScratch
+	flat, ok := ref.umrCandidate(p, p.TotalLoad, 1, aggregate(p))
 	if !ok {
 		return 0, false
 	}
-	return predictMakespan(p.Workers, flat), true
+	return ref.predictMakespan(p.Workers, flat), true
 }
 
 func TestUMRPartialLoadForRUMRPhases(t *testing.T) {
