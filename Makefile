@@ -13,7 +13,7 @@ FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                transport:FuzzServerFrames daemon:FuzzDecodeWire \
                dls:FuzzUMRSearchMatchesReference
 
-.PHONY: all build vet test race bench-module fuzz-smoke bench-smoke lint check bench
+.PHONY: all build vet test race bench-module serve-smoke fuzz-smoke bench-smoke lint check bench
 
 all: check
 
@@ -34,6 +34,19 @@ race:
 # an internal API change would break the frozen benchmark silently.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# serve-smoke runs the two serving workloads of the benchmark for two
+# seconds each: a daemon in a child process, real clients over the frame
+# transport, and every served job's makespan and chunk count checked
+# against the in-process oracle. Nothing else in `make check` starts a
+# daemon child, and bench-module only vets and unit-tests the nested
+# module. The run exits non-zero on an oracle mismatch or any failed
+# operation; it asserts no timing.
+serve-smoke:
+	@for w in serve_closed_small serve_open_mix; do \
+		echo "serve-smoke: $$w"; \
+		bash bench/run.sh --workload $$w --seconds 2 --trace 0 || exit 1; \
+	done
 
 # fuzz-smoke gives every fuzz target a 2-second run: long enough to
 # catch a freshly broken invariant, short enough for every `make check`.
@@ -106,7 +119,7 @@ lint: vet
 		echo "lint: (install with: go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-check: build vet race bench-module fuzz-smoke bench-smoke lint
+check: build vet race bench-module serve-smoke fuzz-smoke bench-smoke lint
 
 # bench records the runner's sequential-vs-parallel wall time and the
 # observability layer's overhead into BENCH_<n>.json (see

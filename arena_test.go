@@ -118,11 +118,18 @@ func TestObsEmitPathAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Warm means the ring is at capacity: it takes its pages from the
+	// heap one at a time as events arrive, and once it retains its 8192
+	// events it holds every page it will ever need. (The daemon's rings
+	// get theirs from a pool instead; internal/obs tests that path.)
 	ring := obs.NewRing(8192)
 	met := obs.NewRunMetrics(obs.NewRegistry())
 	var plain, inst benchScratch
 	one(&plain, engine.Config{})
-	one(&inst, engine.Config{Events: ring, Metrics: met})
+	for held := -1; ring.Bytes() > held; {
+		held = ring.Bytes()
+		one(&inst, engine.Config{Events: ring, Metrics: met})
+	}
 	base := testing.AllocsPerRun(20, func() { one(&plain, engine.Config{}) })
 	withObs := testing.AllocsPerRun(20, func() { one(&inst, engine.Config{Events: ring, Metrics: met}) })
 	if withObs > base {

@@ -201,7 +201,7 @@ func (d *Daemon) reshareLocked(trigger *pendingJob) {
 		for _, s := range vec {
 			eff += s
 		}
-		p.stream.emit(obs.Event{
+		p.ring.Append(&obs.Event{
 			Type: obs.JobReshared, T: time.Since(p.job.Submitted).Seconds(),
 			Class: p.job.Priority, Workers: len(p.job.Leased), Size: eff,
 		})

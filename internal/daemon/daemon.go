@@ -17,6 +17,7 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -76,10 +77,13 @@ type Config struct {
 	// ErrQueueFull. 0 means unbounded.
 	QueueDepth int
 	// RetainJobs bounds how many terminal (done, failed, cancelled or
-	// rejected) jobs stay visible to Status/Report/ListJobs; once the
-	// bound is exceeded the longest-finished are evicted. 0 retains
-	// everything — fine interactively, unbounded memory under
-	// sustained submission load.
+	// rejected) jobs stay visible to Status/ListJobs; once the bound is
+	// exceeded the longest-finished are evicted. 0 keeps every job's
+	// summary (a few hundred bytes each). The bulky part of a finished
+	// job — its event tail and execution report — is bounded separately
+	// and always, by payloadBudget: the newest finished jobs keep
+	// theirs, older ones answer Events with an empty tail and Report
+	// with ErrJobNotFound while Status and ListJobs still serve them.
 	RetainJobs int
 	// Trace, when set, records one span tree per job across the serving
 	// path (decode, admission, queue, lease, execute, per-chunk engine
@@ -135,20 +139,56 @@ type Job struct {
 	// Config.Trace); 0 otherwise. Feed it to the Trace RPC or /debug/trace.
 	TraceID uint64
 
-	tr     *trace.Trace
-	events *obs.Ring
+	// The job's payload: its execution trace (done jobs) and its event
+	// ring (every job that got past the fast-reject). Both are dropped
+	// together, by eviction or by stripLocked; payload is what they count
+	// for against the daemon's payloadBudget once the job is terminal,
+	// and nextSeq — one past the job's last event — is what a stripped
+	// job keeps of its stream, so Events can still tell a poller it
+	// missed something.
+	tr      *trace.Trace
+	events  *obs.Ring
+	payload int
+	nextSeq int64
 }
 
-// jobEventRing bounds each job's retained event tail: long jobs keep
-// the most recent events; pollers that fall behind skip ahead.
-const jobEventRing = 8192
+// summaryLocked returns the copy of the job record that Status and
+// ListJobs serve. Caller holds d.mu.
+func (d *Daemon) summaryLocked(j *Job) Job {
+	cp := *j
+	cp.QueuePos = d.queuePosLocked(j)
+	cp.tr, cp.events = nil, nil
+	return cp
+}
+
+const (
+	// jobEventRing bounds each job's retained event tail: long jobs keep
+	// the most recent events; pollers that fall behind skip ahead. The
+	// ring takes its storage a 64-event page at a time from the daemon's
+	// page pool, so a short job holds one page and only a job that emits
+	// this many events holds all 128.
+	jobEventRing = 8192
+	// pagePoolBytes bounds the idle ring pages the daemon keeps for its
+	// jobs: two full rings' worth, because a strip or an eviction frees
+	// one job's pages while the next big job is still filling its own.
+	pagePoolBytes = 4 << 20
+	// payloadBudget bounds the event pages plus trace records held by
+	// terminal jobs: room for about twelve maximal jobs (8192 events and
+	// 4000 chunks, ≈ 2.4 MB) or thousands of small ones, and small enough
+	// that the collector's doubled heap target stays under 100 MB.
+	payloadBudget = 32 << 20
+)
 
 // Daemon is the RPC service state.
 type Daemon struct {
 	cfg Config
 
-	mu     sync.Mutex
-	jobs   map[int]*Job
+	mu   sync.Mutex
+	jobs map[int]*Job
+	// order holds the retained jobs in ascending ID order (admission
+	// appends, eviction removes), so listing costs what is retained and
+	// not what was ever issued.
+	order  []*Job
 	nextID int
 	wg     sync.WaitGroup
 
@@ -170,6 +210,16 @@ type Daemon struct {
 	// terminal is the retirement-order FIFO backing Config.RetainJobs
 	// eviction (unused when RetainJobs is 0).
 	terminal []int
+	// Payload retention (see payloadBudget): the terminal jobs that still
+	// hold a payload, in retirement order, their total, and the budget —
+	// a field only so that in-package tests can lower it.
+	payloads    []*Job
+	payloadSize int
+	payloadMax  int
+	// pages recycles ring pages across jobs; slots is the free list of
+	// execution slots (see runSlot).
+	pages *obs.PagePool
+	slots []*runSlot
 	// Precomputed fast-reject outcomes: shedding under overload must
 	// be O(1) per call, so the wrapped error, its message and its code
 	// are built once at construction.
@@ -204,9 +254,9 @@ type Daemon struct {
 	shareErrors                         *obs.Counter
 	// workerShareG publishes each worker's allocated fraction
 	// (apstdv_worker_share_w<i>); registered in live mode only.
-	workerShareG []*obs.Gauge
-	jobSeconds                          *obs.Histogram
-	waitSeconds, runSeconds             map[string]*obs.Histogram
+	workerShareG            []*obs.Gauge
+	jobSeconds              *obs.Histogram
+	waitSeconds, runSeconds map[string]*obs.Histogram
 	// Transport counters are registered per direction so /metrics
 	// separates the daemon's serving surface (its frame server) from the
 	// calls it originates (live worker links).
@@ -255,6 +305,8 @@ func New(cfg Config) (*Daemon, error) {
 		jobs:          make(map[int]*Job),
 		pending:       make(map[int]*pendingJob),
 		specCache:     make(map[string]*spec.Task),
+		payloadMax:    payloadBudget,
+		pages:         obs.NewPagePool(pagePoolBytes),
 		started:       time.Now(),
 		registry:      reg,
 		runMetrics:    obs.NewRunMetrics(reg),
@@ -440,17 +492,15 @@ func (d *Daemon) submitSlow(args SubmitArgs, prio string, tid otrace.TraceID, si
 	ctx, cancel := context.WithCancelCause(context.Background())
 	as := d.tracer.Begin(tid, sid, "submit.admit")
 	d.mu.Lock()
-	d.nextID++
-	job := &Job{
-		ID: d.nextID, Algorithm: algName, Priority: prio,
+	job := d.newJobLocked(Job{
+		Algorithm: algName, Priority: prio,
 		Submitted: time.Now(), TraceID: uint64(tid),
-		events: obs.NewRing(jobEventRing),
-	}
-	d.jobs[job.ID] = job
+		events: d.pages.NewRing(jobEventRing),
+	})
 	p := &pendingJob{
 		job: job, alg: alg, app: app, divider: divider,
 		probeLoad: task.Divisibility.ProbeLoad,
-		stream:    &jobStream{ring: job.events},
+		ring:      job.events,
 		ctx:       ctx, cancel: cancel,
 		traceID: tid, submitSpan: sid,
 	}
@@ -464,6 +514,17 @@ func (d *Daemon) submitSlow(args SubmitArgs, prio string, tid otrace.TraceID, si
 	d.mu.Unlock()
 	as.End(err)
 	return err
+}
+
+// newJobLocked gives the job record the next ID and registers it.
+// Caller holds d.mu.
+func (d *Daemon) newJobLocked(j Job) *Job {
+	d.nextID++
+	j.ID = d.nextID
+	job := &j
+	d.jobs[job.ID] = job
+	d.order = append(d.order, job)
+	return job
 }
 
 // errText is err.Error() tolerating nil, for retroactive span records.
@@ -508,12 +569,10 @@ func (d *Daemon) fastReject(prio string) error {
 		return nil
 	}
 	now := time.Now()
-	d.nextID++
-	job := &Job{
-		ID: d.nextID, Priority: prio, State: JobRejected,
+	job := d.newJobLocked(Job{
+		Priority: prio, State: JobRejected,
 		Submitted: now, Finished: now, Err: rej.msg, Code: rej.code,
-	}
-	d.jobs[job.ID] = job
+	})
 	d.jobsRejected.Inc()
 	d.retireLocked(job)
 	return rej.err
@@ -577,16 +636,54 @@ func (d *Daemon) buildApp(task *spec.Task, divider divide.Divider, sim *SimApp) 
 	return app, nil
 }
 
-// execute runs the job on the configured backend, streaming its events
-// into the job's ring (numbered after the daemon's lifecycle events via
-// SeqBase) and its metrics into the shared registry.
+// runSlot is what one running job borrows from the daemon and the next
+// job to run reuses: the simulated backend (sim mode; reset in place
+// between jobs, see grid.Backend.Reset) and the engine's workspace. A
+// job holds its slot from startLocked until runJob hands it back, so a
+// slot serves one run at a time; the free list is bounded by the
+// concurrency cap (GOMAXPROCS when sim mode has none, which is all that
+// can run at once) and a slot returned beyond that is dropped.
+type runSlot struct {
+	backend *grid.Backend
+	arena   *engine.Arena
+}
+
+// takeSlotLocked pops an idle slot or makes an empty one. Caller holds
+// d.mu.
+func (d *Daemon) takeSlotLocked() *runSlot {
+	if n := len(d.slots); n > 0 {
+		s := d.slots[n-1]
+		d.slots[n-1] = nil
+		d.slots = d.slots[:n-1]
+		return s
+	}
+	return &runSlot{arena: engine.NewArena()}
+}
+
+// putSlotLocked returns a slot whose run is over. Caller holds d.mu.
+func (d *Daemon) putSlotLocked(s *runSlot) {
+	limit := d.effCap
+	if limit == 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if len(d.slots) < limit {
+		d.slots = append(d.slots, s)
+	}
+}
+
+// execute runs the job on the configured backend, in the slot the
+// scheduler gave it, streaming its events into the job's ring (numbered
+// after the daemon's lifecycle events via SeqBase) and its metrics into
+// the shared registry. The trace the engine returns lives in the slot's
+// arena and the slot's next job overwrites it, so the job keeps a copy.
 func (d *Daemon) execute(ctx context.Context, p *pendingJob) (*trace.Trace, error) {
 	req := engine.Request{
 		Algorithm: p.alg, App: p.app, Platform: d.cfg.Platform,
+		Arena: p.slot.arena,
 		Config: engine.Config{
 			Divider: p.divider, ProbeLoad: p.probeLoad,
-			Events: p.stream, Metrics: d.runMetrics,
-			SeqBase: p.stream.nextSeq(),
+			Events: p.ring, Metrics: d.runMetrics,
+			SeqBase: p.ring.NextSeq(),
 			// Chunk spans parent under the job.execute span and anchor
 			// the backend clock at "now" on the collector timeline.
 			Trace: d.tracer, TraceID: p.traceID,
@@ -595,12 +692,17 @@ func (d *Daemon) execute(ctx context.Context, p *pendingJob) (*trace.Trace, erro
 	}
 	switch d.cfg.Mode {
 	case ModeSim:
-		backend, err := grid.New(d.cfg.Platform, p.app, grid.Config{Seed: d.cfg.Seed, Metrics: d.gridMetrics})
+		gcfg := grid.Config{Seed: d.cfg.Seed, Metrics: d.gridMetrics}
+		var err error
+		if p.slot.backend == nil {
+			p.slot.backend, err = grid.New(d.cfg.Platform, p.app, gcfg)
+		} else {
+			err = p.slot.backend.Reset(p.app, gcfg)
+		}
 		if err != nil {
 			return nil, err
 		}
-		req.Backend = backend
-		return engine.Execute(ctx, req)
+		req.Backend = p.slot.backend
 	case ModeLive:
 		// The job runs on its leased workers only — that is the
 		// isolation leasing buys. (No recorded lease means the share
@@ -635,9 +737,14 @@ func (d *Daemon) execute(ctx context.Context, p *pendingJob) (*trace.Trace, erro
 		stop := context.AfterFunc(ctx, backend.Cancel)
 		defer stop()
 		req.Backend = backend
-		return engine.Execute(ctx, req)
+	default:
+		return nil, fmt.Errorf("daemon: unknown mode %q", d.cfg.Mode)
 	}
-	return nil, fmt.Errorf("daemon: unknown mode %q", d.cfg.Mode)
+	tr, err := engine.Execute(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Clone(), nil
 }
 
 // StatusArgs selects a job.
@@ -656,10 +763,7 @@ func (d *Daemon) Status(args StatusArgs, reply *StatusReply) error {
 	if !ok {
 		return fmt.Errorf("daemon: no job %d: %w", args.JobID, ErrJobNotFound)
 	}
-	reply.Job = *job
-	reply.Job.QueuePos = d.queuePosLocked(job)
-	reply.Job.tr = nil
-	reply.Job.events = nil
+	reply.Job = d.summaryLocked(job)
 	return nil
 }
 
@@ -677,16 +781,28 @@ type ReportReply struct {
 
 // Report implements the report RPC: the per-chunk execution record the
 // paper's authors used to diagnose RUMR ("after looking into the
-// detailed execution report generated by APST-DV").
+// detailed execution report generated by APST-DV"). A done job whose
+// payload the byte budget has since dropped answers like an evicted one:
+// its report is no longer found.
 func (d *Daemon) Report(args ReportArgs, reply *ReportReply) error {
+	// The run goroutine writes State and tr under d.mu, so both are read
+	// under it; the trace itself is immutable once the job is done.
 	d.mu.Lock()
 	job, ok := d.jobs[args.JobID]
+	var state JobState
+	var tr *trace.Trace
+	if ok {
+		state, tr = job.State, job.tr
+	}
 	d.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("daemon: no job %d: %w", args.JobID, ErrJobNotFound)
 	}
-	if job.State != JobDone || job.tr == nil {
-		return fmt.Errorf("daemon: job %d is %s; no report", args.JobID, job.State)
+	if state != JobDone {
+		return fmt.Errorf("daemon: job %d is %s; no report", args.JobID, state)
+	}
+	if tr == nil {
+		return fmt.Errorf("daemon: job %d: report no longer retained: %w", args.JobID, ErrJobNotFound)
 	}
 	workers := 0
 	if d.cfg.Platform != nil {
@@ -694,15 +810,15 @@ func (d *Daemon) Report(args ReportArgs, reply *ReportReply) error {
 	} else {
 		workers = len(d.cfg.LiveWorkers)
 	}
-	rep := job.tr.BuildReport(workers)
+	rep := tr.BuildReport(workers)
 	reply.Summary = rep.String()
 	var b strings.Builder
-	if err := job.tr.WriteCSV(&b); err != nil {
+	if err := tr.WriteCSV(&b); err != nil {
 		return err
 	}
 	reply.CSV = b.String()
 	var g strings.Builder
-	if err := job.tr.Gantt(&g, workers, 100); err != nil {
+	if err := tr.Gantt(&g, workers, 100); err != nil {
 		return err
 	}
 	reply.Gantt = g.String()
@@ -738,14 +854,11 @@ func (d *Daemon) ListJobs(args ListJobsArgs, reply *ListJobsReply) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	reply.Policy = d.cosched
-	for id := 1; id <= d.nextID; id++ {
-		if j, ok := d.jobs[id]; ok {
-			cp := *j
-			cp.QueuePos = d.queuePosLocked(j)
-			cp.tr = nil
-			cp.events = nil
-			reply.Jobs = append(reply.Jobs, cp)
-		}
+	if len(d.order) > 0 {
+		reply.Jobs = make([]Job, 0, len(d.order))
+	}
+	for _, j := range d.order {
+		reply.Jobs = append(reply.Jobs, d.summaryLocked(j))
 	}
 	return nil
 }

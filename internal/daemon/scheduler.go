@@ -3,7 +3,7 @@ package daemon
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sort"
 	"time"
 
 	"apstdv/internal/divide"
@@ -50,15 +50,25 @@ func classIndex(p string) int {
 }
 
 // pendingJob is a job plus everything needed to run it: the parsed
-// algorithm and application, the per-job cancellation context, and the
-// spliced event stream. It exists from admission to terminal state.
+// algorithm and application, the per-job cancellation context, the
+// job's event ring and, while it runs, its execution slot. It exists
+// from admission to terminal state.
+//
+// The ring carries one monotonic stream across two emitters: the daemon
+// appends its lifecycle events (job_queued, job_started, job_cancelled,
+// job_rejected) with Ring.Append, which numbers them after whatever the
+// ring has seen, and hands the engine Config.SeqBase = Ring.NextSeq(),
+// from which the engine numbers densely. Pollers reading the Events RPC
+// therefore see one gap-free cursor across both layers, and each event
+// costs one lock: the ring's.
 type pendingJob struct {
 	job       *Job
 	alg       dls.Algorithm
 	app       *model.Application
 	divider   divide.Divider
 	probeLoad float64
-	stream    *jobStream
+	ring      *obs.Ring
+	slot      *runSlot
 	ctx       context.Context
 	cancel    context.CancelCauseFunc
 
@@ -70,50 +80,6 @@ type pendingJob struct {
 	submitSpan otrace.SpanID
 	queueSpan  otrace.Span
 	execSpan   otrace.SpanID
-}
-
-// jobStream wraps a job's event ring, tracking the next unused sequence
-// number so the daemon can splice its lifecycle events (job_queued,
-// job_started, job_cancelled, job_rejected) into the same monotonic
-// stream as the engine's run events: the daemon emits first, hands the
-// engine Config.SeqBase = nextSeq(), and the engine numbers densely from
-// there. Pollers reading the Events RPC therefore see one gap-free
-// cursor across both layers.
-type jobStream struct {
-	ring *obs.Ring
-	mu   sync.Mutex
-	next int64
-}
-
-// Emit implements obs.Sink.
-func (s *jobStream) Emit(ev obs.Event) { s.EmitPtr(&ev) }
-
-// EmitPtr implements obs.PtrSink, preserving the engine's allocation-
-// free fast path into the ring.
-func (s *jobStream) EmitPtr(ev *obs.Event) {
-	s.mu.Lock()
-	if ev.Seq >= s.next {
-		s.next = ev.Seq + 1
-	}
-	s.mu.Unlock()
-	s.ring.EmitPtr(ev)
-}
-
-// emit appends a daemon lifecycle event, assigning the next sequence.
-func (s *jobStream) emit(ev obs.Event) {
-	s.mu.Lock()
-	ev.Seq = s.next
-	s.next++
-	s.mu.Unlock()
-	s.ring.EmitPtr(&ev)
-}
-
-// nextSeq returns the sequence the next event should carry — the
-// engine's SeqBase for this job's run.
-func (s *jobStream) nextSeq() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
 }
 
 // admitLocked places a freshly submitted job: start it if a concurrency
@@ -132,7 +98,7 @@ func (d *Daemon) admitLocked(p *pendingJob) error {
 	d.jobsSubmitted.Inc()
 	d.pending[job.ID] = p
 	job.State = JobQueued
-	p.stream.emit(obs.Event{Type: obs.JobQueued, Class: job.Priority})
+	p.ring.Append(&obs.Event{Type: obs.JobQueued, Class: job.Priority})
 	// Every accepted job gets a queue span — immediate starts record a
 	// near-zero one — so the queue stage sample covers all admissions,
 	// not just the jobs that happened to wait.
@@ -157,15 +123,32 @@ func (d *Daemon) rejectLocked(p *pendingJob, cause error) error {
 	job.Code = errcode.Code(cause)
 	d.jobsRejected.Inc()
 	p.cancel(cause)
-	p.stream.emit(obs.Event{Type: obs.JobRejected, Class: job.Priority, Err: cause.Error()})
+	p.ring.Append(&obs.Event{Type: obs.JobRejected, Class: job.Priority, Err: cause.Error()})
 	d.retireLocked(job)
 	return cause
 }
 
-// retireLocked records a job's terminal transition and, when
-// Config.RetainJobs bounds retention, evicts the longest-finished
-// terminal jobs beyond the bound. Caller holds d.mu.
+// retireLocked records a job's terminal transition and applies the two
+// retention bounds. The job's payload (event pages plus trace records)
+// joins the budgeted total, and while that exceeds the budget the
+// longest-finished payloads are stripped — never the retiring job's
+// own, so the newest job's events and report can always be read. Then,
+// when Config.RetainJobs bounds retention, the longest-finished
+// terminal jobs beyond the bound are evicted outright. Caller holds
+// d.mu.
 func (d *Daemon) retireLocked(job *Job) {
+	if job.events != nil {
+		job.nextSeq = job.events.NextSeq()
+		job.payload = job.events.Bytes()
+		if job.tr != nil {
+			job.payload += job.tr.Bytes()
+		}
+		d.payloadSize += job.payload
+		d.payloads = append(d.payloads, job)
+		for d.payloadSize > d.payloadMax && len(d.payloads) > 1 {
+			d.stripLocked(d.payloads[0])
+		}
+	}
 	if d.cfg.RetainJobs <= 0 {
 		return
 	}
@@ -173,10 +156,39 @@ func (d *Daemon) retireLocked(job *Job) {
 	for len(d.terminal) > d.cfg.RetainJobs {
 		id := d.terminal[0]
 		d.terminal = d.terminal[1:]
-		delete(d.jobs, id)
-		d.jobsEvicted.Inc()
+		d.evictLocked(d.jobs[id])
 	}
 	d.jobsRetained.Set(float64(len(d.terminal)))
+}
+
+// stripLocked drops a terminal job's payload and keeps its summary: the
+// ring's pages go back to the pool and the trace to the collector.
+// Payloads leave in the order they arrived (both bounds take the
+// longest-finished first), so the search ends at the head of
+// d.payloads. Caller holds d.mu.
+func (d *Daemon) stripLocked(job *Job) {
+	if job.events == nil {
+		return
+	}
+	job.events.Release()
+	job.events, job.tr = nil, nil
+	d.payloadSize -= job.payload
+	job.payload = 0
+	for i, j := range d.payloads {
+		if j == job {
+			d.payloads = append(d.payloads[:i], d.payloads[i+1:]...)
+			break
+		}
+	}
+}
+
+// evictLocked forgets a terminal job entirely. Caller holds d.mu.
+func (d *Daemon) evictLocked(job *Job) {
+	d.stripLocked(job)
+	delete(d.jobs, job.ID)
+	i := sort.Search(len(d.order), func(i int) bool { return d.order[i].ID >= job.ID })
+	d.order = append(d.order[:i], d.order[i+1:]...)
+	d.jobsEvicted.Inc()
 }
 
 // startLocked moves a job into the running state: leases its share of
@@ -187,6 +199,7 @@ func (d *Daemon) startLocked(p *pendingJob) {
 	job.State = JobRunning
 	job.Started = time.Now()
 	p.queueSpan.End(nil)
+	p.slot = d.takeSlotLocked()
 	d.running++
 	d.jobsRunning.Inc()
 	ls := d.tracer.Begin(p.traceID, p.submitSpan, "job.lease")
@@ -194,7 +207,7 @@ func (d *Daemon) startLocked(p *pendingJob) {
 	ls.End(nil)
 	wait := job.Started.Sub(job.Submitted).Seconds()
 	d.waitSeconds[job.Priority].Observe(wait)
-	p.stream.emit(obs.Event{
+	p.ring.Append(&obs.Event{
 		Type: obs.JobStarted, T: wait, Class: job.Priority,
 		Dur: wait, Workers: len(job.Leased),
 	})
@@ -214,6 +227,8 @@ func (d *Daemon) runJob(p *pendingJob) {
 	defer d.mu.Unlock()
 	job := p.job
 	job.Finished = time.Now()
+	d.putSlotLocked(p.slot)
+	p.slot = nil
 	d.running--
 	d.jobsRunning.Dec()
 	delete(d.pending, job.ID)
@@ -232,7 +247,7 @@ func (d *Daemon) runJob(p *pendingJob) {
 		job.Err = cause.Error()
 		job.Code = errcode.Code(cause)
 		d.jobsCancelled.Inc()
-		p.stream.emit(obs.Event{
+		p.ring.Append(&obs.Event{
 			Type: obs.JobCancelled, T: time.Since(job.Submitted).Seconds(),
 			Class: job.Priority, Err: cause.Error(),
 		})
@@ -302,7 +317,7 @@ func (d *Daemon) cancelQueuedLocked(p *pendingJob, cause error) {
 	delete(d.pending, job.ID)
 	d.jobsCancelled.Inc()
 	p.cancel(cause)
-	p.stream.emit(obs.Event{
+	p.ring.Append(&obs.Event{
 		Type: obs.JobCancelled, T: time.Since(job.Submitted).Seconds(),
 		Class: job.Priority, Err: cause.Error(),
 	})

@@ -26,31 +26,50 @@ type EventsReply struct {
 	// State lets pollers stop: once the job leaves JobRunning and a
 	// RunFinished event has been delivered, the stream is complete.
 	State JobState
-	// Dropped reports ring overflow: the oldest retained event's Seq is
-	// higher than AfterSeq+1, so events in between were evicted.
+	// Dropped reports that events after AfterSeq exist and are not in
+	// this reply or any later one: the ring overflowed (the oldest
+	// retained event's Seq is higher than AfterSeq+1), or the job
+	// finished long enough ago that the daemon dropped its tail to stay
+	// inside its memory budget.
 	Dropped bool
 }
 
 // Events implements the event-tail RPC: the live view of a running
 // job's scheduler decisions, and the postmortem tail of a finished one.
 func (d *Daemon) Events(args EventsArgs, reply *EventsReply) error {
+	// The job's fields change under d.mu (the run goroutine finishes it,
+	// retention strips it), so they are read under it; the ring has its
+	// own lock and is read outside, where a long tail cannot stall the
+	// scheduler.
 	d.mu.Lock()
 	job, ok := d.jobs[args.JobID]
+	var ring *obs.Ring
+	if ok {
+		ring = job.events
+	}
 	d.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("daemon: no job %d: %w", args.JobID, ErrJobNotFound)
 	}
-	// Fast-rejected jobs carry no event ring (shedding is O(1)); their
-	// tail is empty and the job record tells the whole story.
-	if job.events != nil {
-		reply.Events = job.events.After(args.AfterSeq)
+	// Two kinds of job have no ring and answer an empty tail: fast-
+	// rejected ones never had one (shedding is O(1), and the job record
+	// tells the whole story), and stripped ones gave theirs up to the
+	// payload budget. A ring released after the read above reads empty
+	// too — its own lock orders the two.
+	if ring != nil {
+		reply.Events = ring.After(args.AfterSeq)
 	}
-	if len(reply.Events) > 0 && reply.Events[0].Seq > args.AfterSeq+1 {
-		reply.Dropped = true
-	}
+	// State is read after the events: a terminal state then means the
+	// tail above is complete.
 	d.mu.Lock()
 	reply.State = job.State
+	stripped := job.events == nil && args.AfterSeq+1 < job.nextSeq
 	d.mu.Unlock()
+	if len(reply.Events) > 0 {
+		reply.Dropped = reply.Events[0].Seq > args.AfterSeq+1
+	} else {
+		reply.Dropped = stripped
+	}
 	return nil
 }
 
@@ -84,17 +103,11 @@ func (d *Daemon) TelemetryHandler() http.Handler {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		d.mu.Lock()
-		running := 0
-		for _, j := range d.jobs {
-			if j.State == JobRunning {
-				running++
-			}
-		}
 		h := healthz{
 			Status:        "ok",
 			Mode:          string(d.cfg.Mode),
 			UptimeSeconds: time.Since(d.started).Seconds(),
-			JobsRunning:   running,
+			JobsRunning:   d.running,
 			JobsQueued:    d.queued,
 			JobsTotal:     len(d.jobs),
 		}

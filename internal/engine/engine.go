@@ -287,7 +287,13 @@ func Execute(ctx context.Context, req Request) (*trace.Trace, error) {
 	} else {
 		e = &execution{}
 	}
+	// Under the mutex, because on a reused arena a callback that outlived
+	// the previous run (a late worker reply, a cancellation that fired as
+	// that run returned) may be reading runGen to find out it is stale.
+	e.mu.Lock()
 	e.beginRun(req)
+	gen := e.runGen
+	e.mu.Unlock()
 
 	if ctx.Done() != nil {
 		// Cancellation aborts through the normal failure path: the first
@@ -297,6 +303,9 @@ func Execute(ctx context.Context, req Request) (*trace.Trace, error) {
 		stop := context.AfterFunc(ctx, func() {
 			e.mu.Lock()
 			defer e.mu.Unlock()
+			if e.runGen != gen {
+				return // this run is over and the arena serves another
+			}
 			e.fail(context.Cause(ctx))
 		})
 		defer stop()
@@ -309,14 +318,13 @@ func Execute(ctx context.Context, req Request) (*trace.Trace, error) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fin := obs.Event{
-		Type: obs.RunFinished, Worker: -1,
-		Makespan: e.trace.Makespan(), Chunks: e.trace.Len(),
+	if ev := e.event(obs.RunFinished, -1); ev != nil {
+		ev.Makespan, ev.Chunks = e.trace.Makespan(), e.trace.Len()
+		if e.err != nil {
+			ev.Err = e.err.Error()
+		}
+		e.emit(ev)
 	}
-	if e.err != nil {
-		fin.Err = e.err.Error()
-	}
-	e.emit(fin)
 	if e.err != nil {
 		return e.trace, e.err
 	}
@@ -619,27 +627,36 @@ func (e *execution) recordStageSpan(c *chunk, name string, start, end float64, e
 	e.tracer.RecordSpan(e.traceID, 0, c.span, name, e.traceNs(start), e.traceNs(end), true, errMsg)
 }
 
-// emit stamps and forwards one event: sequence numbers are dense in
-// emission order and the timestamp is the backend clock, which is what
-// keeps simulated streams byte-deterministic. Sinks with a pointer fast
-// path receive the execution's scratch event instead of a fresh ~300-
-// byte value on the interface boundary, which keeps the hot path
-// allocation-free; delivery stays per-event so live tails see each
-// event as it happens. Caller holds the mutex, which is also what
-// guards the scratch.
-func (e *execution) emit(ev obs.Event) {
+// event starts one event: it returns the execution's scratch event,
+// cleared and given its type and worker, for the caller to fill in and
+// hand to emit — or nil when no sink is attached, so a run without one
+// builds nothing. The ~300-byte event is written once, in place, and
+// never passed by value. Caller holds the mutex, which is also what
+// guards the scratch, and must emit before anything else can start
+// another event.
+func (e *execution) event(typ obs.EventType, worker int) *obs.Event {
 	if e.sink == nil {
-		return
+		return nil
 	}
+	e.scratch = obs.Event{Type: typ, Worker: worker}
+	return &e.scratch
+}
+
+// emit stamps and forwards the event started by event: sequence numbers
+// are dense in emission order and the timestamp is the backend clock,
+// which is what keeps simulated streams byte-deterministic. Sinks with
+// a pointer fast path read the scratch where it lies, which keeps the
+// hot path allocation- and copy-free; delivery stays per-event so live
+// tails see each event as it happens.
+func (e *execution) emit(ev *obs.Event) {
 	ev.Seq = e.eventSeq
 	e.eventSeq++
 	ev.T = e.backend.Now()
 	if e.sinkPtr != nil {
-		e.scratch = ev
-		e.sinkPtr.EmitPtr(&e.scratch)
+		e.sinkPtr.EmitPtr(ev)
 		return
 	}
-	e.sink.Emit(ev)
+	e.sink.Emit(*ev)
 }
 
 // drainSwitchDecisions re-emits any phase-switch evaluations the
@@ -650,10 +667,10 @@ func (e *execution) drainSwitchDecisions() {
 		return
 	}
 	for _, d := range e.switchObs.DrainSwitchDecisions() {
-		e.emit(obs.Event{
-			Type: obs.RUMRSwitch, Worker: -1,
-			Gamma: d.Gamma, Want: d.Want, Remaining: d.Remaining, Switched: d.Switched,
-		})
+		if ev := e.event(obs.RUMRSwitch, -1); ev != nil {
+			ev.Gamma, ev.Want, ev.Remaining, ev.Switched = d.Gamma, d.Want, d.Remaining, d.Switched
+			e.emit(ev)
+		}
 	}
 }
 
@@ -713,10 +730,10 @@ func (e *execution) startProbing() {
 		}
 	}
 	e.probesLeft = n
-	e.emit(obs.Event{
-		Type: obs.ProbeStart, Worker: -1, Workers: n,
-		Size: e.probeLoad, Bytes: e.probeLoad * e.probeBPU,
-	})
+	if ev := e.event(obs.ProbeStart, -1); ev != nil {
+		ev.Workers, ev.Size, ev.Bytes = n, e.probeLoad, e.probeLoad*e.probeBPU
+		e.emit(ev)
+	}
 	e.probeWorker(0)
 }
 
@@ -730,7 +747,7 @@ func (e *execution) probeWorker(w int) {
 	// generation instead: a completion surviving from a previous run on
 	// this reused workspace must not touch the current one.
 	gen := e.runGen
-	e.emit(obs.Event{Type: obs.UplinkBusy, Worker: w, Probe: true})
+	e.emitUplinkBusy(w, 0, true, 0)
 	e.backend.Transfer(w, 0, func(start, end float64, err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
@@ -761,7 +778,7 @@ func (e *execution) probeWorker(w int) {
 			e.probeExecDone(w)
 		})
 		// Send the probe chunk on the now-free uplink.
-		e.emit(obs.Event{Type: obs.UplinkBusy, Worker: w, Probe: true, Bytes: e.probeLoad * e.probeBPU})
+		e.emitUplinkBusy(w, 0, true, e.probeLoad*e.probeBPU)
 		e.backend.Transfer(w, e.probeLoad*e.probeBPU, func(s3, e3 float64, err error) {
 			e.mu.Lock()
 			defer e.mu.Unlock()
@@ -817,10 +834,20 @@ func (e *execution) probeNext(w int) {
 // the UplinkIdle event plus the busy-time metric. Caller holds the
 // mutex.
 func (e *execution) uplinkFreed(w, chunk int, probe bool, start, end float64) {
-	e.emit(obs.Event{
-		Type: obs.UplinkIdle, Worker: w, Chunk: chunk, Probe: probe, Dur: end - start,
-	})
+	if ev := e.event(obs.UplinkIdle, w); ev != nil {
+		ev.Chunk, ev.Probe, ev.Dur = chunk, probe, end-start
+		e.emit(ev)
+	}
 	e.met.TransferDone(end - start)
+}
+
+// emitUplinkBusy is uplinkFreed's opening bracket: one transfer taking
+// the serialized uplink. Caller holds the mutex.
+func (e *execution) emitUplinkBusy(w, chunk int, probe bool, bytes float64) {
+	if ev := e.event(obs.UplinkBusy, w); ev != nil {
+		ev.Chunk, ev.Probe, ev.Bytes = chunk, probe, bytes
+		e.emit(ev)
+	}
 }
 
 // probeExecDone accounts for one of worker w's two calibration
@@ -835,11 +862,12 @@ func (e *execution) probeExecDone(w int) {
 	if e.probes[w].execDone == 2 {
 		e.probesLeft--
 		pr := e.probes[w]
-		e.emit(obs.Event{
-			Type: obs.ProbeResult, Worker: w, Size: e.probeLoad,
-			CommLatency: pr.emptyTransfer, CompLatency: pr.noopExec,
-			TransferDur: pr.probeTransfer, ComputeDur: pr.probeExec,
-		})
+		if ev := e.event(obs.ProbeResult, w); ev != nil {
+			ev.Size = e.probeLoad
+			ev.CommLatency, ev.CompLatency = pr.emptyTransfer, pr.noopExec
+			ev.TransferDur, ev.ComputeDur = pr.probeTransfer, pr.probeExec
+			e.emit(ev)
+		}
 		e.met.ProbeDone()
 	}
 	if e.probesLeft == 0 && !e.planned {
@@ -955,9 +983,10 @@ func (e *execution) plan(ests []model.Estimate) {
 			}
 		}
 	}
-	e.emit(obs.Event{
-		Type: obs.PlanDone, Worker: -1, Workers: len(ests), TotalLoad: e.total,
-	})
+	if ev := e.event(obs.PlanDone, -1); ev != nil {
+		ev.Workers, ev.TotalLoad = len(ests), e.total
+		e.emit(ev)
+	}
 	e.tryDispatch()
 }
 
@@ -1116,7 +1145,7 @@ func (e *execution) recalibrate() {
 	e.lastCal = e.backend.Now()
 	e.calCount++
 	gen := e.runGen // fence stale completions, as in probeWorker
-	e.emit(obs.Event{Type: obs.UplinkBusy, Worker: w, Probe: true})
+	e.emitUplinkBusy(w, 0, true, 0)
 	e.backend.Transfer(w, 0, func(s1, e1 float64, err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
@@ -1145,10 +1174,10 @@ func (e *execution) recalibrate() {
 			if rc, ok := e.alg.(dls.Recalibrator); ok {
 				rc.Recalibrate(w, commLat, e2-s2)
 			}
-			e.emit(obs.Event{
-				Type: obs.Recalibrate, Worker: w,
-				CommLatency: commLat, CompLatency: e2 - s2,
-			})
+			if ev := e.event(obs.Recalibrate, w); ev != nil {
+				ev.CommLatency, ev.CompLatency = commLat, e2-s2
+				e.emit(ev)
+			}
 			e.met.Recalibrated()
 			e.tryDispatch()
 		})

@@ -180,15 +180,14 @@ func (e *execution) launch(c *chunk) {
 		c.traceStart = c.stageStart
 	}
 
-	dispatch := obs.Event{
-		Type: obs.Dispatch, Worker: c.worker, Chunk: c.id,
-		Size: c.size, Bytes: c.bytes, Remaining: e.remaining,
+	if ev := e.event(obs.Dispatch, c.worker); ev != nil {
+		ev.Chunk, ev.Size, ev.Bytes, ev.Remaining = c.id, c.size, c.bytes, e.remaining
+		if c.attempt > 1 {
+			ev.Attempt = c.attempt
+		}
+		e.emit(ev)
 	}
-	if c.attempt > 1 {
-		dispatch.Attempt = c.attempt
-	}
-	e.emit(dispatch)
-	e.emit(obs.Event{Type: obs.UplinkBusy, Worker: c.worker, Chunk: c.id, Bytes: c.bytes})
+	e.emitUplinkBusy(c.worker, c.id, false, c.bytes)
 	e.met.Dispatched(c.bytes)
 	e.armDeadline(c, e.sendEstimate(c))
 	e.dispatchTransfer(c)
@@ -215,11 +214,11 @@ func (e *execution) launchPeer(c *chunk) {
 		c.span = e.tracer.NextSpanID()
 		c.traceStart = c.stageStart
 	}
-	e.emit(obs.Event{
-		Type: obs.Dispatch, Worker: c.worker, Chunk: c.id,
-		Size: c.size, Bytes: c.bytes, Remaining: e.remaining,
-		Attempt: c.attempt, Src: from,
-	})
+	if ev := e.event(obs.Dispatch, c.worker); ev != nil {
+		ev.Chunk, ev.Size, ev.Bytes, ev.Remaining = c.id, c.size, c.bytes, e.remaining
+		ev.Attempt, ev.Src = c.attempt, from
+		e.emit(ev)
+	}
 	if e.redistAware != nil {
 		e.redistAware.ChunkRedistributed(from, c.worker, c.size)
 	}
@@ -227,19 +226,19 @@ func (e *execution) launchPeer(c *chunk) {
 		// The chosen survivor already holds the data (the failed attempt
 		// ran there without being blacklisted): skip straight to compute.
 		c.sendStart, c.sendEnd = c.stageStart, c.stageStart
-		e.emit(obs.Event{
-			Type: obs.ChunkRedistributed, Worker: c.worker, Src: from,
-			Chunk: c.id, Size: c.size,
-		})
+		if ev := e.event(obs.ChunkRedistributed, c.worker); ev != nil {
+			ev.Src, ev.Chunk, ev.Size = from, c.id, c.size
+			e.emit(ev)
+		}
 		c.state = stateComputing
 		e.armDeadline(c, e.compEstimate(c))
 		e.dispatchExecute(c)
 		return
 	}
-	e.emit(obs.Event{
-		Type: obs.PeerTransfer, Worker: c.worker, Src: from,
-		Chunk: c.id, Size: c.size, Bytes: c.bytes,
-	})
+	if ev := e.event(obs.PeerTransfer, c.worker); ev != nil {
+		ev.Src, ev.Chunk, ev.Size, ev.Bytes = from, c.id, c.size, c.bytes
+		e.emit(ev)
+	}
 	e.armDeadline(c, e.sendEstimate(c))
 	e.peerBackend.PeerTransferOp(from, c.worker, c.bytes, opToken(c), e.peerDoneFn)
 }
@@ -264,10 +263,10 @@ func (e *execution) peerDone(op uint64, start, end float64, err error) {
 	if e.traceOn {
 		e.recordStageSpan(c, "chunk.peer", start, end, "")
 	}
-	e.emit(obs.Event{
-		Type: obs.ChunkRedistributed, Worker: c.worker, Src: int(c.dataAt),
-		Chunk: c.id, Size: c.size, Dur: end - start,
-	})
+	if ev := e.event(obs.ChunkRedistributed, c.worker); ev != nil {
+		ev.Src, ev.Chunk, ev.Size, ev.Dur = int(c.dataAt), c.id, c.size, end-start
+		e.emit(ev)
+	}
 	c.dataAt = int32(c.worker)
 	c.state = stateComputing
 	c.stageStart = e.backend.Now()
@@ -391,16 +390,15 @@ func (e *execution) completeChunk(c *chunk, outputEnd float64) {
 		e.tracer.RecordSpan(e.traceID, c.span, e.traceParent, "chunk",
 			e.traceNs(c.traceStart), e.traceNs(outputEnd), true, "")
 	}
-	done := obs.Event{
-		Type: obs.ChunkDone, Worker: w, Chunk: c.id, Size: c.size,
-		SendStart: c.sendStart, SendEnd: c.sendEnd,
-		CompStart: c.compStart, CompEnd: c.compEnd, OutputEnd: outputEnd,
-		Remaining: e.remaining,
+	if ev := e.event(obs.ChunkDone, w); ev != nil {
+		ev.Chunk, ev.Size, ev.Remaining = c.id, c.size, e.remaining
+		ev.SendStart, ev.SendEnd = c.sendStart, c.sendEnd
+		ev.CompStart, ev.CompEnd, ev.OutputEnd = c.compStart, c.compEnd, outputEnd
+		if c.attempt > 1 {
+			ev.Attempt = c.attempt
+		}
+		e.emit(ev)
 	}
-	if c.attempt > 1 {
-		done.Attempt = c.attempt
-	}
-	e.emit(done)
 	size, compDur := c.size, c.compEnd-c.compStart
 	// Free the slot before dispatching: tryDispatch may allocate the
 	// next chunk, which can both reuse this slot and grow the arena out

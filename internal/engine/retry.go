@@ -124,10 +124,10 @@ func (e *execution) onDeadline(id TimerID) {
 	c.deadlineArmed = false
 	c.deadline = 0
 	d := c.deadlineDur
-	e.emit(obs.Event{
-		Type: obs.ChunkTimeout, Worker: c.worker, Chunk: c.id,
-		Size: c.size, Dur: d, Attempt: c.attempt,
-	})
+	if ev := e.event(obs.ChunkTimeout, c.worker); ev != nil {
+		ev.Chunk, ev.Size, ev.Dur, ev.Attempt = c.id, c.size, d, c.attempt
+		e.emit(ev)
+	}
 	e.met.ChunkTimedOut()
 	e.chunkFailed(c,
 		fmt.Errorf("stage %s exceeded its %.3gs deadline", c.state, d),
@@ -223,10 +223,11 @@ func (e *execution) chunkFailed(c *chunk, cause error, holdsUplink bool) {
 	}
 	e.remaining += c.size
 	e.retryQ = append(e.retryQ, c.slot)
-	e.emit(obs.Event{
-		Type: obs.ChunkRetry, Worker: w, Chunk: c.id, Size: c.size,
-		Attempt: c.attempt, Err: cause.Error(), Remaining: e.remaining,
-	})
+	if ev := e.event(obs.ChunkRetry, w); ev != nil {
+		ev.Chunk, ev.Size, ev.Attempt = c.id, c.size, c.attempt
+		ev.Err, ev.Remaining = cause.Error(), e.remaining
+		e.emit(ev)
+	}
 	e.met.ChunkRetried(c.size)
 	if !e.dead[w] && e.consecFail[w] >= e.retry.BlacklistAfter {
 		e.blacklistWorker(w)
@@ -244,7 +245,10 @@ func (e *execution) blacklistWorker(w int) {
 	}
 	e.dead[w] = true
 	e.alive--
-	e.emit(obs.Event{Type: obs.WorkerBlacklisted, Worker: w, Workers: e.alive})
+	if ev := e.event(obs.WorkerBlacklisted, w); ev != nil {
+		ev.Workers = e.alive
+		e.emit(ev)
+	}
 	// Abandon the worker's in-flight chunks in id order (slot order is
 	// allocation order, not id order; the event stream must be stable).
 	var victims []int32
@@ -274,7 +278,10 @@ func (e *execution) blacklistWorker(w int) {
 			returned += c.size
 		}
 	}
-	e.emit(obs.Event{Type: obs.WorkerLost, Worker: w, Size: returned, Workers: e.alive})
+	if ev := e.event(obs.WorkerLost, w); ev != nil {
+		ev.Size, ev.Workers = returned, e.alive
+		e.emit(ev)
+	}
 	e.met.WorkerRemoved()
 	if e.lossAware != nil {
 		e.lossAware.WorkerLost(w, returned)
@@ -302,7 +309,10 @@ func (e *execution) probeFailed(w int, cause error) {
 	e.probesLeft--
 	e.dead[w] = true
 	e.alive--
-	e.emit(obs.Event{Type: obs.WorkerLost, Worker: w, Workers: e.alive, Err: cause.Error()})
+	if ev := e.event(obs.WorkerLost, w); ev != nil {
+		ev.Workers, ev.Err = e.alive, cause.Error()
+		e.emit(ev)
+	}
 	e.met.WorkerRemoved()
 	if e.alive == 0 {
 		e.failNoWorkers()

@@ -20,7 +20,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"sort"
 	"sync"
+	"unsafe"
 )
 
 // EventType names a scheduler event.
@@ -238,116 +240,237 @@ func (b *Buffer) Len() int {
 // — the daemon's per-job tail store: bounded memory however long the
 // job, with cursor-based reads for pollers.
 //
-// The storage is pointer-free: events are stored as eventCore records
-// whose string fields are interned indexes, so Emit performs no
-// allocation and the garbage collector never scans the (potentially
-// multi-megabyte) buffer. Error texts — arbitrary strings, but present
-// on almost no events — live in a small parallel slice that is the only
-// scannable part. Events are reconstructed on the cold read paths.
+// The storage is pointer-free and paged: events are stored as eventCore
+// records whose string fields are interned indexes, in fixed-size pages
+// (see page) the ring takes one at a time as events arrive. A ring that
+// holds its n events reuses its oldest page in place, so nothing is
+// ever copied or zeroed to grow, Emit performs no allocation once the
+// ring is at capacity, and the garbage collector never scans the
+// (potentially multi-megabyte) event storage. Error texts — arbitrary
+// strings, but present on almost no events — live in a sparse side
+// table that is the only scannable part. Events are reconstructed on
+// the cold read paths.
 type Ring struct {
 	mu    sync.Mutex
-	core  []eventCore
-	errs  []string // parallel to core; "" for almost every event
-	max   int      // capacity target; core grows geometrically toward it
-	next  int      // index of the slot the next event lands in
-	full  bool
-	types intern // EventType values (a dozen distinct)
-	algs  intern // algorithm names (a handful distinct)
+	pool  *PagePool // where pages come from and go back to; nil = the heap
+	pages []*page   // pages[i] holds slots [i*pageEvents, (i+1)*pageEvents)
+	max   int       // retention target, in events
+	next  int       // slot the next event lands in
+	full  bool      // the ring has wrapped: all max slots are live
+	// errs maps a slot to its event's Err text; absent means "". nil
+	// until the first event that carries one.
+	errs map[int]string
+	// nextSeq is one past the highest Seq emitted so far: what Append
+	// stamps, and what a run spliced after the ring's current events
+	// should number from.
+	nextSeq int64
+	types   intern // EventType values (a dozen distinct)
+	algs    intern // algorithm names (a handful distinct)
 }
 
-// ringInitialCap is the allocation a fresh ring starts with. Rings are
-// created per job at submission time, and most jobs — every admission-
-// control rejection, every short run — emit a handful of events; paying
-// for the full retention target up front (8192 slots ≈ 1.7 MB) per
-// submission is what capped the daemon's sustainable submission rate.
-// The buffer doubles toward the target as events actually arrive, so
-// long runs still retain their full configured tail.
-const ringInitialCap = 16
-
-// NewRing returns a ring holding the last n events (n ≥ 1). Storage
-// starts at ringInitialCap slots and grows geometrically to n as events
-// arrive.
-func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	c := n
-	if c > ringInitialCap {
-		c = ringInitialCap
-	}
-	return &Ring{core: make([]eventCore, c), errs: make([]string, c), max: n}
-}
+// NewRing returns a ring holding the last n events (n ≥ 1) whose pages
+// are plain heap allocations, taken as events arrive and left to the
+// garbage collector. A PagePool's NewRing is the recycling form.
+func NewRing(n int) *Ring { return (*PagePool)(nil).NewRing(n) }
 
 // Emit implements Sink.
 func (r *Ring) Emit(ev Event) { r.EmitPtr(&ev) }
 
 // EmitPtr implements PtrSink: one mutex hold and one pointer-free
-// record write — once the buffer has grown to its target, no
-// allocation and no write barriers on the hot buffer.
+// record write — once the ring holds its n events (or while its pages
+// come from a pool that has them), no allocation and no write barriers
+// on the event storage.
 func (r *Ring) EmitPtr(ev *Event) {
 	r.mu.Lock()
-	r.core[r.next].pack(ev, &r.types, &r.algs)
-	r.errs[r.next] = ev.Err
-	r.next++
-	if r.next == len(r.core) {
-		if len(r.core) < r.max {
-			r.growLocked()
-		} else {
-			r.next = 0
-			r.full = true
-		}
-	}
+	r.putLocked(ev)
 	r.mu.Unlock()
 }
 
-// growLocked doubles the buffer toward the capacity target. The ring
-// has never wrapped when this runs (growth happens the moment the
-// buffer first fills), so the retained events stay in place.
-func (r *Ring) growLocked() {
-	c := len(r.core) * 2
-	if c > r.max {
-		c = r.max
+// Append stamps ev with the sequence number after the highest the ring
+// has taken and stores it — how an owner splices its own events into a
+// stream whose other emitters number theirs (see NextSeq).
+func (r *Ring) Append(ev *Event) {
+	r.mu.Lock()
+	ev.Seq = r.nextSeq
+	r.putLocked(ev)
+	r.mu.Unlock()
+}
+
+// NextSeq returns one past the highest sequence number emitted into the
+// ring so far (0 for a fresh ring). Release does not rewind it.
+func (r *Ring) NextSeq() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.nextSeq
+}
+
+func (r *Ring) putLocked(ev *Event) {
+	pi := r.next / pageEvents
+	if pi == len(r.pages) {
+		r.pages = append(r.pages, r.pool.get())
 	}
-	core := make([]eventCore, c)
-	copy(core, r.core)
-	errs := make([]string, c)
-	copy(errs, r.errs)
-	r.core, r.errs = core, errs
+	r.pages[pi][r.next%pageEvents].pack(ev, &r.types, &r.algs)
+	if r.full && len(r.errs) > 0 {
+		delete(r.errs, r.next) // the overwritten event's text, if it had one
+	}
+	if ev.Err != "" {
+		if r.errs == nil {
+			r.errs = make(map[int]string)
+		}
+		r.errs[r.next] = ev.Err
+	}
+	if ev.Seq >= r.nextSeq {
+		r.nextSeq = ev.Seq + 1
+	}
+	r.next++
+	if r.next == r.max {
+		r.next = 0
+		r.full = true
+	}
+}
+
+// Release hands the ring's pages back to its pool and leaves the ring
+// empty: reads return nothing, NextSeq is kept. The owner calls it when
+// it stops retaining the events; holding the ring's own lock is what
+// keeps a concurrent reader from ever seeing a page's next tenant.
+func (r *Ring) Release() {
+	r.mu.Lock()
+	for _, pg := range r.pages {
+		r.pool.put(pg)
+	}
+	r.pages, r.errs = nil, nil
+	r.next, r.full = 0, false
+	r.mu.Unlock()
+}
+
+// Bytes returns the size of the event storage the ring holds right now.
+func (r *Ring) Bytes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.pages) * pageBytes
+}
+
+// heldLocked returns how many events the ring retains and the slot of
+// the oldest one.
+func (r *Ring) heldLocked() (n, first int) {
+	if r.full {
+		return r.max, r.next
+	}
+	return r.next, 0
+}
+
+// atLocked returns the record i positions after the oldest retained
+// event, and its slot.
+func (r *Ring) atLocked(first, i int) (*eventCore, int) {
+	slot := first + i
+	if slot >= r.max {
+		slot -= r.max
+	}
+	return &r.pages[slot/pageEvents][slot%pageEvents], slot
+}
+
+// tailLocked unpacks the retained events from position from (0 = the
+// oldest) to the newest, in emission order.
+func (r *Ring) tailLocked(from int) []Event {
+	n, first := r.heldLocked()
+	out := make([]Event, 0, n-from)
+	for i := from; i < n; i++ {
+		c, slot := r.atLocked(first, i)
+		out = append(out, c.unpack(r.errs[slot], &r.types, &r.algs))
+	}
+	return out
 }
 
 // Snapshot returns the retained events in emission order.
 func (r *Ring) Snapshot() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var n int
-	if r.full {
-		n = len(r.core)
-	} else {
-		n = r.next
-	}
-	out := make([]Event, 0, n)
-	if r.full {
-		for i := r.next; i < len(r.core); i++ {
-			out = append(out, r.core[i].unpack(r.errs[i], &r.types, &r.algs))
-		}
-	}
-	for i := 0; i < r.next; i++ {
-		out = append(out, r.core[i].unpack(r.errs[i], &r.types, &r.algs))
-	}
-	return out
+	return r.tailLocked(0)
 }
 
 // After returns the retained events with Seq strictly greater than seq,
 // in emission order — the tail-follow read. Pass -1 for "from the
-// beginning of what the ring still holds".
+// beginning of what the ring still holds". It relies on what every
+// emitter guarantees, sequence numbers ascending in emission order, to
+// seek to the first event past seq and unpack only from there: a poll
+// costs what it returns, not what the ring holds.
 func (r *Ring) After(seq int64) []Event {
-	var out []Event
-	for _, ev := range r.Snapshot() {
-		if ev.Seq > seq {
-			out = append(out, ev)
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n, first := r.heldLocked()
+	from := sort.Search(n, func(i int) bool {
+		c, _ := r.atLocked(first, i)
+		return c.seq > seq
+	})
+	if from == n {
+		return nil
 	}
-	return out
+	return r.tailLocked(from)
+}
+
+// pageEvents is the number of event records in one page: 64 × 248 B is
+// just under 16 kB, so the single page most jobs ever need is small and
+// an 8192-event tail is 128 pages; a power of two keeps the slot-to-page
+// split a shift and a mask.
+const pageEvents = 64
+
+// page is the unit of ring storage and of recycling. It holds no
+// pointers, so the collector allocates it in a no-scan span and never
+// looks inside; a page is never zeroed for reuse, because a ring reads
+// only the slots it has written since it took the page.
+type page [pageEvents]eventCore
+
+const pageBytes = int(unsafe.Sizeof(page{}))
+
+// PagePool is a bounded free list of ring pages, owned by whoever owns
+// the rings (the daemon keeps one for its jobs). Rings built by its
+// NewRing take pages from it and hand them back on Release, so a
+// steady stream of jobs stops paying the allocator and the zeroing for
+// their event storage. A nil *PagePool is the heap: get allocates and
+// put drops.
+type PagePool struct {
+	mu   sync.Mutex
+	free []*page
+	max  int // idle pages kept
+}
+
+// NewPagePool returns an empty pool that keeps at most maxBytes of idle
+// pages; pages released beyond that go to the garbage collector.
+func NewPagePool(maxBytes int) *PagePool { return &PagePool{max: maxBytes / pageBytes} }
+
+// NewRing returns a ring holding the last n events (n ≥ 1) that draws
+// its pages from p.
+func (p *PagePool) NewRing(n int) *Ring {
+	if n < 1 {
+		n = 1
+	}
+	return &Ring{pool: p, max: n}
+}
+
+func (p *PagePool) get() *page {
+	if p != nil {
+		p.mu.Lock()
+		if n := len(p.free); n > 0 {
+			pg := p.free[n-1]
+			p.free[n-1] = nil
+			p.free = p.free[:n-1]
+			p.mu.Unlock()
+			return pg
+		}
+		p.mu.Unlock()
+	}
+	return new(page)
+}
+
+func (p *PagePool) put(pg *page) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	if len(p.free) < p.max {
+		p.free = append(p.free, pg)
+	}
+	p.mu.Unlock()
 }
 
 // jsonlBatch is the JSONL pending-buffer capacity: emits cost one event

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -85,14 +87,15 @@ func TestRingWrap(t *testing.T) {
 }
 
 // The steady state — emitting events whose Type/Alg strings are already
-// interned, whose Err is empty, and whose buffer has grown to its
-// target — must not allocate; that is the whole point of the
-// pointer-free core.
+// interned, whose Err is empty, into a ring that is at capacity (every
+// page it will ever hold is taken) — must not allocate; that is the
+// whole point of the pointer-free core.
 func TestRingEmitSteadyStateAllocFree(t *testing.T) {
-	r := NewRing(64)
+	const n = 2*pageEvents + 5
+	r := NewRing(n)
 	ev := Event{Type: ChunkDone, Alg: "fixed-rumr", Worker: 3, Size: 12.5}
-	for i := 0; i < 64; i++ {
-		r.EmitPtr(&ev) // warm the intern tables and grow to target
+	for i := 0; i < n; i++ {
+		r.EmitPtr(&ev) // warm the intern tables and fill to capacity
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ev.Seq++
@@ -103,12 +106,43 @@ func TestRingEmitSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// A ring larger than the initial allocation must grow transparently:
-// retention semantics are identical to a fully pre-allocated ring at
-// every fill level, including across the wrap.
+// A ring whose pages come from a primed pool — a previous ring of the
+// same size released them — fills without allocating a page: what is
+// left is the page table's own growth, a handful of small slices.
+func TestPooledRingFillsFromPoolWithoutPages(t *testing.T) {
+	const n = 16 * pageEvents
+	pool := NewPagePool(n / pageEvents * pageBytes)
+	ev := Event{Type: ChunkDone, Alg: "umr", Worker: 1}
+	fill := func() {
+		r := pool.NewRing(n)
+		for i := 0; i < n; i++ {
+			ev.Seq = int64(i)
+			r.EmitPtr(&ev)
+		}
+		if got := r.Bytes(); got != n/pageEvents*pageBytes {
+			t.Fatalf("full ring holds %d bytes, want %d", got, n/pageEvents*pageBytes)
+		}
+		r.Release()
+		if got := r.Bytes(); got != 0 {
+			t.Fatalf("released ring holds %d bytes", got)
+		}
+	}
+	fill() // primes the pool with the ring's 16 pages
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill()
+	runtime.ReadMemStats(&after)
+	if grown := int(after.TotalAlloc - before.TotalAlloc); grown >= pageBytes {
+		t.Errorf("filling %d events from a primed pool allocated %d bytes; a single page is %d", n, grown, pageBytes)
+	}
+}
+
+// A ring grows to its target a page at a time and retains exactly the last n
+// at every fill level, page boundary and wrap, whatever n is relative
+// to the page size.
 func TestRingGrowsToTarget(t *testing.T) {
-	const target = ringInitialCap*4 + 3 // force growth, non-power-of-two
-	for _, emits := range []int{1, ringInitialCap, ringInitialCap + 1, target - 1, target, target + 5, 3 * target} {
+	const target = pageEvents*4 + 3 // several pages, the last one partial
+	for _, emits := range []int{1, pageEvents, pageEvents + 1, target - 1, target, target + 5, 3 * target} {
 		r := NewRing(target)
 		for i := 0; i < emits; i++ {
 			r.Emit(Event{Seq: int64(i)})
@@ -125,6 +159,153 @@ func TestRingGrowsToTarget(t *testing.T) {
 			if want := int64(emits - wantLen + i); ev.Seq != want {
 				t.Fatalf("after %d emits: event %d has Seq %d, want %d", emits, i, ev.Seq, want)
 			}
+		}
+		wantPages := (wantLen + pageEvents - 1) / pageEvents
+		if got := r.Bytes(); got != wantPages*pageBytes {
+			t.Fatalf("after %d emits: ring holds %d bytes, want %d pages", emits, got, wantPages)
+		}
+	}
+}
+
+// lastN is the reference model the paged ring is checked against: a
+// plain slice of the last n events.
+type lastN struct {
+	n   int
+	evs []Event
+}
+
+func (m *lastN) emit(ev Event) {
+	m.evs = append(m.evs, ev)
+	if len(m.evs) > m.n {
+		m.evs = m.evs[len(m.evs)-m.n:]
+	}
+}
+
+func (m *lastN) after(seq int64) []Event {
+	var out []Event
+	for _, ev := range m.evs {
+		if ev.Seq > seq {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// randomEvent draws an event with a handful of distinct interned
+// strings and, on about one event in five, an error text.
+func randomEvent(rnd *rand.Rand, seq int64) Event {
+	types := []EventType{Dispatch, ChunkDone, UplinkBusy, UplinkIdle, ChunkRetry}
+	ev := Event{
+		Seq: seq, T: rnd.Float64(), Type: types[rnd.Intn(len(types))],
+		Alg: fmt.Sprintf("alg%d", rnd.Intn(3)), Class: []string{"", "high", "low"}[rnd.Intn(3)],
+		Worker: rnd.Intn(16) - 1, Chunk: rnd.Intn(4000), Size: rnd.Float64() * 100,
+		Link: []string{"", "", "l0", "l1"}[rnd.Intn(4)],
+	}
+	if rnd.Intn(5) == 0 {
+		ev.Err = fmt.Sprintf("boom-%d", seq)
+	}
+	return ev
+}
+
+// The paged ring equals the last-n slice model — order, Err texts,
+// interned strings — for capacities around the page size and emission
+// counts past several wraps; a released ring reads empty, and a second
+// ring that takes over the very same pages is not polluted by what the
+// first left in them.
+func TestRingMatchesLastNModel(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 3, 4, 8, pageEvents - 1, pageEvents, pageEvents + 1, 8192} {
+		pool := NewPagePool((1 + 8192/pageEvents) * pageBytes)
+		var released *Ring
+		for round := 0; round < 3; round++ {
+			r := pool.NewRing(n)
+			m := &lastN{n: n}
+			emits := []int{n / 2, n, 3*n + rnd.Intn(n+1) + 1}[round]
+			base := int64(rnd.Intn(100))
+			for i := 0; i < emits; i++ {
+				ev := randomEvent(rnd, base+int64(i))
+				r.EmitPtr(&ev)
+				m.emit(ev)
+			}
+			if got := r.Snapshot(); len(got) != len(m.evs) || (len(got) > 0 && !reflect.DeepEqual(got, m.evs)) {
+				t.Fatalf("n=%d round %d after %d emits: ring and model differ\n ring  %+v\n model %+v", n, round, emits, got, m.evs)
+			}
+			if got, want := r.NextSeq(), base+int64(emits); emits > 0 && got != want {
+				t.Fatalf("n=%d round %d: NextSeq = %d, want %d", n, round, got, want)
+			}
+			for _, cursor := range []int64{-1, base - 5, base, base + int64(emits)/2, base + int64(emits) - 2, base + int64(emits) - 1, base + int64(emits) + 3} {
+				if got, want := r.After(cursor), m.after(cursor); !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d round %d: After(%d) returned %d events, model %d", n, round, cursor, len(got), len(want))
+				}
+			}
+			if released != nil && len(released.Snapshot()) != 0 {
+				t.Fatalf("n=%d round %d: a released ring reads events after its pages were reused", n, round)
+			}
+			next := r.NextSeq()
+			r.Release()
+			if got := r.Snapshot(); len(got) != 0 {
+				t.Fatalf("n=%d round %d: released ring still reads %d events", n, round, len(got))
+			}
+			if got := r.After(-1); got != nil {
+				t.Fatalf("n=%d round %d: released ring still tails %d events", n, round, len(got))
+			}
+			if r.Bytes() != 0 || r.NextSeq() != next {
+				t.Fatalf("n=%d round %d: released ring holds %d bytes, NextSeq %d (was %d)", n, round, r.Bytes(), r.NextSeq(), next)
+			}
+			released = r
+		}
+	}
+}
+
+// After seeks instead of unpacking the whole ring: for random emission
+// counts, capacities and cursors — a wrapped ring and a cursor older
+// than the tail included — it returns what filtering Snapshot returns,
+// and it allocates the returned slice and nothing else.
+func TestRingAfterSeeks(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rnd.Intn(3*pageEvents)
+		emits := rnd.Intn(4 * n)
+		base := int64(rnd.Intn(50))
+		r := NewRing(n)
+		for i := 0; i < emits; i++ {
+			ev := randomEvent(rnd, base+int64(i))
+			r.EmitPtr(&ev)
+		}
+		cursor := base - 3 + int64(rnd.Intn(emits+6))
+		var want []Event
+		for _, ev := range r.Snapshot() {
+			if ev.Seq > cursor {
+				want = append(want, ev)
+			}
+		}
+		if got := r.After(cursor); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d emits=%d base=%d: After(%d) returned %d events, filter %d", n, emits, base, cursor, len(got), len(want))
+		}
+	}
+
+	r := NewRing(8192)
+	ev := Event{Type: ChunkDone, Alg: "umr"}
+	for i := 0; i < 3*8192; i++ {
+		ev.Seq = int64(i)
+		r.EmitPtr(&ev)
+	}
+	last := int64(3*8192 - 1)
+	for _, tail := range []int{0, 1, 10, 1000} {
+		var got []Event
+		allocs := testing.AllocsPerRun(20, func() { got = r.After(last - int64(tail)) })
+		if len(got) != tail {
+			t.Fatalf("After(last-%d) returned %d events", tail, len(got))
+		}
+		want := 1.0 // the returned slice
+		if tail == 0 {
+			want = 0
+		}
+		if allocs != want {
+			t.Errorf("After returning %d events made %.0f allocations, want %.0f", tail, allocs, want)
+		}
+		if tail > 0 && cap(got) != tail {
+			t.Errorf("After returning %d events allocated room for %d", tail, cap(got))
 		}
 	}
 }

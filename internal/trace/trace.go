@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"unsafe"
 )
 
 // Record is the timeline of one chunk.
@@ -61,6 +62,19 @@ func (t *Trace) Reset(algorithm, platform string) {
 	t.Algorithm, t.Platform = algorithm, platform
 	t.recs = t.recs[:0]
 }
+
+// Clone returns an independent copy sized to the records it holds —
+// what a caller keeps when the trace it was handed is borrowed from a
+// reusable workspace (engine.Arena) that the next run will overwrite.
+func (t *Trace) Clone() *Trace {
+	recs := make([]Record, len(t.recs))
+	copy(recs, t.recs)
+	return &Trace{Algorithm: t.Algorithm, Platform: t.Platform, recs: recs}
+}
+
+// Bytes returns the size of the records the trace holds — what keeping
+// it costs.
+func (t *Trace) Bytes() int { return len(t.recs) * int(unsafe.Sizeof(Record{})) }
 
 // Add appends a record.
 func (t *Trace) Add(r Record) { t.recs = append(t.recs, r) }

@@ -177,3 +177,26 @@ func TestProbeEndAndAppMakespan(t *testing.T) {
 		t.Errorf("non-probing report: probeEnd=%g appMakespan=%g", r2.ProbeEnd, r2.AppMakespan)
 	}
 }
+
+// A clone survives the original being reset and refilled — the way an
+// arena-borrowed trace is overwritten by the next run — and holds no
+// spare capacity.
+func TestCloneIsIndependent(t *testing.T) {
+	tr := sampleTrace()
+	cp := tr.Clone()
+	want := append([]Record(nil), tr.Records()...)
+	tr.Reset("other", "elsewhere")
+	tr.Add(Record{Chunk: 9, Worker: 5, Size: 1})
+	if cp.Algorithm != "umr" || cp.Platform != "testbed" {
+		t.Errorf("clone relabeled to %s/%s", cp.Algorithm, cp.Platform)
+	}
+	got := cp.Records()
+	if len(got) != len(want) || cap(got) != len(want) {
+		t.Fatalf("clone has len %d cap %d, want %d exactly", len(got), cap(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d changed under the clone: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
