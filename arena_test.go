@@ -97,10 +97,9 @@ func TestArenaReuseMatchesFreshRun(t *testing.T) {
 // budget: a warm run with the daemon's always-on configuration (ring
 // sink + full metric set) must allocate EXACTLY what an uninstrumented
 // warm run allocates — the emit path costs branches and stores, never
-// heap. The BENCH_6→BENCH_7 investigation showed the paired timing
-// percentages carry several points of shared-box noise, so `make
-// bench-smoke` gates on this exact count instead of a timing threshold;
-// any allocation reintroduced on the emit path fails here
+// heap. Paired timing percentages carry several points of shared-box
+// noise, so the budget is gated on this exact count instead of a timing
+// threshold; any allocation reintroduced on the emit path fails here
 // deterministically, not probabilistically.
 func TestObsEmitPathAllocFree(t *testing.T) {
 	if raceEnabled {

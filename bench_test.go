@@ -6,26 +6,23 @@
 //
 //	BenchmarkFigure2DAS2/umr/γ=10%-8    ...   6970 makespan-s
 //
-// Wall-clock ns/op measures the simulator; the model results the paper
-// reports are the makespan-s / slowdown-pct metrics.
+// The model results the paper reports are the makespan-s / slowdown-pct
+// metrics. Nothing here measures performance: that is bench/ (`bash
+// bench/run.sh`, declared in BENCHMARK.json).
 package main
 
 import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
 	"apstdv/internal/experiment"
 	"apstdv/internal/grid"
 	"apstdv/internal/model"
-	"apstdv/internal/obs"
 	otrace "apstdv/internal/obs/trace"
 	"apstdv/internal/parallel"
-	"apstdv/internal/rng"
-	"apstdv/internal/sim"
 	"apstdv/internal/stats"
 	"apstdv/internal/units"
 	"apstdv/internal/workload"
@@ -350,230 +347,6 @@ func BenchmarkAblationOutputTransfers(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerParallelism measures the experiment runner's fan-out:
-// the same Figure 2 spec at pool width 1 (the old sequential driver)
-// and at one worker per CPU. Results are bit-identical at every width
-// (see TestParallelRunMatchesSequential); only wall time differs, and
-// the width=1 / width=N ns/op ratio is the parallel speedup recorded in
-// BENCH_*.json by scripts/bench.sh.
-func BenchmarkRunnerParallelism(b *testing.B) {
-	// Fixed widths so BENCH_<n>.json speedup columns are comparable
-	// across machines; width > GOMAXPROCS still exercises the
-	// concurrent path, it just cannot speed up further.
-	for _, w := range []int{1, 2, 4} {
-		w := w
-		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := experiment.Figure2()
-				s.Runs = benchRuns
-				s.Parallelism = w
-				if _, err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkObsOverhead measures what instrumentation costs the
-// simulator: the same Figure-2-style run with no sink at all (the
-// baseline every prior PR measured), with the no-op sink (every emit
-// call is made, nothing retained), and with a ring sink plus the full
-// metric set (the daemon's always-on configuration). DESIGN.md's
-// observability section documents the ≤5% envelope for the no-op
-// variant; scripts/bench.sh records all three in BENCH_<n>.json.
-func BenchmarkObsOverhead(b *testing.B) {
-	platform := workload.DAS2(16)
-	app := workload.Synthetic(0.10)
-	run := func(b *testing.B, cfg engine.Config) {
-		for i := 0; i < b.N; i++ {
-			backend, err := grid.New(platform, app, grid.Config{Seed: 11})
-			if err != nil {
-				b.Fatal(err)
-			}
-			alg, _ := dls.New("fixed-rumr")
-			cfg.ProbeLoad = 200
-			if _, err := engine.Execute(context.Background(), engine.Request{
-				Backend: backend, Algorithm: alg, App: app, Platform: platform, Config: cfg,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("sink=none", func(b *testing.B) { run(b, engine.Config{}) })
-	b.Run("sink=nop", func(b *testing.B) { run(b, engine.Config{Events: obs.Nop{}}) })
-	b.Run("sink=ring", func(b *testing.B) {
-		reg := obs.NewRegistry()
-		met := obs.NewRunMetrics(reg)
-		run(b, engine.Config{Events: obs.NewRing(8192), Metrics: met})
-	})
-}
-
-// BenchmarkFaultPathOverhead measures what the chunk-lifecycle retry
-// layer costs: the same simulated run with the layer disabled, armed
-// but idle (no faults — the zero-fault path is byte-identical, so any
-// delta is pure timer bookkeeping), and actually exercised by a
-// mid-run worker crash. scripts/bench.sh records all three in
-// BENCH_<n>.json.
-func BenchmarkFaultPathOverhead(b *testing.B) {
-	platform := workload.DAS2(16)
-	app := workload.Synthetic(0.10)
-	run := func(b *testing.B, retry *engine.RetryPolicy, plan *grid.FaultPlan) {
-		for i := 0; i < b.N; i++ {
-			backend, err := grid.New(platform, app, grid.Config{Seed: 11, Faults: plan})
-			if err != nil {
-				b.Fatal(err)
-			}
-			alg, _ := dls.New("fixed-rumr")
-			cfg := engine.Config{ProbeLoad: 200, Retry: retry}
-			if _, err := engine.Execute(context.Background(), engine.Request{
-				Backend: backend, Algorithm: alg, App: app, Platform: platform, Config: cfg,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("retry=off", func(b *testing.B) { run(b, nil, nil) })
-	b.Run("retry=idle", func(b *testing.B) { run(b, &engine.RetryPolicy{}, nil) })
-	b.Run("retry=crash", func(b *testing.B) {
-		run(b, &engine.RetryPolicy{}, &grid.FaultPlan{Faults: []grid.WorkerFault{
-			{Worker: 3, Kind: grid.FaultCrash, At: 2000},
-		}})
-	})
-}
-
-// BenchmarkObsOverheadPaired reports the daemon configuration's
-// observability overhead (ring sink + full metrics vs no sink) as a
-// drift-free "ring-overhead-pct" metric — the authoritative number for
-// the ≤10% envelope; the per-variant ns/op above remain useful for
-// allocation counts and absolute cost.
-//
-// Estimator: min-paired, not mean-paired. The instrumented side is the
-// one that allocates (ring buffer, metric counters), so GC pauses land
-// on it asymmetrically and inflate a mean by several points — the
-// BENCH_6→BENCH_7 "creep" (ring 4.8→6.0, idle 3.6→4.7) bisected to
-// exactly this: the only hot-path code change between them added one
-// branch to BOTH sides of the pair, which cannot move a relative
-// metric, while five back-to-back mean-paired passes at one commit
-// spread over ±4 points. The minimum sample of each side is pause-free
-// and stable to well under a point (see benchPairedMinOverhead).
-func BenchmarkObsOverheadPaired(b *testing.B) {
-	platform := workload.DAS2(16)
-	app := workload.Synthetic(0.10)
-	one := func(b *testing.B, cfg engine.Config) {
-		backend, err := grid.New(platform, app, grid.Config{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		alg, _ := dls.New("fixed-rumr")
-		cfg.ProbeLoad = 200
-		if _, err := engine.Execute(context.Background(), engine.Request{
-			Backend: backend, Algorithm: alg, App: app, Platform: platform, Config: cfg,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ring := obs.NewRing(8192)
-	met := obs.NewRunMetrics(obs.NewRegistry())
-	benchPairedMinOverhead(b, "ring-overhead-pct",
-		func(b *testing.B) { one(b, engine.Config{}) },
-		func(b *testing.B) { one(b, engine.Config{Events: ring, Metrics: met}) })
-}
-
-// BenchmarkFaultPathOverheadPaired reports the retry layer's armed-but-
-// idle cost (retry on, zero faults vs retry off) as a drift-free
-// "idle-overhead-pct" metric, same min-paired estimator (and for the
-// same GC-asymmetry reason) as BenchmarkObsOverheadPaired.
-func BenchmarkFaultPathOverheadPaired(b *testing.B) {
-	platform := workload.DAS2(16)
-	app := workload.Synthetic(0.10)
-	one := func(b *testing.B, retry *engine.RetryPolicy) {
-		backend, err := grid.New(platform, app, grid.Config{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		alg, _ := dls.New("fixed-rumr")
-		cfg := engine.Config{ProbeLoad: 200, Retry: retry}
-		if _, err := engine.Execute(context.Background(), engine.Request{
-			Backend: backend, Algorithm: alg, App: app, Platform: platform, Config: cfg,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	benchPairedMinOverhead(b, "idle-overhead-pct",
-		func(b *testing.B) { one(b, nil) },
-		func(b *testing.B) { one(b, &engine.RetryPolicy{}) })
-}
-
-// benchPairedMinOverhead times a baseline and an instrumented run
-// alternately within the same iteration loop and reports the slowdown
-// of the *minimum* sample of each side as a custom metric. Pairing the
-// runs iteration by iteration cancels the ±10% window drift a shared
-// machine puts on sequential benchmark runs; taking the minimum rather
-// than the accumulated totals discards GC pauses, which land on
-// whichever side happens to trigger them (usually the allocating,
-// instrumented one) and would otherwise bias the mean by several
-// points. The min ratio is stable to well under a point.
-// scripts/bench.sh records these metrics in BENCH_<n>.json.
-func benchPairedMinOverhead(b *testing.B, metric string, base, inst func(*testing.B)) {
-	minBase, minInst := time.Duration(1<<62), time.Duration(1<<62)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		base(b)
-		t1 := time.Now()
-		inst(b)
-		if d := t1.Sub(t0); d < minBase {
-			minBase = d
-		}
-		if d := time.Since(t1); d < minInst {
-			minInst = d
-		}
-	}
-	if minBase > 0 && minBase < 1<<62 {
-		b.ReportMetric((float64(minInst)/float64(minBase)-1)*100, metric)
-	}
-}
-
-// BenchmarkTraceOverheadPaired measures what the span layer costs the
-// engine, both ways that matter: "enabled" pairs an untraced run
-// against one recording per-chunk spans into a NopExporter-backed
-// collector ("trace-overhead-pct"); "disabled" pairs an untraced run
-// against one with a collector attached but a zero trace id — the
-// off-by-default configuration, whose cost is one zero check per
-// decision point ("trace-disabled-overhead-pct", budget ≤1%, asserted
-// by make bench-smoke).
-func BenchmarkTraceOverheadPaired(b *testing.B) {
-	platform := workload.DAS2(16)
-	app := workload.Synthetic(0.10)
-	one := func(b *testing.B, cfg engine.Config) {
-		backend, err := grid.New(platform, app, grid.Config{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		alg, _ := dls.New("fixed-rumr")
-		cfg.ProbeLoad = 200
-		if _, err := engine.Execute(context.Background(), engine.Request{
-			Backend: backend, Algorithm: alg, App: app, Platform: platform, Config: cfg,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("enabled", func(b *testing.B) {
-		col := otrace.New(0)
-		col.SetExporter(otrace.NopExporter{})
-		benchPairedMinOverhead(b, "trace-overhead-pct",
-			func(b *testing.B) { one(b, engine.Config{}) },
-			func(b *testing.B) { one(b, engine.Config{Trace: col, TraceID: col.NewTraceID()}) })
-	})
-	b.Run("disabled", func(b *testing.B) {
-		col := otrace.New(0)
-		benchPairedMinOverhead(b, "trace-disabled-overhead-pct",
-			func(b *testing.B) { one(b, engine.Config{}) },
-			func(b *testing.B) { one(b, engine.Config{Trace: col}) })
-	})
-}
-
 // TestTraceDisabledAllocFree pins the disabled configuration at zero
 // allocations: every span operation against a nil collector, and every
 // operation under a zero trace id, must be an inert value path.
@@ -592,82 +365,4 @@ func TestTraceDisabledAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %.1f times per op, want 0", allocs)
 	}
-}
-
-// --- Substrate micro-benchmarks ------------------------------------------
-
-// BenchmarkSimEngineEvents measures the discrete-event core's raw event
-// throughput.
-func BenchmarkSimEngineEvents(b *testing.B) {
-	eng := sim.New()
-	count := 0
-	var step func()
-	step = func() {
-		count++
-		if count < b.N {
-			eng.After(1, step)
-		}
-	}
-	b.ResetTimer()
-	eng.At(0, step)
-	eng.Run()
-}
-
-// BenchmarkUMRPlanning measures PlanUMRRounds on the 16-node platform.
-// The planner keeps the answer for the input it saw last, so a loop over
-// one input would time the comparison that finds it: cold alternates two
-// inputs (the full load and RUMR's 80% first phase) so that every
-// iteration searches, and repeat re-plans one input, which is what the
-// runs of a sweep cell do.
-func BenchmarkUMRPlanning(b *testing.B) {
-	app := workload.Synthetic(0)
-	platform := workload.DAS2(16)
-	ests := model.TrueEstimates(app, platform)
-	plan := dls.Plan{TotalLoad: float64(app.TotalLoad), MinChunk: 10, Workers: ests}
-	for _, bc := range []struct {
-		name  string
-		loads [2]float64
-	}{
-		{"cold", [2]float64{plan.TotalLoad, 0.8 * plan.TotalLoad}},
-		{"repeat", [2]float64{plan.TotalLoad, plan.TotalLoad}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := dls.PlanUMRRounds(plan, bc.loads[i%2]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFullSimulatedRun measures one complete UMR execution on the
-// simulated 16-node DAS-2 (probing + 160 chunks) — the unit of work every
-// experiment repeats.
-func BenchmarkFullSimulatedRun(b *testing.B) {
-	app := workload.Synthetic(0.10)
-	platform := workload.DAS2(16)
-	// One backend and one arena for the whole loop — the reusable-run-
-	// arena configuration every repeated-runs caller now uses; the per-
-	// iteration Reset replays construction exactly, so outputs match the
-	// fresh-build form byte for byte.
-	var sc benchScratch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.run(platform, app, dls.NewUMR(), grid.Config{Seed: uint64(i)},
-			engine.Config{ProbeLoad: 200}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRNGNormal measures the noise generator the simulator leans on.
-func BenchmarkRNGNormal(b *testing.B) {
-	src := rng.New(1)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += src.Normal(1, 0.1)
-	}
-	_ = sink
 }

@@ -18,23 +18,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"apstdv/internal/daemon"
 	"apstdv/internal/experiment"
-	"apstdv/internal/loadgen"
-	otrace "apstdv/internal/obs/trace"
-	"apstdv/internal/workload"
 )
 
 func main() {
 	var (
-		run       = flag.String("run", "all", "experiment to run: all, table1, fig2, fig3, fig4, casestudy, discussion, sweep, extended, failures, serving, multijob, redistrib")
+		run       = flag.String("run", "all", "experiment to run: all, table1, fig2, fig3, fig4, casestudy, discussion, sweep, extended, failures, multijob, redistrib")
 		runs      = flag.Int("runs", 10, "repetitions per (algorithm, γ) cell (paper: 10)")
 		seed      = flag.Uint64("seed", 0, "base seed override (0 = experiment default)")
 		csvDir    = flag.String("csvdir", "", "also write per-experiment plot data CSVs into this directory")
@@ -42,7 +36,6 @@ func main() {
 		parWidth  = flag.Int("parallel", 0, "worker-pool width for the run fan-out (0 = one per CPU; output is identical at every width)")
 		eventsDir = flag.String("events-dir", "", "dump every run's scheduler event stream as JSONL into this directory")
 		derived   = flag.Bool("derived", false, "also print the derived-metrics table (uplink utilization, worker idle fraction, measured γ)")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of a table (redistrib only)")
 	)
 	flag.Parse()
 
@@ -156,20 +149,9 @@ func main() {
 		ran = true
 	}
 
-	// The serving benchmark is explicit-only (not part of "all"): it
-	// load-tests the daemon's RPC surface rather than reproducing a
-	// figure, and it needs ~30s of saturated CPU.
-	if want == "serving" {
-		if err := runServing(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		ran = true
-	}
-
-	// The multi-job sweep is explicit-only too: it measures the
-	// co-scheduling layer (beyond the paper's one-load-at-a-time scope)
-	// rather than reproducing a figure.
+	// The multi-job sweep is explicit-only (not part of "all"): it
+	// measures the co-scheduling layer (beyond the paper's
+	// one-load-at-a-time scope) rather than reproducing a figure.
 	if want == "multijob" {
 		cells, err := experiment.DefaultMultiJobSweep().Run()
 		if err != nil {
@@ -196,70 +178,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
-		if *jsonOut {
-			out := struct {
-				Cells                []experiment.RedistributionCell `json:"cells"`
-				MeanPeerAdvantagePct float64                         `json:"mean_peer_advantage_pct"`
-			}{cells, experiment.MeanPeerAdvantagePct(cells)}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(out); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Println(experiment.RenderRedistribution(cells))
-		}
+		fmt.Println(experiment.RenderRedistribution(cells))
 		ran = true
 	}
 
 	if !ran {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want all, table1, fig2, fig3, fig4, casestudy, discussion, sweep, extended, failures, serving, multijob, redistrib)\n", *run)
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want all, table1, fig2, fig3, fig4, casestudy, discussion, sweep, extended, failures, multijob, redistrib)\n", *run)
 		os.Exit(2)
 	}
-}
-
-// runServing load-tests the serving path with an open-loop Poisson
-// submission storm against a self-hosted sim daemon — the cmd/loadgen
-// defaults, rendered as a table.
-func runServing() error {
-	p, err := workload.ParsePlatform("das2:4")
-	if err != nil {
-		return err
-	}
-	addr, stop, err := loadgen.SelfHost(daemon.Config{
-		Mode: daemon.ModeSim, Platform: p, Seed: 1,
-		MaxConcurrentJobs: 1, QueueDepth: 2, RetainJobs: 2048,
-		Trace: otrace.New(0),
-	})
-	if err != nil {
-		return err
-	}
-	defer stop()
-	r, err := loadgen.Run(addr, loadgen.Config{
-		Conns: 2, Rate: 150000, Duration: 4 * time.Second,
-		MaxOutstanding: 512, Seed: 1,
-		TaskXML: loadgen.BenchSpec(500),
-		SimApp:  &daemon.SimApp{UnitCost: 0.05, BytesPerUnit: 1000},
-		Trace:   true,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("Serving-path load test (open-loop Poisson, self-hosted sim daemon):")
-	fmt.Printf("%12s %12s %12s %12s %12s\n", "sustained/s", "p50 ms", "p99 ms", "p99.9 ms", "rejected")
-	fmt.Printf("%12.0f %12.2f %12.2f %12.2f %12d\n",
-		r.SustainedHz, r.Submit.P50, r.Submit.P99, r.Submit.P999, r.Rejected)
-	// Latency attribution per serving stage, from the daemon's trace
-	// collector: where an accepted submission actually spends its time.
-	fmt.Println("\nPer-stage latency attribution (ms):")
-	fmt.Printf("%-14s %10s %10s\n", "stage", "p50", "p99")
-	for _, name := range []string{"decode", "admission", "queue", "lease", "execute"} {
-		for _, s := range r.Stages {
-			if s.Stage == name {
-				fmt.Printf("%-14s %10.3f %10.3f\n", name, s.P50Ms, s.P99Ms)
-			}
-		}
-	}
-	return nil
 }

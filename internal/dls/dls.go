@@ -213,6 +213,12 @@ type sequencePlayer struct {
 	dead map[int]bool
 }
 
+// sequenceDust is the largest remainder, relative to the planned total,
+// that the final decision of a sequence takes along: a thousand times
+// the rounding a planner tolerates, and far below any share an algorithm
+// sets aside for a later phase (Fixed-RUMR's is a fifth of the load).
+const sequenceDust = 1e-9
+
 // reset installs a new sequence.
 func (s *sequencePlayer) reset(seq []Decision) {
 	s.seq = seq
@@ -261,6 +267,14 @@ func (s *sequencePlayer) next(st State) (Decision, bool) {
 			// The plan's own leftover: planned total minus what earlier
 			// decisions actually covered.
 			d.Size = s.planned - s.dispatched
+			// A plan's sizes add up to its load only to rounding (UMR
+			// tolerates 1e-12 of it), while the engine stops at an
+			// absolute 1e-9: what the last decision would leave behind
+			// is dust no later decision will ask for, not a later
+			// phase's share, so it goes out with this one.
+			if rest := st.Remaining - d.Size; rest > 0 && rest <= s.planned*sequenceDust {
+				d.Size = st.Remaining
+			}
 		}
 		if d.Size > st.Remaining {
 			d.Size = st.Remaining

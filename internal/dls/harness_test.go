@@ -2,6 +2,7 @@ package dls
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"apstdv/internal/model"
@@ -71,8 +72,13 @@ func sumPending(p []float64) float64 {
 	return s
 }
 
+// maxFakeDispatches turns an algorithm that would never finish into an
+// error. The most any registered algorithm cuts is weighted factoring's
+// fifty thousand chunks for a million units with no granularity floor.
+const maxFakeDispatches = 1 << 20
+
 // run plans and executes the algorithm to completion. It returns an
-// error if the algorithm stalls or dispatches out of range.
+// error if the algorithm stalls, dispatches out of range or never ends.
 func (f *fakeEngine) run(alg Algorithm) error {
 	if err := alg.Plan(Plan{TotalLoad: f.total, MinChunk: f.minChunk, Workers: f.ests}); err != nil {
 		return err
@@ -87,8 +93,11 @@ func (f *fakeEngine) run(alg Algorithm) error {
 				if d.Worker < 0 || d.Worker >= len(f.ests) {
 					return fmt.Errorf("dispatch to invalid worker %d", d.Worker)
 				}
-				if d.Size <= 0 {
-					return fmt.Errorf("non-positive dispatch size %g", d.Size)
+				if !(d.Size > 0) || math.IsInf(d.Size, 0) {
+					return fmt.Errorf("dispatch size %g is not positive and finite", d.Size)
+				}
+				if len(f.dispatches) == maxFakeDispatches {
+					return fmt.Errorf("no end in sight: %d dispatches and %.6g still remaining", maxFakeDispatches, f.remaining)
 				}
 				size := d.Size
 				if size > f.remaining {

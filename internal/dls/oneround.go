@@ -2,6 +2,7 @@ package dls
 
 import (
 	"fmt"
+	"math"
 
 	"apstdv/internal/model"
 )
@@ -94,7 +95,9 @@ func solveOneRound(p Plan, order []int) ([]float64, bool) {
 	alphas := make([]float64, n)
 	for i := 0; i < n; i++ {
 		alphas[i] = a[i]*alpha0 + b[i]
-		if alphas[i] <= 0 {
+		// Not "<= 0": costs many orders of magnitude apart overflow to a
+		// NaN or infinite share, which must count as infeasible too.
+		if !(alphas[i] > 0) || math.IsInf(alphas[i], 1) {
 			return nil, false
 		}
 	}

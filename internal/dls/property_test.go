@@ -1,6 +1,7 @@
 package dls
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -71,9 +72,7 @@ func TestPropertyUMREqualFinishRandom(t *testing.T) {
 		p := randomPlan(uint64(seedRaw) + 77777)
 		rounds, _, err := PlanUMRRounds(p, p.TotalLoad)
 		if err != nil {
-			// Some random extreme platforms are infeasible for UMR; that
-			// is allowed — the algorithm reports rather than mis-plans.
-			return true
+			return false
 		}
 		for j, round := range rounds {
 			if j == len(rounds)-1 {
@@ -151,4 +150,102 @@ func TestPropertyFactoringChunksShrink(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// hostilePlan draws from the regime a wall-clock probe on a busy host
+// produces and randomPlan never reaches: latencies from a microsecond to
+// minutes against loads as small as one unit, unit costs over seven
+// orders of magnitude, and a granularity of nothing, one unit or a
+// fiftieth of the load.
+func hostilePlan(seed uint64) Plan {
+	src := rng.New(seed)
+	ests := make([]model.Estimate, 1+src.Intn(8))
+	for i := range ests {
+		ests[i] = model.Estimate{
+			Worker:      i,
+			UnitComm:    logUniform(src, 1e-6, 1e1),
+			CommLatency: logUniform(src, 1e-6, 1e2),
+			UnitComp:    logUniform(src, 1e-6, 1e1),
+			CompLatency: logUniform(src, 1e-6, 1e2),
+		}
+	}
+	total := logUniform(src, 1, 1e4)
+	return Plan{TotalLoad: total, MinChunk: []float64{0, 1, total / 50}[src.Intn(3)], Workers: ests}
+}
+
+// umrFamily names the algorithms built on PlanUMRRounds, which plans
+// every valid input: for them a refusal is a failure.
+var umrFamily = map[string]bool{"umr": true, "rumr": true, "fixed-rumr": true, "adaptive-rumr": true}
+
+// FuzzPlanConservesOrRefuses is the one contract every registered
+// algorithm answers to: given a valid plan, Plan either refuses with an
+// error or the algorithm runs to completion on the fake engine,
+// dispatching only positive finite sizes to real workers and conserving
+// the load to 1e-6 relative. It never panics and never runs on for ever.
+// The input is the load, the granularity, and the workers' estimates as
+// estimateBytes writes them, each brought into the range randomPlan and
+// hostilePlan span between them: loads of 1 to 1e6 units, unit costs of
+// 1e-6 to 10 s (communication may be free), latencies of nothing or 1e-6
+// to 100 s, a granularity up to the load. Magnitudes beyond that (1e±100
+// passes Validate) lose the planners' arithmetic to cancellation and are
+// not part of the contract.
+func FuzzPlanConservesOrRefuses(f *testing.F) {
+	for seed := uint64(0); seed < 16; seed++ {
+		for _, p := range []Plan{randomPlan(seed), hostilePlan(seed)} {
+			f.Add(p.TotalLoad, p.MinChunk, estimateBytes(p.Workers))
+		}
+	}
+	f.Fuzz(func(t *testing.T, total, minChunk float64, raw []byte) {
+		// within brings v into [lo, hi]; with zero allowed, anything
+		// below lo is 0.
+		within := func(v, lo, hi float64, zero bool) float64 {
+			switch {
+			case math.IsNaN(v):
+				t.Skip()
+			case v > hi:
+				return hi
+			case v < lo && zero:
+				return 0
+			case v < lo:
+				return lo
+			}
+			return v
+		}
+		p := Plan{TotalLoad: within(total, 1, 1e6, false)}
+		p.MinChunk = within(minChunk, 1e-6, p.TotalLoad, true)
+		p.Workers = estimatesFromBytes(raw, 16)
+		for i := range p.Workers {
+			e := &p.Workers[i]
+			e.UnitComm = within(e.UnitComm, 1e-6, 10, true)
+			e.CommLatency = within(e.CommLatency, 1e-6, 100, true)
+			e.UnitComp = within(e.UnitComp, 1e-6, 10, false)
+			e.CompLatency = within(e.CompLatency, 1e-6, 100, true)
+		}
+		if len(p.Workers) == 0 {
+			t.Skip()
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("the generator drew an invalid plan: %v", err)
+		}
+		for _, name := range Names() {
+			alg, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := alg.Plan(p); err != nil {
+				if umrFamily[name] {
+					t.Errorf("%s refused a valid plan: %v\n%+v", name, err, p)
+				}
+				continue
+			}
+			eng := newFakeEngine(p.Workers, p.TotalLoad, p.MinChunk)
+			if err := eng.run(alg); err != nil {
+				t.Errorf("%s: %v\n%+v", name, err, p)
+				continue
+			}
+			if got := eng.totalDispatched(); !nearly(got, p.TotalLoad, 1e-6) {
+				t.Errorf("%s dispatched %v of %v\n%+v", name, got, p.TotalLoad, p)
+			}
+		}
+	})
 }

@@ -126,7 +126,7 @@ func (sc *umrScratch) plan(p Plan, load float64) ([][]Decision, float64, error) 
 	}
 	m, w := sc.rounds, len(sc.workers)
 	if m == 0 {
-		return nil, 0, fmt.Errorf("umr: no feasible round count for load %g on %d workers", load, w)
+		return oneWeightedRound(p, load)
 	}
 	// Materialize the winner through the same arithmetic the search ran,
 	// so decisions and prediction are bit-identical to the search pass:
@@ -138,6 +138,48 @@ func (sc *umrScratch) plan(p Plan, load float64) ([][]Decision, float64, error) 
 		rounds[j] = backing[j*w : (j+1)*w : (j+1)*w]
 	}
 	return rounds, pred, nil
+}
+
+// oneWeightedRound is the plan for an input no round count fits: some
+// worker's start-up latency outlasts every round the others would run,
+// which is what a wall-clock probe on a busy host measures. UMR's own
+// resource selection applies. The load goes out in one equal-finish
+// round, fastest-first, without the slowest workers whose share would
+// not be positive; a single worker always takes the whole of a finite
+// load, so only input that is not finite (which Plan.Validate does not
+// catch) is refused. It returns the round and its predicted makespan on
+// the estimated cost model.
+func oneWeightedRound(p Plan, load float64) ([][]Decision, float64, error) {
+	p.TotalLoad = load
+	order := model.BySpeed(p.Workers)
+	sizes, ok := solveOneRound(p, order)
+	for !ok && len(order) > 1 {
+		order = order[:len(order)-1]
+		sizes, ok = solveOneRound(p, order)
+	}
+	if !ok {
+		return nil, 0, fmt.Errorf("umr: no finite schedule for load %g on %d workers", load, len(p.Workers))
+	}
+	// Absorb floating-point drift in proportion, as candidate does for a
+	// last round.
+	total := 0.0
+	for _, size := range sizes {
+		total += size
+	}
+	if math.Abs(load-total) > load*1e-12 {
+		for i := range sizes {
+			sizes[i] *= load / total
+		}
+	}
+	round := make([]Decision, len(order))
+	linkFree, makespan := 0.0, 0.0
+	for i, id := range order {
+		round[i] = Decision{Worker: id, Size: sizes[i]}
+		e := &p.Workers[id]
+		linkFree += e.CommLatency + sizes[i]*e.UnitComm
+		makespan = math.Max(makespan, linkFree+e.CompLatency+sizes[i]*e.UnitComp)
+	}
+	return [][]Decision{round}, makespan, nil
 }
 
 // umrWorker is one worker's estimate together with the search's state for
@@ -184,7 +226,8 @@ type umrScratch struct {
 	load, minChunk float64
 	ests           []model.Estimate
 	// rounds is the search's answer for that input: the chosen M, or 0
-	// when no round count is feasible.
+	// when no round count is feasible (plan then falls back to
+	// oneWeightedRound).
 	rounds int
 
 	workers    []umrWorker // fastest-first

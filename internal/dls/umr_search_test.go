@@ -2,6 +2,7 @@ package dls
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -9,6 +10,12 @@ import (
 	"apstdv/internal/model"
 	"apstdv/internal/rng"
 )
+
+// logUniform draws from [lo, hi) with every order of magnitude as likely
+// as any other.
+func logUniform(src *rng.Source, lo, hi float64) float64 {
+	return math.Exp(src.Uniform(math.Log(lo), math.Log(hi)))
+}
 
 // searchCase draws one planner input from a space built to include the
 // regimes randomPlan never reaches: one worker, communication as dear as
@@ -18,14 +25,11 @@ import (
 // the paper's applications use, and the phase-1 fractions RUMR and
 // Fixed-RUMR plan with.
 func searchCase(src *rng.Source) (Plan, float64) {
-	logUniform := func(lo, hi float64) float64 {
-		return math.Exp(src.Uniform(math.Log(lo), math.Log(hi)))
-	}
 	n := 1 + src.Intn(16)
 	if src.Intn(8) == 0 {
 		n = 1
 	}
-	total := logUniform(10, 1e6)
+	total := logUniform(src, 10, 1e6)
 	regime := src.Intn(8)
 	noLatency := src.Intn(4) == 0
 	ests := make([]model.Estimate, n)
@@ -46,15 +50,15 @@ func searchCase(src *rng.Source) (Plan, float64) {
 			e.UnitComm = 0
 		case 4: // latencies of the order of, and longer than, a round
 			round := total * e.UnitComp / float64(n)
-			e.CommLatency = round * logUniform(0.01, 5)
-			e.CompLatency = round * logUniform(0.01, 5)
+			e.CommLatency = round * logUniform(src, 0.01, 5)
+			e.CompLatency = round * logUniform(src, 0.01, 5)
 		case 5: // equal-speed workers: ties in the fastest-first order
 			e.UnitComp = 0.25
 		case 6: // costs over many orders of magnitude
-			e.UnitComp = logUniform(1e-6, 1e3)
-			e.UnitComm = e.UnitComp * logUniform(1e-6, 10) / float64(n)
-			e.CommLatency = logUniform(1e-9, 1e4)
-			e.CompLatency = logUniform(1e-9, 1e4)
+			e.UnitComp = logUniform(src, 1e-6, 1e3)
+			e.UnitComm = e.UnitComp * logUniform(src, 1e-6, 10) / float64(n)
+			e.CommLatency = logUniform(src, 1e-9, 1e4)
+			e.CompLatency = logUniform(src, 1e-9, 1e4)
 		}
 		if noLatency {
 			e.CommLatency, e.CompLatency = 0, 0
@@ -69,13 +73,8 @@ func searchCase(src *rng.Source) (Plan, float64) {
 // results, comparing floats by bit pattern, or "" when there is none.
 func sameUMRPlan(gotRounds [][]Decision, gotPred float64, gotErr error, wantRounds [][]Decision, wantPred float64, wantErr error) string {
 	switch {
-	case (gotErr == nil) != (wantErr == nil):
-		return "one side refused the input"
-	case gotErr != nil:
-		if gotErr.Error() != wantErr.Error() {
-			return "different errors"
-		}
-		return ""
+	case gotErr != nil || wantErr != nil:
+		return fmt.Sprintf("a refusal: got %v, want %v", gotErr, wantErr)
 	case len(gotRounds) != len(wantRounds):
 		return "different round counts"
 	case !sameBits(gotPred, wantPred):
@@ -95,9 +94,38 @@ func sameUMRPlan(gotRounds [][]Decision, gotPred float64, gotErr error, wantRoun
 	return ""
 }
 
+// oneRoundDefect reports what keeps a plan from being the single weighted
+// round production falls back to where no round count is feasible: one
+// round, each worker at most once, positive finite sizes that add up to
+// the load. It returns "" for a sound one.
+func oneRoundDefect(rounds [][]Decision, err error, p Plan, load float64) string {
+	if err != nil {
+		return "refused: " + err.Error()
+	}
+	if len(rounds) != 1 || len(rounds[0]) == 0 || len(rounds[0]) > len(p.Workers) {
+		return "not one round over some of the workers"
+	}
+	served := make(map[int]bool)
+	for _, d := range rounds[0] {
+		if d.Worker < 0 || d.Worker >= len(p.Workers) || served[d.Worker] {
+			return fmt.Sprintf("worker %d is out of range or served twice", d.Worker)
+		}
+		served[d.Worker] = true
+		if !(d.Size > 0) || math.IsInf(d.Size, 0) {
+			return fmt.Sprintf("size %v is not positive and finite", d.Size)
+		}
+	}
+	if got := sumSizes(rounds[0]); !nearly(got, load, 1e-9) {
+		return fmt.Sprintf("dispatches %v of %v", got, load)
+	}
+	return ""
+}
+
 // checkUMRSearchMatchesReference plans one input with the production
 // search, cold and again from the scratch that now holds the input, and
-// requires both to equal the reference scan. It then walks the whole
+// requires both to equal the reference scan. Where the reference refuses
+// (no round count is feasible) production must instead plan one sound
+// weighted round and repeat it bit for bit. It then walks the whole
 // landscape: every M is feasible for both or for neither, with the same
 // prediction. Candidates near saturation never win, so only this second
 // comparison would catch a lower bound that rejects a candidate the
@@ -105,6 +133,13 @@ func sameUMRPlan(gotRounds [][]Decision, gotPred float64, gotErr error, wantRoun
 func checkUMRSearchMatchesReference(t *testing.T, ref *refScratch, sc *umrScratch, p Plan, load float64) bool {
 	t.Helper()
 	wantRounds, wantPred, wantErr := ref.referencePlanUMRRounds(p, load)
+	feasible := wantErr == nil
+	if !feasible {
+		wantRounds, wantPred, wantErr = sc.plan(p, load)
+		if defect := oneRoundDefect(wantRounds, wantErr, p, load); defect != "" {
+			t.Fatalf("fallback plan: %s\npredicted %v, rounds %v\nload %v of %+v", defect, wantPred, wantRounds, load, p)
+		}
+	}
 	for _, pass := range []string{"searched", "repeated"} {
 		gotRounds, gotPred, gotErr := sc.plan(p, load)
 		if diff := sameUMRPlan(gotRounds, gotPred, gotErr, wantRounds, wantPred, wantErr); diff != "" {
@@ -123,14 +158,14 @@ func checkUMRSearchMatchesReference(t *testing.T, ref *refScratch, sc *umrScratc
 			t.Fatalf("M = %d: production predicts %v, reference %v (NaN: infeasible)\nload %v of %+v", m, got, want, load, p)
 		}
 	}
-	return wantErr == nil
+	return feasible
 }
 
 // TestUMRSearchMatchesReference is the differential test behind the
 // round search's rewrite: over a seeded space of a hundred thousand
-// inputs the production search and the reference scan agree on
-// error-versus-plan, the round count, every decision and the predicted
-// makespan, bit for bit.
+// inputs the production search and the reference scan agree on which
+// inputs have a feasible round count and, for those, on the round count,
+// every decision and the predicted makespan, bit for bit.
 func TestUMRSearchMatchesReference(t *testing.T) {
 	cases := 100000
 	if testing.Short() || raceEnabled {
@@ -158,33 +193,44 @@ func TestUMRSearchMatchesReference(t *testing.T) {
 	}
 }
 
+// estimateBytes writes estimates the way the fuzz targets read them: four
+// little-endian float64s per worker (unit comm, comm latency, unit comp,
+// comp latency).
+func estimateBytes(ests []model.Estimate) []byte {
+	var raw []byte
+	for _, e := range ests {
+		for _, v := range []float64{e.UnitComm, e.CommLatency, e.UnitComp, e.CompLatency} {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+		}
+	}
+	return raw
+}
+
+// estimatesFromBytes reads up to max workers back.
+func estimatesFromBytes(raw []byte, max int) []model.Estimate {
+	var ests []model.Estimate
+	for i := 0; len(raw) >= 32 && i < max; i, raw = i+1, raw[32:] {
+		field := func(k int) float64 {
+			return math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
+		}
+		ests = append(ests, model.Estimate{
+			Worker: i, UnitComm: field(0), CommLatency: field(1), UnitComp: field(2), CompLatency: field(3),
+		})
+	}
+	return ests
+}
+
 // FuzzUMRSearchMatchesReference is the same comparison on inputs the
-// fuzzer shapes: load, granularity, planned fraction, and a byte string
-// read as four little-endian float64s per worker (unit comm, comm
-// latency, unit comp, comp latency).
+// fuzzer shapes: load, granularity, planned fraction, and the workers'
+// estimates as estimateBytes writes them.
 func FuzzUMRSearchMatchesReference(f *testing.F) {
 	src := rng.New(7)
 	for i := 0; i < 32; i++ {
 		p, load := searchCase(src)
-		var raw []byte
-		for _, e := range p.Workers {
-			for _, v := range []float64{e.UnitComm, e.CommLatency, e.UnitComp, e.CompLatency} {
-				raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
-			}
-		}
-		f.Add(p.TotalLoad, p.MinChunk, load/p.TotalLoad, raw)
+		f.Add(p.TotalLoad, p.MinChunk, load/p.TotalLoad, estimateBytes(p.Workers))
 	}
 	f.Fuzz(func(t *testing.T, total, minChunk, fraction float64, raw []byte) {
-		const maxWorkers = 32
-		p := Plan{TotalLoad: total, MinChunk: minChunk}
-		for i := 0; len(raw) >= 32 && i < maxWorkers; i, raw = i+1, raw[32:] {
-			field := func(k int) float64 {
-				return math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
-			}
-			p.Workers = append(p.Workers, model.Estimate{
-				Worker: i, UnitComm: field(0), CommLatency: field(1), UnitComp: field(2), CompLatency: field(3),
-			})
-		}
+		p := Plan{TotalLoad: total, MinChunk: minChunk, Workers: estimatesFromBytes(raw, 32)}
 		// The planner's contract covers finite inputs; what Validate lets
 		// through beyond them (NaN and +Inf costs) is the open "total
 		// planners" roadmap item, not this search's.
@@ -326,16 +372,23 @@ func TestUMRScratchRepeatsOnlyTheSameInput(t *testing.T) {
 		}
 	})
 
-	t.Run("an infeasible input repeats its refusal", func(t *testing.T) {
+	t.Run("an infeasible input repeats its one round", func(t *testing.T) {
 		// One worker's start-up latency outlasts any round the other two
-		// would run: its chunk is negative at every M.
+		// would run: its chunk is negative at every M, so the plan is one
+		// round over the other two.
 		p := Plan{TotalLoad: 96, MinChunk: 1, Workers: homogeneousEstimates(3, 0.01, 0, 0.1, 0)}
 		p.Workers[2].CompLatency = 1000
 		var sc umrScratch
-		_, _, err1 := sc.plan(p, p.TotalLoad)
-		_, _, err2 := sc.plan(p, p.TotalLoad)
-		if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
-			t.Errorf("refusals differ: %v, then %v", err1, err2)
+		first, pred1, err1 := sc.plan(p, p.TotalLoad)
+		if defect := oneRoundDefect(first, err1, p, p.TotalLoad); defect != "" {
+			t.Fatal(defect)
+		}
+		if len(first[0]) != 2 || first[0][0].Worker == 2 || first[0][1].Worker == 2 {
+			t.Errorf("round %v does not leave out the worker that cannot help", first[0])
+		}
+		again, pred2, err2 := sc.plan(p, p.TotalLoad)
+		if diff := sameUMRPlan(again, pred2, err2, first, pred1, nil); diff != "" {
+			t.Errorf("second plan from the same scratch: %s", diff)
 		}
 	})
 }

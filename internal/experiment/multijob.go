@@ -54,25 +54,25 @@ func DefaultMultiJobSweep() *MultiJobSweep {
 
 // MultiJobCell is one (jobs, policy) configuration's outcome.
 type MultiJobCell struct {
-	Jobs   int    `json:"jobs"`
-	Policy string `json:"policy"`
+	Jobs   int
+	Policy string
 	// Aggregate is the makespan of the whole batch (latest finish),
 	// virtual seconds.
-	Aggregate float64 `json:"aggregate_makespan_s"`
+	Aggregate float64
 	// Slowdowns[i] is job i's makespan divided by its solo makespan on
 	// the full platform.
-	Slowdowns []float64 `json:"slowdowns"`
+	Slowdowns []float64
 	// MeanSlowdown and MaxSlowdown summarize Slowdowns.
-	MeanSlowdown float64 `json:"mean_slowdown"`
-	MaxSlowdown  float64 `json:"max_slowdown"`
+	MeanSlowdown float64
+	MaxSlowdown  float64
 	// Jain is Jain's fairness index over the slowdowns: 1 when every
 	// job suffers equally, 1/J when one job absorbs all the contention.
-	Jain float64 `json:"jain_fairness"`
+	Jain float64
 	// Reshares counts the policy's share revisions.
-	Reshares int `json:"reshares"`
+	Reshares int
 	// VsPartitionPct is the aggregate-makespan delta against the
 	// partition cell at the same job count (negative = faster).
-	VsPartitionPct float64 `json:"vs_partition_pct"`
+	VsPartitionPct float64
 }
 
 // multiJobApp builds the sweep's application: the paper's MPEG-style

@@ -73,25 +73,25 @@ type redistCase struct {
 var redistModes = []string{"restage", "peer"}
 
 // RedistributionCell aggregates one (topology, mode, crash probability)
-// cell, JSON-tagged for the benchmark pipeline.
+// cell.
 type RedistributionCell struct {
-	Topology  string  `json:"topology"`
-	Mode      string  `json:"mode"`
-	CrashProb float64 `json:"crash_prob"`
+	Topology  string
+	Mode      string
+	CrashProb float64
 	// MakespanS is the mean makespan of the completed runs.
-	MakespanS float64 `json:"makespan_s"`
+	MakespanS float64
 	// DegradationPct is the mean penalty versus the same topology's
 	// crash-free baseline.
-	DegradationPct float64 `json:"degradation_pct"`
-	MeanRetries    float64 `json:"mean_retries"`
+	DegradationPct float64
+	MeanRetries    float64
 	// MeanRedistributions counts peer moves per run (0 in restage mode).
-	MeanRedistributions float64 `json:"mean_redistributions"`
+	MeanRedistributions float64
 	// Failed counts runs that could not complete (every worker lost).
-	Failed int `json:"failed"`
+	Failed int
 	// VsRestagePct is the peer row's makespan delta against the restage
 	// row of the same (topology, crash probability) — negative means
 	// peer redistribution finished faster. 0 on restage rows.
-	VsRestagePct float64 `json:"vs_restage_pct"`
+	VsRestagePct float64
 }
 
 // redistRun is one simulation's outcome.

@@ -224,14 +224,16 @@ func TestStopIdempotent(t *testing.T) {
 func TestHeterogeneousLiveWorkersProbeDifferently(t *testing.T) {
 	// Two workers with a 3x speed gap: probing through the real stack
 	// must measure the difference, and weighted factoring must give the
-	// fast worker more load.
-	svcSlow := NewWorkerService(60000, 1)
+	// fast worker more load. At 600 000 iterations a unit the 6-unit probe
+	// computes for milliseconds; at a tenth of that it took 0.2 ms and
+	// scheduler noise outweighed the gap in one run of a hundred.
+	svcSlow := NewWorkerService(600000, 1)
 	addrSlow, stop1, err := Serve(svcSlow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop1()
-	svcFast := NewWorkerService(60000, 3)
+	svcFast := NewWorkerService(600000, 3)
 	addrFast, stop2, err := Serve(svcFast)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Package loadgen drives a running daemon at production submission
 // rates and measures how the serving path holds up: an open-loop
 // Poisson arrival process submits the same task specification over and
-// over, recording submit→reply latency percentiles, the sustained
-// completed-submission rate, and (post-drain) the queue-wait
-// distribution of accepted jobs.
+// over, recording submit→reply latency percentiles, the accepted and
+// rejected rates, and (post-drain) the queue-wait distribution of
+// accepted jobs.
 //
 // The generator is open-loop on purpose: arrivals are scheduled on an
 // absolute Poisson timeline and each submission's latency is measured
@@ -52,66 +52,68 @@ type Config struct {
 	// DrainTimeout bounds the post-window wait for the daemon to go
 	// idle before queue-wait is measured. Defaults to 30s.
 	DrainTimeout time.Duration
-	// Trace gives the generator's client a trace collector, so every
-	// submission carries a trace id and the daemon (when it traces too)
-	// attributes its decode work to the request and the run reports
-	// per-stage latency attribution (Result.Stages).
-	Trace bool
+}
+
+// BenchSpec returns the builtin benchmark task specification: a
+// callback-method task of the given load in work units, needing no
+// files on disk. The algorithm is SIMPLE-load (one chunk per unit), so
+// the load knob directly sets how much scheduling work each accepted
+// job costs the daemon.
+func BenchSpec(load int) string {
+	return fmt.Sprintf(`<task executable="bench" input="virtual">
+ <divisibility input="virtual" method="callback" callback="cb" load="%d" algorithm="simple-%d"/>
+</task>`, load, load)
 }
 
 // Percentiles summarizes a latency sample in milliseconds.
 type Percentiles struct {
-	N    int     `json:"n"`
-	P50  float64 `json:"p50_ms"`
-	P90  float64 `json:"p90_ms"`
-	P99  float64 `json:"p99_ms"`
-	P999 float64 `json:"p999_ms"`
-	Max  float64 `json:"max_ms"`
+	N    int
+	P50  float64
+	P90  float64
+	P99  float64
+	P999 float64
+	Max  float64
 }
 
 // Result is one run's measurement.
 type Result struct {
-	RateHz  float64 `json:"offered_rate_hz"`
-	Seconds float64 `json:"window_seconds"`
+	RateHz  float64
+	Seconds float64
 
 	// Arrival accounting: Offered = Sent + Shed;
 	// Sent = Accepted + Rejected + Errors.
-	Offered int `json:"offered"`
-	Shed    int `json:"shed"`
+	Offered int
+	Shed    int
 	// Accepted submissions were admitted (queued or running).
-	Accepted int `json:"accepted"`
+	Accepted int
 	// Rejected submissions got a typed daemon error (queue_full,
 	// draining, overloaded...) — backpressure working as designed.
-	Rejected int `json:"rejected"`
+	Rejected int
 	// Errors are untyped failures (transport breakage, timeouts).
-	Errors int `json:"errors"`
+	Errors int
 
-	// SustainedHz is completed submit RPCs (accepted + rejected) per
-	// second of wall clock from first arrival to last reply.
-	SustainedHz float64 `json:"sustained_hz"`
+	// AcceptedHz and RejectedHz are the accepted and rejected
+	// submissions per second of wall clock from first arrival to last
+	// reply. Only the accepted rate is work the daemon took on.
+	AcceptedHz float64
+	RejectedHz float64
 
 	// Submit is the submit→reply latency over accepted and rejected
 	// submissions, measured from the scheduled arrival time.
-	Submit Percentiles `json:"submit_latency"`
+	Submit Percentiles
 	// QueueWait is Started−Submitted over the accepted jobs still
 	// retained by the daemon after the drain.
-	QueueWait Percentiles `json:"queue_wait"`
-	// QueueWaitSampled counts how many accepted jobs the queue-wait
-	// percentiles were computed from (retention may evict some).
-	QueueWaitSampled int `json:"queue_wait_sampled"`
-	// QueueWaitSampledFraction is QueueWaitSampled over Accepted: how
-	// representative the queue-wait percentiles are. Jobs evicted by the
-	// retention FIFO before any drain poll observed them are the only
-	// losses.
-	QueueWaitSampledFraction float64 `json:"queue_wait_sampled_fraction"`
+	QueueWait Percentiles
+	// QueueWaitSampledFraction is the share of the accepted jobs the
+	// queue-wait percentiles were computed from: how representative
+	// they are. Jobs evicted by the retention FIFO before any drain
+	// poll observed them are the only losses.
+	QueueWaitSampledFraction float64
 
 	// Stages is the daemon's per-stage latency attribution (decode,
 	// admission, queue, lease, execute) when it runs with tracing on;
 	// empty otherwise.
-	Stages []otrace.StageStat `json:"stages,omitempty"`
-	// TraceSpans is how many spans the daemon's collector recorded over
-	// its lifetime (ring eviction included in the count).
-	TraceSpans uint64 `json:"trace_spans_recorded,omitempty"`
+	Stages []otrace.StageStat
 }
 
 // Run generates load against the daemon at addr and reports the
@@ -127,15 +129,11 @@ func Run(addr string, cfg Config) (*Result, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
-	opts := client.Options{Conns: cfg.Conns}
-	if cfg.Trace {
-		// A client-side collector makes every Submit mint a trace id
-		// that rides the wire, so a tracing daemon attributes even its
-		// frame-decode work to the request instead of minting its own
-		// id after decode.
-		opts.Tracer = otrace.New(0)
-	}
-	cl, err := client.DialOptions(addr, opts)
+	// A client-side collector makes every Submit mint a trace id that
+	// rides the wire, so a tracing daemon attributes even its
+	// frame-decode work to the request instead of minting its own id
+	// after decode, and the run reports per-stage latency (Result.Stages).
+	cl, err := client.DialOptions(addr, client.Options{Conns: cfg.Conns, Tracer: otrace.New(0)})
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +224,8 @@ func Run(addr string, cfg Config) (*Result, error) {
 	close(pollStop)
 	<-pollDone
 	elapsed := time.Since(start).Seconds()
-	res.SustainedHz = float64(res.Accepted+res.Rejected) / elapsed
+	res.AcceptedHz = float64(res.Accepted) / elapsed
+	res.RejectedHz = float64(res.Rejected) / elapsed
 	res.Submit = percentiles(latencies)
 
 	waits, sampled, err := drainAndMeasureWait(cl, ws, jobIDs, cfg.DrainTimeout)
@@ -234,7 +233,6 @@ func Run(addr string, cfg Config) (*Result, error) {
 		return res, err
 	}
 	res.QueueWait = percentiles(waits)
-	res.QueueWaitSampled = sampled
 	if res.Accepted > 0 {
 		res.QueueWaitSampledFraction = float64(sampled) / float64(res.Accepted)
 	}
@@ -243,7 +241,6 @@ func Run(addr string, cfg Config) (*Result, error) {
 	// simply omits the section.
 	if ts, err := cl.TraceStats(); err == nil && ts.Enabled {
 		res.Stages = ts.Stages
-		res.TraceSpans = ts.Recorded
 	}
 	return res, nil
 }

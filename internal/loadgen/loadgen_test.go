@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -8,25 +10,31 @@ import (
 	"apstdv/internal/workload"
 )
 
-// TestRunAgainstSelfHostedDaemon smoke-tests the full measurement
+// TestRunAgainstInProcessDaemon smoke-tests the full measurement
 // loop: generate a short burst, check the arrival accounting balances,
 // and check the drain left the daemon idle. The rate is modest on
 // purpose — this pins correctness of the harness, not the numbers it
 // reports.
-func TestRunAgainstSelfHostedDaemon(t *testing.T) {
+func TestRunAgainstInProcessDaemon(t *testing.T) {
 	p, err := workload.ParsePlatform("das2:4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, stop, err := SelfHost(daemon.Config{
+	d, err := daemon.New(daemon.Config{
 		Mode: daemon.ModeSim, Platform: p, Seed: 1,
 		MaxConcurrentJobs: 1, QueueDepth: 8, RetainJobs: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
-	res, err := Run(addr, Config{
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go d.ServeFrame(ln)
+	defer d.Shutdown(context.Background())
+	res, err := Run(ln.Addr().String(), Config{
 		Conns: 1,
 		Rate:  500, Duration: 300 * time.Millisecond,
 		MaxOutstanding: 64, Seed: 1,
@@ -48,8 +56,8 @@ func TestRunAgainstSelfHostedDaemon(t *testing.T) {
 	if res.Submit.N != res.Accepted+res.Rejected {
 		t.Errorf("latency samples %d, want accepted+rejected = %d", res.Submit.N, res.Accepted+res.Rejected)
 	}
-	if res.SustainedHz <= 0 {
-		t.Errorf("sustained rate %v, want > 0", res.SustainedHz)
+	if res.AcceptedHz <= 0 {
+		t.Errorf("accepted rate %v, want > 0", res.AcceptedHz)
 	}
 }
 

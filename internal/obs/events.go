@@ -191,17 +191,6 @@ type PtrSink interface {
 	EmitPtr(*Event)
 }
 
-// Nop discards every event. It is the default sink; the engine's nil
-// check makes the disabled path free, and Nop exists for code that wants
-// a non-nil sink unconditionally.
-type Nop struct{}
-
-// Emit implements Sink.
-func (Nop) Emit(Event) {}
-
-// EmitPtr implements PtrSink.
-func (Nop) EmitPtr(*Event) {}
-
 // Buffer accumulates every event in memory, unbounded — the collection
 // sink for per-run streams that are dumped after the run completes.
 type Buffer struct {

@@ -6,7 +6,7 @@
 // the daemon is built for, per-call costs — reflection-driven gob
 // encoding, a goroutine per in-flight request, a write syscall per
 // message — and not the scheduler were the ceiling (the archived
-// comparison is in BENCH_5–9.json: 4.7–6.8× the sustained rate).
+// comparison is in docs/bench-history/: 4.7–6.8× the submission rate).
 //
 // The protocol. Every message is one frame:
 //
