@@ -12,7 +12,8 @@ FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                divide:FuzzScanSeparators sim:FuzzHeapInvariant \
                transport:FuzzServerFrames daemon:FuzzDecodeWire \
                dls:FuzzUMRSearchMatchesReference \
-               dls:FuzzPlanConservesOrRefuses
+               dls:FuzzPlanConservesOrRefuses \
+               trace:FuzzReportRenderersMatchReference
 
 .PHONY: all build vet test race bench-module serve-smoke fuzz-smoke bench-smoke lint check
 

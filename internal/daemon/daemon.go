@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"apstdv/internal/divide"
 	"apstdv/internal/dls"
@@ -810,18 +811,20 @@ func (d *Daemon) Report(args ReportArgs, reply *ReportReply) error {
 	} else {
 		workers = len(d.cfg.LiveWorkers)
 	}
+	// The three texts are appended into one buffer sized for them and
+	// handed over as substrings of it: the records are walked once for
+	// the makespan, and nothing is copied on the way into the reply.
+	const ganttWidth = 100
 	rep := tr.BuildReport(workers)
-	reply.Summary = rep.String()
-	var b strings.Builder
-	if err := tr.WriteCSV(&b); err != nil {
-		return err
-	}
-	reply.CSV = b.String()
-	var g strings.Builder
-	if err := tr.Gantt(&g, workers, 100); err != nil {
-		return err
-	}
-	reply.Gantt = g.String()
+	buf := make([]byte, 0, 512+96*tr.Len()+workers*(10+3*ganttWidth))
+	buf = rep.AppendString(buf)
+	summaryEnd := len(buf)
+	buf = tr.AppendCSV(buf)
+	csvEnd := len(buf)
+	buf = tr.AppendGantt(buf, workers, ganttWidth, rep.Makespan)
+	// buf is not written again, so its bytes may back the strings.
+	text := unsafe.String(unsafe.SliceData(buf), len(buf))
+	reply.Summary, reply.CSV, reply.Gantt = text[:summaryEnd], text[summaryEnd:csvEnd], text[csvEnd:]
 	return nil
 }
 

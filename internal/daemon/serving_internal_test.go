@@ -105,6 +105,41 @@ func readResult(t *testing.T, d *Daemon, id int) servedResult {
 	return servedResult{st.Job.Makespan, st.Job.Chunks, rep.CSV, ev.Events, ev.Dropped}
 }
 
+// Report cuts its three texts from one buffer; each must be exactly
+// what the trace's io.Writer form of it writes (and those are held to
+// their references in internal/trace).
+func TestReportReplyMatchesWriterForms(t *testing.T) {
+	for s := range servedSpecs {
+		d := newServedDaemon(t, 1, 0)
+		id := submitSpec(t, d, s)
+		d.Wait()
+		var rep ReportReply
+		if err := d.Report(ReportArgs{JobID: id}, &rep); err != nil {
+			t.Fatal(err)
+		}
+		d.mu.Lock()
+		tr := d.jobs[id].tr
+		d.mu.Unlock()
+		workers := len(d.cfg.Platform.Workers)
+		var csv, gantt strings.Builder
+		if err := tr.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Gantt(&gantt, workers, 100); err != nil {
+			t.Fatal(err)
+		}
+		if want := tr.BuildReport(workers).String(); rep.Summary != want {
+			t.Errorf("spec %d: summary %q, want %q", s, rep.Summary, want)
+		}
+		if rep.CSV != csv.String() || strings.Count(rep.CSV, "\n") != 1+tr.Len() {
+			t.Errorf("spec %d: CSV differs from WriteCSV's:\n%s", s, rep.CSV)
+		}
+		if rep.Gantt != gantt.String() || !strings.HasPrefix(rep.Gantt, "w00 |") {
+			t.Errorf("spec %d: Gantt differs from Gantt's:\n%s", s, rep.Gantt)
+		}
+	}
+}
+
 // freshResults runs each spec alone on its own daemon: the reference a
 // reused slot must reproduce.
 func freshResults(t *testing.T) []servedResult {

@@ -291,29 +291,52 @@ func (s *Spec) writeEvents(gamma float64, alg string, run int, events []obs.Even
 // not masquerade as uncertainty). This is the quantity the case study
 // reports as "the average value for γ that was measured ... is 20%".
 //
-// One pass over the records buckets per-unit costs by worker while the
-// per-worker means accumulate; normalization then walks the compact
-// buckets instead of rescanning the full trace once per worker.
+// The first pass over the records accumulates the per-worker means and
+// counts; the counts carve one array into per-worker buckets, the
+// second pass fills them, and normalization compacts the array in
+// place (a ratio is written at or before the cost it was read from).
 func MeasureGamma(tr *trace.Trace, p *model.Platform) float64 {
-	perWorker := make([]stats.RunningStats, len(p.Workers))
-	costs := make([][]float64, len(p.Workers))
-	total := 0
-	for _, r := range tr.Records() {
-		if r.Probe || r.Size <= 0 || r.Worker < 0 || r.Worker >= len(perWorker) {
-			continue
-		}
-		v := r.ComputeTime() / r.Size
-		perWorker[r.Worker].Add(v)
-		costs[r.Worker] = append(costs[r.Worker], v)
-		total++
+	type bucket struct {
+		stats.RunningStats
+		end int // one past this worker's last filled cost
 	}
-	ratios := make([]float64, 0, total)
-	for w, rs := range perWorker {
-		if rs.N() < 2 || rs.Mean() <= 0 {
+	perWorker := make([]bucket, len(p.Workers))
+	recs := tr.Records()
+	unitCost := func(r *trace.Record) (float64, bool) {
+		if r.Probe || r.Size <= 0 || r.Worker < 0 || r.Worker >= len(perWorker) {
+			return 0, false
+		}
+		return r.ComputeTime() / r.Size, true
+	}
+	for i := range recs {
+		if v, ok := unitCost(&recs[i]); ok {
+			perWorker[recs[i].Worker].Add(v)
+		}
+	}
+	total := 0
+	for w := range perWorker {
+		perWorker[w].end = total // the bucket's start until it is filled
+		total += perWorker[w].N()
+	}
+	costs := make([]float64, total)
+	for i := range recs {
+		if v, ok := unitCost(&recs[i]); ok {
+			b := &perWorker[recs[i].Worker]
+			costs[b.end] = v
+			b.end++
+		}
+	}
+	ratios := costs[:0]
+	start := 0
+	for w := range perWorker {
+		b := &perWorker[w]
+		own := costs[start:b.end]
+		start = b.end
+		if b.N() < 2 || b.Mean() <= 0 {
 			continue
 		}
-		mean := rs.Mean()
-		for _, v := range costs[w] {
+		mean := b.Mean()
+		for _, v := range own {
 			ratios = append(ratios, v/mean)
 		}
 	}

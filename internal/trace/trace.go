@@ -6,10 +6,8 @@
 package trace
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"unsafe"
 )
@@ -141,24 +139,37 @@ type Report struct {
 }
 
 // BuildReport derives a Report from the trace for a platform with the
-// given number of workers.
+// given number of workers. It counts before it allocates: one pass finds
+// the makespan and the number of real chunks, one array backs the five
+// per-worker columns and one the two interval lists.
 func (t *Trace) BuildReport(workers int) Report {
-	rep := Report{
-		Algorithm:  t.Algorithm,
-		Platform:   t.Platform,
-		Makespan:   t.Makespan(),
-		WorkerUtil: make([]float64, workers),
-		WorkerLoad: make([]float64, workers),
+	rep := Report{Algorithm: t.Algorithm, Platform: t.Platform}
+	chunks := 0
+	for i := range t.recs {
+		r := &t.recs[i]
+		if r.OutputEnd > rep.Makespan {
+			rep.Makespan = r.OutputEnd
+		}
+		if r.CompEnd > rep.Makespan {
+			rep.Makespan = r.CompEnd
+		}
+		if !r.Failed && !r.Probe {
+			chunks++
+		}
 	}
-	lastSize := make([]float64, workers)
-	lastEnd := make([]float64, workers)
-	firstComp := make([]float64, workers)
+	// Full slice expressions keep an append to one exported column from
+	// running into the next.
+	cols := make([]float64, 5*workers)
+	col := func(i int) []float64 { return cols[i*workers : (i+1)*workers : (i+1)*workers] }
+	rep.WorkerUtil, rep.WorkerLoad = col(0), col(1)
+	lastSize, lastEnd, firstComp := col(2), col(3), col(4)
 	for i := range firstComp {
 		firstComp[i] = -1
 	}
-	var comm []interval
-	var comp []interval
-	for _, r := range t.recs {
+	ivs := make([]interval, 2*chunks)
+	comm, comp := ivs[:0:chunks], ivs[chunks:chunks]
+	for i := range t.recs {
+		r := &t.recs[i]
 		if r.Failed {
 			// Abandoned attempts never delivered output; counting them
 			// would double the chunk's load once the retry completes.
@@ -218,7 +229,8 @@ func (t *Trace) BuildReport(workers int) Report {
 }
 
 // overlapFraction returns the fraction of the union of comm intervals
-// covered by the union of comp intervals.
+// covered by the union of comp intervals. It reorders and merges both
+// arguments in place.
 func overlapFraction(comm, comp []interval) float64 {
 	commU := unionIntervals(comm)
 	compU := unionIntervals(comp)
@@ -256,15 +268,32 @@ func overlapFraction(comm, comp []interval) float64 {
 
 type interval struct{ s, e float64 }
 
-// unionIntervals merges overlapping intervals into a sorted disjoint set.
+// unionIntervals merges overlapping intervals into a sorted disjoint
+// set, in place. Input already ascending by start — the serialized
+// uplink's transfers always are — is not sorted again; anything else,
+// a NaN start included, goes through the comparison sort.Slice ran, so
+// the order it leaves, ties and all, is the order it always left.
 func unionIntervals(in []interval) []interval {
 	if len(in) == 0 {
 		return nil
 	}
-	cp := append([]interval(nil), in...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].s < cp[j].s })
-	out := cp[:1]
-	for _, iv := range cp[1:] {
+	ascending := true
+	for i := 1; i < len(in) && ascending; i++ {
+		ascending = in[i-1].s <= in[i].s // false with a NaN on either side
+	}
+	if !ascending {
+		slices.SortFunc(in, func(a, b interval) int {
+			if a.s < b.s {
+				return -1
+			}
+			if a.s > b.s {
+				return 1
+			}
+			return 0
+		})
+	}
+	out := in[:1]
+	for _, iv := range in[1:] {
 		last := &out[len(out)-1]
 		if iv.s <= last.e {
 			if iv.e > last.e {
@@ -277,34 +306,59 @@ func unionIntervals(in []interval) []interval {
 	return out
 }
 
+const csvHeader = "chunk,worker,offset,size,probe," +
+	"send_start,send_end,comp_start,comp_end,output_end,attempt,failed\n"
+
+// AppendCSV appends the records as CSV with a header row: what
+// encoding/csv writes for these fields, none of which can need quoting
+// (integers, %.10g floats with NaN and ±Inf spelled out, true/false).
+func (t *Trace) AppendCSV(dst []byte) []byte {
+	dst = slices.Grow(dst, 128+96*len(t.recs))
+	dst = append(dst, csvHeader...)
+	num := func(dst []byte, v float64) []byte {
+		return append(strconv.AppendFloat(dst, v, 'g', 10, 64), ',')
+	}
+	for i := range t.recs {
+		r := &t.recs[i]
+		dst = append(strconv.AppendInt(dst, int64(r.Chunk), 10), ',')
+		dst = append(strconv.AppendInt(dst, int64(r.Worker), 10), ',')
+		dst = num(dst, r.Offset)
+		dst = num(dst, r.Size)
+		dst = append(strconv.AppendBool(dst, r.Probe), ',')
+		dst = num(dst, r.SendStart)
+		dst = num(dst, r.SendEnd)
+		dst = num(dst, r.CompStart)
+		dst = num(dst, r.CompEnd)
+		dst = num(dst, r.OutputEnd)
+		dst = append(strconv.AppendInt(dst, int64(r.Attempt), 10), ',')
+		dst = append(strconv.AppendBool(dst, r.Failed), '\n')
+	}
+	return dst
+}
+
 // WriteCSV writes the records as CSV with a header row.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"chunk", "worker", "offset", "size", "probe",
-		"send_start", "send_end", "comp_start", "comp_end", "output_end",
-		"attempt", "failed",
-	}); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
-	for _, r := range t.recs {
-		err := cw.Write([]string{
-			strconv.Itoa(r.Chunk), strconv.Itoa(r.Worker),
-			f(r.Offset), f(r.Size), strconv.FormatBool(r.Probe),
-			f(r.SendStart), f(r.SendEnd), f(r.CompStart), f(r.CompEnd), f(r.OutputEnd),
-			strconv.Itoa(r.Attempt), strconv.FormatBool(r.Failed),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(t.AppendCSV(nil))
+	return err
+}
+
+// AppendString appends the one-line summary String returns.
+func (rep Report) AppendString(dst []byte) []byte {
+	dst = append(dst, rep.Algorithm...)
+	dst = append(dst, " on "...)
+	dst = append(dst, rep.Platform...)
+	dst = append(dst, ": makespan "...)
+	dst = strconv.AppendFloat(dst, rep.Makespan, 'f', 1, 64)
+	dst = append(dst, "s, "...)
+	dst = strconv.AppendInt(dst, int64(rep.Chunks), 10)
+	dst = append(dst, " chunks (+"...)
+	dst = strconv.AppendInt(dst, int64(rep.Probes), 10)
+	dst = append(dst, " probes), overlap "...)
+	dst = strconv.AppendFloat(dst, 100*rep.Overlap, 'f', 0, 64)
+	return append(dst, '%')
 }
 
 // String renders a one-line summary.
 func (rep Report) String() string {
-	return fmt.Sprintf("%s on %s: makespan %.1fs, %d chunks (+%d probes), overlap %.0f%%",
-		rep.Algorithm, rep.Platform, rep.Makespan, rep.Chunks, rep.Probes, 100*rep.Overlap)
+	return string(rep.AppendString(make([]byte, 0, 96+len(rep.Algorithm)+len(rep.Platform))))
 }

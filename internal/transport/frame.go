@@ -19,8 +19,8 @@ var bufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-func getBuf() *[]byte        { return bufPool.Get().(*[]byte) }
-func putBuf(b *[]byte)       { *b = (*b)[:0]; bufPool.Put(b) }
+func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
+func putBuf(b *[]byte) { *b = (*b)[:0]; bufPool.Put(b) }
 func grow(b []byte, n int) []byte {
 	if cap(b) < n {
 		nb := make([]byte, n, 2*n)

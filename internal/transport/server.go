@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bufio"
+	"fmt"
+	"log"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"apstdv/internal/obs"
@@ -222,7 +225,7 @@ func (s *Server) handle(t task) {
 	if h == nil {
 		err = errMalformed
 	} else {
-		*buf, err = h(t.tc, d, *buf)
+		*buf, err = callHandler(h, t, d, *buf)
 	}
 	putBuf(t.payload)
 	if err != nil {
@@ -238,6 +241,19 @@ func (s *Server) handle(t task) {
 		*buf = finishFrame(*buf)
 	}
 	t.sc.send(buf)
+}
+
+// callHandler runs h. A handler that panics fails its own call with an
+// ordinary error frame, and the stack is logged; the worker, the
+// connection and everything the process holds for other callers live on.
+func callHandler(h Handler, t task, d *Dec, b []byte) (out []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("transport: handler for method %d panicked: %v\n%s", t.method, r, debug.Stack())
+			out, err = b, fmt.Errorf("transport: handler panicked: %v", r)
+		}
+	}()
+	return h(t.tc, d, b)
 }
 
 // reject answers id with an error frame without running any handler.

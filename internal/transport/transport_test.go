@@ -1,10 +1,14 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,6 +331,45 @@ func TestUnknownMethod(t *testing.T) {
 	var reply echoReply
 	if err := c.Call(methodEcho, &echoArgs{Text: "ok"}, &reply); err != nil || reply.Text != "ok" {
 		t.Fatalf("connection did not survive unknown method: %v", err)
+	}
+}
+
+// A handler that panics must fail only its own call: the caller gets an
+// ordinary remote error, the stack is logged once, and the single
+// worker, the connection and the other methods keep serving.
+func TestHandlerPanicAnswersErrorServerSurvives(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	s, addr := newTestServer(t, ServerConfig{Workers: 1})
+	const methodPanic = 1000
+	s.Handle(methodPanic, func(_ TraceContext, d *Dec, b []byte) ([]byte, error) {
+		var rows []int
+		_ = rows[d.Uvarint()] // index out of range, like a renderer on a bad trace
+		return b, nil
+	})
+	c, err := Dial(addr, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		callErr := c.Call(methodPanic, &echoArgs{}, &echoReply{})
+		if !IsRemote(callErr) || !strings.Contains(callErr.Error(), "transport: handler panicked: ") ||
+			!strings.Contains(callErr.Error(), "index out of range") {
+			t.Fatalf("panicking call %d: got %v, want a remote \"handler panicked\" error", i, callErr)
+		}
+		var reply echoReply
+		if err := c.Call(methodEcho, &echoArgs{Text: "ok"}, &reply); err != nil || reply.Text != "ok" {
+			t.Fatalf("server did not survive panic %d: %v", i, err)
+		}
+	}
+	if n := strings.Count(logged.String(), "[running]:"); n != 3 {
+		t.Errorf("%d stacks logged for 3 panics:\n%s", n, logged.String())
+	}
+	if !strings.Contains(logged.String(), "method 1000") {
+		t.Errorf("log does not name the method:\n%s", logged.String())
 	}
 }
 
