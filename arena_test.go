@@ -7,13 +7,16 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
+	"apstdv/internal/experiment"
 	"apstdv/internal/grid"
 	"apstdv/internal/obs"
 	"apstdv/internal/parallel"
+	"apstdv/internal/trace"
 	"apstdv/internal/workload"
 )
 
@@ -27,36 +30,51 @@ import (
 // any return to per-chunk or per-event allocation.
 const warmRunResidualAllocs = 600
 
-// TestResetRunAllocationRegression measures a cold run (fresh Backend +
-// Arena every time) against a warm one (Reset + arena reuse) and
-// asserts the warm path allocates under the absolute residual bound AND
-// meaningfully under the cold cost: the absolute bound catches slow
-// creep, the ratio catches a reuse path that silently rebuilds its
-// backend or arena.
+// canonicalRuns executes n runs of the canonical configuration on a pool
+// `width` wide through experiment.RunAll — every call starts with cold
+// slots, and a slot's runs after its first are warm — and returns the
+// makespans in run order.
+func canonicalRuns(t testing.TB, n, width int, alg string, seed func(run int) uint64, ecfg engine.Config) []float64 {
+	t.Helper()
+	app := workload.Synthetic(0.10)
+	platform := workload.DAS2(16)
+	ecfg.ProbeLoad = 200
+	spans := make([]float64, n)
+	err := experiment.RunAll(n, width, func(run int, r *experiment.Run) {
+		a, err := dls.New(alg)
+		if err != nil {
+			t.Error(err)
+		}
+		*r = experiment.Run{Platform: platform, App: app, Algorithm: a,
+			Grid: grid.Config{Seed: seed(run)}, Engine: ecfg}
+	}, func(run int, _ *experiment.Run, tr *trace.Trace, err error) error {
+		if err == nil {
+			spans[run] = tr.Makespan()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spans
+}
+
+func seed42(int) uint64 { return 42 }
+
+// TestResetRunAllocationRegression measures a cold run (a one-run pass:
+// fresh Backend + Arena) against a warm one (the later runs of a longer
+// pass on the same slot: Reset + arena reuse) and asserts the warm path
+// allocates under the absolute residual bound AND meaningfully under
+// the cold cost: the absolute bound catches slow creep, the ratio
+// catches a reuse path that silently rebuilds its backend or arena.
 func TestResetRunAllocationRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
 	}
-	app := workload.Synthetic(0.10)
-	platform := workload.DAS2(16)
-	ecfg := engine.Config{ProbeLoad: 200}
-
-	cold := testing.AllocsPerRun(5, func() {
-		var sc benchScratch
-		if _, err := sc.run(platform, app, dls.NewUMR(), grid.Config{Seed: 42}, ecfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	var sc benchScratch
-	if _, err := sc.run(platform, app, dls.NewUMR(), grid.Config{Seed: 42}, ecfg); err != nil {
-		t.Fatal(err)
-	}
-	warm := testing.AllocsPerRun(10, func() {
-		if _, err := sc.run(platform, app, dls.NewUMR(), grid.Config{Seed: 42}, ecfg); err != nil {
-			t.Fatal(err)
-		}
-	})
+	cold := testing.AllocsPerRun(5, func() { canonicalRuns(t, 1, 1, "umr", seed42, engine.Config{}) })
+	const repeats = 10
+	long := testing.AllocsPerRun(5, func() { canonicalRuns(t, 1+repeats, 1, "umr", seed42, engine.Config{}) })
+	warm := (long - cold) / repeats
 
 	if warm > warmRunResidualAllocs {
 		t.Errorf("warm repeat run allocated %.0f allocs/op; want <= %d", warm, warmRunResidualAllocs)
@@ -70,24 +88,10 @@ func TestResetRunAllocationRegression(t *testing.T) {
 // path: the same seed through a warm (reset) slot must produce exactly
 // the makespan a cold build produces.
 func TestArenaReuseMatchesFreshRun(t *testing.T) {
-	app := workload.Synthetic(0.10)
-	platform := workload.DAS2(16)
-	ecfg := engine.Config{ProbeLoad: 200}
-	var sc benchScratch
-	// Warm the slot on a different seed first so the repeat genuinely
-	// exercises Reset, then compare against a cold scratch.
-	if _, err := sc.run(platform, app, dls.NewUMR(), grid.Config{Seed: 1}, ecfg); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := sc.run(platform, app, dls.NewUMR(), grid.Config{Seed: 42}, ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fresh benchScratch
-	cold, err := fresh.run(platform, app, dls.NewUMR(), grid.Config{Seed: 42}, ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The slot is warmed on a different seed first so the repeat
+	// genuinely exercises Reset.
+	warm := canonicalRuns(t, 2, 1, "umr", func(run int) uint64 { return []uint64{1, 42}[run] }, engine.Config{})[1]
+	cold := canonicalRuns(t, 1, 1, "umr", seed42, engine.Config{})[0]
 	if warm != cold {
 		t.Fatalf("warm run makespan %v != cold run makespan %v for the same seed", warm, cold)
 	}
@@ -105,90 +109,55 @@ func TestObsEmitPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
 	}
-	app := workload.Synthetic(0.10)
-	platform := workload.DAS2(16)
-	one := func(sc *benchScratch, cfg engine.Config) {
-		cfg.ProbeLoad = 200
-		alg, err := dls.New("fixed-rumr")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sc.run(platform, app, alg, grid.Config{Seed: 11}, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Warm means the ring is at capacity: it takes its pages from the
 	// heap one at a time as events arrive, and once it retains its 8192
 	// events it holds every page it will ever need. (The daemon's rings
 	// get theirs from a pool instead; internal/obs tests that path.)
 	ring := obs.NewRing(8192)
-	met := obs.NewRunMetrics(obs.NewRegistry())
-	var plain, inst benchScratch
-	one(&plain, engine.Config{})
+	inst := engine.Config{Events: ring, Metrics: obs.NewRunMetrics(obs.NewRegistry())}
+	seed11 := func(int) uint64 { return 11 }
 	for held := -1; ring.Bytes() > held; {
 		held = ring.Bytes()
-		one(&inst, engine.Config{Events: ring, Metrics: met})
+		canonicalRuns(t, 1, 1, "fixed-rumr", seed11, inst)
 	}
-	base := testing.AllocsPerRun(20, func() { one(&plain, engine.Config{}) })
-	withObs := testing.AllocsPerRun(20, func() { one(&inst, engine.Config{Events: ring, Metrics: met}) })
+	// The warm runs of a pass are what it costs beyond a one-run pass. A
+	// run allocates a whole number of times; rounding drops the stray
+	// runtime allocation that lands in one pass and not the other.
+	const repeats = 20
+	warm := func(cfg engine.Config) float64 {
+		one := testing.AllocsPerRun(5, func() { canonicalRuns(t, 1, 1, "fixed-rumr", seed11, cfg) })
+		long := testing.AllocsPerRun(5, func() { canonicalRuns(t, 1+repeats, 1, "fixed-rumr", seed11, cfg) })
+		return math.Round((long - one) / repeats)
+	}
+	base, withObs := warm(engine.Config{}), warm(inst)
 	if withObs > base {
 		t.Fatalf("ring sink + metrics added %.1f allocs/run (%.1f vs %.1f base); the emit path must not allocate",
 			withObs-base, withObs, base)
 	}
 }
 
-// TestForEachSlotReusesScratch asserts the pool threading: a second
-// ForEachSlot pass over per-slot scratch rebuilds no backends or arenas
-// (slot identity holds) and stays within the residual allocation budget
-// per run.
+// TestForEachSlotReusesScratch asserts the pool threading at a width of
+// two or more: a pass of several runs per slot builds each slot once and
+// recycles it, so it stays within the residual budget per run and well
+// under what rebuilding for every run would cost.
 func TestForEachSlotReusesScratch(t *testing.T) {
-	app := workload.Synthetic(0.10)
-	platform := workload.DAS2(16)
-	ecfg := engine.Config{ProbeLoad: 200}
-	const runs = 4
-
-	scratch := make([]benchScratch, parallel.Width(runs, 0))
-	pass := func() {
-		err := parallel.ForEachSlot(runs, 0, func(slot, run int) error {
-			_, err := scratch[slot].run(platform, app, dls.NewUMR(),
-				grid.Config{Seed: uint64(run)}, ecfg)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	pass() // builds the backend + arena of every slot that gets a run
-
-	// Which slot takes which run is the scheduler's business: four runs
-	// this short can all go to the first pool goroutine to start, so a
-	// slot may still be empty here. Identity is asserted for the slots
-	// that did run; one that first runs below costs a cold run's ~200
-	// extra allocations, well inside the budget's headroom.
-	before := make([]*grid.Backend, len(scratch))
-	ran := 0
-	for i := range scratch {
-		before[i] = scratch[i].backend
-		if before[i] != nil {
-			ran++
-		}
-	}
-	if ran == 0 {
-		t.Fatal("no slot ran in the first pass")
-	}
-	allocs := testing.AllocsPerRun(5, pass)
-	for i := range scratch {
-		if before[i] != nil && scratch[i].backend != before[i] {
-			t.Errorf("slot %d rebuilt its backend across passes", i)
-		}
-	}
+	// The width is fixed out here: AllocsPerRun measures at GOMAXPROCS 1,
+	// where a default-width pool would be the sequential loop.
+	width := max(2, parallel.DefaultWidth())
+	runs := 8 * width
+	seeds := func(run int) uint64 { return uint64(run) }
+	cold := testing.AllocsPerRun(5, func() { canonicalRuns(t, 1, 1, "umr", seeds, engine.Config{}) })
+	allocs := testing.AllocsPerRun(5, func() { canonicalRuns(t, runs, width, "umr", seeds, engine.Config{}) })
 	if raceEnabled {
-		return // identity checked; counts only hold in normal builds
+		return // the pool ran under the detector; counts only hold in normal builds
 	}
 	// Budget: the per-run residual for every run, plus slack for the
 	// pool's own goroutine/channel machinery at widths > 1.
-	budget := float64(runs*warmRunResidualAllocs + 200)
-	if allocs > budget {
-		t.Errorf("warm ForEachSlot pass allocated %.0f allocs; want <= %.0f", allocs, budget)
+	if budget := float64(runs*warmRunResidualAllocs + 200); allocs > budget {
+		t.Errorf("warm pool pass allocated %.0f allocs; want <= %.0f", allocs, budget)
+	}
+	if allocs > 0.7*float64(runs)*cold {
+		t.Errorf("pool pass of %d runs allocated %.0f vs %.0f for a cold run; want <= 70%% of rebuilding every time",
+			runs, allocs, cold)
 	}
 }

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -22,8 +21,8 @@ import (
 	"apstdv/internal/grid"
 	"apstdv/internal/model"
 	otrace "apstdv/internal/obs/trace"
-	"apstdv/internal/parallel"
 	"apstdv/internal/stats"
+	"apstdv/internal/trace"
 	"apstdv/internal/units"
 	"apstdv/internal/workload"
 )
@@ -100,37 +99,6 @@ func BenchmarkCaseStudyMPEG(b *testing.B) { runCells(b, experiment.CaseStudy) }
 
 // --- Ablations -----------------------------------------------------------
 
-// benchScratch is one pool slot's reusable backend + engine arena, the
-// same pattern the experiment runner uses internally: built on the
-// slot's first run, reset in place afterwards.
-type benchScratch struct {
-	backend *grid.Backend
-	arena   *engine.Arena
-}
-
-// run executes one simulation on the slot's recycled state.
-func (sc *benchScratch) run(platform *model.Platform, app *model.Application,
-	alg dls.Algorithm, gcfg grid.Config, ecfg engine.Config) (float64, error) {
-	if sc.backend == nil {
-		bk, err := grid.New(platform, app, gcfg)
-		if err != nil {
-			return 0, err
-		}
-		sc.backend = bk
-		sc.arena = engine.NewArena()
-	} else if err := sc.backend.Reset(app, gcfg); err != nil {
-		return 0, err
-	}
-	tr, err := engine.Execute(context.Background(), engine.Request{
-		Backend: sc.backend, Algorithm: alg, App: app, Platform: platform,
-		Config: ecfg, Arena: sc.arena,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return tr.Makespan(), nil
-}
-
 // ablationRun executes one algorithm on one platform/app multiple times
 // — fanned across the worker pool, collected in run order — and returns
 // the mean makespan.
@@ -138,19 +106,18 @@ func ablationRun(b *testing.B, platform *model.Platform, app *model.Application,
 	mk func() dls.Algorithm, gcfg func(seed uint64) grid.Config, ecfg engine.Config) float64 {
 	b.Helper()
 	spans := make([]float64, benchRuns)
-	scratch := make([]benchScratch, parallel.Width(benchRuns, 0))
-	err := parallel.ForEachSlot(benchRuns, 0, func(slot, run int) error {
+	err := experiment.RunAll(benchRuns, 0, func(run int, r *experiment.Run) {
 		seed := uint64(7000 + run*37)
-		cfg := grid.Config{Seed: seed}
+		*r = experiment.Run{Platform: platform, App: app, Algorithm: mk(),
+			Grid: grid.Config{Seed: seed}, Engine: ecfg}
 		if gcfg != nil {
-			cfg = gcfg(seed)
+			r.Grid = gcfg(seed)
 		}
-		span, err := scratch[slot].run(platform, app, mk(), cfg, ecfg)
-		if err != nil {
-			return err
+	}, func(run int, _ *experiment.Run, tr *trace.Trace, err error) error {
+		if err == nil {
+			spans[run] = tr.Makespan()
 		}
-		spans[run] = span
-		return nil
+		return err
 	})
 	if err != nil {
 		b.Fatal(err)

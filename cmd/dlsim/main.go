@@ -15,17 +15,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
+	"apstdv/internal/experiment"
 	"apstdv/internal/grid"
 	"apstdv/internal/model"
 	"apstdv/internal/obs"
-	"apstdv/internal/parallel"
 	"apstdv/internal/stats"
 	"apstdv/internal/trace"
 	"apstdv/internal/workload"
@@ -105,25 +104,21 @@ func main() {
 			}
 		}
 		var lastTrace *trace.Trace
-		err := parallel.ForEach(*runs, *parWidth, func(run int) error {
-			alg := freshAlgorithm(*algFlag, ai)
-			backend, err := grid.New(platform, app, grid.Config{Seed: *seed + uint64(run)*7919})
-			if err != nil {
-				return err
-			}
-			ecfg := engine.Config{ProbeLoad: *probeLoad}
+		err := experiment.RunAll(*runs, *parWidth, func(run int, r *experiment.Run) {
+			r.Platform, r.App = platform, app
+			r.Algorithm = freshAlgorithm(*algFlag, ai)
+			r.Grid = grid.Config{Seed: *seed + uint64(run)*7919}
+			r.Engine = engine.Config{ProbeLoad: *probeLoad}
 			if buffers != nil {
-				ecfg.Events = buffers[run]
+				r.Engine.Events = buffers[run]
 			}
-			tr, err := engine.Execute(context.Background(), engine.Request{
-				Backend: backend, Algorithm: alg, App: app, Platform: platform, Config: ecfg,
-			})
+		}, func(run int, _ *experiment.Run, tr *trace.Trace, err error) error {
 			if err != nil {
 				return err
 			}
 			reports[run] = tr.BuildReport(len(platform.Workers))
 			if run == *runs-1 {
-				lastTrace = tr // sole writer: only run runs-1 assigns
+				lastTrace = tr.Clone() // sole writer: only run runs-1 assigns
 			}
 			return nil
 		})

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -63,10 +64,54 @@ func fresh(seed wireMsg) wireMsg {
 	return reflect.New(reflect.TypeOf(seed).Elem()).Interface().(wireMsg)
 }
 
+// allocatedBy returns the bytes fn allocates, as the runtime counts
+// them. Other goroutines' allocations land in the same counter; the
+// ceilings below leave room for them.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHostileCountAllocatesNothing crafts, for each count-prefixed
+// reply, a frame whose count claims one element per byte of a body that
+// decodes to none: the decoder must fail on the first element having
+// reserved next to nothing, where sizing the slice from the count
+// reserved count × sizeof(element) — 20 MB here for the events, 5 GB
+// for a frame at the transport's 16 MiB limit — before reading one.
+func TestHostileCountAllocatesNothing(t *testing.T) {
+	const claimed = 1 << 16
+	body := bytes.Repeat([]byte{0xff}, claimed) // an endless varint
+	for _, tc := range []struct {
+		reply  wireMsg
+		prefix []byte // the fields ahead of the count
+	}{
+		{&EventsReply{}, nil},
+		{&ListJobsReply{}, nil},
+		{&TraceReply{}, transport.AppendUvarint(nil, 77)},
+		{&TraceStatsReply{}, transport.AppendVarint(transport.AppendUvarint(transport.AppendBool(nil, true), 5), 4)},
+		{&AlgorithmsReply{}, nil},
+	} {
+		frame := append(transport.AppendUvarint(tc.prefix, claimed), body...)
+		d := transport.NewDec(frame)
+		got := allocatedBy(func() { tc.reply.DecodeWire(d) })
+		if d.Err() == nil {
+			t.Errorf("%T: a count with no elements behind it decoded without error", tc.reply)
+		}
+		if ceiling := uint64(256 << 10); got > ceiling {
+			t.Errorf("%T: decoding a %d-byte frame claiming %d elements allocated %d bytes, want <= %d",
+				tc.reply, len(frame), claimed, got, ceiling)
+		}
+	}
+}
+
 // FuzzDecodeWire feeds arbitrary bytes to every DecodeWire: a decoder
-// must never panic, and whatever it accepts must re-encode to a form
-// that is a fixed point of decode→encode — the decoders run on bytes
-// from a socket, on the server for Args and on the client for Replies.
+// must never panic, must allocate in proportion to the bytes it was
+// given, and whatever it accepts must re-encode to a form that is a
+// fixed point of decode→encode — the decoders run on bytes from a
+// socket, on the server for Args and on the client for Replies.
 func FuzzDecodeWire(f *testing.F) {
 	// An element count of 2^64-1 ahead of an empty body: the hostile
 	// length every count-prefixed decoder must refuse without
@@ -84,7 +129,11 @@ func FuzzDecodeWire(f *testing.F) {
 		seed := wireSeeds[int(which)%len(wireSeeds)]
 		v1 := fresh(seed)
 		d := transport.NewDec(data)
-		v1.DecodeWire(d)
+		// The densest honest input is an Event in one byte: 304 bytes in
+		// the slice, up to five times that over the slice's growth.
+		if got, ceiling := allocatedBy(func() { v1.DecodeWire(d) }), uint64(64<<10+2048*len(data)); got > ceiling {
+			t.Fatalf("%T: decoding %d bytes allocated %d, want <= %d", seed, len(data), got, ceiling)
+		}
 		if d.Err() != nil {
 			return
 		}

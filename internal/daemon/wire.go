@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	mathbits "math/bits"
 	"net"
 	"time"
 
@@ -72,8 +73,7 @@ func (d *Daemon) ServeFrame(ln net.Listener) error {
 //
 // Field order is the contract, mirrored between each AppendWire and
 // DecodeWire pair. Times travel as UnixNano varints with 0 for the
-// zero time. TestEventWireCoversEveryField pins the Event codec to the
-// obs.Event struct.
+// zero time.
 
 func appendTime(b []byte, t time.Time) []byte {
 	if t.IsZero() {
@@ -89,6 +89,35 @@ func decodeTime(d *transport.Dec) time.Time {
 	}
 	return time.Unix(0, ns)
 }
+
+// listPrealloc bounds the capacity decodeList reserves on the peer's
+// word alone.
+const listPrealloc = 64
+
+// decodeList reads a count-prefixed list. The count is the peer's claim
+// and buys no memory by itself: the slice starts at no more than
+// listPrealloc elements and grows as elements actually decode, and
+// decoding stops at the first error, so a frame costs its receiver
+// memory in proportion to the bytes it carries and not to the numbers
+// it names. (An Event is 304 bytes in memory and as little as one on
+// the wire; sized from the count, one 16 MiB frame asked for 5 GB.)
+func decodeList[T any](d *transport.Dec, elem func(*transport.Dec, *T)) []T {
+	n := d.Uvarint()
+	if n == 0 || d.Err() != nil {
+		return nil
+	}
+	list := make([]T, 0, min(n, listPrealloc))
+	for ; n > 0 && d.Err() == nil; n-- {
+		var zero T
+		list = append(list, zero)
+		elem(d, &list[len(list)-1])
+	}
+	return list
+}
+
+func decodeString(d *transport.Dec, s *string) { *s = d.String() }
+func decodeInt(d *transport.Dec, v *int)       { *v = int(d.Varint()) }
+func decodeF64(d *transport.Dec, v *float64)   { *v = d.F64() }
 
 // AppendWire implements transport.Appender.
 func (a *SubmitArgs) AppendWire(b []byte) []byte {
@@ -201,14 +230,7 @@ func (r *AlgorithmsReply) AppendWire(b []byte) []byte {
 
 // DecodeWire implements transport.Decoder.
 func (r *AlgorithmsReply) DecodeWire(d *transport.Dec) {
-	n := int(d.Uvarint())
-	if d.Err() != nil || n < 0 || n > d.Len() {
-		return
-	}
-	r.Names = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		r.Names = append(r.Names, d.String())
-	}
+	r.Names = decodeList(d, decodeString)
 }
 
 // AppendWire implements transport.Appender.
@@ -228,14 +250,7 @@ func (r *ListJobsReply) AppendWire(b []byte) []byte {
 
 // DecodeWire implements transport.Decoder.
 func (r *ListJobsReply) DecodeWire(d *transport.Dec) {
-	n := int(d.Uvarint())
-	if d.Err() != nil || n < 0 || n > d.Len() {
-		return
-	}
-	r.Jobs = make([]Job, n)
-	for i := range r.Jobs {
-		decodeJob(d, &r.Jobs[i])
-	}
+	r.Jobs = decodeList(d, decodeJob)
 	r.Policy = d.String()
 }
 
@@ -263,14 +278,7 @@ func (r *EventsReply) AppendWire(b []byte) []byte {
 
 // DecodeWire implements transport.Decoder.
 func (r *EventsReply) DecodeWire(d *transport.Dec) {
-	n := int(d.Uvarint())
-	if d.Err() != nil || n < 0 || n > d.Len() {
-		return
-	}
-	r.Events = make([]obs.Event, n)
-	for i := range r.Events {
-		decodeEvent(d, &r.Events[i])
-	}
+	r.Events = decodeList(d, decodeEvent)
 	r.State = JobState(d.String())
 	r.Dropped = d.Bool()
 }
@@ -313,329 +321,90 @@ func decodeJob(d *transport.Dec, j *Job) {
 	j.Err = d.String()
 	j.Code = d.String()
 	j.QueuePos = int(d.Varint())
-	n := int(d.Uvarint())
-	if d.Err() != nil || n < 0 || n > d.Len() {
-		return
-	}
-	if n > 0 {
-		j.Leased = make([]int, n)
-		for i := range j.Leased {
-			j.Leased[i] = int(d.Varint())
-		}
-	}
+	j.Leased = decodeList(d, decodeInt)
 	j.TraceID = d.Uvarint()
-	n = int(d.Uvarint())
-	if d.Err() != nil || n < 0 || n > d.Len() {
-		return
-	}
-	if n > 0 {
-		j.Shares = make([]float64, n)
-		for i := range j.Shares {
-			j.Shares[i] = d.F64()
-		}
-	}
+	j.Shares = decodeList(d, decodeF64)
 }
 
 // The Event codec writes a presence bitmap then only the non-zero
-// fields: a typical scheduler event has 4–6 of the 31 fields set, and
-// bool fields live entirely in the bitmap. Bit positions are the wire
-// contract; append new fields at the next free bit.
-const eventWireFields = 33 // keep equal to the obs.Event field count
+// fields: a typical scheduler event has 4–6 of the 33 fields set, and
+// bool fields live entirely in the bitmap. Both directions walk
+// obs.Event's one field list, whose positions are the bit positions and
+// so the wire contract: a new field is appended there and nowhere else.
+// Ints travel as zig-zag varints, floats as 8 bytes, strings
+// length-prefixed.
 
 func appendEvent(b []byte, ev *obs.Event) []byte {
+	fields := ev.Fields()
 	var bits uint64
-	if ev.Seq != 0 {
-		bits |= 1 << 0
-	}
-	if ev.T != 0 {
-		bits |= 1 << 1
-	}
-	if ev.Type != "" {
-		bits |= 1 << 2
-	}
-	if ev.Alg != "" {
-		bits |= 1 << 3
-	}
-	if ev.Run != 0 {
-		bits |= 1 << 4
-	}
-	if ev.Class != "" {
-		bits |= 1 << 5
-	}
-	if ev.Worker != 0 {
-		bits |= 1 << 6
-	}
-	if ev.Chunk != 0 {
-		bits |= 1 << 7
-	}
-	if ev.Size != 0 {
-		bits |= 1 << 8
-	}
-	if ev.Bytes != 0 {
-		bits |= 1 << 9
-	}
-	if ev.Probe {
-		bits |= 1 << 10
-	}
-	if ev.Attempt != 0 {
-		bits |= 1 << 11
-	}
-	if ev.SendStart != 0 {
-		bits |= 1 << 12
-	}
-	if ev.SendEnd != 0 {
-		bits |= 1 << 13
-	}
-	if ev.CompStart != 0 {
-		bits |= 1 << 14
-	}
-	if ev.CompEnd != 0 {
-		bits |= 1 << 15
-	}
-	if ev.OutputEnd != 0 {
-		bits |= 1 << 16
-	}
-	if ev.CommLatency != 0 {
-		bits |= 1 << 17
-	}
-	if ev.CompLatency != 0 {
-		bits |= 1 << 18
-	}
-	if ev.TransferDur != 0 {
-		bits |= 1 << 19
-	}
-	if ev.ComputeDur != 0 {
-		bits |= 1 << 20
-	}
-	if ev.Dur != 0 {
-		bits |= 1 << 21
-	}
-	if ev.Workers != 0 {
-		bits |= 1 << 22
-	}
-	if ev.TotalLoad != 0 {
-		bits |= 1 << 23
-	}
-	if ev.Chunks != 0 {
-		bits |= 1 << 24
-	}
-	if ev.Makespan != 0 {
-		bits |= 1 << 25
-	}
-	if ev.Err != "" {
-		bits |= 1 << 26
-	}
-	if ev.Gamma != 0 {
-		bits |= 1 << 27
-	}
-	if ev.Want != 0 {
-		bits |= 1 << 28
-	}
-	if ev.Remaining != 0 {
-		bits |= 1 << 29
-	}
-	if ev.Switched {
-		bits |= 1 << 30
-	}
-	if ev.Src != 0 {
-		bits |= 1 << 31
-	}
-	if ev.Link != "" {
-		bits |= 1 << 32
+	for i, f := range fields {
+		var set bool
+		switch p := f.(type) {
+		case *float64:
+			set = *p != 0
+		case *int:
+			set = *p != 0
+		case *string:
+			set = *p != ""
+		case *bool:
+			set = *p
+		case *int64:
+			set = *p != 0
+		case *obs.EventType:
+			set = *p != ""
+		}
+		if set {
+			bits |= 1 << i
+		}
 	}
 	b = transport.AppendUvarint(b, bits)
-	if bits&(1<<0) != 0 {
-		b = transport.AppendVarint(b, ev.Seq)
-	}
-	if bits&(1<<1) != 0 {
-		b = transport.AppendF64(b, ev.T)
-	}
-	if bits&(1<<2) != 0 {
-		b = transport.AppendString(b, string(ev.Type))
-	}
-	if bits&(1<<3) != 0 {
-		b = transport.AppendString(b, ev.Alg)
-	}
-	if bits&(1<<4) != 0 {
-		b = transport.AppendVarint(b, int64(ev.Run))
-	}
-	if bits&(1<<5) != 0 {
-		b = transport.AppendString(b, ev.Class)
-	}
-	if bits&(1<<6) != 0 {
-		b = transport.AppendVarint(b, int64(ev.Worker))
-	}
-	if bits&(1<<7) != 0 {
-		b = transport.AppendVarint(b, int64(ev.Chunk))
-	}
-	if bits&(1<<8) != 0 {
-		b = transport.AppendF64(b, ev.Size)
-	}
-	if bits&(1<<9) != 0 {
-		b = transport.AppendF64(b, ev.Bytes)
-	}
-	if bits&(1<<11) != 0 {
-		b = transport.AppendVarint(b, int64(ev.Attempt))
-	}
-	if bits&(1<<12) != 0 {
-		b = transport.AppendF64(b, ev.SendStart)
-	}
-	if bits&(1<<13) != 0 {
-		b = transport.AppendF64(b, ev.SendEnd)
-	}
-	if bits&(1<<14) != 0 {
-		b = transport.AppendF64(b, ev.CompStart)
-	}
-	if bits&(1<<15) != 0 {
-		b = transport.AppendF64(b, ev.CompEnd)
-	}
-	if bits&(1<<16) != 0 {
-		b = transport.AppendF64(b, ev.OutputEnd)
-	}
-	if bits&(1<<17) != 0 {
-		b = transport.AppendF64(b, ev.CommLatency)
-	}
-	if bits&(1<<18) != 0 {
-		b = transport.AppendF64(b, ev.CompLatency)
-	}
-	if bits&(1<<19) != 0 {
-		b = transport.AppendF64(b, ev.TransferDur)
-	}
-	if bits&(1<<20) != 0 {
-		b = transport.AppendF64(b, ev.ComputeDur)
-	}
-	if bits&(1<<21) != 0 {
-		b = transport.AppendF64(b, ev.Dur)
-	}
-	if bits&(1<<22) != 0 {
-		b = transport.AppendVarint(b, int64(ev.Workers))
-	}
-	if bits&(1<<23) != 0 {
-		b = transport.AppendF64(b, ev.TotalLoad)
-	}
-	if bits&(1<<24) != 0 {
-		b = transport.AppendVarint(b, int64(ev.Chunks))
-	}
-	if bits&(1<<25) != 0 {
-		b = transport.AppendF64(b, ev.Makespan)
-	}
-	if bits&(1<<26) != 0 {
-		b = transport.AppendString(b, ev.Err)
-	}
-	if bits&(1<<27) != 0 {
-		b = transport.AppendF64(b, ev.Gamma)
-	}
-	if bits&(1<<28) != 0 {
-		b = transport.AppendF64(b, ev.Want)
-	}
-	if bits&(1<<29) != 0 {
-		b = transport.AppendF64(b, ev.Remaining)
-	}
-	if bits&(1<<31) != 0 {
-		b = transport.AppendVarint(b, int64(ev.Src))
-	}
-	if bits&(1<<32) != 0 {
-		b = transport.AppendString(b, ev.Link)
+	for rest := bits; rest != 0; rest &= rest - 1 {
+		switch p := fields[mathbits.TrailingZeros64(rest)].(type) {
+		case *float64:
+			b = transport.AppendF64(b, *p)
+		case *int:
+			b = transport.AppendVarint(b, int64(*p))
+		case *string:
+			b = transport.AppendString(b, *p)
+		case *int64:
+			b = transport.AppendVarint(b, *p)
+		case *obs.EventType:
+			b = transport.AppendString(b, string(*p))
+		}
 	}
 	return b
 }
 
+// decodeEvent sets the fields the bitmap marks present and leaves the
+// others as they are, except bools, which it always assigns.
 func decodeEvent(d *transport.Dec, ev *obs.Event) {
 	bits := d.Uvarint()
-	if bits&(1<<0) != 0 {
-		ev.Seq = d.Varint()
-	}
-	if bits&(1<<1) != 0 {
-		ev.T = d.F64()
-	}
-	if bits&(1<<2) != 0 {
-		ev.Type = obs.EventType(d.String())
-	}
-	if bits&(1<<3) != 0 {
-		ev.Alg = d.String()
-	}
-	if bits&(1<<4) != 0 {
-		ev.Run = int(d.Varint())
-	}
-	if bits&(1<<5) != 0 {
-		ev.Class = d.String()
-	}
-	if bits&(1<<6) != 0 {
-		ev.Worker = int(d.Varint())
-	}
-	if bits&(1<<7) != 0 {
-		ev.Chunk = int(d.Varint())
-	}
-	if bits&(1<<8) != 0 {
-		ev.Size = d.F64()
-	}
-	if bits&(1<<9) != 0 {
-		ev.Bytes = d.F64()
-	}
-	ev.Probe = bits&(1<<10) != 0
-	if bits&(1<<11) != 0 {
-		ev.Attempt = int(d.Varint())
-	}
-	if bits&(1<<12) != 0 {
-		ev.SendStart = d.F64()
-	}
-	if bits&(1<<13) != 0 {
-		ev.SendEnd = d.F64()
-	}
-	if bits&(1<<14) != 0 {
-		ev.CompStart = d.F64()
-	}
-	if bits&(1<<15) != 0 {
-		ev.CompEnd = d.F64()
-	}
-	if bits&(1<<16) != 0 {
-		ev.OutputEnd = d.F64()
-	}
-	if bits&(1<<17) != 0 {
-		ev.CommLatency = d.F64()
-	}
-	if bits&(1<<18) != 0 {
-		ev.CompLatency = d.F64()
-	}
-	if bits&(1<<19) != 0 {
-		ev.TransferDur = d.F64()
-	}
-	if bits&(1<<20) != 0 {
-		ev.ComputeDur = d.F64()
-	}
-	if bits&(1<<21) != 0 {
-		ev.Dur = d.F64()
-	}
-	if bits&(1<<22) != 0 {
-		ev.Workers = int(d.Varint())
-	}
-	if bits&(1<<23) != 0 {
-		ev.TotalLoad = d.F64()
-	}
-	if bits&(1<<24) != 0 {
-		ev.Chunks = int(d.Varint())
-	}
-	if bits&(1<<25) != 0 {
-		ev.Makespan = d.F64()
-	}
-	if bits&(1<<26) != 0 {
-		ev.Err = d.String()
-	}
-	if bits&(1<<27) != 0 {
-		ev.Gamma = d.F64()
-	}
-	if bits&(1<<28) != 0 {
-		ev.Want = d.F64()
-	}
-	if bits&(1<<29) != 0 {
-		ev.Remaining = d.F64()
-	}
-	ev.Switched = bits&(1<<30) != 0
-	if bits&(1<<31) != 0 {
-		ev.Src = int(d.Varint())
-	}
-	if bits&(1<<32) != 0 {
-		ev.Link = d.String()
+	for i, f := range ev.Fields() {
+		set := bits&(1<<i) != 0
+		switch p := f.(type) {
+		case *bool:
+			*p = set
+		case *float64:
+			if set {
+				*p = d.F64()
+			}
+		case *int:
+			if set {
+				*p = int(d.Varint())
+			}
+		case *string:
+			if set {
+				*p = d.String()
+			}
+		case *int64:
+			if set {
+				*p = d.Varint()
+			}
+		case *obs.EventType:
+			if set {
+				*p = obs.EventType(d.String())
+			}
+		}
 	}
 }
 
@@ -682,14 +451,7 @@ func (r *TraceReply) AppendWire(b []byte) []byte {
 // DecodeWire implements transport.Decoder.
 func (r *TraceReply) DecodeWire(d *transport.Dec) {
 	r.TraceID = d.Uvarint()
-	n := int(d.Uvarint())
-	if d.Err() != nil || n < 0 || n > d.Len() {
-		return
-	}
-	r.Spans = make([]otrace.SpanRecord, n)
-	for i := range r.Spans {
-		decodeSpanRecord(d, &r.Spans[i])
-	}
+	r.Spans = decodeList(d, decodeSpanRecord)
 }
 
 // AppendWire implements transport.Appender.
@@ -722,13 +484,7 @@ func (r *TraceStatsReply) DecodeWire(d *transport.Dec) {
 	r.Enabled = d.Bool()
 	r.Recorded = d.Uvarint()
 	r.Retained = int(d.Varint())
-	n := int(d.Uvarint())
-	if d.Err() != nil || n < 0 || n > d.Len() {
-		return
-	}
-	r.Stages = make([]otrace.StageStat, n)
-	for i := range r.Stages {
-		s := &r.Stages[i]
+	r.Stages = decodeList(d, func(d *transport.Dec, s *otrace.StageStat) {
 		s.Stage = d.String()
 		s.Count = d.Uvarint()
 		s.Sampled = int(d.Varint())
@@ -736,5 +492,5 @@ func (r *TraceStatsReply) DecodeWire(d *transport.Dec) {
 		s.P90Ms = d.F64()
 		s.P99Ms = d.F64()
 		s.MaxMs = d.F64()
-	}
+	})
 }

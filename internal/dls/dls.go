@@ -17,6 +17,7 @@ package dls
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"apstdv/internal/model"
@@ -34,13 +35,20 @@ type Plan struct {
 	Workers []model.Estimate
 }
 
-// Validate checks the plan inputs.
+// Validate checks the plan inputs. NaN compares false with everything,
+// so the finiteness checks come first.
 func (p Plan) Validate() error {
+	if math.IsNaN(p.TotalLoad) || math.IsInf(p.TotalLoad, 0) {
+		return fmt.Errorf("dls: non-finite total load %g", p.TotalLoad)
+	}
 	if p.TotalLoad <= 0 {
 		return fmt.Errorf("dls: non-positive total load %g", p.TotalLoad)
 	}
 	if len(p.Workers) == 0 {
 		return fmt.Errorf("dls: no workers")
+	}
+	if math.IsNaN(p.MinChunk) || math.IsInf(p.MinChunk, 0) {
+		return fmt.Errorf("dls: non-finite min chunk %g", p.MinChunk)
 	}
 	if p.MinChunk < 0 {
 		return fmt.Errorf("dls: negative min chunk %g", p.MinChunk)

@@ -186,22 +186,29 @@ var umrFamily = map[string]bool{"umr": true, "rumr": true, "fixed-rumr": true, "
 // estimateBytes writes them, each brought into the range randomPlan and
 // hostilePlan span between them: loads of 1 to 1e6 units, unit costs of
 // 1e-6 to 10 s (communication may be free), latencies of nothing or 1e-6
-// to 100 s, a granularity up to the load. Magnitudes beyond that (1e±100
-// passes Validate) lose the planners' arithmetic to cancellation and are
-// not part of the contract.
+// to 100 s, a granularity up to the load. A NaN anywhere is left in, and
+// Validate must refuse it. Magnitudes beyond that range (1e±100 passes
+// Validate) lose the planners' arithmetic to cancellation and are not
+// part of the contract.
 func FuzzPlanConservesOrRefuses(f *testing.F) {
 	for seed := uint64(0); seed < 16; seed++ {
 		for _, p := range []Plan{randomPlan(seed), hostilePlan(seed)} {
 			f.Add(p.TotalLoad, p.MinChunk, estimateBytes(p.Workers))
 		}
 	}
+	nanEstimate := randomPlan(0)
+	nanEstimate.Workers[0].CompLatency = math.NaN()
+	f.Add(math.NaN(), 0.0, estimateBytes(randomPlan(0).Workers))
+	f.Add(1000.0, math.NaN(), estimateBytes(randomPlan(0).Workers))
+	f.Add(1000.0, 0.0, estimateBytes(nanEstimate.Workers))
 	f.Fuzz(func(t *testing.T, total, minChunk float64, raw []byte) {
 		// within brings v into [lo, hi]; with zero allowed, anything
-		// below lo is 0.
+		// below lo is 0. A NaN stays one, for Validate to refuse.
+		sawNaN := false
 		within := func(v, lo, hi float64, zero bool) float64 {
 			switch {
 			case math.IsNaN(v):
-				t.Skip()
+				sawNaN = true
 			case v > hi:
 				return hi
 			case v < lo && zero:
@@ -220,6 +227,12 @@ func FuzzPlanConservesOrRefuses(f *testing.F) {
 			e.CommLatency = within(e.CommLatency, 1e-6, 100, true)
 			e.UnitComp = within(e.UnitComp, 1e-6, 10, false)
 			e.CompLatency = within(e.CompLatency, 1e-6, 100, true)
+		}
+		if sawNaN {
+			if p.Validate() == nil {
+				t.Fatalf("Validate admitted a NaN: %+v", p)
+			}
+			return
 		}
 		if len(p.Workers) == 0 {
 			t.Skip()
@@ -248,4 +261,35 @@ func FuzzPlanConservesOrRefuses(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestValidateRefusesNonFinite: NaN <= 0 and NaN < 0 are both false, so
+// a sign check alone admits NaN, and +Inf is positive. A probed estimate
+// can be either.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, spoil := range map[string]func(*Plan){
+			"TotalLoad":   func(p *Plan) { p.TotalLoad = bad },
+			"MinChunk":    func(p *Plan) { p.MinChunk = bad },
+			"UnitComm":    func(p *Plan) { p.Workers[1].UnitComm = bad },
+			"CommLatency": func(p *Plan) { p.Workers[1].CommLatency = bad },
+			"UnitComp":    func(p *Plan) { p.Workers[1].UnitComp = bad },
+			"CompLatency": func(p *Plan) { p.Workers[1].CompLatency = bad },
+		} {
+			p := randomPlan(3)
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			spoil(&p)
+			if err := p.Validate(); err == nil {
+				t.Errorf("Validate admitted %s = %g", name, bad)
+			}
+			for _, alg := range Names() {
+				a, _ := New(alg)
+				if err := a.Plan(p); err == nil {
+					t.Errorf("%s planned with %s = %g", alg, name, bad)
+				}
+			}
+		}
+	}
 }

@@ -5,7 +5,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,7 +15,6 @@ import (
 	"apstdv/internal/grid"
 	"apstdv/internal/model"
 	"apstdv/internal/obs"
-	"apstdv/internal/parallel"
 	"apstdv/internal/stats"
 	"apstdv/internal/trace"
 )
@@ -88,44 +86,6 @@ type Result struct {
 	Cells []Cell
 }
 
-// runScratch is one pool slot's reusable simulation state: the grid
-// backend and engine arena are built on the slot's first run and reset
-// in place for every later one, so a long experiment allocates heavy
-// state once per pool slot instead of once per run. Reuse is invisible
-// in the results — Reset re-derives every backend stream and queue from
-// (app, config) exactly as construction would, and the engine arena
-// fences all cross-run state by epoch.
-type runScratch struct {
-	backend *grid.Backend
-	arena   *engine.Arena
-}
-
-// gridBackend returns the slot's backend, constructing it on first use
-// (fixing the platform) and resetting it in place afterwards.
-func (sc *runScratch) gridBackend(p *model.Platform, app *model.Application, cfg grid.Config) (*grid.Backend, error) {
-	if sc.backend == nil {
-		b, err := grid.New(p, app, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sc.backend = b
-		return b, nil
-	}
-	if err := sc.backend.Reset(app, cfg); err != nil {
-		return nil, err
-	}
-	return sc.backend, nil
-}
-
-// engineArena returns the slot's engine workspace, creating it on first
-// use.
-func (sc *runScratch) engineArena() *engine.Arena {
-	if sc.arena == nil {
-		sc.arena = engine.NewArena()
-	}
-	return sc.arena
-}
-
 // runResult is one simulation's outputs, collected into a slot of a
 // preallocated slice so parallel execution aggregates identically to
 // sequential.
@@ -138,9 +98,9 @@ type runResult struct {
 }
 
 // Run executes the experiment: every (γ, algorithm, run) triple is an
-// independently seeded simulation, fanned across a bounded worker pool
-// (Parallelism wide) and aggregated in deterministic (γ, algorithm,
-// run) order, so the result is identical at every pool width.
+// independently seeded simulation, described to RunAll (Parallelism
+// wide) and aggregated in deterministic (γ, algorithm, run) order, so
+// the result is identical at every pool width.
 func (s *Spec) Run() (*Result, error) {
 	if s.Runs <= 0 {
 		s.Runs = 10
@@ -152,23 +112,61 @@ func (s *Spec) Run() (*Result, error) {
 		return res, nil
 	}
 
-	// Fan out over the flat (γ, algorithm, run) index space, one
-	// reusable scratch (backend + engine arena) per pool slot.
+	// The flat index space is (γ, algorithm, run), run fastest.
 	runs := make([]runResult, len(s.Gammas)*nAlg*s.Runs)
-	scratch := make([]runScratch, parallel.Width(len(runs), s.Parallelism))
-	err := parallel.ForEachSlot(len(runs), s.Parallelism, func(slot, idx int) error {
-		gi := idx / (nAlg * s.Runs)
-		ai := idx % (nAlg * s.Runs) / s.Runs
-		run := idx % s.Runs
-		return s.runOnce(s.Gammas[gi], ai, run, &runs[idx], &scratch[slot])
+	err := RunAll(len(runs), s.Parallelism, func(idx int, r *Run) {
+		// Fresh algorithm and application values: a run shares nothing
+		// mutable with its neighbours; the platform is read-only.
+		r.Algorithm = s.Algorithms()[idx%(nAlg*s.Runs)/s.Runs]
+		r.App = s.App(s.Gammas[idx/(nAlg*s.Runs)])
+		r.Platform = s.Platform
+		seed := s.Seed + uint64(idx%s.Runs)*1000003
+		r.Grid = grid.Config{Seed: seed}
+		if s.GridConfig != nil {
+			r.Grid = s.GridConfig(seed)
+		}
+		r.Engine = engine.Config{ProbeLoad: s.ProbeLoad}
+		if s.EngineConfig != nil {
+			r.Engine = s.EngineConfig()
+			if r.Engine.ProbeLoad == 0 {
+				r.Engine.ProbeLoad = s.ProbeLoad
+			}
+		}
+		if s.EventsDir != "" {
+			r.Engine.Events = obs.NewBuffer()
+		}
+	}, func(idx int, r *Run, tr *trace.Trace, err error) error {
+		gamma, run := s.Gammas[idx/(nAlg*s.Runs)], idx%s.Runs
+		if err != nil {
+			return fmt.Errorf("%s γ=%g run %d: %w", r.Algorithm.Name(), gamma, run, err)
+		}
+		out := &runs[idx]
+		out.makespan = tr.Makespan()
+		out.measuredGamma = MeasureGamma(tr, s.Platform)
+		if rumr, ok := r.Algorithm.(*dls.RUMR); ok && rumr.Switched() {
+			out.rumrSwitched = true
+		}
+		rep := tr.BuildReport(len(s.Platform.Workers))
+		if rep.Makespan > 0 {
+			out.uplinkUtil = rep.CommTime / rep.Makespan
+			util := stats.RunningStats{}
+			for _, u := range rep.WorkerUtil {
+				util.Add(u)
+			}
+			out.idleFraction = 1 - util.Mean()
+		}
+		if s.EventsDir != "" {
+			return s.writeEvents(gamma, r.Algorithm.Name(), run, r.Engine.Events.(*obs.Buffer).Events())
+		}
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", s.ID, err)
 	}
 
 	// Aggregate sequentially in the original loop order.
+	res.Cells = make([]Cell, 0, len(s.Gammas)*nAlg)
 	for gi, gamma := range s.Gammas {
-		cells := make([]Cell, 0, nAlg)
 		for ai := range proto {
 			cell := Cell{
 				Algorithm: proto[ai].Name(),
@@ -192,9 +190,10 @@ func (s *Spec) Run() (*Result, error) {
 			cell.MeasuredGamma = gammaStats.Mean()
 			cell.UplinkUtil = uplinkStats.Mean()
 			cell.IdleFraction = idleStats.Mean()
-			cells = append(cells, cell)
+			res.Cells = append(res.Cells, cell)
 		}
 		// Slowdowns are relative to the best mean at this γ.
+		cells := res.Cells[gi*nAlg:]
 		best := cells[0].Summary.Mean
 		for _, c := range cells {
 			if c.Summary.Mean < best {
@@ -204,66 +203,8 @@ func (s *Spec) Run() (*Result, error) {
 		for i := range cells {
 			cells[i].SlowdownPct = stats.SlowdownPct(cells[i].Summary.Mean, best)
 		}
-		res.Cells = append(res.Cells, cells...)
 	}
 	return res, nil
-}
-
-// runOnce executes one independently seeded simulation and writes its
-// outputs into out. It shares nothing mutable with concurrent runs: the
-// algorithm, application, and backend are constructed fresh, and the
-// platform is read-only during execution.
-func (s *Spec) runOnce(gamma float64, ai, run int, out *runResult, sc *runScratch) error {
-	alg := s.Algorithms()[ai]
-	app := s.App(gamma)
-	seed := s.Seed + uint64(run)*1000003
-	gcfg := grid.Config{Seed: seed}
-	if s.GridConfig != nil {
-		gcfg = s.GridConfig(seed)
-	}
-	backend, err := sc.gridBackend(s.Platform, app, gcfg)
-	if err != nil {
-		return fmt.Errorf("%s: %w", s.ID, err)
-	}
-	ecfg := engine.Config{ProbeLoad: s.ProbeLoad}
-	if s.EngineConfig != nil {
-		ecfg = s.EngineConfig()
-		if ecfg.ProbeLoad == 0 {
-			ecfg.ProbeLoad = s.ProbeLoad
-		}
-	}
-	var buf *obs.Buffer
-	if s.EventsDir != "" {
-		buf = obs.NewBuffer()
-		ecfg.Events = buf
-	}
-	tr, err := engine.Execute(context.Background(), engine.Request{
-		Backend: backend, Algorithm: alg, App: app, Platform: s.Platform, Config: ecfg,
-		Arena: sc.engineArena(),
-	})
-	if err != nil {
-		return fmt.Errorf("%s: %s γ=%g run %d: %w", s.ID, alg.Name(), gamma, run, err)
-	}
-	out.makespan = tr.Makespan()
-	out.measuredGamma = MeasureGamma(tr, s.Platform)
-	if r, ok := alg.(*dls.RUMR); ok && r.Switched() {
-		out.rumrSwitched = true
-	}
-	rep := tr.BuildReport(len(s.Platform.Workers))
-	if rep.Makespan > 0 {
-		out.uplinkUtil = rep.CommTime / rep.Makespan
-		util := stats.RunningStats{}
-		for _, u := range rep.WorkerUtil {
-			util.Add(u)
-		}
-		out.idleFraction = 1 - util.Mean()
-	}
-	if buf != nil {
-		if err := s.writeEvents(gamma, alg.Name(), run, buf.Events()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // writeEvents dumps one run's event stream into EventsDir. The file is
@@ -273,7 +214,7 @@ func (s *Spec) writeEvents(gamma float64, alg string, run int, events []obs.Even
 	name := fmt.Sprintf("%s-g%g-%s-run%d.jsonl", s.ID, gamma, alg, run)
 	f, err := os.Create(filepath.Join(s.EventsDir, name))
 	if err != nil {
-		return fmt.Errorf("%s: events dump: %w", s.ID, err)
+		return fmt.Errorf("events dump: %w", err)
 	}
 	for i := range events {
 		events[i].Alg = alg
@@ -281,7 +222,7 @@ func (s *Spec) writeEvents(gamma float64, alg string, run int, events []obs.Even
 	}
 	if err := obs.WriteJSONL(f, events); err != nil {
 		f.Close()
-		return fmt.Errorf("%s: events dump %s: %w", s.ID, name, err)
+		return fmt.Errorf("events dump %s: %w", name, err)
 	}
 	return f.Close()
 }

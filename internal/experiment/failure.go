@@ -1,16 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
-	"apstdv/internal/grid"
 	"apstdv/internal/model"
-	"apstdv/internal/obs"
-	"apstdv/internal/parallel"
 	"apstdv/internal/stats"
 	"apstdv/internal/workload"
 )
@@ -22,11 +18,8 @@ import (
 // increasing crash probabilities and reports the makespan penalty paid
 // for surviving.
 //
-// The sweep runs in two passes. A crash-free baseline per algorithm
-// first establishes the mean makespan; crashes are then injected
-// uniformly inside [15%, 60%] of that baseline — late enough that load
-// is in flight, early enough that the survivors still have real work to
-// redistribute.
+// Crashes are timed against each algorithm's own crash-free baseline
+// (see crashGrid).
 type FailureSweep struct {
 	Platform   *model.Platform
 	App        func(gamma float64) *model.Application
@@ -72,132 +65,56 @@ type FailureCell struct {
 	Failed int
 }
 
-// failureRun is one simulation's outcome.
-type failureRun struct {
-	makespan    float64
-	workersLost float64
-	retries     float64
-	timeouts    float64
-	failed      bool
-}
-
-// Run executes the sweep: pass one measures crash-free baselines for
-// every algorithm, pass two injects crashes timed against them. Both
-// passes fan their independent runs across the worker pool and
-// aggregate in deterministic order.
+// Run executes the sweep as a crashGrid: the algorithms are the groups,
+// so each algorithm's crashes are timed against its own crash-free
+// baseline, and the cells are (crash probability, algorithm).
 func (fs *FailureSweep) Run() ([]FailureCell, error) {
 	if fs.Runs <= 0 {
 		fs.Runs = 3
 	}
 	proto := dls.PaperSet()
-	nAlg := len(proto)
-
-	// Pass 1: crash-free baselines. Both passes share per-slot scratch:
-	// the platform is fixed for the whole sweep.
-	base := make([]failureRun, nAlg*fs.Runs)
-	nGrid := len(fs.CrashProbs) * nAlg * fs.Runs
-	scratch := make([]runScratch, parallel.Width(max(len(base), nGrid), fs.Parallelism))
-	err := parallel.ForEachSlot(len(base), fs.Parallelism, func(slot, idx int) error {
-		return fs.runOnce(idx/fs.Runs, idx%fs.Runs, nil, &base[idx], &scratch[slot])
-	})
-	if err != nil {
-		return nil, err
+	g := &crashGrid{
+		what:  "failure sweep",
+		probs: fs.CrashProbs,
+		runs:  fs.Runs, seed: fs.Seed, width: fs.Parallelism,
+		describe: func(ai, _ int, r *Run) {
+			r.Platform = fs.Platform
+			r.App = fs.App(fs.Gamma)
+			r.Algorithm = dls.PaperSet()[ai]
+			r.Engine.Retry = &engine.RetryPolicy{}
+		},
 	}
-	baseline := make([]float64, nAlg)
-	for ai := 0; ai < nAlg; ai++ {
-		spans := make([]float64, 0, fs.Runs)
-		for run := 0; run < fs.Runs; run++ {
-			if r := base[ai*fs.Runs+run]; !r.failed {
-				spans = append(spans, r.makespan)
-			}
-		}
-		if len(spans) == 0 {
-			return nil, fmt.Errorf("failure sweep: %s baseline produced no completed runs", proto[ai].Name())
-		}
-		baseline[ai] = stats.Mean(spans)
+	for _, a := range proto {
+		g.groups = append(g.groups, a.Name())
 	}
-
-	// Pass 2: the crash grid, timed against each algorithm's baseline.
-	runs := make([]failureRun, nGrid)
-	err = parallel.ForEachSlot(len(runs), fs.Parallelism, func(slot, idx int) error {
-		pi := idx / (nAlg * fs.Runs)
-		ai := idx % (nAlg * fs.Runs) / fs.Runs
-		run := idx % fs.Runs
-		var plan *grid.FaultPlan
-		if prob := fs.CrashProbs[pi]; prob > 0 {
-			faultSeed := fs.Seed + uint64(pi)*999983 + uint64(run)*7919
-			plan = grid.RandomCrashPlan(faultSeed, len(fs.Platform.Workers), prob,
-				0.15*baseline[ai], 0.60*baseline[ai])
-		}
-		return fs.runOnce(ai, run, plan, &runs[idx], &scratch[slot])
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var cells []FailureCell
-	for pi, prob := range fs.CrashProbs {
+	for pi := range fs.CrashProbs {
 		for ai := range proto {
-			cell := FailureCell{Algorithm: proto[ai].Name(), CrashProb: prob}
-			spans := make([]float64, 0, fs.Runs)
-			var lost, retries, timeouts stats.RunningStats
-			for run := 0; run < fs.Runs; run++ {
-				r := runs[(pi*nAlg+ai)*fs.Runs+run]
-				lost.Add(r.workersLost)
-				retries.Add(r.retries)
-				timeouts.Add(r.timeouts)
-				if r.failed {
-					cell.Failed++
-					continue
-				}
-				spans = append(spans, r.makespan)
-			}
-			if len(spans) > 0 {
-				cell.Summary = stats.Summarize(spans)
-				cell.DegradationPct = stats.SlowdownPct(cell.Summary.Mean, baseline[ai])
-			}
-			cell.MeanWorkersLost = lost.Mean()
-			cell.MeanRetries = retries.Mean()
-			cell.MeanTimeouts = timeouts.Mean()
-			cells = append(cells, cell)
+			g.cells = append(g.cells, crashCell{group: ai, prob: pi})
 		}
+	}
+	baseline, agg, err := g.run()
+	if err != nil {
+		return nil, err
+	}
+
+	cells := make([]FailureCell, len(agg))
+	for i, cs := range agg {
+		c := g.cells[i]
+		cell := FailureCell{
+			Algorithm:       g.groups[c.group],
+			CrashProb:       fs.CrashProbs[c.prob],
+			MeanWorkersLost: cs.lost,
+			MeanRetries:     cs.retries,
+			MeanTimeouts:    cs.timeouts,
+			Failed:          cs.failed,
+		}
+		if len(cs.spans) > 0 {
+			cell.Summary = stats.Summarize(cs.spans)
+			cell.DegradationPct = stats.SlowdownPct(cell.Summary.Mean, baseline[c.group])
+		}
+		cells[i] = cell
 	}
 	return cells, nil
-}
-
-// runOnce executes one independently seeded simulation with the retry
-// layer enabled and the given fault plan (nil = fault-free).
-func (fs *FailureSweep) runOnce(ai, run int, plan *grid.FaultPlan, out *failureRun, sc *runScratch) error {
-	alg := dls.PaperSet()[ai]
-	app := fs.App(fs.Gamma)
-	backend, err := sc.gridBackend(fs.Platform, app, grid.Config{
-		Seed:   fs.Seed + uint64(run)*1000003,
-		Faults: plan,
-	})
-	if err != nil {
-		return err
-	}
-	met := obs.NewRunMetrics(obs.NewRegistry())
-	tr, err := engine.Execute(context.Background(), engine.Request{
-		Backend: backend, Algorithm: alg, App: app, Platform: fs.Platform,
-		Config: engine.Config{
-			ProbeLoad: sectionFourProbeLoad,
-			Metrics:   met,
-			Retry:     &engine.RetryPolicy{},
-		},
-		Arena: sc.engineArena(),
-	})
-	out.workersLost = met.WorkersLost.Value()
-	out.retries = met.ChunkRetries.Value()
-	out.timeouts = met.ChunkTimeouts.Value()
-	if err != nil {
-		// A run that loses every worker (or a chunk past its attempt
-		// bound) is a data point, not a sweep abort.
-		out.failed = true
-		return nil
-	}
-	out.makespan = tr.Makespan()
-	return nil
 }
 
 // RenderFailures formats failure-sweep cells as a table.

@@ -18,6 +18,7 @@ import (
 	"apstdv/internal/engine"
 	"apstdv/internal/grid"
 	"apstdv/internal/model"
+	"apstdv/internal/trace"
 	"apstdv/internal/units"
 	"apstdv/internal/workload"
 )
@@ -125,6 +126,10 @@ func jain(xs []float64) float64 {
 func runMultiWorld(w *grid.MultiWorld, views []*grid.JobView, apps []*model.Application) ([]float64, error) {
 	errs := make([]error, len(views))
 	var wg sync.WaitGroup
+	// One timer for the batch: entering Run takes microseconds, and a job
+	// that has not after 30 s never will.
+	entered := time.NewTimer(30 * time.Second)
+	defer entered.Stop()
 	for i, v := range views {
 		wg.Add(1)
 		go func(i int, v *grid.JobView) {
@@ -136,7 +141,7 @@ func runMultiWorld(w *grid.MultiWorld, views []*grid.JobView, apps []*model.Appl
 		}(i, v)
 		select {
 		case <-v.Entered():
-		case <-time.After(30 * time.Second):
+		case <-entered.C:
 			w.Abort()
 			return nil, fmt.Errorf("experiment: multi-job %d never entered Run", i)
 		}
@@ -164,19 +169,19 @@ func (s *MultiJobSweep) Run() ([]MultiJobCell, error) {
 	// Solo baselines: each load alone on the full platform, the
 	// denominator every slowdown is measured against.
 	solo := make([]float64, len(s.Loads))
-	for i, load := range s.Loads {
-		app := multiJobApp(load)
-		b, err := grid.New(platform, app, grid.Config{Seed: 1})
-		if err != nil {
-			return nil, err
+	err := RunAll(len(solo), 1, func(i int, r *Run) {
+		r.Platform = platform
+		r.App = multiJobApp(s.Loads[i])
+		r.Algorithm = dls.NewRUMR()
+		r.Grid = grid.Config{Seed: 1}
+	}, func(i int, _ *Run, tr *trace.Trace, err error) error {
+		if err == nil {
+			solo[i] = tr.Makespan()
 		}
-		tr, err := engine.Execute(context.Background(), engine.Request{
-			Backend: b, Algorithm: dls.NewRUMR(), App: app, Platform: platform,
-		})
-		if err != nil {
-			return nil, err
-		}
-		solo[i] = tr.Makespan()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var cells []MultiJobCell

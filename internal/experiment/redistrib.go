@@ -1,16 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
-	"apstdv/internal/grid"
 	"apstdv/internal/model"
-	"apstdv/internal/obs"
-	"apstdv/internal/parallel"
 	"apstdv/internal/stats"
 	"apstdv/internal/workload"
 )
@@ -25,9 +21,8 @@ import (
 // routes bypass the uplink entirely. The peer-vs-restage makespan delta
 // is the sweep's headline number.
 //
-// Like FailureSweep, it runs in two passes: crash-free baselines per
-// topology first, then crashes injected uniformly inside [15%, 60%] of
-// that baseline. Fault plans and backend streams are seeded identically
+// Crashes are timed against each topology's crash-free baseline (see
+// crashGrid). Fault plans and backend streams are seeded identically
 // for both modes of a (topology, prob, run) cell, so the only
 // difference between a restage run and its peer twin is the retry path
 // itself.
@@ -94,25 +89,6 @@ type RedistributionCell struct {
 	VsRestagePct float64
 }
 
-// redistRun is one simulation's outcome.
-type redistRun struct {
-	makespan      float64
-	retries       float64
-	redistributed float64
-	failed        bool
-}
-
-// redistCounter counts peer redistributions off the engine's event
-// stream; emission is observational, so counting never perturbs the
-// schedule.
-type redistCounter struct{ n int }
-
-func (r *redistCounter) Emit(ev obs.Event) {
-	if ev.Type == obs.ChunkRedistributed {
-		r.n++
-	}
-}
-
 // cases builds the sweep's platform variants. The tree variant gets its
 // own Platform value (WithTreeTopology mutates in place) so the star
 // case stays nil-topology.
@@ -123,136 +99,63 @@ func (rs *RedistributionSweep) cases() []redistCase {
 	}
 }
 
-// Run executes the sweep. Each case keeps its own per-slot scratch
-// column: a slot's backend is pinned to the platform of its first run,
-// so the star and tree grids must never share one.
+// Run executes the sweep as a crashGrid: the topologies are the groups
+// (baselines run in restage mode; without faults the two modes are the
+// same engine) and the cells are (topology, crash probability, mode).
 func (rs *RedistributionSweep) Run() ([]RedistributionCell, error) {
 	if rs.Runs <= 0 {
 		rs.Runs = 3
 	}
 	cases := rs.cases()
-	nCase := len(cases)
-	nProb := len(rs.CrashProbs)
-	nMode := len(redistModes)
-
-	nBase := nCase * rs.Runs
-	nGrid := nCase * nMode * nProb * rs.Runs
-	width := parallel.Width(max(nBase, nGrid), rs.Parallelism)
-	scratch := make([][]runScratch, nCase)
-	for ci := range scratch {
-		scratch[ci] = make([]runScratch, width)
+	g := &crashGrid{
+		what:  "redistribution sweep",
+		probs: rs.CrashProbs,
+		runs:  rs.Runs, seed: rs.Seed, width: rs.Parallelism,
+		describe: func(ci, mi int, r *Run) {
+			r.Platform = cases[ci].platform
+			r.App = rs.App(rs.Gamma)
+			r.Algorithm = dls.NewRUMR()
+			r.Engine.Retry = &engine.RetryPolicy{Redistribute: redistModes[mi] == "peer"}
+		},
 	}
-
-	// Pass 1: crash-free baselines per topology (restage mode; without
-	// faults the two modes are the same engine).
-	base := make([]redistRun, nBase)
-	err := parallel.ForEachSlot(nBase, rs.Parallelism, func(slot, idx int) error {
-		ci := idx / rs.Runs
-		return rs.runOnce(&cases[ci], false, idx%rs.Runs, nil, &base[idx], &scratch[ci][slot])
-	})
-	if err != nil {
-		return nil, err
-	}
-	baseline := make([]float64, nCase)
-	for ci := range cases {
-		spans := make([]float64, 0, rs.Runs)
-		for run := 0; run < rs.Runs; run++ {
-			if r := base[ci*rs.Runs+run]; !r.failed {
-				spans = append(spans, r.makespan)
-			}
-		}
-		if len(spans) == 0 {
-			return nil, fmt.Errorf("redistribution sweep: %s baseline produced no completed runs", cases[ci].name)
-		}
-		baseline[ci] = stats.Mean(spans)
-	}
-
-	// Pass 2: the crash grid. The fault plan depends only on (topology,
-	// prob, run) — both modes of a cell replay identical crashes.
-	runs := make([]redistRun, nGrid)
-	err = parallel.ForEachSlot(nGrid, rs.Parallelism, func(slot, idx int) error {
-		ci := idx / (nMode * nProb * rs.Runs)
-		mi := idx / (nProb * rs.Runs) % nMode
-		pi := idx / rs.Runs % nProb
-		run := idx % rs.Runs
-		faultSeed := rs.Seed + uint64(pi)*999983 + uint64(run)*7919
-		plan := grid.RandomCrashPlan(faultSeed, len(cases[ci].platform.Workers),
-			rs.CrashProbs[pi], 0.15*baseline[ci], 0.60*baseline[ci])
-		return rs.runOnce(&cases[ci], redistModes[mi] == "peer", run, plan, &runs[idx], &scratch[ci][slot])
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var cells []RedistributionCell
 	for ci, tc := range cases {
-		for pi, prob := range rs.CrashProbs {
-			var restageMean float64
-			for mi, mode := range redistModes {
-				cell := RedistributionCell{Topology: tc.name, Mode: mode, CrashProb: prob}
-				spans := make([]float64, 0, rs.Runs)
-				var retries, redist stats.RunningStats
-				for run := 0; run < rs.Runs; run++ {
-					r := runs[((ci*nMode+mi)*nProb+pi)*rs.Runs+run]
-					retries.Add(r.retries)
-					redist.Add(r.redistributed)
-					if r.failed {
-						cell.Failed++
-						continue
-					}
-					spans = append(spans, r.makespan)
-				}
-				if len(spans) > 0 {
-					cell.MakespanS = stats.Mean(spans)
-					cell.DegradationPct = stats.SlowdownPct(cell.MakespanS, baseline[ci])
-				}
-				cell.MeanRetries = retries.Mean()
-				cell.MeanRedistributions = redist.Mean()
-				if mode == "restage" {
-					restageMean = cell.MakespanS
-				} else if restageMean > 0 && cell.MakespanS > 0 {
-					cell.VsRestagePct = stats.SlowdownPct(cell.MakespanS, restageMean)
-				}
-				cells = append(cells, cell)
+		g.groups = append(g.groups, tc.name)
+		for pi := range rs.CrashProbs {
+			for mi := range redistModes {
+				g.cells = append(g.cells, crashCell{group: ci, variant: mi, prob: pi})
 			}
 		}
+	}
+	baseline, agg, err := g.run()
+	if err != nil {
+		return nil, err
+	}
+
+	cells := make([]RedistributionCell, len(agg))
+	var restageMean float64
+	for i, cs := range agg {
+		c := g.cells[i]
+		cell := RedistributionCell{
+			Topology:            g.groups[c.group],
+			Mode:                redistModes[c.variant],
+			CrashProb:           rs.CrashProbs[c.prob],
+			MeanRetries:         cs.retries,
+			MeanRedistributions: cs.redistributed,
+			Failed:              cs.failed,
+		}
+		if len(cs.spans) > 0 {
+			cell.MakespanS = stats.Mean(cs.spans)
+			cell.DegradationPct = stats.SlowdownPct(cell.MakespanS, baseline[c.group])
+		}
+		// The restage row precedes its peer twin.
+		if cell.Mode == "restage" {
+			restageMean = cell.MakespanS
+		} else if restageMean > 0 && cell.MakespanS > 0 {
+			cell.VsRestagePct = stats.SlowdownPct(cell.MakespanS, restageMean)
+		}
+		cells[i] = cell
 	}
 	return cells, nil
-}
-
-// runOnce executes one independently seeded simulation with the retry
-// layer enabled, in peer or restage mode, under the given fault plan.
-func (rs *RedistributionSweep) runOnce(tc *redistCase, peer bool, run int, plan *grid.FaultPlan, out *redistRun, sc *runScratch) error {
-	app := rs.App(rs.Gamma)
-	backend, err := sc.gridBackend(tc.platform, app, grid.Config{
-		Seed:   rs.Seed + uint64(run)*1000003,
-		Faults: plan,
-	})
-	if err != nil {
-		return err
-	}
-	met := obs.NewRunMetrics(obs.NewRegistry())
-	counter := &redistCounter{}
-	tr, err := engine.Execute(context.Background(), engine.Request{
-		Backend: backend, Algorithm: dls.NewRUMR(), App: app, Platform: tc.platform,
-		Config: engine.Config{
-			ProbeLoad: sectionFourProbeLoad,
-			Metrics:   met,
-			Events:    counter,
-			Retry:     &engine.RetryPolicy{Redistribute: peer},
-		},
-		Arena: sc.engineArena(),
-	})
-	out.retries = met.ChunkRetries.Value()
-	out.redistributed = float64(counter.n)
-	if err != nil {
-		// A run that loses every worker (or a chunk past its attempt
-		// bound) is a data point, not a sweep abort.
-		out.failed = true
-		return nil
-	}
-	out.makespan = tr.Makespan()
-	return nil
 }
 
 // MeanPeerAdvantagePct averages the peer rows' vs-restage deltas —

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -9,8 +8,9 @@ import (
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
 	"apstdv/internal/grid"
-	"apstdv/internal/parallel"
+	"apstdv/internal/model"
 	"apstdv/internal/stats"
+	"apstdv/internal/trace"
 	"apstdv/internal/units"
 	"apstdv/internal/workload"
 )
@@ -26,9 +26,9 @@ type RobustnessSweep struct {
 	LoadScales []float64 // multiples of the default 240,000-unit load
 	Runs       int
 	Seed       uint64
-	// Parallelism bounds the worker pool fanning the (nodes, loadScale,
-	// γ) cells across cores; <= 0 means one worker per CPU. Each cell is
-	// independently seeded, so results are identical at every width.
+	// Parallelism bounds the worker pool fanning the runs across cores;
+	// <= 0 means one worker per CPU. Each run is independently seeded, so
+	// results are identical at every width.
 	Parallelism int
 }
 
@@ -82,88 +82,71 @@ func (c SweepCell) ConclusionsHold() bool {
 	return within("fixed-rumr", "wf", "rumr")
 }
 
-// Run executes the sweep, fanning the independent (nodes, loadScale, γ)
-// cells across the worker pool and collecting them in configuration
-// order, so parallel output matches the sequential nesting exactly.
+// Run executes the sweep: every (nodes, loadScale, γ, algorithm, run)
+// is an independently seeded run, and the cells are assembled from the
+// per-algorithm means in configuration order, so the output is the same
+// at every pool width.
 func (rs *RobustnessSweep) Run() ([]SweepCell, error) {
 	if rs.Runs <= 0 {
 		rs.Runs = 4
 	}
-	type config struct {
-		nodes int
-		scale float64
-		gamma float64
+	gammas := []float64{0, 0.10}
+	proto := dls.PaperSet()
+	// One platform value per subset size: runs of one size are adjacent
+	// in the index space, so a pool slot keeps its backend across them.
+	platforms := make([]*model.Platform, len(rs.NodeCounts))
+	for ni, nodes := range rs.NodeCounts {
+		platforms[ni] = workload.DAS2(nodes)
 	}
-	var configs []config
-	for _, nodes := range rs.NodeCounts {
-		for _, scale := range rs.LoadScales {
-			for _, gamma := range []float64{0, 0.10} {
-				configs = append(configs, config{nodes, scale, gamma})
-			}
-		}
+	// The flat index space is (nodes, loadScale, γ, algorithm, run).
+	perCell := len(proto) * rs.Runs
+	nCells := len(rs.NodeCounts) * len(rs.LoadScales) * len(gammas)
+	config := func(ci int) (ni int, scale, gamma float64) {
+		return ci / (len(rs.LoadScales) * len(gammas)),
+			rs.LoadScales[ci/len(gammas)%len(rs.LoadScales)], gammas[ci%len(gammas)]
 	}
-	cells := make([]SweepCell, len(configs))
-	err := parallel.ForEach(len(configs), rs.Parallelism, func(i int) error {
-		c := configs[i]
-		cell, err := rs.runCell(c.nodes, c.scale, c.gamma)
+	spans := make([]float64, nCells*perCell)
+	err := RunAll(len(spans), rs.Parallelism, func(idx int, r *Run) {
+		ni, scale, gamma := config(idx / perCell)
+		r.Platform = platforms[ni]
+		r.App = workload.Synthetic(gamma)
+		r.App.TotalLoad = units.Load(float64(r.App.TotalLoad) * scale)
+		r.Algorithm = dls.PaperSet()[idx%perCell/rs.Runs]
+		r.Grid = grid.Config{Seed: rs.Seed + uint64(idx%rs.Runs)*104729}
+		r.Engine = engine.Config{ProbeLoad: 200}
+	}, func(idx int, r *Run, tr *trace.Trace, err error) error {
 		if err != nil {
-			return err
+			ni, scale, gamma := config(idx / perCell)
+			return fmt.Errorf("sweep %d nodes ×%.1f γ=%g %s: %w", rs.NodeCounts[ni], scale, gamma, r.Algorithm.Name(), err)
 		}
-		cells[i] = cell
+		spans[idx] = tr.Makespan()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return cells, nil
-}
 
-func (rs *RobustnessSweep) runCell(nodes int, scale, gamma float64) (SweepCell, error) {
-	platform := workload.DAS2(nodes)
-	cell := SweepCell{
-		Nodes: nodes, LoadScale: scale, Gamma: gamma,
-		Makespans: map[string]float64{},
-	}
-	proto := dls.PaperSet()
-	// One scratch per cell: the platform is fixed within it, so every
-	// (algorithm, run) iteration reuses the same backend and arena.
-	sc := &runScratch{}
-	for ai := range proto {
-		name := proto[ai].Name()
-		spans := make([]float64, 0, rs.Runs)
-		for run := 0; run < rs.Runs; run++ {
-			app := workload.Synthetic(gamma)
-			app.TotalLoad = units.Load(float64(app.TotalLoad) * scale)
-			alg := dls.PaperSet()[ai]
-			backend, err := sc.gridBackend(platform, app, grid.Config{
-				Seed: rs.Seed + uint64(run)*104729,
-			})
-			if err != nil {
-				return cell, err
-			}
-			tr, err := engine.Execute(context.Background(), engine.Request{
-				Backend: backend, Algorithm: alg, App: app, Platform: platform,
-				Config: engine.Config{ProbeLoad: 200},
-				Arena:  sc.engineArena(),
-			})
-			if err != nil {
-				return cell, fmt.Errorf("sweep %d nodes ×%.1f γ=%g %s: %w", nodes, scale, gamma, name, err)
-			}
-			spans = append(spans, tr.Makespan())
+	cells := make([]SweepCell, nCells)
+	for ci := range cells {
+		ni, scale, gamma := config(ci)
+		cell := SweepCell{
+			Nodes: rs.NodeCounts[ni], LoadScale: scale, Gamma: gamma,
+			Makespans: map[string]float64{},
 		}
-		cell.Makespans[name] = stats.Mean(spans)
-	}
-	// Pick the best in paper-set order, not map order, so exact ties
-	// break deterministically.
-	best, bestVal := "", math.Inf(1)
-	for _, a := range proto {
-		if m := cell.Makespans[a.Name()]; m < bestVal {
-			best, bestVal = a.Name(), m
+		// Pick the best in paper-set order, not map order, so exact ties
+		// break deterministically.
+		bestVal := math.Inf(1)
+		for ai, a := range proto {
+			m := stats.Mean(spans[ci*perCell+ai*rs.Runs:][:rs.Runs])
+			cell.Makespans[a.Name()] = m
+			if m < bestVal {
+				cell.Best, bestVal = a.Name(), m
+			}
 		}
+		cell.Simple1Pct = stats.SlowdownPct(cell.Makespans["simple-1"], bestVal)
+		cells[ci] = cell
 	}
-	cell.Best = best
-	cell.Simple1Pct = stats.SlowdownPct(cell.Makespans["simple-1"], bestVal)
-	return cell, nil
+	return cells, nil
 }
 
 // RenderSweep formats sweep cells as a table.

@@ -19,6 +19,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"apstdv/internal/units"
@@ -328,8 +329,16 @@ type Estimate struct {
 	CompLatency float64 // seconds per computation launch (ĉLat_i)
 }
 
-// Validate checks that the estimate is usable for planning.
+// Validate checks that the estimate is usable for planning. A probed
+// estimate can be NaN or +Inf (a zero-length probe, an overflowed
+// ratio), and NaN compares false with everything, so the finiteness
+// check comes first.
 func (e Estimate) Validate() error {
+	for _, v := range [...]float64{e.UnitComm, e.CommLatency, e.UnitComp, e.CompLatency} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("estimate for worker %d: non-finite cost %g", e.Worker, v)
+		}
+	}
 	if e.UnitComp <= 0 {
 		return fmt.Errorf("estimate for worker %d: non-positive unit compute time %g", e.Worker, e.UnitComp)
 	}

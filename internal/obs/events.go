@@ -174,6 +174,25 @@ type Event struct {
 	Link string `json:"link,omitempty"`
 }
 
+// Fields returns a pointer to every field of ev, in declaration order:
+// the one ordered field list a codec of the whole struct is driven from.
+// Position i is presence bit i of the daemon's wire codec, so a new
+// field goes at the end of the struct and of this list. The pointers
+// are *int64, *int, *float64, *string, *EventType or *bool, and holding
+// them allocates nothing. TestEventFieldsListEveryField keeps the list
+// equal to the struct.
+func (ev *Event) Fields() [33]any {
+	return [33]any{
+		&ev.Seq, &ev.T, &ev.Type, &ev.Alg, &ev.Run, &ev.Class,
+		&ev.Worker, &ev.Chunk, &ev.Size, &ev.Bytes, &ev.Probe, &ev.Attempt,
+		&ev.SendStart, &ev.SendEnd, &ev.CompStart, &ev.CompEnd, &ev.OutputEnd,
+		&ev.CommLatency, &ev.CompLatency, &ev.TransferDur, &ev.ComputeDur, &ev.Dur,
+		&ev.Workers, &ev.TotalLoad, &ev.Chunks, &ev.Makespan, &ev.Err,
+		&ev.Gamma, &ev.Want, &ev.Remaining, &ev.Switched,
+		&ev.Src, &ev.Link,
+	}
+}
+
 // Sink receives the event stream. Emit may be called from any goroutine
 // holding the engine's lock; implementations must be cheap and must not
 // call back into the engine.

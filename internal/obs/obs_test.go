@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -189,5 +190,29 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("streaming and batch JSONL output differ")
+	}
+}
+
+// TestEventFieldsListEveryField holds Event.Fields to the struct: one
+// entry per field, each pointing at that field, in declaration order.
+func TestEventFieldsListEveryField(t *testing.T) {
+	var ev Event
+	fields := ev.Fields()
+	v := reflect.ValueOf(&ev).Elem()
+	if v.NumField() != len(fields) {
+		t.Fatalf("Event has %d fields, Fields lists %d — append the new field to both", v.NumField(), len(fields))
+	}
+	for i, f := range fields {
+		if got, want := reflect.ValueOf(f).Pointer(), v.Field(i).Addr().Pointer(); got != want {
+			t.Errorf("Fields()[%d] does not point at field %d (%s)", i, i, v.Type().Field(i).Name)
+		}
+		switch f.(type) {
+		case *int64, *int, *float64, *string, *EventType, *bool:
+		default:
+			t.Errorf("Fields()[%d] (%s) is a %T; teach the codecs that kind", i, v.Type().Field(i).Name, f)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = ev.Fields() }); allocs != 0 {
+		t.Errorf("Fields allocates %.0f times", allocs)
 	}
 }
