@@ -67,10 +67,16 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# lint runs go vet always, and staticcheck when a binary is available
-# (PATH or GOPATH/bin). It never downloads anything: offline
-# environments get vet-only linting instead of a network failure.
+# lint runs go vet, fails when gofmt would change any Go file of the
+# root module or of bench/ (it only reads bench/), and runs staticcheck
+# when a binary is available (PATH or GOPATH/bin). It never downloads
+# anything: offline environments get vet and gofmt instead of a network
+# failure.
 lint: vet
+	@unformatted=$$(find . -name '*.go' ! -path './.bench_build/*' -exec gofmt -l {} +); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists:"; echo "$$unformatted"; exit 1; \
+	fi
 	@sc=$$(command -v staticcheck || true); \
 	if [ -z "$$sc" ] && [ -x "$$($(GO) env GOPATH)/bin/staticcheck" ]; then \
 		sc="$$($(GO) env GOPATH)/bin/staticcheck"; \
@@ -79,7 +85,7 @@ lint: vet
 		echo "lint: running $$sc"; \
 		"$$sc" ./...; \
 	else \
-		echo "lint: staticcheck not installed; ran go vet only" ; \
+		echo "lint: staticcheck not installed; ran go vet and gofmt only" ; \
 		echo "lint: (install with: go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 

@@ -4,11 +4,7 @@ import (
 	"fmt"
 
 	"apstdv/internal/model"
-	"apstdv/internal/stats"
 )
-
-// modelEstimate shortens the copy in currentEstimates.
-type modelEstimate = model.Estimate
 
 // AdaptiveRUMR implements the paper's §6 future-work proposal: "an
 // adaptive version of RUMR that updates its view of the platform after
@@ -25,25 +21,17 @@ type modelEstimate = model.Estimate
 //     condition becomes satisfiable far earlier than in plain RUMR,
 //     repairing the late-switch pathology §4.2 uncovered.
 type AdaptiveRUMR struct {
-	// MinObservations gates the online γ estimate (as in RUMR).
-	MinObservations int
+	twoPhase
 
-	plan      Plan
-	player    sequencePlayer
-	boundary  map[int]int
-	switched  bool
-	factoring *WeightedFactoring
-
-	perWorker []stats.RunningStats
-	ratios    stats.RunningStats
+	// probeUnitComp holds the probe's per-unit compute estimates, which
+	// the refined ones in plan blend with observations.
+	probeUnitComp []float64
 	// dirty marks that new observations arrived since the last re-plan.
 	dirty bool
 }
 
 // NewAdaptiveRUMR returns the adaptive RUMR extension.
-func NewAdaptiveRUMR() *AdaptiveRUMR {
-	return &AdaptiveRUMR{MinObservations: 5}
-}
+func NewAdaptiveRUMR() *AdaptiveRUMR { return &AdaptiveRUMR{} }
 
 // Name implements Algorithm.
 func (a *AdaptiveRUMR) Name() string { return "adaptive-rumr" }
@@ -51,133 +39,62 @@ func (a *AdaptiveRUMR) Name() string { return "adaptive-rumr" }
 // UsesProbing implements Algorithm.
 func (a *AdaptiveRUMR) UsesProbing() bool { return true }
 
-// Plan implements Algorithm.
+// Plan implements Algorithm. Observe and Recalibrate refine the
+// estimates in place, so it plans with a copy: the caller's stay as
+// they were.
 func (a *AdaptiveRUMR) Plan(p Plan) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	a.plan = p
-	a.switched = false
-	a.factoring = nil
-	a.perWorker = make([]stats.RunningStats, len(p.Workers))
-	a.ratios = stats.RunningStats{}
-	a.dirty = false
+	p.Workers = append([]model.Estimate(nil), p.Workers...)
+	a.start(p)
+	a.probeUnitComp = make([]float64, len(p.Workers))
+	for w, e := range p.Workers {
+		a.probeUnitComp[w] = e.UnitComp
+	}
 	return a.replan(p.TotalLoad)
 }
 
-// currentEstimates blends the probe estimates with the observed per-unit
-// compute times.
-func (a *AdaptiveRUMR) currentEstimates() Plan {
-	p := a.plan
-	ests := append([]modelEstimate(nil), p.Workers...)
-	for w := range ests {
-		obs := &a.perWorker[w]
-		if obs.N() > 0 {
-			n := float64(obs.N())
-			ests[w].UnitComp = (p.Workers[w].UnitComp + n*obs.Mean()) / (1 + n)
-		}
-	}
-	p.Workers = ests
-	return p
-}
-
-// replan rebuilds the UMR schedule for the remaining load.
+// replan rebuilds the UMR rounds for the remaining load against the
+// refined estimates.
 func (a *AdaptiveRUMR) replan(load float64) error {
-	p := a.currentEstimates()
-	rounds, _, err := PlanUMRRounds(p, minf(load, p.TotalLoad))
-	if err != nil {
+	if err := a.playRounds(min(load, a.plan.TotalLoad)); err != nil {
 		return fmt.Errorf("adaptive-rumr: %w", err)
 	}
-	var seq []Decision
-	a.boundary = make(map[int]int)
-	idx := 0
-	for k, round := range rounds {
-		a.boundary[idx] = k
-		seq = append(seq, round...)
-		idx += len(round)
-	}
-	a.player = sequencePlayer{}
-	a.player.reset(seq)
 	a.dirty = false
 	return nil
 }
 
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// estimatedGamma returns the online γ estimate, or -1.
-func (a *AdaptiveRUMR) estimatedGamma() float64 {
-	if a.ratios.N() < a.MinObservations {
-		return -1
-	}
-	return a.ratios.CV()
-}
-
-// Switched reports whether the factoring phase has started.
-func (a *AdaptiveRUMR) Switched() bool { return a.switched }
-
-// Next implements Algorithm.
+// Next implements Algorithm: from the second round boundary on, it
+// evaluates the switch condition, with the factoring phase planned over
+// the load left from the refined estimates, and otherwise folds fresh
+// observations into a re-plan of the remaining rounds.
 func (a *AdaptiveRUMR) Next(st State) (Decision, bool) {
-	if a.switched {
-		return a.factoring.Next(st)
-	}
-	if _, atBoundary := a.boundary[a.player.pos]; atBoundary && a.player.pos > 0 {
-		// Switch check first, with the same condition as plain RUMR
-		// (switch once the undispatched load fits the desired factoring
-		// share of the total). The repair is not the condition but its
-		// reachability: every re-plan covers only the remaining load, so
-		// the boundaries recur at geometrically shrinking remainders —
-		// 57%, 32%, 19%, ... of the total instead of stopping at the
-		// first plan's last round — and the condition is eventually met.
-		if g := a.estimatedGamma(); g >= 0 {
-			want := Phase2Fraction(g) * a.plan.TotalLoad
-			if want > 0 && st.Remaining <= want && st.Remaining > 0 {
-				if err := a.switchToFactoring(st.Remaining); err == nil {
-					return a.factoring.Next(st)
-				}
-			}
-		}
-		// Otherwise, fold fresh observations into a re-plan of the
-		// remaining rounds.
-		if a.dirty && st.Remaining > 0 {
+	if !a.switched && a.player.pos > 0 && a.atBoundary() {
+		// The condition is plain RUMR's; the repair is its reachability:
+		// every re-plan covers only the remaining load, so the boundaries
+		// recur at geometrically shrinking remainders — 57%, 32%, 19%,
+		// ... of the total instead of stopping at the first plan's last
+		// round — and the condition is eventually met.
+		if !a.trySwitch(st) && a.dirty && st.Remaining > 0 {
 			if err := a.replan(st.Remaining); err != nil {
 				// Keep the existing plan on re-plan failure.
 				a.dirty = false
 			}
 		}
 	}
-	d, ok := a.player.next(st)
-	if !ok && st.Remaining > 0 {
-		if err := a.switchToFactoring(st.Remaining); err == nil {
-			return a.factoring.Next(st)
-		}
-	}
-	return d, ok
+	return a.twoPhase.Next(st)
 }
 
-func (a *AdaptiveRUMR) switchToFactoring(load float64) error {
-	wf := NewWeightedFactoring()
-	p := a.currentEstimates()
-	p.TotalLoad = load
-	if err := wf.Plan(p); err != nil {
-		return err
-	}
-	a.factoring = wf
-	a.switched = true
-	return nil
-}
-
-// Dispatched implements Algorithm.
-func (a *AdaptiveRUMR) Dispatched(worker int, requested, actual float64) {
-	if a.switched {
-		a.factoring.Dispatched(worker, requested, actual)
+// Observe implements Algorithm: an observation the γ estimate takes also
+// refines the worker's per-unit compute estimate.
+func (a *AdaptiveRUMR) Observe(o Observation) {
+	if !a.observe(o) {
 		return
 	}
-	a.player.advance(actual)
+	w := o.Worker
+	a.plan.Workers[w].UnitComp = blendSpeed(a.probeUnitComp[w], &a.gamma.perWorker[w])
+	a.dirty = true
 }
 
 // Recalibrate implements Recalibrator: fold refreshed start-up cost
@@ -194,25 +111,5 @@ func (a *AdaptiveRUMR) Recalibrate(worker int, commLatency, compLatency float64)
 	if compLatency >= 0 {
 		w.CompLatency = (w.CompLatency + compLatency) / 2
 	}
-	a.dirty = true
-}
-
-// Observe implements Algorithm.
-func (a *AdaptiveRUMR) Observe(o Observation) {
-	if a.switched {
-		a.factoring.Observe(o)
-	}
-	if o.Probe || o.Size <= 0 || o.Worker >= len(a.perWorker) {
-		return
-	}
-	perUnit := (o.ComputeTime() - a.plan.Workers[o.Worker].CompLatency) / o.Size
-	if perUnit <= 0 {
-		return
-	}
-	pw := &a.perWorker[o.Worker]
-	if pw.N() > 0 {
-		a.ratios.Add(perUnit / pw.Mean())
-	}
-	pw.Add(perUnit)
 	a.dirty = true
 }

@@ -1,6 +1,10 @@
 package dls
 
-import "testing"
+import (
+	"testing"
+
+	"apstdv/internal/model"
+)
 
 func TestAdaptiveRUMRCoversLoad(t *testing.T) {
 	a := NewAdaptiveRUMR()
@@ -97,12 +101,34 @@ func TestAdaptiveRUMRRePlansWithObservedSpeeds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Observe(Observation{Worker: 0, Size: 100, CompStart: 0, CompEnd: 0.7 + 100*0.804})
 	}
-	p := a.currentEstimates()
+	p := a.plan
 	if p.Workers[0].UnitComp < 0.7 {
 		t.Errorf("worker 0 estimate %.3f did not move toward observed 0.804", p.Workers[0].UnitComp)
 	}
 	if p.Workers[1].UnitComp != 0.402 {
 		t.Errorf("worker 1 estimate %.3f changed without observations", p.Workers[1].UnitComp)
+	}
+}
+
+// TestAdaptiveRUMRLeavesCallerEstimatesAlone: the engine plans over a
+// slice it also derives stage deadlines from, so folding recalibrations
+// and observations into the platform view must not write through to it.
+func TestAdaptiveRUMRLeavesCallerEstimatesAlone(t *testing.T) {
+	ests := das2Estimates(4)
+	before := append([]model.Estimate(nil), ests...)
+	a := NewAdaptiveRUMR()
+	if err := a.Plan(Plan{TotalLoad: 240000, MinChunk: 10, Workers: ests}); err != nil {
+		t.Fatal(err)
+	}
+	a.Recalibrate(1, 20, 5)
+	a.Observe(Observation{Worker: 2, Size: 100, CompStart: 0, CompEnd: 0.7 + 100*0.804})
+	for w := range ests {
+		if ests[w] != before[w] {
+			t.Errorf("worker %d: the caller's estimate became %+v, was %+v", w, ests[w], before[w])
+		}
+	}
+	if got := a.plan.Workers[1]; got.CommLatency == before[1].CommLatency || got.CompLatency == before[1].CompLatency {
+		t.Errorf("recalibration did not reach adaptive RUMR's own view: %+v", got)
 	}
 }
 

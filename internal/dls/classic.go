@@ -26,16 +26,11 @@ import (
 // — so large that one slow worker holding it ruins the schedule, the
 // weakness factoring fixed.
 type GSS struct {
-	// MaxBuffered bounds per-worker outstanding chunks (default 2).
-	MaxBuffered int
-
-	minChunk float64
-	workers  int
-	ests     []workerSpeed
+	demandPool
 }
 
 // NewGSS returns a GSS policy.
-func NewGSS() *GSS { return &GSS{MaxBuffered: 2} }
+func NewGSS() *GSS { return &GSS{} }
 
 // Name implements Algorithm.
 func (g *GSS) Name() string { return "gss" }
@@ -44,33 +39,16 @@ func (g *GSS) Name() string { return "gss" }
 // starvation ordering, but probing keeps the comparison fair.
 func (g *GSS) UsesProbing() bool { return true }
 
-// Plan implements Algorithm.
-func (g *GSS) Plan(p Plan) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if g.MaxBuffered < 1 {
-		return fmt.Errorf("gss: MaxBuffered must be >= 1, got %d", g.MaxBuffered)
-	}
-	g.workers = len(p.Workers)
-	g.minChunk = minFactoringChunk(p)
-	g.ests = make([]workerSpeed, len(p.Workers))
-	for i, e := range p.Workers {
-		g.ests[i] = workerSpeed{probeUnitComp: e.UnitComp, unitComp: e.UnitComp, compLatency: e.CompLatency}
-	}
-	return nil
-}
-
 // Next implements Algorithm.
 func (g *GSS) Next(st State) (Decision, bool) {
 	if st.Remaining <= 0 {
 		return Decision{}, false
 	}
-	w, ok := pickStarving(g.ests, st, g.MaxBuffered)
+	w, ok := g.pick(st)
 	if !ok {
 		return Decision{}, false
 	}
-	size := st.Remaining / float64(g.workers)
+	size := st.Remaining / float64(len(g.ests))
 	if size < g.minChunk {
 		size = g.minChunk
 	}
@@ -80,57 +58,18 @@ func (g *GSS) Next(st State) (Decision, bool) {
 	return Decision{Worker: w, Size: size}, true
 }
 
-// Dispatched implements Algorithm.
-func (g *GSS) Dispatched(worker int, requested, actual float64) {}
-
-// Observe implements Algorithm: classical GSS does not adapt.
-func (g *GSS) Observe(Observation) {}
-
-// WorkerLost implements WorkerLossAware.
-func (g *GSS) WorkerLost(worker int, returnedLoad float64) {
-	if worker >= 0 && worker < len(g.ests) {
-		g.ests[worker].lost = true
-	}
-}
-
-// pickStarving returns the eligible worker (fewer than maxBuffered
-// outstanding chunks) whose buffered work drains soonest.
-func pickStarving(ests []workerSpeed, st State, maxBuffered int) (int, bool) {
-	best, bestDrain := -1, math.Inf(1)
-	for w := range ests {
-		if ests[w].lost {
-			continue
-		}
-		if len(st.PendingChunks) > w && st.PendingChunks[w] >= maxBuffered {
-			continue
-		}
-		drain := st.Pending[w] * ests[w].unitComp
-		if drain < bestDrain {
-			best, bestDrain = w, drain
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
 // PlainFactoring is Factoring [22] without weights or adaptation: each
 // round's batch is half the remaining load divided into N *equal*
 // chunks. On heterogeneous platforms the equal chunks mis-serve slow
 // workers — which is exactly why [23] added weights.
 type PlainFactoring struct {
-	MaxBuffered int
-
-	minChunk   float64
-	workers    int
-	ests       []workerSpeed
-	batchTotal float64
-	batchLeft  float64
+	factoringBatch
 }
 
 // NewPlainFactoring returns an unweighted factoring policy.
-func NewPlainFactoring() *PlainFactoring { return &PlainFactoring{MaxBuffered: 2} }
+func NewPlainFactoring() *PlainFactoring {
+	return &PlainFactoring{factoringBatch{equal: true}}
+}
 
 // Name implements Algorithm. The name is "factoring-plain" (not
 // "factoring", which the registry reserves as an alias of the paper's
@@ -140,71 +79,6 @@ func (pf *PlainFactoring) Name() string { return "factoring-plain" }
 // UsesProbing implements Algorithm: plain factoring is oblivious to
 // speeds, so it skips the probing round entirely (like SIMPLE-n).
 func (pf *PlainFactoring) UsesProbing() bool { return false }
-
-// Plan implements Algorithm.
-func (pf *PlainFactoring) Plan(p Plan) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if pf.MaxBuffered < 1 {
-		return fmt.Errorf("factoring: MaxBuffered must be >= 1, got %d", pf.MaxBuffered)
-	}
-	pf.workers = len(p.Workers)
-	pf.minChunk = minFactoringChunk(p)
-	pf.ests = make([]workerSpeed, len(p.Workers))
-	for i, e := range p.Workers {
-		pf.ests[i] = workerSpeed{probeUnitComp: e.UnitComp, unitComp: e.UnitComp, compLatency: e.CompLatency}
-	}
-	pf.batchTotal, pf.batchLeft = 0, 0
-	return nil
-}
-
-// Next implements Algorithm.
-func (pf *PlainFactoring) Next(st State) (Decision, bool) {
-	if st.Remaining <= 0 {
-		return Decision{}, false
-	}
-	if pf.batchLeft <= pf.minChunk/2 {
-		pf.batchTotal = st.Remaining / 2
-		if st.Remaining <= float64(pf.workers)*pf.minChunk || pf.batchTotal < pf.minChunk {
-			pf.batchTotal = st.Remaining
-		}
-		pf.batchLeft = pf.batchTotal
-	}
-	w, ok := pickStarving(pf.ests, st, pf.MaxBuffered)
-	if !ok {
-		return Decision{}, false
-	}
-	size := pf.batchTotal / float64(pf.workers)
-	if size > pf.batchLeft {
-		size = pf.batchLeft
-	}
-	if size < pf.minChunk {
-		size = pf.minChunk
-	}
-	if size > st.Remaining {
-		size = st.Remaining
-	}
-	return Decision{Worker: w, Size: size}, true
-}
-
-// Dispatched implements Algorithm.
-func (pf *PlainFactoring) Dispatched(worker int, requested, actual float64) {
-	pf.batchLeft -= actual
-	if pf.batchLeft < 0 {
-		pf.batchLeft = 0
-	}
-}
-
-// Observe implements Algorithm: plain factoring does not adapt.
-func (pf *PlainFactoring) Observe(Observation) {}
-
-// WorkerLost implements WorkerLossAware.
-func (pf *PlainFactoring) WorkerLost(worker int, returnedLoad float64) {
-	if worker >= 0 && worker < len(pf.ests) {
-		pf.ests[worker].lost = true
-	}
-}
 
 // MultiInstallment implements the fixed-round multi-installment
 // algorithm of [8] under its own assumptions: purely *linear* costs (no
@@ -277,23 +151,6 @@ func (mi *MultiInstallment) Plan(p Plan) error {
 	return nil
 }
 
-// Next implements Algorithm.
-func (mi *MultiInstallment) Next(st State) (Decision, bool) { return mi.next(st) }
-
-// Dispatched implements Algorithm.
-func (mi *MultiInstallment) Dispatched(worker int, requested, actual float64) {
-	mi.advance(actual)
-}
-
-// Observe implements Algorithm.
-func (mi *MultiInstallment) Observe(Observation) {}
-
-// WorkerLost implements WorkerLossAware: unserved installments for the
-// lost worker are retargeted onto the survivors.
-func (mi *MultiInstallment) WorkerLost(worker int, returnedLoad float64) {
-	mi.workerLost(worker)
-}
-
 // TSS implements Trapezoid Self-Scheduling (Tzen & Ni, 1993), the other
 // classical decreasing-chunk policy in the GSS/Factoring lineage: chunk
 // sizes decrease *linearly* from first = W/(2N) down to the minimum
@@ -301,17 +158,15 @@ func (mi *MultiInstallment) WorkerLost(worker int, returnedLoad float64) {
 // chunks than GSS for the same final granularity, trading some
 // end-of-run balancing resolution for less dispatch overhead.
 type TSS struct {
-	// MaxBuffered bounds per-worker outstanding chunks (default 2).
-	MaxBuffered int
+	demandPool
 
-	ests []workerSpeed
 	next float64 // next chunk size
 	dec  float64 // per-chunk decrement
 	min  float64
 }
 
 // NewTSS returns a trapezoid self-scheduling policy.
-func NewTSS() *TSS { return &TSS{MaxBuffered: 2} }
+func NewTSS() *TSS { return &TSS{} }
 
 // Name implements Algorithm.
 func (ts *TSS) Name() string { return "tss" }
@@ -320,22 +175,14 @@ func (ts *TSS) Name() string { return "tss" }
 func (ts *TSS) UsesProbing() bool { return true }
 
 // Plan implements Algorithm: with first chunk f = W/(2N) and last chunk
-// l = max(minChunk, 1), the classic TSS parameters are C = ⌈2W/(f+l)⌉
+// l = the pool's floor, the classic TSS parameters are C = ⌈2W/(f+l)⌉
 // chunks and decrement d = (f−l)/(C−1).
 func (ts *TSS) Plan(p Plan) error {
-	if err := p.Validate(); err != nil {
+	if err := ts.demandPool.Plan(p); err != nil {
 		return err
 	}
-	if ts.MaxBuffered < 1 {
-		return fmt.Errorf("tss: MaxBuffered must be >= 1, got %d", ts.MaxBuffered)
-	}
-	n := float64(len(p.Workers))
-	ts.ests = make([]workerSpeed, len(p.Workers))
-	for i, e := range p.Workers {
-		ts.ests[i] = workerSpeed{probeUnitComp: e.UnitComp, unitComp: e.UnitComp, compLatency: e.CompLatency}
-	}
-	first := p.TotalLoad / (2 * n)
-	last := minFactoringChunk(p)
+	first := p.TotalLoad / (2 * float64(len(p.Workers)))
+	last := ts.minChunk
 	if last >= first {
 		// Degenerate geometry (tiny load or huge floor): single flat size.
 		ts.next = first
@@ -358,7 +205,7 @@ func (ts *TSS) Next(st State) (Decision, bool) {
 	if st.Remaining <= 0 {
 		return Decision{}, false
 	}
-	w, ok := pickStarving(ts.ests, st, ts.MaxBuffered)
+	w, ok := ts.pick(st)
 	if !ok {
 		return Decision{}, false
 	}
@@ -377,15 +224,5 @@ func (ts *TSS) Dispatched(worker int, requested, actual float64) {
 	ts.next -= ts.dec
 	if ts.next < ts.min {
 		ts.next = ts.min
-	}
-}
-
-// Observe implements Algorithm: classical TSS does not adapt.
-func (ts *TSS) Observe(Observation) {}
-
-// WorkerLost implements WorkerLossAware.
-func (ts *TSS) WorkerLost(worker int, returnedLoad float64) {
-	if worker >= 0 && worker < len(ts.ests) {
-		ts.ests[worker].lost = true
 	}
 }

@@ -204,20 +204,21 @@ func sumSizes(seq []Decision) float64 {
 	return total
 }
 
-// sequencePlayer is the shared Next/Dispatched implementation for
-// algorithms that precompute a dispatch sequence (SIMPLE-n, UMR,
-// one-round, the first phase of RUMR variants). It serves decisions in
-// order; the final decision absorbs cut-point alignment drift — the
-// difference between the planned total and what was actually dispatched
-// after the divider rounded each chunk — so a remnant can neither strand
-// the load nor leak into a later phase's share.
+// sequencePlayer is everything but Plan of an algorithm that
+// precomputes its dispatch sequence (SIMPLE-n, UMR, one-round, mi-M, and
+// the UMR phase of the RUMR variants): it serves decisions in order, does
+// not adapt, and retargets a lost worker's unserved decisions. The final
+// decision absorbs cut-point alignment drift — the difference between
+// the planned total and what was actually dispatched after the divider
+// rounded each chunk — so a remnant can neither strand the load nor leak
+// into a later phase's share.
 type sequencePlayer struct {
 	seq        []Decision
 	pos        int
 	planned    float64
 	dispatched float64
 	// dead marks workers removed from service; unserved decisions are
-	// retargeted away from them (see workerLost).
+	// retargeted away from them (see WorkerLost).
 	dead map[int]bool
 }
 
@@ -236,13 +237,23 @@ func (s *sequencePlayer) reset(seq []Decision) {
 	s.dead = nil
 }
 
-// workerLost retargets every unserved decision aimed at the lost worker
-// onto the surviving workers, rotating through them in index order so
-// the orphaned share spreads instead of piling onto one survivor. The
-// candidate set is every worker the plan ever targeted minus the dead;
-// if none survive the sequence is left alone and the engine's own
-// redirection (or its no-workers failure) takes over.
-func (s *sequencePlayer) workerLost(lost int) {
+// flatten concatenates planned rounds into one dispatch sequence.
+func flatten(rounds [][]Decision) []Decision {
+	seq := make([]Decision, 0, len(rounds)*len(rounds[0]))
+	for _, r := range rounds {
+		seq = append(seq, r...)
+	}
+	return seq
+}
+
+// WorkerLost implements WorkerLossAware: it retargets every unserved
+// decision aimed at the lost worker onto the surviving workers, rotating
+// through them in index order so the orphaned share spreads instead of
+// piling onto one survivor. The candidate set is every worker the plan
+// ever targeted minus the dead; if none survive the sequence is left
+// alone and the engine's own redirection (or its no-workers failure)
+// takes over.
+func (s *sequencePlayer) WorkerLost(lost int, returnedLoad float64) {
 	if s.dead == nil {
 		s.dead = make(map[int]bool)
 	}
@@ -268,7 +279,8 @@ func (s *sequencePlayer) workerLost(lost int) {
 	}
 }
 
-func (s *sequencePlayer) next(st State) (Decision, bool) {
+// Next implements Algorithm.
+func (s *sequencePlayer) Next(st State) (Decision, bool) {
 	for s.pos < len(s.seq) {
 		d := s.seq[s.pos]
 		if s.pos == len(s.seq)-1 {
@@ -296,15 +308,13 @@ func (s *sequencePlayer) next(st State) (Decision, bool) {
 	return Decision{}, false
 }
 
-// advance records the actually dispatched size of the decision just
-// served and moves on.
-func (s *sequencePlayer) advance(actual float64) {
+// Dispatched implements Algorithm: it records the actually dispatched
+// size of the decision just served and moves on.
+func (s *sequencePlayer) Dispatched(worker int, requested, actual float64) {
 	s.dispatched += actual
 	s.pos++
 }
 
-// remainingPlanned returns the load in the not-yet-served tail of the
-// sequence.
-func (s *sequencePlayer) remainingPlanned() float64 {
-	return sumSizes(s.seq[s.pos:])
-}
+// Observe implements Algorithm: a precomputed sequence does not adapt
+// (§3.6: "SIMPLE-n and UMR do not perform such adaptation").
+func (s *sequencePlayer) Observe(Observation) {}

@@ -1,96 +1,116 @@
 package dls
 
 import (
-	"fmt"
 	"math"
 
 	"apstdv/internal/stats"
 )
 
-// WeightedFactoring implements the Weighted Factoring algorithm [23]
-// (Hummel, Schmidt, Uma, Wein 1996) as deployed in APST-DV (§3.6):
-//
-//   - The load is dispatched in rounds; each round's batch is half the
-//     remaining load, so chunk sizes decrease by 2 between rounds, down
-//     to a minimal chunk size. Ending with small chunks is what makes
-//     factoring robust to uncertainty: a mispredicted small chunk causes
-//     a small imbalance.
-//   - "Weighted": the chunk a worker receives is proportional to the
-//     worker's estimated speed.
-//   - Chunks are sent out greedily: the master serves the worker that
-//     will run out of buffered work soonest, and only workers holding
-//     fewer than two outstanding chunks are eligible (one computing, one
-//     buffered — enough to overlap communication with computation
-//     without giving up the late binding that load-balances).
-//   - Adaptive: observed chunk execution times continuously refine the
-//     per-worker speed estimates (§3.6: "It also observes chunk execution
-//     times throughout application execution to refine its estimates of
-//     worker speeds").
-//
-// Factoring was not designed to maximize communication/computation
-// overlap: the first batch is half the load and its serialized transfers
-// stagger the workers' start times, which is exactly the ~10% loss the
-// paper measures against UMR on DAS-2 at γ=0.
-type WeightedFactoring struct {
-	// Adaptive controls online speed refinement (on in the paper; the
-	// ablation benchmark turns it off).
-	Adaptive bool
-	// MaxBuffered is the number of outstanding chunks a worker may hold
-	// before it stops being eligible for dispatch (default 2).
-	MaxBuffered int
+// maxBuffered is how many outstanding chunks a worker may hold before a
+// demand-driven policy stops serving it: one computing, one buffered —
+// enough to overlap communication with computation without giving up
+// the late binding that load-balances.
+const maxBuffered = 2
 
+// demandPool is the state the demand-driven self-scheduling policies
+// (weighted factoring, GSS, plain factoring, TSS) share: per-worker
+// speed estimates, the chunk-size floor, and the choice of whom to serve
+// next. Its Dispatched and Observe are those of a policy that neither
+// tracks dispatches nor adapts; the policies that do override them.
+type demandPool struct {
 	minChunk float64
 	ests     []workerSpeed
-	// batchTotal is the current round's total allocation (half the load
-	// remaining when the round was formed); batchLeft tracks how much of
-	// it is still to dispatch.
-	round      int
-	batchTotal float64
-	batchLeft  float64
 }
 
 type workerSpeed struct {
 	probeUnitComp float64 // the probing round's estimate, kept fixed
-	unitComp      float64 // current estimate, refined when Adaptive
+	unitComp      float64 // current estimate, refined when adaptive
 	compLatency   float64
 	observed      stats.RunningStats // observed per-unit compute times
 	lost          bool               // removed from service by the engine
 }
 
-// NewWeightedFactoring returns the paper's adaptive weighted factoring
-// policy.
-func NewWeightedFactoring() *WeightedFactoring {
-	return &WeightedFactoring{Adaptive: true, MaxBuffered: 2}
-}
-
-// Name implements Algorithm.
-func (wf *WeightedFactoring) Name() string {
-	if !wf.Adaptive {
-		return "wf-static"
-	}
-	return "wf"
-}
-
-// UsesProbing implements Algorithm.
-func (wf *WeightedFactoring) UsesProbing() bool { return true }
-
 // Plan implements Algorithm.
-func (wf *WeightedFactoring) Plan(p Plan) error {
+func (d *demandPool) Plan(p Plan) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if wf.MaxBuffered < 1 {
-		return fmt.Errorf("weighted factoring: MaxBuffered must be >= 1, got %d", wf.MaxBuffered)
-	}
-	wf.minChunk = minFactoringChunk(p)
-	wf.ests = make([]workerSpeed, len(p.Workers))
+	d.minChunk = minFactoringChunk(p)
+	d.ests = make([]workerSpeed, len(p.Workers))
 	for i, e := range p.Workers {
-		wf.ests[i] = workerSpeed{probeUnitComp: e.UnitComp, unitComp: e.UnitComp, compLatency: e.CompLatency}
+		d.ests[i] = workerSpeed{probeUnitComp: e.UnitComp, unitComp: e.UnitComp, compLatency: e.CompLatency}
 	}
-	wf.round = -1
-	wf.batchTotal = 0
-	wf.batchLeft = 0
 	return nil
+}
+
+// pick returns the eligible worker that will exhaust its buffered work
+// soonest — an approximation of "the next worker to request work" under
+// the serialized uplink. Workers already holding maxBuffered outstanding
+// chunks are ineligible; there is deliberately no one-chunk-per-round
+// constraint, so an early-finishing worker grabs extra chunks and the
+// pool self-balances (the self-scheduling behaviour factoring inherits
+// from GSS).
+func (d *demandPool) pick(st State) (int, bool) {
+	best, bestDrain := -1, math.Inf(1)
+	for w := range d.ests {
+		if d.ests[w].lost {
+			continue
+		}
+		if len(st.PendingChunks) > w && st.PendingChunks[w] >= maxBuffered {
+			continue
+		}
+		drain := st.Pending[w] * d.ests[w].unitComp
+		if drain < bestDrain {
+			best, bestDrain = w, drain
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	return best, true
+}
+
+// weight returns worker w's share of a batch: its speed relative to the
+// total speed of the surviving workers.
+func (d *demandPool) weight(w int) float64 {
+	if d.ests[w].lost {
+		return 0
+	}
+	total := 0.0
+	for i := range d.ests {
+		if d.ests[i].lost {
+			continue
+		}
+		total += 1 / d.ests[i].unitComp
+	}
+	if total == 0 {
+		return 0
+	}
+	return (1 / d.ests[w].unitComp) / total
+}
+
+// Dispatched implements Algorithm.
+func (d *demandPool) Dispatched(worker int, requested, actual float64) {}
+
+// Observe implements Algorithm.
+func (d *demandPool) Observe(Observation) {}
+
+// WorkerLost implements WorkerLossAware: the worker drops out of the
+// weight denominator and the eligibility scan, so subsequent chunks go
+// to the survivors only. The returned load is already back in
+// State.Remaining and folds into the next chunks naturally.
+func (d *demandPool) WorkerLost(worker int, returnedLoad float64) {
+	if worker >= 0 && worker < len(d.ests) {
+		d.ests[worker].lost = true
+	}
+}
+
+// blendSpeed is the refined per-unit compute estimate: the probe's
+// estimate counts as one pseudo-observation next to the observed ones,
+// so a single noisy chunk cannot swing it wildly.
+func blendSpeed(probe float64, observed *stats.RunningStats) float64 {
+	n := float64(observed.N())
+	return (probe + n*observed.Mean()) / (1 + n)
 }
 
 // minFactoringChunk returns the "minimal chunk size" factoring halves
@@ -134,53 +154,55 @@ func minFactoringChunk(p Plan) float64 {
 	return floor
 }
 
-// weight returns worker w's share of a batch: its speed relative to the
-// total speed of the surviving workers.
-func (wf *WeightedFactoring) weight(w int) float64 {
-	if wf.ests[w].lost {
-		return 0
-	}
-	total := 0.0
-	for i := range wf.ests {
-		if wf.ests[i].lost {
-			continue
-		}
-		total += 1 / wf.ests[i].unitComp
-	}
-	if total == 0 {
-		return 0
-	}
-	return (1 / wf.ests[w].unitComp) / total
+// factoringBatch is factoring's schedule over a demandPool: the load is
+// dispatched in batches of half the load remaining when the batch opens,
+// so chunk sizes halve between batches down to the pool's floor, where
+// the tail drains in minimum-size chunks. Weighted factoring splits a
+// batch in proportion to speed, plain factoring into N equal chunks.
+type factoringBatch struct {
+	demandPool
+	// equal splits every batch into N equal chunks (plain factoring).
+	equal bool
+	// total is the current batch (half the load remaining when it was
+	// opened); left is how much of it is still to dispatch.
+	total, left float64
+}
+
+// Plan implements Algorithm.
+func (b *factoringBatch) Plan(p Plan) error {
+	b.total, b.left = 0, 0
+	return b.demandPool.Plan(p)
 }
 
 // Next implements Algorithm.
-func (wf *WeightedFactoring) Next(st State) (Decision, bool) {
+func (b *factoringBatch) Next(st State) (Decision, bool) {
 	if st.Remaining <= 0 {
 		return Decision{}, false
 	}
-	// Open a new round when the current batch is exhausted. The batch is
-	// half the load remaining at the time the round is formed.
-	if wf.batchLeft <= wf.minChunk/2 {
-		wf.round++
-		wf.batchTotal = st.Remaining / 2
-		if st.Remaining <= float64(len(wf.ests))*wf.minChunk || wf.batchTotal < wf.minChunk {
+	if b.left <= b.minChunk/2 {
+		b.total = st.Remaining / 2
+		if st.Remaining <= float64(len(b.ests))*b.minChunk || b.total < b.minChunk {
 			// Terminal regime: stop halving, drain the tail in
 			// minimum-size chunks.
-			wf.batchTotal = st.Remaining
+			b.total = st.Remaining
 		}
-		wf.batchLeft = wf.batchTotal
+		b.left = b.total
 	}
-
-	w, ok := wf.pickWorker(st)
+	w, ok := b.pick(st)
 	if !ok {
 		return Decision{}, false
 	}
-	size := wf.weight(w) * wf.batchTotal
-	if size > wf.batchLeft {
-		size = wf.batchLeft
+	var size float64
+	if b.equal {
+		size = b.total / float64(len(b.ests))
+	} else {
+		size = b.weight(w) * b.total
 	}
-	if size < wf.minChunk {
-		size = wf.minChunk
+	if size > b.left {
+		size = b.left
+	}
+	if size < b.minChunk {
+		size = b.minChunk
 	}
 	if size > st.Remaining {
 		size = st.Remaining
@@ -188,50 +210,60 @@ func (wf *WeightedFactoring) Next(st State) (Decision, bool) {
 	return Decision{Worker: w, Size: size}, true
 }
 
-// pickWorker returns the eligible worker that will exhaust its buffered
-// work soonest — an approximation of "the next worker to request work"
-// under the serialized uplink. Workers already holding MaxBuffered
-// outstanding chunks are ineligible; there is deliberately no
-// one-chunk-per-round constraint, so an early-finishing worker grabs
-// extra chunks and the pool self-balances (the self-scheduling behaviour
-// factoring inherits from GSS).
-func (wf *WeightedFactoring) pickWorker(st State) (int, bool) {
-	best, bestDrain := -1, math.Inf(1)
-	for w := range wf.ests {
-		if wf.ests[w].lost {
-			continue
-		}
-		if len(st.PendingChunks) > w && st.PendingChunks[w] >= wf.MaxBuffered {
-			continue
-		}
-		drain := st.Pending[w] * wf.ests[w].unitComp
-		if drain < bestDrain {
-			best, bestDrain = w, drain
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
 // Dispatched implements Algorithm.
-func (wf *WeightedFactoring) Dispatched(worker int, requested, actual float64) {
-	wf.batchLeft -= actual
-	if wf.batchLeft < 0 {
-		wf.batchLeft = 0
+func (b *factoringBatch) Dispatched(worker int, requested, actual float64) {
+	b.left -= actual
+	if b.left < 0 {
+		b.left = 0
 	}
 }
 
-// WorkerLost implements WorkerLossAware: the worker drops out of the
-// weight denominator and the eligibility scan, so subsequent batches
-// split over the survivors only. The returned load is already back in
-// State.Remaining and will fold into the next batch naturally.
-func (wf *WeightedFactoring) WorkerLost(worker int, returnedLoad float64) {
-	if worker >= 0 && worker < len(wf.ests) {
-		wf.ests[worker].lost = true
-	}
+// WeightedFactoring implements the Weighted Factoring algorithm [23]
+// (Hummel, Schmidt, Uma, Wein 1996) as deployed in APST-DV (§3.6):
+//
+//   - The load is dispatched in rounds; each round's batch is half the
+//     remaining load, so chunk sizes decrease by 2 between rounds, down
+//     to a minimal chunk size. Ending with small chunks is what makes
+//     factoring robust to uncertainty: a mispredicted small chunk causes
+//     a small imbalance.
+//   - "Weighted": the chunk a worker receives is proportional to the
+//     worker's estimated speed.
+//   - Chunks are sent out greedily: the master serves the worker that
+//     will run out of buffered work soonest, and only workers holding
+//     fewer than two outstanding chunks are eligible.
+//   - Adaptive: observed chunk execution times continuously refine the
+//     per-worker speed estimates (§3.6: "It also observes chunk execution
+//     times throughout application execution to refine its estimates of
+//     worker speeds").
+//
+// Factoring was not designed to maximize communication/computation
+// overlap: the first batch is half the load and its serialized transfers
+// stagger the workers' start times, which is exactly the ~10% loss the
+// paper measures against UMR on DAS-2 at γ=0.
+type WeightedFactoring struct {
+	// Adaptive controls online speed refinement (on in the paper; the
+	// ablation benchmark turns it off).
+	Adaptive bool
+
+	factoringBatch
 }
+
+// NewWeightedFactoring returns the paper's adaptive weighted factoring
+// policy.
+func NewWeightedFactoring() *WeightedFactoring {
+	return &WeightedFactoring{Adaptive: true}
+}
+
+// Name implements Algorithm.
+func (wf *WeightedFactoring) Name() string {
+	if !wf.Adaptive {
+		return "wf-static"
+	}
+	return "wf"
+}
+
+// UsesProbing implements Algorithm.
+func (wf *WeightedFactoring) UsesProbing() bool { return true }
 
 // Observe implements Algorithm: refine the worker's per-unit compute time
 // estimate from the observed chunk execution time.
@@ -247,9 +279,5 @@ func (wf *WeightedFactoring) Observe(o Observation) {
 		return
 	}
 	ws.observed.Add(perUnit)
-	// Blend towards observations as they accumulate; the probe estimate
-	// acts as one pseudo-observation so a single noisy chunk cannot
-	// swing the weight wildly.
-	n := float64(ws.observed.N())
-	ws.unitComp = (ws.probeUnitComp + n*ws.observed.Mean()) / (1 + n)
+	ws.unitComp = blendSpeed(ws.probeUnitComp, &ws.observed)
 }

@@ -192,11 +192,3 @@ func TestWFTerminalDrainsEverything(t *testing.T) {
 		t.Errorf("dispatched %.3f of 13", f.totalDispatched())
 	}
 }
-
-func TestWFRejectsBadMaxBuffered(t *testing.T) {
-	wf := NewWeightedFactoring()
-	wf.MaxBuffered = 0
-	if err := wf.Plan(Plan{TotalLoad: 100, MinChunk: 1, Workers: das2Estimates(2)}); err == nil {
-		t.Error("MaxBuffered 0 accepted")
-	}
-}

@@ -2,6 +2,10 @@ package dls
 
 import "fmt"
 
+// phase1Fraction is the share of the load Fixed-RUMR schedules with UMR
+// (the paper's 80/20 split).
+const phase1Fraction = 0.8
+
 // FixedRUMR is the Fixed-RUMR variant of [38] the paper recommends to
 // APST-DV users (§4.3): instead of deciding at runtime when to switch
 // phases, it always schedules a fixed fraction of the load (80% in the
@@ -9,20 +13,14 @@ import "fmt"
 // is baked into the plan — the UMR phase is *planned over 80% of the
 // load*, not truncated mid-flight — the factoring phase always runs,
 // sidestepping RUMR's late-switch pathology while keeping the two-phase
-// structure that handles both start-up costs and uncertainty.
+// structure that handles both start-up costs and uncertainty. It never
+// estimates γ, so its one logged switch carries γ̂ = -1.
 type FixedRUMR struct {
-	// Phase1Fraction is the share of the load scheduled by UMR
-	// (the paper uses 0.8).
-	Phase1Fraction float64
-
-	player    sequencePlayer
-	factoring *WeightedFactoring
-	inPhase2  bool
-	decisions []SwitchDecision
+	twoPhase
 }
 
 // NewFixedRUMR returns Fixed-RUMR with the paper's 80/20 split.
-func NewFixedRUMR() *FixedRUMR { return &FixedRUMR{Phase1Fraction: 0.8} }
+func NewFixedRUMR() *FixedRUMR { return &FixedRUMR{} }
 
 // Name implements Algorithm.
 func (f *FixedRUMR) Name() string { return "fixed-rumr" }
@@ -30,86 +28,31 @@ func (f *FixedRUMR) Name() string { return "fixed-rumr" }
 // UsesProbing implements Algorithm.
 func (f *FixedRUMR) UsesProbing() bool { return true }
 
-// Plan implements Algorithm.
+// Plan implements Algorithm: both phases are planned up front, the
+// factoring phase over the whole load, and it takes over when the UMR
+// rounds run out.
 func (f *FixedRUMR) Plan(p Plan) error {
-	if f.Phase1Fraction <= 0 || f.Phase1Fraction >= 1 {
-		return fmt.Errorf("fixed-rumr: phase-1 fraction %g outside (0,1)", f.Phase1Fraction)
-	}
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	rounds, _, err := PlanUMRRounds(p, p.TotalLoad*f.Phase1Fraction)
-	if err != nil {
+	f.start(p)
+	if err := f.playRounds(p.TotalLoad * phase1Fraction); err != nil {
 		return fmt.Errorf("fixed-rumr: %w", err)
 	}
-	var seq []Decision
-	for _, round := range rounds {
-		seq = append(seq, round...)
-	}
-	f.player = sequencePlayer{}
-	f.player.reset(seq)
 	wf := NewWeightedFactoring()
 	if err := wf.Plan(p); err != nil {
 		return fmt.Errorf("fixed-rumr: %w", err)
 	}
 	f.factoring = wf
-	f.inPhase2 = false
-	f.decisions = nil
 	return nil
 }
 
-// Next implements Algorithm.
-func (f *FixedRUMR) Next(st State) (Decision, bool) {
-	if !f.inPhase2 {
-		if d, ok := f.player.next(st); ok {
-			return d, true
-		}
-		f.inPhase2 = true
-		// The planned split fired: the factoring phase takes the rest.
-		// Gamma is -1 because Fixed-RUMR never estimates uncertainty.
-		f.decisions = append(f.decisions, SwitchDecision{
-			Gamma: -1, Want: st.Remaining, Remaining: st.Remaining, Switched: true,
-		})
-	}
-	return f.factoring.Next(st)
-}
-
-// DrainSwitchDecisions implements SwitchObservable.
-func (f *FixedRUMR) DrainSwitchDecisions() []SwitchDecision {
-	if len(f.decisions) == 0 {
-		return nil
-	}
-	out := f.decisions
-	f.decisions = nil
-	return out
-}
-
-// Dispatched implements Algorithm.
-func (f *FixedRUMR) Dispatched(worker int, requested, actual float64) {
-	if f.inPhase2 {
-		f.factoring.Dispatched(worker, requested, actual)
-		return
-	}
-	f.player.advance(actual)
-}
-
-// Observe implements Algorithm: observations feed the factoring phase's
-// speed adaptation throughout execution, so by the time phase 2 starts
-// its weights already reflect observed performance.
+// Observe implements Algorithm: every non-probe completion feeds the
+// factoring phase's speed adaptation throughout execution, so by the
+// time phase 2 starts its weights already reflect observed performance.
+// Probe chunks complete before Plan, when there is no phase to feed.
 func (f *FixedRUMR) Observe(o Observation) {
 	if !o.Probe {
 		f.factoring.Observe(o)
-	}
-}
-
-// Switched reports whether the factoring phase has started.
-func (f *FixedRUMR) Switched() bool { return f.inPhase2 }
-
-// WorkerLost implements WorkerLossAware: both phases are planned up
-// front, so both stop targeting the worker.
-func (f *FixedRUMR) WorkerLost(worker int, returnedLoad float64) {
-	f.player.workerLost(worker)
-	if f.factoring != nil {
-		f.factoring.WorkerLost(worker, returnedLoad)
 	}
 }

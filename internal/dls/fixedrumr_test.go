@@ -26,25 +26,6 @@ func TestFixedRUMRPhase1CoversEightyPercent(t *testing.T) {
 	}
 }
 
-func TestFixedRUMRCustomSplit(t *testing.T) {
-	f := &FixedRUMR{Phase1Fraction: 0.5}
-	if err := f.Plan(Plan{TotalLoad: 1000, MinChunk: 1, Workers: das2Estimates(4)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sumSizes(f.player.seq); !nearly(got, 500, 1e-9) {
-		t.Errorf("phase 1 plans %.1f, want 500", got)
-	}
-}
-
-func TestFixedRUMRRejectsBadFraction(t *testing.T) {
-	for _, frac := range []float64{0, 1, -0.5, 1.5} {
-		f := &FixedRUMR{Phase1Fraction: frac}
-		if err := f.Plan(Plan{TotalLoad: 100, MinChunk: 1, Workers: das2Estimates(2)}); err == nil {
-			t.Errorf("fraction %g accepted", frac)
-		}
-	}
-}
-
 func TestFixedRUMRPhase2EndsWithSmallChunks(t *testing.T) {
 	// The whole point of the factoring phase: the final chunks must be
 	// much smaller than the UMR phase's largest.

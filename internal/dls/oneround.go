@@ -103,16 +103,3 @@ func solveOneRound(p Plan, order []int) ([]float64, bool) {
 	}
 	return alphas, true
 }
-
-// Next implements Algorithm.
-func (o *OneRound) Next(st State) (Decision, bool) { return o.next(st) }
-
-// Dispatched implements Algorithm.
-func (o *OneRound) Dispatched(worker int, requested, actual float64) { o.advance(actual) }
-
-// Observe implements Algorithm: one-round schedules are fully static.
-func (o *OneRound) Observe(Observation) {}
-
-// WorkerLost implements WorkerLossAware: the lost worker's unserved
-// share is retargeted onto the survivors.
-func (o *OneRound) WorkerLost(worker int, returnedLoad float64) { o.workerLost(worker) }

@@ -1,10 +1,6 @@
 package dls
 
-import (
-	"fmt"
-
-	"apstdv/internal/stats"
-)
+import "fmt"
 
 // RUMR implements the Robust UMR algorithm [38] (Yang & Casanova,
 // HPDC 2003) as deployed in APST-DV: execution is split into two phases —
@@ -35,44 +31,16 @@ type RUMR struct {
 	// KnownGamma, when ≥ 0, fixes the phase-2 fraction at plan time from
 	// this γ instead of discovering it online (oracle ablation).
 	KnownGamma float64
-	// MinObservations is how many real (non-probe) chunk completions are
-	// required before the online γ estimate is trusted.
-	MinObservations int
 
-	plan   Plan
-	player sequencePlayer
-	rounds [][]Decision
-	// boundary[k] is the sequence index at which round k starts, so the
-	// switch condition is evaluated exactly at round boundaries.
-	boundary map[int]int
-
-	switched  bool
-	factoring *WeightedFactoring
-	// lost remembers workers removed from service so a factoring phase
-	// planned after the loss still excludes them.
-	lost []int
-
-	// Online γ estimation: per-worker mean per-unit compute times and the
-	// pooled dispersion of normalized observations.
-	perWorker []stats.RunningStats
-	ratios    stats.RunningStats
-
-	// decisions logs every switch-condition evaluation for the
-	// observability layer (SwitchObservable); bounded by the number of
-	// UMR round boundaries.
-	decisions []SwitchDecision
+	twoPhase
 }
 
 // NewRUMR returns the online-discovery RUMR the paper evaluates.
-func NewRUMR() *RUMR {
-	return &RUMR{KnownGamma: -1, MinObservations: 5}
-}
+func NewRUMR() *RUMR { return &RUMR{KnownGamma: -1} }
 
 // NewOracleRUMR returns RUMR with γ known in advance, the original
 // algorithm's assumption.
-func NewOracleRUMR(gamma float64) *RUMR {
-	return &RUMR{KnownGamma: gamma, MinObservations: 5}
-}
+func NewOracleRUMR(gamma float64) *RUMR { return &RUMR{KnownGamma: gamma} }
 
 // Name implements Algorithm.
 func (r *RUMR) Name() string {
@@ -102,168 +70,40 @@ func Phase2Fraction(gamma float64) float64 {
 	return f
 }
 
-// Plan implements Algorithm.
+// Plan implements Algorithm. Online RUMR plans the whole load with UMR
+// and decides the split at run time; the oracle fixes it here, and with
+// no UMR phase left it switches straight away.
 func (r *RUMR) Plan(p Plan) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	r.plan = p
-	r.switched = false
-	r.factoring = nil
-	r.lost = nil
-	r.perWorker = make([]stats.RunningStats, len(p.Workers))
-	r.ratios = stats.RunningStats{}
-	r.decisions = nil
-
+	r.start(p)
 	phase1 := p.TotalLoad
 	if r.KnownGamma >= 0 {
-		// Oracle: fix the split now, like the original algorithm.
 		phase1 = p.TotalLoad * (1 - Phase2Fraction(r.KnownGamma))
 		if phase1 <= 0 {
 			r.decisions = append(r.decisions, SwitchDecision{
 				Gamma: r.KnownGamma, Want: p.TotalLoad, Remaining: p.TotalLoad, Switched: true,
 			})
-			return r.switchToFactoring(p.TotalLoad)
+			return r.handOff(p.TotalLoad)
 		}
 	}
-	rounds, _, err := PlanUMRRounds(p, phase1)
-	if err != nil {
+	if err := r.playRounds(phase1); err != nil {
 		return fmt.Errorf("rumr: %w", err)
 	}
-	r.rounds = rounds
-	r.boundary = make(map[int]int)
-	var seq []Decision
-	idx := 0
-	for k, round := range rounds {
-		r.boundary[idx] = k
-		seq = append(seq, round...)
-		idx += len(round)
-	}
-	r.player = sequencePlayer{}
-	r.player.reset(seq)
 	return nil
-}
-
-// switchToFactoring replans the given remaining load with weighted
-// factoring, reusing the current (probe) estimates.
-func (r *RUMR) switchToFactoring(load float64) error {
-	wf := NewWeightedFactoring()
-	p := r.plan
-	p.TotalLoad = load
-	if err := wf.Plan(p); err != nil {
-		return err
-	}
-	for _, w := range r.lost {
-		wf.WorkerLost(w, 0)
-	}
-	r.factoring = wf
-	r.switched = true
-	return nil
-}
-
-// WorkerLost implements WorkerLossAware: the active phase stops
-// targeting the worker, and a factoring phase planned later excludes it
-// too.
-func (r *RUMR) WorkerLost(worker int, returnedLoad float64) {
-	r.lost = append(r.lost, worker)
-	if r.switched {
-		r.factoring.WorkerLost(worker, returnedLoad)
-		return
-	}
-	r.player.workerLost(worker)
 }
 
 // EstimatedGamma returns the current online γ estimate, or -1 while too
 // few observations have accumulated.
-func (r *RUMR) EstimatedGamma() float64 {
-	if r.ratios.N() < r.MinObservations {
-		return -1
-	}
-	return r.ratios.CV()
-}
+func (r *RUMR) EstimatedGamma() float64 { return r.gamma.estimate() }
 
-// Switched reports whether the factoring phase was ever entered.
-func (r *RUMR) Switched() bool { return r.switched }
-
-// Next implements Algorithm.
+// Next implements Algorithm: online RUMR evaluates its switch condition
+// at every round boundary, with the factoring phase planned over the
+// load left from the probe estimates.
 func (r *RUMR) Next(st State) (Decision, bool) {
-	if r.switched {
-		return r.factoring.Next(st)
+	if !r.switched && r.KnownGamma < 0 && r.atBoundary() {
+		r.trySwitch(st)
 	}
-	// At a round boundary, decide whether the factoring phase should
-	// start now. The desired phase-2 load is f2(γ̂)·W; switching is only
-	// possible if at least that much load is still undispatched — the
-	// rounds already sent are committed.
-	if _, atBoundary := r.boundary[r.player.pos]; atBoundary && r.KnownGamma < 0 {
-		g := r.EstimatedGamma()
-		dec := SwitchDecision{Gamma: g, Remaining: st.Remaining}
-		if g >= 0 {
-			want := Phase2Fraction(g) * r.plan.TotalLoad
-			dec.Want = want
-			if want > 0 && st.Remaining <= want && st.Remaining > 0 {
-				if err := r.switchToFactoring(st.Remaining); err == nil {
-					dec.Switched = true
-					r.decisions = append(r.decisions, dec)
-					return r.factoring.Next(st)
-				}
-			}
-		}
-		r.decisions = append(r.decisions, dec)
-	}
-	d, ok := r.player.next(st)
-	if !ok && st.Remaining > 0 {
-		// UMR phase exhausted with load left (oracle split, or cut-point
-		// drift): the factoring phase takes over.
-		if err := r.switchToFactoring(st.Remaining); err == nil {
-			r.decisions = append(r.decisions, SwitchDecision{
-				Gamma: r.EstimatedGamma(), Want: st.Remaining,
-				Remaining: st.Remaining, Switched: true,
-			})
-			return r.factoring.Next(st)
-		}
-	}
-	return d, ok
-}
-
-// DrainSwitchDecisions implements SwitchObservable.
-func (r *RUMR) DrainSwitchDecisions() []SwitchDecision {
-	if len(r.decisions) == 0 {
-		return nil
-	}
-	out := r.decisions
-	r.decisions = nil
-	return out
-}
-
-// Dispatched implements Algorithm.
-func (r *RUMR) Dispatched(worker int, requested, actual float64) {
-	if r.switched {
-		r.factoring.Dispatched(worker, requested, actual)
-		return
-	}
-	r.player.advance(actual)
-}
-
-// Observe implements Algorithm: track the dispersion of per-unit compute
-// times to estimate γ online, and feed the factoring phase's adaptation
-// once switched.
-func (r *RUMR) Observe(o Observation) {
-	if r.switched {
-		r.factoring.Observe(o)
-	}
-	if o.Probe || o.Size <= 0 || o.Worker >= len(r.perWorker) {
-		return
-	}
-	perUnit := (o.ComputeTime() - r.plan.Workers[o.Worker].CompLatency) / o.Size
-	if perUnit <= 0 {
-		return
-	}
-	pw := &r.perWorker[o.Worker]
-	if pw.N() > 0 {
-		// Normalizing by the worker's own running mean isolates the
-		// application's intrinsic dispersion from cross-worker speed
-		// differences and probe misestimation.
-		r.ratios.Add(perUnit / pw.Mean())
-	}
-	pw.Add(perUnit)
+	return r.twoPhase.Next(st)
 }

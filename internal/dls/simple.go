@@ -49,16 +49,3 @@ func (s *Simple) Plan(p Plan) error {
 	s.reset(seq)
 	return nil
 }
-
-// Next implements Algorithm.
-func (s *Simple) Next(st State) (Decision, bool) { return s.next(st) }
-
-// Dispatched implements Algorithm.
-func (s *Simple) Dispatched(worker int, requested, actual float64) { s.advance(actual) }
-
-// Observe implements Algorithm: SIMPLE-n does not adapt.
-func (s *Simple) Observe(Observation) {}
-
-// WorkerLost implements WorkerLossAware: unserved chunks for the lost
-// worker are retargeted onto the survivors.
-func (s *Simple) WorkerLost(worker int, returnedLoad float64) { s.workerLost(worker) }

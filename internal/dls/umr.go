@@ -62,27 +62,9 @@ func (u *UMR) Plan(p Plan) error {
 	}
 	u.Rounds = len(rounds)
 	u.PredictedMakespan = pred
-	seq := make([]Decision, 0, len(rounds)*len(p.Workers))
-	for _, r := range rounds {
-		seq = append(seq, r...)
-	}
-	u.reset(seq)
+	u.reset(flatten(rounds))
 	return nil
 }
-
-// Next implements Algorithm.
-func (u *UMR) Next(st State) (Decision, bool) { return u.next(st) }
-
-// Dispatched implements Algorithm.
-func (u *UMR) Dispatched(worker int, requested, actual float64) { u.advance(actual) }
-
-// Observe implements Algorithm: UMR does not adapt during execution
-// (per §3.6: "SIMPLE-n and UMR do not perform such adaptation").
-func (u *UMR) Observe(Observation) {}
-
-// WorkerLost implements WorkerLossAware: the lost worker's remaining
-// rounds are retargeted onto the survivors.
-func (u *UMR) WorkerLost(worker int, returnedLoad float64) { u.workerLost(worker) }
 
 // maxUMRRounds bounds the search for the number of rounds. Round start-up
 // costs grow linearly in M, so the predicted-makespan minimum is far below
@@ -455,7 +437,10 @@ func (sc *umrScratch) candidate(m int, out []Decision) (float64, bool) {
 
 	// Absorb floating-point drift into the last round, spread across all
 	// workers in proportion to their chunk so the equal-finish property
-	// is preserved.
+	// is preserved. A last round that dwarfs the load cannot give it
+	// back: scaled, it rounds to nothing or drops the load's low digits,
+	// so the scaled plan must still add up to the load.
+	before := dispatched
 	for k := range ws {
 		dispatched += ws[k].last
 	}
@@ -465,8 +450,13 @@ func (sc *umrScratch) candidate(m int, out []Decision) (float64, bool) {
 			return 0, false
 		}
 		scale := (lastTotal + drift) / lastTotal
+		dispatched = before
 		for k := range ws {
 			ws[k].last *= scale
+			dispatched += ws[k].last
+		}
+		if math.Abs(load-dispatched) > load*1e-12 {
+			return 0, false
 		}
 	}
 	for k := range ws {

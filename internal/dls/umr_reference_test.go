@@ -181,6 +181,9 @@ func (sc *refScratch) umrCandidate(p Plan, load float64, m int, agg umrAggregate
 		for i := range last {
 			last[i].Size *= scale
 		}
+		if math.Abs(load-sumSizes(flat)) > load*1e-12 {
+			return nil, false
+		}
 	}
 	return flat, true
 }

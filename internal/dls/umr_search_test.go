@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -190,6 +191,116 @@ func TestUMRSearchMatchesReference(t *testing.T) {
 	// Both outcomes have to be exercised for the agreement to mean much.
 	if total < cases/4 || total > cases-cases/20 {
 		t.Errorf("%d of %d cases feasible: the generator no longer mixes plans and refusals", total, cases)
+	}
+}
+
+// extremePlan draws a plan Plan.Validate admits with costs over two
+// hundred orders of magnitude, a regime FuzzPlanConservesOrRefuses leaves
+// out: 1–4 workers; UnitComp always, and UnitComm, CommLatency and
+// CompLatency each with probability 2/3 (0 otherwise), as
+// 10^k·U(0.5, 1.5) for an integer k in −100…100; a load of
+// round(10^k·U(0.5, 1.5)) for k in 0…6; no granularity.
+func extremePlan(r *rand.Rand) Plan {
+	draw := func(lo, hi int) float64 {
+		return math.Pow(10, float64(lo+r.Intn(hi-lo+1))) * (0.5 + r.Float64())
+	}
+	for {
+		ests := make([]model.Estimate, 1+r.Intn(4))
+		for i := range ests {
+			e := &ests[i]
+			*e = model.Estimate{Worker: i, UnitComp: draw(-100, 100)}
+			for _, v := range []*float64{&e.UnitComm, &e.CommLatency, &e.CompLatency} {
+				if r.Intn(3) > 0 {
+					*v = draw(-100, 100)
+				}
+			}
+		}
+		if p := (Plan{TotalLoad: math.Round(draw(0, 6)), Workers: ests}); p.Validate() == nil {
+			return p
+		}
+	}
+}
+
+// TestUMRPlansConserveAtExtremeMagnitudes: where the unscaled last round
+// of a candidate dwarfs the load, absorbing the drift into it scales
+// every chunk to 0 or drops the load's low digits, and the search used to
+// accept the result. Every plan must add up to its load; the two inputs
+// below are the examples that did not, and they and a sample of the rest
+// run to completion under the four algorithms built on PlanUMRRounds.
+func TestUMRPlansConserveAtExtremeMagnitudes(t *testing.T) {
+	examples := map[string]Plan{
+		"all-zero": {TotalLoad: 859, Workers: []model.Estimate{
+			{Worker: 0, UnitComp: 1.0314547465337766e-34, CompLatency: 7.167226435238101e+86, CommLatency: 1.2147316211523874e-72},
+		}},
+		"lost-digits": {TotalLoad: 1402, Workers: []model.Estimate{
+			{Worker: 0, UnitComm: 7.449571311361724e-12, UnitComp: 9.812576384713184e-34, CompLatency: 77.95347167234141},
+			{Worker: 1, UnitComp: 1.2219110075157125e-15},
+			{Worker: 2, UnitComm: 9.101958054561307e-79, CommLatency: 9.848530039227654e-33,
+				UnitComp: 7.745154990554578e+24, CompLatency: 7.086781729822008e-14},
+		}},
+	}
+	// planned returns what the plan for p adds up to.
+	planned := func(p Plan) float64 {
+		rounds, _, err := PlanUMRRounds(p, p.TotalLoad)
+		if err != nil {
+			t.Fatalf("refused %+v: %v", p, err)
+		}
+		total := 0.0
+		for _, r := range rounds {
+			total += sumSizes(r)
+		}
+		return total
+	}
+	// runs drives the UMR family on p. Fixed-RUMR only has to plan: it
+	// always hands a fifth of the load to weighted factoring, which at
+	// these magnitudes can feed chunks of the minimum size — 1e-57 units
+	// for lost-digits — to a worker of weight ≈ 0 that finishes each at
+	// once, without end (ROADMAP item 1). The other three stay in UMR on
+	// a noise-free run and must finish.
+	runs := func(p Plan) {
+		for name := range umrFamily {
+			alg, _ := New(name)
+			if name == "fixed-rumr" {
+				if err := alg.Plan(p); err != nil {
+					t.Errorf("%s: %v\n%+v", name, err, p)
+				}
+				continue
+			}
+			f := newFakeEngine(p.Workers, p.TotalLoad, p.MinChunk)
+			if err := f.run(alg); err != nil {
+				t.Errorf("%s: %v\n%+v", name, err, p)
+			} else if !nearly(f.completed, p.TotalLoad, 1e-6) {
+				t.Errorf("%s completed %v of %v\n%+v", name, f.completed, p.TotalLoad, p)
+			}
+		}
+	}
+	for name, p := range examples {
+		if got := planned(p); !nearly(got, p.TotalLoad, 1e-6) {
+			t.Errorf("%s: the plan adds up to %v of %v", name, got, p.TotalLoad)
+		}
+		runs(p)
+	}
+
+	cases := 100000
+	if testing.Short() || raceEnabled {
+		cases = 5000
+	}
+	r := rand.New(rand.NewSource(2))
+	zero, off := 0, 0
+	for i := 0; i < cases; i++ {
+		p := extremePlan(r)
+		switch got := planned(p); {
+		case got == 0:
+			zero++
+		case !nearly(got, p.TotalLoad, 1e-6):
+			off++
+		}
+		if i%1000 == 0 {
+			runs(p)
+		}
+	}
+	if zero+off > 0 {
+		t.Errorf("of %d plans, %d add up to 0 and %d are off by more than 1e-6 of the load", cases, zero, off)
 	}
 }
 
