@@ -13,34 +13,143 @@ import (
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
 	"apstdv/internal/grid"
+	"apstdv/internal/obs"
 	"apstdv/internal/trace"
 	"apstdv/internal/workload"
 )
 
 // scheduleConditions are the engine settings every algorithm is pinned
-// under: fault-free, two workers crashing mid-run, and periodic
-// recalibration (the only path that reaches a Recalibrator).
+// under: fault-free, two workers crashing mid-run, periodic
+// recalibration (the only path that reaches a Recalibrator), and faults
+// aimed at the two measurement paths. A condition with a landed check
+// also hashes the run's whole event stream, and the check asserts that
+// its faults hit what they aim at, so the pin cannot silently miss.
 var scheduleConditions = []struct {
 	name   string
 	config func(r *Run)
+	landed func(evs []obs.Event) error
 }{
-	{"plain", func(*Run) {}},
+	{"plain", func(*Run) {}, nil},
 	{"crash", func(r *Run) {
 		r.Grid.Faults = &grid.FaultPlan{Faults: []grid.WorkerFault{
 			{Worker: 1, Kind: grid.FaultCrash, At: 1500},
 			{Worker: 6, Kind: grid.FaultCrash, At: 4000},
 		}}
 		r.Engine.Retry = &engine.RetryPolicy{}
-	}},
+	}, nil},
 	{"recal", func(r *Run) {
 		r.Engine.RecalibrateInterval = 500
 		r.Engine.Retry = &engine.RetryPolicy{}
-	}},
+	}, nil},
+	// Worker 1 crashes while its no-op job and its probe chunk's transfer
+	// are both outstanding (its empty transfer ends at 21.37 s, the no-op
+	// takes 0.7 s); worker 5's probe chunk computes through a 200 s stall.
+	{"probecrash", func(r *Run) {
+		r.Grid.Faults = &grid.FaultPlan{Faults: []grid.WorkerFault{
+			{Worker: 1, Kind: grid.FaultCrash, At: 21.7},
+			{Worker: 5, Kind: grid.FaultStall, At: 70, Duration: 200},
+		}}
+		r.Engine.Retry = &engine.RetryPolicy{}
+	}, probeFaultsLanded},
+	// The first recalibrations measure worker 0 from about 505 s and
+	// worker 1 from about 1000 s; depending on the algorithm, one of the
+	// two crashes lands inside a measurement or before its transfer.
+	{"recalcrash", func(r *Run) {
+		r.Engine.RecalibrateInterval = 500
+		r.Grid.Faults = &grid.FaultPlan{Faults: []grid.WorkerFault{
+			{Worker: 0, Kind: grid.FaultCrash, At: 515},
+			{Worker: 1, Kind: grid.FaultCrash, At: 1500},
+		}}
+		r.Engine.Retry = &engine.RetryPolicy{}
+	}, recalFaultLanded},
+}
+
+// probeFaultsLanded checks probecrash: in a run that probes, crashed
+// worker 1 is lost before planning, and stalled worker 5's probe chunk
+// computes for at least the stall.
+func probeFaultsLanded(evs []obs.Event) error {
+	if len(evs) == 0 || evs[0].Type != obs.ProbeStart {
+		return nil // a blind algorithm: no probing round to aim at
+	}
+	lost, stalled := false, false
+	for _, ev := range evs {
+		switch {
+		case ev.Type == obs.PlanDone:
+			if !lost || !stalled {
+				return fmt.Errorf("planned with worker 1 lost %v and worker 5's stalled probe seen %v", lost, stalled)
+			}
+			return nil
+		case ev.Type == obs.WorkerLost && ev.Worker == 1:
+			lost = true
+		case ev.Type == obs.ProbeResult && ev.Worker == 5:
+			stalled = ev.ComputeDur >= 200
+		}
+	}
+	return fmt.Errorf("never planned")
+}
+
+// recalFaultLanded checks recalcrash: some recalibration of a crashed
+// worker started (its empty transfer took the uplink after planning) and
+// never delivered its measurement.
+func recalFaultLanded(evs []obs.Event) error {
+	planned := false
+	started, delivered := map[int]int{}, map[int]int{}
+	for _, ev := range evs {
+		switch {
+		case ev.Type == obs.PlanDone:
+			planned = true
+		case planned && ev.Type == obs.UplinkBusy && ev.Probe:
+			started[ev.Worker]++
+		case ev.Type == obs.Recalibrate:
+			delivered[ev.Worker]++
+		}
+	}
+	for _, w := range []int{0, 1} {
+		if started[w] > delivered[w] {
+			return nil
+		}
+	}
+	return fmt.Errorf("no recalibration of worker 0 or 1 was cut short (started %v, delivered %v)", started, delivered)
+}
+
+// eventsHash digests an event stream bit for bit: every field of every
+// event in obs.Event.Fields order, floats by their bit pattern, strings
+// length-prefixed.
+func eventsHash(evs []obs.Event) []byte {
+	var buf []byte
+	for i := range evs {
+		for _, f := range evs[i].Fields() {
+			switch p := f.(type) {
+			case *int64:
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(*p))
+			case *int:
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(*p))
+			case *float64:
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(*p))
+			case *bool:
+				if *p {
+					buf = append(buf, 1)
+				} else {
+					buf = append(buf, 0)
+				}
+			case *string:
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(len(*p)))
+				buf = append(buf, *p...)
+			case *obs.EventType:
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(len(*p)))
+				buf = append(buf, *p...)
+			default:
+				panic(fmt.Sprintf("eventsHash: unhandled field type %T", f))
+			}
+		}
+	}
+	return buf
 }
 
 // scheduleHash digests a run bit for bit: every field of every trace
-// record, floats by their bit pattern, then the run's error text.
-func scheduleHash(tr *trace.Trace, runErr error) string {
+// record, floats by their bit pattern, then the run's error text, then
+// extra (the event stream's digest input, or nothing).
+func scheduleHash(tr *trace.Trace, runErr error, extra []byte) string {
 	var buf []byte
 	u := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	f := func(v float64) { u(math.Float64bits(v)) }
@@ -70,6 +179,7 @@ func scheduleHash(tr *trace.Trace, runErr error) string {
 	if runErr != nil {
 		buf = append(buf, runErr.Error()...)
 	}
+	buf = append(buf, extra...)
 	return fmt.Sprintf("%x", sha256.Sum256(buf))
 }
 
@@ -108,14 +218,27 @@ func TestAlgorithmSchedulesMatchGolden(t *testing.T) {
 	perAlg := len(scheduleConditions) * seeds
 	keys := make([]string, len(names)*perAlg)
 	got := make([]string, len(keys))
+	events := make([]*obs.Buffer, len(keys))
 	err = RunAll(len(keys), 0, func(i int, r *Run) {
 		name, cond, seed := names[i/perAlg], scheduleConditions[i%perAlg/seeds], i%seeds+1
 		keys[i] = fmt.Sprintf("%s/%s/%d", name, cond.name, seed)
 		*r = Run{Platform: platform, App: workload.Synthetic(0.10), Algorithm: newAlg(name),
 			Grid: grid.Config{Seed: uint64(seed)}, Engine: engine.Config{ProbeLoad: 200}}
 		cond.config(r)
+		if cond.landed != nil {
+			events[i] = obs.NewBuffer()
+			r.Engine.Events = events[i]
+		}
 	}, func(i int, _ *Run, tr *trace.Trace, err error) error {
-		got[i] = scheduleHash(tr, err)
+		var extra []byte
+		if events[i] != nil {
+			evs := events[i].Events()
+			if lerr := scheduleConditions[i%perAlg/seeds].landed(evs); lerr != nil {
+				return fmt.Errorf("%s: fault missed its target: %v", keys[i], lerr)
+			}
+			extra = eventsHash(evs)
+		}
+		got[i] = scheduleHash(tr, err, extra)
 		return nil
 	})
 	if err != nil {
