@@ -13,7 +13,8 @@ FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                transport:FuzzServerFrames daemon:FuzzDecodeWire \
                dls:FuzzUMRSearchMatchesReference \
                dls:FuzzPlanConservesOrRefuses \
-               trace:FuzzReportRenderersMatchReference
+               trace:FuzzReportRenderersMatchReference \
+               spec:FuzzParse
 
 .PHONY: all build vet test race bench-module serve-smoke fuzz-smoke bench-smoke lint lines check
 

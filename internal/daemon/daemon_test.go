@@ -116,6 +116,32 @@ func TestSubmitRejectsBadXML(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesNonFiniteSpec: a probe_load of NaN or +Inf used to
+// pass every spec check and reach the simulator, whose panic on a
+// non-finite event time ended the daemon. Such a spec is refused at
+// submission, and the daemon goes on serving.
+func TestSubmitRefusesNonFiniteSpec(t *testing.T) {
+	c, _ := startSimDaemon(t)
+	sim := &daemon.SimApp{UnitCost: 0.1, BytesPerUnit: 1000}
+	for _, v := range []string{"NaN", "+Inf"} {
+		bad := strings.Replace(taskXML, `probe_load="5"`, `probe_load="`+v+`"`, 1)
+		if reply, err := c.Submit(bad, "", "", sim); err == nil {
+			t.Errorf("probe_load=%s accepted as job %d", v, reply.JobID)
+		}
+	}
+	reply, err := c.Submit(taskXML, "", "", sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := waitDone(c, reply.JobID, 10*time.Second, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State != daemon.JobDone {
+		t.Fatalf("job after the refusals: state %s: %s", job.State, job.Err)
+	}
+}
+
 func TestStatusUnknownJob(t *testing.T) {
 	c, _ := startSimDaemon(t)
 	if _, err := c.Status(999); err == nil {

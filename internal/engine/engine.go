@@ -32,6 +32,10 @@ import (
 // start/end bracket whatever portion ran before the failure. The engine
 // maps failures onto chunk-lifecycle retries; without a retry policy
 // configured, any failure aborts the run.
+//
+// The engine calls the three closure-form operations only on backends
+// that do not implement OpBackend (the live runtime, the multi-job
+// world's views), each wrapping the handler the op form would get.
 type Backend interface {
 	// Now returns the backend's current time in seconds from start.
 	Now() float64
@@ -44,10 +48,10 @@ type Backend interface {
 	// Execute runs size load units on worker w (FIFO behind earlier
 	// work) and calls done(start, end, err) on completion. size 0 is a
 	// no-op calibration job costing only the start-up latency. probe
-	// marks the probing round's calibration work: the probe file is a
-	// fixed, representative input, so its compute time carries the
-	// platform's noise (background load) but not the application's
-	// data-dependent variability γ.
+	// marks measurement work (the probing round and recalibration): the
+	// probe file is a fixed, representative input, so its compute time
+	// carries the platform's noise (background load) but not the
+	// application's data-dependent variability γ.
 	Execute(w int, size float64, probe bool, done func(start, end float64, err error))
 	// ReturnOutput moves output bytes from worker w back to the master
 	// on a path parallel to the uplink.
@@ -62,13 +66,15 @@ type Backend interface {
 type Stopper interface{ Stop() }
 
 // OpBackend is an optional Backend interface offering closure-free forms
-// of the three per-chunk operations: the engine passes an opaque op
-// token and one long-lived callback instead of building a completion
-// closure per operation, so the hot dispatch path of a run allocates
-// nothing. The backend must hand op back to done verbatim; the engine
-// fences stale completions by decoding it (chunk slot + launch epoch).
-// Backends that do not implement it are driven through the closure
-// forms, with identical semantics.
+// of the three operations: the engine passes an opaque op token and one
+// long-lived callback per kind of operation instead of building a
+// completion closure per operation. Every operation of a run goes this
+// way — work chunks and the probing and recalibration measurements
+// alike — so a run allocates nothing per operation. The backend must
+// hand op back to done verbatim; the engine fences stale completions by
+// decoding it (chunk slot + launch epoch). Backends that do not
+// implement it are driven through the closure forms, with identical
+// semantics.
 type OpBackend interface {
 	TransferOp(w int, bytes float64, op uint64, done func(op uint64, start, end float64, err error))
 	ExecuteOp(w int, size float64, probe bool, op uint64, done func(op uint64, start, end float64, err error))
@@ -362,12 +368,12 @@ type execution struct {
 	sending       bool
 	chunkID       int
 
-	// Chunk-lifecycle state: every tracked attempt lives in a slot of the
-	// chunk arena (chunkSlots + free list, epochs monotonic across reuse
-	// so stale callbacks fence — see chunk.epoch), the FIFO of failed
-	// attempts awaiting re-dispatch holds slot indices, and the
-	// per-worker health drives blacklisting. All of it stays empty/idle
-	// when cfg.Retry is nil.
+	// Chunk-lifecycle state: every tracked attempt — work chunk or
+	// measurement — lives in a slot of the chunk arena (chunkSlots + free
+	// list, epochs monotonic across reuse so stale callbacks fence — see
+	// chunk.epoch), the FIFO of failed attempts awaiting re-dispatch holds
+	// slot indices, and the per-worker health drives blacklisting. The
+	// retry queue and the health state stay idle when cfg.Retry is nil.
 	chunkSlots []chunk
 	chunkFree  []int32
 	retryQ     []int32
@@ -388,17 +394,17 @@ type execution struct {
 	redistAware dls.RedistributionAware
 	peerDoneFn  func(op uint64, start, end float64, err error)
 
-	// Indexed dispatch: when the backend implements OpBackend, the three
-	// stage-completion handlers below (method values, built once per
-	// workspace) replace the per-operation closures on the hot
-	// Transfer/Execute/ReturnOutput paths.
+	// Indexed dispatch: the three stage-completion handlers below (method
+	// values, built once per workspace) serve every operation of every
+	// chunk kind; an OpBackend receives them directly, any other backend
+	// through a closure per operation (see dispatchTransfer).
 	opBackend      OpBackend
 	transferDoneFn func(op uint64, start, end float64, err error)
 	computeDoneFn  func(op uint64, start, end float64, err error)
 	returnDoneFn   func(op uint64, start, end float64, err error)
-	// runGen fences callbacks that outlive a run (probing/calibration
-	// closures hold no chunk epoch): it increments every beginRun, and
-	// stale closures no-op on mismatch.
+	// runGen fences the cancellation callback, the one callback that
+	// holds no chunk epoch: it increments every beginRun, and a
+	// cancellation that outlives its run no-ops on mismatch.
 	runGen uint64
 	// estBuf/destBuf back the per-run estimate slices when the workspace
 	// is arena-reused.
@@ -411,7 +417,6 @@ type execution struct {
 	lastCal     float64
 	calWorker   int
 	calibrating bool
-	calCount    int
 	// probing-phase measurements, indexed by worker.
 	probes       []probeResult
 	probesLeft   int
@@ -432,12 +437,8 @@ type execution struct {
 	switchObs dls.SwitchObservable
 
 	// Tracing (see Config.Trace). traceOn is the one test the disabled
-	// path pays; the rest is read only when it is true.
-	traceOn     bool
-	tracer      *otrace.Collector
-	traceID     otrace.TraceID
-	traceParent otrace.SpanID
-	traceAnchor int64
+	// path pays; cfg's trace fields are read only when it is true.
+	traceOn bool
 }
 
 // beginRun initializes the workspace for one execution, recycling every
@@ -474,23 +475,12 @@ func (e *execution) beginRun(req Request) {
 		e.computeDoneFn = e.computeDone
 		e.returnDoneFn = e.returnDone
 	}
-	e.traceOn = false
-	e.tracer = nil
-	e.traceID = 0
-	e.traceParent = 0
-	e.traceAnchor = 0
-	if cfg.Trace != nil && cfg.TraceID != 0 {
-		e.traceOn = true
-		e.tracer = cfg.Trace
-		e.traceID = cfg.TraceID
-		e.traceParent = cfg.TraceParent
-		e.traceAnchor = cfg.TraceAnchor
-	}
+	e.traceOn = cfg.Trace != nil && cfg.TraceID != 0
 	n := b.Workers()
-	e.pending = resizeFloats(e.pending, n)
-	e.pendingChunks = resizeInts(e.pendingChunks, n)
-	e.dead = resizeBools(e.dead, n)
-	e.consecFail = resizeInts(e.consecFail, n)
+	e.pending = resize(e.pending, n)
+	e.pendingChunks = resize(e.pendingChunks, n)
+	e.dead = resize(e.dead, n)
+	e.consecFail = resize(e.consecFail, n)
 	e.alive = n
 	// Recycle the chunk arena: every slot returns to the free list with
 	// its epoch bumped, so op tokens from a previous run can never match
@@ -541,44 +531,19 @@ func (e *execution) beginRun(req Request) {
 	e.planned = false
 	e.err = nil
 	e.stopNotified = false
-	e.lastCal, e.calWorker, e.calibrating, e.calCount = 0, 0, false, 0
+	e.lastCal, e.calWorker, e.calibrating = 0, 0, false
 	e.ests, e.dests = nil, nil
 	e.eventSeq = cfg.SeqBase
 }
 
-// resizeFloats returns s with length n and every element zeroed, growing
-// only when capacity is short; resizeInts and resizeBools are its int
-// and bool twins.
-func resizeFloats(s []float64, n int) []float64 {
+// resize returns s with length n and every element zeroed, growing only
+// when capacity is short.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
+	clear(s)
 	return s
 }
 
@@ -607,24 +572,17 @@ func (e *execution) releaseChunk(c *chunk) {
 	e.chunkFree = append(e.chunkFree, c.slot)
 }
 
-// inFlightChunk reports whether the slot holds a dispatched attempt the
-// backend is working on (what the pre-arena code kept in its in-flight
-// map): retry-queued and retired slots are excluded.
-func (c *chunk) inFlightChunk() bool {
-	return c.used && c.state >= stateTransferring && c.state <= stateReturning
-}
-
 // traceNs places a backend timestamp (seconds since backend start) on
 // the collector timeline.
 func (e *execution) traceNs(sec float64) int64 {
-	return e.traceAnchor + int64(sec*1e9)
+	return e.cfg.TraceAnchor + int64(sec*1e9)
 }
 
 // recordStageSpan records one backend-clock stage span under the
 // chunk's umbrella span. Caller holds the mutex and has checked
 // e.traceOn.
 func (e *execution) recordStageSpan(c *chunk, name string, start, end float64, errMsg string) {
-	e.tracer.RecordSpan(e.traceID, 0, c.span, name, e.traceNs(start), e.traceNs(end), true, errMsg)
+	e.cfg.Trace.RecordSpan(e.cfg.TraceID, 0, c.span, name, e.traceNs(start), e.traceNs(end), true, errMsg)
 }
 
 // event starts one event: it returns the execution's scratch event,
@@ -674,15 +632,6 @@ func (e *execution) drainSwitchDecisions() {
 	}
 }
 
-type probeResult struct {
-	emptyTransfer float64 // measured comm latency
-	noopExec      float64 // measured comp latency
-	probeTransfer float64
-	probeExec     float64
-	execDone      int  // of 2 (no-op + probe)
-	failed        bool // worker lost during probing
-}
-
 // start seeds the first actions; the caller holds the mutex.
 func (e *execution) start() {
 	if e.alg.UsesProbing() && !e.cfg.DisableProbing && !e.cfg.Oracle {
@@ -698,7 +647,7 @@ func (e *execution) initialEstimates() []model.Estimate {
 	if e.cfg.Oracle && e.platform != nil {
 		return model.TrueEstimates(e.app, e.platform)
 	}
-	e.estBuf = resizeEstimates(e.estBuf, e.backend.Workers())
+	e.estBuf = resize(e.estBuf, e.backend.Workers())
 	ests := e.estBuf
 	for i := range ests {
 		ests[i] = model.Estimate{Worker: i, UnitComp: 1, UnitComm: 0}
@@ -706,225 +655,25 @@ func (e *execution) initialEstimates() []model.Estimate {
 	return ests
 }
 
-// resizeEstimates returns s with length n, growing only when capacity is
-// short; callers overwrite every element.
-func resizeEstimates(s []model.Estimate, n int) []model.Estimate {
-	if cap(s) < n {
-		return make([]model.Estimate, n)
-	}
-	return s[:n]
-}
-
-// startProbing launches the probing round (§3.5): for each worker, an
-// empty transfer and a no-op job measure the start-up costs, then a probe
-// chunk measures the per-unit transfer and compute rates. Transfers
-// serialize on the uplink; computations overlap across workers.
-func (e *execution) startProbing() {
-	n := e.backend.Workers()
-	if cap(e.probes) < n {
-		e.probes = make([]probeResult, n)
-	} else {
-		e.probes = e.probes[:n]
-		for i := range e.probes {
-			e.probes[i] = probeResult{}
-		}
-	}
-	e.probesLeft = n
-	if ev := e.event(obs.ProbeStart, -1); ev != nil {
-		ev.Workers, ev.Size, ev.Bytes = n, e.probeLoad, e.probeLoad*e.probeBPU
-		e.emit(ev)
-	}
-	e.probeWorker(0)
-}
-
-// probeWorker issues worker w's empty transfer; the chain continues in
-// callbacks and moves to worker w+1 as soon as the uplink frees. A
-// failure at any probe stage marks the worker lost (under a retry
-// policy) or aborts the run; a transfer-stage failure still advances
-// the chain so the remaining workers get probed.
-func (e *execution) probeWorker(w int) {
-	// Probing closures carry no chunk epoch, so they fence on the run
-	// generation instead: a completion surviving from a previous run on
-	// this reused workspace must not touch the current one.
-	gen := e.runGen
-	e.emitUplinkBusy(w, 0, true, 0)
-	e.backend.Transfer(w, 0, func(start, end float64, err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.runGen != gen {
-			return
-		}
-		if err != nil {
-			e.uplinkFreed(w, 0, true, start, end)
-			e.probeFailed(w, err)
-			e.probeNext(w)
-			return
-		}
-		e.probes[w].emptyTransfer = end - start
-		e.uplinkFreed(w, 0, true, start, end)
-		// Launch the no-op job; its completion is independent of the
-		// uplink chain.
-		e.backend.Execute(w, 0, true, func(s2, e2 float64, err error) {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if e.runGen != gen {
-				return
-			}
-			if err != nil {
-				e.probeFailed(w, err)
-				return
-			}
-			e.probes[w].noopExec = e2 - s2
-			e.probeExecDone(w)
-		})
-		// Send the probe chunk on the now-free uplink.
-		e.emitUplinkBusy(w, 0, true, e.probeLoad*e.probeBPU)
-		e.backend.Transfer(w, e.probeLoad*e.probeBPU, func(s3, e3 float64, err error) {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if e.runGen != gen {
-				return
-			}
-			if err != nil {
-				e.uplinkFreed(w, 0, true, s3, e3)
-				e.probeFailed(w, err)
-				e.probeNext(w)
-				return
-			}
-			e.probes[w].probeTransfer = e3 - s3
-			e.uplinkFreed(w, 0, true, s3, e3)
-			id := e.nextChunkID()
-			e.backend.Execute(w, e.probeLoad, true, func(s4, e4 float64, err error) {
-				e.mu.Lock()
-				defer e.mu.Unlock()
-				if e.runGen != gen {
-					return
-				}
-				if err != nil {
-					e.probeFailed(w, err)
-					return
-				}
-				e.probes[w].probeExec = e4 - s4
-				e.trace.Add(trace.Record{
-					Chunk: id, Worker: w, Offset: -1, Size: e.probeLoad,
-					Probe: true, SendStart: s3, SendEnd: e3,
-					CompStart: s4, CompEnd: e4, OutputEnd: e4,
-				})
-				e.alg.Observe(dls.Observation{
-					Worker: w, Size: e.probeLoad, Probe: true,
-					SendStart: s3, SendEnd: e3, CompStart: s4, CompEnd: e4,
-				})
-				e.probeExecDone(w)
-			})
-			// Uplink free: probe the next worker.
-			e.probeNext(w)
-		})
-	})
-}
-
-// probeNext advances the probing chain past worker w. Caller holds the
-// mutex.
-func (e *execution) probeNext(w int) {
-	if e.err == nil && w+1 < e.backend.Workers() {
-		e.probeWorker(w + 1)
-	}
-}
-
-// uplinkFreed records one transfer's release of the serialized uplink:
-// the UplinkIdle event plus the busy-time metric. Caller holds the
-// mutex.
-func (e *execution) uplinkFreed(w, chunk int, probe bool, start, end float64) {
-	if ev := e.event(obs.UplinkIdle, w); ev != nil {
-		ev.Chunk, ev.Probe, ev.Dur = chunk, probe, end-start
+// uplinkFreed records chunk c's transfer releasing the serialized
+// uplink: the UplinkIdle event plus the busy-time metric. A measurement
+// is marked Probe and carries no chunk id (a probe chunk takes its id
+// only after this). Caller holds the mutex.
+func (e *execution) uplinkFreed(c *chunk, start, end float64) {
+	if ev := e.event(obs.UplinkIdle, c.worker); ev != nil {
+		ev.Chunk, ev.Probe, ev.Dur = c.id, c.kind != kindWork, end-start
 		e.emit(ev)
 	}
 	e.met.TransferDone(end - start)
 }
 
-// emitUplinkBusy is uplinkFreed's opening bracket: one transfer taking
+// uplinkBusy is uplinkFreed's opening bracket: chunk c's transfer taking
 // the serialized uplink. Caller holds the mutex.
-func (e *execution) emitUplinkBusy(w, chunk int, probe bool, bytes float64) {
-	if ev := e.event(obs.UplinkBusy, w); ev != nil {
-		ev.Chunk, ev.Probe, ev.Bytes = chunk, probe, bytes
+func (e *execution) uplinkBusy(c *chunk) {
+	if ev := e.event(obs.UplinkBusy, c.worker); ev != nil {
+		ev.Chunk, ev.Probe, ev.Bytes = c.id, c.kind != kindWork, c.bytes
 		e.emit(ev)
 	}
-}
-
-// probeExecDone accounts for one of worker w's two calibration
-// executions; when every worker has reported both, planning proceeds.
-func (e *execution) probeExecDone(w int) {
-	if e.probes[w].failed {
-		// A late completion from a worker already lost mid-probing; its
-		// slot in probesLeft was released when it failed.
-		return
-	}
-	e.probes[w].execDone++
-	if e.probes[w].execDone == 2 {
-		e.probesLeft--
-		pr := e.probes[w]
-		if ev := e.event(obs.ProbeResult, w); ev != nil {
-			ev.Size = e.probeLoad
-			ev.CommLatency, ev.CompLatency = pr.emptyTransfer, pr.noopExec
-			ev.TransferDur, ev.ComputeDur = pr.probeTransfer, pr.probeExec
-			e.emit(ev)
-		}
-		e.met.ProbeDone()
-	}
-	if e.probesLeft == 0 && !e.planned {
-		e.plan(e.estimatesFromProbes())
-	}
-}
-
-// estimatesFromProbes converts the probing measurements into per-worker
-// affine cost estimates, exactly as §3.5 describes: start-up costs from
-// the empty transfer and no-op job, rates from the probe chunk with the
-// start-up costs subtracted. Workers lost during probing get the
-// slowest survivor's estimate as a placeholder — loss-aware algorithms
-// never target them, and the engine redirects any decision that does.
-func (e *execution) estimatesFromProbes() []model.Estimate {
-	e.estBuf = resizeEstimates(e.estBuf, len(e.probes))
-	ests := e.estBuf
-	for i := range ests {
-		ests[i] = model.Estimate{}
-	}
-	for w, pr := range e.probes {
-		if pr.failed {
-			continue
-		}
-		unitComm := (pr.probeTransfer - pr.emptyTransfer) / e.probeLoad
-		if unitComm < 0 {
-			unitComm = 0
-		}
-		// Rescale to the application's data density when the probe file's
-		// differs (the case study's probe.avi has its own frames/byte).
-		if e.probeBPU > 0 && float64(e.app.BytesPerUnit) > 0 {
-			unitComm *= float64(e.app.BytesPerUnit) / e.probeBPU
-		}
-		unitComp := (pr.probeExec - pr.noopExec) / e.probeLoad
-		if unitComp <= 0 {
-			unitComp = pr.probeExec / e.probeLoad
-		}
-		ests[w] = model.Estimate{
-			Worker:      w,
-			UnitComm:    unitComm,
-			CommLatency: pr.emptyTransfer,
-			UnitComp:    unitComp,
-			CompLatency: pr.noopExec,
-		}
-	}
-	slowest := -1
-	for w, pr := range e.probes {
-		if !pr.failed && (slowest < 0 || ests[w].UnitComp > ests[slowest].UnitComp) {
-			slowest = w
-		}
-	}
-	for w, pr := range e.probes {
-		if pr.failed && slowest >= 0 {
-			ests[w] = ests[slowest]
-			ests[w].Worker = w
-		}
-	}
-	return ests
 }
 
 // plan invokes the algorithm's planning step and opens the dispatch loop.
@@ -955,7 +704,7 @@ func (e *execution) plan(ests []model.Estimate) {
 			}
 		}
 		if scaled {
-			e.destBuf = resizeEstimates(e.destBuf, len(e.dests))
+			e.destBuf = resize(e.destBuf, len(e.dests))
 			copy(e.destBuf, e.dests)
 			d := e.destBuf
 			for w := range d {
@@ -1022,12 +771,8 @@ func (e *execution) tryDispatch() {
 		// its full capacity across arena reuse.
 		copy(e.retryQ, e.retryQ[1:])
 		e.retryQ = e.retryQ[:len(e.retryQ)-1]
-		c.worker = w
 		c.attempt++
-		e.remaining -= c.size
-		e.pending[w] += c.size
-		e.pendingChunks[w]++
-		e.inflight++
+		e.assign(c, w)
 		// The algorithm is not re-consulted: the engine owns re-dispatch
 		// (see dls.WorkerLossAware), so alg.Dispatched is not called and
 		// the load re-enters the accounting only through remaining.
@@ -1109,94 +854,25 @@ func (e *execution) tryDispatch() {
 
 	c := e.allocChunk()
 	c.id = e.nextChunkID()
-	c.worker = d.Worker
 	c.offset = e.offset
 	c.size = actual
 	c.bytes = actual * float64(e.app.BytesPerUnit)
 	c.attempt = 1
 	e.offset += actual
-	e.remaining -= actual
-	e.pending[d.Worker] += actual
-	e.pendingChunks[d.Worker]++
-	e.inflight++
+	e.assign(c, d.Worker)
 	e.sending = true
 	e.alg.Dispatched(d.Worker, d.Size, actual)
 	e.launch(c)
 }
 
-// recalibrate runs one worker's empty-transfer + no-op measurement pair
-// on the otherwise-free uplink, then resumes dispatching. Blacklisted
-// workers are skipped; a measurement failure counts against the worker's
-// failure streak like a chunk failure would. Caller holds the mutex.
-func (e *execution) recalibrate() {
-	w := e.calWorker
-	if e.retryOn {
-		n := e.backend.Workers()
-		for i := 0; i < n && e.dead[w]; i++ {
-			w = (w + 1) % n
-		}
-		if e.dead[w] {
-			e.failNoWorkers()
-			return
-		}
-	}
-	e.calWorker = (w + 1) % e.backend.Workers()
-	e.calibrating = true
-	e.lastCal = e.backend.Now()
-	e.calCount++
-	gen := e.runGen // fence stale completions, as in probeWorker
-	e.emitUplinkBusy(w, 0, true, 0)
-	e.backend.Transfer(w, 0, func(s1, e1 float64, err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.runGen != gen {
-			return
-		}
-		commLat := e1 - s1
-		e.calibrating = false
-		e.uplinkFreed(w, 0, true, s1, e1)
-		if err != nil {
-			e.calibrationFailed(w, err)
-			e.tryDispatch()
-			return
-		}
-		e.backend.Execute(w, 0, true, func(s2, e2 float64, err error) {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if e.runGen != gen {
-				return
-			}
-			if err != nil {
-				e.calibrationFailed(w, err)
-				e.tryDispatch()
-				return
-			}
-			if rc, ok := e.alg.(dls.Recalibrator); ok {
-				rc.Recalibrate(w, commLat, e2-s2)
-			}
-			if ev := e.event(obs.Recalibrate, w); ev != nil {
-				ev.CommLatency, ev.CompLatency = commLat, e2-s2
-				e.emit(ev)
-			}
-			e.met.Recalibrated()
-			e.tryDispatch()
-		})
-		e.tryDispatch()
-	})
-}
-
-// calibrationFailed handles a failed re-measurement: without a retry
-// policy it aborts the run; with one it counts against the worker's
-// failure streak. Caller holds the mutex.
-func (e *execution) calibrationFailed(w int, cause error) {
-	if !e.retryOn {
-		e.fail(fmt.Errorf("engine: recalibration on worker %d failed: %w", w, cause))
-		return
-	}
-	e.consecFail[w]++
-	if !e.dead[w] && e.consecFail[w] >= e.retry.BlacklistAfter {
-		e.blacklistWorker(w)
-	}
+// assign puts chunk c on worker w: its load leaves the undispatched pool
+// and joins w's pending work. Caller holds the mutex.
+func (e *execution) assign(c *chunk, w int) {
+	c.worker = w
+	e.remaining -= c.size
+	e.pending[w] += c.size
+	e.pendingChunks[w]++
+	e.inflight++
 }
 
 func (e *execution) nextChunkID() int {

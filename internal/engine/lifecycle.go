@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"apstdv/internal/dls"
@@ -52,7 +52,8 @@ func (s chunkState) String() string {
 // chunk is one tracked dispatch: a fixed slice of the load (id, offset,
 // size) plus the mutable lifecycle of its current attempt. The id and
 // offset survive retries; the timeline, worker assignment, and epoch
-// are per-attempt.
+// are per-attempt. A chunk of a measurement kind (see chunkKind) uses
+// only the identity, size, timeline and epoch fields.
 //
 // Chunks live in the execution's slot arena (chunkSlots): slot names the
 // record's position there and used whether it currently holds a live
@@ -60,6 +61,7 @@ func (s chunkState) String() string {
 // arena moves every record — so callbacks identify chunks by op token,
 // never by pointer.
 type chunk struct {
+	kind   chunkKind
 	id     int
 	worker int
 	// slot is the record's index in the chunk arena; used marks it live.
@@ -127,10 +129,12 @@ func (e *execution) chunkFromOp(op uint64) *chunk {
 }
 
 // dispatchTransfer, dispatchExecute and dispatchReturn issue one stage
-// operation: on an OpBackend through the indexed form — the op token
-// plus a shared method-value handler, no per-operation closure —
-// otherwise through the classic closure form wrapping the same handler.
-// Caller holds the mutex.
+// operation of a chunk of any kind: on an OpBackend through the indexed
+// form — the op token plus a shared method-value handler, no
+// per-operation closure — otherwise through the classic closure form
+// wrapping the same handler. They are the engine's only calls into the
+// backend's transfer, compute and return operations. Caller holds the
+// mutex.
 func (e *execution) dispatchTransfer(c *chunk) {
 	op := opToken(c)
 	if e.opBackend != nil {
@@ -144,13 +148,13 @@ func (e *execution) dispatchTransfer(c *chunk) {
 }
 
 func (e *execution) dispatchExecute(c *chunk) {
-	op := opToken(c)
+	op, probe := opToken(c), c.kind != kindWork
 	if e.opBackend != nil {
-		e.opBackend.ExecuteOp(c.worker, c.size, false, op, e.computeDoneFn)
+		e.opBackend.ExecuteOp(c.worker, c.size, probe, op, e.computeDoneFn)
 		return
 	}
 	done := e.computeDoneFn
-	e.backend.Execute(c.worker, c.size, false, func(start, end float64, err error) {
+	e.backend.Execute(c.worker, c.size, probe, func(start, end float64, err error) {
 		done(op, start, end, err)
 	})
 }
@@ -167,27 +171,44 @@ func (e *execution) dispatchReturn(c *chunk, outBytes float64) {
 	})
 }
 
-// launch starts (or restarts) a chunk attempt: the bookkeeping —
-// remaining, pending, inflight, sending — is already done by the
-// caller. Caller holds the mutex.
-func (e *execution) launch(c *chunk) {
+// beginAttempt opens a chunk attempt in the transfer stage: a new epoch
+// fences the previous attempt's callbacks, the first attempt opens the
+// chunk's umbrella span, and the Dispatch event names src, the peer the
+// input comes from (0 from the master; the field is omitted at 0 either
+// way). Caller holds the mutex.
+func (e *execution) beginAttempt(c *chunk, src int) {
 	c.state = stateTransferring
 	c.epoch++
 	c.stageStart = e.backend.Now()
 	c.sendStart, c.sendEnd, c.compStart, c.compEnd = 0, 0, 0, 0
 	if e.traceOn && c.span == 0 {
-		c.span = e.tracer.NextSpanID()
+		c.span = e.cfg.Trace.NextSpanID()
 		c.traceStart = c.stageStart
 	}
-
 	if ev := e.event(obs.Dispatch, c.worker); ev != nil {
-		ev.Chunk, ev.Size, ev.Bytes, ev.Remaining = c.id, c.size, c.bytes, e.remaining
+		ev.Chunk, ev.Size, ev.Bytes, ev.Remaining, ev.Src = c.id, c.size, c.bytes, e.remaining, src
 		if c.attempt > 1 {
 			ev.Attempt = c.attempt
 		}
 		e.emit(ev)
 	}
-	e.emitUplinkBusy(c.worker, c.id, false, c.bytes)
+}
+
+// startCompute moves a chunk whose input reached its worker into the
+// compute stage. Caller holds the mutex.
+func (e *execution) startCompute(c *chunk) {
+	c.state = stateComputing
+	c.stageStart = e.backend.Now()
+	e.armDeadline(c, e.compEstimate(c))
+	e.dispatchExecute(c)
+}
+
+// launch starts (or restarts) a chunk attempt: the bookkeeping —
+// remaining, pending, inflight, sending — is already done by the
+// caller. Caller holds the mutex.
+func (e *execution) launch(c *chunk) {
+	e.beginAttempt(c, 0)
+	e.uplinkBusy(c)
 	e.met.Dispatched(c.bytes)
 	e.armDeadline(c, e.sendEstimate(c))
 	e.dispatchTransfer(c)
@@ -206,19 +227,7 @@ func (e *execution) launch(c *chunk) {
 // uplink is never held. Caller holds the mutex.
 func (e *execution) launchPeer(c *chunk) {
 	from := int(c.dataAt)
-	c.state = stateTransferring
-	c.epoch++
-	c.stageStart = e.backend.Now()
-	c.sendStart, c.sendEnd, c.compStart, c.compEnd = 0, 0, 0, 0
-	if e.traceOn && c.span == 0 {
-		c.span = e.tracer.NextSpanID()
-		c.traceStart = c.stageStart
-	}
-	if ev := e.event(obs.Dispatch, c.worker); ev != nil {
-		ev.Chunk, ev.Size, ev.Bytes, ev.Remaining = c.id, c.size, c.bytes, e.remaining
-		ev.Attempt, ev.Src = c.attempt, from
-		e.emit(ev)
-	}
+	e.beginAttempt(c, from)
 	if e.redistAware != nil {
 		e.redistAware.ChunkRedistributed(from, c.worker, c.size)
 	}
@@ -230,9 +239,7 @@ func (e *execution) launchPeer(c *chunk) {
 			ev.Src, ev.Chunk, ev.Size = from, c.id, c.size
 			e.emit(ev)
 		}
-		c.state = stateComputing
-		e.armDeadline(c, e.compEstimate(c))
-		e.dispatchExecute(c)
+		e.startCompute(c)
 		return
 	}
 	if ev := e.event(obs.PeerTransfer, c.worker); ev != nil {
@@ -268,16 +275,14 @@ func (e *execution) peerDone(op uint64, start, end float64, err error) {
 		e.emit(ev)
 	}
 	c.dataAt = int32(c.worker)
-	c.state = stateComputing
-	c.stageStart = e.backend.Now()
-	e.armDeadline(c, e.compEstimate(c))
-	e.dispatchExecute(c)
+	e.startCompute(c)
 	e.tryDispatch()
 }
 
 // transferDone advances a chunk whose input transfer completed or
 // failed. It is the one handler behind every transfer the execution
-// issues; stale completions fence on the op token.
+// issues, measurements included; stale completions fence on the op
+// token.
 func (e *execution) transferDone(op uint64, start, end float64, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -285,9 +290,13 @@ func (e *execution) transferDone(op uint64, start, end float64, err error) {
 	if c == nil {
 		return
 	}
+	if c.kind != kindWork {
+		e.measureTransferred(c, start, end, err)
+		return
+	}
 	e.cancelDeadline(c)
 	e.sending = false
-	e.uplinkFreed(c.worker, c.id, false, start, end)
+	e.uplinkFreed(c, start, end)
 	if err != nil {
 		e.chunkFailed(c, err, false)
 		e.tryDispatch()
@@ -297,10 +306,7 @@ func (e *execution) transferDone(op uint64, start, end float64, err error) {
 	if e.traceOn {
 		e.recordStageSpan(c, "chunk.transfer", start, end, "")
 	}
-	c.state = stateComputing
-	c.stageStart = e.backend.Now()
-	e.armDeadline(c, e.compEstimate(c))
-	e.dispatchExecute(c)
+	e.startCompute(c)
 	e.tryDispatch()
 }
 
@@ -310,6 +316,10 @@ func (e *execution) computeDone(op uint64, start, end float64, err error) {
 	defer e.mu.Unlock()
 	c := e.chunkFromOp(op)
 	if c == nil {
+		return
+	}
+	if c.kind != kindWork {
+		e.measureComputed(c, start, end, err)
 		return
 	}
 	e.cancelDeadline(c)
@@ -387,7 +397,7 @@ func (e *execution) completeChunk(c *chunk, outputEnd float64) {
 	if e.traceOn {
 		// The umbrella span closes over the chunk's whole life — first
 		// launch to output return, retries included.
-		e.tracer.RecordSpan(e.traceID, c.span, e.traceParent, "chunk",
+		e.cfg.Trace.RecordSpan(e.cfg.TraceID, c.span, e.cfg.TraceParent, "chunk",
 			e.traceNs(c.traceStart), e.traceNs(outputEnd), true, "")
 	}
 	if ev := e.event(obs.ChunkDone, w); ev != nil {
@@ -408,24 +418,34 @@ func (e *execution) completeChunk(c *chunk, outputEnd float64) {
 	e.tryDispatch()
 }
 
+// inFlight returns the slots of the work chunks the backend is working
+// on, in chunk-id order: worker w's, or every worker's when w < 0.
+// Retry-queued and retired slots are excluded, and so are measurements,
+// which hold no load to abandon or to report stalled. Caller holds the
+// mutex.
+func (e *execution) inFlight(w int) []int32 {
+	var slots []int32
+	for i := range e.chunkSlots {
+		c := &e.chunkSlots[i]
+		if c.used && c.kind == kindWork && c.state >= stateTransferring && c.state <= stateReturning &&
+			(w < 0 || c.worker == w) {
+			slots = append(slots, int32(i))
+		}
+	}
+	slices.SortFunc(slots, func(a, b int32) int { return e.chunkSlots[a].id - e.chunkSlots[b].id })
+	return slots
+}
+
 // stallDetail renders the in-flight chunks for the stall error: which
 // worker holds which chunk, in which lifecycle stage, for how long.
 func (e *execution) stallDetail() string {
-	idx := make([]int, 0, e.inflight)
-	for i := range e.chunkSlots {
-		if e.chunkSlots[i].inFlightChunk() {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) == 0 {
+	slots := e.inFlight(-1)
+	if len(slots) == 0 {
 		return ""
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return e.chunkSlots[idx[a]].id < e.chunkSlots[idx[b]].id
-	})
 	now := e.backend.Now()
-	parts := make([]string, 0, len(idx))
-	for _, i := range idx {
+	parts := make([]string, 0, len(slots))
+	for _, i := range slots {
 		c := &e.chunkSlots[i]
 		parts = append(parts, fmt.Sprintf("worker %d: chunk %d %s for %.1fs",
 			c.worker, c.id, c.state, now-c.stageStart))

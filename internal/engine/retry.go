@@ -188,7 +188,7 @@ func (e *execution) chunkFailed(c *chunk, cause error, holdsUplink bool) {
 		if !e.cfg.ParallelUplink {
 			e.sending = false
 		}
-		e.uplinkFreed(w, c.id, false, c.stageStart, e.backend.Now())
+		e.uplinkFreed(c, c.stageStart, e.backend.Now())
 	}
 	e.pending[w] -= c.size
 	if e.pending[w] < 0 {
@@ -251,21 +251,8 @@ func (e *execution) blacklistWorker(w int) {
 	}
 	// Abandon the worker's in-flight chunks in id order (slot order is
 	// allocation order, not id order; the event stream must be stable).
-	var victims []int32
-	for i := range e.chunkSlots {
-		if c := &e.chunkSlots[i]; c.inFlightChunk() && c.worker == w {
-			victims = append(victims, int32(i))
-		}
-	}
-	for i := range victims {
-		for j := i + 1; j < len(victims); j++ {
-			if e.chunkSlots[victims[j]].id < e.chunkSlots[victims[i]].id {
-				victims[i], victims[j] = victims[j], victims[i]
-			}
-		}
-	}
 	cause := fmt.Errorf("worker %d blacklisted after %d consecutive failures", w, e.consecFail[w])
-	for _, slot := range victims {
+	for _, slot := range e.inFlight(w) {
 		c := &e.chunkSlots[slot]
 		e.chunkFailed(c, cause, c.state == stateTransferring)
 		if e.err != nil {
@@ -289,37 +276,6 @@ func (e *execution) blacklistWorker(w int) {
 	}
 	if e.alive == 0 {
 		e.failNoWorkers()
-	}
-}
-
-// probeFailed handles a worker lost during the probing round: it is
-// removed from service before planning, and its probesLeft slot is
-// released so planning proceeds over the survivors. Caller holds the
-// mutex.
-func (e *execution) probeFailed(w int, cause error) {
-	if !e.retryOn {
-		e.fail(fmt.Errorf("engine: probing worker %d failed: %w", w, cause))
-		return
-	}
-	pr := &e.probes[w]
-	if pr.failed {
-		return
-	}
-	pr.failed = true
-	e.probesLeft--
-	e.dead[w] = true
-	e.alive--
-	if ev := e.event(obs.WorkerLost, w); ev != nil {
-		ev.Workers, ev.Err = e.alive, cause.Error()
-		e.emit(ev)
-	}
-	e.met.WorkerRemoved()
-	if e.alive == 0 {
-		e.failNoWorkers()
-		return
-	}
-	if e.probesLeft == 0 && !e.planned {
-		e.plan(e.estimatesFromProbes())
 	}
 }
 

@@ -340,8 +340,10 @@ func (b *Backend) transferFire(arg uint64) {
 	done(op, float64(start), float64(b.eng.Now()), err)
 }
 
-// Transfer implements engine.Backend: the closure form of TransferOp,
-// kept for the probing/calibration paths and non-arena callers.
+// Transfer implements engine.Backend: the closure form of TransferOp.
+// The engine never calls it — a Backend is an engine.OpBackend, so
+// work chunks and measurements alike go through TransferOp — and it
+// stays only because engine.Backend still requires it.
 func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, err error)) {
 	b.TransferOp(w, bytes, 0, func(_ uint64, start, end float64, err error) {
 		done(start, end, err)
@@ -420,8 +422,8 @@ func (b *Backend) execDone(arg uint64, start, end units.Seconds) {
 	done(op, float64(start), float64(end), err)
 }
 
-// Execute implements engine.Backend: the closure form of ExecuteOp, kept
-// for the probing/calibration paths and non-arena callers.
+// Execute implements engine.Backend: the closure form of ExecuteOp,
+// never called by the engine (see Transfer).
 func (b *Backend) Execute(w int, size float64, probe bool, done func(start, end float64, err error)) {
 	b.ExecuteOp(w, size, probe, 0, func(_ uint64, start, end float64, err error) {
 		done(start, end, err)
@@ -504,7 +506,7 @@ func (b *Backend) returnDone(arg uint64, start, end units.Seconds) {
 }
 
 // ReturnOutput implements engine.Backend: the closure form of
-// ReturnOutputOp, kept for non-arena callers.
+// ReturnOutputOp, never called by the engine (see Transfer).
 func (b *Backend) ReturnOutput(w int, bytes float64, done func(start, end float64, err error)) {
 	b.ReturnOutputOp(w, bytes, 0, func(_ uint64, start, end float64, err error) {
 		done(start, end, err)

@@ -61,13 +61,45 @@ type BatchXML struct {
 	ExternalMeanHold float64 `xml:"externalhold,attr,omitempty"`
 }
 
-// ParseResources reads a resource description from XML.
+// ParseResources reads a resource description from XML. Every float
+// attribute must be a finite number.
 func ParseResources(r io.Reader) (*Resources, error) {
 	var res Resources
 	if err := xml.NewDecoder(r).Decode(&res); err != nil {
 		return nil, fmt.Errorf("spec: resources: %w", err)
 	}
+	for i := range res.Clusters {
+		if err := res.Clusters[i].finite(); err != nil {
+			return nil, err
+		}
+	}
 	return &res, nil
+}
+
+// finite refuses NaN and ±Inf in the cluster's float attributes and
+// those of its batch queue and hosts.
+func (cl *Cluster) finite() error {
+	err := checkFinite("cluster "+cl.Name, []floatAttr{
+		{"bandwidth", cl.Bandwidth}, {"commlatency", cl.CommLatency}, {"complatency", cl.CompLatency},
+	})
+	if b := cl.Batch; err == nil && b != nil {
+		err = checkFinite("batch of cluster "+cl.Name, []floatAttr{
+			{"cycleinterval", b.CycleInterval}, {"dispatchjitter", b.DispatchJitterCV},
+			{"externalrate", b.ExternalRate}, {"externalhold", b.ExternalMeanHold},
+		})
+	}
+	for _, h := range cl.Hosts {
+		if err != nil {
+			return err
+		}
+		err = checkFinite("host "+h.Name, []floatAttr{{"speed", h.Speed}})
+		if bg := h.Background; err == nil && bg != nil {
+			err = checkFinite("background of host "+h.Name, []floatAttr{
+				{"meanon", bg.MeanOn}, {"meanoff", bg.MeanOff}, {"share", bg.Share},
+			})
+		}
+	}
+	return err
 }
 
 // ParseResourcesFile reads a resource description from a file.

@@ -8,6 +8,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -113,6 +114,11 @@ func (t *Task) Validate() error {
 	if d.Input == "" {
 		return fmt.Errorf("spec: divisibility is missing the input attribute")
 	}
+	if err := checkFinite("divisibility", []floatAttr{
+		{"start", d.Start}, {"stepsize", d.StepSize}, {"load", d.Load}, {"probe_load", d.ProbeLoad},
+	}); err != nil {
+		return err
+	}
 	if d.Algorithm != "" {
 		if _, err := dls.New(d.Algorithm); err != nil {
 			return fmt.Errorf("spec: %w", err)
@@ -156,6 +162,26 @@ func (t *Task) Validate() error {
 	default:
 		return fmt.Errorf("spec: unknown division method %q (want %s, %s or %s)",
 			d.Method, MethodUniform, MethodIndex, MethodCallback)
+	}
+	return nil
+}
+
+// floatAttr is one float attribute of an element, for checkFinite.
+type floatAttr struct {
+	name string
+	v    float64
+}
+
+// checkFinite refuses NaN and ±Inf in an element's float attributes.
+// Every float attribute passes through it: NaN slips past every range
+// check (each comparison is false), and the engine and the simulator
+// take what a spec declares as given, so a non-finite value would
+// surface as a non-finite event time deep inside a run.
+func checkFinite(elem string, attrs []floatAttr) error {
+	for _, a := range attrs {
+		if math.IsNaN(a.v) || math.IsInf(a.v, 0) {
+			return fmt.Errorf("spec: %s attribute %s is %g, not a finite number", elem, a.name, a.v)
+		}
 	}
 	return nil
 }
