@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,23 +21,19 @@ import (
 
 // scheduleConditions are the engine settings every algorithm is pinned
 // under: fault-free, two workers crashing mid-run, periodic
-// recalibration (the only path that reaches a Recalibrator), and faults
-// aimed at the two measurement paths. A condition with a landed check
-// also hashes the run's whole event stream, and the check asserts that
-// its faults hit what they aim at, so the pin cannot silently miss.
+// recalibration (the only path that reaches a Recalibrator), faults
+// aimed at the two measurement paths, and the two crashes again with
+// peer redistribution (on a tree topology and on the star) and with
+// output returns. A condition with a landed check also hashes the run's
+// whole event stream, and the check asserts that its faults hit what
+// they aim at, so the pin cannot silently miss.
 var scheduleConditions = []struct {
 	name   string
 	config func(r *Run)
-	landed func(evs []obs.Event) error
+	landed func(evs []obs.Event, tr *trace.Trace) error
 }{
 	{"plain", func(*Run) {}, nil},
-	{"crash", func(r *Run) {
-		r.Grid.Faults = &grid.FaultPlan{Faults: []grid.WorkerFault{
-			{Worker: 1, Kind: grid.FaultCrash, At: 1500},
-			{Worker: 6, Kind: grid.FaultCrash, At: 4000},
-		}}
-		r.Engine.Retry = &engine.RetryPolicy{}
-	}, nil},
+	{"crash", twoCrashes, nil},
 	{"recal", func(r *Run) {
 		r.Engine.RecalibrateInterval = 500
 		r.Engine.Retry = &engine.RetryPolicy{}
@@ -62,12 +59,86 @@ var scheduleConditions = []struct {
 		}}
 		r.Engine.Retry = &engine.RetryPolicy{}
 	}, recalFaultLanded},
+	// Transfers on the tree are fluid flows behind a latency phase; a
+	// crash cuts either phase, and peer fetches share the links with the
+	// master's sends.
+	{"tree", func(r *Run) {
+		twoCrashes(r)
+		r.Platform = treePlatform
+		r.Engine.Retry.Redistribute = true
+	}, peerMoveLanded},
+	{"starpeer", func(r *Run) {
+		twoCrashes(r)
+		r.Engine.Retry.Redistribute = true
+	}, peerMoveLanded},
+	{"output", func(r *Run) {
+		twoCrashes(r)
+		r.App.OutputBytesPerUnit = r.App.BytesPerUnit / 2
+	}, outputLanded},
+}
+
+// treePlatform is the tree condition's platform: the pinned Mixed(4, 4)
+// behind a two-level link graph. Runs share it read-only.
+var treePlatform = workload.WithTreeTopology(workload.Mixed(4, 4))
+
+// twoCrashes is the crash condition: worker 1 crashes at 1 500 s and
+// worker 6 at 4 000 s, under the default retry policy.
+func twoCrashes(r *Run) {
+	r.Grid.Faults = &grid.FaultPlan{Faults: []grid.WorkerFault{
+		{Worker: 1, Kind: grid.FaultCrash, At: 1500},
+		{Worker: 6, Kind: grid.FaultCrash, At: 4000},
+	}}
+	r.Engine.Retry = &engine.RetryPolicy{}
+}
+
+// peerMoveLanded checks tree and starpeer: worker 1 was lost, and some
+// failed chunk moved to a survivor over the peer path.
+func peerMoveLanded(evs []obs.Event, _ *trace.Trace) error {
+	lost, moved := false, false
+	for _, ev := range evs {
+		lost = lost || ev.Type == obs.WorkerLost && ev.Worker == 1
+		moved = moved || ev.Type == obs.ChunkRedistributed
+	}
+	if !lost || !moved {
+		return fmt.Errorf("worker 1 lost %v, a chunk redistributed %v", lost, moved)
+	}
+	return nil
+}
+
+// outputLanded checks output: worker 1 was lost, and chunks returned
+// their output over the downlink. Whether a crash cuts a return depends
+// on the algorithm's timing, so TestAlgorithmSchedulesMatchGolden checks
+// separately that some output run cut one (see returnCut).
+func outputLanded(evs []obs.Event, tr *trace.Trace) error {
+	lost := false
+	for _, ev := range evs {
+		lost = lost || ev.Type == obs.WorkerLost && ev.Worker == 1
+	}
+	returned := false
+	for _, r := range tr.Records() {
+		returned = returned || !r.Failed && !r.Probe && r.OutputEnd > r.CompEnd
+	}
+	if !lost || !returned {
+		return fmt.Errorf("worker 1 lost %v, output returned %v", lost, returned)
+	}
+	return nil
+}
+
+// returnCut reports whether a crash cut some chunk attempt after its
+// computation ended, while it returned output.
+func returnCut(tr *trace.Trace) bool {
+	for _, r := range tr.Records() {
+		if r.Failed && r.CompEnd > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // probeFaultsLanded checks probecrash: in a run that probes, crashed
 // worker 1 is lost before planning, and stalled worker 5's probe chunk
 // computes for at least the stall.
-func probeFaultsLanded(evs []obs.Event) error {
+func probeFaultsLanded(evs []obs.Event, _ *trace.Trace) error {
 	if len(evs) == 0 || evs[0].Type != obs.ProbeStart {
 		return nil // a blind algorithm: no probing round to aim at
 	}
@@ -91,7 +162,7 @@ func probeFaultsLanded(evs []obs.Event) error {
 // recalFaultLanded checks recalcrash: some recalibration of a crashed
 // worker started (its empty transfer took the uplink after planning) and
 // never delivered its measurement.
-func recalFaultLanded(evs []obs.Event) error {
+func recalFaultLanded(evs []obs.Event, _ *trace.Trace) error {
 	planned := false
 	started, delivered := map[int]int{}, map[int]int{}
 	for _, ev := range evs {
@@ -219,6 +290,7 @@ func TestAlgorithmSchedulesMatchGolden(t *testing.T) {
 	keys := make([]string, len(names)*perAlg)
 	got := make([]string, len(keys))
 	events := make([]*obs.Buffer, len(keys))
+	cuts := make([]bool, len(keys))
 	err = RunAll(len(keys), 0, func(i int, r *Run) {
 		name, cond, seed := names[i/perAlg], scheduleConditions[i%perAlg/seeds], i%seeds+1
 		keys[i] = fmt.Sprintf("%s/%s/%d", name, cond.name, seed)
@@ -233,16 +305,20 @@ func TestAlgorithmSchedulesMatchGolden(t *testing.T) {
 		var extra []byte
 		if events[i] != nil {
 			evs := events[i].Events()
-			if lerr := scheduleConditions[i%perAlg/seeds].landed(evs); lerr != nil {
+			if lerr := scheduleConditions[i%perAlg/seeds].landed(evs, tr); lerr != nil {
 				return fmt.Errorf("%s: fault missed its target: %v", keys[i], lerr)
 			}
 			extra = eventsHash(evs)
+			cuts[i] = scheduleConditions[i%perAlg/seeds].name == "output" && returnCut(tr)
 		}
 		got[i] = scheduleHash(tr, err, extra)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Contains(cuts, true) {
+		t.Error("no output run had a return cut by a crash")
 	}
 
 	var all strings.Builder

@@ -2,6 +2,13 @@ package grid
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +16,7 @@ import (
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
 	"apstdv/internal/model"
+	"apstdv/internal/trace"
 	"apstdv/internal/units"
 	"apstdv/internal/workload"
 )
@@ -23,22 +31,22 @@ func mjApp(load units.Load) *model.Application {
 	}
 }
 
-// runMultiWorld drives a world's jobs per the package protocol:
+// executeMultiWorld drives a world's jobs per the package protocol:
 // sequential launches, each waiting for the previous execution to enter
 // Run, with the last launched goroutine draining the shared heap.
-// Returns per-job makespans measured from each job's arrival.
-func runMultiWorld(t *testing.T, w *MultiWorld, views []*JobView, apps []*model.Application) []float64 {
+// Returns each job's trace.
+func executeMultiWorld(t *testing.T, w *MultiWorld, views []*JobView, apps []*model.Application) []*trace.Trace {
 	t.Helper()
+	trs := make([]*trace.Trace, len(views))
 	errs := make([]error, len(views))
 	var wg sync.WaitGroup
 	for i, v := range views {
 		wg.Add(1)
 		go func(i int, v *JobView) {
 			defer wg.Done()
-			_, err := engine.Execute(context.Background(), engine.Request{
+			trs[i], errs[i] = engine.Execute(context.Background(), engine.Request{
 				Backend: v, Algorithm: dls.NewRUMR(), App: apps[i],
 			})
-			errs[i] = err
 		}(i, v)
 		select {
 		case <-v.Entered():
@@ -48,11 +56,21 @@ func runMultiWorld(t *testing.T, w *MultiWorld, views []*JobView, apps []*model.
 		}
 	}
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	return trs
+}
+
+// runMultiWorld runs a world's jobs (see executeMultiWorld) and returns
+// per-job makespans measured from each job's arrival.
+func runMultiWorld(t *testing.T, w *MultiWorld, views []*JobView, apps []*model.Application) []float64 {
+	t.Helper()
+	executeMultiWorld(t, w, views, apps)
 	makespans := make([]float64, len(views))
 	for i, v := range views {
-		if errs[i] != nil {
-			t.Fatalf("job %d: %v", i, errs[i])
-		}
 		makespans[i] = w.FinishedAt(i) - v.Arrival()
 		if makespans[i] <= 0 {
 			t.Fatalf("job %d makespan %g, want > 0", i, makespans[i])
@@ -203,5 +221,86 @@ func TestMultiWorldDeterministicAndStaggered(t *testing.T) {
 	}
 	if a[1] <= arrival {
 		t.Fatalf("staggered job finished at %.1f, before its own arrival %g", a[1], arrival)
+	}
+}
+
+// TestMultiWorldMatchesGolden pins the shared world at full precision:
+// partition, fair and srpt with 2, 3 and 4 RUMR jobs arriving 500 s
+// apart on DAS-2×8, plus fair over the partition's disjoint subsets,
+// where every revision leaves a share unchanged (and revise skips it). Each manifest line hashes every job's trace records
+// and finish time by their bits, then the reshare count. The multijob
+// sweep prints rounded numbers for simultaneous arrivals only; this is
+// the check that a change to share revision or to the shared queues
+// moved nothing. On a mismatch the computed manifest is logged.
+func TestMultiWorldMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "multiworld_golden.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform := workload.DAS2(8)
+	loads := []units.Load{40000, 8000, 20000, 12000}
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	var got strings.Builder
+	for _, policy := range []string{"partition", "fair", "srpt", "fairsplit"} {
+		for jobs := 2; jobs <= 4; jobs++ {
+			var sp SharePolicy
+			switch policy {
+			case "fair", "fairsplit":
+				sp = FairPolicy()
+			case "srpt":
+				sp = SRPTPolicy()
+			}
+			w, err := NewMultiWorld(platform, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var views []*JobView
+			var apps []*model.Application
+			for i := 0; i < jobs; i++ {
+				subset := all
+				if sp == nil || policy == "fairsplit" {
+					subset = all[i*len(all)/jobs : (i+1)*len(all)/jobs]
+				}
+				app := mjApp(loads[i])
+				v, err := w.AddJob(app, subset, 500*float64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				views = append(views, v)
+				apps = append(apps, app)
+			}
+			var buf []byte
+			u := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+			f := func(v float64) { u(math.Float64bits(v)) }
+			b := func(v bool) {
+				if v {
+					u(1)
+				} else {
+					u(0)
+				}
+			}
+			for i, tr := range executeMultiWorld(t, w, views, apps) {
+				for _, r := range tr.Records() {
+					u(uint64(r.Chunk))
+					u(uint64(r.Worker))
+					f(r.Offset)
+					f(r.Size)
+					b(r.Probe)
+					f(r.SendStart)
+					f(r.SendEnd)
+					f(r.CompStart)
+					f(r.CompEnd)
+					f(r.OutputEnd)
+					u(uint64(r.Attempt))
+					b(r.Failed)
+				}
+				f(w.FinishedAt(i))
+			}
+			u(uint64(w.Reshares()))
+			fmt.Fprintf(&got, "%x %s/%d\n", sha256.Sum256(buf), policy, jobs)
+		}
+	}
+	if got.String() != string(want) {
+		t.Errorf("multi-world schedules drifted from testdata/multiworld_golden.sha256; computed manifest:\n%s", got.String())
 	}
 }
