@@ -142,6 +142,34 @@ func TestSubmitRefusesNonFiniteSpec(t *testing.T) {
 	}
 }
 
+// TestSubmitSurvivesRunPanic: probe_load="1e308" is finite and passes
+// every spec check, but the probe chunk's bytes overflow to +Inf and the
+// simulator panics scheduling an event at a non-finite time. That panic
+// used to end the daemon. The job fails with it instead, and the next
+// job runs to completion.
+func TestSubmitSurvivesRunPanic(t *testing.T) {
+	c, _ := startSimDaemon(t)
+	sim := &daemon.SimApp{UnitCost: 0.1, BytesPerUnit: 1000}
+	bad := strings.Replace(taskXML, `probe_load="5"`, `probe_load="1e308"`, 1)
+	for _, spec := range []string{bad, taskXML} {
+		reply, err := c.Submit(spec, "", "", sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := waitDone(c, reply.JobID, 10*time.Second, 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec == bad {
+			if job.State != daemon.JobFailed || !strings.HasPrefix(job.Err, "daemon: job panicked: ") {
+				t.Errorf("overflowing probe job: state %s, error %q; want failed with the panic", job.State, job.Err)
+			}
+		} else if job.State != daemon.JobDone {
+			t.Errorf("job after the panic: state %s: %s", job.State, job.Err)
+		}
+	}
+}
+
 func TestStatusUnknownJob(t *testing.T) {
 	c, _ := startSimDaemon(t)
 	if _, err := c.Status(999); err == nil {

@@ -12,6 +12,7 @@ import (
 	"apstdv/internal/model"
 	"apstdv/internal/obs"
 	otrace "apstdv/internal/obs/trace"
+	"apstdv/internal/trace"
 )
 
 // Priority classes, highest first. Admission drains high before normal
@@ -221,13 +222,17 @@ func (d *Daemon) runJob(p *pendingJob) {
 	defer d.wg.Done()
 	exec := d.tracer.Begin(p.traceID, p.submitSpan, "job.execute")
 	p.execSpan = exec.ID()
-	tr, err := d.runFn(p.ctx, p)
+	tr, panicked, err := d.runRecovered(p)
 	exec.End(err)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	job := p.job
 	job.Finished = time.Now()
-	d.putSlotLocked(p.slot)
+	if !panicked {
+		// A panic can leave the slot's backend mid-run and its arena's
+		// lock held, so such a slot is dropped, not reused.
+		d.putSlotLocked(p.slot)
+	}
 	p.slot = nil
 	d.running--
 	d.jobsRunning.Dec()
@@ -264,6 +269,20 @@ func (d *Daemon) runJob(p *pendingJob) {
 	d.retireLocked(job)
 	d.scheduleLocked()
 	d.notifyIfIdleLocked()
+}
+
+// runRecovered runs the job through runFn and turns a panic into the
+// job's error, so one job whose inputs reach an arithmetic accident
+// (probe bytes overflowing to +Inf, say) fails alone instead of ending
+// the daemon.
+func (d *Daemon) runRecovered(p *pendingJob) (tr *trace.Trace, panicked bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tr, panicked, err = nil, true, fmt.Errorf("daemon: job panicked: %v", r)
+		}
+	}()
+	tr, err = d.runFn(p.ctx, p)
+	return tr, false, err
 }
 
 // scheduleLocked fills free concurrency slots from the queues, highest

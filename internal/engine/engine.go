@@ -156,9 +156,6 @@ type Config struct {
 	// probefile, e.g. 21 frames against an 1830-frame load). Default:
 	// 1% of the total load.
 	ProbeLoad float64
-	// ProbeBytesPerUnit overrides the probe file's data density;
-	// default: the application's BytesPerUnit.
-	ProbeBytesPerUnit float64
 	// DisableProbing skips the probing round even for algorithms that
 	// request it, handing them blind equal-speed estimates (ablation).
 	DisableProbing bool
@@ -412,7 +409,6 @@ type execution struct {
 	destBuf []model.Estimate
 
 	probeLoad float64
-	probeBPU  float64
 	// Periodic recalibration state.
 	lastCal     float64
 	calWorker   int
@@ -521,10 +517,6 @@ func (e *execution) beginRun(req Request) {
 		e.probeLoad = e.total / 100
 	} else {
 		e.probeLoad = cfg.ProbeLoad
-	}
-	e.probeBPU = float64(app.BytesPerUnit)
-	if cfg.ProbeBytesPerUnit > 0 {
-		e.probeBPU = cfg.ProbeBytesPerUnit
 	}
 	e.probes = e.probes[:0]
 	e.probesLeft = 0

@@ -57,12 +57,11 @@ func TestLifecycleStallDetailListsInFlightChunks(t *testing.T) {
 }
 
 func TestLifecycleRetryDefaults(t *testing.T) {
-	p := (&RetryPolicy{}).withDefaults()
-	if p.MaxAttempts != 3 || p.BlacklistAfter != 2 || p.TimeoutFactor != 4 || p.MinTimeout != 30 {
+	if p := (&RetryPolicy{}).withDefaults(); p.MaxAttempts != 3 {
 		t.Errorf("withDefaults() = %+v", p)
 	}
-	custom := (&RetryPolicy{MaxAttempts: 5, BlacklistAfter: 3, TimeoutFactor: 2, MinTimeout: 1}).withDefaults()
-	if custom.MaxAttempts != 5 || custom.BlacklistAfter != 3 || custom.TimeoutFactor != 2 || custom.MinTimeout != 1 {
+	custom := (&RetryPolicy{MaxAttempts: 5, Redistribute: true}).withDefaults()
+	if custom.MaxAttempts != 5 || !custom.Redistribute {
 		t.Errorf("withDefaults() clobbered explicit values: %+v", custom)
 	}
 	if !strings.Contains(stateComputing.String(), "comput") {

@@ -54,7 +54,7 @@ func (e *execution) startProbing() {
 	e.probes = resize(e.probes, n)
 	e.probesLeft = n
 	if ev := e.event(obs.ProbeStart, -1); ev != nil {
-		ev.Workers, ev.Size, ev.Bytes = n, e.probeLoad, e.probeLoad*e.probeBPU
+		ev.Workers, ev.Size, ev.Bytes = n, e.probeLoad, e.probeLoad*float64(e.app.BytesPerUnit)
 		e.emit(ev)
 	}
 	e.measure(kindLatency, 0)
@@ -87,7 +87,7 @@ func (e *execution) measure(k chunkKind, w int) {
 	c := e.allocChunk()
 	c.kind, c.worker, c.state = k, w, stateTransferring
 	if k == kindProbe {
-		c.size, c.bytes = e.probeLoad, e.probeLoad*e.probeBPU
+		c.size, c.bytes = e.probeLoad, e.probeLoad*float64(e.app.BytesPerUnit)
 	}
 	e.uplinkBusy(c)
 	e.dispatchTransfer(c)
@@ -188,7 +188,7 @@ func (e *execution) measureFailed(k chunkKind, w int, cause error) {
 	}
 	if k == kindRecal {
 		e.consecFail[w]++
-		if !e.dead[w] && e.consecFail[w] >= e.retry.BlacklistAfter {
+		if !e.dead[w] && e.consecFail[w] >= blacklistAfter {
 			e.blacklistWorker(w)
 		}
 		return
@@ -256,11 +256,6 @@ func (e *execution) estimatesFromProbes() []model.Estimate {
 		unitComm := (pr.probeTransfer - pr.emptyTransfer) / e.probeLoad
 		if unitComm < 0 {
 			unitComm = 0
-		}
-		// Rescale to the application's data density when the probe file's
-		// differs (the case study's probe.avi has its own frames/byte).
-		if e.probeBPU > 0 && float64(e.app.BytesPerUnit) > 0 {
-			unitComm *= float64(e.app.BytesPerUnit) / e.probeBPU
 		}
 		unitComp := (pr.probeExec - pr.noopExec) / e.probeLoad
 		if unitComp <= 0 {

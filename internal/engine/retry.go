@@ -15,16 +15,6 @@ type RetryPolicy struct {
 	// (first attempt included). Exhausting it fails the run with a
 	// partial-result error. Default 3.
 	MaxAttempts int
-	// BlacklistAfter removes a worker from service after this many
-	// consecutive failures (successes reset the streak). Default 2.
-	BlacklistAfter int
-	// TimeoutFactor and MinTimeout set per-chunk stage deadlines from
-	// the algorithm's cost estimates: deadline = TimeoutFactor×estimate
-	// + MinTimeout seconds. The slack absorbs the platform's modelled
-	// noise (background load, batch holds) so healthy chunks never trip
-	// a deadline. Defaults 4 and 30.
-	TimeoutFactor float64
-	MinTimeout    float64
 	// Redistribute re-dispatches a failed attempt's load over the peer
 	// path when its input already reached a site (the backend implements
 	// PeerBackend): the data moves worker-to-worker from the failed
@@ -34,19 +24,22 @@ type RetryPolicy struct {
 	Redistribute bool
 }
 
+// The retry layer's fixed rules. A worker leaves service after
+// blacklistAfter consecutive failures (successes reset the streak).
+// Per-chunk stage deadlines come from the algorithm's cost estimates:
+// deadline = timeoutFactor×estimate + minTimeout seconds, a slack that
+// absorbs the platform's modelled noise (background load, batch holds)
+// so healthy chunks never trip a deadline.
+const (
+	blacklistAfter = 2
+	timeoutFactor  = 4
+	minTimeout     = 30
+)
+
 // withDefaults fills zero fields with the documented defaults.
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
-	}
-	if p.BlacklistAfter <= 0 {
-		p.BlacklistAfter = 2
-	}
-	if p.TimeoutFactor <= 0 {
-		p.TimeoutFactor = 4
-	}
-	if p.MinTimeout <= 0 {
-		p.MinTimeout = 30
 	}
 	return p
 }
@@ -142,7 +135,7 @@ func (e *execution) armDeadline(c *chunk, estimate float64) {
 	if !e.retryOn || e.timer == nil {
 		return
 	}
-	d := e.retry.TimeoutFactor*estimate + e.retry.MinTimeout
+	d := timeoutFactor*estimate + minTimeout
 	c.deadlineDur = d
 	c.deadlineArmed = true
 	c.deadline = e.timer.AfterFunc(d, e.timeoutFn)
@@ -229,7 +222,7 @@ func (e *execution) chunkFailed(c *chunk, cause error, holdsUplink bool) {
 		e.emit(ev)
 	}
 	e.met.ChunkRetried(c.size)
-	if !e.dead[w] && e.consecFail[w] >= e.retry.BlacklistAfter {
+	if !e.dead[w] && e.consecFail[w] >= blacklistAfter {
 		e.blacklistWorker(w)
 	}
 	e.maybeFinish()

@@ -65,30 +65,6 @@ func TestScaleSixtyFourWorkers(t *testing.T) {
 	}
 }
 
-// TestProbeFileDensityRescaling checks §3.5's probe-file handling when
-// the probe's bytes-per-unit differs from the application's (the case
-// study's probe.avi has its own frame sizes): the derived per-unit
-// communication estimate must be rescaled to application units.
-func TestProbeFileDensityRescaling(t *testing.T) {
-	platform := simplePlatform(2)
-	app := simpleApp() // 1000 B/unit
-	backend, _ := grid.New(platform, app, grid.Config{Seed: 4})
-	cap := &probeCapture{Algorithm: dls.NewUMR()}
-	_, err := runEngine(backend, cap, app, platform, engine.Config{
-		ProbeLoad:         50,
-		ProbeBytesPerUnit: 250, // probe file four times less dense
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := model.TrueEstimates(app, platform)
-	for i, got := range cap.got {
-		if math.Abs(got.UnitComm-truth[i].UnitComm)/truth[i].UnitComm > 0.02 {
-			t.Errorf("worker %d UnitComm %g, want %g after density rescale", i, got.UnitComm, truth[i].UnitComm)
-		}
-	}
-}
-
 // TestSingleWorkerDegenerate: every algorithm must handle the
 // single-worker platform (no parallelism to exploit, but no deadlock or
 // division by zero either).

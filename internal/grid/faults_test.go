@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"apstdv/internal/model"
 )
 
 func faultBackend(t *testing.T, n int, plan *FaultPlan) *Backend {
@@ -125,22 +127,104 @@ func TestRandomCrashPlanSparesOneWorker(t *testing.T) {
 }
 
 func TestFaultPlanConsumesNoSharedRandomness(t *testing.T) {
-	// Fault compilation must not touch the comm/comp rng streams: the
-	// same seed with and without a (never-hit) fault plan produces
-	// identical jittered transfer times.
-	run := func(plan *FaultPlan) float64 {
-		b, err := New(testPlatform(1), testApp(0), Config{Seed: 9, CommJitter: 0.2, Faults: plan})
+	// Fault compilation must not touch the rng streams: the same seed
+	// with and without a (never-hit) fault plan produces identical noisy
+	// compute times.
+	run := func(plan *FaultPlan) []float64 {
+		b, err := New(testPlatform(1), testApp(0.2), Config{Seed: 9, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var end float64
-		b.Transfer(0, 500000, func(_, e float64, _ error) { end = e })
+		var ends []float64
+		for i := 0; i < 3; i++ {
+			b.Execute(0, 100, false, func(_, e float64, _ error) { ends = append(ends, e) })
+		}
 		b.Run()
-		return end
+		return ends
 	}
 	plain := run(nil)
 	faulty := run(&FaultPlan{Faults: []WorkerFault{{Worker: 0, Kind: FaultCrash, At: 1e9}}})
-	if plain != faulty {
-		t.Errorf("transfer end drifted with an unused fault plan: %g vs %g", plain, faulty)
+	if plain[0] == 10.5 {
+		t.Fatal("γ = 0.2 drew no compute noise")
+	}
+	for i := range plain {
+		if plain[i] != faulty[i] {
+			t.Errorf("execution %d ends drifted with an unused fault plan: %g vs %g", i, plain[i], faulty[i])
+		}
+	}
+}
+
+// TestCrashCutsEveryOp pins the one crash rule on every op the backend
+// issues: an op on a worker that is already down fails at its issue
+// time, and an op whose worker dies before it ends fails at the crash
+// instant. A flow on a link graph can be cut in its latency phase or
+// while it drains. Worker 0 crashes; every op targets it.
+func TestCrashCutsEveryOp(t *testing.T) {
+	type issuer = func(b *Backend, done func(uint64, float64, float64, error))
+	transfer := func(b *Backend, done func(uint64, float64, float64, error)) { b.TransferOp(0, 5e5, 0, done) }
+	peer := func(b *Backend, done func(uint64, float64, float64, error)) { b.PeerTransferOp(1, 0, 5e5, 0, done) }
+	execute := func(b *Backend, done func(uint64, float64, float64, error)) { b.ExecuteOp(0, 10, false, 0, done) }
+	ret := func(b *Backend, done func(uint64, float64, float64, error)) { b.ReturnOutputOp(0, 5e5, 0, done) }
+	star, tree := testPlatform(2), linkPlatform(t, 1, 0.5)
+	cases := []struct {
+		name string
+		p    *model.Platform
+		op   issuer
+		// full is the op's uncut duration; at is a crash instant inside it.
+		full, at float64
+	}{
+		// 2 s latency + 5e5 B at 1e6 B/s.
+		{"transfer/star", star, transfer, 2.5, 1},
+		{"peer/star", star, peer, 2.5, 1},
+		// 1.5 s of link latency, then 5e5 B alone on the 1e6 B/s uplink.
+		{"transfer/tree/latency", tree, transfer, 2, 1},
+		{"transfer/tree/flow", tree, transfer, 2, 1.75},
+		// The peer route is the two 1e7 B/s leaves: 1 s, then 0.05 s.
+		{"peer/tree/latency", tree, peer, 1.05, 0.5},
+		{"peer/tree/flow", tree, peer, 1.05, 1.025},
+		// 0.5 s launch + 10 units × 0.1 s.
+		{"execute", star, execute, 1.5, 1},
+		// 2 s latency + 5e5 B at 1e6 B/s on the downlink.
+		{"return", star, ret, 2.5, 1},
+	}
+	// run issues op at issueAt on a backend whose worker 0 crashes at
+	// crashAt and returns what its one completion reported.
+	run := func(t *testing.T, p *model.Platform, op issuer, crashAt, issueAt float64) (start, end float64, err error) {
+		t.Helper()
+		plan := &FaultPlan{Faults: []WorkerFault{{Worker: 0, Kind: FaultCrash, At: crashAt}}}
+		b, berr := New(p, testApp(0), Config{Seed: 1, Faults: plan})
+		if berr != nil {
+			t.Fatal(berr)
+		}
+		calls := 0
+		b.AfterFunc(issueAt, func(uint64) {
+			op(b, func(_ uint64, s, e float64, opErr error) {
+				calls++
+				start, end, err = s, e, opErr
+			})
+		})
+		b.Run()
+		if calls != 1 {
+			t.Fatalf("done called %d times", calls)
+		}
+		return start, end, err
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, end, err := run(t, tc.p, tc.op, 1e9, 0); err != nil || end != tc.full {
+				t.Fatalf("uncut op ended at %g with %v, want %g and nil", end, err, tc.full)
+			}
+			want := crashErr(0, tc.at).Error()
+			// Issued at 0 the worker dies mid-op; issued at 3 it is already down.
+			for _, issueAt := range []float64{0, 3} {
+				start, end, err := run(t, tc.p, tc.op, tc.at, issueAt)
+				if err == nil || err.Error() != want || !errors.Is(err, ErrWorkerDown) {
+					t.Errorf("issued at %g: error %v, want %q", issueAt, err, want)
+				}
+				if wantEnd := max(tc.at, issueAt); start != issueAt || end != wantEnd {
+					t.Errorf("issued at %g: op ran [%g, %g], want [%g, %g]", issueAt, start, end, issueAt, wantEnd)
+				}
+			}
+		})
 	}
 }

@@ -22,15 +22,14 @@ import (
 )
 
 // Config tunes backend behaviour beyond what the platform and application
-// models specify.
+// models specify. The paper's testbed (§4.2) is a star with a
+// serialized uplink and a stable network, with each worker dedicated to
+// the job: transfer times carry no noise and the backend runs one job.
+// Jobs sharing workers are MultiWorld's to model.
 type Config struct {
 	// Seed drives all stochastic processes; runs with equal seeds are
 	// bit-identical.
 	Seed uint64
-	// CommJitter is a coefficient of variation applied to transfer
-	// durations. The paper's testbed had a stable network; the default 0
-	// matches it, and the uncertainty ablation raises it.
-	CommJitter float64
 	// ProbeBias scales probe compute times, modelling an unrepresentative
 	// probe file ("representative may mean close to the average case",
 	// §3.5 — a probe costing 1.2× the average biases every speed estimate
@@ -44,39 +43,7 @@ type Config struct {
 	// Faults injects deterministic worker failures (see FaultPlan). nil
 	// disables injection with zero overhead and no rng consumption.
 	Faults *FaultPlan
-	// Shares models concurrent occupancy of the workers: entry w is the
-	// fraction of worker w's CPU this job actually gets, in (0, 1].
-	// Compute times stretch by 1/share — a worker at share 0.5 runs this
-	// job's chunks at half its nominal Speed. nil means dedicated
-	// workers; the scheduling path is then byte-identical to a backend
-	// that predates shares (not a single extra float op).
-	Shares []float64
-	// UplinkShare models concurrent occupancy of the master's serialized
-	// uplink: the fraction of its bandwidth this job gets, in (0, 1].
-	// Transfer (and output-return) bandwidth scales by it; the per-link
-	// access latency does not. 0 means dedicated (1.0). Under a topology
-	// it scales every link capacity instead (see linkNet.reset).
-	UplinkShare float64
-	// Events, when non-nil, receives backend-level link busy/idle events
-	// (obs.LinkBusy / obs.LinkIdle) from the link-graph network model,
-	// on its own dense sequence. Only topology-carrying platforms ever
-	// emit; legacy flat platforms never touch this sink, so their
-	// engine-level streams stay byte-identical.
-	Events obs.Sink
-	// LinkMetrics, when non-nil, records per-link bytes carried and busy
-	// fractions. Purely observational, like Metrics.
-	LinkMetrics *obs.LinkMetrics
 }
-
-// opKind distinguishes the three operation flavours tracked in the
-// backend's op table.
-type opKind uint8
-
-const (
-	opTransfer opKind = iota
-	opExecute
-	opReturn
-)
 
 // gridOp is one in-flight backend operation: the state its duration and
 // completion callbacks need, held in a reusable table slot so issuing an
@@ -84,19 +51,20 @@ const (
 // operation completes (every op completes — the simulation drains), so
 // no generation fencing is needed.
 type gridOp struct {
-	kind  opKind
+	// w is the worker whose crash cuts the op: the destination of a
+	// transfer, the worker computing or returning.
 	w     int32
 	probe bool
-	// size is load units for opExecute, bytes for opReturn.
+	// size is load units for an execution, bytes for a return.
 	size float64
 	// op is the caller's opaque token, handed back through done.
 	op   uint64
 	done func(op uint64, start, end float64, err error)
-	// err is set by the duration callback (crash truncation) and
-	// consumed by the completion callback.
+	// err is set when a crash cuts the op (see cut) and consumed by the
+	// completion callback.
 	err error
-	// start is the transfer's start time (opTransfer only; queue-served
-	// kinds get their window from the queue).
+	// start is the op's issue time: the window start transfer-style
+	// completions report (queue-served ops get theirs from the queue).
 	start units.Seconds
 }
 
@@ -112,7 +80,6 @@ type Backend struct {
 	downlink *sim.FCFSQueue   // output return path, parallel to the uplink
 
 	compRNG []*rng.Source // per-worker compute noise
-	commRNG *rng.Source
 	bg      []*bgProcess
 	batch   []*batchState
 	faults  []faultState // nil when no faults are injected
@@ -140,7 +107,6 @@ func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) 
 		timers:   sim.NewTimers(eng, 0),
 		platform: p,
 		downlink: sim.NewFCFSQueue(eng),
-		commRNG:  rng.New(0),
 	}
 	b.transferFireFn = b.transferFire
 	b.execDurFn = b.execDur
@@ -183,34 +149,17 @@ func (b *Backend) Reset(a *model.Application, cfg Config) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
-	if cfg.CommJitter < 0 {
-		return fmt.Errorf("grid: negative comm jitter %g", cfg.CommJitter)
-	}
 	if cfg.ProbeBias == 0 {
 		cfg.ProbeBias = 1
 	}
 	if cfg.ProbeBias < 0 {
 		return fmt.Errorf("grid: negative probe bias %g", cfg.ProbeBias)
 	}
-	if cfg.Shares != nil {
-		if len(cfg.Shares) != len(b.platform.Workers) {
-			return fmt.Errorf("grid: %d shares for %d workers", len(cfg.Shares), len(b.platform.Workers))
-		}
-		for w, s := range cfg.Shares {
-			if s <= 0 || s > 1 {
-				return fmt.Errorf("grid: share %g for worker %d outside (0, 1]", s, w)
-			}
-		}
-	}
-	if cfg.UplinkShare < 0 || cfg.UplinkShare > 1 {
-		return fmt.Errorf("grid: uplink share %g outside (0, 1]", cfg.UplinkShare)
-	}
 	b.app = a
 	b.cfg = cfg
 	b.eng.Reset()
 	b.timers.Reset()
 	b.downlink.Reset()
-	b.commRNG.Seed(rng.StreamSeed(cfg.Seed, "comm"))
 	for i := range b.platform.Workers {
 		b.compute[i].Reset()
 		b.compRNG[i].Seed(rng.IndexedStreamSeed(cfg.Seed, "comp/", i))
@@ -232,21 +181,51 @@ func (b *Backend) Reset(a *model.Application, cfg Config) error {
 	return nil
 }
 
-// allocOp reserves an op-table slot.
-func (b *Backend) allocOp() int32 {
+// issue reserves an op-table slot for an op on worker w, issued now.
+func (b *Backend) issue(w int, op uint64, done func(op uint64, start, end float64, err error)) int32 {
+	var slot int32
 	if n := len(b.opFree); n > 0 {
-		slot := b.opFree[n-1]
+		slot = b.opFree[n-1]
 		b.opFree = b.opFree[:n-1]
-		return slot
+	} else {
+		b.ops = append(b.ops, gridOp{})
+		slot = int32(len(b.ops) - 1)
 	}
-	b.ops = append(b.ops, gridOp{})
-	return int32(len(b.ops) - 1)
+	o := &b.ops[slot]
+	o.w, o.op, o.done, o.start = int32(w), op, done, b.eng.Now()
+	return slot
 }
 
 // freeOp returns a slot to the table, dropping callback references.
 func (b *Backend) freeOp(slot int32) {
 	b.ops[slot] = gridOp{}
 	b.opFree = append(b.opFree, slot)
+}
+
+// cut is the one crash rule: an op on worker w that starts at start and
+// would take d seconds fails at once when w is already down, fails at
+// the crash instant when w dies before it ends, and otherwise takes d.
+func (b *Backend) cut(w int, start units.Seconds, d float64) (units.Seconds, error) {
+	if b.faults == nil {
+		return units.Seconds(d), nil
+	}
+	crashAt := b.faults[w].crashAt
+	if float64(start) >= crashAt {
+		return 0, crashErr(w, crashAt)
+	}
+	if float64(start)+d > crashAt {
+		return units.Seconds(crashAt - float64(start)), crashErr(w, crashAt)
+	}
+	return units.Seconds(d), nil
+}
+
+// fireAfter completes a star-model transfer d seconds after its issue,
+// or earlier when its worker's crash cuts it.
+func (b *Backend) fireAfter(slot int32, d float64) {
+	o := &b.ops[slot]
+	delay, err := b.cut(int(o.w), o.start, d)
+	o.err = err
+	b.eng.AfterArg(delay, b.transferFireFn, uint64(slot))
 }
 
 // Now implements engine.Backend.
@@ -288,50 +267,18 @@ func (b *Backend) CancelTimer(id uint64) {
 // engine should normally lift its one-transfer rule (ParallelUplink) to
 // let the contention model do the serializing.
 func (b *Backend) TransferOp(w int, bytes float64, op uint64, done func(op uint64, start, end float64, err error)) {
+	slot := b.issue(w, op, done)
 	if b.links != nil {
-		slot := b.allocOp()
-		o := &b.ops[slot]
-		o.kind = opTransfer
-		o.w = int32(w)
-		o.op = op
-		o.done = done
-		o.start = b.eng.Now()
-		b.links.start(b.platform.Topology.Route(w), w, bytes, slot)
+		b.links.start(b.platform.Topology.Route(w), slot, bytes)
 		return
 	}
 	wk := b.platform.Workers[w]
-	bw := float64(wk.Bandwidth)
-	if b.cfg.UplinkShare > 0 {
-		bw *= b.cfg.UplinkShare
-	}
-	d := float64(wk.CommLatency) + bytes/bw
-	if b.cfg.CommJitter > 0 {
-		d *= b.commRNG.TruncNormal(1, b.cfg.CommJitter, 0.1)
-	}
-	start := b.eng.Now()
-	slot := b.allocOp()
-	o := &b.ops[slot]
-	o.kind = opTransfer
-	o.w = int32(w)
-	o.op = op
-	o.done = done
-	o.start = start
-	delay := units.Seconds(d)
-	if b.faults != nil {
-		crashAt := b.faults[w].crashAt
-		if float64(start) >= crashAt {
-			o.err = crashErr(w, crashAt)
-			delay = 0
-		} else if float64(start)+d > crashAt {
-			o.err = crashErr(w, crashAt)
-			delay = units.Seconds(crashAt - float64(start))
-		}
-	}
-	b.eng.AfterArg(delay, b.transferFireFn, uint64(slot))
+	b.fireAfter(slot, float64(wk.CommLatency)+bytes/float64(wk.Bandwidth))
 }
 
-// transferFire completes a transfer-style op: every TransferOp (and the
-// zero-byte ReturnOutputOp fast path) fires through this one callback.
+// transferFire completes a transfer-style op: every TransferOp and
+// PeerTransferOp, star or link flow, and the zero-byte ReturnOutputOp
+// fast path fire through this one callback.
 func (b *Backend) transferFire(arg uint64) {
 	slot := int32(arg)
 	o := &b.ops[slot]
@@ -360,14 +307,10 @@ func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, e
 // application's data-dependent cost variability.
 func (b *Backend) ExecuteOp(w int, size float64, probe bool, op uint64, done func(op uint64, start, end float64, err error)) {
 	b.cfg.Metrics.EnqueueCompute(b.compute[w].QueueLength())
-	slot := b.allocOp()
+	slot := b.issue(w, op, done)
 	o := &b.ops[slot]
-	o.kind = opExecute
-	o.w = int32(w)
 	o.probe = probe
 	o.size = size
-	o.op = op
-	o.done = done
 	b.compute[w].EnqueueArg(uint64(slot), b.execDurFn, b.execDoneFn)
 }
 
@@ -378,9 +321,6 @@ func (b *Backend) execDur(arg uint64, start units.Seconds) units.Seconds {
 	w := int(o.w)
 	wk := b.platform.Workers[w]
 	base := o.size * float64(b.app.UnitCost) / wk.Speed
-	if b.cfg.Shares != nil {
-		base /= b.cfg.Shares[w]
-	}
 	if o.probe {
 		base *= b.cfg.ProbeBias
 	} else {
@@ -395,22 +335,14 @@ func (b *Backend) execDur(arg uint64, start units.Seconds) units.Seconds {
 	if b.bg[w] != nil && base > 0 {
 		stretched = b.bg[w].finish(float64(start)+hold, base)
 	}
-	dur := hold + float64(wk.CompLatency) + stretched
+	lat := float64(wk.CompLatency)
 	if b.faults != nil {
-		fs := &b.faults[w]
-		if fs.crashAt <= float64(start) {
-			o.err = crashErr(w, fs.crashAt)
-			return 0
-		}
-		// Stall/slowdown windows stretch the computation; a crash
-		// mid-job truncates it into a failure at the crash instant.
-		dur = hold + float64(wk.CompLatency) + fs.stretch(float64(start)+hold+float64(wk.CompLatency), stretched)
-		if float64(start)+dur > fs.crashAt {
-			o.err = crashErr(w, fs.crashAt)
-			return units.Seconds(fs.crashAt - float64(start))
-		}
+		// Stall/slowdown windows stretch the computation after its launch.
+		stretched = b.faults[w].stretch(float64(start)+hold+lat, stretched)
 	}
-	return units.Seconds(dur)
+	d, err := b.cut(w, start, hold+lat+stretched)
+	o.err = err
+	return d
 }
 
 // execDone is every compute service's completion callback.
@@ -452,47 +384,23 @@ func (b *Backend) noise(w int, size float64) float64 {
 // closure-free form of ReturnOutput (engine.OpBackend). Zero bytes
 // complete immediately without occupying the downlink.
 func (b *Backend) ReturnOutputOp(w int, bytes float64, op uint64, done func(op uint64, start, end float64, err error)) {
-	slot := b.allocOp()
-	o := &b.ops[slot]
-	o.w = int32(w)
-	o.op = op
-	o.done = done
+	slot := b.issue(w, op, done)
 	if bytes <= 0 {
-		o.kind = opTransfer // transfer-style fire: done(now, now, nil)
-		o.start = b.eng.Now()
+		// Transfer-style fire, never cut: done(now, now, nil).
 		b.eng.AfterArg(0, b.transferFireFn, uint64(slot))
 		return
 	}
-	o.kind = opReturn
-	o.size = bytes
+	b.ops[slot].size = bytes
 	b.downlink.EnqueueArg(uint64(slot), b.returnDurFn, b.returnDoneFn)
 }
 
 // returnDur is every downlink service's duration callback.
 func (b *Backend) returnDur(arg uint64, start units.Seconds) units.Seconds {
 	o := &b.ops[int32(arg)]
-	w := int(o.w)
-	wk := b.platform.Workers[w]
-	bw := float64(wk.Bandwidth)
-	if b.cfg.UplinkShare > 0 {
-		bw *= b.cfg.UplinkShare
-	}
-	d := float64(wk.CommLatency) + o.size/bw
-	if b.cfg.CommJitter > 0 {
-		d *= b.commRNG.TruncNormal(1, b.cfg.CommJitter, 0.1)
-	}
-	if b.faults != nil {
-		fs := &b.faults[w]
-		if fs.crashAt <= float64(start) {
-			o.err = crashErr(w, fs.crashAt)
-			return 0
-		}
-		if float64(start)+d > fs.crashAt {
-			o.err = crashErr(w, fs.crashAt)
-			return units.Seconds(fs.crashAt - float64(start))
-		}
-	}
-	return units.Seconds(d)
+	wk := b.platform.Workers[o.w]
+	d, err := b.cut(int(o.w), start, float64(wk.CommLatency)+o.size/float64(wk.Bandwidth))
+	o.err = err
+	return d
 }
 
 // returnDone is every downlink service's completion callback.

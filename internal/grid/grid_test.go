@@ -37,9 +37,6 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(testPlatform(1), bad, Config{}); err == nil {
 		t.Error("invalid app accepted")
 	}
-	if _, err := New(testPlatform(1), testApp(0), Config{CommJitter: -1}); err == nil {
-		t.Error("negative jitter accepted")
-	}
 	if _, err := New(testPlatform(1), testApp(0), Config{ProbeBias: -1}); err == nil {
 		t.Error("negative probe bias accepted")
 	}
@@ -176,18 +173,6 @@ func TestProbeBias(t *testing.T) {
 	b.Run()
 	if math.Abs((probe-0.5)/(real-0.5)-1.2) > 1e-9 {
 		t.Errorf("probe bias not applied: probe %g vs real %g", probe, real)
-	}
-}
-
-func TestCommJitter(t *testing.T) {
-	b, _ := New(testPlatform(1), testApp(0), Config{Seed: 3, CommJitter: 0.2})
-	var durs []float64
-	for i := 0; i < 1000; i++ {
-		b.Transfer(0, 1e6, func(s, e float64, _ error) { durs = append(durs, e-s) })
-	}
-	b.Run()
-	if cv := stats.CV(durs); math.Abs(cv-0.2) > 0.03 {
-		t.Errorf("transfer CV = %.3f, want ≈0.2", cv)
 	}
 }
 

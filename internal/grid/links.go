@@ -5,10 +5,10 @@ package grid
 // and become fluid flows over the topology's links. Concurrent flows
 // crossing a shared link split its capacity fairly — a flow's rate is
 // min over its route of capacity/activeFlows — and every flow start or
-// finish preemptively re-scales the others, exactly the way MultiWorld
-// re-scales compute shares: bank the progress made at the old rate,
-// recompute rates, reschedule completions. A nil topology never
-// constructs a linkNet, so the legacy single-uplink model stays
+// finish preemptively re-scales the others through the fluid record
+// MultiWorld's compute stations use for CPU shares: bank the progress
+// made at the old rate, recompute rates, reschedule completions. A nil
+// topology never constructs a linkNet, so the star model stays
 // byte-identical to the pinned goldens.
 //
 // Peer transfers (worker-to-worker redistribution) ride the same fluid
@@ -20,92 +20,75 @@ package grid
 import (
 	"math"
 
-	"apstdv/internal/obs"
 	"apstdv/internal/sim"
 	"apstdv/internal/units"
 )
 
-// linkFlow is one in-progress transfer over a link route. Flows live in
-// a slot arena (flows + free list) so starting one allocates nothing
-// once the arena has grown.
+// fluid is one member of a fluid-rate resource: rem units of work still
+// to do, progressing at rate since last, finishing at the event end. A
+// member's rate changes only at a membership change, which banks the
+// progress made at the old rate before setting the new one and
+// re-making end. Link flows (bytes at a link share) and MultiWorld's
+// compute stations (seconds of work at a CPU share) both embed it.
+type fluid struct {
+	rem  float64
+	rate float64
+	last units.Seconds
+	end  sim.Handle
+}
+
+// bank subtracts the progress made at rate since last, floored at zero,
+// and moves last to now. Banking at an unchanged rate is not a no-op in
+// floating point (it can move the end by an ulp), so whether a user
+// banks members whose rate did not change is part of its arithmetic:
+// linkNet.rescale banks every active flow, computeStation.revise skips
+// an unchanged share.
+func (f *fluid) bank(now units.Seconds) {
+	f.rem -= f.rate * float64(now-f.last)
+	if f.rem < 0 {
+		f.rem = 0
+	}
+	f.last = now
+}
+
+// linkFlow is one in-progress transfer over a link route: a fluid member
+// whose rem is bytes. Flows live in a slot arena (flows + free list) so
+// starting one allocates nothing once the arena has grown.
 type linkFlow struct {
+	fluid
 	route  []int // borrowed from the topology (or a peer-route buffer)
-	bytes  float64
-	rem    float64       // bytes still to move
-	rate   float64       // bytes/s granted at the last re-scale
-	last   units.Seconds // time rem was last banked
-	start  units.Seconds // op start (TransferOp call time)
-	opSlot int32         // gridOp slot to complete
-	dest   int32         // destination worker (crash truncation)
-	active bool          // joined the fluid pool (latency phase done)
-	used   bool
-	handle sim.Handle // scheduled completion, re-made at every re-scale
-	err    error      // crash truncation, delivered at completion
+	opSlot int32 // gridOp slot to complete; its w is the worker a crash cuts
+	active bool  // joined the fluid pool (latency phase done)
 }
 
 // linkNet is the fluid contention state over one topology.
 type linkNet struct {
-	b     *Backend
-	caps  []float64 // per-link capacity, bytes/s (UplinkShare applied)
-	names []string
-
-	active    []int // per-link count of flows crossing it
-	busySince []units.Seconds
-	busyTotal []float64
+	b      *Backend
+	active []int // per-link count of flows crossing it
 
 	flows    []linkFlow
 	flowFree []int32
 
 	enterFn  func(uint64) // latency phase done: join the fluid pool
 	finishFn func(uint64) // flow completion (or crash truncation)
-
-	// Link busy/idle events go to the backend-level sink (Config.Events)
-	// with their own dense sequence, timestamped on the backend clock.
-	eventSeq int64
-	scratch  obs.Event
 }
 
 // newLinkNet builds the contention state for the backend's topology.
 func newLinkNet(b *Backend) *linkNet {
-	top := b.platform.Topology
-	n := &linkNet{
-		b:         b,
-		caps:      make([]float64, len(top.Links)),
-		names:     make([]string, len(top.Links)),
-		active:    make([]int, len(top.Links)),
-		busySince: make([]units.Seconds, len(top.Links)),
-		busyTotal: make([]float64, len(top.Links)),
-	}
-	for i, l := range top.Links {
-		n.names[i] = l.Name
-	}
+	n := &linkNet{b: b, active: make([]int, len(b.platform.Topology.Links))}
 	n.enterFn = n.enter
 	n.finishFn = n.finish
 	return n
 }
 
-// reset rewinds the net for a fresh run: capacities re-derived from the
-// (possibly changed) UplinkShare, all occupancy and flow state cleared,
-// the event sequence restarted. Reuses every slice.
+// reset rewinds the net for a fresh run, clearing all occupancy and
+// flow state. Reuses every slice.
 func (n *linkNet) reset() {
-	top := n.b.platform.Topology
-	share := n.b.cfg.UplinkShare
-	if share <= 0 {
-		share = 1
-	}
-	for i, l := range top.Links {
-		// UplinkShare models another job's concurrent claim on the
-		// network; under a topology it scales every link capacity.
-		n.caps[i] = float64(l.Capacity) * share
-	}
 	for i := range n.active {
 		n.active[i] = 0
-		n.busySince[i] = 0
-		n.busyTotal[i] = 0
 	}
 	n.flows = n.flows[:0]
 	n.flowFree = n.flowFree[:0]
-	n.eventSeq = 0
 }
 
 // allocFlow reserves a flow slot.
@@ -125,44 +108,23 @@ func (n *linkNet) freeFlow(slot int32) {
 	n.flowFree = append(n.flowFree, slot)
 }
 
-// start launches one transfer over route: a fixed latency phase (the
-// summed link latencies, jittered like legacy transfer durations), then
-// a fluid flow of bytes through the shared links. opSlot names the
-// gridOp to complete when the flow ends. dest < 0 disables crash
-// truncation (no destination worker).
-func (n *linkNet) start(route []int, dest int, bytes float64, opSlot int32) {
+// start launches op opSlot's transfer of bytes over route: a fixed
+// latency phase (the summed link latencies), then a fluid flow through
+// the shared links.
+func (n *linkNet) start(route []int, opSlot int32, bytes float64) {
 	b := n.b
-	now := b.eng.Now()
 	lat := 0.0
 	for _, li := range route {
 		lat += float64(b.platform.Topology.Links[li].Latency)
 	}
-	if b.cfg.CommJitter > 0 {
-		// One draw per transfer, as on the legacy path. The fluid phase's
-		// duration emerges from contention, so the jitter rides the
-		// latency term.
-		lat *= b.commRNG.TruncNormal(1, b.cfg.CommJitter, 0.1)
-	}
 	slot := n.allocFlow()
 	f := &n.flows[slot]
 	f.route = route
-	f.bytes = bytes
 	f.rem = bytes
-	f.start = now
 	f.opSlot = opSlot
-	f.dest = int32(dest)
-	f.used = true
-	delay := units.Seconds(lat)
-	if b.faults != nil && dest >= 0 {
-		crashAt := b.faults[dest].crashAt
-		if float64(now) >= crashAt {
-			f.err = crashErr(dest, crashAt)
-			delay = 0
-		} else if float64(now)+lat > crashAt {
-			f.err = crashErr(dest, crashAt)
-			delay = units.Seconds(crashAt - float64(now))
-		}
-	}
+	o := &b.ops[opSlot]
+	delay, err := b.cut(int(o.w), o.start, lat)
+	o.err = err
 	b.eng.AfterArg(delay, n.enterFn, uint64(slot))
 }
 
@@ -172,21 +134,16 @@ func (n *linkNet) start(route []int, dest int, bytes float64, opSlot int32) {
 func (n *linkNet) enter(arg uint64) {
 	slot := int32(arg)
 	f := &n.flows[slot]
-	if f.err != nil || f.rem <= 0 {
+	if n.b.ops[f.opSlot].err != nil || f.rem <= 0 {
 		n.complete(slot)
 		return
 	}
-	now := n.b.eng.Now()
 	for _, li := range f.route {
-		if n.active[li] == 0 {
-			n.busySince[li] = now
-			n.emitLink(obs.LinkBusy, li, 0)
-		}
 		n.active[li]++
 	}
 	f.active = true
-	f.last = now
-	n.rescale(now)
+	f.last = n.b.eng.Now()
+	n.rescale(f.last)
 }
 
 // rescale re-derives every active flow's fair-share rate after a
@@ -197,33 +154,34 @@ func (n *linkNet) enter(arg uint64) {
 // pure function of the run's inputs.
 func (n *linkNet) rescale(now units.Seconds) {
 	b := n.b
+	links := b.platform.Topology.Links
 	for i := range n.flows {
 		f := &n.flows[i]
 		if !f.active {
 			continue
 		}
-		f.rem -= f.rate * float64(now-f.last)
-		if f.rem < 0 {
-			f.rem = 0
-		}
-		f.last = now
+		f.bank(now)
 		rate := math.Inf(1)
 		for _, li := range f.route {
-			if r := n.caps[li] / float64(n.active[li]); r < rate {
+			if r := float64(links[li].Capacity) / float64(n.active[li]); r < rate {
 				rate = r
 			}
 		}
 		f.rate = rate
 		end := float64(now) + f.rem/rate
-		f.err = nil
-		if b.faults != nil && f.dest >= 0 {
-			if crashAt := b.faults[f.dest].crashAt; crashAt < end {
+		o := &b.ops[f.opSlot]
+		o.err = nil
+		// A crash before the flow drains clamps its end to the crash
+		// instant. This is not cut: now + (crashAt − now) need not equal
+		// crashAt.
+		if b.faults != nil {
+			if crashAt := b.faults[o.w].crashAt; crashAt < end {
 				end = crashAt
-				f.err = crashErr(int(f.dest), crashAt)
+				o.err = crashErr(int(o.w), crashAt)
 			}
 		}
-		f.handle.Cancel()
-		f.handle = b.eng.AtArg(units.Seconds(end), n.finishFn, uint64(i))
+		f.end.Cancel()
+		f.end = b.eng.AtArg(units.Seconds(end), n.finishFn, uint64(i))
 	}
 }
 
@@ -232,72 +190,20 @@ func (n *linkNet) rescale(now units.Seconds) {
 func (n *linkNet) finish(arg uint64) {
 	slot := int32(arg)
 	f := &n.flows[slot]
-	now := n.b.eng.Now()
-	f.rem -= f.rate * float64(now-f.last)
-	if f.rem < 0 {
-		f.rem = 0
-	}
-	f.last = now
-	delivered := f.bytes - f.rem
 	for _, li := range f.route {
 		n.active[li]--
-		if n.active[li] == 0 {
-			busy := float64(now - n.busySince[li])
-			n.busyTotal[li] += busy
-			n.emitLink(obs.LinkIdle, li, busy)
-			n.updateUtilization(li, float64(now))
-		}
-		n.b.cfg.LinkMetrics.Transferred(li, delivered)
 	}
 	f.active = false
-	n.rescale(now)
+	n.rescale(n.b.eng.Now())
 	n.complete(slot)
 }
 
-// complete fires the flow's gridOp completion and frees the flow slot.
+// complete frees the flow slot and completes its op through
+// transferFire.
 func (n *linkNet) complete(slot int32) {
-	f := &n.flows[slot]
-	opSlot, start, err := f.opSlot, f.start, f.err
+	opSlot := n.flows[slot].opSlot
 	n.freeFlow(slot)
-	b := n.b
-	o := &b.ops[opSlot]
-	done, op := o.done, o.op
-	b.freeOp(opSlot)
-	done(op, float64(start), float64(b.eng.Now()), err)
-}
-
-// updateUtilization refreshes the busy-fraction gauges: per-link on
-// every idle transition, plus the across-links mean. Observational only
-// — metrics never feed back into the schedule.
-func (n *linkNet) updateUtilization(li int, now float64) {
-	if n.b.cfg.LinkMetrics == nil || now <= 0 {
-		return
-	}
-	n.b.cfg.LinkMetrics.SetUtilization(li, n.busyTotal[li]/now)
-	mean := 0.0
-	for _, bt := range n.busyTotal {
-		mean += bt / now
-	}
-	n.b.cfg.LinkMetrics.SetMeanUtilization(mean / float64(len(n.busyTotal)))
-}
-
-// emitLink emits one link busy/idle event on the backend-level sink,
-// with its own dense sequence and the backend clock timestamp.
-func (n *linkNet) emitLink(t obs.EventType, li int, dur float64) {
-	sink := n.b.cfg.Events
-	if sink == nil {
-		return
-	}
-	n.scratch = obs.Event{
-		Seq: n.eventSeq, T: float64(n.b.eng.Now()), Type: t,
-		Worker: -1, Link: n.names[li], Dur: dur,
-	}
-	n.eventSeq++
-	if ps, ok := sink.(obs.PtrSink); ok {
-		ps.EmitPtr(&n.scratch)
-		return
-	}
-	sink.Emit(n.scratch)
+	n.b.transferFire(uint64(opSlot))
 }
 
 // PeerTransferOp moves bytes from worker `from`'s site directly to
@@ -310,37 +216,12 @@ func (n *linkNet) emitLink(t obs.EventType, li int, dur float64) {
 // crashing fails the transfer. Completion reports through done exactly
 // like TransferOp (engine.PeerBackend).
 func (b *Backend) PeerTransferOp(from, to int, bytes float64, op uint64, done func(op uint64, start, end float64, err error)) {
-	slot := b.allocOp()
-	o := &b.ops[slot]
-	o.kind = opTransfer
-	o.w = int32(to)
-	o.op = op
-	o.done = done
-	o.start = b.eng.Now()
+	slot := b.issue(to, op, done)
 	if b.links != nil {
-		b.links.start(b.platform.Topology.PeerRoute(from, to), to, bytes, slot)
+		b.links.start(b.platform.Topology.PeerRoute(from, to), slot, bytes)
 		return
 	}
 	wf, wt := b.platform.Workers[from], b.platform.Workers[to]
-	bw := float64(wf.Bandwidth)
-	if float64(wt.Bandwidth) < bw {
-		bw = float64(wt.Bandwidth)
-	}
-	d := float64(wt.CommLatency) + bytes/bw
-	if b.cfg.CommJitter > 0 {
-		d *= b.commRNG.TruncNormal(1, b.cfg.CommJitter, 0.1)
-	}
-	start := o.start
-	delay := units.Seconds(d)
-	if b.faults != nil {
-		crashAt := b.faults[to].crashAt
-		if float64(start) >= crashAt {
-			o.err = crashErr(to, crashAt)
-			delay = 0
-		} else if float64(start)+d > crashAt {
-			o.err = crashErr(to, crashAt)
-			delay = units.Seconds(crashAt - float64(start))
-		}
-	}
-	b.eng.AfterArg(delay, b.transferFireFn, uint64(slot))
+	bw := min(float64(wf.Bandwidth), float64(wt.Bandwidth))
+	b.fireAfter(slot, float64(wt.CommLatency)+bytes/bw)
 }

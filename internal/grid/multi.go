@@ -3,20 +3,21 @@
 // the master's serialized uplink, and time-share worker CPUs through
 // fractional shares that a pluggable policy revises as jobs arrive and
 // finish. This is the simulated half of the co-scheduling layer: the
-// single-job Backend in grid.go models one job on (optionally shared)
-// resources; MultiWorld models the cross-job dynamics — the idle-worker
-// waste of strict partitioning, and the work-conserving redistribution
-// that fair and SRPT-style policies buy.
+// single-job Backend in grid.go models one job on dedicated resources;
+// MultiWorld models the cross-job dynamics — the idle-worker waste of
+// strict partitioning, and the work-conserving redistribution that fair
+// and SRPT-style policies buy.
 //
 // Model and approximations (documented, deliberate):
 //
 //   - Worker CPUs time-share preemptively: a job's chunk on worker w
 //     progresses at share×Speed, and a share revision re-scales the
-//     chunk's REMAINING work mid-flight (the launch latency is a fixed
-//     cost and does not stretch). Sampling the share only at compute
-//     start would let a large final-round chunk that began moments
-//     before a peer finished keep its contended rate for thousands of
-//     virtual seconds — work-conservation in the model would be a lie.
+//     chunk's REMAINING work mid-flight through the fluid record link
+//     flows use (links.go; the launch latency is a fixed cost and does
+//     not stretch). Sampling the share only at compute start would let
+//     a large final-round chunk that began moments before a peer
+//     finished keep its contended rate for thousands of virtual
+//     seconds — work-conservation in the model would be a lie.
 //   - The master uplink stays serialized ACROSS jobs: one shared FCFS
 //     queue carries every transfer at full link bandwidth, so cross-job
 //     link contention appears as queueing delay, exactly like same-job
@@ -362,12 +363,15 @@ func (v *JobView) Stop() {
 
 // computeStation serves one job's chunks on one worker, FIFO. A chunk's
 // service is a fixed launch latency followed by `base` seconds of work
-// progressing at the job's current share on this worker; reshare calls
-// revise, which banks the progress made at the old rate and reschedules
-// the completion at the new one. Preemptive re-scaling is what makes
-// the policies work-conserving in the model: a chunk launched moments
-// before a peer departs still collects the freed capacity.
+// progressing at the job's current share on this worker: the in-service
+// chunk is a fluid member (see links.go) whose rem is work in seconds
+// at share 1.0. reshare calls revise, which banks the progress made at
+// the old rate and reschedules the completion at the new one.
+// Preemptive re-scaling is what makes the policies work-conserving in
+// the model: a chunk launched moments before a peer departs still
+// collects the freed capacity.
 type computeStation struct {
+	fluid
 	world  *MultiWorld
 	job    int
 	worker int // global index
@@ -378,16 +382,12 @@ type computeStation struct {
 	head    int
 	busy    bool
 
-	// In-service chunk state. inWork is false during the latency phase
-	// (a fixed cost, never re-scaled) and true while share-scaled work
-	// is progressing.
-	start     float64 // service start (latency phase begin)
-	remaining float64 // work left, in seconds at share 1.0
-	rate      float64 // share the current segment progresses at
-	lastT     float64 // when the current segment began
-	inWork    bool
-	end       sim.Handle
-	done      func(start, end float64)
+	// In-service chunk state beside the fluid record. inWork is false
+	// during the latency phase (a fixed cost, never re-scaled) and true
+	// while share-scaled work is progressing.
+	start  float64 // service start (latency phase begin)
+	inWork bool
+	done   func(start, end float64)
 }
 
 type computeReq struct {
@@ -424,14 +424,14 @@ func (s *computeStation) startNext() {
 	s.busy = true
 	now := float64(s.world.eng.Now())
 	s.start = now
-	s.remaining = req.base
+	s.rem = req.base
 	s.done = req.done
 	s.inWork = false
 	s.world.eng.At(units.Seconds(now+req.lat), func() {
 		s.inWork = true
-		s.lastT = float64(s.world.eng.Now())
+		s.last = s.world.eng.Now()
 		s.rate = s.share()
-		s.end = s.world.eng.At(units.Seconds(s.lastT+s.remaining/s.rate), s.finish)
+		s.end = s.world.eng.At(s.last+units.Seconds(s.rem/s.rate), s.finish)
 	})
 }
 
@@ -454,15 +454,11 @@ func (s *computeStation) revise() {
 	}
 	rate := s.share()
 	if rate == s.rate {
-		return
+		return // unchanged: banking would still move rem (see fluid.bank)
 	}
-	now := float64(s.world.eng.Now())
-	s.remaining -= (now - s.lastT) * s.rate
-	if s.remaining < 0 {
-		s.remaining = 0
-	}
-	s.lastT = now
+	now := s.world.eng.Now()
+	s.bank(now)
 	s.rate = rate
 	s.end.Cancel()
-	s.end = s.world.eng.At(units.Seconds(now+s.remaining/rate), s.finish)
+	s.end = s.world.eng.At(now+units.Seconds(s.rem/rate), s.finish)
 }

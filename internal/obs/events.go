@@ -60,18 +60,11 @@ const (
 	// attempt that failed; Err the cause.
 	ChunkRetry EventType = "chunk_retry"
 	// WorkerBlacklisted marks a worker removed from service after
-	// repeated consecutive failures (the retry policy's BlacklistAfter).
+	// repeated consecutive failures (the retry layer's blacklist rule).
 	WorkerBlacklisted EventType = "worker_blacklisted"
 	// WorkerLost summarizes one worker's removal: Size is the total load
 	// pulled back from its in-flight chunks, Workers the surviving count.
 	WorkerLost EventType = "worker_lost"
-	// LinkBusy/LinkIdle bracket a named topology link's occupancy under
-	// the link-graph network model: Busy when the link's active transfer
-	// count rises from zero, Idle when it returns to zero (Dur carries
-	// the busy-period length). Emitted by the grid backend on its own
-	// stream; legacy nil-topology runs never emit them.
-	LinkBusy EventType = "link_busy"
-	LinkIdle EventType = "link_idle"
 	// PeerTransfer is a direct worker-to-worker data movement over the
 	// peer route (redistribution): Src is the worker holding the data,
 	// Worker the receiver, Bytes the payload.
@@ -165,12 +158,15 @@ type Event struct {
 	Remaining float64 `json:"remaining,omitempty"`
 	Switched  bool    `json:"switched,omitempty"`
 
-	// Link-graph network model (LinkBusy, LinkIdle, PeerTransfer,
-	// ChunkRedistributed). Src is the source worker of a peer transfer;
-	// Link names the topology link. Both are omitted when zero, so
-	// streams from runs that never redistribute stay byte-identical to
+	// Peer redistribution (PeerTransfer, ChunkRedistributed): Src is the
+	// source worker of a peer transfer. Omitted when zero, so streams
+	// from runs that never redistribute stay byte-identical to
 	// pre-topology streams.
-	Src  int    `json:"src,omitempty"`
+	Src int `json:"src,omitempty"`
+	// Link named a topology link on the grid backend's link busy/idle
+	// events, which are gone; nothing sets it. It stays because it holds
+	// a presence bit in the daemon's wire codec, and dropping it is a
+	// wire revision.
 	Link string `json:"link,omitempty"`
 }
 

@@ -152,82 +152,3 @@ func (m *GridMetrics) DownlinkBusy(seconds float64) {
 	}
 	m.DownlinkBusySeconds.Add(seconds)
 }
-
-// LinkMetrics is the link-graph network model's metric set: bytes
-// carried and busy-fraction utilization, aggregate plus per named link.
-// The registry has no label mechanism, so per-link series follow the
-// established suffix convention (apstdv_worker_share_w<i>,
-// apstdv_job_wait_seconds_<class>): apstdv_link_bytes_total_<name>.
-// Nil disables; all methods are nil-safe.
-type LinkMetrics struct {
-	// Bytes totals payload bytes carried across every topology link
-	// (a transfer crossing two links counts its bytes on each).
-	Bytes *Counter
-	// Utilization is the mean busy fraction across links, set when the
-	// backend finishes a run.
-	Utilization *Gauge
-	// PerLinkBytes and PerLinkUtil are indexed like the topology's link
-	// table.
-	PerLinkBytes []*Counter
-	PerLinkUtil  []*Gauge
-}
-
-// NewLinkMetrics registers the link metric set for the given link names
-// (in topology link order). Names are sanitized into metric-name form.
-func NewLinkMetrics(r *Registry, names []string) *LinkMetrics {
-	m := &LinkMetrics{
-		Bytes:       r.Counter("apstdv_link_bytes_total", "Payload bytes carried across topology links (counted per link crossed)."),
-		Utilization: r.Gauge("apstdv_link_utilization", "Mean busy fraction across topology links over the last run."),
-	}
-	for _, name := range names {
-		s := sanitizeMetricSuffix(name)
-		m.PerLinkBytes = append(m.PerLinkBytes,
-			r.Counter("apstdv_link_bytes_total_"+s, "Payload bytes carried across link "+name+"."))
-		m.PerLinkUtil = append(m.PerLinkUtil,
-			r.Gauge("apstdv_link_utilization_"+s, "Busy fraction of link "+name+" over the last run."))
-	}
-	return m
-}
-
-// Transferred records bytes crossing one link.
-func (m *LinkMetrics) Transferred(link int, bytes float64) {
-	if m == nil {
-		return
-	}
-	m.Bytes.Add(bytes)
-	if link >= 0 && link < len(m.PerLinkBytes) {
-		m.PerLinkBytes[link].Add(bytes)
-	}
-}
-
-// SetUtilization stores one link's busy fraction.
-func (m *LinkMetrics) SetUtilization(link int, frac float64) {
-	if m == nil {
-		return
-	}
-	if link >= 0 && link < len(m.PerLinkUtil) {
-		m.PerLinkUtil[link].Set(frac)
-	}
-}
-
-// SetMeanUtilization stores the across-links mean busy fraction.
-func (m *LinkMetrics) SetMeanUtilization(frac float64) {
-	if m == nil {
-		return
-	}
-	m.Utilization.Set(frac)
-}
-
-// sanitizeMetricSuffix maps an arbitrary link name onto the metric-name
-// alphabet ([a-zA-Z0-9_]), replacing anything else with '_'.
-func sanitizeMetricSuffix(s string) string {
-	out := []byte(s)
-	for i, c := range out {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-		default:
-			out[i] = '_'
-		}
-	}
-	return string(out)
-}
