@@ -10,6 +10,7 @@ GO ?= go
 FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                divide:FuzzContinuousCutAfter divide:FuzzWorkUnitsCutAfter \
                divide:FuzzScanSeparators sim:FuzzHeapInvariant \
+               sim:FuzzTimersMatchReference \
                transport:FuzzServerFrames daemon:FuzzDecodeWire \
                dls:FuzzUMRSearchMatchesReference \
                dls:FuzzPlanConservesOrRefuses \

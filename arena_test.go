@@ -29,23 +29,66 @@ import (
 // any per-operation closure or buffer would exceed the bound.
 const warmRunAllocs = 8
 
+// warmTreeRunAllocs bounds a warm repeat of the tree condition of
+// internal/experiment's algorithms_golden.sha256 (see treeRun) under
+// UMR: two crashes cutting transfers, computations and link flows, the
+// blacklist, peer redistribution over the link graph, and UMR's loss
+// handling. Measured at 5 allocs (37 before the fault path stopped
+// allocating): the canonical run's 4 and UMR's loss scratch. Every op a
+// crash cuts shares its worker's error, and the blacklist causes, peer
+// routes and fault state are reused from the previous run, so one
+// allocation per cut op, failed chunk or peer transfer exceeds it.
+const warmTreeRunAllocs = 5
+
+// treeRun is the tree condition of algorithms_golden.sha256: Mixed(4, 4)
+// behind a two-level link graph, worker 1 crashing at 1 500 s and worker
+// 6 at 4 000 s, and failed chunks whose input reached a site moved over
+// the peer path. Runs share its models read-only.
+func treeRun() func(*experiment.Run) {
+	platform := workload.WithTreeTopology(workload.Mixed(4, 4))
+	app := workload.Synthetic(0.10)
+	faults := &grid.FaultPlan{Faults: []grid.WorkerFault{
+		{Worker: 1, Kind: grid.FaultCrash, At: 1500},
+		{Worker: 6, Kind: grid.FaultCrash, At: 4000},
+	}}
+	retry := &engine.RetryPolicy{Redistribute: true}
+	return func(r *experiment.Run) {
+		r.Platform, r.App, r.Grid.Faults = platform, app, faults
+		r.Engine = engine.Config{ProbeLoad: 200, Retry: retry}
+	}
+}
+
+// canonicalRun returns the setup of the canonical configuration under
+// ecfg: DAS-2×16, γ=10%, probing on.
+func canonicalRun(ecfg engine.Config) func(*experiment.Run) {
+	platform := workload.DAS2(16)
+	app := workload.Synthetic(0.10)
+	ecfg.ProbeLoad = 200
+	return func(r *experiment.Run) {
+		r.Platform, r.App, r.Engine = platform, app, ecfg
+	}
+}
+
 // canonicalRuns executes n runs of the canonical configuration on a pool
 // `width` wide through experiment.RunAll — every call starts with cold
 // slots, and a slot's runs after its first are warm — and returns the
 // makespans in run order.
 func canonicalRuns(t testing.TB, n, width int, alg string, seed func(run int) uint64, ecfg engine.Config) []float64 {
+	return runs(t, n, width, alg, seed, canonicalRun(ecfg))
+}
+
+// runs executes n runs of alg configured by setup on a pool `width`
+// wide through experiment.RunAll and returns the makespans in run order.
+func runs(t testing.TB, n, width int, alg string, seed func(run int) uint64, setup func(*experiment.Run)) []float64 {
 	t.Helper()
-	app := workload.Synthetic(0.10)
-	platform := workload.DAS2(16)
-	ecfg.ProbeLoad = 200
 	spans := make([]float64, n)
 	err := experiment.RunAll(n, width, func(run int, r *experiment.Run) {
 		a, err := dls.New(alg)
 		if err != nil {
 			t.Error(err)
 		}
-		*r = experiment.Run{Platform: platform, App: app, Algorithm: a,
-			Grid: grid.Config{Seed: seed(run)}, Engine: ecfg}
+		*r = experiment.Run{Algorithm: a, Grid: grid.Config{Seed: seed(run)}}
+		setup(r)
 	}, func(run int, _ *experiment.Run, tr *trace.Trace, err error) error {
 		if err == nil {
 			spans[run] = tr.Makespan()
@@ -65,9 +108,9 @@ func seed42(int) uint64 { return 42 }
 // beyond a one-run pass (fresh Backend + Arena), per repeat. A run
 // allocates a whole number of times; rounding drops the stray runtime
 // allocation that lands in one pass and not the other.
-func warmAllocs(t *testing.T, repeats int, alg string, seed func(int) uint64, cfg engine.Config) float64 {
-	one := testing.AllocsPerRun(5, func() { canonicalRuns(t, 1, 1, alg, seed, cfg) })
-	long := testing.AllocsPerRun(5, func() { canonicalRuns(t, 1+repeats, 1, alg, seed, cfg) })
+func warmAllocs(t *testing.T, repeats int, alg string, seed func(int) uint64, setup func(*experiment.Run)) float64 {
+	one := testing.AllocsPerRun(5, func() { runs(t, 1, 1, alg, seed, setup) })
+	long := testing.AllocsPerRun(5, func() { runs(t, 1+repeats, 1, alg, seed, setup) })
 	return math.Round((long - one) / float64(repeats))
 }
 
@@ -78,13 +121,38 @@ func TestResetRunAllocationRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
 	}
-	warm := warmAllocs(t, 10, "umr", seed42, engine.Config{})
+	warm := warmAllocs(t, 10, "umr", seed42, canonicalRun(engine.Config{}))
 	if warm > warmRunAllocs {
 		t.Errorf("warm repeat run allocated %.0f allocs/op; want <= %d", warm, warmRunAllocs)
 	}
-	if recal := warmAllocs(t, 10, "umr", seed42, engine.Config{RecalibrateInterval: 500}); recal > warm {
+	if recal := warmAllocs(t, 10, "umr", seed42, canonicalRun(engine.Config{RecalibrateInterval: 500})); recal > warm {
 		t.Errorf("recalibrating every 500 s added %.0f allocs to a warm run (%.0f vs %.0f); want none",
 			recal-warm, recal, warm)
+	}
+}
+
+// TestTreeFaultRunAllocationRegression asserts that a warm run of the
+// fault path — crashes, blacklisting and peer redistribution on a link
+// graph — stays under its own bound, and that the run still loses a
+// worker and moves a chunk over the peer path, so the bound covers the
+// path it names.
+func TestTreeFaultRunAllocationRegression(t *testing.T) {
+	tree := treeRun()
+	events := obs.NewBuffer()
+	runs(t, 1, 1, "umr", seed42, func(r *experiment.Run) { tree(r); r.Engine.Events = events })
+	var lost, moved bool
+	for _, ev := range events.Events() {
+		lost = lost || ev.Type == obs.WorkerLost
+		moved = moved || ev.Type == obs.ChunkRedistributed
+	}
+	if !lost || !moved {
+		t.Fatalf("tree run: worker lost %v, chunk redistributed %v; want both", lost, moved)
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts only hold in normal builds")
+	}
+	if warm := warmAllocs(t, 10, "umr", seed42, tree); warm > warmTreeRunAllocs {
+		t.Errorf("warm repeat of the tree fault run allocated %.0f allocs/op; want <= %d", warm, warmTreeRunAllocs)
 	}
 }
 
@@ -124,7 +192,8 @@ func TestObsEmitPathAllocFree(t *testing.T) {
 		held = ring.Bytes()
 		canonicalRuns(t, 1, 1, "fixed-rumr", seed11, inst)
 	}
-	base, withObs := warmAllocs(t, 20, "fixed-rumr", seed11, engine.Config{}), warmAllocs(t, 20, "fixed-rumr", seed11, inst)
+	base, withObs := warmAllocs(t, 20, "fixed-rumr", seed11, canonicalRun(engine.Config{})),
+		warmAllocs(t, 20, "fixed-rumr", seed11, canonicalRun(inst))
 	if withObs > base {
 		t.Fatalf("ring sink + metrics added %.1f allocs/run (%.1f vs %.1f base); the emit path must not allocate",
 			withObs-base, withObs, base)

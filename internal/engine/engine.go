@@ -377,13 +377,17 @@ type execution struct {
 	dead       []bool
 	consecFail []int
 	alive      int
-	retryOn    bool
-	retry      RetryPolicy
-	timer      Timer
-	timeoutFn  func(TimerID) // onDeadline as a method value, built once
-	ests       []model.Estimate
-	dests      []model.Estimate // deadline estimates (see plan)
-	lossAware  dls.WorkerLossAware
+	// blacklistErrs caches each worker's blacklist cause and flightBuf
+	// is inFlight's scratch; both survive arena reuse.
+	blacklistErrs []*blacklistError
+	flightBuf     []int32
+	retryOn       bool
+	retry         RetryPolicy
+	timer         Timer
+	timeoutFn     func(TimerID) // onDeadline as a method value, built once
+	ests          []model.Estimate
+	dests         []model.Estimate // deadline estimates (see plan)
+	lossAware     dls.WorkerLossAware
 	// Redistribution (RetryPolicy.Redistribute on a PeerBackend): failed
 	// attempts whose input already reached a site re-dispatch over the
 	// peer path instead of the master uplink.

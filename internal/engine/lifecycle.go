@@ -421,10 +421,10 @@ func (e *execution) completeChunk(c *chunk, outputEnd float64) {
 // inFlight returns the slots of the work chunks the backend is working
 // on, in chunk-id order: worker w's, or every worker's when w < 0.
 // Retry-queued and retired slots are excluded, and so are measurements,
-// which hold no load to abandon or to report stalled. Caller holds the
-// mutex.
+// which hold no load to abandon or to report stalled. The result is
+// scratch, valid until the next call. Caller holds the mutex.
 func (e *execution) inFlight(w int) []int32 {
-	var slots []int32
+	slots := e.flightBuf[:0]
 	for i := range e.chunkSlots {
 		c := &e.chunkSlots[i]
 		if c.used && c.kind == kindWork && c.state >= stateTransferring && c.state <= stateReturning &&
@@ -433,6 +433,7 @@ func (e *execution) inFlight(w int) []int32 {
 		}
 	}
 	slices.SortFunc(slots, func(a, b int32) int { return e.chunkSlots[a].id - e.chunkSlots[b].id })
+	e.flightBuf = slots
 	return slots
 }
 

@@ -244,7 +244,9 @@ func (e *execution) blacklistWorker(w int) {
 	}
 	// Abandon the worker's in-flight chunks in id order (slot order is
 	// allocation order, not id order; the event stream must be stable).
-	cause := fmt.Errorf("worker %d blacklisted after %d consecutive failures", w, e.consecFail[w])
+	// chunkFailed cannot reach inFlight again: w is already dead, so it
+	// blacklists nothing, and the run's end is only signalled from here.
+	cause := e.blacklistCause(w)
 	for _, slot := range e.inFlight(w) {
 		c := &e.chunkSlots[slot]
 		e.chunkFailed(c, cause, c.state == stateTransferring)
@@ -270,6 +272,33 @@ func (e *execution) blacklistWorker(w int) {
 	if e.alive == 0 {
 		e.failNoWorkers()
 	}
+}
+
+// blacklistError is the cause every chunk a blacklisted worker held
+// fails with. Its text depends only on the worker and its failure
+// streak, so it is built once and reused — across runs too — while the
+// streak is the same; it never changes after it is built.
+type blacklistError struct {
+	failures int
+	msg      string
+}
+
+func (e *blacklistError) Error() string { return e.msg }
+
+// blacklistCause returns worker w's blacklist cause at its current
+// failure streak.
+func (e *execution) blacklistCause(w int) error {
+	if w >= len(e.blacklistErrs) {
+		e.blacklistErrs = append(e.blacklistErrs, make([]*blacklistError, w+1-len(e.blacklistErrs))...)
+	}
+	n := e.consecFail[w]
+	if c := e.blacklistErrs[w]; c != nil && c.failures == n {
+		return c
+	}
+	c := &blacklistError{failures: n,
+		msg: fmt.Sprintf("worker %d blacklisted after %d consecutive failures", w, n)}
+	e.blacklistErrs[w] = c
+	return c
 }
 
 // pickAliveWorker returns the surviving worker with the least pending

@@ -12,13 +12,21 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
+	"apstdv/internal/errcode"
 	"apstdv/internal/rng"
 )
 
 // ErrWorkerDown marks operations that failed because the target worker
 // crashed. Engine-level error mapping can match it with errors.Is.
 var ErrWorkerDown = errors.New("grid: worker down")
+
+// ErrInvalidFaultPlan marks a fault plan New and Reset refuse: one that
+// names a worker outside the platform or has a NaN At, Duration or
+// Factor. Such a fault cannot be injected, and dropping it would run the
+// job fault-free without a word.
+var ErrInvalidFaultPlan = errcode.New("bad_fault_plan", "grid: invalid fault plan")
 
 // FaultKind classifies one injected fault.
 type FaultKind int
@@ -106,22 +114,50 @@ type faultWindow struct {
 type faultState struct {
 	crashAt float64 // +Inf when the worker never crashes
 	windows []faultWindow
+	// err is the error every op the crash cuts fails with, built on the
+	// first cut (see Backend.crashErr) and kept while crashAt stays the
+	// same, so cutting an op formats nothing.
+	err *crashError
 }
 
-// compileFaults turns a plan into per-worker state. Returns nil for a
-// nil/empty plan so the hot paths can gate on one pointer check.
-func compileFaults(plan *FaultPlan, workers int) []faultState {
+// validate refuses a plan that compileFaults could only drop from in
+// silence: a fault on a worker outside the platform, or one with a NaN
+// field. All errors wrap ErrInvalidFaultPlan.
+func (p *FaultPlan) validate(workers int) error {
+	if p == nil {
+		return nil
+	}
+	for i, f := range p.Faults {
+		if f.Worker < 0 || f.Worker >= workers {
+			return fmt.Errorf("%w: fault %d (%s) names worker %d of a %d-worker platform",
+				ErrInvalidFaultPlan, i, f.Kind, f.Worker, workers)
+		}
+		if math.IsNaN(f.At) || math.IsNaN(f.Duration) || math.IsNaN(f.Factor) {
+			return fmt.Errorf("%w: fault %d (%s on worker %d) has a NaN at, duration or factor",
+				ErrInvalidFaultPlan, i, f.Kind, f.Worker)
+		}
+	}
+	return nil
+}
+
+// compileFaults turns a validated plan into per-worker state, reusing
+// buf's storage (window lists and built crash errors included). Returns
+// nil for a nil/empty plan so the hot paths can gate on one pointer
+// check.
+func compileFaults(buf []faultState, plan *FaultPlan, workers int) []faultState {
 	if plan == nil || len(plan.Faults) == 0 {
 		return nil
 	}
-	fs := make([]faultState, workers)
-	for i := range fs {
+	fs := buf[:0]
+	for i := 0; i < workers; i++ {
+		if i < len(buf) {
+			fs = append(fs, faultState{windows: buf[i].windows[:0], err: buf[i].err})
+		} else {
+			fs = append(fs, faultState{})
+		}
 		fs[i].crashAt = math.Inf(1)
 	}
 	for _, f := range plan.Faults {
-		if f.Worker < 0 || f.Worker >= workers {
-			continue
-		}
 		st := &fs[f.Worker]
 		switch f.Kind {
 		case FaultCrash:
@@ -139,9 +175,11 @@ func compileFaults(plan *FaultPlan, workers int) []faultState {
 		}
 	}
 	for i := range fs {
-		sort.Slice(fs[i].windows, func(a, b int) bool {
-			return fs[i].windows[a].start < fs[i].windows[b].start
-		})
+		if len(fs[i].windows) > 1 {
+			sort.Slice(fs[i].windows, func(a, b int) bool {
+				return fs[i].windows[a].start < fs[i].windows[b].start
+			})
+		}
 	}
 	return fs
 }
@@ -189,8 +227,31 @@ func (f *faultState) stretch(start, work float64) float64 {
 	return t - start
 }
 
-// crashErr builds the deterministic operation error for a crashed
-// worker.
-func crashErr(w int, at float64) error {
-	return fmt.Errorf("%w: worker %d crashed at t=%.3gs", ErrWorkerDown, w, at)
+// crashError is the operation error of a crashed worker. It is built
+// once per crashed worker and run, never changed after, and shared by
+// every op the crash cuts; errors.Is(err, ErrWorkerDown) holds.
+type crashError struct {
+	at  float64
+	msg string
+}
+
+func (e *crashError) Error() string { return e.msg }
+func (e *crashError) Unwrap() error { return ErrWorkerDown }
+
+// crashErr returns the error of an op worker w's crash cuts. Its text
+// is "grid: worker down: worker W crashed at t=%.3gs", written with
+// strconv so that building it costs the text and the value only.
+func (b *Backend) crashErr(w int) error {
+	f := &b.faults[w]
+	if f.err == nil || f.err.at != f.crashAt {
+		var buf [64]byte
+		msg := append(buf[:0], ErrWorkerDown.Error()...)
+		msg = append(msg, ": worker "...)
+		msg = strconv.AppendInt(msg, int64(w), 10)
+		msg = append(msg, " crashed at t="...)
+		msg = strconv.AppendFloat(msg, f.crashAt, 'g', 3, 64)
+		msg = append(msg, 's')
+		f.err = &crashError{at: f.crashAt, msg: string(msg)}
+	}
+	return f.err
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -214,7 +215,7 @@ func TestCrashCutsEveryOp(t *testing.T) {
 			if _, end, err := run(t, tc.p, tc.op, 1e9, 0); err != nil || end != tc.full {
 				t.Fatalf("uncut op ended at %g with %v, want %g and nil", end, err, tc.full)
 			}
-			want := crashErr(0, tc.at).Error()
+			want := fmt.Sprintf("grid: worker down: worker 0 crashed at t=%.3gs", tc.at)
 			// Issued at 0 the worker dies mid-op; issued at 3 it is already down.
 			for _, issueAt := range []float64{0, 3} {
 				start, end, err := run(t, tc.p, tc.op, tc.at, issueAt)
@@ -226,5 +227,77 @@ func TestCrashCutsEveryOp(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A plan naming a worker the platform lacks, or carrying a NaN, used to
+// be dropped fault by fault and the run went fault-free. New and Reset
+// refuse it with ErrInvalidFaultPlan instead, and a refused Reset
+// leaves the backend able to take a valid plan.
+func TestFaultPlanRefusesUnknownWorkerAndNaN(t *testing.T) {
+	nan := math.NaN()
+	bad := []struct {
+		name  string
+		fault WorkerFault
+	}{
+		{"worker past the platform", WorkerFault{Worker: 2, Kind: FaultCrash, At: 1}},
+		{"negative worker", WorkerFault{Worker: -1, Kind: FaultStall, At: 1, Duration: 5}},
+		{"NaN at", WorkerFault{Worker: 0, Kind: FaultCrash, At: nan}},
+		{"NaN duration", WorkerFault{Worker: 1, Kind: FaultStall, At: 1, Duration: nan}},
+		{"NaN factor", WorkerFault{Worker: 1, Kind: FaultSlowdown, At: 1, Duration: 5, Factor: nan}},
+	}
+	for _, c := range bad {
+		t.Run(c.name, func(t *testing.T) {
+			ok := WorkerFault{Worker: 0, Kind: FaultCrash, At: 3}
+			plan := &FaultPlan{Faults: []WorkerFault{ok, c.fault}}
+			if _, err := New(testPlatform(2), testApp(0), Config{Faults: plan}); !errors.Is(err, ErrInvalidFaultPlan) {
+				t.Fatalf("New: error %v, want ErrInvalidFaultPlan", err)
+			}
+			b := faultBackend(t, 2, nil)
+			if err := b.Reset(testApp(0), Config{Faults: plan}); !errors.Is(err, ErrInvalidFaultPlan) {
+				t.Fatalf("Reset: error %v, want ErrInvalidFaultPlan", err)
+			}
+			if err := b.Reset(testApp(0), Config{Faults: &FaultPlan{Faults: []WorkerFault{ok}}}); err != nil {
+				t.Fatalf("Reset with a valid plan after a refused one: %v", err)
+			}
+			var opErr error
+			b.AfterFunc(5, func(uint64) {
+				b.ExecuteOp(0, 1, false, 0, func(_ uint64, _, _ float64, err error) { opErr = err })
+			})
+			b.Run()
+			if !errors.Is(opErr, ErrWorkerDown) {
+				t.Fatalf("op after the valid plan's crash: error %v, want ErrWorkerDown", opErr)
+			}
+		})
+	}
+}
+
+// A crashed worker's error is built once and shared by the ops its
+// crash cuts, and a Reset onto a plan that moves the crash builds a new
+// one: the error an earlier run returned never changes.
+func TestCrashErrorFollowsResetPlan(t *testing.T) {
+	b := faultBackend(t, 1, nil)
+	cut := func(at float64) []error {
+		t.Helper()
+		if err := b.Reset(testApp(0), Config{Faults: &FaultPlan{Faults: []WorkerFault{{Worker: 0, Kind: FaultCrash, At: at}}}}); err != nil {
+			t.Fatal(err)
+		}
+		var errs []error
+		for i := 0; i < 2; i++ {
+			b.ExecuteOp(0, 1e6, false, 0, func(_ uint64, _, _ float64, err error) { errs = append(errs, err) })
+		}
+		b.Run()
+		return errs
+	}
+	first := cut(3)
+	if len(first) != 2 || first[0] != first[1] {
+		t.Fatalf("two ops cut by one crash failed with %v; want one shared error", first)
+	}
+	second := cut(4)
+	if got, want := first[0].Error(), "grid: worker down: worker 0 crashed at t=3s"; got != want {
+		t.Errorf("first run's error after a second run = %q, want %q", got, want)
+	}
+	if got, want := second[0].Error(), "grid: worker down: worker 0 crashed at t=4s"; got != want {
+		t.Errorf("second run's error = %q, want %q", got, want)
 	}
 }

@@ -83,7 +83,9 @@ type Backend struct {
 	bg      []*bgProcess
 	batch   []*batchState
 	faults  []faultState // nil when no faults are injected
-	links   *linkNet     // nil unless the platform carries a Topology
+	// faultBuf keeps the compiled fault state's storage across Resets.
+	faultBuf []faultState
+	links    *linkNet // nil unless the platform carries a Topology
 
 	// Op table (see gridOp) and the long-lived callbacks all operations
 	// dispatch through, built once in New.
@@ -155,6 +157,9 @@ func (b *Backend) Reset(a *model.Application, cfg Config) error {
 	if cfg.ProbeBias < 0 {
 		return fmt.Errorf("grid: negative probe bias %g", cfg.ProbeBias)
 	}
+	if err := cfg.Faults.validate(len(b.platform.Workers)); err != nil {
+		return err
+	}
 	b.app = a
 	b.cfg = cfg
 	b.eng.Reset()
@@ -172,7 +177,10 @@ func (b *Backend) Reset(a *model.Application, cfg Config) error {
 			b.batch[i].reset()
 		}
 	}
-	b.faults = compileFaults(cfg.Faults, len(b.platform.Workers))
+	b.faults = compileFaults(b.faultBuf, cfg.Faults, len(b.platform.Workers))
+	if b.faults != nil {
+		b.faultBuf = b.faults
+	}
 	b.ops = b.ops[:0]
 	b.opFree = b.opFree[:0]
 	if b.links != nil {
@@ -211,10 +219,10 @@ func (b *Backend) cut(w int, start units.Seconds, d float64) (units.Seconds, err
 	}
 	crashAt := b.faults[w].crashAt
 	if float64(start) >= crashAt {
-		return 0, crashErr(w, crashAt)
+		return 0, b.crashErr(w)
 	}
 	if float64(start)+d > crashAt {
-		return units.Seconds(crashAt - float64(start)), crashErr(w, crashAt)
+		return units.Seconds(crashAt - float64(start)), b.crashErr(w)
 	}
 	return units.Seconds(d), nil
 }
@@ -269,7 +277,7 @@ func (b *Backend) CancelTimer(id uint64) {
 func (b *Backend) TransferOp(w int, bytes float64, op uint64, done func(op uint64, start, end float64, err error)) {
 	slot := b.issue(w, op, done)
 	if b.links != nil {
-		b.links.start(b.platform.Topology.Route(w), slot, bytes)
+		b.links.start(slot, bytes, -1)
 		return
 	}
 	wk := b.platform.Workers[w]

@@ -12,7 +12,7 @@ package grid
 // byte-identical to the pinned goldens.
 //
 // Peer transfers (worker-to-worker redistribution) ride the same fluid
-// model over model.Topology.PeerRoute. Semantics: the source worker's
+// model over model.Topology.AppendPeerRoute. Semantics: the source worker's
 // chunk data is staged on its *site* storage, so a crashed source does
 // not kill a peer fetch; the destination crashing truncates it, like
 // any transfer to that worker.
@@ -56,7 +56,10 @@ func (f *fluid) bank(now units.Seconds) {
 // starting one allocates nothing once the arena has grown.
 type linkFlow struct {
 	fluid
-	route  []int // borrowed from the topology (or a peer-route buffer)
+	// route is the flow's own buffer, filled from the destination's
+	// master route or from the peer route; slot reuse and reset keep its
+	// storage, so starting a flow allocates nothing once it has grown.
+	route  []int
 	opSlot int32 // gridOp slot to complete; its w is the worker a crash cuts
 	active bool  // joined the fluid pool (latency phase done)
 }
@@ -82,47 +85,67 @@ func newLinkNet(b *Backend) *linkNet {
 }
 
 // reset rewinds the net for a fresh run, clearing all occupancy and
-// flow state. Reuses every slice.
+// flow state. Reuses every slice, route buffers included.
 func (n *linkNet) reset() {
 	for i := range n.active {
 		n.active[i] = 0
+	}
+	for i := range n.flows {
+		n.clearFlow(int32(i))
 	}
 	n.flows = n.flows[:0]
 	n.flowFree = n.flowFree[:0]
 }
 
-// allocFlow reserves a flow slot.
+// allocFlow reserves a flow slot. A slot past the end that an earlier
+// run used is taken back as reset left it, route buffer and all.
 func (n *linkNet) allocFlow() int32 {
 	if l := len(n.flowFree); l > 0 {
 		slot := n.flowFree[l-1]
 		n.flowFree = n.flowFree[:l-1]
 		return slot
 	}
-	n.flows = append(n.flows, linkFlow{})
+	if l := len(n.flows); l < cap(n.flows) {
+		n.flows = n.flows[:l+1]
+	} else {
+		n.flows = append(n.flows, linkFlow{})
+	}
 	return int32(len(n.flows) - 1)
+}
+
+// clearFlow zeroes a slot except for its route buffer's storage.
+func (n *linkNet) clearFlow(slot int32) {
+	f := &n.flows[slot]
+	*f = linkFlow{route: f.route[:0]}
 }
 
 // freeFlow returns a slot, dropping references.
 func (n *linkNet) freeFlow(slot int32) {
-	n.flows[slot] = linkFlow{}
+	n.clearFlow(slot)
 	n.flowFree = append(n.flowFree, slot)
 }
 
-// start launches op opSlot's transfer of bytes over route: a fixed
-// latency phase (the summed link latencies), then a fluid flow through
-// the shared links.
-func (n *linkNet) start(route []int, opSlot int32, bytes float64) {
+// start launches op opSlot's transfer of bytes to the op's worker, over
+// its master route, or over the peer route from worker from when from
+// is not negative: a fixed latency phase (the summed link latencies),
+// then a fluid flow through the shared links.
+func (n *linkNet) start(opSlot int32, bytes float64, from int) {
 	b := n.b
-	lat := 0.0
-	for _, li := range route {
-		lat += float64(b.platform.Topology.Links[li].Latency)
-	}
+	top := b.platform.Topology
+	o := &b.ops[opSlot]
 	slot := n.allocFlow()
 	f := &n.flows[slot]
-	f.route = route
+	if from < 0 {
+		f.route = append(f.route, top.Route(int(o.w))...)
+	} else {
+		f.route = top.AppendPeerRoute(f.route, from, int(o.w))
+	}
+	lat := 0.0
+	for _, li := range f.route {
+		lat += float64(top.Links[li].Latency)
+	}
 	f.rem = bytes
 	f.opSlot = opSlot
-	o := &b.ops[opSlot]
 	delay, err := b.cut(int(o.w), o.start, lat)
 	o.err = err
 	b.eng.AfterArg(delay, n.enterFn, uint64(slot))
@@ -177,11 +200,10 @@ func (n *linkNet) rescale(now units.Seconds) {
 		if b.faults != nil {
 			if crashAt := b.faults[o.w].crashAt; crashAt < end {
 				end = crashAt
-				o.err = crashErr(int(o.w), crashAt)
+				o.err = b.crashErr(int(o.w))
 			}
 		}
-		f.end.Cancel()
-		f.end = b.eng.AtArg(units.Seconds(end), n.finishFn, uint64(i))
+		f.end = b.eng.MoveArg(f.end, units.Seconds(end), n.finishFn, uint64(i))
 	}
 }
 
@@ -209,7 +231,7 @@ func (n *linkNet) complete(slot int32) {
 // PeerTransferOp moves bytes from worker `from`'s site directly to
 // worker `to` — the redistribution path, never touching the master or
 // its uplink. Under a topology the transfer is a fluid flow over
-// model.Topology.PeerRoute; on a flat platform it uses a direct
+// model.Topology.AppendPeerRoute; on a flat platform it uses a direct
 // star-model estimate (destination's latency, the slower endpoint's
 // bandwidth) without occupying the serialized uplink. The data is
 // staged on the source's site storage, so only the *destination*
@@ -218,7 +240,7 @@ func (n *linkNet) complete(slot int32) {
 func (b *Backend) PeerTransferOp(from, to int, bytes float64, op uint64, done func(op uint64, start, end float64, err error)) {
 	slot := b.issue(to, op, done)
 	if b.links != nil {
-		b.links.start(b.platform.Topology.PeerRoute(from, to), slot, bytes)
+		b.links.start(slot, bytes, from)
 		return
 	}
 	wf, wt := b.platform.Workers[from], b.platform.Workers[to]

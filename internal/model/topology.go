@@ -134,19 +134,19 @@ func (t *Topology) RouteLatency(w int) units.Seconds {
 	return lat
 }
 
-// PeerRoute returns the link path of a direct worker-to-worker transfer
-// from a to b: both master routes past their longest common prefix (the
-// tree symmetric difference). Same-cluster peers skip the uplink and any
+// AppendPeerRoute appends to dst the link path of a direct
+// worker-to-worker transfer from a to b and returns the extended slice:
+// both master routes past their longest common prefix (the tree
+// symmetric difference). Same-cluster peers skip the uplink and any
 // shared trunk; the master is never traversed. The a-side links come
 // first (leaf-to-branch order is irrelevant to the fluid model; only
-// membership matters).
-func (t *Topology) PeerRoute(a, b int) []int {
+// membership matters). Appending lets a caller keep one buffer per
+// transfer instead of allocating a route each time.
+func (t *Topology) AppendPeerRoute(dst []int, a, b int) []int {
 	ra, rb := t.Routes[a], t.Routes[b]
 	p := commonPrefix(ra, rb)
-	out := make([]int, 0, len(ra)+len(rb)-2*p)
-	out = append(out, ra[p:]...)
-	out = append(out, rb[p:]...)
-	return out
+	dst = append(dst, ra[p:]...)
+	return append(dst, rb[p:]...)
 }
 
 // commonPrefix returns the length of the longest common prefix of two

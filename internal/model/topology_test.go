@@ -50,11 +50,11 @@ func TestPeerRouteSkipsSharedPrefix(t *testing.T) {
 		}
 		return out
 	}
-	same := names(top.PeerRoute(0, 1))
+	same := names(top.AppendPeerRoute(nil, 0, 1))
 	if len(same) != 2 || same[0] != "leaf-0" || same[1] != "leaf-1" {
 		t.Errorf("same-cluster peer route = %v, want [leaf-0 leaf-1]", same)
 	}
-	cross := names(top.PeerRoute(0, 2))
+	cross := names(top.AppendPeerRoute(nil, 0, 2))
 	want := []string{"sw-a", "leaf-0", "sw-b", "leaf-2"}
 	if len(cross) != len(want) {
 		t.Fatalf("cross-cluster peer route = %v, want %v", cross, want)
@@ -64,8 +64,12 @@ func TestPeerRouteSkipsSharedPrefix(t *testing.T) {
 			t.Fatalf("cross-cluster peer route = %v, want %v", cross, want)
 		}
 	}
-	if self := top.PeerRoute(1, 1); len(self) != 0 {
+	if self := top.AppendPeerRoute(nil, 1, 1); len(self) != 0 {
 		t.Errorf("self peer route = %v, want empty", names(self))
+	}
+	// The route is appended after what dst already holds.
+	if got := names(top.AppendPeerRoute([]int{0}, 0, 1)); len(got) != 3 || got[0] != top.Links[0].Name || got[2] != "leaf-1" {
+		t.Errorf("peer route appended to a one-link prefix = %v", got)
 	}
 }
 

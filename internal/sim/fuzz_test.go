@@ -1,27 +1,30 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"apstdv/internal/units"
 )
 
 // FuzzHeapInvariant interprets the input as a script of schedule /
-// cancel / step operations and checks the arena-heap invariant (heap
-// order, pos back-references, free-list consistency) after every one.
-// Two bytes per op: the first picks the operation, the second its
-// operand (a delay for schedule, a handle index for cancel).
+// cancel / step / re-key operations and checks the arena-heap invariant
+// (heap order, pos back-references, free-list consistency) after every
+// one. Two bytes per op: the first picks the operation, the second its
+// operand (a delay for schedule, a handle index for cancel and re-key).
 func FuzzHeapInvariant(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 3, 2, 0, 1, 0})             // ties then step then cancel
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 1, 1, 1, 0, 2, 0}) // cancel-heavy
 	f.Add([]byte{0, 5, 1, 0, 0, 5, 1, 0})             // slot reuse
+	f.Add([]byte{0, 3, 0, 6, 4, 1, 4, 0, 2, 0, 4, 0}) // re-key both ways, then a fired handle
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := New()
 		fn := func() {}
+		fnArg := func(uint64) {}
 		var live []Handle
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i], script[i+1]
-			switch op % 4 {
+			switch op % 5 {
 			case 0: // schedule; small delays force timestamp collisions
 				live = append(live, e.After(units.Seconds(arg%8), fn))
 			case 1: // cancel a handle (possibly stale — must stay a no-op)
@@ -41,6 +44,16 @@ func FuzzHeapInvariant(f *testing.F) {
 					live[j].Cancel()
 					live[j].Cancel()
 				}
+			case 4: // re-key a handle (possibly fired: then it schedules afresh)
+				if len(live) > 0 {
+					j := int(arg) % len(live)
+					pending := e.Pending()
+					was := live[j].e != nil && live[j].e.live(live[j])
+					live[j] = e.MoveArg(live[j], e.Now()+units.Seconds(arg>>3%8), fnArg, 0)
+					if was && e.Pending() != pending || !was && e.Pending() != pending+1 {
+						t.Fatalf("MoveArg of a handle pending=%v took Pending %d -> %d", was, pending, e.Pending())
+					}
+				}
 			}
 			e.checkInvariant()
 		}
@@ -48,6 +61,105 @@ func FuzzHeapInvariant(f *testing.F) {
 		e.checkInvariant()
 		if e.Pending() != 0 {
 			t.Fatalf("Pending = %d after Run, want 0", e.Pending())
+		}
+	})
+}
+
+// FuzzTimersMatchReference runs an arm / cancel / step script through
+// the timer wheel and through a naive reference — a plain list of armed
+// deadlines — and checks that every timer fires exactly at its deadline,
+// that none fires while an earlier deadline is still armed (equal
+// deadlines may fire in either order), that cancelled timers never fire
+// and that none is lost. It also checks the parking rules: with no
+// timer armed the engine holds no event, and every step moves the clock
+// to the earliest event that is not parked, so Now() never stops on a
+// parked one. Two bytes per op: the
+// first picks the operation, the second its operand (a delay code for
+// arm, an id index for cancel).
+func FuzzTimersMatchReference(f *testing.F) {
+	f.Add([]byte{0, 40, 0, 80, 1, 1, 2, 0, 2, 0, 2, 0})         // park, then re-key
+	f.Add([]byte{0, 200, 0, 3, 0, 100, 1, 2, 1, 0, 2, 0})       // levels, cancels to idle
+	f.Add([]byte{0, 10, 0, 10, 0, 42, 0, 10, 1, 2, 2, 0, 2, 0}) // ties
+	f.Fuzz(func(t *testing.T, script []byte) {
+		e := New()
+		w := NewTimers(e, 4)
+		type ref struct {
+			id TimerID
+			at units.Seconds
+		}
+		var armed []ref   // the reference: every timer armed and not yet fired or cancelled
+		var ids []TimerID // every id handed out, fired and cancelled ones included
+		fire := func(id TimerID) {
+			now := e.Now()
+			i := slices.IndexFunc(armed, func(r ref) bool { return r.id == id })
+			if i < 0 {
+				t.Fatalf("timer %#x fired at %v but is not armed", id, now)
+			}
+			if armed[i].at != now {
+				t.Fatalf("timer %#x fired at %v, deadline %v", id, now, armed[i].at)
+			}
+			for _, r := range armed {
+				if r.at < now {
+					t.Fatalf("timer %#x fired at %v while %#x (deadline %v) is still armed", id, now, r.id, r.at)
+				}
+			}
+			armed = slices.Delete(armed, i, i+1)
+		}
+		step := func() {
+			// The earliest event not parked, by (at, seq).
+			var next *entry
+			for i := range e.order {
+				x := &e.order[i]
+				if slices.Contains(w.parked, Handle{e, x.slot, e.arena[x.slot].gen}) {
+					continue
+				}
+				if next == nil || less(x, next) {
+					next = x
+				}
+			}
+			want, before := e.Now(), e.Now()
+			if next != nil {
+				want = next.at
+			}
+			if fired := e.Step(); fired != (next != nil) || e.Now() != want {
+				t.Fatalf("step from %v fired=%v to %v; want the earliest unparked event, at %v (one pending: %v)",
+					before, fired, e.Now(), want, next != nil)
+			}
+		}
+		check := func() {
+			if w.Pending() != len(armed) {
+				t.Fatalf("wheel reports %d armed, reference %d", w.Pending(), len(armed))
+			}
+			if w.Pending() == 0 && e.Pending() != 0 {
+				t.Fatalf("no timer armed but the engine holds %d events", e.Pending())
+			}
+			e.checkInvariant()
+		}
+		for i := 0; i+1 < len(script); i += 2 {
+			op, arg := script[i], script[i+1]
+			switch op % 3 {
+			case 0: // arm: up to 31 units of 4^0..4^7 s, so every wheel level
+				d := units.Seconds(arg&31) * pow(4, int(arg>>5))
+				id := w.After(d, fire)
+				armed = append(armed, ref{id, e.Now() + d})
+				ids = append(ids, id)
+			case 1: // cancel any id handed out, fired or cancelled ones too
+				if len(ids) > 0 {
+					id := ids[int(arg)%len(ids)]
+					w.Cancel(id)
+					armed = slices.DeleteFunc(armed, func(r ref) bool { return r.id == id })
+				}
+			case 2:
+				step()
+			}
+			check()
+		}
+		for e.Pending() > 0 {
+			step()
+			check()
+		}
+		if len(armed) != 0 {
+			t.Fatalf("%d timers never fired", len(armed))
 		}
 	})
 }

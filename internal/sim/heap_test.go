@@ -83,9 +83,11 @@ type firing struct {
 
 // TestHeapMatchesReferenceSchedule drives the Engine and the
 // container/heap reference with the same randomized schedule / cancel /
-// step script and requires byte-identical firing sequences. Ties (many
-// events at one timestamp) and heavy cancellation are exercised on
-// purpose; the arena invariant is checked after every mutation.
+// re-key / step script and requires byte-identical firing sequences.
+// A re-key (MoveArg) is modelled in the reference as a cancel followed
+// by a schedule. Ties (many events at one timestamp) and heavy
+// cancellation are exercised on purpose; the arena invariant is checked
+// after every mutation.
 func TestHeapMatchesReferenceSchedule(t *testing.T) {
 	type livePair struct {
 		h   Handle
@@ -99,6 +101,7 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 		var gotE, gotR []firing
 		nextID := 0
 
+		fire := func(arg uint64) { gotE = append(gotE, firing{e.Now(), int(arg)}) }
 		stepBoth := func() {
 			// The engine fires via callback; the reference pops directly.
 			before := len(gotE)
@@ -113,7 +116,7 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 		}
 
 		for op := 0; op < 4000; op++ {
-			switch k := src.Intn(10); {
+			switch k := src.Intn(12); {
 			case k < 5: // schedule, with deliberate timestamp collisions
 				d := units.Seconds(src.Intn(16))
 				at := e.Now() + d
@@ -129,6 +132,16 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 					ref.cancel(live[i].seq)
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]
+				}
+			case k < 10: // re-key a random handle (may already have fired)
+				if len(live) > 0 {
+					i := src.Intn(len(live))
+					at := e.Now() + units.Seconds(src.Intn(16))
+					id := nextID
+					nextID++
+					live[i].h = e.MoveArg(live[i].h, at, fire, uint64(id))
+					ref.cancel(live[i].seq)
+					live[i].seq = ref.schedule(at, id)
 				}
 			default:
 				stepBoth()

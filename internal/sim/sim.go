@@ -8,11 +8,19 @@
 // is a pure function of its inputs and seeds.
 //
 // Performance: the schedule is an index-based 4-ary min-heap over a flat
-// event arena with a free list. At reuses arena slots instead of
-// allocating, handles are {slot, generation} pairs so Cancel removes the
-// event eagerly (no tombstones to skip at pop time), and the steady
-// state performs no per-call heap allocation — the only allocations are
-// the amortized growth of the arena itself.
+// event arena with a free list. Heap entries carry their (at, seq) key
+// inline, so sifting compares entries without touching the arena. At
+// reuses arena slots instead of allocating, handles are {slot,
+// generation} pairs so Cancel removes the event eagerly (no tombstones
+// to skip at pop time), and the steady state performs no per-call heap
+// allocation — the only allocations are the amortized growth of the
+// arena itself.
+//
+// Re-keying: MoveArg moves a pending event to a new time in place — one
+// sift instead of a removal and an insert — with exactly the ordering
+// Cancel followed by AtArg would give. Users whose events are routinely
+// rescheduled (the link model's flow completions) and the timer wheel's
+// parked bucket events (see Timers) go through it.
 package sim
 
 import (
@@ -27,9 +35,7 @@ import (
 // list; gen distinguishes incarnations, so a Handle from a previous
 // occupant of the slot can never cancel its successor.
 type event struct {
-	at  units.Seconds
-	seq uint64
-	fn  func()
+	fn func()
 	// fnArg/arg is the closure-free form used by sim-internal subsystems
 	// (the timer wheel): one long-lived callback shared by many events,
 	// told which one fired. Exactly one of fn and fnArg is set.
@@ -37,6 +43,14 @@ type event struct {
 	arg   uint64
 	gen   uint32
 	pos   int32 // index in Engine.order, -1 while the slot is free
+}
+
+// entry is one heap position: an arena slot and its (at, seq) key,
+// held inline so ordering the heap never dereferences the arena.
+type entry struct {
+	at   units.Seconds
+	seq  uint64
+	slot int32
 }
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
@@ -53,14 +67,10 @@ type Handle struct {
 // already-cancelled, or stale (slot since reused) handle is a no-op.
 func (h Handle) Cancel() {
 	e := h.e
-	if e == nil || int(h.slot) >= len(e.arena) {
+	if e == nil || !e.live(h) {
 		return
 	}
-	ev := &e.arena[h.slot]
-	if ev.gen != h.gen || ev.pos < 0 {
-		return
-	}
-	e.removeAt(int(ev.pos))
+	e.removeAt(int(e.arena[h.slot].pos))
 	e.release(h.slot)
 }
 
@@ -71,7 +81,7 @@ type Engine struct {
 	seq   uint64
 	arena []event
 	free  []int32 // arena slots available for reuse
-	order []int32 // 4-ary min-heap of arena slots, keyed by (at, seq)
+	order []entry // 4-ary min-heap keyed by (at, seq)
 }
 
 // New returns an engine with the clock at zero and no pending events.
@@ -106,14 +116,77 @@ func (e *Engine) AfterArg(d units.Seconds, fnArg func(uint64), arg uint64) Handl
 	return e.AtArg(e.now+d, fnArg, arg)
 }
 
-// schedule allocates and files a slot at time t with no callback yet.
-func (e *Engine) schedule(t units.Seconds) Handle {
+// MoveArg re-keys the pending event h to fire fnArg(arg) at time t and
+// returns its handle. The heap entry sifts to its new place instead of
+// being removed and re-inserted, but the ordering is exactly Cancel
+// followed by AtArg: the event takes the next sequence number, so among
+// events at t it fires after every one scheduled before the call. h
+// stays valid. A zero, fired, cancelled or stale h schedules afresh
+// through AtArg, so callers need not track which case they hold.
+func (e *Engine) MoveArg(h Handle, t units.Seconds, fnArg func(uint64), arg uint64) Handle {
+	if h.e != e || !e.live(h) {
+		return e.AtArg(t, fnArg, arg)
+	}
+	e.checkTime(t)
+	ev := &e.arena[h.slot]
+	ev.fn, ev.fnArg, ev.arg = nil, fnArg, arg
+	i := int(ev.pos)
+	e.order[i].at, e.order[i].seq = t, e.seq
+	e.seq++
+	e.fix(i)
+	return h
+}
+
+// park strips the pending event h of its callback without re-keying
+// it, reporting whether h was pending. A parked event keeps its place
+// until MoveArg re-keys it or Cancel drops it; one that reaches the top
+// of the heap is discarded without moving the clock. The timer wheel
+// parks bucket events this way (see Timers).
+func (e *Engine) park(h Handle) bool {
+	if h.e != e || !e.live(h) {
+		return false
+	}
+	ev := &e.arena[h.slot]
+	ev.fn, ev.fnArg, ev.arg = nil, nil, 0
+	return true
+}
+
+// skipParked discards parked events from the top of the heap.
+func (e *Engine) skipParked() {
+	for len(e.order) > 0 {
+		slot := e.order[0].slot
+		if ev := &e.arena[slot]; ev.fn != nil || ev.fnArg != nil {
+			return
+		}
+		e.removeAt(0)
+		e.release(slot)
+	}
+}
+
+// live reports whether h names an event still in the schedule.
+func (e *Engine) live(h Handle) bool {
+	if int(h.slot) >= len(e.arena) {
+		return false
+	}
+	ev := &e.arena[h.slot]
+	return ev.gen == h.gen && ev.pos >= 0
+}
+
+// checkTime panics on a time the schedule cannot hold: one in the past
+// always indicates a modelling bug, and silently clamping would corrupt
+// causality.
+func (e *Engine) checkTime(t units.Seconds) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", float64(t)))
 	}
+}
+
+// schedule allocates and files a slot at time t with no callback yet.
+func (e *Engine) schedule(t units.Seconds) Handle {
+	e.checkTime(t)
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -122,13 +195,10 @@ func (e *Engine) schedule(t units.Seconds) Handle {
 		slot = int32(len(e.arena))
 		e.arena = append(e.arena, event{})
 	}
-	ev := &e.arena[slot]
-	ev.at = t
-	ev.seq = e.seq
+	e.order = append(e.order, entry{t, e.seq, slot})
 	e.seq++
-	e.order = append(e.order, slot)
 	e.siftUp(len(e.order) - 1)
-	return Handle{e, slot, ev.gen}
+	return Handle{e, slot, e.arena[slot].gen}
 }
 
 // After schedules fn d seconds from now. Negative d panics.
@@ -136,8 +206,9 @@ func (e *Engine) After(d units.Seconds, fn func()) Handle {
 	return e.At(e.now+d, fn)
 }
 
-// Pending returns the number of live scheduled events. Cancellation is
-// eager, so this is the heap length — O(1), never a scan.
+// Pending returns the number of live scheduled events, parked ones
+// included. Cancellation is eager, so this is the heap length — O(1),
+// never a scan.
 func (e *Engine) Pending() int { return len(e.order) }
 
 // Reset returns the engine to its initial state — clock at zero,
@@ -160,15 +231,17 @@ func (e *Engine) Reset() {
 	}
 }
 
-// Step fires the earliest event and advances the clock to it. It returns
+// Step fires the earliest event and advances the clock to it; parked
+// events ahead of it are discarded without moving the clock. It returns
 // false when no live events remain.
 func (e *Engine) Step() bool {
+	e.skipParked()
 	if len(e.order) == 0 {
 		return false
 	}
-	slot := e.order[0]
+	at, slot := e.order[0].at, e.order[0].slot
 	ev := &e.arena[slot]
-	at, fn, fnArg, arg := ev.at, ev.fn, ev.fnArg, ev.arg
+	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
 	e.removeAt(0)
 	// Release before firing so the callback may reuse the slot (and a
 	// stale cancel of this handle is already a no-op).
@@ -191,10 +264,12 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps ≤ t, then advances the clock to
 // exactly t (even if no event lies there).
 func (e *Engine) RunUntil(t units.Seconds) {
-	for len(e.order) > 0 && e.arena[e.order[0]].at <= t {
-		if !e.Step() {
+	for {
+		e.skipParked()
+		if len(e.order) == 0 || e.order[0].at > t {
 			break
 		}
+		e.Step()
 	}
 	if t > e.now {
 		e.now = t
@@ -215,60 +290,66 @@ func (e *Engine) release(slot int32) {
 
 // less orders heap entries by (at, seq); seq is unique, so the order is
 // total and equal-timestamp events keep their scheduling order.
-func (e *Engine) less(a, b int32) bool {
-	ea, eb := &e.arena[a], &e.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+func less(a, b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
 // siftUp moves the entry at heap position i toward the root until its
 // parent is no larger.
 func (e *Engine) siftUp(i int) {
-	slot := e.order[i]
+	x := e.order[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.less(slot, e.order[p]) {
+		if !less(&x, &e.order[p]) {
 			break
 		}
 		e.order[i] = e.order[p]
-		e.arena[e.order[i]].pos = int32(i)
+		e.arena[e.order[i].slot].pos = int32(i)
 		i = p
 	}
-	e.order[i] = slot
-	e.arena[slot].pos = int32(i)
+	e.order[i] = x
+	e.arena[x.slot].pos = int32(i)
 }
 
 // siftDown moves the entry at heap position i toward the leaves until no
 // child is smaller.
 func (e *Engine) siftDown(i int) {
 	n := len(e.order)
-	slot := e.order[i]
+	x := e.order[i]
 	for {
 		c := 4*i + 1
 		if c >= n {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
-			if e.less(e.order[j], e.order[m]) {
+			if less(&e.order[j], &e.order[m]) {
 				m = j
 			}
 		}
-		if !e.less(e.order[m], slot) {
+		if !less(&e.order[m], &x) {
 			break
 		}
 		e.order[i] = e.order[m]
-		e.arena[e.order[i]].pos = int32(i)
+		e.arena[e.order[i].slot].pos = int32(i)
 		i = m
 	}
-	e.order[i] = slot
-	e.arena[slot].pos = int32(i)
+	e.order[i] = x
+	e.arena[x.slot].pos = int32(i)
+}
+
+// fix restores the heap order after the key at position i changed: the
+// entry sifts whichever direction the invariant needs.
+func (e *Engine) fix(i int) {
+	slot := e.order[i].slot
+	e.siftDown(i)
+	if e.arena[slot].pos == int32(i) {
+		e.siftUp(i)
+	}
 }
 
 // removeAt deletes the heap entry at position i, fixing the order in
@@ -282,23 +363,21 @@ func (e *Engine) removeAt(i int) {
 		return
 	}
 	e.order[i] = last
-	e.arena[last].pos = int32(i)
-	e.siftDown(i)
-	if e.arena[last].pos == int32(i) {
-		e.siftUp(i)
-	}
+	e.arena[last.slot].pos = int32(i)
+	e.fix(i)
 }
 
 // checkInvariant panics if the heap order or the arena back-references
 // are inconsistent. Test hook (see sim fuzz/differential tests).
 func (e *Engine) checkInvariant() {
-	for i, slot := range e.order {
-		if got := e.arena[slot].pos; got != int32(i) {
-			panic(fmt.Sprintf("sim: slot %d at heap position %d has pos %d", slot, i, got))
+	for i := range e.order {
+		x := &e.order[i]
+		if got := e.arena[x.slot].pos; got != int32(i) {
+			panic(fmt.Sprintf("sim: slot %d at heap position %d has pos %d", x.slot, i, got))
 		}
 		if i > 0 {
 			p := (i - 1) / 4
-			if e.less(slot, e.order[p]) {
+			if less(x, &e.order[p]) {
 				panic(fmt.Sprintf("sim: heap order violated at position %d (parent %d)", i, p))
 			}
 		}

@@ -37,6 +37,19 @@ const DefaultTimerGranularity units.Seconds = 4
 // two method values built at construction. Arming, cancelling, and
 // firing therefore allocate nothing in the steady state, and a stale
 // TimerID is a no-op.
+//
+// Parking: when a bucket's last live timer cancels while other timers
+// stay armed, its boundary event is not cancelled but parked — stripped
+// of its callback in place and kept on a stack. The next arm into an
+// empty bucket re-keys a parked event onto its boundary
+// (Engine.MoveArg) instead of scheduling a new one, so a deadline armed
+// and cancelled run after run costs one sift, not a mid-heap removal
+// and an insert. MoveArg takes the sequence number Cancel + AtArg would
+// have, so every live event keeps its (at, seq) key and firing order is
+// unchanged. A parked event that comes due is discarded without moving
+// the clock, and parked events are dropped whenever no timer is armed,
+// so Now() never stops on one and an idle wheel leaves the engine
+// empty.
 type Timers struct {
 	eng    *Engine
 	gran   units.Seconds
@@ -44,6 +57,11 @@ type Timers struct {
 	arena  []timer
 	free   []int32
 	armed  int // live timer count, so Pending is O(1)
+	// parked holds boundary events of emptied buckets, waiting to be
+	// re-keyed by the next arm into an empty bucket. A parked event may
+	// have come due and been discarded since; MoveArg then schedules
+	// afresh.
+	parked []Handle
 	// openFn/fireFn are the wheel's only engine callbacks, built once in
 	// NewTimers and dispatched by argument (bucket coordinates, arena
 	// slot) so neither filing nor firing creates a closure.
@@ -64,8 +82,8 @@ type wheelLevel struct {
 type bucket struct {
 	head, tail int32
 	live       int
-	// openH is the scheduled bucket-boundary event, cancelled eagerly
-	// when the last live timer leaves the bucket.
+	// openH is the scheduled bucket-boundary event, parked when the last
+	// live timer leaves the bucket.
 	openH Handle
 }
 
@@ -123,7 +141,7 @@ func (w *Timers) After(d units.Seconds, fn func(TimerID)) TimerID {
 // id is a no-op. The common case — a timer still filed in a bucket —
 // is O(1): the entry is marked dead and left for the bucket sweep,
 // except that the last live timer leaving a bucket sweeps it eagerly
-// and cancels the boundary event with it.
+// and parks the boundary event (see Timers).
 func (w *Timers) Cancel(id TimerID) {
 	if id == 0 {
 		return
@@ -140,16 +158,32 @@ func (w *Timers) Cancel(id TimerID) {
 	if tm.exact {
 		tm.exactH.Cancel()
 		w.release(slot)
+	} else {
+		tm.fn = nil // dead entry; the slot is reclaimed at sweep time
+		b := &w.levels[tm.level].buckets[tm.idx]
+		b.live--
+		if b.live == 0 {
+			if w.eng.park(b.openH) {
+				w.parked = append(w.parked, b.openH)
+			}
+			b.openH = Handle{}
+			w.sweep(b)
+		}
+	}
+	w.dropParkedIfIdle()
+}
+
+// dropParkedIfIdle cancels every parked event once no timer is armed:
+// with nothing armed no bucket will want one, and the engine should not
+// hold events nothing will fire.
+func (w *Timers) dropParkedIfIdle() {
+	if w.armed != 0 {
 		return
 	}
-	tm.fn = nil // dead entry; the slot is reclaimed at sweep time
-	b := &w.levels[tm.level].buckets[tm.idx]
-	b.live--
-	if b.live == 0 {
-		b.openH.Cancel()
-		b.openH = Handle{}
-		w.sweep(b)
+	for _, h := range w.parked {
+		h.Cancel()
 	}
+	w.parked = w.parked[:0]
 }
 
 // Pending returns the number of armed timers.
@@ -162,6 +196,7 @@ func (w *Timers) Pending() int { return w.armed }
 // not believe they are still pending.
 func (w *Timers) Reset() {
 	w.armed = 0
+	w.parked = w.parked[:0]
 	w.free = w.free[:0]
 	for i := range w.arena {
 		tm := &w.arena[i]
@@ -238,14 +273,19 @@ func (w *Timers) file(slot int32) {
 	tm.next = 0
 	b := &w.levels[level].buckets[idx]
 	if b.live == 0 {
-		// First live timer in the window: schedule the boundary event.
-		// Dead entries cannot linger here (the last cancel sweeps), so
-		// the list is empty too.
+		// First live timer in the window: schedule the boundary event,
+		// re-keying a parked one when there is one. Dead entries cannot
+		// linger here (the last cancel sweeps), so the list is empty too.
 		start := units.Seconds(uint64(tm.at/width)) * width
 		if start < now {
 			start = now // float guard, see above
 		}
-		b.openH = w.eng.AtArg(start, w.openFn, uint64(level)<<32|uint64(uint32(idx)))
+		var h Handle
+		if n := len(w.parked); n > 0 {
+			h = w.parked[n-1]
+			w.parked = w.parked[:n-1]
+		}
+		b.openH = w.eng.MoveArg(h, start, w.openFn, uint64(level)<<32|uint64(uint32(idx)))
 	}
 	b.live++
 	if b.head == 0 {
@@ -289,6 +329,7 @@ func (w *Timers) fireSlot(arg uint64) {
 	id := TimerID(uint64(slot+1)<<32 | uint64(tm.gen))
 	w.armed--
 	w.release(slot)
+	w.dropParkedIfIdle()
 	fn(id)
 }
 
