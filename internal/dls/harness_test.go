@@ -3,6 +3,7 @@ package dls
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"apstdv/internal/model"
@@ -388,6 +389,22 @@ func TestPropertyLostWorkerIsNeverTargeted(t *testing.T) {
 			}
 		}
 	}
+	// A negative worker in the plan names no worker: it is neither
+	// retargeted nor a target for the lost worker's decisions.
+	t.Run("negative worker in the plan", func(t *testing.T) {
+		var s sequencePlayer
+		s.reset([]Decision{{Worker: 1, Size: 1}, {Worker: -1, Size: 1}, {Worker: 1, Size: 1},
+			{Worker: 2, Size: 1}, {Worker: 1, Size: 1}, {Worker: 0, Size: 1}})
+		s.pos = 1
+		s.WorkerLost(1, 1)
+		got := make([]int, len(s.seq))
+		for i, d := range s.seq {
+			got[i] = d.Worker
+		}
+		if want := []int{1, -1, 0, 2, 2, 0}; !slices.Equal(got, want) {
+			t.Errorf("workers after losing 1: %v, want %v", got, want)
+		}
+	})
 }
 
 func nearly(a, b, rel float64) bool {
