@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,19 +86,44 @@ func renderLikeCLI(name string, width int) (string, error) {
 	return "", fmt.Errorf("no experiment %q", name)
 }
 
+// derivedDigest hashes the columns no printed line carries at full
+// precision — Table leaves them out and -derived rounds them: every
+// Cell's UplinkUtil, IdleFraction and MeasuredGamma of All() at the
+// CLI's run count, bit for bit.
+func derivedDigest(width int) (string, error) {
+	h := sha256.New()
+	var word [8]byte
+	for _, s := range All() {
+		s.Runs, s.Parallelism = cliRuns, width
+		res, err := s.Run()
+		if err != nil {
+			return "", err
+		}
+		for _, c := range res.Cells {
+			for _, v := range [...]float64{c.UplinkUtil, c.IdleFraction, c.MeasuredGamma} {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+				h.Write(word[:])
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)), nil
+}
+
 // TestSweepOutputsMatchGoldenManifest pins every number the sweeps
 // print: the rendered default output of each experiment the event-dump
 // manifests do not cover must hash, at pool widths 1, 2 and 4, to the
-// manifest captured from the CLI. A mismatch is a behaviour change in
-// the planner, the engine, the grid or the way a sweep seeds its runs.
+// manifest captured from the CLI. The "derived" line is derivedDigest,
+// the sweep columns the printed output rounds or omits. A mismatch is a
+// behaviour change in the planner, the engine, the grid, the way a
+// sweep seeds its runs or the way a cell reduces its runs.
 func TestSweepOutputsMatchGoldenManifest(t *testing.T) {
 	manifest, err := os.ReadFile(filepath.Join("testdata", "sweeps_golden.sha256"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(manifest)), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("manifest has %d lines, want 6", len(lines))
+	if len(lines) != 7 {
+		t.Fatalf("manifest has %d lines, want 7", len(lines))
 	}
 	widths := []int{1, 2, 4}
 	if testing.Short() {
@@ -109,11 +136,18 @@ func TestSweepOutputsMatchGoldenManifest(t *testing.T) {
 		}
 		want, name := fields[0], fields[1]
 		for _, width := range widths {
-			out, err := renderLikeCLI(name, width)
+			var got string
+			if name == "derived" {
+				got, err = derivedDigest(width)
+			} else {
+				var out string
+				out, err = renderLikeCLI(name, width)
+				got = fmt.Sprintf("%x", sha256.Sum256([]byte(out)))
+			}
 			if err != nil {
 				t.Fatalf("%s at width %d: %v", name, width, err)
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
+			if got != want {
 				t.Errorf("%s at width %d drifted from the golden manifest (got %s, want %s)", name, width, got, want)
 			}
 		}
