@@ -115,26 +115,7 @@ func (s *Spec) Run() (*Result, error) {
 	// The flat index space is (γ, algorithm, run), run fastest.
 	runs := make([]runResult, len(s.Gammas)*nAlg*s.Runs)
 	err := RunAll(len(runs), s.Parallelism, func(idx int, r *Run) {
-		// Fresh algorithm and application values: a run shares nothing
-		// mutable with its neighbours; the platform is read-only.
-		r.Algorithm = s.Algorithms()[idx%(nAlg*s.Runs)/s.Runs]
-		r.App = s.App(s.Gammas[idx/(nAlg*s.Runs)])
-		r.Platform = s.Platform
-		seed := s.Seed + uint64(idx%s.Runs)*1000003
-		r.Grid = grid.Config{Seed: seed}
-		if s.GridConfig != nil {
-			r.Grid = s.GridConfig(seed)
-		}
-		r.Engine = engine.Config{ProbeLoad: s.ProbeLoad}
-		if s.EngineConfig != nil {
-			r.Engine = s.EngineConfig()
-			if r.Engine.ProbeLoad == 0 {
-				r.Engine.ProbeLoad = s.ProbeLoad
-			}
-		}
-		if s.EventsDir != "" {
-			r.Engine.Events = obs.NewBuffer()
-		}
+		s.describe(idx, nAlg, r)
 	}, func(idx int, r *Run, tr *trace.Trace, err error) error {
 		gamma, run := s.Gammas[idx/(nAlg*s.Runs)], idx%s.Runs
 		if err != nil {
@@ -146,15 +127,7 @@ func (s *Spec) Run() (*Result, error) {
 		if rumr, ok := r.Algorithm.(*dls.RUMR); ok && rumr.Switched() {
 			out.rumrSwitched = true
 		}
-		rep := tr.BuildReport(len(s.Platform.Workers))
-		if rep.Makespan > 0 {
-			out.uplinkUtil = rep.CommTime / rep.Makespan
-			util := stats.RunningStats{}
-			for _, u := range rep.WorkerUtil {
-				util.Add(u)
-			}
-			out.idleFraction = 1 - util.Mean()
-		}
+		out.uplinkUtil, out.idleFraction = uplinkAndIdle(tr, len(s.Platform.Workers), out.makespan)
 		if s.EventsDir != "" {
 			return s.writeEvents(gamma, r.Algorithm.Name(), run, r.Engine.Events.(*obs.Buffer).Events())
 		}
@@ -205,6 +178,69 @@ func (s *Spec) Run() (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// describe fills in run idx of the flat (γ, algorithm, run) index space
+// of nAlg algorithms. Fresh algorithm and application values: a run
+// shares nothing mutable with its neighbours; the platform is read-only.
+func (s *Spec) describe(idx, nAlg int, r *Run) {
+	r.Algorithm = s.Algorithms()[idx%(nAlg*s.Runs)/s.Runs]
+	r.App = s.App(s.Gammas[idx/(nAlg*s.Runs)])
+	r.Platform = s.Platform
+	seed := s.Seed + uint64(idx%s.Runs)*1000003
+	r.Grid = grid.Config{Seed: seed}
+	if s.GridConfig != nil {
+		r.Grid = s.GridConfig(seed)
+	}
+	r.Engine = engine.Config{ProbeLoad: s.ProbeLoad}
+	if s.EngineConfig != nil {
+		r.Engine = s.EngineConfig()
+		if r.Engine.ProbeLoad == 0 {
+			r.Engine.ProbeLoad = s.ProbeLoad
+		}
+	}
+	if s.EventsDir != "" {
+		r.Engine.Events = obs.NewBuffer()
+	}
+}
+
+// uplinkAndIdle returns the two numbers of a trace.Report a cell keeps:
+// the uplink's busy fraction CommTime/Makespan and the idle fraction
+// 1 − mean(WorkerUtil), both 0 unless makespan > 0. makespan is
+// tr.Makespan(), which BuildReport computes the same way. It repeats
+// BuildReport's float operations in BuildReport's order — one pass over
+// the real (non-failed, non-probe) records summing transfer times and
+// per-worker compute times, then each worker's busy/makespan in worker
+// order — so the results are bit for bit the report's, without building
+// the report: no interval lists, no sort, and on up to 64 workers no
+// allocation.
+func uplinkAndIdle(tr *trace.Trace, workers int, makespan float64) (uplink, idle float64) {
+	if !(makespan > 0) {
+		return 0, 0
+	}
+	var buf [64]float64
+	busy := buf[:]
+	if workers > len(buf) {
+		busy = make([]float64, workers)
+	}
+	busy = busy[:workers]
+	comm := 0.0
+	recs := tr.Records()
+	for i := range recs {
+		r := &recs[i]
+		if r.Failed || r.Probe {
+			continue
+		}
+		comm += r.TransferTime()
+		if r.Worker >= 0 && r.Worker < workers {
+			busy[r.Worker] += r.ComputeTime()
+		}
+	}
+	util := stats.RunningStats{}
+	for _, b := range busy {
+		util.Add(b / makespan)
+	}
+	return comm / makespan, 1 - util.Mean()
 }
 
 // writeEvents dumps one run's event stream into EventsDir. The file is
