@@ -8,25 +8,67 @@ import (
 )
 
 // FuzzHeapInvariant interprets the input as a script of schedule /
-// cancel / step / re-key operations and checks the arena-heap invariant
-// (heap order, pos back-references, free-list consistency) after every
-// one. Two bytes per op: the first picks the operation, the second its
-// operand (a delay for schedule, a handle index for cancel and re-key).
+// cancel / step / re-key / park operations and checks the arena-heap
+// invariant (heap order, pos back-references, free-list consistency)
+// and Pending after every one. Two bytes per op: the first picks the
+// operation, the second its operand (a delay for schedule, a handle
+// index for cancel, re-key and park). Every callback reads one more
+// byte n and runs the next n%4 operations from inside Step, so the hole
+// Step leaves at the root is filled by none, one or several schedules,
+// sifted around by cancels and re-keys, and stepped over by a nested
+// Step. Pending is checked against a count of the handles the engine
+// still calls live, which knows nothing of the hole.
 func FuzzHeapInvariant(f *testing.F) {
-	f.Add([]byte{0, 3, 0, 3, 2, 0, 1, 0})             // ties then step then cancel
-	f.Add([]byte{0, 0, 0, 1, 0, 2, 1, 1, 1, 0, 2, 0}) // cancel-heavy
-	f.Add([]byte{0, 5, 1, 0, 0, 5, 1, 0})             // slot reuse
-	f.Add([]byte{0, 3, 0, 6, 4, 1, 4, 0, 2, 0, 4, 0}) // re-key both ways, then a fired handle
+	f.Add([]byte{0, 3, 0, 3, 2, 0, 1, 0})                          // ties then step then cancel
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 1, 1, 1, 0, 2, 0})              // cancel-heavy
+	f.Add([]byte{0, 5, 1, 0, 0, 5, 1, 0})                          // slot reuse
+	f.Add([]byte{0, 3, 0, 6, 4, 1, 4, 0, 2, 0, 4, 0})              // re-key both ways, then a fired handle
+	f.Add([]byte{0, 2, 0, 4, 2, 0, 3, 0, 5, 0, 7, 4, 9, 5, 1})     // a callback schedules many
+	f.Add([]byte{0, 1, 0, 3, 0, 6, 2, 0, 3, 1, 1, 4, 13, 5, 0, 0}) // a callback cancels, re-keys and parks
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := New()
-		fn := func() {}
-		fnArg := func(uint64) {}
 		var live []Handle
-		for i := 0; i+1 < len(script); i += 2 {
-			op, arg := script[i], script[i+1]
-			switch op % 5 {
+		handed := map[Handle]bool{} // every handle handed out
+		check := func() {
+			t.Helper()
+			e.checkInvariant()
+			want := 0
+			for h := range handed {
+				if e.live(h) {
+					want++
+				}
+			}
+			if e.Pending() != want {
+				t.Fatalf("Pending = %d, %d handles live", e.Pending(), want)
+			}
+		}
+		pos := 0
+		next := func() (byte, bool) {
+			if pos >= len(script) {
+				return 0, false
+			}
+			pos++
+			return script[pos-1], true
+		}
+		var do func(op, arg byte)
+		nested := func() {
+			check()
+			n, _ := next()
+			for k := n % 4; k > 0 && pos+1 < len(script); k-- {
+				op, _ := next()
+				arg, _ := next()
+				do(op, arg)
+				check()
+			}
+		}
+		fn := func() { nested() }
+		fnArg := func(uint64) { nested() }
+		do = func(op, arg byte) {
+			switch op % 6 {
 			case 0: // schedule; small delays force timestamp collisions
-				live = append(live, e.After(units.Seconds(arg%8), fn))
+				h := e.After(units.Seconds(arg%8), fn)
+				live = append(live, h)
+				handed[h] = true
 			case 1: // cancel a handle (possibly stale — must stay a no-op)
 				if len(live) > 0 {
 					j := int(arg) % len(live)
@@ -48,17 +90,31 @@ func FuzzHeapInvariant(f *testing.F) {
 				if len(live) > 0 {
 					j := int(arg) % len(live)
 					pending := e.Pending()
-					was := live[j].e != nil && live[j].e.live(live[j])
+					was := e.live(live[j])
 					live[j] = e.MoveArg(live[j], e.Now()+units.Seconds(arg>>3%8), fnArg, 0)
+					handed[live[j]] = true
 					if was && e.Pending() != pending || !was && e.Pending() != pending+1 {
 						t.Fatalf("MoveArg of a handle pending=%v took Pending %d -> %d", was, pending, e.Pending())
 					}
 				}
+			case 5: // park a handle: it keeps its place, and Pending counts it
+				if len(live) > 0 {
+					j := int(arg) % len(live)
+					pending := e.Pending()
+					if was := e.live(live[j]); e.park(live[j]) != was || e.Pending() != pending {
+						t.Fatalf("park of a handle pending=%v took Pending %d -> %d", was, pending, e.Pending())
+					}
+				}
 			}
-			e.checkInvariant()
+		}
+		for pos+1 < len(script) {
+			op, _ := next()
+			arg, _ := next()
+			do(op, arg)
+			check()
 		}
 		e.Run()
-		e.checkInvariant()
+		check()
 		if e.Pending() != 0 {
 			t.Fatalf("Pending = %d after Run, want 0", e.Pending())
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,7 +20,8 @@ type refSchedule struct {
 	h         refHeap
 	seq       uint64
 	cancelled map[uint64]bool // lazy tombstones, skipped at pop
-	popped    map[uint64]bool // fired events; cancelling them is a no-op
+	parked    map[uint64]bool // pending but stripped of their callback, skipped at pop
+	popped    map[uint64]bool // fired or discarded events; cancelling them is a no-op
 }
 
 type refEvent struct {
@@ -42,7 +44,7 @@ func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 func newRefSchedule() *refSchedule {
-	return &refSchedule{cancelled: make(map[uint64]bool), popped: make(map[uint64]bool)}
+	return &refSchedule{cancelled: make(map[uint64]bool), parked: make(map[uint64]bool), popped: make(map[uint64]bool)}
 }
 
 func (r *refSchedule) schedule(at units.Seconds, id int) uint64 {
@@ -59,16 +61,29 @@ func (r *refSchedule) cancel(seq uint64) {
 	}
 }
 
-// pop returns the next live event, or ok=false when drained.
+// park mirrors Engine.park: it reports whether seq was pending.
+func (r *refSchedule) park(seq uint64) bool {
+	if r.popped[seq] || r.cancelled[seq] {
+		return false
+	}
+	r.parked[seq] = true
+	return true
+}
+
+// pending counts the events still scheduled, parked ones included.
+func (r *refSchedule) pending() int { return len(r.h) - len(r.cancelled) }
+
+// pop returns the next live event, or ok=false when drained. Cancelled
+// and parked events on the way are dropped.
 func (r *refSchedule) pop() (refEvent, bool) {
 	for r.h.Len() > 0 {
 		ev := heap.Pop(&r.h).(refEvent)
-		if r.cancelled[ev.seq] {
+		r.popped[ev.seq] = true
+		if r.cancelled[ev.seq] || r.parked[ev.seq] {
 			delete(r.cancelled, ev.seq)
-			r.popped[ev.seq] = true
+			delete(r.parked, ev.seq)
 			continue
 		}
-		r.popped[ev.seq] = true
 		return ev, true
 	}
 	return refEvent{}, false
@@ -83,11 +98,15 @@ type firing struct {
 
 // TestHeapMatchesReferenceSchedule drives the Engine and the
 // container/heap reference with the same randomized schedule / cancel /
-// re-key / step script and requires byte-identical firing sequences.
-// A re-key (MoveArg) is modelled in the reference as a cancel followed
-// by a schedule. Ties (many events at one timestamp) and heavy
-// cancellation are exercised on purpose; the arena invariant is checked
-// after every mutation.
+// re-key / park / step script and requires byte-identical firing
+// sequences. A re-key (MoveArg) is modelled in the reference as a cancel
+// followed by a schedule. Every callback runs a few more script
+// operations from inside Step — scheduling none, one or many events,
+// cancelling, re-keying and parking — so the hole Step leaves at the
+// root is filled, left empty, and sifted around. Ties (many events at
+// one timestamp) and heavy cancellation are exercised on purpose; the
+// arena invariant and Pending are checked after every mutation, inside
+// callbacks too.
 func TestHeapMatchesReferenceSchedule(t *testing.T) {
 	type livePair struct {
 		h   Handle
@@ -100,62 +119,99 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 		var live []livePair
 		var gotE, gotR []firing
 		nextID := 0
+		draining := false
+		scheduled := 0
+		holes := [3]int{} // callbacks that scheduled none, one, many events
 
-		fire := func(arg uint64) { gotE = append(gotE, firing{e.Now(), int(arg)}) }
+		check := func(where string) {
+			t.Helper()
+			e.checkInvariant()
+			if e.Pending() != ref.pending() {
+				t.Fatalf("seed %d %s: Pending = %d, reference has %d", seed, where, e.Pending(), ref.pending())
+			}
+		}
+		var onFire func(id int)
+		fire := func(arg uint64) { onFire(int(arg)) }
+		schedule := func() {
+			scheduled++
+			at := e.Now() + units.Seconds(src.Intn(16)) // deliberate collisions
+			id := nextID
+			nextID++
+			h := e.At(at, func() { onFire(id) })
+			live = append(live, livePair{h, ref.schedule(at, id)})
+		}
+		// mutate applies one non-step operation: k < 5 schedules, then
+		// cancel, re-key and park a random handle (which may have fired).
+		mutate := func(k int) {
+			if k < 5 {
+				schedule()
+				return
+			}
+			if len(live) == 0 {
+				return
+			}
+			i := src.Intn(len(live))
+			switch {
+			case k < 8:
+				live[i].h.Cancel()
+				ref.cancel(live[i].seq)
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case k < 10:
+				at := e.Now() + units.Seconds(src.Intn(16))
+				id := nextID
+				nextID++
+				live[i].h = e.MoveArg(live[i].h, at, fire, uint64(id))
+				ref.cancel(live[i].seq)
+				live[i].seq = ref.schedule(at, id)
+			default:
+				if got, want := e.park(live[i].h), ref.park(live[i].seq); got != want {
+					t.Fatalf("seed %d: park reported pending=%v, reference %v", seed, got, want)
+				}
+			}
+		}
+		onFire = func(id int) {
+			gotE = append(gotE, firing{e.Now(), id})
+			check("entering a callback")
+			if draining {
+				return
+			}
+			scheduled = 0
+			for n := src.Intn(5); n > 0; n-- {
+				mutate(src.Intn(11))
+				check("inside a callback")
+			}
+			if scheduled > 0 && e.hole {
+				t.Fatalf("seed %d: a callback scheduled %d events and left the hole empty", seed, scheduled)
+			}
+			holes[min(scheduled, 2)]++
+		}
 		stepBoth := func() {
-			// The engine fires via callback; the reference pops directly.
-			before := len(gotE)
-			e.Step()
+			// The reference pops first: the callback the engine then fires
+			// mirrors its operations into a reference that has already
+			// retired the firing event, as the engine has.
 			rev, ok := ref.pop()
 			if ok {
 				gotR = append(gotR, firing{rev.at, rev.id})
 			}
-			if (len(gotE) > before) != ok {
-				t.Fatalf("seed %d: engine fired=%v, reference fired=%v", seed, len(gotE) > before, ok)
+			if fired := e.Step(); fired != ok {
+				t.Fatalf("seed %d: engine fired=%v, reference fired=%v", seed, fired, ok)
 			}
 		}
 
 		for op := 0; op < 4000; op++ {
-			switch k := src.Intn(12); {
-			case k < 5: // schedule, with deliberate timestamp collisions
-				d := units.Seconds(src.Intn(16))
-				at := e.Now() + d
-				id := nextID
-				nextID++
-				h := e.At(at, func() { gotE = append(gotE, firing{e.Now(), id}) })
-				seq := ref.schedule(at, id)
-				live = append(live, livePair{h, seq})
-			case k < 8: // cancel a random live handle (may already have fired)
-				if len(live) > 0 {
-					i := src.Intn(len(live))
-					live[i].h.Cancel()
-					ref.cancel(live[i].seq)
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
-				}
-			case k < 10: // re-key a random handle (may already have fired)
-				if len(live) > 0 {
-					i := src.Intn(len(live))
-					at := e.Now() + units.Seconds(src.Intn(16))
-					id := nextID
-					nextID++
-					live[i].h = e.MoveArg(live[i].h, at, fire, uint64(id))
-					ref.cancel(live[i].seq)
-					live[i].seq = ref.schedule(at, id)
-				}
-			default:
+			if k := src.Intn(13); k < 11 {
+				mutate(k)
+			} else {
 				stepBoth()
 			}
-			e.checkInvariant()
-			if e.Pending() != len(ref.h)-len(ref.cancelled) {
-				t.Fatalf("seed %d op %d: Pending = %d, reference has %d live",
-					seed, op, e.Pending(), len(ref.h)-len(ref.cancelled))
-			}
+			check("between steps")
 		}
+		draining = true
 		for e.Pending() > 0 {
 			stepBoth()
 		}
-		e.checkInvariant()
+		check("drained")
 
 		if len(gotE) != len(gotR) {
 			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(gotE), len(gotR))
@@ -166,6 +222,33 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 					seed, i, gotE[i], gotR[i])
 			}
 		}
+		if holes[0] == 0 || holes[1] == 0 || holes[2] == 0 {
+			t.Fatalf("seed %d: callbacks scheduling none/one/many events: %v; want each case", seed, holes)
+		}
+	}
+}
+
+// A callback may step the engine itself: the nested Step closes the
+// outer event's hole before it fires the next event, and the outer
+// callback's later schedules go through the ordinary insert.
+func TestStepInsideCallback(t *testing.T) {
+	e := New()
+	var order []int
+	e.At(1, func() {
+		order = append(order, 1)
+		e.Step()
+		e.checkInvariant()
+		e.After(0, func() { order = append(order, 4) })
+		e.checkInvariant()
+	})
+	e.At(2, func() { order = append(order, 2); e.After(1, func() { order = append(order, 3) }) })
+	e.Run()
+	e.checkInvariant()
+	if want := []int{1, 2, 4, 3}; !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run", e.Pending())
 	}
 }
 

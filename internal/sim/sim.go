@@ -21,6 +21,17 @@
 // Cancel followed by AtArg would give. Users whose events are routinely
 // rescheduled (the link model's flow completions) and the timer wheel's
 // parked bucket events (see Timers) go through it.
+//
+// Firing in place: Step fires the root without removing it first. Its
+// heap position becomes a hole that keeps the fired key, and the first
+// event the callback schedules takes the hole with one sift down from
+// the root, so an event that schedules its successor costs one sift
+// instead of a removal and an insert. A hole the callback leaves unfilled
+// is removed when it returns. The hole's key is the smallest in the heap
+// — every pending key has at ≥ Now and, at equal times, a later sequence
+// number — so nothing a callback does (Cancel, MoveArg, parking) sifts
+// past it, and because firing order depends only on the unique (at, seq)
+// keys, it is the order a remove-then-insert heap gives.
 package sim
 
 import (
@@ -82,6 +93,9 @@ type Engine struct {
 	arena []event
 	free  []int32 // arena slots available for reuse
 	order []entry // 4-ary min-heap keyed by (at, seq)
+	// hole is set while a callback runs and order[0] still holds the key
+	// of the event it fired, its slot already released (see Step).
+	hole bool
 }
 
 // New returns an engine with the clock at zero and no pending events.
@@ -151,8 +165,10 @@ func (e *Engine) park(h Handle) bool {
 	return true
 }
 
-// skipParked discards parked events from the top of the heap.
+// skipParked discards parked events from the top of the heap, and the
+// hole of a callback that steps the engine itself.
 func (e *Engine) skipParked() {
+	e.closeHole()
 	for len(e.order) > 0 {
 		slot := e.order[0].slot
 		if ev := &e.arena[slot]; ev.fn != nil || ev.fnArg != nil {
@@ -195,9 +211,16 @@ func (e *Engine) schedule(t units.Seconds) Handle {
 		slot = int32(len(e.arena))
 		e.arena = append(e.arena, event{})
 	}
-	e.order = append(e.order, entry{t, e.seq, slot})
+	x := entry{t, e.seq, slot}
 	e.seq++
-	e.siftUp(len(e.order) - 1)
+	if e.hole {
+		e.hole = false
+		e.order[0] = x
+		e.siftDown(0)
+	} else {
+		e.order = append(e.order, x)
+		e.siftUp(len(e.order) - 1)
+	}
 	return Handle{e, slot, e.arena[slot].gen}
 }
 
@@ -207,9 +230,14 @@ func (e *Engine) After(d units.Seconds, fn func()) Handle {
 }
 
 // Pending returns the number of live scheduled events, parked ones
-// included. Cancellation is eager, so this is the heap length — O(1),
-// never a scan.
-func (e *Engine) Pending() int { return len(e.order) }
+// included. Cancellation is eager, so this is the heap length less an
+// unfilled hole — O(1), never a scan.
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.order) - 1
+	}
+	return len(e.order)
+}
 
 // Reset returns the engine to its initial state — clock at zero,
 // sequence counter at zero, no pending events — while keeping the arena,
@@ -221,6 +249,7 @@ func (e *Engine) Pending() int { return len(e.order) }
 func (e *Engine) Reset() {
 	e.now, e.seq = 0, 0
 	e.order = e.order[:0]
+	e.hole = false
 	e.free = e.free[:0]
 	for i := range e.arena {
 		ev := &e.arena[i]
@@ -233,7 +262,9 @@ func (e *Engine) Reset() {
 
 // Step fires the earliest event and advances the clock to it; parked
 // events ahead of it are discarded without moving the clock. It returns
-// false when no live events remain.
+// false when no live events remain. The fired event's heap position is
+// left as a hole for the first event its callback schedules (see the
+// package comment).
 func (e *Engine) Step() bool {
 	e.skipParked()
 	if len(e.order) == 0 {
@@ -242,17 +273,26 @@ func (e *Engine) Step() bool {
 	at, slot := e.order[0].at, e.order[0].slot
 	ev := &e.arena[slot]
 	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
-	e.removeAt(0)
 	// Release before firing so the callback may reuse the slot (and a
 	// stale cancel of this handle is already a no-op).
 	e.release(slot)
+	e.hole = true
 	e.now = at
 	if fn != nil {
 		fn()
 	} else {
 		fnArg(arg)
 	}
+	e.closeHole()
 	return true
+}
+
+// closeHole removes a hole no callback filled.
+func (e *Engine) closeHole() {
+	if e.hole {
+		e.hole = false
+		e.removeAt(0)
+	}
 }
 
 // Run fires events until none remain.
@@ -370,8 +410,19 @@ func (e *Engine) removeAt(i int) {
 // checkInvariant panics if the heap order or the arena back-references
 // are inconsistent. Test hook (see sim fuzz/differential tests).
 func (e *Engine) checkInvariant() {
+	if e.hole && len(e.order) == 0 {
+		panic("sim: hole in an empty heap")
+	}
 	for i := range e.order {
 		x := &e.order[i]
+		if i == 0 && e.hole {
+			// The fired event's key over its released slot.
+			if x.at != e.now || e.arena[x.slot].pos >= 0 {
+				panic(fmt.Sprintf("sim: hole keyed at %v with the clock at %v, over slot %d at pos %d",
+					x.at, e.now, x.slot, e.arena[x.slot].pos))
+			}
+			continue
+		}
 		if got := e.arena[x.slot].pos; got != int32(i) {
 			panic(fmt.Sprintf("sim: slot %d at heap position %d has pos %d", x.slot, i, got))
 		}
