@@ -40,6 +40,14 @@ const warmRunAllocs = 8
 // allocation per cut op, failed chunk or peer transfer exceeds it.
 const warmTreeRunAllocs = 5
 
+// paperRunAllocs bounds what one run of the paper's experiments
+// allocates when experiment.Spec.Run replays them at width 1, warm — the
+// sim_paper workload's allocs_per_op: the run's algorithm and
+// application values, its plan, MeasureGamma's buckets, and each
+// Spec.Run's share of its pool slot and cells. Measured at 20.4; a
+// trace.Report built per run to keep two of its numbers would add two.
+const paperRunAllocs = 21
+
 // treeRun is the tree condition of algorithms_golden.sha256: Mixed(4, 4)
 // behind a two-level link graph, worker 1 crashing at 1 500 s and worker
 // 6 at 4 000 s, and failed chunks whose input reached a site moved over
@@ -128,6 +136,32 @@ func TestResetRunAllocationRegression(t *testing.T) {
 	if recal := warmAllocs(t, 10, "umr", seed42, canonicalRun(engine.Config{RecalibrateInterval: 500})); recal > warm {
 		t.Errorf("recalibrating every 500 s added %.0f allocs to a warm run (%.0f vs %.0f); want none",
 			recal-warm, recal, warm)
+	}
+}
+
+// TestSpecRunAllocationRegression asserts that a warm pass over the
+// paper's experiments stays under paperRunAllocs per run.
+func TestSpecRunAllocationRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts only hold in normal builds")
+	}
+	specs := experiment.All()
+	pass := func() (runs int) {
+		for _, s := range specs {
+			s.Parallelism = 1
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range res.Cells {
+				runs += len(c.Makespans)
+			}
+		}
+		return runs
+	}
+	runs := pass()
+	if per := testing.AllocsPerRun(3, func() { pass() }) / float64(runs); per > paperRunAllocs {
+		t.Errorf("a warm pass over the paper's %d runs allocated %.2f allocs per run; want <= %d", runs, per, paperRunAllocs)
 	}
 }
 
