@@ -11,7 +11,8 @@ FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                divide:FuzzContinuousCutAfter divide:FuzzWorkUnitsCutAfter \
                divide:FuzzScanSeparators sim:FuzzHeapInvariant \
                sim:FuzzTimersMatchReference \
-               transport:FuzzServerFrames daemon:FuzzDecodeWire \
+               transport:FuzzServerFrames transport:FuzzClientFrames \
+               daemon:FuzzDecodeWire \
                dls:FuzzUMRSearchMatchesReference \
                dls:FuzzPlanConservesOrRefuses \
                trace:FuzzReportRenderersMatchReference \
