@@ -17,8 +17,8 @@ import (
 // with it bit for bit.
 
 // refScratch holds the buffers the reference reuses across candidates,
-// so that a hundred thousand differential cases do not spend their time
-// in the allocator. The zero value is ready to use.
+// so that thousands of differential cases do not spend their time in
+// the allocator. The zero value is ready to use.
 type refScratch struct {
 	durations []float64
 	flat      []Decision
