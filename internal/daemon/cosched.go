@@ -1,9 +1,11 @@
 // cosched.go is the daemon's cross-job optimizer: the policy layer that
 // decides how concurrently running live jobs split the worker pool.
-// Mechanism lives elsewhere — live.SharePool enforces the per-worker
-// sum ≤ 1 invariant, grid's SharePolicy functions compute the vectors,
-// and the engine consumes share-scaled deadline estimates — this file
-// wires them into the scheduler's start/finish/cancel transitions.
+// A running job's Job.Leased and the aligned Job.Shares are the only
+// record of its allocation, and a worker's occupancy is the sum over
+// d.running; grid's SharePolicy functions compute the vectors, and the
+// engine consumes share-scaled deadline estimates. This file wires them
+// into the scheduler's start/finish/cancel transitions and enforces the
+// per-worker sum ≤ 1 invariant on every revision.
 //
 // Policies (Config.CoschedPolicy, cmd/apstdvd -cosched):
 //
@@ -20,14 +22,15 @@
 //     total load — shortest-job-first as a proxy for SRPT; the sim
 //     world (grid.MultiWorld) tracks true remaining.
 //
-// A revision happens under d.mu at every job start and finish, so the
-// pool transitions atomically (SetAll) and every running job's ring
-// gets a JobReshared event carrying its new effective worker count.
+// A revision happens under d.mu at every job start and finish and
+// installs every running job's vector at once — revising jobs one at a
+// time through crossing allocations (A shrinks on w0 while B grows)
+// would transiently oversubscribe — and every running job's ring gets a
+// JobReshared event carrying its new effective worker count.
 package daemon
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"apstdv/internal/grid"
@@ -66,14 +69,18 @@ func coschedPolicy(name string) grid.SharePolicy {
 	return nil
 }
 
-// allocSharesLocked grants a starting job its workers. Partition
-// grants whole workers: the lowest-index free ones, free/slots of them
-// per job and at least one, so lease sets are deterministic for a given
-// admission order; fair and srpt grant the whole pool and revise
-// everyone's fractions. Caller holds d.mu; the job is already counted
-// in d.running.
+// shareEpsilon absorbs float accumulation error in the per-worker
+// sum ≤ 1 check (e.g. three jobs at 1/3 each).
+const shareEpsilon = 1e-9
+
+// allocSharesLocked grants a starting live job its workers. Partition
+// grants whole workers: the lowest-index unoccupied ones, free/slots of
+// them per job and at least one, so lease sets are deterministic for a
+// given admission order; fair and srpt grant the whole pool and revise
+// everyone's fractions. Caller holds d.mu; the job is already in
+// d.running.
 func (d *Daemon) allocSharesLocked(p *pendingJob) {
-	if d.shares == nil {
+	if d.cfg.Mode != ModeLive {
 		return
 	}
 	job := p.job
@@ -81,59 +88,39 @@ func (d *Daemon) allocSharesLocked(p *pendingJob) {
 		// Each admitted job gets free/slotsRemaining workers (integer,
 		// at least 1): with cap C ≤ pool size, the pool always has at
 		// least one free worker per unfilled slot, so every job that a
-		// slot admits can lease, and grants are disjoint.
-		slots := d.effCap - (d.running - 1)
-		count := d.shares.FreeWorkers() / slots
-		if count < 1 {
-			count = 1
+		// slot admits can lease, and grants are disjoint. Partition
+		// shares are whole, so a free worker's occupancy is exactly 0.
+		occ := d.occupancyLocked()
+		free := 0
+		for _, o := range occ {
+			if o == 0 {
+				free++
+			}
 		}
-		job.Leased = d.partitionAcquireLocked(job.ID, count)
-		job.Shares = sharesFor(d.shares.Shares(job.ID), job.Leased)
+		want := max(free/(d.effCap-len(d.running)+1), 1)
+		for w, o := range occ {
+			if o == 0 && len(job.Leased) < want {
+				job.Leased = append(job.Leased, w)
+				job.Shares = append(job.Shares, 1)
+			}
+		}
 	} else {
-		all := make([]int, d.shares.Size())
-		for i := range all {
-			all[i] = i
+		job.Leased = make([]int, len(d.cfg.LiveWorkers))
+		for i := range job.Leased {
+			job.Leased[i] = i
 		}
-		job.Leased = all
 		d.reshareLocked(p)
 	}
 	d.updateShareGaugesLocked()
 }
 
-// partitionAcquireLocked takes full shares of up to n entirely free
-// workers, lowest indexes first, or fewer when fewer are free. Returns
-// nil when no worker is free.
-func (d *Daemon) partitionAcquireLocked(jobID, n int) []int {
-	occ := d.shares.Occupancy()
-	vec := make([]float64, len(occ))
-	var got []int
-	for w := 0; w < len(occ) && len(got) < n; w++ {
-		if occ[w] <= 1e-9 {
-			vec[w] = 1
-			got = append(got, w)
-		}
-	}
-	if len(got) == 0 {
-		return nil
-	}
-	if err := d.shares.Set(jobID, vec); err != nil {
-		d.shareErrors.Inc()
-		return nil
-	}
-	return got
-}
-
-// releaseSharesLocked returns a terminal job's shares to the pool and
-// hands the freed capacity to the survivors. A double release is a
-// daemon bug, but it surfaces as a counted typed error — never a panic
-// mid-drain. Caller holds d.mu and has removed the job from d.pending.
+// releaseSharesLocked clears a terminal job's allocation and hands the
+// freed capacity to the survivors. Caller holds d.mu and has removed
+// the job from d.running.
 func (d *Daemon) releaseSharesLocked(p *pendingJob) {
 	job := p.job
-	if d.shares == nil || len(job.Leased) == 0 {
+	if len(job.Leased) == 0 {
 		return
-	}
-	if err := d.shares.Release(job.ID); err != nil {
-		d.shareErrors.Inc()
 	}
 	job.Leased = nil
 	job.Shares = nil
@@ -142,63 +129,54 @@ func (d *Daemon) releaseSharesLocked(p *pendingJob) {
 }
 
 // reshareLocked recomputes every running job's share vector through the
-// policy and installs them as one atomic pool transition. Each running
-// job's ring gets a JobReshared event; the triggering job's trace gets
-// a cosched.reshare span. Caller holds d.mu.
+// policy and installs them all in one step, or none: a revision that
+// would push some worker's column sum above 1 is refused and counted,
+// and the previous vectors stay. Each running job's ring gets a
+// JobReshared event; the triggering job's trace gets a cosched.reshare
+// span. Caller holds d.mu.
 func (d *Daemon) reshareLocked(trigger *pendingJob) {
-	if d.shares == nil || d.coschedFn == nil {
+	if d.coschedFn == nil || len(d.running) == 0 {
 		return
 	}
 	var t0 int64
 	if d.tracer != nil {
 		t0 = d.tracer.Clock()
 	}
-	// Deterministic revision order: running jobs ascending by ID.
-	ids := make([]int, 0, len(d.pending))
-	for id, p := range d.pending {
-		if p.job.State == JobRunning {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	if len(ids) == 0 {
-		return
-	}
-	n := d.shares.Size()
-	act := make([]grid.MultiJobStatus, 0, len(ids))
-	for _, id := range ids {
-		p := d.pending[id]
+	// d.running is in ascending job ID order, so revisions are
+	// deterministic. The policy writes into rows parallel to act, built
+	// fresh here: revisions are rare daemon-side (job start/finish), a
+	// cold path.
+	n := len(d.cfg.LiveWorkers)
+	act := make([]grid.MultiJobStatus, len(d.running))
+	rows := make([][]float64, len(d.running))
+	for i, p := range d.running {
 		// Remaining is the job's declared total load: the daemon cannot
 		// observe a live job's true progress cheaply, so srpt weighting
 		// degrades to shortest-job-first. The simulated multi-job world
 		// tracks true remaining (see grid.MultiWorld).
-		act = append(act, grid.MultiJobStatus{
-			Job: id, Remaining: p.divider.TotalLoad(), Workers: p.job.Leased,
-		})
-	}
-	// The policy writes into rows parallel to act; SetAll copies the
-	// vectors it installs, so the rows are ours to build fresh here —
-	// revisions are rare daemon-side (job start/finish), a cold path.
-	rows := make([][]float64, len(act))
-	for i := range rows {
+		act[i] = grid.MultiJobStatus{
+			Job: p.job.ID, Remaining: p.divider.TotalLoad(), Workers: p.job.Leased,
+		}
 		rows[i] = make([]float64, n)
 	}
 	d.coschedFn(act, n, rows)
-	vecs := make(map[int][]float64, len(ids))
-	for i, id := range ids {
-		vecs[id] = rows[i]
+	occ := make([]float64, n)
+	for _, row := range rows {
+		for w, s := range row {
+			occ[w] += s
+		}
 	}
-	if err := d.shares.SetAll(vecs); err != nil {
-		d.shareErrors.Inc()
-		return
+	for _, o := range occ {
+		if o > 1+shareEpsilon {
+			d.shareErrors.Inc()
+			return
+		}
 	}
 	d.coschedReshares.Inc()
-	for _, id := range ids {
-		p := d.pending[id]
-		vec := vecs[id]
-		p.job.Shares = sharesFor(vec, p.job.Leased)
+	for i, p := range d.running {
+		p.job.Shares = sharesFor(rows[i], p.job.Leased)
 		eff := 0.0
-		for _, s := range vec {
+		for _, s := range rows[i] {
 			eff += s
 		}
 		p.ring.Append(&obs.Event{
@@ -224,16 +202,31 @@ func sharesFor(vec []float64, leased []int) []float64 {
 	return out
 }
 
-// updateShareGaugesLocked publishes the pool state: the legacy
+// occupancyLocked returns each live worker's allocated fraction: the
+// sum of the running jobs' shares on it, in ascending job ID order.
+// Job.Leased and the aligned Job.Shares are the only record of an
+// allocation, so this is where a worker's total comes from. Caller
+// holds d.mu.
+func (d *Daemon) occupancyLocked() []float64 {
+	occ := make([]float64, len(d.cfg.LiveWorkers))
+	for _, p := range d.running {
+		for i, s := range p.job.Shares {
+			occ[p.job.Leased[i]] += s
+		}
+	}
+	return occ
+}
+
+// updateShareGaugesLocked publishes the allocation: the legacy
 // workers-leased gauge (workers with any allocation) and the per-worker
 // occupancy gauges. Caller holds d.mu.
 func (d *Daemon) updateShareGaugesLocked() {
-	if d.shares == nil {
-		return
+	leased := 0
+	for w, o := range d.occupancyLocked() {
+		if o > shareEpsilon {
+			leased++
+		}
+		d.workerShareG[w].Set(o)
 	}
-	d.workersLeased.Set(float64(d.shares.Size() - d.shares.FreeWorkers()))
-	occ := d.shares.Occupancy()
-	for w, g := range d.workerShareG {
-		g.Set(occ[w])
-	}
+	d.workersLeased.Set(float64(leased))
 }

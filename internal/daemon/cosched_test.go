@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"apstdv/internal/grid"
 	"apstdv/internal/live"
 	"apstdv/internal/obs"
 )
@@ -45,10 +46,28 @@ func submitLoad(t *testing.T, d *Daemon, load float64) SubmitReply {
 	return reply
 }
 
+// occupancy reads the daemon's per-worker allocation under d.mu.
+func occupancy(d *Daemon) []float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.occupancyLocked()
+}
+
+// freeWorkers counts the workers no running job holds a share of.
+func freeWorkers(d *Daemon) int {
+	n := 0
+	for _, occ := range occupancy(d) {
+		if occ <= shareEpsilon {
+			n++
+		}
+	}
+	return n
+}
+
 // occupancyOK asserts no worker is oversubscribed.
 func occupancyOK(t *testing.T, d *Daemon) {
 	t.Helper()
-	for w, occ := range d.shares.Occupancy() {
+	for w, occ := range occupancy(d) {
 		if occ > 1+1e-9 {
 			t.Fatalf("worker %d oversubscribed: occupancy %g", w, occ)
 		}
@@ -195,7 +214,7 @@ func TestCoschedReshareEventsAndMetrics(t *testing.T) {
 	}
 
 	// All shares returned: every worker free, gauges at zero.
-	if free := d.shares.FreeWorkers(); free != 4 {
+	if free := freeWorkers(d); free != 4 {
 		t.Errorf("%d workers free after drain, want 4", free)
 	}
 	for w, gauge := range d.workerShareG {
@@ -203,4 +222,45 @@ func TestCoschedReshareEventsAndMetrics(t *testing.T) {
 			t.Errorf("worker %d share gauge = %g after drain, want 0", w, v)
 		}
 	}
+}
+
+// TestCoschedRefusesOversubscribedRevision pins the per-worker sum ≤ 1
+// check: under a policy that grants 0.7 of every worker to every job,
+// the revision at the second job's start would put 1.4 on each worker,
+// so it is refused and counted, and both jobs keep what they held.
+func TestCoschedRefusesOversubscribedRevision(t *testing.T) {
+	d, g := newCoschedDaemon(t, CoschedFair)
+	d.coschedFn = func(active []grid.MultiJobStatus, workers int, rows [][]float64) {
+		for _, row := range rows {
+			for w := range row {
+				row[w] = 0.7
+			}
+		}
+	}
+	a := submitLoad(t, d, 100)
+	b := submitLoad(t, d, 100)
+	waitFor(t, "both jobs to start", func() bool { return len(g.started()) == 2 })
+
+	if got := d.shareErrors.Value(); got != 1 {
+		t.Errorf("share errors counter = %g, want 1", got)
+	}
+	if got := d.coschedReshares.Value(); got != 1 {
+		t.Errorf("cosched reshares counter = %g, want 1 (a's start only)", got)
+	}
+	ja := jobState(t, d, a.JobID)
+	if len(ja.Shares) != 4 {
+		t.Fatalf("job A shares %v, want its 0.7 on all 4 workers", ja.Shares)
+	}
+	for i, s := range ja.Shares {
+		if s != 0.7 {
+			t.Errorf("job A share[%d] = %g, want 0.7", i, s)
+		}
+	}
+	if got := jobState(t, d, b.JobID).Shares; got != nil {
+		t.Errorf("job B shares %v, want none after the refused revision", got)
+	}
+	occupancyOK(t, d)
+	g.release(a.JobID)
+	g.release(b.JobID)
+	d.Wait()
 }

@@ -134,7 +134,9 @@ type Job struct {
 	// aligned with Leased (Shares[i] is the fraction on Leased[i]).
 	// Under partition every entry is 1; under fair/srpt the
 	// co-scheduler revises the fractions as peers arrive and finish.
-	// Empty once released (and always in sim mode).
+	// Empty once released (and always in sim mode). Leased and Shares
+	// are the daemon's only record of a running job's allocation; a
+	// revision replaces Shares and never writes it in place.
 	Shares []float64
 	// TraceID identifies the job's trace when the daemon traces (see
 	// Config.Trace); 0 otherwise. Feed it to the Trace RPC or /debug/trace.
@@ -151,6 +153,9 @@ type Job struct {
 	events  *obs.Ring
 	payload int
 	nextSeq int64
+	// run is the job's run state while it is queued or running (nil
+	// before admission and once terminal); Cancel reaches it here.
+	run *pendingJob
 }
 
 // summaryLocked returns the copy of the job record that Status and
@@ -158,7 +163,7 @@ type Job struct {
 func (d *Daemon) summaryLocked(j *Job) Job {
 	cp := *j
 	cp.QueuePos = d.queuePosLocked(j)
-	cp.tr, cp.events = nil, nil
+	cp.tr, cp.events, cp.run = nil, nil, nil
 	return cp
 }
 
@@ -194,20 +199,18 @@ type Daemon struct {
 	wg     sync.WaitGroup
 
 	// Scheduler state (guarded by mu): per-class FIFO queues, the
-	// live-worker lease pool, and the resolved concurrency cap.
+	// running jobs in ascending job ID order (whose Leased and Shares
+	// are the live-worker allocation), and the resolved concurrency cap.
 	queues   [len(classes)][]*pendingJob
 	queued   int
-	running  int
-	pending  map[int]*pendingJob // queued or running jobs by id
+	running  []*pendingJob
 	draining bool
 	effCap   int // 0 = unlimited
-	// Live-mode worker allocation: the share pool (mechanism), the
-	// normalized co-scheduling policy name, and its share-vector
-	// function (nil for partition). See cosched.go.
-	shares    *live.SharePool
+	// Live-mode co-scheduling: the normalized policy name and its
+	// share-vector function (nil for partition). See cosched.go.
 	cosched   string
 	coschedFn grid.SharePolicy
-	idle      *sync.Cond // broadcast when running == queued == 0
+	idle      *sync.Cond // broadcast when running and queued are empty
 	// terminal is the retirement-order FIFO backing Config.RetainJobs
 	// eviction (unused when RetainJobs is 0).
 	terminal []int
@@ -304,7 +307,6 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:           cfg,
 		jobs:          make(map[int]*Job),
-		pending:       make(map[int]*pendingJob),
 		specCache:     make(map[string]*spec.Task),
 		payloadMax:    payloadBudget,
 		pages:         obs.NewPagePool(pagePoolBytes),
@@ -331,7 +333,7 @@ func New(cfg Config) (*Daemon, error) {
 		coschedReshares: reg.Counter("apstdv_cosched_reshares_total",
 			"Share revisions performed by the co-scheduler."),
 		shareErrors: reg.Counter("apstdv_share_errors_total",
-			"Share-accounting violations surfaced as typed errors (double release, oversubscription)."),
+			"Share revisions refused because some worker would be oversubscribed."),
 	}
 	d.transportMetrics = obs.NewTransportMetrics(reg, "server")
 	d.clientTransportMetrics = obs.NewTransportMetrics(reg, "client")
@@ -355,7 +357,6 @@ func New(cfg Config) (*Daemon, error) {
 		if d.coschedFn == nil && d.effCap > len(cfg.LiveWorkers) {
 			d.effCap = len(cfg.LiveWorkers)
 		}
-		d.shares = live.NewSharePool(len(cfg.LiveWorkers))
 		for i := range cfg.LiveWorkers {
 			d.workerShareG = append(d.workerShareG, reg.Gauge(
 				fmt.Sprintf("apstdv_worker_share_w%d", i),
@@ -559,14 +560,8 @@ func newRejection(cause error) rejection {
 func (d *Daemon) fastReject(prio string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var rej rejection
-	switch {
-	case d.draining:
-		rej = d.rejDraining
-	case d.effCap > 0 && d.running >= d.effCap &&
-		d.cfg.QueueDepth > 0 && d.queued >= d.cfg.QueueDepth:
-		rej = d.rejFull
-	default:
+	rej := d.refusalLocked()
+	if rej == nil {
 		return nil
 	}
 	now := time.Now()
@@ -706,29 +701,34 @@ func (d *Daemon) execute(ctx context.Context, p *pendingJob) (*trace.Trace, erro
 		req.Backend = p.slot.backend
 	case ModeLive:
 		// The job runs on its leased workers only — that is the
-		// isolation leasing buys. (No recorded lease means the share
-		// pool is disabled, so use the whole pool.) Under fair/srpt the
+		// isolation leasing buys. (No recorded lease means no worker
+		// was free to grant, so use the whole pool.) Under fair/srpt the
 		// lease covers every worker and the fractions say how much.
+		//
+		// Snapshot the job's fractions for deadline scaling. The
+		// dialed connections are fixed for the run, so a later
+		// revision only changes rates, not membership; shares can
+		// only grow as peers finish (deadlines stay conservative),
+		// and an arrival-shrink is absorbed by the retry layer's
+		// deadline slack.
+		d.mu.Lock()
+		leased := p.job.Leased
+		req.Config.WorkerShares = p.job.Shares
+		d.mu.Unlock()
 		conns := d.cfg.LiveWorkers
-		if leased := p.job.Leased; len(leased) > 0 {
+		if len(leased) > 0 {
 			conns = make([]live.WorkerConn, 0, len(leased))
 			for _, w := range leased {
 				conns = append(conns, d.cfg.LiveWorkers[w])
 			}
 		}
-		if d.shares != nil {
-			// Snapshot the job's fractions for deadline scaling. The
-			// dialed connections are fixed for the run, so a later
-			// revision only changes rates, not membership; shares can
-			// only grow as peers finish (deadlines stay conservative),
-			// and an arrival-shrink is absorbed by the retry layer's
-			// deadline slack.
-			req.Config.WorkerShares = sharesFor(d.shares.Shares(p.job.ID), p.job.Leased)
-		}
 		backend, err := live.Dial(conns, live.Config{Metrics: d.clientTransportMetrics})
 		if err != nil {
 			return nil, err
 		}
+		// The run owns the worker connections: close them when it
+		// returns, finished or not.
+		defer backend.Close()
 		defer backend.Stop()
 		// Worker RPCs record as spans under the job's execute span and
 		// carry the trace context on their frames.
@@ -870,7 +870,7 @@ func (d *Daemon) ListJobs(args ListJobsArgs, reply *ListJobsReply) error {
 // queued (used by tests and clean shutdown).
 func (d *Daemon) Wait() {
 	d.mu.Lock()
-	for d.running > 0 || d.queued > 0 {
+	for len(d.running) > 0 || d.queued > 0 {
 		d.idle.Wait()
 	}
 	d.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,6 +238,11 @@ func TestDefaultAlgorithmIsFixedRUMR(t *testing.T) {
 	}
 }
 
+// smallLiveTask finishes in milliseconds on a 10 000-iteration worker.
+const smallLiveTask = `<task executable="app" input="big">
+ <divisibility input="big" method="callback" load="40" callback="cb" algorithm="simple-1" probe_load="2"/>
+</task>`
+
 func TestLiveModeDaemon(t *testing.T) {
 	svc := live.NewWorkerService(10000, 1)
 	addr, stop, err := live.Serve(svc)
@@ -262,10 +269,7 @@ func TestLiveModeDaemon(t *testing.T) {
 	}
 	defer c.Close()
 
-	small := `<task executable="app" input="big">
- <divisibility input="big" method="callback" load="40" callback="cb" algorithm="simple-1" probe_load="2"/>
-</task>`
-	reply, err := c.Submit(small, "", "", nil)
+	reply, err := c.Submit(smallLiveTask, "", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,5 +282,76 @@ func TestLiveModeDaemon(t *testing.T) {
 	}
 	if svc.Computed() == 0 {
 		t.Error("live worker did no work")
+	}
+}
+
+// countingListener counts the accepted connections still open.
+type countingListener struct {
+	net.Listener
+	open atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.open.Add(1)
+	return &countedConn{Conn: c, l: l}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	l    *countingListener
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.l.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestLiveJobsCloseWorkerConnections pins that a finished live job
+// closes the worker connections its run dialed: after three jobs run to
+// completion against one worker, the worker holds no open connection.
+func TestLiveJobsCloseWorkerConnections(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	stop := live.ServeListener(live.NewWorkerService(10000, 1), ln)
+	defer stop()
+	d, err := daemon.New(daemon.Config{
+		Mode:        daemon.ModeLive,
+		LiveWorkers: []live.WorkerConn{{Addr: inner.Addr().String()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		var reply daemon.SubmitReply
+		if err := d.Submit(daemon.SubmitArgs{TaskXML: smallLiveTask}, &reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Wait()
+	var jobs daemon.ListJobsReply
+	if err := d.ListJobs(daemon.ListJobsArgs{}, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs.Jobs {
+		if j.State != daemon.JobDone {
+			t.Fatalf("job %d %s: %s", j.ID, j.State, j.Err)
+		}
+	}
+	// The worker tears a connection down when it reads the client's
+	// close, so give the teardown a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for ln.open.Load() > 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := ln.open.Load(); n != 0 {
+		t.Fatalf("%d worker connections still open after 3 finished jobs, want 0", n)
 	}
 }

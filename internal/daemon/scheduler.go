@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,7 +54,8 @@ func classIndex(p string) int {
 // pendingJob is a job plus everything needed to run it: the parsed
 // algorithm and application, the per-job cancellation context, the
 // job's event ring and, while it runs, its execution slot. It exists
-// from admission to terminal state.
+// from admission to terminal state, reached through its Job's run
+// pointer.
 //
 // The ring carries one monotonic stream across two emitters: the daemon
 // appends its lifecycle events (job_queued, job_started, job_cancelled,
@@ -89,22 +91,18 @@ type pendingJob struct {
 // d.jobs. The returned error is what Submit reports to the client.
 func (d *Daemon) admitLocked(p *pendingJob) error {
 	job := p.job
-	if d.draining {
-		return d.rejectLocked(p, fmt.Errorf("daemon: job rejected: %w", ErrDraining))
-	}
-	if d.effCap > 0 && d.running >= d.effCap &&
-		d.cfg.QueueDepth > 0 && d.queued >= d.cfg.QueueDepth {
-		return d.rejectLocked(p, fmt.Errorf("daemon: job rejected: %w (depth %d)", ErrQueueFull, d.cfg.QueueDepth))
+	if rej := d.refusalLocked(); rej != nil {
+		return d.rejectLocked(p, rej)
 	}
 	d.jobsSubmitted.Inc()
-	d.pending[job.ID] = p
+	job.run = p
 	job.State = JobQueued
 	p.ring.Append(&obs.Event{Type: obs.JobQueued, Class: job.Priority})
 	// Every accepted job gets a queue span — immediate starts record a
 	// near-zero one — so the queue stage sample covers all admissions,
 	// not just the jobs that happened to wait.
 	p.queueSpan = d.tracer.Begin(p.traceID, p.submitSpan, "job.queue")
-	if d.effCap == 0 || d.running < d.effCap {
+	if d.effCap == 0 || len(d.running) < d.effCap {
 		d.startLocked(p)
 		return nil
 	}
@@ -114,19 +112,34 @@ func (d *Daemon) admitLocked(p *pendingJob) error {
 	return nil
 }
 
+// refusalLocked is the admission verdict that does not depend on the
+// task spec: the precomputed rejection when the daemon is draining or
+// every slot is busy and the queue is at depth, nil to admit. Caller
+// holds d.mu.
+func (d *Daemon) refusalLocked() *rejection {
+	switch {
+	case d.draining:
+		return &d.rejDraining
+	case d.effCap > 0 && len(d.running) >= d.effCap &&
+		d.cfg.QueueDepth > 0 && d.queued >= d.cfg.QueueDepth:
+		return &d.rejFull
+	}
+	return nil
+}
+
 // rejectLocked records a terminal rejected job (it stays visible in job
 // listings) and returns the typed error for the client.
-func (d *Daemon) rejectLocked(p *pendingJob, cause error) error {
+func (d *Daemon) rejectLocked(p *pendingJob, rej *rejection) error {
 	job := p.job
 	job.State = JobRejected
 	job.Finished = time.Now()
-	job.Err = cause.Error()
-	job.Code = errcode.Code(cause)
+	job.Err = rej.msg
+	job.Code = rej.code
 	d.jobsRejected.Inc()
-	p.cancel(cause)
-	p.ring.Append(&obs.Event{Type: obs.JobRejected, Class: job.Priority, Err: cause.Error()})
+	p.cancel(rej.err)
+	p.ring.Append(&obs.Event{Type: obs.JobRejected, Class: job.Priority, Err: rej.msg})
 	d.retireLocked(job)
-	return cause
+	return rej.err
 }
 
 // retireLocked records a job's terminal transition and applies the two
@@ -138,6 +151,7 @@ func (d *Daemon) rejectLocked(p *pendingJob, cause error) error {
 // terminal jobs beyond the bound are evicted outright. Caller holds
 // d.mu.
 func (d *Daemon) retireLocked(job *Job) {
+	job.run = nil
 	if job.events != nil {
 		job.nextSeq = job.events.NextSeq()
 		job.payload = job.events.Bytes()
@@ -192,16 +206,18 @@ func (d *Daemon) evictLocked(job *Job) {
 	d.jobsEvicted.Inc()
 }
 
-// startLocked moves a job into the running state: leases its share of
-// the live worker pool, stamps the wait-time metrics, and launches the
-// run goroutine. Caller holds d.mu.
+// startLocked moves a job into the running state: inserts it into
+// d.running in job ID order, leases its share of the live worker pool,
+// stamps the wait-time metrics, and launches the run goroutine. Caller
+// holds d.mu.
 func (d *Daemon) startLocked(p *pendingJob) {
 	job := p.job
 	job.State = JobRunning
 	job.Started = time.Now()
 	p.queueSpan.End(nil)
 	p.slot = d.takeSlotLocked()
-	d.running++
+	i := sort.Search(len(d.running), func(i int) bool { return d.running[i].job.ID > job.ID })
+	d.running = slices.Insert(d.running, i, p)
 	d.jobsRunning.Inc()
 	ls := d.tracer.Begin(p.traceID, p.submitSpan, "job.lease")
 	d.allocSharesLocked(p)
@@ -234,9 +250,9 @@ func (d *Daemon) runJob(p *pendingJob) {
 		d.putSlotLocked(p.slot)
 	}
 	p.slot = nil
-	d.running--
+	i := slices.Index(d.running, p)
+	d.running = slices.Delete(d.running, i, i+1)
 	d.jobsRunning.Dec()
-	delete(d.pending, job.ID)
 	d.runSeconds[job.Priority].Observe(job.Finished.Sub(job.Started).Seconds())
 	switch {
 	case err == nil:
@@ -262,7 +278,7 @@ func (d *Daemon) runJob(p *pendingJob) {
 		job.Code = errcode.Code(err)
 		d.jobsFailed.Inc()
 	}
-	// Release after the job left d.pending so the reshare it triggers
+	// Release after the job left d.running so the reshare it triggers
 	// redistributes only among the survivors, and before scheduleLocked
 	// so the next admission sees the freed capacity.
 	d.releaseSharesLocked(p)
@@ -288,7 +304,7 @@ func (d *Daemon) runRecovered(p *pendingJob) (tr *trace.Trace, panicked bool, er
 // scheduleLocked fills free concurrency slots from the queues, highest
 // priority class first, FIFO within a class. Caller holds d.mu.
 func (d *Daemon) scheduleLocked() {
-	for !d.draining && (d.effCap == 0 || d.running < d.effCap) {
+	for !d.draining && (d.effCap == 0 || len(d.running) < d.effCap) {
 		p := d.popLocked()
 		if p == nil {
 			break
@@ -333,7 +349,6 @@ func (d *Daemon) cancelQueuedLocked(p *pendingJob, cause error) {
 	job.Finished = time.Now()
 	job.Err = cause.Error()
 	job.Code = errcode.Code(cause)
-	delete(d.pending, job.ID)
 	d.jobsCancelled.Inc()
 	p.cancel(cause)
 	p.ring.Append(&obs.Event{
@@ -363,7 +378,7 @@ func (d *Daemon) queuePosLocked(job *Job) int {
 
 // notifyIfIdleLocked wakes Wait callers once nothing runs or queues.
 func (d *Daemon) notifyIfIdleLocked() {
-	if d.running == 0 && d.queued == 0 {
+	if len(d.running) == 0 && d.queued == 0 {
 		d.idle.Broadcast()
 	}
 }
@@ -399,7 +414,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 	d.mu.Lock()
-	for _, p := range d.pending {
+	for _, p := range d.running {
 		p.cancel(fmt.Errorf("daemon: job cancelled: %w", ErrDraining))
 	}
 	d.mu.Unlock()
@@ -408,7 +423,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		return nil
 	case <-time.After(drainGrace):
 		d.mu.Lock()
-		n := d.running
+		n := len(d.running)
 		d.mu.Unlock()
 		return fmt.Errorf("daemon: %d jobs still running after drain deadline", n)
 	}
@@ -438,12 +453,12 @@ func (d *Daemon) Cancel(args CancelArgs, reply *CancelReply) error {
 	}
 	switch job.State {
 	case JobQueued:
-		p := d.pending[job.ID]
+		p := job.run
 		d.removeQueuedLocked(p)
 		d.cancelQueuedLocked(p, fmt.Errorf("daemon: job cancelled: %w", ErrJobCancelled))
 		d.notifyIfIdleLocked()
 	case JobRunning:
-		d.pending[job.ID].cancel(fmt.Errorf("daemon: job cancelled: %w", ErrJobCancelled))
+		job.run.cancel(fmt.Errorf("daemon: job cancelled: %w", ErrJobCancelled))
 	}
 	reply.State = job.State
 	return nil

@@ -324,7 +324,7 @@ func TestLiveLeaseAssignment(t *testing.T) {
 	if err := d.Cancel(CancelArgs{JobID: a.JobID}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "leases to be released", func() bool { return d.shares.FreeWorkers() == 2 })
+	waitFor(t, "leases to be released", func() bool { return freeWorkers(d) == 2 })
 	if got := jobState(t, d, a.JobID).Leased; len(got) != 0 {
 		t.Errorf("cancelled job still shows leases %v", got)
 	}

@@ -107,7 +107,7 @@ func (d *Daemon) TelemetryHandler() http.Handler {
 			Status:        "ok",
 			Mode:          string(d.cfg.Mode),
 			UptimeSeconds: time.Since(d.started).Seconds(),
-			JobsRunning:   d.running,
+			JobsRunning:   len(d.running),
 			JobsQueued:    d.queued,
 			JobsTotal:     len(d.jobs),
 		}

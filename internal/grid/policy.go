@@ -3,8 +3,8 @@ package grid
 // Share policies for multi-job co-scheduling. They are pure share
 // arithmetic over MultiJobStatus, shared between the simulated world
 // (MultiWorld) and the live daemon's co-scheduler, which builds the
-// same statuses from its running jobs and installs the vectors in a
-// live.SharePool. Each policy is work-conserving within subsets: a
+// same statuses from its running jobs and installs the vectors on their
+// job records. Each policy is work-conserving within subsets: a
 // worker's share mass is split only among the active jobs entitled to
 // it, and a job's departure hands its mass back to the survivors at the
 // next revision.

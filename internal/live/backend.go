@@ -11,6 +11,10 @@ import (
 	"apstdv/internal/transport"
 )
 
+// fragmentSize is the Store fragment granularity: Transfer moves a
+// chunk's bytes in frames of at most this many.
+const fragmentSize = 256 << 10
+
 // Config carries the backend's cross-cutting dependencies. The zero
 // value is valid: no metrics, no tracing.
 type Config struct {
@@ -62,8 +66,6 @@ type Backend struct {
 	timerSeq uint64
 	timers   map[uint64]*time.Timer
 
-	// FragmentSize is the Store fragment granularity (default 256 KiB).
-	FragmentSize int
 	// CallTimeout bounds each RPC round-trip; a call that exceeds it
 	// fails with a deadline error (the transport retires its request
 	// id, so the connection survives and a late reply is dropped).
@@ -88,9 +90,8 @@ func Dial(workers []WorkerConn, cfg ...Config) (*Backend, error) {
 		c0 = cfg[0]
 	}
 	b := &Backend{
-		t0:           time.Now(),
-		stopCh:       make(chan struct{}),
-		FragmentSize: 256 << 10,
+		t0:     time.Now(),
+		stopCh: make(chan struct{}),
 	}
 	for _, w := range workers {
 		c, err := transport.Dial(w.Addr, transport.Config{Metrics: c0.Metrics})
@@ -343,17 +344,10 @@ func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, e
 		}
 		chunk := b.nextChunk()
 		remaining := int(bytes)
-		frag := b.FragmentSize
-		if frag <= 0 {
-			frag = 256 << 10
-		}
-		buf := make([]byte, frag)
+		buf := make([]byte, fragmentSize)
 		sent := 0
 		for remaining > 0 || sent == 0 {
-			n := remaining
-			if n > frag {
-				n = frag
-			}
+			n := min(remaining, fragmentSize)
 			args := StoreArgs{Chunk: int(chunk), Data: buf[:n], Last: n == remaining}
 			var reply StoreReply
 			if err := b.call(w, methodStore, &args, &reply); err != nil {
