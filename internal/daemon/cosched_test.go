@@ -5,12 +5,14 @@ package daemon
 // releases can be observed deterministically.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"apstdv/internal/grid"
 	"apstdv/internal/live"
 	"apstdv/internal/obs"
+	"apstdv/internal/trace"
 )
 
 // coschedTask builds a task XML with the given total load, so srpt's
@@ -262,5 +264,78 @@ func TestCoschedRefusesOversubscribedRevision(t *testing.T) {
 	occupancyOK(t, d)
 	g.release(a.JobID)
 	g.release(b.JobID)
+	d.Wait()
+}
+
+// seqRunner is a gate runner whose jobs write into their rings the way
+// execute's engine does, numbering densely from the ring's NextSeq at
+// start: a dispatch, then the gate, then two chunk_done events.
+type seqRunner struct{ gateRunner }
+
+func (s *seqRunner) run(ctx context.Context, p *pendingJob) (*trace.Trace, error) {
+	base := p.ring.NextSeq()
+	emit := func(k int64, typ obs.EventType) {
+		ev := obs.Event{Seq: base + k, Type: typ}
+		p.ring.EmitPtr(&ev)
+	}
+	emit(0, obs.Dispatch)
+	tr, err := s.gateRunner.run(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	emit(1, obs.ChunkDone)
+	emit(2, obs.ChunkDone)
+	return tr, nil
+}
+
+// TestCoschedReshareKeepsEventSeqUnique pins one cursor per job stream
+// under co-scheduling: a second job's arrival appends job_reshared to
+// the running first job's ring between its engine's events, and every
+// event must still carry its own ascending number, so a follower whose
+// cursor sits at the reshare sees both chunk_done events after it.
+func TestCoschedReshareKeepsEventSeqUnique(t *testing.T) {
+	d, err := New(Config{
+		Mode: ModeLive, LiveWorkers: make([]live.WorkerConn, 4),
+		MaxConcurrentJobs: 2, QueueDepth: 2, CoschedPolicy: CoschedFair,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &seqRunner{}
+	d.runFn = r.run
+	a := submitLoad(t, d, 100)
+	waitFor(t, "first job to dispatch", func() bool { return len(r.started()) == 1 })
+	b := submitLoad(t, d, 100)
+	waitFor(t, "second job to start", func() bool { return len(r.started()) == 2 })
+	r.release(a.JobID)
+	waitFor(t, "first job to finish", func() bool { return jobState(t, d, a.JobID).State == JobDone })
+
+	var all EventsReply
+	if err := d.Events(EventsArgs{JobID: a.JobID, AfterSeq: -1}, &all); err != nil {
+		t.Fatal(err)
+	}
+	cursor := int64(-1)
+	for i, ev := range all.Events {
+		if i > 0 && ev.Seq <= all.Events[i-1].Seq {
+			t.Fatalf("event %d (%s) has Seq %d after %d: %+v", i, ev.Type, ev.Seq, all.Events[i-1].Seq, all.Events)
+		}
+		if ev.Type == obs.JobReshared {
+			cursor = ev.Seq // the last reshare: the one the second job caused
+		}
+	}
+	var tail EventsReply
+	if err := d.Events(EventsArgs{JobID: a.JobID, AfterSeq: cursor}, &tail); err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, ev := range tail.Events {
+		if ev.Type == obs.ChunkDone {
+			done++
+		}
+	}
+	if done != 2 {
+		t.Fatalf("a follower at the reshare (Seq %d) saw %d chunk_done events, want 2: %+v", cursor, done, all.Events)
+	}
+	r.release(b.JobID)
 	d.Wait()
 }

@@ -61,9 +61,12 @@ func classIndex(p string) int {
 // appends its lifecycle events (job_queued, job_started, job_cancelled,
 // job_rejected) with Ring.Append, which numbers them after whatever the
 // ring has seen, and hands the engine Config.SeqBase = Ring.NextSeq(),
-// from which the engine numbers densely. Pollers reading the Events RPC
-// therefore see one gap-free cursor across both layers, and each event
-// costs one lock: the ring's.
+// from which the engine numbers densely. A co-scheduling revision
+// appends job_reshared to a running job's ring mid-run; the ring then
+// stores each later engine event one past the highest number it holds
+// (obs.Ring), so the numbers stay unique. Pollers reading the Events
+// RPC therefore see one gap-free cursor across both layers, and each
+// event costs one lock: the ring's.
 type pendingJob struct {
 	job       *Job
 	alg       dls.Algorithm

@@ -308,12 +308,20 @@ func (r *Ring) NextSeq() int64 {
 	return r.nextSeq
 }
 
+// putLocked stores ev under the larger of its own Seq and NextSeq. A
+// single emitter's ascending stream keeps its numbers; when the owner
+// appends between an emitter's events (a share revision landing in a
+// running job's stream), the emitter's next number is already taken,
+// and the event moves past it, so the stream stays unique and
+// ascending and a cursor at any event still sees every later one.
 func (r *Ring) putLocked(ev *Event) {
 	pi := r.next / pageEvents
 	if pi == len(r.pages) {
 		r.pages = append(r.pages, r.pool.get())
 	}
-	r.pages[pi][r.next%pageEvents].pack(ev, &r.types, &r.algs)
+	rec := &r.pages[pi][r.next%pageEvents]
+	rec.pack(ev, &r.types, &r.algs)
+	rec.seq = max(ev.Seq, r.nextSeq)
 	if r.full && len(r.errs) > 0 {
 		delete(r.errs, r.next) // the overwritten event's text, if it had one
 	}
@@ -323,9 +331,7 @@ func (r *Ring) putLocked(ev *Event) {
 		}
 		r.errs[r.next] = ev.Err
 	}
-	if ev.Seq >= r.nextSeq {
-		r.nextSeq = ev.Seq + 1
-	}
+	r.nextSeq = rec.seq + 1
 	r.next++
 	if r.next == r.max {
 		r.next = 0
@@ -394,10 +400,10 @@ func (r *Ring) Snapshot() []Event {
 
 // After returns the retained events with Seq strictly greater than seq,
 // in emission order — the tail-follow read. Pass -1 for "from the
-// beginning of what the ring still holds". It relies on what every
-// emitter guarantees, sequence numbers ascending in emission order, to
-// seek to the first event past seq and unpack only from there: a poll
-// costs what it returns, not what the ring holds.
+// beginning of what the ring still holds". It relies on the stored
+// sequence numbers ascending in emission order (putLocked keeps them
+// so) to seek to the first event past seq and unpack only from there:
+// a poll costs what it returns, not what the ring holds.
 func (r *Ring) After(seq int64) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -309,3 +309,39 @@ func TestRingAfterSeeks(t *testing.T) {
 		}
 	}
 }
+
+// An owner appending between an emitter's events must not duplicate a
+// sequence number: the emitter numbers densely from the NextSeq it was
+// given, the owner's append takes the emitter's next number, and every
+// later emitter event moves one past what the ring holds. A cursor at
+// the appended event then still sees every event after it.
+func TestRingInterleavedAppendKeepsSeqUnique(t *testing.T) {
+	r := NewRing(16)
+	r.Append(&Event{Type: JobStarted})
+	base := r.NextSeq()
+	for i := int64(0); i < 3; i++ {
+		ev := Event{Seq: base + i, Type: Dispatch}
+		r.EmitPtr(&ev)
+	}
+	r.Append(&Event{Type: JobReshared})
+	for i := int64(3); i < 6; i++ {
+		ev := Event{Seq: base + i, Type: ChunkDone}
+		r.EmitPtr(&ev)
+	}
+	snap := r.Snapshot()
+	reshared := int64(-1)
+	for i, ev := range snap {
+		if ev.Seq != int64(i) {
+			t.Fatalf("event %d (%s) has Seq %d, want %d: %+v", i, ev.Type, ev.Seq, i, snap)
+		}
+		if ev.Type == JobReshared {
+			reshared = ev.Seq
+		}
+	}
+	if got := r.After(reshared); len(got) != 3 || got[0].Type != ChunkDone {
+		t.Fatalf("After(%d) at the reshare returned %d events, want the 3 chunk_done after it", reshared, len(got))
+	}
+	if got, want := r.NextSeq(), int64(len(snap)); got != want {
+		t.Fatalf("NextSeq = %d, want %d", got, want)
+	}
+}
