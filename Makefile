@@ -10,7 +10,7 @@ GO ?= go
 FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                divide:FuzzContinuousCutAfter divide:FuzzWorkUnitsCutAfter \
                divide:FuzzScanSeparators sim:FuzzHeapInvariant \
-               sim:FuzzTimersMatchReference \
+               sim:FuzzTimersMatchReference grid:FuzzMultiWorldConserves \
                transport:FuzzServerFrames transport:FuzzClientFrames \
                daemon:FuzzDecodeWire \
                dls:FuzzUMRSearchMatchesReference \
