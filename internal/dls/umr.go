@@ -303,14 +303,31 @@ func (sc *umrScratch) prepare(p Plan, load float64) {
 
 // search tries every round count and returns the one with the smallest
 // predicted makespan (the first on a tie), or 0 when none is feasible.
+// It stops at the first M whose lower bound reaches the best prediction
+// so far: the bound never decreases in M, so no later M can win.
 func (sc *umrScratch) search() int {
 	bestM, bestPred := 0, math.Inf(1)
 	for m := 1; m < sc.limit; m++ {
+		if sc.lowerBound(m) >= bestPred {
+			break
+		}
 		if pred, ok := sc.candidate(m, nil); ok && pred < bestPred {
 			bestM, bestPred = m, pred
 		}
 	}
 	return bestM
+}
+
+// lowerBound is a lower bound on the predicted makespan of every
+// feasible M-round candidate, less a relative slack of umrBoundSlack for
+// rounding. A feasible replay dispatches the load (to 1e-12 of it) and
+// runs each worker's M chunks back to back from time 0, so worker i is
+// busy for M·compLat_i + S_i·unitComp_i ≤ makespan, where S_i is its
+// share; summing S_i ≤ (makespan − M·compLat_i)/unitComp_i over the
+// workers gives makespan ≥ (load + M·sumC)/sumP. Validated estimates
+// have sumC ≥ 0 and sumP > 0, so the bound never decreases in M.
+func (sc *umrScratch) lowerBound(m int) float64 {
+	return (sc.load + float64(m)*sc.sumC) / sc.sumP * (1 - umrBoundSlack)
 }
 
 // roundDurations fills sc.durations[:m] with the M-round schedule's round

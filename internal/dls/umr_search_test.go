@@ -590,3 +590,67 @@ func TestUMRPredictionIsNotUnimodal(t *testing.T) {
 			len(rounds), chosen, globalMin, pred[globalMin], localMin)
 	}
 }
+
+// TestUMRLowerBoundHolds checks the bound the round search stops at: on
+// the inputs of TestUMRSearchMatchesReference, every feasible candidate
+// predicts a makespan no smaller than lowerBound, and the bound never
+// decreases in M. Either failing would let the search stop before the
+// winner.
+func TestUMRLowerBoundHolds(t *testing.T) {
+	cases := 10000
+	if testing.Short() || raceEnabled {
+		cases = 2000
+	}
+	src := rng.New(1000)
+	var sc umrScratch
+	checked := 0
+	for i := 0; i < cases; i++ {
+		p, load := searchCase(src)
+		sc.prepare(p, load)
+		prev := math.Inf(-1)
+		for m := 1; m < sc.limit; m++ {
+			bound := sc.lowerBound(m)
+			if bound < prev {
+				t.Fatalf("M = %d: bound %v below M−1's %v\nload %v of %+v", m, bound, prev, load, p)
+			}
+			prev = bound
+			if pred, ok := sc.candidate(m, nil); ok {
+				checked++
+				if pred < bound {
+					t.Fatalf("M = %d: predicted %v below the bound %v\nload %v of %+v", m, pred, bound, load, p)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no feasible candidate checked")
+	}
+}
+
+// TestUMRDriftGuardRejectsOverdispatch pins candidate's lastTotal+drift
+// guard. On this input the first M−1 rounds of some candidates already
+// dispatch more than the load, by less than the lower-bound rejection's
+// slack, so only the guard refuses them: without it, absorbing the drift
+// scales the last round negative and the candidate passes as feasible.
+func TestUMRDriftGuardRejectsOverdispatch(t *testing.T) {
+	p := Plan{TotalLoad: 1.366902e+06, Workers: []model.Estimate{
+		{Worker: 0, CommLatency: 1.2099213928407809e-52, UnitComp: 1.4934543479128755e-27},
+		{Worker: 1, UnitComm: 8.461950942503583e-23, CommLatency: 7.920711607013656e-76,
+			UnitComp: 9.483895332488019e-101, CompLatency: 1.0872310071285504e-90},
+	}}
+	var ref refScratch
+	var sc umrScratch
+	checkUMRSearchMatchesReference(t, &ref, &sc, p, p.TotalLoad)
+	out := make([]Decision, maxUMRRounds*len(p.Workers))
+	for m := 1; m < sc.limit; m++ {
+		sched := out[:m*len(p.Workers)]
+		if _, ok := sc.candidate(m, sched); !ok {
+			continue
+		}
+		for _, d := range sched {
+			if d.Size < 0 {
+				t.Fatalf("M = %d is feasible with a chunk of %v", m, d.Size)
+			}
+		}
+	}
+}

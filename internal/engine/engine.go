@@ -35,7 +35,8 @@ import (
 //
 // The engine calls the three closure-form operations only on backends
 // that do not implement OpBackend (the live runtime, the multi-job
-// world's views), each wrapping the handler the op form would get.
+// world's views); each done is a pooled completion cell forwarding to
+// the handler the op form would get.
 type Backend interface {
 	// Now returns the backend's current time in seconds from start.
 	Now() float64
@@ -235,8 +236,8 @@ type Request struct {
 	Platform  *model.Platform
 	Config    Config
 	// Arena, when non-nil, supplies the execution's reusable workspace
-	// (see Arena). nil allocates a fresh workspace per call, exactly as
-	// before arenas existed.
+	// (see Arena). nil borrows a workspace from a package pool for the
+	// call and returns a trace the caller owns outright.
 	Arena *Arena
 }
 
@@ -281,18 +282,34 @@ func Execute(ctx context.Context, req Request) (*trace.Trace, error) {
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
-	var e *execution
 	if req.Arena != nil {
 		if req.Arena.e == nil {
 			req.Arena.e = &execution{}
 		}
-		e = req.Arena.e
-	} else {
-		e = &execution{}
+		return req.Arena.e.execute(ctx, req)
 	}
-	// Under the mutex, because on a reused arena a callback that outlived
-	// the previous run (a late worker reply, a cancellation that fired as
-	// that run returned) may be reading runGen to find out it is stale.
+	// No arena: borrow a pooled workspace, so an arena-less run allocates
+	// like one with an arena. The caller gets a right-sized copy of the
+	// trace; the workspace keeps its buffers for the next borrower.
+	e := workspaces.Get().(*execution)
+	tr, err := e.execute(ctx, req)
+	tr = tr.Clone()
+	if e.release() {
+		workspaces.Put(e)
+	}
+	return tr, err
+}
+
+// workspaces recycles the workspaces of arena-less runs.
+var workspaces = sync.Pool{New: func() any { return &execution{} }}
+
+// execute runs one validated request on the workspace. The trace it
+// returns is the workspace's own.
+func (e *execution) execute(ctx context.Context, req Request) (*trace.Trace, error) {
+	// Under the mutex, because on a reused workspace a callback that
+	// outlived the previous run (a late worker reply, a cancellation that
+	// fired as that run returned) may be reading runGen to find out it is
+	// stale.
 	e.mu.Lock()
 	e.beginRun(req)
 	gen := e.runGen
@@ -307,7 +324,7 @@ func Execute(ctx context.Context, req Request) (*trace.Trace, error) {
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			if e.runGen != gen {
-				return // this run is over and the arena serves another
+				return // this run is over
 			}
 			e.fail(context.Cause(ctx))
 		})
@@ -317,10 +334,11 @@ func Execute(ctx context.Context, req Request) (*trace.Trace, error) {
 	e.mu.Lock()
 	e.start()
 	e.mu.Unlock()
-	b.Run()
+	e.backend.Run()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer e.retire()
 	if ev := e.event(obs.RunFinished, -1); ev != nil {
 		ev.Makespan, ev.Chunks = e.trace.Makespan(), e.trace.Len()
 		if e.err != nil {
@@ -333,9 +351,50 @@ func Execute(ctx context.Context, req Request) (*trace.Trace, error) {
 	}
 	if e.remaining > 1e-9 || e.inflight > 0 || len(e.retryQ) > 0 {
 		return e.trace, fmt.Errorf("%w: %s with %.6g load undispatched and %d chunks in flight%s",
-			ErrStalled, alg.Name(), e.remaining, e.inflight, e.stallDetail())
+			ErrStalled, e.alg.Name(), e.remaining, e.inflight, e.stallDetail())
 	}
 	return e.trace, nil
+}
+
+// retire ends the run on the workspace: runGen moves on and every chunk
+// slot is freed with its epoch bumped, so a completion, deadline or
+// cancellation that outlives the run finds nothing to act on. Caller
+// holds the mutex.
+func (e *execution) retire() {
+	e.runGen++
+	e.chunkFree = e.chunkFree[:0]
+	for i := range e.chunkSlots {
+		c := &e.chunkSlots[i]
+		c.used = false
+		c.epoch++
+		e.chunkFree = append(e.chunkFree, int32(i))
+	}
+}
+
+// release drops a pooled workspace's references to the finished run's
+// objects — backend, algorithm, application, platform, sinks, config —
+// keeping only its buffers, and reports whether the workspace may go
+// back to the pool. One that ended with a stage deadline still armed may
+// not: a wall-clock timer can fire after the run, and its id could match
+// a deadline the next run arms on another backend.
+func (e *execution) release() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	reusable := true
+	for i := range e.chunkSlots {
+		if e.chunkSlots[i].deadlineArmed {
+			reusable = false
+			break
+		}
+	}
+	e.backend, e.alg, e.app, e.platform = nil, nil, nil, nil
+	e.cfg = Config{}
+	e.sink, e.sinkPtr, e.met, e.switchObs = nil, nil, nil, nil
+	e.scratch = obs.Event{}
+	e.opBackend, e.timer, e.peerBackend = nil, nil, nil
+	e.lossAware, e.redistAware = nil, nil
+	e.ests, e.dests, e.err = nil, nil, nil
+	return reusable
 }
 
 func platformName(p *model.Platform) string {
@@ -398,14 +457,17 @@ type execution struct {
 	// Indexed dispatch: the three stage-completion handlers below (method
 	// values, built once per workspace) serve every operation of every
 	// chunk kind; an OpBackend receives them directly, any other backend
-	// through a closure per operation (see dispatchTransfer).
+	// through a pooled completion cell per operation in flight (see
+	// opCell). cellFree holds the cells not in flight.
 	opBackend      OpBackend
 	transferDoneFn func(op uint64, start, end float64, err error)
 	computeDoneFn  func(op uint64, start, end float64, err error)
 	returnDoneFn   func(op uint64, start, end float64, err error)
+	cellFree       []*opCell
 	// runGen fences the cancellation callback, the one callback that
-	// holds no chunk epoch: it increments every beginRun, and a
-	// cancellation that outlives its run no-ops on mismatch.
+	// holds no chunk epoch: it moves on as a run begins and as it ends
+	// (see retire), and a cancellation that outlives its run no-ops on
+	// mismatch.
 	runGen uint64
 	// estBuf/destBuf back the per-run estimate slices when the workspace
 	// is arena-reused.
@@ -448,7 +510,10 @@ type execution struct {
 // reallocated.
 func (e *execution) beginRun(req Request) {
 	b, alg, app, cfg := req.Backend, req.Algorithm, req.App, req.Config
-	e.runGen++
+	// Recycle the chunk arena: every slot returns to the free list with
+	// its epoch bumped, so op tokens from a previous run can never match
+	// a chunk of this one.
+	e.retire()
 	e.backend = b
 	e.alg = alg
 	e.app = app
@@ -482,16 +547,6 @@ func (e *execution) beginRun(req Request) {
 	e.dead = resize(e.dead, n)
 	e.consecFail = resize(e.consecFail, n)
 	e.alive = n
-	// Recycle the chunk arena: every slot returns to the free list with
-	// its epoch bumped, so op tokens from a previous run can never match
-	// a chunk of this one.
-	e.chunkFree = e.chunkFree[:0]
-	for i := range e.chunkSlots {
-		c := &e.chunkSlots[i]
-		c.used = false
-		c.epoch++
-		e.chunkFree = append(e.chunkFree, int32(i))
-	}
 	e.retryQ = e.retryQ[:0]
 	e.retryOn = false
 	e.retry = RetryPolicy{}

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"apstdv/internal/grid"
 	"apstdv/internal/model"
 	"apstdv/internal/trace"
+	"apstdv/internal/units"
 )
 
 func simplePlatform(n int) *model.Platform {
@@ -297,5 +299,39 @@ func TestEngineRejectsInvalidApp(t *testing.T) {
 	backend, _ := grid.New(platform, simpleApp(), grid.Config{Seed: 1})
 	if _, err := runEngine(backend, dls.NewUMR(), app, platform, engine.Config{}); err == nil {
 		t.Error("invalid app accepted")
+	}
+}
+
+// TestArenaLessRunsOwnTheirTraces: an Execute without an arena borrows
+// a pooled workspace, and the trace it returns must be the caller's own.
+// A second run, which may borrow the same workspace, must leave the
+// first trace untouched, and the trace must be sized to its records.
+func TestArenaLessRunsOwnTheirTraces(t *testing.T) {
+	run := func(alg dls.Algorithm, load units.Load) *trace.Trace {
+		t.Helper()
+		platform := simplePlatform(3)
+		app := simpleApp()
+		app.TotalLoad = load
+		b, err := grid.New(platform, app, grid.Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := runEngine(b, alg, app, platform, engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	first := run(dls.NewUMR(), 1000)
+	want := slices.Clone(first.Records())
+	if got := first.Records(); cap(got) != len(got) {
+		t.Errorf("first trace has cap %d for %d records", cap(got), len(got))
+	}
+	second := run(dls.NewSimple(7), 600)
+	if !slices.Equal(first.Records(), want) {
+		t.Fatal("a second arena-less run changed the first run's trace")
+	}
+	if got := second.Records(); cap(got) != len(got) || len(got) == len(want) {
+		t.Errorf("second trace has cap %d for %d records (first had %d)", cap(got), len(got), len(want))
 	}
 }

@@ -130,21 +130,18 @@ func (e *execution) chunkFromOp(op uint64) *chunk {
 
 // dispatchTransfer, dispatchExecute and dispatchReturn issue one stage
 // operation of a chunk of any kind: on an OpBackend through the indexed
-// form — the op token plus a shared method-value handler, no
-// per-operation closure — otherwise through the classic closure form
-// wrapping the same handler. They are the engine's only calls into the
-// backend's transfer, compute and return operations. Caller holds the
-// mutex.
+// form — the op token plus a shared method-value handler — otherwise
+// through the closure form with a pooled completion cell (see opCell).
+// Neither builds anything per operation. They are the engine's only
+// calls into the backend's transfer, compute and return operations.
+// Caller holds the mutex.
 func (e *execution) dispatchTransfer(c *chunk) {
 	op := opToken(c)
 	if e.opBackend != nil {
 		e.opBackend.TransferOp(c.worker, c.bytes, op, e.transferDoneFn)
 		return
 	}
-	done := e.transferDoneFn
-	e.backend.Transfer(c.worker, c.bytes, func(start, end float64, err error) {
-		done(op, start, end, err)
-	})
+	e.backend.Transfer(c.worker, c.bytes, e.cell(op, e.transferDoneFn))
 }
 
 func (e *execution) dispatchExecute(c *chunk) {
@@ -153,10 +150,7 @@ func (e *execution) dispatchExecute(c *chunk) {
 		e.opBackend.ExecuteOp(c.worker, c.size, probe, op, e.computeDoneFn)
 		return
 	}
-	done := e.computeDoneFn
-	e.backend.Execute(c.worker, c.size, probe, func(start, end float64, err error) {
-		done(op, start, end, err)
-	})
+	e.backend.Execute(c.worker, c.size, probe, e.cell(op, e.computeDoneFn))
 }
 
 func (e *execution) dispatchReturn(c *chunk, outBytes float64) {
@@ -165,10 +159,48 @@ func (e *execution) dispatchReturn(c *chunk, outBytes float64) {
 		e.opBackend.ReturnOutputOp(c.worker, outBytes, op, e.returnDoneFn)
 		return
 	}
-	done := e.returnDoneFn
-	e.backend.ReturnOutput(c.worker, outBytes, func(start, end float64, err error) {
-		done(op, start, end, err)
-	})
+	e.backend.ReturnOutput(c.worker, outBytes, e.cell(op, e.returnDoneFn))
+}
+
+// opCell carries one closure-form operation's op token and stage
+// handler from dispatch to completion. fn, the cell's fire method value, is the done
+// callback the backend receives; it is built once per cell, and cells
+// are recycled through the workspace's free list, so a closure-form
+// operation allocates nothing once the list has grown. A cell goes back
+// only when it fires, so a late callback of an abandoned attempt still
+// holds its own cell — it cannot alias a live operation — and the op
+// token's epoch drops it.
+type opCell struct {
+	e    *execution
+	op   uint64
+	done func(op uint64, start, end float64, err error)
+	fn   func(start, end float64, err error)
+}
+
+// cell takes a completion cell from the free list, or makes one, and
+// loads it with op and the stage handler done. Caller holds the mutex.
+func (e *execution) cell(op uint64, done func(op uint64, start, end float64, err error)) func(start, end float64, err error) {
+	var oc *opCell
+	if n := len(e.cellFree); n > 0 {
+		oc = e.cellFree[n-1]
+		e.cellFree = e.cellFree[:n-1]
+	} else {
+		oc = &opCell{e: e}
+		oc.fn = oc.fire
+	}
+	oc.op, oc.done = op, done
+	return oc.fn
+}
+
+// fire is the done callback of a closure-form operation: it returns the
+// cell to the free list and hands the completion to its stage handler.
+func (oc *opCell) fire(start, end float64, err error) {
+	e := oc.e
+	e.mu.Lock()
+	op, done := oc.op, oc.done
+	e.cellFree = append(e.cellFree, oc)
+	e.mu.Unlock()
+	done(op, start, end, err)
 }
 
 // beginAttempt opens a chunk attempt in the transfer stage: a new epoch

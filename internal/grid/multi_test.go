@@ -339,11 +339,13 @@ func goldenWorldHash(t *testing.T, policy string, jobs int, outBytes units.Bytes
 // multiWorldAllocBudget bounds the allocations of one whole shared
 // world: three fair-shared RUMR jobs on DAS-2×8, built, executed and
 // drained. Issuing an operation allocates nothing once the world's op
-// table has grown; what is left is the engine's per-operation bridge
-// closure (JobView is not an engine.OpBackend), the executions
-// themselves and the world's construction. The closure-dispatch world
-// took about 1 550.
-const multiWorldAllocBudget = 600
+// table and the engine's completion cells have grown (JobView is not an
+// engine.OpBackend, so the engine reaches it through pooled cells), and
+// the arena-less executions borrow pooled workspaces; what is left is
+// the world's construction, the algorithms and each job's trace copy.
+// The closure-dispatch world took about 1 550, the op-table world with
+// a bridge closure per operation about 550; this one takes about 210.
+const multiWorldAllocBudget = 250
 
 // TestMultiWorldAllocationRegression pins the closure-free dispatch of
 // the shared world: a per-operation closure or a per-station pointer

@@ -66,7 +66,7 @@ func FuzzHeapInvariant(f *testing.F) {
 		do = func(op, arg byte) {
 			switch op % 6 {
 			case 0: // schedule; small delays force timestamp collisions
-				h := e.After(units.Seconds(arg%8), fn)
+				h := after(e, units.Seconds(arg%8), fn)
 				live = append(live, h)
 				handed[h] = true
 			case 1: // cancel a handle (possibly stale — must stay a no-op)

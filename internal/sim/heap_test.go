@@ -137,7 +137,7 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 			at := e.Now() + units.Seconds(src.Intn(16)) // deliberate collisions
 			id := nextID
 			nextID++
-			h := e.At(at, func() { onFire(id) })
+			h := e.AtArg(at, fire, uint64(id))
 			live = append(live, livePair{h, ref.schedule(at, id)})
 		}
 		// mutate applies one non-step operation: k < 5 schedules, then
@@ -234,14 +234,14 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 func TestStepInsideCallback(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(1, func() {
+	at(e, 1, func() {
 		order = append(order, 1)
 		e.Step()
 		e.checkInvariant()
-		e.After(0, func() { order = append(order, 4) })
+		after(e, 0, func() { order = append(order, 4) })
 		e.checkInvariant()
 	})
-	e.At(2, func() { order = append(order, 2); e.After(1, func() { order = append(order, 3) }) })
+	at(e, 2, func() { order = append(order, 2); after(e, 1, func() { order = append(order, 3) }) })
 	e.Run()
 	e.checkInvariant()
 	if want := []int{1, 2, 4, 3}; !slices.Equal(order, want) {
@@ -256,11 +256,11 @@ func TestStepInsideCallback(t *testing.T) {
 // occupant: generations fence stale handles.
 func TestStaleHandleCancelAfterSlotReuse(t *testing.T) {
 	e := New()
-	h1 := e.At(1, func() {})
+	h1 := at(e, 1, func() {})
 	h1.Cancel() // slot released to the free list
 	fired := false
-	h2 := e.At(2, func() { fired = true }) // reuses the slot
-	h1.Cancel()                            // stale generation: must be a no-op
+	h2 := at(e, 2, func() { fired = true }) // reuses the slot
+	h1.Cancel()                             // stale generation: must be a no-op
 	e.Run()
 	if !fired {
 		t.Fatal("stale Cancel disarmed the slot's new occupant")
@@ -270,11 +270,11 @@ func TestStaleHandleCancelAfterSlotReuse(t *testing.T) {
 
 func TestHandleOfFiredEventGoesStale(t *testing.T) {
 	e := New()
-	h1 := e.At(1, func() {})
+	h1 := at(e, 1, func() {})
 	e.Run() // fires; slot released
 	fired := false
-	e.At(2, func() { fired = true }) // reuses the slot
-	h1.Cancel()                      // handle to the fired event: no-op
+	at(e, 2, func() { fired = true }) // reuses the slot
+	h1.Cancel()                       // handle to the fired event: no-op
 	e.Run()
 	if !fired {
 		t.Fatal("Cancel of a fired handle disarmed the slot's new occupant")
@@ -293,40 +293,39 @@ func TestZeroHandleCancel(t *testing.T) {
 // deadline arming free in the simulator.
 func TestAtCancelSteadyStateAllocFree(t *testing.T) {
 	e := New()
-	fn := func() {}
+	fn := func(uint64) {}
 	// Warm up: grow the arena, order, and free list to working size.
 	var hs []Handle
 	for i := 0; i < 64; i++ {
-		hs = append(hs, e.After(1, fn))
+		hs = append(hs, e.AfterArg(1, fn, 0))
 	}
 	for _, h := range hs {
 		h.Cancel()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		h1 := e.After(1, fn)
-		h2 := e.After(2, fn)
+		h1 := e.AfterArg(1, fn, 0)
+		h2 := e.AfterArg(2, fn, 0)
 		h2.Cancel()
 		h1.Cancel()
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state At/Cancel allocated %.1f objects per round, want 0", allocs)
+		t.Errorf("steady-state AtArg/Cancel allocated %.1f objects per round, want 0", allocs)
 	}
 }
 
-// The schedule/fire steady state must not allocate either (the closure
+// The schedule/fire steady state must not allocate either (the callback
 // is the caller's business; here it is hoisted and reused).
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	e := New()
-	var fn func()
-	fn = func() {}
-	e.At(0, fn)
+	fn := func(uint64) {}
+	e.AtArg(0, fn, 0)
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.After(1, fn)
+		e.AfterArg(1, fn, 0)
 		e.Step()
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state After/Step allocated %.1f objects per round, want 0", allocs)
+		t.Errorf("steady-state AfterArg/Step allocated %.1f objects per round, want 0", allocs)
 	}
 }
 
@@ -341,7 +340,7 @@ func TestPendingIsObservablyO1(t *testing.T) {
 		e := New()
 		fn := func() {}
 		for i := 0; i < n; i++ {
-			e.After(units.Seconds(i), fn)
+			after(e, units.Seconds(i), fn)
 		}
 		const reps = 200000
 		start := time.Now()

@@ -8,14 +8,14 @@ import "apstdv/internal/units"
 // transfer), so the simulator only needs per-worker queues.
 //
 // Service completion fires through one method value built at
-// construction (engine AtArg dispatch), and EnqueueArg offers a
-// closure-free request form, so a queue on a hot path can serve without
-// touching the heap at all.
+// construction (engine AtArg dispatch), and requests name long-lived
+// callbacks plus an argument (EnqueueArg), so a queue on a hot path
+// serves without allocating.
 type FCFSQueue struct {
 	eng  *Engine
 	busy bool
 	// pending[head:] are the waiting requests. Popping advances head and
-	// zeroes the slot (so served requests' closures become collectable)
+	// zeroes the slot (so served requests' callbacks become collectable)
 	// instead of re-slicing, which would keep every served request
 	// reachable through the backing array for the queue's lifetime.
 	pending []request
@@ -28,15 +28,11 @@ type FCFSQueue struct {
 	fireFn           func(uint64)
 }
 
-// request is one queued service demand, in exactly one of two forms:
-// closures (durFn/done) or long-lived callbacks dispatched with arg
-// (durArgFn/doneArgFn, see EnqueueArg).
+// request is one queued service demand: long-lived callbacks
+// dispatched with arg (see EnqueueArg).
 type request struct {
-	// durFn is evaluated when service begins, not at enqueue time, so
+	// durArgFn is evaluated when service begins, not at enqueue time, so
 	// time-varying effects (background load) see the correct clock.
-	durFn func(start units.Seconds) units.Seconds
-	done  func(start, end units.Seconds)
-
 	durArgFn  func(arg uint64, start units.Seconds) units.Seconds
 	doneArgFn func(arg uint64, start, end units.Seconds)
 	arg       uint64
@@ -49,19 +45,11 @@ func NewFCFSQueue(eng *Engine) *FCFSQueue {
 	return q
 }
 
-// Enqueue requests service for a duration that may depend on the service
-// start time. done(start, end) fires when service completes.
-func (q *FCFSQueue) Enqueue(durFn func(start units.Seconds) units.Seconds, done func(start, end units.Seconds)) {
-	q.pending = append(q.pending, request{durFn: durFn, done: done})
-	if !q.busy {
-		q.startNext()
-	}
-}
-
-// EnqueueArg is Enqueue's closure-free form: durFn and done are
-// long-lived callbacks that receive arg back, so enqueuing many
-// requests through one pair of callbacks allocates nothing beyond the
-// queue's own amortized growth.
+// EnqueueArg requests service for a duration durFn(arg, start) that may
+// depend on the service start time; done(arg, start, end) fires when
+// service completes. Both are long-lived callbacks that receive arg
+// back, so enqueuing many requests through one pair of them allocates
+// nothing beyond the queue's own amortized growth.
 func (q *FCFSQueue) EnqueueArg(arg uint64, durFn func(arg uint64, start units.Seconds) units.Seconds, done func(arg uint64, start, end units.Seconds)) {
 	q.pending = append(q.pending, request{durArgFn: durFn, doneArgFn: done, arg: arg})
 	if !q.busy {
@@ -96,12 +84,7 @@ func (q *FCFSQueue) startNext() {
 	q.head++
 	q.busy = true
 	start := q.eng.Now()
-	var d units.Seconds
-	if req.durFn != nil {
-		d = req.durFn(start)
-	} else {
-		d = req.durArgFn(req.arg, start)
-	}
+	d := req.durArgFn(req.arg, start)
 	if d < 0 {
 		d = 0
 	}
@@ -118,11 +101,7 @@ func (q *FCFSQueue) fire(uint64) {
 	start, end := q.curStart, q.curEnd
 	q.cur = request{}
 	q.served++
-	if req.done != nil {
-		req.done(start, end)
-	} else {
-		req.doneArgFn(req.arg, start, end)
-	}
+	req.doneArgFn(req.arg, start, end)
 	q.startNext()
 }
 

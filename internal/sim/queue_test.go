@@ -17,11 +17,11 @@ func TestFCFSQueuePopReleasesServedRequests(t *testing.T) {
 	const n = 8
 	done := 0
 	for i := 0; i < n; i++ {
-		q.Enqueue(func(units.Seconds) units.Seconds { return 1 }, func(start, end units.Seconds) {
+		enqueue(q, func(units.Seconds) units.Seconds { return 1 }, func(start, end units.Seconds) {
 			done++
 			// The in-service slot must already be zeroed.
 			for j := 0; j < q.head; j++ {
-				if q.pending[j].durFn != nil || q.pending[j].done != nil {
+				if q.pending[j].durArgFn != nil || q.pending[j].doneArgFn != nil {
 					t.Errorf("served slot %d still holds closures", j)
 				}
 			}
@@ -49,7 +49,7 @@ func TestFCFSQueueLengthWithHeadIndex(t *testing.T) {
 	q := NewFCFSQueue(e)
 	lengths := []int{}
 	for i := 0; i < 3; i++ {
-		q.Enqueue(func(units.Seconds) units.Seconds { return 1 }, func(start, end units.Seconds) {
+		enqueue(q, func(units.Seconds) units.Seconds { return 1 }, func(start, end units.Seconds) {
 			lengths = append(lengths, q.QueueLength())
 		})
 	}

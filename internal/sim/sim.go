@@ -9,7 +9,7 @@
 //
 // Performance: the schedule is an index-based 4-ary min-heap over a flat
 // event arena with a free list. Heap entries carry their (at, seq) key
-// inline, so sifting compares entries without touching the arena. At
+// inline, so sifting compares entries without touching the arena. AtArg
 // reuses arena slots instead of allocating, handles are {slot,
 // generation} pairs so Cancel removes the event eagerly (no tombstones
 // to skip at pop time), and the steady state performs no per-call heap
@@ -46,10 +46,8 @@ import (
 // list; gen distinguishes incarnations, so a Handle from a previous
 // occupant of the slot can never cancel its successor.
 type event struct {
-	fn func()
-	// fnArg/arg is the closure-free form used by sim-internal subsystems
-	// (the timer wheel): one long-lived callback shared by many events,
-	// told which one fired. Exactly one of fn and fnArg is set.
+	// fnArg(arg) is the callback: one long-lived function shared by many
+	// events, told which one fired. nil marks a parked event (see park).
 	fnArg func(uint64)
 	arg   uint64
 	gen   uint32
@@ -104,19 +102,11 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Seconds { return e.now }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past
-// panics: it always indicates a modelling bug, and silently clamping
-// would corrupt causality.
-func (e *Engine) At(t units.Seconds, fn func()) Handle {
-	h := e.schedule(t)
-	e.arena[h.slot].fn = fn
-	return h
-}
-
-// AtArg schedules fnArg(arg) at time t: the closure-free form, for
-// callers that schedule many events through one long-lived callback
-// dispatched by argument (the timer wheel, the grid backend's op
-// table). It is At without the per-event closure allocation.
+// AtArg schedules fnArg(arg) at absolute virtual time t. Callers
+// schedule many events through one long-lived callback dispatched by
+// argument (the timer wheel, the grid backend's op table), so an event
+// costs no closure. Scheduling in the past panics: it always indicates
+// a modelling bug, and silently clamping would corrupt causality.
 func (e *Engine) AtArg(t units.Seconds, fnArg func(uint64), arg uint64) Handle {
 	h := e.schedule(t)
 	ev := &e.arena[h.slot]
@@ -143,7 +133,7 @@ func (e *Engine) MoveArg(h Handle, t units.Seconds, fnArg func(uint64), arg uint
 	}
 	e.checkTime(t)
 	ev := &e.arena[h.slot]
-	ev.fn, ev.fnArg, ev.arg = nil, fnArg, arg
+	ev.fnArg, ev.arg = fnArg, arg
 	i := int(ev.pos)
 	e.order[i].at, e.order[i].seq = t, e.seq
 	e.seq++
@@ -161,7 +151,7 @@ func (e *Engine) park(h Handle) bool {
 		return false
 	}
 	ev := &e.arena[h.slot]
-	ev.fn, ev.fnArg, ev.arg = nil, nil, 0
+	ev.fnArg, ev.arg = nil, 0
 	return true
 }
 
@@ -171,7 +161,7 @@ func (e *Engine) skipParked() {
 	e.closeHole()
 	for len(e.order) > 0 {
 		slot := e.order[0].slot
-		if ev := &e.arena[slot]; ev.fn != nil || ev.fnArg != nil {
+		if e.arena[slot].fnArg != nil {
 			return
 		}
 		e.removeAt(0)
@@ -224,11 +214,6 @@ func (e *Engine) schedule(t units.Seconds) Handle {
 	return Handle{e, slot, e.arena[slot].gen}
 }
 
-// After schedules fn d seconds from now. Negative d panics.
-func (e *Engine) After(d units.Seconds, fn func()) Handle {
-	return e.At(e.now+d, fn)
-}
-
 // Pending returns the number of live scheduled events, parked ones
 // included. Cancellation is eager, so this is the heap length less an
 // unfilled hole — O(1), never a scan.
@@ -253,7 +238,7 @@ func (e *Engine) Reset() {
 	e.free = e.free[:0]
 	for i := range e.arena {
 		ev := &e.arena[i]
-		ev.fn, ev.fnArg, ev.arg = nil, nil, 0
+		ev.fnArg, ev.arg = nil, 0
 		ev.pos = -1
 		ev.gen++
 		e.free = append(e.free, int32(i))
@@ -272,17 +257,13 @@ func (e *Engine) Step() bool {
 	}
 	at, slot := e.order[0].at, e.order[0].slot
 	ev := &e.arena[slot]
-	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
+	fnArg, arg := ev.fnArg, ev.arg
 	// Release before firing so the callback may reuse the slot (and a
 	// stale cancel of this handle is already a no-op).
 	e.release(slot)
 	e.hole = true
 	e.now = at
-	if fn != nil {
-		fn()
-	} else {
-		fnArg(arg)
-	}
+	fnArg(arg)
 	e.closeHole()
 	return true
 }
@@ -320,8 +301,7 @@ func (e *Engine) RunUntil(t units.Seconds) {
 // so outstanding handles to the old occupant go stale.
 func (e *Engine) release(slot int32) {
 	ev := &e.arena[slot]
-	ev.fn = nil // let the closure be collected while the slot waits
-	ev.fnArg = nil
+	ev.fnArg = nil // let the callback be collected while the slot waits
 	ev.arg = 0
 	ev.pos = -1
 	ev.gen++

@@ -10,9 +10,9 @@ import (
 func TestEventOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(3, func() { order = append(order, 3) })
-	e.At(1, func() { order = append(order, 1) })
-	e.At(2, func() { order = append(order, 2) })
+	at(e, 3, func() { order = append(order, 3) })
+	at(e, 1, func() { order = append(order, 1) })
+	at(e, 2, func() { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("events fired in order %v", order)
@@ -27,7 +27,7 @@ func TestTiesFireInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		at(e, 5, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -39,25 +39,25 @@ func TestTiesFireInScheduleOrder(t *testing.T) {
 
 func TestAfterRelative(t *testing.T) {
 	e := New()
-	var at units.Seconds
-	e.At(10, func() {
-		e.After(5, func() { at = e.Now() })
+	var fired units.Seconds
+	at(e, 10, func() {
+		after(e, 5, func() { fired = e.Now() })
 	})
 	e.Run()
-	if at != 15 {
-		t.Errorf("After(5) from t=10 fired at %v, want 15", at)
+	if fired != 15 {
+		t.Errorf("AfterArg(5) from t=10 fired at %v, want 15", fired)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	e.At(10, func() {
+	at(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		at(e, 5, func() {})
 	})
 	e.Run()
 }
@@ -69,13 +69,13 @@ func TestNonFiniteTimePanics(t *testing.T) {
 			t.Error("NaN time did not panic")
 		}
 	}()
-	e.At(units.Seconds(math.NaN()), func() {})
+	at(e, units.Seconds(math.NaN()), func() {})
 }
 
 func TestCancel(t *testing.T) {
 	e := New()
 	fired := false
-	h := e.At(1, func() { fired = true })
+	h := at(e, 1, func() { fired = true })
 	h.Cancel()
 	e.Run()
 	if fired {
@@ -88,8 +88,8 @@ func TestCancel(t *testing.T) {
 func TestCancelOneOfMany(t *testing.T) {
 	e := New()
 	var got []int
-	h1 := e.At(1, func() { got = append(got, 1) })
-	e.At(2, func() { got = append(got, 2) })
+	h1 := at(e, 1, func() { got = append(got, 1) })
+	at(e, 2, func() { got = append(got, 2) })
 	h1.Cancel()
 	e.Run()
 	if len(got) != 1 || got[0] != 2 {
@@ -102,7 +102,7 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	if e.Step() {
 		t.Error("Step on empty engine returned true")
 	}
-	e.At(1, func() {})
+	at(e, 1, func() {})
 	if !e.Step() {
 		t.Error("Step with pending event returned false")
 	}
@@ -116,7 +116,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []units.Seconds
 	for _, ts := range []units.Seconds{1, 2, 3, 4} {
 		ts := ts
-		e.At(ts, func() { fired = append(fired, ts) })
+		at(e, ts, func() { fired = append(fired, ts) })
 	}
 	e.RunUntil(2.5)
 	if len(fired) != 2 {
@@ -133,8 +133,8 @@ func TestRunUntil(t *testing.T) {
 
 func TestPending(t *testing.T) {
 	e := New()
-	h := e.At(1, func() {})
-	e.At(2, func() {})
+	h := at(e, 1, func() {})
+	at(e, 2, func() {})
 	if e.Pending() != 2 {
 		t.Errorf("Pending = %d, want 2", e.Pending())
 	}
@@ -153,10 +153,10 @@ func TestCascadingEvents(t *testing.T) {
 	step = func() {
 		count++
 		if count < 100 {
-			e.After(1, step)
+			after(e, 1, step)
 		}
 	}
-	e.At(0, step)
+	at(e, 0, step)
 	e.Run()
 	if count != 100 {
 		t.Errorf("cascade ran %d steps, want 100", count)
@@ -172,7 +172,7 @@ func TestFCFSQueueSerializesInOrder(t *testing.T) {
 	type span struct{ s, e units.Seconds }
 	var spans []span
 	for i := 0; i < 3; i++ {
-		q.Enqueue(
+		enqueue(q,
 			func(units.Seconds) units.Seconds { return 10 },
 			func(s, end units.Seconds) { spans = append(spans, span{s, end}) },
 		)
@@ -202,8 +202,8 @@ func TestFCFSQueueDurationSeesServiceStart(t *testing.T) {
 		starts = append(starts, start)
 		return 5
 	}
-	q.Enqueue(dur, func(_, _ units.Seconds) {})
-	q.Enqueue(dur, func(_, _ units.Seconds) {})
+	enqueue(q, dur, func(_, _ units.Seconds) {})
+	enqueue(q, dur, func(_, _ units.Seconds) {})
 	e.Run()
 	if len(starts) != 2 || starts[0] != 0 || starts[1] != 5 {
 		t.Errorf("durFn saw starts %v, want [0 5]", starts)
@@ -214,9 +214,9 @@ func TestFCFSQueueLateArrival(t *testing.T) {
 	e := New()
 	q := NewFCFSQueue(e)
 	var start2 units.Seconds
-	q.Enqueue(func(units.Seconds) units.Seconds { return 3 }, func(_, _ units.Seconds) {})
-	e.At(10, func() {
-		q.Enqueue(func(units.Seconds) units.Seconds { return 1 }, func(s, _ units.Seconds) { start2 = s })
+	enqueue(q, func(units.Seconds) units.Seconds { return 3 }, func(_, _ units.Seconds) {})
+	at(e, 10, func() {
+		enqueue(q, func(units.Seconds) units.Seconds { return 1 }, func(s, _ units.Seconds) { start2 = s })
 	})
 	e.Run()
 	if start2 != 10 {
@@ -230,7 +230,7 @@ func TestFCFSQueueBusy(t *testing.T) {
 	if q.Busy() {
 		t.Error("fresh queue reports busy")
 	}
-	q.Enqueue(func(units.Seconds) units.Seconds { return 1 }, func(_, _ units.Seconds) {})
+	enqueue(q, func(units.Seconds) units.Seconds { return 1 }, func(_, _ units.Seconds) {})
 	if !q.Busy() {
 		t.Error("queue with pending work reports idle")
 	}
@@ -244,7 +244,7 @@ func TestFCFSQueueNegativeDurationClamped(t *testing.T) {
 	e := New()
 	q := NewFCFSQueue(e)
 	var served bool
-	q.Enqueue(func(units.Seconds) units.Seconds { return -5 }, func(s, end units.Seconds) {
+	enqueue(q, func(units.Seconds) units.Seconds { return -5 }, func(s, end units.Seconds) {
 		served = true
 		if end < s {
 			t.Errorf("service ended before it started: [%v, %v]", s, end)
@@ -260,7 +260,7 @@ func TestFCFSQueueLength(t *testing.T) {
 	e := New()
 	q := NewFCFSQueue(e)
 	for i := 0; i < 3; i++ {
-		q.Enqueue(func(units.Seconds) units.Seconds { return 1 }, func(_, _ units.Seconds) {})
+		enqueue(q, func(units.Seconds) units.Seconds { return 1 }, func(_, _ units.Seconds) {})
 	}
 	if q.QueueLength() != 2 {
 		t.Errorf("QueueLength = %d, want 2 (one in service)", q.QueueLength())

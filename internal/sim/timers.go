@@ -116,7 +116,7 @@ func NewTimers(eng *Engine, granularity units.Seconds) *Timers {
 // After arms fn to fire d seconds from now (exact, not rounded to a
 // bucket edge) and returns an id for Cancel. fn receives the same id,
 // so one long-lived callback can serve many timers and fence stale
-// firings by comparison. Negative d panics, like Engine.After.
+// firings by comparison. Negative d panics, like Engine.AfterArg.
 func (w *Timers) After(d units.Seconds, fn func(TimerID)) TimerID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: arming timer %v in the past", d))

@@ -167,7 +167,7 @@ func TestTimersMatchPlainEngine(t *testing.T) {
 					tid := w.After(d, func(TimerID) { got = append(got, rec{e.Now(), id}) })
 					live = append(live, armed{tid: tid})
 				} else {
-					h := e.After(d, func() { got = append(got, rec{e.Now(), id}) })
+					h := after(e, d, func() { got = append(got, rec{e.Now(), id}) })
 					live = append(live, armed{h: h})
 				}
 			case k < 6:
