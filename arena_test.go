@@ -16,6 +16,7 @@ import (
 	"apstdv/internal/grid"
 	"apstdv/internal/obs"
 	"apstdv/internal/parallel"
+	"apstdv/internal/raceflag"
 	"apstdv/internal/trace"
 	"apstdv/internal/workload"
 )
@@ -126,7 +127,7 @@ func warmAllocs(t *testing.T, repeats int, alg string, seed func(int) uint64, se
 // the absolute bound, and that periodic recalibration adds nothing to
 // it: its measurements are arena chunks like the probing round's.
 func TestResetRunAllocationRegression(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
 	}
 	warm := warmAllocs(t, 10, "umr", seed42, canonicalRun(engine.Config{}))
@@ -142,7 +143,7 @@ func TestResetRunAllocationRegression(t *testing.T) {
 // TestSpecRunAllocationRegression asserts that a warm pass over the
 // paper's experiments stays under paperRunAllocs per run.
 func TestSpecRunAllocationRegression(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
 	}
 	specs := experiment.All()
@@ -182,7 +183,7 @@ func TestTreeFaultRunAllocationRegression(t *testing.T) {
 	if !lost || !moved {
 		t.Fatalf("tree run: worker lost %v, chunk redistributed %v; want both", lost, moved)
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
 	}
 	if warm := warmAllocs(t, 10, "umr", seed42, tree); warm > warmTreeRunAllocs {
@@ -212,7 +213,7 @@ func TestArenaReuseMatchesFreshRun(t *testing.T) {
 // threshold; any allocation reintroduced on the emit path fails here
 // deterministically, not probabilistically.
 func TestObsEmitPathAllocFree(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
 	}
 	// Warm means the ring is at capacity: it takes its pages from the
@@ -247,7 +248,7 @@ func TestForEachSlotReusesScratch(t *testing.T) {
 	seeds := func(run int) uint64 { return uint64(run) }
 	cold := testing.AllocsPerRun(5, func() { canonicalRuns(t, 1, 1, "umr", seeds, engine.Config{}) })
 	allocs := testing.AllocsPerRun(5, func() { canonicalRuns(t, runs, width, "umr", seeds, engine.Config{}) })
-	if raceEnabled {
+	if raceflag.Enabled {
 		return // the pool ran under the detector; counts only hold in normal builds
 	}
 	// Budget: one cold run per slot, the warm bound for every run, plus

@@ -52,7 +52,7 @@ func (o *OneRound) Plan(p Plan) error {
 	for len(order) > 0 {
 		alphas, ok := solveOneRound(p, order)
 		if ok {
-			var seq []Decision
+			seq := make([]Decision, 0, len(order))
 			for i, w := range order {
 				seq = append(seq, Decision{Worker: w, Size: alphas[i]})
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"apstdv/internal/model"
+	"apstdv/internal/raceflag"
 	"apstdv/internal/rng"
 )
 
@@ -172,7 +173,7 @@ func checkUMRSearchMatchesReference(t *testing.T, ref *refScratch, sc *umrScratc
 // wider landscape is FuzzUMRSearchMatchesReference's.
 func TestUMRSearchMatchesReference(t *testing.T) {
 	cases := 10000
-	if testing.Short() || raceEnabled {
+	if testing.Short() || raceflag.Enabled {
 		cases = 5000
 	}
 	// One goroutine on purpose: go test runs packages side by side, and
@@ -285,7 +286,7 @@ func TestUMRPlansConserveAtExtremeMagnitudes(t *testing.T) {
 	}
 
 	cases := 100000
-	if testing.Short() || raceEnabled {
+	if testing.Short() || raceflag.Enabled {
 		cases = 5000
 	}
 	r := rand.New(rand.NewSource(2))
@@ -598,7 +599,7 @@ func TestUMRPredictionIsNotUnimodal(t *testing.T) {
 // winner.
 func TestUMRLowerBoundHolds(t *testing.T) {
 	cases := 10000
-	if testing.Short() || raceEnabled {
+	if testing.Short() || raceflag.Enabled {
 		cases = 2000
 	}
 	src := rng.New(1000)

@@ -16,7 +16,7 @@ import (
 //	Planned → Transferring → Computing → Returning → Done
 //	                 \______________\________\→ Failed (→ re-dispatch)
 //
-// Transitions happen under the engine mutex; backend callbacks and
+// Transitions happen one callback at a time (see Backend); callbacks and
 // deadline timers from an abandoned attempt are fenced off by the
 // chunk's epoch (see chunk.epoch), so a stale completion can never
 // advance a state it no longer owns.
@@ -115,7 +115,7 @@ func opToken(c *chunk) uint64 {
 }
 
 // chunkFromOp resolves an op token back to its chunk, or nil when the
-// token is stale. Caller holds the mutex.
+// token is stale.
 func (e *execution) chunkFromOp(op uint64) *chunk {
 	slot := int(op >> 32)
 	if slot >= len(e.chunkSlots) {
@@ -134,7 +134,6 @@ func (e *execution) chunkFromOp(op uint64) *chunk {
 // through the closure form with a pooled completion cell (see opCell).
 // Neither builds anything per operation. They are the engine's only
 // calls into the backend's transfer, compute and return operations.
-// Caller holds the mutex.
 func (e *execution) dispatchTransfer(c *chunk) {
 	op := opToken(c)
 	if e.opBackend != nil {
@@ -178,7 +177,7 @@ type opCell struct {
 }
 
 // cell takes a completion cell from the free list, or makes one, and
-// loads it with op and the stage handler done. Caller holds the mutex.
+// loads it with op and the stage handler done.
 func (e *execution) cell(op uint64, done func(op uint64, start, end float64, err error)) func(start, end float64, err error) {
 	var oc *opCell
 	if n := len(e.cellFree); n > 0 {
@@ -196,10 +195,8 @@ func (e *execution) cell(op uint64, done func(op uint64, start, end float64, err
 // cell to the free list and hands the completion to its stage handler.
 func (oc *opCell) fire(start, end float64, err error) {
 	e := oc.e
-	e.mu.Lock()
 	op, done := oc.op, oc.done
 	e.cellFree = append(e.cellFree, oc)
-	e.mu.Unlock()
 	done(op, start, end, err)
 }
 
@@ -207,7 +204,7 @@ func (oc *opCell) fire(start, end float64, err error) {
 // fences the previous attempt's callbacks, the first attempt opens the
 // chunk's umbrella span, and the Dispatch event names src, the peer the
 // input comes from (0 from the master; the field is omitted at 0 either
-// way). Caller holds the mutex.
+// way).
 func (e *execution) beginAttempt(c *chunk, src int) {
 	c.state = stateTransferring
 	c.epoch++
@@ -227,22 +224,22 @@ func (e *execution) beginAttempt(c *chunk, src int) {
 }
 
 // startCompute moves a chunk whose input reached its worker into the
-// compute stage. Caller holds the mutex.
+// compute stage.
 func (e *execution) startCompute(c *chunk) {
 	c.state = stateComputing
 	c.stageStart = e.backend.Now()
-	e.armDeadline(c, e.compEstimate(c))
+	e.armDeadline(c)
 	e.dispatchExecute(c)
 }
 
 // launch starts (or restarts) a chunk attempt: the bookkeeping —
 // remaining, pending, inflight, sending — is already done by the
-// caller. Caller holds the mutex.
+// caller.
 func (e *execution) launch(c *chunk) {
 	e.beginAttempt(c, 0)
 	e.uplinkBusy(c)
 	e.met.Dispatched(c.bytes)
-	e.armDeadline(c, e.sendEstimate(c))
+	e.armDeadline(c)
 	e.dispatchTransfer(c)
 	if e.cfg.ParallelUplink {
 		// With the serialization rule lifted, keep dispatching while the
@@ -256,7 +253,7 @@ func (e *execution) launch(c *chunk) {
 // input already sits at a surviving site (c.dataAt), so it moves
 // worker-to-worker instead of re-staging through the master uplink.
 // Accounting is done by the caller, which also keeps dispatching — the
-// uplink is never held. Caller holds the mutex.
+// uplink is never held.
 func (e *execution) launchPeer(c *chunk) {
 	from := int(c.dataAt)
 	e.beginAttempt(c, from)
@@ -278,7 +275,7 @@ func (e *execution) launchPeer(c *chunk) {
 		ev.Src, ev.Chunk, ev.Size, ev.Bytes = from, c.id, c.size, c.bytes
 		e.emit(ev)
 	}
-	e.armDeadline(c, e.sendEstimate(c))
+	e.armDeadline(c)
 	e.peerBackend.PeerTransferOp(from, c.worker, c.bytes, opToken(c), e.peerDoneFn)
 }
 
@@ -286,8 +283,7 @@ func (e *execution) launchPeer(c *chunk) {
 // completed or failed. The master uplink was never held, so there is
 // nothing to release.
 func (e *execution) peerDone(op uint64, start, end float64, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.poll()
 	c := e.chunkFromOp(op)
 	if c == nil {
 		return
@@ -316,8 +312,7 @@ func (e *execution) peerDone(op uint64, start, end float64, err error) {
 // issues, measurements included; stale completions fence on the op
 // token.
 func (e *execution) transferDone(op uint64, start, end float64, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.poll()
 	c := e.chunkFromOp(op)
 	if c == nil {
 		return
@@ -344,8 +339,7 @@ func (e *execution) transferDone(op uint64, start, end float64, err error) {
 
 // computeDone advances a chunk whose computation completed or failed.
 func (e *execution) computeDone(op uint64, start, end float64, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.poll()
 	c := e.chunkFromOp(op)
 	if c == nil {
 		return
@@ -369,8 +363,7 @@ func (e *execution) computeDone(op uint64, start, end float64, err error) {
 
 // returnDone retires a chunk whose output return completed or failed.
 func (e *execution) returnDone(op uint64, _, outEnd float64, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.poll()
 	c := e.chunkFromOp(op)
 	if c == nil {
 		return
@@ -388,7 +381,7 @@ func (e *execution) returnDone(op uint64, _, outEnd float64, err error) {
 }
 
 // finishChunk handles a completed computation: return output if any,
-// then complete. Caller holds the mutex.
+// then complete.
 func (e *execution) finishChunk(c *chunk) {
 	outBytes := c.size * float64(e.app.OutputBytesPerUnit)
 	if outBytes <= 0 {
@@ -397,13 +390,12 @@ func (e *execution) finishChunk(c *chunk) {
 	}
 	c.state = stateReturning
 	c.stageStart = e.backend.Now()
-	e.armDeadline(c, e.returnEstimate(c))
+	e.armDeadline(c)
 	e.dispatchReturn(c, outBytes)
 }
 
 // completeChunk retires a successful attempt: accounting, trace record,
-// algorithm notification, events, and the next dispatch. Caller holds
-// the mutex.
+// algorithm notification, events, and the next dispatch.
 func (e *execution) completeChunk(c *chunk, outputEnd float64) {
 	c.state = stateDone
 	w := c.worker
@@ -454,7 +446,7 @@ func (e *execution) completeChunk(c *chunk, outputEnd float64) {
 // on, in chunk-id order: worker w's, or every worker's when w < 0.
 // Retry-queued and retired slots are excluded, and so are measurements,
 // which hold no load to abandon or to report stalled. The result is
-// scratch, valid until the next call. Caller holds the mutex.
+// scratch, valid until the next call.
 func (e *execution) inFlight(w int) []int32 {
 	slots := e.flightBuf[:0]
 	for i := range e.chunkSlots {

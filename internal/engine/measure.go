@@ -62,7 +62,7 @@ func (e *execution) startProbing() {
 
 // recalibrate runs one worker's empty-transfer + no-op measurement pair
 // on the otherwise-free uplink; dispatching pauses until its transfer
-// completes. Blacklisted workers are skipped. Caller holds the mutex.
+// completes. Blacklisted workers are skipped.
 func (e *execution) recalibrate() {
 	w := e.calWorker
 	if e.retryOn {
@@ -82,7 +82,7 @@ func (e *execution) recalibrate() {
 }
 
 // measure launches a measurement chunk of kind k on worker w: its
-// transfer takes the uplink now. Caller holds the mutex.
+// transfer takes the uplink now.
 func (e *execution) measure(k chunkKind, w int) {
 	c := e.allocChunk()
 	c.kind, c.worker, c.state = k, w, stateTransferring
@@ -95,7 +95,7 @@ func (e *execution) measure(k chunkKind, w int) {
 
 // measureTransferred advances a measurement whose transfer completed or
 // failed: on success its job goes to the worker's CPU, and either way
-// the freed uplink carries the next transfer. Caller holds the mutex.
+// the freed uplink carries the next transfer.
 func (e *execution) measureTransferred(c *chunk, start, end float64, err error) {
 	k, w := c.kind, c.worker
 	if k == kindRecal {
@@ -132,8 +132,7 @@ func (e *execution) measureTransferred(c *chunk, start, end float64, err error) 
 }
 
 // measureComputed retires a measurement whose job completed or failed,
-// handing the result to the probing round or to the algorithm. Caller
-// holds the mutex.
+// handing the result to the probing round or to the algorithm.
 func (e *execution) measureComputed(c *chunk, start, end float64, err error) {
 	k, w, id, sendStart, sendEnd := c.kind, c.worker, c.id, c.sendStart, c.sendEnd
 	e.releaseChunk(c)
@@ -176,7 +175,7 @@ func (e *execution) measureComputed(c *chunk, start, end float64, err error) {
 // counts against the worker's failure streak like a chunk failure would,
 // and a worker failing any probe stage is removed from service before
 // planning: its probesLeft slot is released so planning proceeds over
-// the survivors. Caller holds the mutex.
+// the survivors.
 func (e *execution) measureFailed(k chunkKind, w int, cause error) {
 	if !e.retryOn {
 		what := "probing"

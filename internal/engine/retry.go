@@ -92,14 +92,11 @@ func (e *execution) returnEstimate(c *chunk) float64 {
 // deadline armed by armDeadline fires through this one method value,
 // identified by the timer id the backend hands back. The firing is
 // matched to the in-flight chunk whose armed deadline carries that id;
-// ids are never reused, so a firing from a cancelled or re-armed
-// deadline matches nothing and no-ops — on the simulated clock a
-// cancelled timer never fires at all, and on the wall clock a racing
-// firing is fenced here. Timeouts are rare (faults, stalls), so the
-// O(in-flight) scan is off the hot path.
+// ids are never reused, so a firing that matches no armed deadline
+// no-ops. Timeouts are rare (faults, stalls), so the O(in-flight) scan
+// is off the hot path.
 func (e *execution) onDeadline(id TimerID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.poll()
 	if e.err != nil {
 		return
 	}
@@ -128,12 +125,22 @@ func (e *execution) onDeadline(id TimerID) {
 	e.tryDispatch()
 }
 
-// armDeadline starts the current stage's deadline timer, derived from
-// the algorithm's cost estimate for the stage. No-op without a retry
-// policy or a Timer-capable backend. Caller holds the mutex.
-func (e *execution) armDeadline(c *chunk, estimate float64) {
+// armDeadline starts the deadline timer of the stage c has just
+// entered (c.state), derived from the algorithm's cost estimate for the
+// stage. No-op without a retry policy or a Timer-capable backend, which
+// then computes no estimate either.
+func (e *execution) armDeadline(c *chunk) {
 	if !e.retryOn || e.timer == nil {
 		return
+	}
+	var estimate float64
+	switch c.state {
+	case stateTransferring:
+		estimate = e.sendEstimate(c)
+	case stateComputing:
+		estimate = e.compEstimate(c)
+	case stateReturning:
+		estimate = e.returnEstimate(c)
 	}
 	d := timeoutFactor*estimate + minTimeout
 	c.deadlineDur = d
@@ -141,8 +148,7 @@ func (e *execution) armDeadline(c *chunk, estimate float64) {
 	c.deadline = e.timer.AfterFunc(d, e.timeoutFn)
 }
 
-// cancelDeadline stops the armed stage deadline, if any. Caller holds
-// the mutex.
+// cancelDeadline stops the armed stage deadline, if any.
 func (e *execution) cancelDeadline(c *chunk) {
 	if c.deadlineArmed {
 		c.deadlineArmed = false
@@ -156,8 +162,7 @@ func (e *execution) cancelDeadline(c *chunk) {
 // the retry queue or, past the attempt bound, fails the run with a
 // partial-result error. holdsUplink is true when the attempt still
 // occupies the serialized uplink (abandoned mid-transfer by a deadline
-// or a blacklist) and the engine must release it. Caller holds the
-// mutex.
+// or a blacklist) and the engine must release it.
 func (e *execution) chunkFailed(c *chunk, cause error, holdsUplink bool) {
 	if e.traceOn {
 		// The failed attempt's stage span: from the stage's start to the
@@ -230,8 +235,7 @@ func (e *execution) chunkFailed(c *chunk, cause error, holdsUplink bool) {
 
 // blacklistWorker removes a worker from service: its in-flight chunks
 // are abandoned into the retry queue, the load it held is reported
-// lost, and the algorithm (when loss-aware) stops targeting it. Caller
-// holds the mutex.
+// lost, and the algorithm (when loss-aware) stops targeting it.
 func (e *execution) blacklistWorker(w int) {
 	if e.dead[w] {
 		return
@@ -319,7 +323,6 @@ func (e *execution) pickAliveWorker() (int, bool) {
 
 // failNoWorkers records the graceful-degradation terminal error: every
 // worker is out of service, so only a partial result is possible.
-// Caller holds the mutex.
 func (e *execution) failNoWorkers() {
 	e.fail(fmt.Errorf("%w: all %d workers out of service; partial result: %.6g of %.6g load completed",
 		ErrAllWorkersLost, e.backend.Workers(), e.completed, e.total))

@@ -280,7 +280,7 @@ func (b *Backend) TransferOp(w int, bytes float64, op uint64, done func(op uint6
 		b.links.start(slot, bytes, -1)
 		return
 	}
-	wk := b.platform.Workers[w]
+	wk := &b.platform.Workers[w]
 	b.fireAfter(slot, float64(wk.CommLatency)+bytes/float64(wk.Bandwidth))
 }
 
@@ -327,7 +327,7 @@ func (b *Backend) ExecuteOp(w int, size float64, probe bool, op uint64, done fun
 func (b *Backend) execDur(arg uint64, start units.Seconds) units.Seconds {
 	o := &b.ops[int32(arg)]
 	w := int(o.w)
-	wk := b.platform.Workers[w]
+	wk := &b.platform.Workers[w]
 	base := o.size * float64(b.app.UnitCost) / wk.Speed
 	if o.probe {
 		base *= b.cfg.ProbeBias
@@ -405,7 +405,7 @@ func (b *Backend) ReturnOutputOp(w int, bytes float64, op uint64, done func(op u
 // returnDur is every downlink service's duration callback.
 func (b *Backend) returnDur(arg uint64, start units.Seconds) units.Seconds {
 	o := &b.ops[int32(arg)]
-	wk := b.platform.Workers[o.w]
+	wk := &b.platform.Workers[o.w]
 	d, err := b.cut(int(o.w), start, float64(wk.CommLatency)+o.size/float64(wk.Bandwidth))
 	o.err = err
 	return d

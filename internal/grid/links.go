@@ -243,7 +243,7 @@ func (b *Backend) PeerTransferOp(from, to int, bytes float64, op uint64, done fu
 		b.links.start(slot, bytes, from)
 		return
 	}
-	wf, wt := b.platform.Workers[from], b.platform.Workers[to]
+	wf, wt := &b.platform.Workers[from], &b.platform.Workers[to]
 	bw := min(float64(wf.Bandwidth), float64(wt.Bandwidth))
 	b.fireAfter(slot, float64(wt.CommLatency)+bytes/bw)
 }

@@ -152,6 +152,9 @@ type multiOp struct {
 	// execution.
 	size float64
 	done func(start, end float64, err error)
+	// next links an execution waiting at its compute station to the one
+	// queued behind it (-1: the last).
+	next int32
 }
 
 // NewMultiWorld returns an empty world over the platform. Add jobs with
@@ -211,7 +214,7 @@ func (w *MultiWorld) AddJob(app *model.Application, workers []int, arrival float
 		entered: make(chan struct{}),
 	}
 	for wl, g := range workers {
-		v.compute[wl] = computeStation{world: w, job: idx, worker: g, id: stationID(idx, wl)}
+		v.compute[wl] = computeStation{world: w, job: idx, worker: g, id: stationID(idx, wl), waitHead: -1, waitTail: -1}
 	}
 	shares := make([]float64, n)
 	for _, g := range workers {
@@ -345,7 +348,7 @@ func (w *MultiWorld) start(arg uint64) {
 // worker's link latency plus the op's bytes at full link bandwidth.
 func (w *MultiWorld) linkDur(arg uint64, _ units.Seconds) units.Seconds {
 	o := &w.ops[int32(arg)]
-	wk := w.platform.Workers[o.view.workers[o.wl]]
+	wk := &w.platform.Workers[o.view.workers[o.wl]]
 	return units.Seconds(float64(wk.CommLatency) + o.size/float64(wk.Bandwidth))
 }
 
@@ -477,10 +480,9 @@ type computeStation struct {
 	worker int    // global index
 	id     uint64 // the station's engine-event argument (stationID)
 
-	// FIFO of waiting op slots.
-	pending []int32
-	head    int
-	busy    bool
+	// FIFO of waiting op slots, linked through multiOp.next (-1: empty).
+	waitHead, waitTail int32
+	busy               bool
 
 	// In-service chunk state beside the fluid record. inWork is false
 	// during the latency phase (a fixed cost, never re-scaled) and true
@@ -500,7 +502,14 @@ func (w *MultiWorld) station(id uint64) *computeStation {
 }
 
 func (s *computeStation) enqueue(slot int32) {
-	s.pending = append(s.pending, slot)
+	ops := s.world.ops
+	ops[slot].next = -1
+	if s.waitTail < 0 {
+		s.waitHead = slot
+	} else {
+		ops[s.waitTail].next = slot
+	}
+	s.waitTail = slot
 	if !s.busy {
 		s.startNext()
 	}
@@ -515,18 +524,18 @@ func (s *computeStation) share() float64 {
 }
 
 func (s *computeStation) startNext() {
-	if s.head == len(s.pending) {
-		s.pending = s.pending[:0]
-		s.head = 0
+	if s.waitHead < 0 {
 		s.busy = false
 		return
 	}
 	w := s.world
-	slot := s.pending[s.head]
-	s.head++
-	s.busy = true
+	slot := s.waitHead
 	o := &w.ops[slot]
-	wk := w.platform.Workers[s.worker]
+	if s.waitHead = o.next; s.waitHead < 0 {
+		s.waitTail = -1
+	}
+	s.busy = true
+	wk := &w.platform.Workers[s.worker]
 	now := float64(w.eng.Now())
 	s.cur = slot
 	s.start = now

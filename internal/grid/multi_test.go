@@ -16,6 +16,7 @@ import (
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
 	"apstdv/internal/model"
+	"apstdv/internal/raceflag"
 	"apstdv/internal/trace"
 	"apstdv/internal/units"
 	"apstdv/internal/workload"
@@ -351,7 +352,7 @@ const multiWorldAllocBudget = 250
 // the shared world: a per-operation closure or a per-station pointer
 // coming back shows up here as hundreds of allocations.
 func TestMultiWorldAllocationRegression(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates on allocation-free paths")
 	}
 	run := func() {

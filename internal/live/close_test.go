@@ -18,6 +18,7 @@ func TestBackendCloseIdempotentConcurrentWithCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cleanup()
+	running(t, b)
 
 	// Put long computes in flight on both workers so Cancel and Close
 	// race real pending RPCs, not idle connections.

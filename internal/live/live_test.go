@@ -77,6 +77,7 @@ func TestServeAndDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Stop()
+	running(t, b)
 	if b.Workers() != 1 {
 		t.Errorf("Workers = %d", b.Workers())
 	}
@@ -112,6 +113,7 @@ func TestTransferMovesRealBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cleanup()
+	running(t, b)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	b.Transfer(0, 1<<20, func(s, e float64, _ error) { wg.Done() })
@@ -127,6 +129,7 @@ func TestNetModelPacesTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cleanup()
+	running(t, b)
 	var dur float64
 	var wg sync.WaitGroup
 	wg.Add(1)

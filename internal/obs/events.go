@@ -190,8 +190,8 @@ func (ev *Event) Fields() [33]any {
 }
 
 // Sink receives the event stream. Emit may be called from any goroutine
-// holding the engine's lock; implementations must be cheap and must not
-// call back into the engine.
+// the engine's backend calls back on, one call at a time per run;
+// implementations must be cheap and must not call back into the engine.
 type Sink interface {
 	Emit(Event)
 }

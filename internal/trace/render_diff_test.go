@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"apstdv/internal/raceflag"
 )
 
 // CheckAgainstReference holds BuildReport, Report.String, WriteCSV and
@@ -172,7 +174,7 @@ func randomTrace(rnd *rand.Rand, wild bool) (tr *Trace, workers, width int) {
 // Gantt is skipped exactly where the reference panics.
 func TestRenderersMatchReference(t *testing.T) {
 	cases := 24000
-	if testing.Short() || raceEnabled {
+	if testing.Short() || raceflag.Enabled {
 		cases = 3000
 	}
 	rnd := rand.New(rand.NewSource(23))
@@ -194,7 +196,7 @@ func TestRenderersMatchReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d traces: %d compared in full, %d where refGantt panicked and Gantt did not", cases, compared, panicked)
-	if !testing.Short() && !raceEnabled && compared < 20000 {
+	if !testing.Short() && !raceflag.Enabled && compared < 20000 {
 		t.Errorf("only %d traces compared in full, want at least 20000", compared)
 	}
 	if panicked == 0 {

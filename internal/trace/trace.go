@@ -87,7 +87,8 @@ func (t *Trace) Len() int { return len(t.recs) }
 // arrival), i.e. the application execution time the paper plots.
 func (t *Trace) Makespan() float64 {
 	m := 0.0
-	for _, r := range t.recs {
+	for i := range t.recs {
+		r := &t.recs[i]
 		if r.OutputEnd > m {
 			m = r.OutputEnd
 		}

@@ -17,6 +17,7 @@ import (
 	"apstdv/internal/experiment"
 	"apstdv/internal/grid"
 	"apstdv/internal/model"
+	"apstdv/internal/raceflag"
 	"apstdv/internal/trace"
 	"apstdv/internal/workload"
 )
@@ -26,7 +27,7 @@ const servedSmallXML = `<task executable="bench" input="virtual">
 </task>`
 
 func TestReportPathAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
 	}
 	// What the benchmark's report path sees — the 16-record job that
