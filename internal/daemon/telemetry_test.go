@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -70,11 +71,20 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatalf("run finished dirty: %+v", fin)
 	}
 	seen := map[obs.EventType]bool{}
+	count := map[obs.EventType]float64{}
+	dispatched, uplinkBusy := 0.0, 0.0
 	for i, ev := range events {
 		if ev.Seq != int64(i) {
 			t.Fatalf("tail not gap-free: event %d has seq %d", i, ev.Seq)
 		}
 		seen[ev.Type] = true
+		count[ev.Type]++
+		switch {
+		case ev.Type == obs.UplinkBusy && !ev.Probe:
+			dispatched++
+		case ev.Type == obs.UplinkIdle:
+			uplinkBusy += ev.Dur
+		}
 	}
 	for _, want := range []obs.EventType{obs.ProbeStart, obs.ProbeResult, obs.PlanDone, obs.Dispatch, obs.ChunkDone, obs.UplinkBusy, obs.UplinkIdle} {
 		if !seen[want] {
@@ -99,6 +109,20 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if ct := "text/plain; version=0.0.4"; !strings.Contains(body, "# TYPE") {
 		t.Errorf("/metrics lacks TYPE headers (content type should be %s)", ct)
 	}
+	// The engine series carry exactly what the job's event stream says.
+	for _, c := range []struct {
+		series string
+		want   float64
+	}{
+		{"apstdv_chunks_done_total", count[obs.ChunkDone]},
+		{"apstdv_probes_done_total", count[obs.ProbeResult]},
+		{"apstdv_chunks_dispatched_total", dispatched},
+		{"apstdv_uplink_busy_seconds_total", uplinkBusy},
+	} {
+		if got := metricValue(t, body, c.series); got != c.want {
+			t.Errorf("%s = %v, the event tail says %v", c.series, got, c.want)
+		}
+	}
 
 	var h struct {
 		Status      string `json:"status"`
@@ -117,6 +141,23 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if idx := httpGet(t, srv.URL+"/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Error("/debug/pprof/ index not served")
 	}
+}
+
+// metricValue returns the value of an unlabelled series in a Prometheus
+// text exposition.
+func metricValue(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }
 
 func httpGet(t *testing.T, url string) string {
