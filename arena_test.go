@@ -204,6 +204,18 @@ func TestArenaReuseMatchesFreshRun(t *testing.T) {
 	}
 }
 
+// jobSink is the shape of the daemon's per-job sink: every event goes to
+// the job's ring and to the engine metrics all jobs share.
+type jobSink struct {
+	ring *obs.Ring
+	met  *obs.RunMetrics
+}
+
+func (s *jobSink) EmitPtr(ev *obs.Event) {
+	s.ring.EmitPtr(ev)
+	s.met.EmitPtr(ev)
+}
+
 // TestObsEmitPathAllocFree pins the structural half of the obs-overhead
 // budget: a warm run with the daemon's always-on configuration (ring
 // sink + full metric set) must allocate EXACTLY what an uninstrumented
@@ -221,7 +233,7 @@ func TestObsEmitPathAllocFree(t *testing.T) {
 	// events it holds every page it will ever need. (The daemon's rings
 	// get theirs from a pool instead; internal/obs tests that path.)
 	ring := obs.NewRing(8192)
-	inst := engine.Config{Events: ring, Metrics: obs.NewRunMetrics(obs.NewRegistry())}
+	inst := engine.Config{Events: &jobSink{ring, obs.NewRunMetrics(obs.NewRegistry())}}
 	seed11 := func(int) uint64 { return 11 }
 	for held := -1; ring.Bytes() > held; {
 		held = ring.Bytes()

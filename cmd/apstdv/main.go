@@ -131,7 +131,8 @@ func main() {
 			// console restarted after a disconnect passes its last seen
 			// seq and never re-prints events it already delivered.
 			ctx, cancel := context.WithTimeout(context.Background(), *wait)
-			err := c.FollowEventsFrom(ctx, *jobID, *after, 100*time.Millisecond, sink.Emit)
+			err := c.FollowEventsFrom(ctx, *jobID, *after, 100*time.Millisecond,
+				func(ev obs.Event) { sink.EmitPtr(&ev) })
 			cancel()
 			if ferr := sink.Flush(); err == nil {
 				err = ferr
@@ -145,8 +146,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		for _, ev := range evs {
-			sink.Emit(ev)
+		for i := range evs {
+			sink.EmitPtr(&evs[i])
 		}
 		if err := sink.Flush(); err != nil {
 			fatal(err)

@@ -131,7 +131,7 @@ func main() {
 				for _, ev := range buf.Events() {
 					ev.Alg = algName
 					ev.Run = run
-					eventsJSONL.Emit(ev)
+					eventsJSONL.EmitPtr(&ev)
 				}
 			}
 		}

@@ -503,6 +503,7 @@ func (d *Daemon) submitSlow(args SubmitArgs, prio string, tid otrace.TraceID, si
 		job: job, alg: alg, app: app, divider: divider,
 		probeLoad: task.Divisibility.ProbeLoad,
 		ring:      job.events,
+		metrics:   d.runMetrics,
 		ctx:       ctx, cancel: cancel,
 		traceID: tid, submitSpan: sid,
 	}
@@ -668,17 +669,18 @@ func (d *Daemon) putSlotLocked(s *runSlot) {
 }
 
 // execute runs the job on the configured backend, in the slot the
-// scheduler gave it, streaming its events into the job's ring (numbered
-// after the daemon's lifecycle events via SeqBase) and its metrics into
-// the shared registry. The trace the engine returns lives in the slot's
-// arena and the slot's next job overwrites it, so the job keeps a copy.
+// scheduler gave it, streaming its events through p into the job's ring
+// (numbered after the daemon's lifecycle events via SeqBase) and the
+// shared registry's engine metrics. The trace the engine returns lives
+// in the slot's arena and the slot's next job overwrites it, so the job
+// keeps a copy.
 func (d *Daemon) execute(ctx context.Context, p *pendingJob) (*trace.Trace, error) {
 	req := engine.Request{
 		Algorithm: p.alg, App: p.app, Platform: d.cfg.Platform,
 		Arena: p.slot.arena,
 		Config: engine.Config{
 			Divider: p.divider, ProbeLoad: p.probeLoad,
-			Events: p.ring, Metrics: d.runMetrics,
+			Events:  p,
 			SeqBase: p.ring.NextSeq(),
 			// Chunk spans parent under the job.execute span and anchor
 			// the backend clock at "now" on the collector timeline.

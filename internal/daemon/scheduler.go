@@ -67,6 +67,10 @@ func classIndex(p string) int {
 // (obs.Ring), so the numbers stay unique. Pollers reading the Events
 // RPC therefore see one gap-free cursor across both layers, and each
 // event costs one lock: the ring's.
+//
+// The pendingJob itself is the sink the engine emits into (EmitPtr), so
+// a job's events reach its ring and the daemon's shared engine metrics
+// without a sink built per job.
 type pendingJob struct {
 	job       *Job
 	alg       dls.Algorithm
@@ -74,6 +78,7 @@ type pendingJob struct {
 	divider   divide.Divider
 	probeLoad float64
 	ring      *obs.Ring
+	metrics   *obs.RunMetrics // shared by every job
 	slot      *runSlot
 	ctx       context.Context
 	cancel    context.CancelCauseFunc
@@ -86,6 +91,12 @@ type pendingJob struct {
 	submitSpan otrace.SpanID
 	queueSpan  otrace.Span
 	execSpan   otrace.SpanID
+}
+
+// EmitPtr implements obs.Sink for the engine run of the job.
+func (p *pendingJob) EmitPtr(ev *obs.Event) {
+	p.ring.EmitPtr(ev)
+	p.metrics.EmitPtr(ev)
 }
 
 // admitLocked places a freshly submitted job: start it if a concurrency

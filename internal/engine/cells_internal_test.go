@@ -51,10 +51,10 @@ type scriptBackend struct {
 	events, heldEvents int
 }
 
-// Emit makes the backend the run's event sink, so it can tell what the
-// held replies changed: every step a reply makes a run take emits an
+// EmitPtr makes the backend the run's event sink, so it can tell what
+// the held replies changed: every step a reply makes a run take emits an
 // event (a record added, a retry, a freed uplink, a dispatch).
-func (b *scriptBackend) Emit(obs.Event) { b.events++ }
+func (b *scriptBackend) EmitPtr(*obs.Event) { b.events++ }
 
 // scriptEvent is one pending reply (done != nil) or timer.
 type scriptEvent struct {

@@ -213,10 +213,6 @@ type Config struct {
 	// identical streams regardless of host concurrency. nil disables
 	// emission entirely.
 	Events obs.Sink
-	// Metrics, when non-nil, is updated live during the run — counters
-	// and histograms may be shared across runs (the daemon aggregates
-	// all jobs into one registry).
-	Metrics *obs.RunMetrics
 	// SeqBase offsets the run's event sequence numbers. The daemon uses
 	// it to splice engine events after the job-lifecycle events it has
 	// already emitted into the same ring, keeping one monotonic cursor.
@@ -417,7 +413,7 @@ func (e *execution) retire() {
 func (e *execution) release() {
 	e.backend, e.alg, e.app, e.platform = nil, nil, nil, nil
 	e.cfg = Config{}
-	e.sink, e.sinkPtr, e.met, e.switchObs = nil, nil, nil, nil
+	e.sink, e.switchObs = nil, nil
 	e.scratch = obs.Event{}
 	e.opBackend, e.timer, e.peerBackend = nil, nil, nil
 	e.lossAware, e.redistAware = nil, nil
@@ -515,15 +511,12 @@ type execution struct {
 	err          error
 	stopNotified bool
 
-	// Observability: the event sink (nil = disabled), its optional
-	// pointer fast path (checked once at setup), the scratch event that
-	// path emits through (callbacks never overlap, so one per execution
-	// suffices), live metrics (nil = disabled), the emission sequence
-	// counter, and the cached switch-decision drain interface.
+	// Observability: the event sink (nil = disabled), the scratch event
+	// every emission goes through (callbacks never overlap, so one per
+	// execution suffices), the emission sequence counter, and the cached
+	// switch-decision drain interface.
 	sink      obs.Sink
-	sinkPtr   obs.PtrSink
 	scratch   obs.Event
-	met       *obs.RunMetrics
 	eventSeq  int64
 	switchObs dls.SwitchObservable
 
@@ -558,9 +551,7 @@ func (e *execution) beginRun(req Request) {
 	e.offset, e.completed = 0, 0
 	e.inflight, e.sending, e.chunkID = 0, false, 0
 	e.sink = cfg.Events
-	e.met = cfg.Metrics
 	e.switchObs, _ = alg.(dls.SwitchObservable)
-	e.sinkPtr, _ = cfg.Events.(obs.PtrSink)
 	e.opBackend, _ = b.(OpBackend)
 	if e.transferDoneFn == nil {
 		// The three stage handlers serve every chunk operation of every
@@ -680,19 +671,15 @@ func (e *execution) event(typ obs.EventType, worker int) *obs.Event {
 
 // emit stamps and forwards the event started by event: sequence numbers
 // are dense in emission order and the timestamp is the backend clock,
-// which is what keeps simulated streams byte-deterministic. Sinks with
-// a pointer fast path read the scratch where it lies, which keeps the
-// hot path allocation- and copy-free; delivery stays per-event so live
-// tails see each event as it happens.
+// which is what keeps simulated streams byte-deterministic. The sink
+// reads the scratch where it lies, which keeps the hot path allocation-
+// and copy-free; delivery stays per-event so live tails see each event
+// as it happens.
 func (e *execution) emit(ev *obs.Event) {
 	ev.Seq = e.eventSeq
 	e.eventSeq++
 	ev.T = e.backend.Now()
-	if e.sinkPtr != nil {
-		e.sinkPtr.EmitPtr(ev)
-		return
-	}
-	e.sink.Emit(*ev)
+	e.sink.EmitPtr(ev)
 }
 
 // drainSwitchDecisions re-emits any phase-switch evaluations the
@@ -733,15 +720,13 @@ func (e *execution) initialEstimates() []model.Estimate {
 }
 
 // uplinkFreed records chunk c's transfer releasing the serialized
-// uplink: the UplinkIdle event plus the busy-time metric. A measurement
-// is marked Probe and carries no chunk id (a probe chunk takes its id
-// only after this).
+// uplink. A measurement is marked Probe and carries no chunk id (a probe
+// chunk takes its id only after this).
 func (e *execution) uplinkFreed(c *chunk, start, end float64) {
 	if ev := e.event(obs.UplinkIdle, c.worker); ev != nil {
 		ev.Chunk, ev.Probe, ev.Dur = c.id, c.kind != kindWork, end-start
 		e.emit(ev)
 	}
-	e.met.TransferDone(end - start)
 }
 
 // uplinkBusy is uplinkFreed's opening bracket: chunk c's transfer taking

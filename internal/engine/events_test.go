@@ -9,9 +9,9 @@ import (
 	"apstdv/internal/obs"
 )
 
-// runWithSink executes one simulated run with an event buffer and the
-// full metric set attached and returns everything observed.
-func runWithSink(t *testing.T, alg dls.Algorithm, ecfg engine.Config) ([]obs.Event, *obs.RunMetrics) {
+// runWithSink executes one simulated run with an event buffer attached
+// and returns the events it observed.
+func runWithSink(t *testing.T, alg dls.Algorithm, ecfg engine.Config) []obs.Event {
 	t.Helper()
 	platform := simplePlatform(3)
 	app := simpleApp()
@@ -20,20 +20,18 @@ func runWithSink(t *testing.T, alg dls.Algorithm, ecfg engine.Config) ([]obs.Eve
 		t.Fatal(err)
 	}
 	buf := obs.NewBuffer()
-	met := obs.NewRunMetrics(obs.NewRegistry())
 	ecfg.Events = buf
-	ecfg.Metrics = met
 	if ecfg.ProbeLoad == 0 {
 		ecfg.ProbeLoad = 50
 	}
 	if _, err := runEngine(backend, alg, app, platform, ecfg); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Events(), met
+	return buf.Events()
 }
 
 func TestEventStreamShape(t *testing.T) {
-	evs, met := runWithSink(t, dls.NewRUMR(), engine.Config{})
+	evs := runWithSink(t, dls.NewRUMR(), engine.Config{})
 
 	count := map[obs.EventType]int{}
 	lastSeq := int64(-1)
@@ -74,21 +72,10 @@ func TestEventStreamShape(t *testing.T) {
 	if fin.Type != obs.RunFinished || fin.Makespan <= 0 || fin.Err != "" {
 		t.Errorf("stream does not close with a clean run_finished: %+v", fin)
 	}
-
-	// Live metrics agree with the stream.
-	if got, want := int(met.ChunksDone.Value()), count[obs.ChunkDone]; got != want {
-		t.Errorf("chunks_done metric %d != %d chunk_done events", got, want)
-	}
-	if got, want := int(met.ProbesDone.Value()), count[obs.ProbeResult]; got != want {
-		t.Errorf("probes_done metric %d != %d probe_result events", got, want)
-	}
-	if met.UplinkBusySeconds.Value() <= 0 {
-		t.Error("uplink busy seconds not accumulated")
-	}
 }
 
 func TestEventStreamRecalibration(t *testing.T) {
-	evs, met := runWithSink(t, dls.NewWeightedFactoring(), engine.Config{RecalibrateInterval: 20})
+	evs := runWithSink(t, dls.NewWeightedFactoring(), engine.Config{RecalibrateInterval: 20})
 	n := 0
 	for _, ev := range evs {
 		if ev.Type == obs.Recalibrate {
@@ -101,16 +88,13 @@ func TestEventStreamRecalibration(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no recalibrate events despite RecalibrateInterval")
 	}
-	if int(met.Recalibrations.Value()) != n {
-		t.Errorf("recalibrations metric %g != %d events", met.Recalibrations.Value(), n)
-	}
 }
 
 // TestEventStreamDeterminism asserts the determinism rule at the engine
 // level: two identical simulated runs produce identical event streams.
 func TestEventStreamDeterminism(t *testing.T) {
-	a, _ := runWithSink(t, dls.NewFixedRUMR(), engine.Config{})
-	b, _ := runWithSink(t, dls.NewFixedRUMR(), engine.Config{})
+	a := runWithSink(t, dls.NewFixedRUMR(), engine.Config{})
+	b := runWithSink(t, dls.NewFixedRUMR(), engine.Config{})
 	if len(a) != len(b) {
 		t.Fatalf("stream lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -122,8 +106,7 @@ func TestEventStreamDeterminism(t *testing.T) {
 }
 
 // TestNoSinkRunsUnchanged guards the disabled path: a run with no sink
-// and no metrics must behave exactly as before the observability layer
-// existed.
+// must behave exactly as before the observability layer existed.
 func TestNoSinkRunsUnchanged(t *testing.T) {
 	platform := simplePlatform(3)
 	app := simpleApp()
@@ -139,7 +122,7 @@ func TestNoSinkRunsUnchanged(t *testing.T) {
 		return tr.Makespan()
 	}
 	plain := mk(engine.Config{ProbeLoad: 50})
-	instrumented := mk(engine.Config{ProbeLoad: 50, Events: obs.NewBuffer(), Metrics: obs.NewRunMetrics(obs.NewRegistry())})
+	instrumented := mk(engine.Config{ProbeLoad: 50, Events: obs.NewBuffer()})
 	if plain != instrumented {
 		t.Errorf("instrumentation changed the simulation: %g vs %g", plain, instrumented)
 	}

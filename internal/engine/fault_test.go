@@ -12,7 +12,7 @@ import (
 
 // runFaulty executes one simulated run with fault injection and the
 // retry layer enabled, returning the event stream and the run error.
-func runFaulty(t *testing.T, alg dls.Algorithm, plan *grid.FaultPlan, retry *engine.RetryPolicy) ([]obs.Event, *obs.RunMetrics, error) {
+func runFaulty(t *testing.T, alg dls.Algorithm, plan *grid.FaultPlan, retry *engine.RetryPolicy) ([]obs.Event, error) {
 	t.Helper()
 	platform := simplePlatform(3)
 	app := simpleApp()
@@ -21,11 +21,10 @@ func runFaulty(t *testing.T, alg dls.Algorithm, plan *grid.FaultPlan, retry *eng
 		t.Fatal(err)
 	}
 	buf := obs.NewBuffer()
-	met := obs.NewRunMetrics(obs.NewRegistry())
 	_, runErr := runEngine(backend, alg, app, platform, engine.Config{
-		ProbeLoad: 50, Events: buf, Metrics: met, Retry: retry,
+		ProbeLoad: 50, Events: buf, Retry: retry,
 	})
-	return buf.Events(), met, runErr
+	return buf.Events(), runErr
 }
 
 func countEvents(evs []obs.Event) map[obs.EventType]int {
@@ -42,34 +41,33 @@ func TestCrashedWorkerLoadRedispatchedToSurvivors(t *testing.T) {
 	plan := &grid.FaultPlan{Faults: []grid.WorkerFault{
 		{Worker: 1, Kind: grid.FaultCrash, At: 40},
 	}}
-	evs, met, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
+	evs, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
 	if err != nil {
 		t.Fatalf("run with one crash must degrade gracefully, got: %v", err)
 	}
 	count := countEvents(evs)
-	if count[obs.WorkerLost] == 0 {
-		t.Error("no worker_lost event for the crashed worker")
+	if count[obs.WorkerLost] != 1 {
+		t.Errorf("%d worker_lost events, want 1 for the crashed worker", count[obs.WorkerLost])
 	}
 	if count[obs.ChunkRetry] == 0 {
 		t.Error("no chunk_retry events despite a mid-run crash")
 	}
-	if met.ChunkRetries.Value() == 0 || met.LoadRetried.Value() <= 0 {
-		t.Errorf("retry metrics not updated: retries=%g load=%g",
-			met.ChunkRetries.Value(), met.LoadRetried.Value())
-	}
-	if met.WorkersLost.Value() != 1 {
-		t.Errorf("workers_lost metric = %g, want 1", met.WorkersLost.Value())
-	}
 	// Every unit of load completes, and none of it after the crash runs
-	// on the dead worker.
-	doneLoad := 0.0
+	// on the dead worker. The retries carried load back to the pool.
+	doneLoad, retriedLoad := 0.0, 0.0
 	for _, ev := range evs {
-		if ev.Type == obs.ChunkDone {
+		switch ev.Type {
+		case obs.ChunkDone:
 			doneLoad += ev.Size
 			if ev.Worker == 1 && ev.CompEnd > 40 {
 				t.Errorf("chunk %d completed on crashed worker 1 at t=%g", ev.Chunk, ev.CompEnd)
 			}
+		case obs.ChunkRetry:
+			retriedLoad += ev.Size
 		}
+	}
+	if retriedLoad <= 0 {
+		t.Errorf("chunk_retry events carried %g load, want > 0", retriedLoad)
 	}
 	if doneLoad < 1000-1e-6 {
 		t.Errorf("completed load %g, want the full 1000", doneLoad)
@@ -83,7 +81,7 @@ func TestCrashRunIsDeterministic(t *testing.T) {
 		{Worker: 1, Kind: grid.FaultCrash, At: 40},
 	}}
 	run := func() []obs.Event {
-		evs, _, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
+		evs, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +105,7 @@ func TestStalledWorkerTripsDeadlineAndRetries(t *testing.T) {
 	plan := &grid.FaultPlan{Faults: []grid.WorkerFault{
 		{Worker: 0, Kind: grid.FaultStall, At: 35, Duration: 1000},
 	}}
-	evs, met, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
+	evs, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
 	if err != nil {
 		t.Fatalf("run with one stalled worker must complete, got: %v", err)
 	}
@@ -117,9 +115,6 @@ func TestStalledWorkerTripsDeadlineAndRetries(t *testing.T) {
 	}
 	if count[obs.ChunkRetry] == 0 {
 		t.Error("timed-out chunks were not retried")
-	}
-	if met.ChunkTimeouts.Value() == 0 {
-		t.Error("chunk_timeouts metric not updated")
 	}
 	doneLoad := 0.0
 	for _, ev := range evs {
@@ -141,7 +136,7 @@ func TestAllWorkersLostDegradesToPartialResult(t *testing.T) {
 		{Worker: 1, Kind: grid.FaultCrash, At: 35},
 		{Worker: 2, Kind: grid.FaultCrash, At: 40},
 	}}
-	_, _, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{MaxAttempts: 100})
+	_, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{MaxAttempts: 100})
 	if err == nil {
 		t.Fatal("run with no surviving workers must fail")
 	}
@@ -156,7 +151,7 @@ func TestRetryAttemptsAreBounded(t *testing.T) {
 	plan := &grid.FaultPlan{Faults: []grid.WorkerFault{
 		{Worker: 1, Kind: grid.FaultCrash, At: 40},
 	}}
-	_, _, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{MaxAttempts: 1})
+	_, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{MaxAttempts: 1})
 	if err == nil {
 		t.Fatal("MaxAttempts=1 must make the first chunk failure terminal")
 	}
@@ -171,7 +166,7 @@ func TestWorkerCrashDuringProbingExcludedFromPlan(t *testing.T) {
 	plan := &grid.FaultPlan{Faults: []grid.WorkerFault{
 		{Worker: 2, Kind: grid.FaultCrash, At: 1},
 	}}
-	evs, _, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
+	evs, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
 	if err != nil {
 		t.Fatalf("run with a probe-time crash must complete on survivors, got: %v", err)
 	}
@@ -201,12 +196,13 @@ func TestRetryLayerIdleWithoutFaults(t *testing.T) {
 	// path must not change: same events as a run without the layer, and
 	// zero fault-path activity.
 	run := func(retry *engine.RetryPolicy) []obs.Event {
-		evs, met, err := runFaulty(t, dls.NewWeightedFactoring(), nil, retry)
+		evs, err := runFaulty(t, dls.NewWeightedFactoring(), nil, retry)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := met.ChunkRetries.Value() + met.ChunkTimeouts.Value() + met.WorkersLost.Value(); v != 0 {
-			t.Errorf("fault-path metrics moved on a fault-free run: %g", v)
+		count := countEvents(evs)
+		if n := count[obs.ChunkRetry] + count[obs.ChunkTimeout] + count[obs.WorkerLost]; n != 0 {
+			t.Errorf("%d fault-path events on a fault-free run", n)
 		}
 		return evs
 	}
@@ -229,7 +225,7 @@ func TestAttemptTaggedInEventsAndTrace(t *testing.T) {
 	plan := &grid.FaultPlan{Faults: []grid.WorkerFault{
 		{Worker: 1, Kind: grid.FaultCrash, At: 40},
 	}}
-	evs, _, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
+	evs, err := runFaulty(t, dls.NewWeightedFactoring(), plan, &engine.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

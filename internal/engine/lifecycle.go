@@ -238,7 +238,6 @@ func (e *execution) startCompute(c *chunk) {
 func (e *execution) launch(c *chunk) {
 	e.beginAttempt(c, 0)
 	e.uplinkBusy(c)
-	e.met.Dispatched(c.bytes)
 	e.armDeadline(c)
 	e.dispatchTransfer(c)
 	if e.cfg.ParallelUplink {
@@ -433,12 +432,10 @@ func (e *execution) completeChunk(c *chunk, outputEnd float64) {
 		}
 		e.emit(ev)
 	}
-	size, compDur := c.size, c.compEnd-c.compStart
 	// Free the slot before dispatching: tryDispatch may allocate the
 	// next chunk, which can both reuse this slot and grow the arena out
 	// from under c.
 	e.releaseChunk(c)
-	e.met.ChunkFinished(size, compDur)
 	e.tryDispatch()
 }
 

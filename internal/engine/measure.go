@@ -150,7 +150,6 @@ func (e *execution) measureComputed(c *chunk, start, end float64, err error) {
 			ev.CommLatency, ev.CompLatency = sendEnd-sendStart, end-start
 			e.emit(ev)
 		}
-		e.met.Recalibrated()
 		e.tryDispatch()
 	case k == kindLatency:
 		e.probes[w].noopExec = end - start
@@ -204,7 +203,6 @@ func (e *execution) measureFailed(k chunkKind, w int, cause error) {
 		ev.Workers, ev.Err = e.alive, cause.Error()
 		e.emit(ev)
 	}
-	e.met.WorkerRemoved()
 	if e.alive == 0 {
 		e.failNoWorkers()
 		return
@@ -232,7 +230,6 @@ func (e *execution) probeExecDone(w int) {
 			ev.TransferDur, ev.ComputeDur = pr.probeTransfer, pr.probeExec
 			e.emit(ev)
 		}
-		e.met.ProbeDone()
 	}
 	if e.probesLeft == 0 && !e.planned {
 		e.plan(e.estimatesFromProbes())

@@ -118,7 +118,6 @@ func (e *execution) onDeadline(id TimerID) {
 		ev.Chunk, ev.Size, ev.Dur, ev.Attempt = c.id, c.size, d, c.attempt
 		e.emit(ev)
 	}
-	e.met.ChunkTimedOut()
 	e.chunkFailed(c,
 		fmt.Errorf("stage %s exceeded its %.3gs deadline", c.state, d),
 		c.state == stateTransferring)
@@ -226,7 +225,6 @@ func (e *execution) chunkFailed(c *chunk, cause error, holdsUplink bool) {
 		ev.Err, ev.Remaining = cause.Error(), e.remaining
 		e.emit(ev)
 	}
-	e.met.ChunkRetried(c.size)
 	if !e.dead[w] && e.consecFail[w] >= blacklistAfter {
 		e.blacklistWorker(w)
 	}
@@ -268,7 +266,6 @@ func (e *execution) blacklistWorker(w int) {
 		ev.Size, ev.Workers = returned, e.alive
 		e.emit(ev)
 	}
-	e.met.WorkerRemoved()
 	if e.lossAware != nil {
 		e.lossAware.WorkerLost(w, returned)
 		e.drainSwitchDecisions()

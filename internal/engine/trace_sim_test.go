@@ -15,9 +15,8 @@ import (
 func serialize(t *testing.T, evs []obs.Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := obs.NewJSONL(&buf)
-	for _, ev := range evs {
-		w.Emit(ev)
+	if err := obs.WriteJSONL(&buf, evs); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -27,11 +26,11 @@ func serialize(t *testing.T, evs []obs.Event) []byte {
 // stream by a single byte. Tracing reads the backend clock; it must
 // never advance it or reorder events.
 func TestTracingPreservesSimDeterminism(t *testing.T) {
-	plain, _ := runWithSink(t, dls.NewRUMR(), engine.Config{})
+	plain := runWithSink(t, dls.NewRUMR(), engine.Config{})
 
 	col := otrace.New(0)
 	col.SetExporter(otrace.NopExporter{})
-	traced, _ := runWithSink(t, dls.NewRUMR(), engine.Config{
+	traced := runWithSink(t, dls.NewRUMR(), engine.Config{
 		Trace:   col,
 		TraceID: col.NewTraceID(),
 	})

@@ -52,24 +52,32 @@ type crashStats struct {
 	failed int
 }
 
-// crashRun is one simulation's outcome.
+// crashRun is one simulation's outcome; the run's event sink counts
+// its faults straight into it.
 type crashRun struct {
-	makespan                               float64
-	lost, retries, timeouts, redistributed float64
-	failed                                 bool
+	makespan float64
+	faultCounter
+	failed bool
 }
 
-// redistCounter counts peer redistributions off the engine's event
+// faultCounter counts a run's fault-path events off the engine's event
 // stream; emission is observational, so counting never perturbs the
 // schedule.
-type redistCounter struct{ n int }
+type faultCounter struct {
+	lost, retries, timeouts, redistributed float64
+}
 
-func (r *redistCounter) Emit(ev obs.Event) { r.EmitPtr(&ev) }
-
-// EmitPtr implements obs.PtrSink, sparing a 300-byte copy per event.
-func (r *redistCounter) EmitPtr(ev *obs.Event) {
-	if ev.Type == obs.ChunkRedistributed {
-		r.n++
+// EmitPtr implements obs.Sink.
+func (f *faultCounter) EmitPtr(ev *obs.Event) {
+	switch ev.Type {
+	case obs.WorkerLost:
+		f.lost++
+	case obs.ChunkRetry:
+		f.retries++
+	case obs.ChunkTimeout:
+		f.timeouts++
+	case obs.ChunkRedistributed:
+		f.redistributed++
 	}
 }
 
@@ -87,14 +95,9 @@ func (g *crashGrid) pass(cells []crashCell, baseline []float64) ([]crashRun, err
 				g.probs[c.prob], 0.15*baseline[c.group], 0.60*baseline[c.group])
 		}
 		r.Engine.ProbeLoad = sectionFourProbeLoad
-		r.Engine.Metrics = obs.NewRunMetrics(obs.NewRegistry())
-		r.Engine.Events = &redistCounter{}
+		r.Engine.Events = &out[idx].faultCounter
 	}, func(idx int, r *Run, tr *trace.Trace, err error) error {
 		o := &out[idx]
-		o.lost = r.Engine.Metrics.WorkersLost.Value()
-		o.retries = r.Engine.Metrics.ChunkRetries.Value()
-		o.timeouts = r.Engine.Metrics.ChunkTimeouts.Value()
-		o.redistributed = float64(r.Engine.Events.(*redistCounter).n)
 		if err != nil {
 			// A run that cannot complete is a data point, not a sweep abort.
 			o.failed = true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"apstdv/internal/obs"
@@ -73,8 +74,7 @@ type Backend struct {
 	held              []func()
 	entered, returned bool
 
-	chunkSeq int64
-	seqMu    sync.Mutex
+	chunkSeq atomic.Int64
 
 	// Wall-clock deadline timers armed through the engine.Timer
 	// interface, keyed by the ids AfterFunc hands out.
@@ -371,12 +371,7 @@ func (b *Backend) call(w int, method uint16, args transport.Appender, reply tran
 	return nil
 }
 
-func (b *Backend) nextChunk() int64 {
-	b.seqMu.Lock()
-	defer b.seqMu.Unlock()
-	b.chunkSeq++
-	return b.chunkSeq
-}
+func (b *Backend) nextChunk() int64 { return b.chunkSeq.Add(1) }
 
 // Transfer implements engine.Backend: move `bytes` of real data to the
 // worker over RPC, paced by the worker's network model. The engine
@@ -395,7 +390,9 @@ func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, e
 		}
 		chunk := b.nextChunk()
 		remaining := int(bytes)
-		buf := make([]byte, fragmentSize)
+		// One fragment's worth at most; the probing round's empty
+		// transfers send buf[:0] of an empty buffer.
+		buf := make([]byte, min(remaining, fragmentSize))
 		sent := 0
 		for remaining > 0 || sent == 0 {
 			n := min(remaining, fragmentSize)

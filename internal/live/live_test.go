@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
 	"apstdv/internal/model"
+	"apstdv/internal/transport"
 )
 
 func TestWorkerServiceCompute(t *testing.T) {
@@ -62,6 +64,19 @@ func TestWorkerServiceFetch(t *testing.T) {
 	}
 	if err := svc.Fetch(FetchArgs{Bytes: -1}, &r); err == nil {
 		t.Error("negative fetch accepted")
+	}
+}
+
+// A Fetch naming more bytes than any frame can carry is refused before
+// the worker allocates them.
+func TestWorkerServiceFetchRefusesOversized(t *testing.T) {
+	svc := NewWorkerService(1, 1)
+	var r FetchReply
+	if err := svc.Fetch(FetchArgs{Bytes: transport.DefaultMaxFrame + 1}, &r); err == nil {
+		t.Fatalf("fetch of %d bytes accepted", transport.DefaultMaxFrame+1)
+	}
+	if r.Data != nil {
+		t.Errorf("refused fetch allocated %d bytes", len(r.Data))
 	}
 }
 
@@ -120,6 +135,33 @@ func TestTransferMovesRealBytes(t *testing.T) {
 	wg.Wait()
 	if got := services[0].BytesReceived(); got != 1<<20 {
 		t.Errorf("worker received %d bytes, want %d", got, 1<<20)
+	}
+}
+
+// A small transfer allocates a buffer the size of its data, not a whole
+// fragment: 100 one-KiB transfers stay far below 100 fragments of heap.
+func TestSmallTransfersAllocateTheirSize(t *testing.T) {
+	b, _, cleanup, err := Cluster(1, 1000, NetModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	running(t, b)
+	const transfers = 100
+	transfer := func() {
+		done := make(chan struct{})
+		b.Transfer(0, 1<<10, func(_, _ float64, _ error) { close(done) })
+		<-done
+	}
+	transfer() // warm the connection
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < transfers; i++ {
+		transfer()
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(transfers*fragmentSize/8); got > limit {
+		t.Errorf("%d one-KiB transfers allocated %d bytes, want <= %d", transfers, got, limit)
 	}
 }
 

@@ -174,9 +174,14 @@ func (s *WorkerService) Abort(args AbortArgs, reply *AbortReply) error {
 }
 
 // Fetch implements the output path: return Bytes of (synthetic) output.
+// A size no frame could carry is refused before anything is allocated,
+// so a bad request cannot make the worker allocate without bound.
 func (s *WorkerService) Fetch(args FetchArgs, reply *FetchReply) error {
 	if args.Bytes < 0 {
 		return errors.New("live: negative output size")
+	}
+	if args.Bytes > transport.DefaultMaxFrame {
+		return fmt.Errorf("live: output size %d exceeds the %d-byte frame limit", args.Bytes, transport.DefaultMaxFrame)
 	}
 	reply.Data = make([]byte, args.Bytes)
 	return nil

@@ -1,8 +1,9 @@
 // Package obs is the observability layer: a structured scheduler event
 // stream and a metrics registry, shared by every execution layer — the
-// engine emits typed events through a pluggable Sink, the grid and live
-// backends record resource occupancy, and the daemon exposes both over
-// HTTP in Prometheus text format.
+// engine emits typed events through a pluggable Sink (its metric set,
+// RunMetrics, is one such sink), the grid and live backends record
+// resource occupancy, and the daemon exposes both over HTTP in
+// Prometheus text format.
 //
 // Determinism rule: events are timestamped with the *backend clock*
 // (virtual seconds in the simulator, wall seconds in the live runtime)
@@ -189,20 +190,14 @@ func (ev *Event) Fields() [33]any {
 	}
 }
 
-// Sink receives the event stream. Emit may be called from any goroutine
-// the engine's backend calls back on, one call at a time per run;
-// implementations must be cheap and must not call back into the engine.
+// Sink receives the event stream. EmitPtr may be called from any
+// goroutine the engine's backend calls back on, one call at a time per
+// run; implementations must be cheap and must not call back into the
+// engine. Emitters hold the event in a stable scratch location and pass
+// a pointer instead of a ~300-byte value: the pointee is valid only for
+// the duration of the call, so a sink copies whatever it retains and
+// never keeps the pointer.
 type Sink interface {
-	Emit(Event)
-}
-
-// PtrSink is the copy-free fast path: emitters that already hold the
-// event in a stable scratch location pass a pointer instead of a ~300-
-// byte value. The pointee is only valid for the duration of the call —
-// implementations must copy whatever they retain and must not hold the
-// pointer. Every sink in this package implements it; emitters check
-// once with a type assertion and fall back to Emit.
-type PtrSink interface {
 	EmitPtr(*Event)
 }
 
@@ -216,15 +211,12 @@ type Buffer struct {
 // NewBuffer returns an empty buffer sink.
 func NewBuffer() *Buffer { return &Buffer{} }
 
-// Emit implements Sink.
-func (b *Buffer) Emit(ev Event) {
+// EmitPtr implements Sink.
+func (b *Buffer) EmitPtr(ev *Event) {
 	b.mu.Lock()
-	b.evs = append(b.evs, ev)
+	b.evs = append(b.evs, *ev)
 	b.mu.Unlock()
 }
-
-// EmitPtr implements PtrSink.
-func (b *Buffer) EmitPtr(ev *Event) { b.Emit(*ev) }
 
 // Events returns a copy of the buffered events in emission order.
 func (b *Buffer) Events() []Event {
@@ -277,10 +269,7 @@ type Ring struct {
 // garbage collector. A PagePool's NewRing is the recycling form.
 func NewRing(n int) *Ring { return (*PagePool)(nil).NewRing(n) }
 
-// Emit implements Sink.
-func (r *Ring) Emit(ev Event) { r.EmitPtr(&ev) }
-
-// EmitPtr implements PtrSink: one mutex hold and one pointer-free
+// EmitPtr implements Sink: one mutex hold and one pointer-free
 // record write — once the ring holds its n events (or while its pages
 // come from a pool that has them), no allocation and no write barriers
 // on the event storage.
@@ -515,10 +504,7 @@ func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// Emit implements Sink.
-func (s *JSONL) Emit(ev Event) { s.EmitPtr(&ev) }
-
-// EmitPtr implements PtrSink.
+// EmitPtr implements Sink.
 func (s *JSONL) EmitPtr(ev *Event) {
 	s.mu.Lock()
 	if s.err == nil {
@@ -562,34 +548,12 @@ func (s *JSONL) Flush() error {
 	return s.err
 }
 
-// Tee fans every event out to each sink in order.
-type Tee []Sink
-
-// Emit implements Sink.
-func (t Tee) Emit(ev Event) {
-	for _, s := range t {
-		s.Emit(ev)
-	}
-}
-
-// EmitPtr implements PtrSink, forwarding the pointer to sinks that take
-// one and copying for those that do not.
-func (t Tee) EmitPtr(ev *Event) {
-	for _, s := range t {
-		if ps, ok := s.(PtrSink); ok {
-			ps.EmitPtr(ev)
-		} else {
-			s.Emit(*ev)
-		}
-	}
-}
-
 // WriteJSONL encodes events as JSON Lines to w — the batch form of the
 // JSONL sink, for dumping collected buffers in a deterministic order.
 func WriteJSONL(w io.Writer, events []Event) error {
 	s := NewJSONL(w)
-	for _, ev := range events {
-		s.Emit(ev)
+	for i := range events {
+		s.EmitPtr(&events[i])
 	}
 	return s.Flush()
 }

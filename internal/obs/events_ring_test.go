@@ -40,8 +40,8 @@ func fillEvent(t *testing.T, n int) Event {
 func TestRingRoundTripsEveryField(t *testing.T) {
 	r := NewRing(8)
 	want := []Event{fillEvent(t, 1), fillEvent(t, 2), fillEvent(t, 3)}
-	for _, ev := range want {
-		r.Emit(ev)
+	for i := range want {
+		r.EmitPtr(&want[i])
 	}
 	got := r.Snapshot()
 	if !reflect.DeepEqual(got, want) {
@@ -66,7 +66,7 @@ func TestRingEmitPtrCopies(t *testing.T) {
 func TestRingWrap(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Emit(Event{Seq: int64(i), Alg: fmt.Sprintf("alg%d", i%3), Err: fmt.Sprintf("e%d", i)})
+		r.EmitPtr(&Event{Seq: int64(i), Alg: fmt.Sprintf("alg%d", i%3), Err: fmt.Sprintf("e%d", i)})
 	}
 	got := r.Snapshot()
 	if len(got) != 4 {
@@ -145,7 +145,7 @@ func TestRingGrowsToTarget(t *testing.T) {
 	for _, emits := range []int{1, pageEvents, pageEvents + 1, target - 1, target, target + 5, 3 * target} {
 		r := NewRing(target)
 		for i := 0; i < emits; i++ {
-			r.Emit(Event{Seq: int64(i)})
+			r.EmitPtr(&Event{Seq: int64(i)})
 		}
 		got := r.Snapshot()
 		wantLen := emits

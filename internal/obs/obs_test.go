@@ -46,12 +46,6 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	var rm *RunMetrics
-	rm.Dispatched(10)
-	rm.TransferDone(1)
-	rm.ChunkFinished(1, 1)
-	rm.ProbeDone()
-	rm.Recalibrated()
 	var gm *GridMetrics
 	gm.EnqueueCompute(1)
 	gm.BatchHold(1)
@@ -129,24 +123,25 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 	}
 }
 
-func TestBufferAndTee(t *testing.T) {
-	a, b := NewBuffer(), NewBuffer()
-	sink := Tee{a, b}
-	sink.Emit(Event{Seq: 0, Type: Dispatch, Worker: 2})
-	sink.Emit(Event{Seq: 1, Type: ChunkDone, Worker: 2})
-	if a.Len() != 2 || b.Len() != 2 {
-		t.Fatalf("tee fan-out: %d, %d events, want 2, 2", a.Len(), b.Len())
+func TestBuffer(t *testing.T) {
+	b := NewBuffer()
+	ev := Event{Seq: 0, Type: Dispatch, Worker: 2}
+	b.EmitPtr(&ev)
+	ev = Event{Seq: 1, Type: ChunkDone, Worker: 2}
+	b.EmitPtr(&ev)
+	if b.Len() != 2 {
+		t.Fatalf("buffer holds %d events, want 2", b.Len())
 	}
-	evs := a.Events()
+	evs := b.Events()
 	if evs[0].Type != Dispatch || evs[1].Type != ChunkDone {
-		t.Errorf("buffer order wrong: %+v", evs)
+		t.Errorf("buffer order wrong or the pointee was kept: %+v", evs)
 	}
 }
 
 func TestRingWrapAndAfter(t *testing.T) {
 	r := NewRing(3)
 	for i := 0; i < 5; i++ {
-		r.Emit(Event{Seq: int64(i), Worker: -1})
+		r.EmitPtr(&Event{Seq: int64(i), Worker: -1})
 	}
 	snap := r.Snapshot()
 	if len(snap) != 3 || snap[0].Seq != 2 || snap[2].Seq != 4 {
@@ -164,8 +159,8 @@ func TestRingWrapAndAfter(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONL(&buf)
-	s.Emit(Event{Seq: 0, T: 1.5, Type: Dispatch, Worker: 3, Chunk: 7, Size: 100})
-	s.Emit(Event{Seq: 1, T: 2.5, Type: RunFinished, Worker: -1, Makespan: 2.5})
+	s.EmitPtr(&Event{Seq: 0, T: 1.5, Type: Dispatch, Worker: 3, Chunk: 7, Size: 100})
+	s.EmitPtr(&Event{Seq: 1, T: 2.5, Type: RunFinished, Worker: -1, Makespan: 2.5})
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package obs
 
-// RunMetrics is the engine's metric set: one atomic update per scheduler
-// action, shared across runs when several jobs feed one registry (the
-// daemon's /metrics totals). A nil *RunMetrics disables everything —
-// every method is nil-safe, so the engine carries no conditionals.
+// RunMetrics is the engine's metric set, kept as a Sink of the event
+// stream: every series is derived from the events it receives, one
+// atomic update per event that moves it. One RunMetrics may be shared
+// across runs and fed from several at once (the daemon aggregates all
+// jobs into its /metrics totals).
 type RunMetrics struct {
 	ChunksDispatched  *Counter
 	ChunksDone        *Counter
@@ -43,73 +44,36 @@ func NewRunMetrics(r *Registry) *RunMetrics {
 	}
 }
 
-// Dispatched records one chunk leaving the master.
-func (m *RunMetrics) Dispatched(bytes float64) {
-	if m == nil {
-		return
+// EmitPtr implements Sink: it moves the series the event carries and
+// ignores every other type. Measurements (probes and recalibrations)
+// occupy the uplink, so their transfers count towards its busy time,
+// but they are not dispatched chunks.
+func (m *RunMetrics) EmitPtr(ev *Event) {
+	switch ev.Type {
+	case UplinkBusy:
+		if !ev.Probe {
+			m.ChunksDispatched.Inc()
+			m.BytesSent.Add(ev.Bytes)
+		}
+	case UplinkIdle:
+		m.UplinkBusySeconds.Add(ev.Dur)
+		m.TransferSeconds.Observe(ev.Dur)
+	case ChunkDone:
+		m.ChunksDone.Inc()
+		m.LoadCompleted.Add(ev.Size)
+		m.ComputeSeconds.Observe(ev.CompEnd - ev.CompStart)
+	case ProbeResult:
+		m.ProbesDone.Inc()
+	case Recalibrate:
+		m.Recalibrations.Inc()
+	case ChunkTimeout:
+		m.ChunkTimeouts.Inc()
+	case ChunkRetry:
+		m.ChunkRetries.Inc()
+		m.LoadRetried.Add(ev.Size)
+	case WorkerLost:
+		m.WorkersLost.Inc()
 	}
-	m.ChunksDispatched.Inc()
-	m.BytesSent.Add(bytes)
-}
-
-// TransferDone records one uplink transfer completing.
-func (m *RunMetrics) TransferDone(dur float64) {
-	if m == nil {
-		return
-	}
-	m.UplinkBusySeconds.Add(dur)
-	m.TransferSeconds.Observe(dur)
-}
-
-// ChunkFinished records one real chunk's completion.
-func (m *RunMetrics) ChunkFinished(size, computeDur float64) {
-	if m == nil {
-		return
-	}
-	m.ChunksDone.Inc()
-	m.LoadCompleted.Add(size)
-	m.ComputeSeconds.Observe(computeDur)
-}
-
-// ProbeDone records one calibration chunk completing.
-func (m *RunMetrics) ProbeDone() {
-	if m == nil {
-		return
-	}
-	m.ProbesDone.Inc()
-}
-
-// Recalibrated records one periodic re-measurement.
-func (m *RunMetrics) Recalibrated() {
-	if m == nil {
-		return
-	}
-	m.Recalibrations.Inc()
-}
-
-// ChunkTimedOut records one stage-deadline expiry.
-func (m *RunMetrics) ChunkTimedOut() {
-	if m == nil {
-		return
-	}
-	m.ChunkTimeouts.Inc()
-}
-
-// ChunkRetried records one failed attempt queued for re-dispatch.
-func (m *RunMetrics) ChunkRetried(size float64) {
-	if m == nil {
-		return
-	}
-	m.ChunkRetries.Inc()
-	m.LoadRetried.Add(size)
-}
-
-// WorkerRemoved records one worker leaving service.
-func (m *RunMetrics) WorkerRemoved() {
-	if m == nil {
-		return
-	}
-	m.WorkersLost.Inc()
 }
 
 // GridMetrics is the simulated backend's metric set: queue pressure and
