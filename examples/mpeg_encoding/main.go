@@ -6,8 +6,9 @@
 //
 // The paper wraps the external avisplit tool in a Perl callback script;
 // here the equivalent splitter is a small Go function over the same
-// frame-indexed container format, and the chunks it cuts are verified to
-// reassemble into the original file — the avimerge step.
+// frame-indexed container format. Each chunk it cuts is written to its
+// own file, and the chunk files, opened together as one multi-file load,
+// are verified to reassemble the original frames — the avimerge step.
 //
 //	go run ./examples/mpeg_encoding
 package main
@@ -15,7 +16,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"log"
@@ -52,13 +52,10 @@ const taskXML = `<task
  />
 </task>`
 
-// Frame geometry of the synthetic DV container: a tiny header, then
-// fixed-size frames, mirroring how avisplit cuts AVI files at frame
-// boundaries.
-const (
-	headerMagic = "DVDEMO01"
-	frameBytes  = 4096
-)
+// frameBytes is the frame size of the synthetic DV container
+// (workload.GenerateFrameContainer: a tiny header, then fixed-size
+// frames, mirroring how avisplit cuts AVI files at frame boundaries).
+const frameBytes = 4096
 
 func main() {
 	dir, err := os.MkdirTemp("", "apstdv-mpeg-*")
@@ -88,26 +85,27 @@ func main() {
 	splitter := aviSplit{path: inputPath}
 
 	// Demonstrate division + merge (avisplit | avimerge): cut the video
-	// into 3 chunks at the frame cuts a scheduler might request, then
-	// verify the concatenation reproduces the frame payloads.
-	cuts := []float64{0, 0, 0}
+	// into 3 chunk files at the frame cuts a scheduler might request,
+	// then open the chunk files as one multi-file load and verify that
+	// reading it back reproduces the frame payloads.
 	offset := 0.0
-	var merged bytes.Buffer
+	var chunkPaths []string
 	for i, want := range []float64{20.4, 41.9, float64(frames)} {
 		cut := divider.CutAfter(offset, want)
-		cuts[i] = cut
-		rc, n, err := splitter.Materialize(offset, cut-offset)
+		chunkPath := filepath.Join(dir, fmt.Sprintf("chunk-%d.avi", i+1))
+		n, err := writeChunk(splitter, offset, cut-offset, chunkPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := io.Copy(&merged, rc); err != nil {
-			log.Fatal(err)
-		}
-		rc.Close()
+		chunkPaths = append(chunkPaths, chunkPath)
 		fmt.Printf("chunk %d: frames [%.0f, %.0f) = %d bytes\n", i+1, offset, cut, n)
 		offset = cut
 	}
-	if err := verifyMerge(inputPath, merged.Bytes(), frames); err != nil {
+	merged, err := mergeChunks(chunkPaths)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := verifyMerge(inputPath, merged, frames); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("avimerge check: reassembled chunks match the original frame payloads ✓")
@@ -166,17 +164,15 @@ func main() {
 
 // writeDemoVideo creates the synthetic frame-indexed container.
 func writeDemoVideo(path string, frames int) error {
-	var b bytes.Buffer
-	b.WriteString(headerMagic)
-	binary.Write(&b, binary.LittleEndian, uint32(frames))
-	for f := 0; f < frames; f++ {
-		frame := make([]byte, frameBytes)
-		for i := range frame {
-			frame[i] = byte(f + i)
-		}
-		b.Write(frame)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return os.WriteFile(path, b.Bytes(), 0o644)
+	if _, err := workload.GenerateFrameContainer(f, frames, frameBytes, 1); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // aviSplit is the Go equivalent of the paper's callback_avisplit.pl: it
@@ -189,13 +185,55 @@ func (a aviSplit) Materialize(offset, size float64) (io.ReadCloser, int64, error
 	if err != nil {
 		return nil, 0, err
 	}
-	headerLen := int64(len(headerMagic) + 4)
-	start := headerLen + int64(offset)*frameBytes
-	length := int64(size) * frameBytes
+	start, length := workload.FrameContainerOffset(int(offset), int(size), frameBytes)
 	return struct {
 		io.Reader
 		io.Closer
 	}{io.NewSectionReader(f, start, length), f}, length, nil
+}
+
+// writeChunk materializes one chunk into its own file, as a worker
+// receives it.
+func writeChunk(split aviSplit, offset, size float64, path string) (int64, error) {
+	rc, _, err := split.Materialize(offset, size)
+	if err != nil {
+		return 0, err
+	}
+	defer rc.Close()
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	n, err := io.Copy(f, rc)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
+}
+
+// mergeChunks is avimerge: it opens the chunk files as one logical load
+// of frames and reads it back in order, one file (file boundaries are
+// always cuts) at a time.
+func mergeChunks(paths []string) ([]byte, error) {
+	load, err := divide.NewMultiFileFromPaths(paths, frameBytes)
+	if err != nil {
+		return nil, err
+	}
+	var merged bytes.Buffer
+	for offset := 0.0; offset < load.TotalLoad(); {
+		end := load.CutAfter(offset, load.TotalLoad())
+		rc, _, err := load.Materialize(offset, end-offset)
+		if err != nil {
+			return nil, err
+		}
+		_, err = io.Copy(&merged, rc)
+		rc.Close()
+		if err != nil {
+			return nil, err
+		}
+		offset = end
+	}
+	return merged.Bytes(), nil
 }
 
 func verifyMerge(inputPath string, merged []byte, frames int) error {
@@ -203,11 +241,12 @@ func verifyMerge(inputPath string, merged []byte, frames int) error {
 	if err != nil {
 		return err
 	}
-	payload := orig[len(headerMagic)+4:]
+	start, length := workload.FrameContainerOffset(0, frames, frameBytes)
+	payload := orig[start:]
 	if !bytes.Equal(payload, merged) {
 		return fmt.Errorf("merged chunks (%d bytes) differ from original payload (%d bytes)", len(merged), len(payload))
 	}
-	if len(merged) != frames*frameBytes {
+	if int64(len(merged)) != length {
 		return fmt.Errorf("merged size %d != %d frames × %d bytes", len(merged), frames, frameBytes)
 	}
 	return nil

@@ -2,11 +2,12 @@
 // exactly the paper's step-by-step (Figure 5) — without touching the Go
 // API beyond main():
 //
-//  1. generate an input file and a representative probe file (probegen's
-//     library form);
+//  1. generate an input file (probegen's library form);
 //
-//  2. write the task XML (Figure 1 schema) and a resource XML describing
-//     a two-cluster platform with a batch scheduler;
+//  2. write the task XML (Figure 1 schema) to disk and read it back,
+//     preview the first chunk its division method cuts from the input,
+//     and parse a resource XML describing a two-cluster platform with a
+//     batch scheduler;
 //
 //  3. start an in-process daemon on that platform;
 //
@@ -17,8 +18,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -69,6 +72,40 @@ func main() {
  <divisibility input="records.txt" method="uniform" steptype="separator"
    separator="&#10;" algorithm="fixed-rumr" probe_load="` + fmt.Sprint(total/100) + `"/>
 </task>`
+	taskPath := filepath.Join(dir, "task.xml")
+	if err := os.WriteFile(taskPath, []byte(taskXML), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	task, err := spec.ParseFile(taskPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Preview the division the daemon will make: a chunk of about 1% of
+	// the load, cut at a record boundary and read from the input file.
+	divider, err := task.BuildDivider(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	materializer, err := task.BuildMaterializer(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cut := divider.CutAfter(0, divider.TotalLoad()/100)
+	rc, _, err := materializer.Materialize(0, cut)
+	if err != nil {
+		log.Fatal(err)
+	}
+	chunk, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if len(chunk) == 0 || chunk[len(chunk)-1] != '\n' {
+		log.Fatalf("first chunk of %d bytes does not end on a record boundary", len(chunk))
+	}
+	fmt.Printf("task %s: %s division; first chunk [0, %.0f) holds %d whole records\n",
+		filepath.Base(taskPath), task.Divisibility.Method, cut, bytes.Count(chunk, []byte{'\n'}))
+
 	res, err := spec.ParseResources(strings.NewReader(resourcesXML))
 	if err != nil {
 		log.Fatal(err)

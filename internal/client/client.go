@@ -188,17 +188,20 @@ func active(state daemon.JobState) bool {
 	return state == daemon.JobRunning || state == daemon.JobQueued
 }
 
-// Retry backoff for the polling loops (FollowEvents, WaitDone):
+// Retry backoff for the polling loops (FollowEventsFrom, WaitDone):
 // exponential from followBackoffMin capped at followBackoffMax.
 const (
 	followBackoffMin = 100 * time.Millisecond
 	followBackoffMax = 5 * time.Second
 )
 
-// FollowEvents polls the job's event stream from the beginning, calling
-// fn for every event in seq order, until the job reaches a terminal
+// FollowEventsFrom polls the job's event stream, calling fn for every
+// event after afterSeq in seq order, until the job reaches a terminal
 // state and the stream is drained, or ctx is cancelled (the context
-// error is returned).
+// error is returned). afterSeq -1 follows from the beginning; events
+// with Seq <= afterSeq are never redelivered, so a caller that outlives
+// a connection resumes from its last seen seq (apstdv events -follow
+// does) without replaying the ring.
 //
 // Transient connection failures — daemon restart, dropped conn — and
 // polls shed by an overloaded server do not end the follow: the client
@@ -206,15 +209,6 @@ const (
 // so the caller sees a gap only if the ring evicted events meanwhile.
 // Server-side errors (unknown job, and any other answer the daemon
 // actually produced) return immediately.
-func (c *Client) FollowEvents(ctx context.Context, jobID int, poll time.Duration, fn func(obs.Event)) error {
-	return c.FollowEventsFrom(ctx, jobID, -1, poll, fn)
-}
-
-// FollowEventsFrom is FollowEvents starting after a known sequence
-// number instead of the beginning: events with Seq <= afterSeq are
-// never redelivered. It is the resume primitive for callers that
-// outlive a connection (apstdv events -follow restarts here with its
-// last seen seq, so a daemon reconnect does not replay the ring).
 func (c *Client) FollowEventsFrom(ctx context.Context, jobID int, afterSeq int64, poll time.Duration, fn func(obs.Event)) error {
 	after := afterSeq
 	backoff := followBackoffMin

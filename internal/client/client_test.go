@@ -170,7 +170,7 @@ func TestPollingSurvivesOverloadShedding(t *testing.T) {
 	var got []obs.Event
 	followed := make(chan error, 1)
 	go func() {
-		followed <- c.FollowEvents(ctx, reply.JobID, time.Millisecond, func(ev obs.Event) { got = append(got, ev) })
+		followed <- c.FollowEventsFrom(ctx, reply.JobID, -1, time.Millisecond, func(ev obs.Event) { got = append(got, ev) })
 	}()
 	type waited struct {
 		job daemon.Job

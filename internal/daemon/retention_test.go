@@ -86,7 +86,7 @@ func TestPayloadBudgetOverTheWire(t *testing.T) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		seen := 0
-		if err := c.FollowEvents(ctx, id, time.Millisecond, func(obs.Event) { seen++ }); err != nil || seen != 0 {
+		if err := c.FollowEventsFrom(ctx, id, -1, time.Millisecond, func(obs.Event) { seen++ }); err != nil || seen != 0 {
 			t.Errorf("following stripped job %d: %d events, %v; want a clean end", id, seen, err)
 		}
 		cancel()

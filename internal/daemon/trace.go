@@ -53,8 +53,9 @@ type TraceStatsReply struct {
 	Stages   []otrace.StageStat
 }
 
-// TraceStats implements the latency-attribution RPC backing loadgen's
-// per-stage report.
+// TraceStats implements the latency-attribution RPC: the per-stage
+// report behind the telemetry server's /debug/trace and the serving
+// benchmark's stage numbers.
 func (d *Daemon) TraceStats(args TraceStatsArgs, reply *TraceStatsReply) error {
 	if d.tracer == nil {
 		return nil

@@ -148,9 +148,6 @@ func NewIndex(total float64, cuts []float64) (*Index, error) {
 // TotalLoad implements Divider.
 func (ix *Index) TotalLoad() float64 { return ix.total }
 
-// Cuts returns the valid cut positions (ascending, ending in the total).
-func (ix *Index) Cuts() []float64 { return append([]float64(nil), ix.cuts...) }
-
 // CutAfter implements Divider.
 func (ix *Index) CutAfter(from, want float64) float64 {
 	if want > ix.total {

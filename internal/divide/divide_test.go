@@ -94,7 +94,7 @@ func TestIndexDivider(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cleaned cuts: 10, 30, 60, 100.
-	cuts := ix.Cuts()
+	cuts := ix.cuts
 	want := []float64{10, 30, 60, 100}
 	if len(cuts) != len(want) {
 		t.Fatalf("cuts = %v, want %v", cuts, want)

@@ -71,7 +71,7 @@ func FuzzIndexCutAfter(f *testing.F) {
 			t.Fatalf("CutAfter(%g, %g) = %g outside (%g, %g]", from, want, cut, from, total)
 		}
 		valid := cut == total
-		for _, c := range ix.Cuts() {
+		for _, c := range ix.cuts {
 			if cut == c {
 				valid = true
 			}

@@ -94,10 +94,6 @@ func (r *RUMR) Plan(p Plan) error {
 	return nil
 }
 
-// EstimatedGamma returns the current online γ estimate, or -1 while too
-// few observations have accumulated.
-func (r *RUMR) EstimatedGamma() float64 { return r.gamma.estimate() }
-
 // Next implements Algorithm: online RUMR evaluates its switch condition
 // at every round boundary, with the factoring phase planned over the
 // load left from the probe estimates.

@@ -46,7 +46,7 @@ func TestRUMREstimatedGammaConverges(t *testing.T) {
 	if err := r.Plan(Plan{TotalLoad: 240000, MinChunk: 10, Workers: das2Estimates(4)}); err != nil {
 		t.Fatal(err)
 	}
-	if r.EstimatedGamma() >= 0 {
+	if r.gamma.estimate() >= 0 {
 		t.Error("γ̂ available before any observation")
 	}
 	// Alternate per-unit times 0.36 and 0.44 around mean 0.40 → CV ≈ 10%.
@@ -62,7 +62,7 @@ func TestRUMREstimatedGammaConverges(t *testing.T) {
 			CompStart: 0, CompEnd: 0.7 + 100*perUnit,
 		})
 	}
-	g := r.EstimatedGamma()
+	g := r.gamma.estimate()
 	if g < 0.05 || g > 0.15 {
 		t.Errorf("γ̂ = %.3f, want ≈0.10", g)
 	}
@@ -76,7 +76,7 @@ func TestRUMRGammaEstimateIgnoresProbes(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.Observe(Observation{Worker: i % 4, Size: 100, Probe: true, CompStart: 0, CompEnd: float64(40 + i)})
 	}
-	if r.EstimatedGamma() >= 0 {
+	if r.gamma.estimate() >= 0 {
 		t.Error("probe observations fed the γ estimator")
 	}
 }
@@ -94,7 +94,7 @@ func TestRUMRGammaEstimateIsolatesWorkerSpeed(t *testing.T) {
 		r.Observe(Observation{Worker: 0, Size: 100, CompStart: 0, CompEnd: 0.7 + 100*0.4})
 		r.Observe(Observation{Worker: 1, Size: 100, CompStart: 0, CompEnd: 0.7 + 100*1.2})
 	}
-	if g := r.EstimatedGamma(); g > 0.01 {
+	if g := r.gamma.estimate(); g > 0.01 {
 		t.Errorf("γ̂ = %.3f for deterministic heterogeneous workers, want ≈0", g)
 	}
 }
@@ -179,7 +179,7 @@ func TestRUMRLateSwitchPathology(t *testing.T) {
 	if r.Switched() {
 		t.Error("RUMR switched at γ̂≈10% despite the geometric tail — the paper's pathology should prevent it")
 	}
-	if g := r.EstimatedGamma(); g < 0.05 {
+	if g := r.gamma.estimate(); g < 0.05 {
 		t.Errorf("γ̂ = %.3f; the estimator should have converged (the point is it converges but cannot act)", g)
 	}
 }

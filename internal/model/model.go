@@ -17,7 +17,6 @@
 package model
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -125,43 +124,6 @@ func (p *Platform) Validate() error {
 	return nil
 }
 
-// PlatformOption configures a platform under construction by
-// NewPlatform.
-type PlatformOption func(*Platform)
-
-// WithTopology attaches a link graph to the platform (see Topology).
-func WithTopology(t *Topology) PlatformOption {
-	return func(p *Platform) { p.Topology = t }
-}
-
-// WithName overrides the platform name.
-func WithName(name string) PlatformOption {
-	return func(p *Platform) { p.Name = name }
-}
-
-// NewPlatform builds a validated platform: worker IDs are assigned
-// densely in slice order (literals no longer repeat the index by hand),
-// options are applied, and the full invariant set — including topology
-// route checks and positive link capacities — runs once here. Errors
-// wrap ErrInvalidPlatform (and ErrInvalidTopology for link-graph
-// faults), so callers can errors.Is-dispatch on them.
-func NewPlatform(name string, workers []Worker, opts ...PlatformOption) (*Platform, error) {
-	p := &Platform{Name: name, Workers: workers}
-	for i := range p.Workers {
-		p.Workers[i].ID = i
-	}
-	for _, opt := range opts {
-		opt(p)
-	}
-	if err := p.Validate(); err != nil {
-		if errors.Is(err, ErrInvalidTopology) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %w", ErrInvalidPlatform, err)
-	}
-	return p, nil
-}
-
 // Clusters returns the distinct cluster names in first-appearance order.
 func (p *Platform) Clusters() []string {
 	seen := map[string]bool{}
@@ -173,24 +135,6 @@ func (p *Platform) Clusters() []string {
 		}
 	}
 	return out
-}
-
-// Subset returns a platform containing the workers with the given IDs
-// (re-indexed densely), e.g. to run an experiment on 8 of 16 nodes.
-func (p *Platform) Subset(ids []int) (*Platform, error) {
-	sub := &Platform{Name: p.Name + "-subset"}
-	for _, id := range ids {
-		if id < 0 || id >= len(p.Workers) {
-			return nil, fmt.Errorf("platform %q: subset ID %d out of range [0,%d)", p.Name, id, len(p.Workers))
-		}
-		w := p.Workers[id]
-		w.ID = len(sub.Workers)
-		sub.Workers = append(sub.Workers, w)
-	}
-	if err := sub.Validate(); err != nil {
-		return nil, err
-	}
-	return sub, nil
 }
 
 // UncertaintyMode selects how per-unit compute cost randomness aggregates
@@ -276,21 +220,6 @@ func (a *Application) InputBytes() units.Bytes {
 // Speed=1 worker (no latencies) — the "running time" column of Table 1.
 func (a *Application) SequentialTime() units.Seconds {
 	return units.Seconds(float64(a.TotalLoad) * float64(a.UnitCost))
-}
-
-// CommCompRatio returns the paper's r for this application against a
-// reference transfer rate: total compute time divided by total transfer
-// time ("communication/computation ratio r assuming a 100Mb/sec network",
-// which the paper evaluates at an effective 10 MB/s).
-func (a *Application) CommCompRatio(rate units.Rate) float64 {
-	if rate <= 0 || a.BytesPerUnit == 0 {
-		return 0
-	}
-	transfer := float64(a.InputBytes()) / float64(rate)
-	if transfer == 0 {
-		return 0
-	}
-	return float64(a.SequentialTime()) / transfer
 }
 
 // PlatformRatio returns r measured against a concrete platform: sequential

@@ -81,26 +81,6 @@ func TestClusters(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	p := validPlatform()
-	sub, err := p.Subset([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub.Workers) != 2 {
-		t.Fatalf("subset has %d workers", len(sub.Workers))
-	}
-	if sub.Workers[0].Name != "c" || sub.Workers[1].Name != "a" {
-		t.Errorf("subset order wrong: %v, %v", sub.Workers[0].Name, sub.Workers[1].Name)
-	}
-	if sub.Workers[0].ID != 0 || sub.Workers[1].ID != 1 {
-		t.Error("subset IDs not re-densified")
-	}
-	if _, err := p.Subset([]int{0, 9}); err == nil {
-		t.Error("out-of-range subset did not error")
-	}
-}
-
 func TestApplicationValidateOK(t *testing.T) {
 	if err := validApp().Validate(); err != nil {
 		t.Fatal(err)
@@ -136,22 +116,6 @@ func TestInputBytesAndSequentialTime(t *testing.T) {
 	}
 	if got := a.SequentialTime(); got != 500 {
 		t.Errorf("SequentialTime = %v, want 500", got)
-	}
-}
-
-func TestCommCompRatio(t *testing.T) {
-	a := validApp()
-	// transfer at 1e4 B/s = 10 s, compute = 500 s → r = 50.
-	if got := a.CommCompRatio(1e4); math.Abs(got-50) > 1e-9 {
-		t.Errorf("CommCompRatio = %g, want 50", got)
-	}
-	if a.CommCompRatio(0) != 0 {
-		t.Error("zero rate should give r = 0")
-	}
-	zero := validApp()
-	zero.BytesPerUnit = 0
-	if zero.CommCompRatio(1e4) != 0 {
-		t.Error("zero data density should give r = 0")
 	}
 }
 

@@ -21,15 +21,10 @@ import (
 	"apstdv/internal/units"
 )
 
-// Typed construction errors. errors.Is(err, model.ErrInvalidTopology)
-// works locally and — via the errcode marker — across string-only
-// transports.
-var (
-	// ErrInvalidPlatform marks a platform rejected by NewPlatform.
-	ErrInvalidPlatform = errcode.New("bad_platform", "model: invalid platform")
-	// ErrInvalidTopology marks a link graph rejected by validation.
-	ErrInvalidTopology = errcode.New("bad_topology", "model: invalid topology")
-)
+// ErrInvalidTopology marks a link graph rejected by validation.
+// errors.Is(err, model.ErrInvalidTopology) works locally and — via the
+// errcode marker — across string-only transports.
+var ErrInvalidTopology = errcode.New("bad_topology", "model: invalid topology")
 
 // Link is one named network resource: a capacity shared fairly among the
 // transfers crossing it, plus a fixed per-transfer latency contribution.
@@ -124,15 +119,6 @@ func (t *Topology) Validate(workers int) error {
 
 // Route returns worker w's master→worker link path.
 func (t *Topology) Route(w int) []int { return t.Routes[w] }
-
-// RouteLatency returns the summed fixed latency of worker w's route.
-func (t *Topology) RouteLatency(w int) units.Seconds {
-	var lat units.Seconds
-	for _, li := range t.Routes[w] {
-		lat += t.Links[li].Latency
-	}
-	return lat
-}
 
 // AppendPeerRoute appends to dst the link path of a direct
 // worker-to-worker transfer from a to b and returns the extended slice:

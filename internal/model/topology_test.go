@@ -32,8 +32,12 @@ func TestTopologyBuilderRoutesAndLatency(t *testing.T) {
 	if got := top.Route(1); len(got) != 3 || top.Links[got[0]].Name != "uplink" || top.Links[got[2]].Name != "leaf-1" {
 		t.Errorf("route(1) = %v", got)
 	}
-	if got := float64(top.RouteLatency(0)); got != 1.75 {
-		t.Errorf("route latency = %g, want 1.75", got)
+	var lat float64
+	for _, li := range top.Route(0) {
+		lat += float64(top.Links[li].Latency)
+	}
+	if lat != 1.75 {
+		t.Errorf("route latency = %g, want 1.75", lat)
 	}
 }
 
@@ -139,11 +143,10 @@ func TestTopologyBuilderStickyErrors(t *testing.T) {
 	}
 }
 
-func TestNewPlatformOptionsAndErrors(t *testing.T) {
-	workers := []Worker{
-		{Name: "a", Cluster: "c", Speed: 1, Bandwidth: 1e5},
-		{Name: "b", Cluster: "c", Speed: 1, Bandwidth: 1e5},
-	}
+// TestPlatformValidateTopologySize pins that a link graph sized for the
+// wrong worker count fails platform validation with the typed topology
+// error.
+func TestPlatformValidateTopologySize(t *testing.T) {
 	top, err := NewTopology().
 		Link("uplink", 1e6, 0).
 		Link("leaf-a", 1e5, 0.1).
@@ -154,24 +157,10 @@ func TestNewPlatformOptionsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlatform("t", workers, WithTopology(top), WithName("renamed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name != "renamed" || p.Topology != top {
-		t.Errorf("options not applied: name=%q topology=%p", p.Name, p.Topology)
-	}
-	if p.Workers[1].ID != 1 {
-		t.Errorf("worker IDs not densely assigned: %+v", p.Workers)
-	}
-
-	if _, err := NewPlatform("t", nil); !errors.Is(err, ErrInvalidPlatform) {
-		t.Errorf("empty platform: err = %v, want ErrInvalidPlatform", err)
-	}
-	// A topology sized for the wrong worker count surfaces the typed
-	// topology error through platform validation.
-	_, err = NewPlatform("t", workers[:1], WithTopology(top))
-	if !errors.Is(err, ErrInvalidTopology) {
+	p := &Platform{Name: "t", Topology: top, Workers: []Worker{
+		{Name: "a", Cluster: "c", Speed: 1, Bandwidth: 1e5},
+	}}
+	if err := p.Validate(); !errors.Is(err, ErrInvalidTopology) {
 		t.Errorf("mis-sized topology: err = %v, want ErrInvalidTopology", err)
 	}
 }

@@ -368,25 +368,6 @@ func (r *Ring) atLocked(first, i int) (*eventCore, int) {
 	return &r.pages[slot/pageEvents][slot%pageEvents], slot
 }
 
-// tailLocked unpacks the retained events from position from (0 = the
-// oldest) to the newest, in emission order.
-func (r *Ring) tailLocked(from int) []Event {
-	n, first := r.heldLocked()
-	out := make([]Event, 0, n-from)
-	for i := from; i < n; i++ {
-		c, slot := r.atLocked(first, i)
-		out = append(out, c.unpack(r.errs[slot], &r.types, &r.algs))
-	}
-	return out
-}
-
-// Snapshot returns the retained events in emission order.
-func (r *Ring) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tailLocked(0)
-}
-
 // After returns the retained events with Seq strictly greater than seq,
 // in emission order — the tail-follow read. Pass -1 for "from the
 // beginning of what the ring still holds". It relies on the stored
@@ -404,7 +385,12 @@ func (r *Ring) After(seq int64) []Event {
 	if from == n {
 		return nil
 	}
-	return r.tailLocked(from)
+	out := make([]Event, 0, n-from)
+	for i := from; i < n; i++ {
+		c, slot := r.atLocked(first, i)
+		out = append(out, c.unpack(r.errs[slot], &r.types, &r.algs))
+	}
+	return out
 }
 
 // pageEvents is the number of event records in one page: 64 × 248 B is

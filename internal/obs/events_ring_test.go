@@ -43,7 +43,7 @@ func TestRingRoundTripsEveryField(t *testing.T) {
 	for i := range want {
 		r.EmitPtr(&want[i])
 	}
-	got := r.Snapshot()
+	got := r.After(-1)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
@@ -57,7 +57,7 @@ func TestRingEmitPtrCopies(t *testing.T) {
 	r.EmitPtr(&ev)
 	ev = fillEvent(t, 2)
 	want := fillEvent(t, 1)
-	if got := r.Snapshot(); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+	if got := r.After(-1); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
 		t.Fatalf("stored event changed after EmitPtr returned: %+v", got)
 	}
 }
@@ -68,9 +68,9 @@ func TestRingWrap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.EmitPtr(&Event{Seq: int64(i), Alg: fmt.Sprintf("alg%d", i%3), Err: fmt.Sprintf("e%d", i)})
 	}
-	got := r.Snapshot()
+	got := r.After(-1)
 	if len(got) != 4 {
-		t.Fatalf("Snapshot returned %d events, want 4", len(got))
+		t.Fatalf("After(-1) returned %d events, want 4", len(got))
 	}
 	for i, ev := range got {
 		wantSeq := int64(6 + i)
@@ -147,13 +147,13 @@ func TestRingGrowsToTarget(t *testing.T) {
 		for i := 0; i < emits; i++ {
 			r.EmitPtr(&Event{Seq: int64(i)})
 		}
-		got := r.Snapshot()
+		got := r.After(-1)
 		wantLen := emits
 		if wantLen > target {
 			wantLen = target
 		}
 		if len(got) != wantLen {
-			t.Fatalf("after %d emits: Snapshot returned %d events, want %d", emits, len(got), wantLen)
+			t.Fatalf("after %d emits: After(-1) returned %d events, want %d", emits, len(got), wantLen)
 		}
 		for i, ev := range got {
 			if want := int64(emits - wantLen + i); ev.Seq != want {
@@ -227,7 +227,7 @@ func TestRingMatchesLastNModel(t *testing.T) {
 				r.EmitPtr(&ev)
 				m.emit(ev)
 			}
-			if got := r.Snapshot(); len(got) != len(m.evs) || (len(got) > 0 && !reflect.DeepEqual(got, m.evs)) {
+			if got := r.After(-1); len(got) != len(m.evs) || (len(got) > 0 && !reflect.DeepEqual(got, m.evs)) {
 				t.Fatalf("n=%d round %d after %d emits: ring and model differ\n ring  %+v\n model %+v", n, round, emits, got, m.evs)
 			}
 			if got, want := r.NextSeq(), base+int64(emits); emits > 0 && got != want {
@@ -238,14 +238,11 @@ func TestRingMatchesLastNModel(t *testing.T) {
 					t.Fatalf("n=%d round %d: After(%d) returned %d events, model %d", n, round, cursor, len(got), len(want))
 				}
 			}
-			if released != nil && len(released.Snapshot()) != 0 {
+			if released != nil && len(released.After(-1)) != 0 {
 				t.Fatalf("n=%d round %d: a released ring reads events after its pages were reused", n, round)
 			}
 			next := r.NextSeq()
 			r.Release()
-			if got := r.Snapshot(); len(got) != 0 {
-				t.Fatalf("n=%d round %d: released ring still reads %d events", n, round, len(got))
-			}
 			if got := r.After(-1); got != nil {
 				t.Fatalf("n=%d round %d: released ring still tails %d events", n, round, len(got))
 			}
@@ -259,8 +256,9 @@ func TestRingMatchesLastNModel(t *testing.T) {
 
 // After seeks instead of unpacking the whole ring: for random emission
 // counts, capacities and cursors — a wrapped ring and a cursor older
-// than the tail included — it returns what filtering Snapshot returns,
-// and it allocates the returned slice and nothing else.
+// than the tail included — it returns what filtering the whole ring
+// (After(-1), which seeks nowhere) returns, and it allocates the
+// returned slice and nothing else.
 func TestRingAfterSeeks(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -274,7 +272,7 @@ func TestRingAfterSeeks(t *testing.T) {
 		}
 		cursor := base - 3 + int64(rnd.Intn(emits+6))
 		var want []Event
-		for _, ev := range r.Snapshot() {
+		for _, ev := range r.After(-1) {
 			if ev.Seq > cursor {
 				want = append(want, ev)
 			}
@@ -328,7 +326,7 @@ func TestRingInterleavedAppendKeepsSeqUnique(t *testing.T) {
 		ev := Event{Seq: base + i, Type: ChunkDone}
 		r.EmitPtr(&ev)
 	}
-	snap := r.Snapshot()
+	snap := r.After(-1)
 	reshared := int64(-1)
 	for i, ev := range snap {
 		if ev.Seq != int64(i) {

@@ -143,7 +143,7 @@ func TestRingWrapAndAfter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.EmitPtr(&Event{Seq: int64(i), Worker: -1})
 	}
-	snap := r.Snapshot()
+	snap := r.After(-1)
 	if len(snap) != 3 || snap[0].Seq != 2 || snap[2].Seq != 4 {
 		t.Fatalf("ring snapshot = %+v, want seqs 2..4", snap)
 	}

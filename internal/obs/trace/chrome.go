@@ -31,23 +31,6 @@ func appendChromeEvent(b []byte, r SpanRecord) []byte {
 	return append(b, "}}"...)
 }
 
-// WriteChrome writes spans as one self-contained Chrome-trace JSON
-// array, loadable directly in Perfetto (ui.perfetto.dev) or
-// chrome://tracing.
-func WriteChrome(w io.Writer, spans []SpanRecord) error {
-	buf := []byte("[\n")
-	for i, s := range spans {
-		buf = appendChromeEvent(buf, s)
-		if i < len(spans)-1 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '\n')
-	}
-	buf = append(buf, "]\n"...)
-	_, err := w.Write(buf)
-	return err
-}
-
 // ChromeExporter streams spans to w as they are recorded (the
 // apstdvd -trace-out sink). Close finishes the JSON array; a file cut
 // short by a crash still loads in Chrome/Perfetto, which tolerate a

@@ -132,41 +132,31 @@ func TestWriteTreeSelfTime(t *testing.T) {
 
 func TestChromeExportIsValidJSON(t *testing.T) {
 	c := New(16)
+	var sb strings.Builder
+	e := NewChromeExporter(&sb)
+	c.SetExporter(e)
 	tid := c.NewTraceID()
 	sp := c.Begin(tid, 0, `na"me`)
 	sp.End(nil)
 	c.RecordSpan(tid, 0, SpanID(sp.ID()), "chunk.compute", 5, 9, true, `err "quoted"`)
-
-	var sb strings.Builder
-	if err := WriteChrome(&sb, c.Snapshot()); err != nil {
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
 	if err := json.Unmarshal([]byte(sb.String()), &events); err != nil {
-		t.Fatalf("WriteChrome output not valid JSON: %v\n%s", err, sb.String())
+		t.Fatalf("ChromeExporter output not valid JSON: %v\n%s", err, sb.String())
 	}
 	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2", len(events))
+		t.Fatalf("exporter streamed %d events, want 2", len(events))
+	}
+	if events[0]["name"] != `na"me` || events[0]["cat"] != "wall" {
+		t.Fatalf("wall-clock span exported name=%v cat=%v", events[0]["name"], events[0]["cat"])
 	}
 	if events[1]["cat"] != "backend" {
 		t.Fatalf("backend-clock span exported cat=%v", events[1]["cat"])
 	}
-
-	// The streaming exporter must produce the same valid form.
-	var sb2 strings.Builder
-	e := NewChromeExporter(&sb2)
-	c.SetExporter(e)
-	sp2 := c.Begin(tid, 0, "x")
-	sp2.End(nil)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var events2 []map[string]any
-	if err := json.Unmarshal([]byte(sb2.String()), &events2); err != nil {
-		t.Fatalf("ChromeExporter output not valid JSON: %v\n%s", err, sb2.String())
-	}
-	if len(events2) != 1 {
-		t.Fatalf("exporter streamed %d events, want 1", len(events2))
+	if args, _ := events[1]["args"].(map[string]any); args["err"] != `err "quoted"` {
+		t.Fatalf("span error exported as %v", events[1]["args"])
 	}
 }
 

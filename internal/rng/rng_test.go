@@ -213,44 +213,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(14)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestPermShuffles(t *testing.T) {
-	s := New(15)
-	identity := 0
-	for trial := 0; trial < 100; trial++ {
-		p := s.Perm(10)
-		id := true
-		for i, v := range p {
-			if i != v {
-				id = false
-				break
-			}
-		}
-		if id {
-			identity++
-		}
-	}
-	if identity > 2 {
-		t.Errorf("identity permutation appeared %d/100 times", identity)
-	}
-}
-
 func TestIndexedStreamSeedMatchesFormattedLabel(t *testing.T) {
 	for _, seed := range []uint64{0, 7, 1 << 40} {
 		for _, i := range []int{0, 1, 9, 10, 42, 12345} {

@@ -20,7 +20,6 @@ type FCFSQueue struct {
 	// reachable through the backing array for the queue's lifetime.
 	pending []request
 	head    int
-	served  int
 	// cur is the request in service, with its service window; fireFn is
 	// the queue's only engine callback, built once in NewFCFSQueue.
 	cur              request
@@ -66,7 +65,6 @@ func (q *FCFSQueue) Reset() {
 	}
 	q.pending = q.pending[:0]
 	q.head = 0
-	q.served = 0
 	q.busy = false
 	q.cur = request{}
 	q.curStart, q.curEnd = 0, 0
@@ -100,17 +98,10 @@ func (q *FCFSQueue) fire(uint64) {
 	req := q.cur
 	start, end := q.curStart, q.curEnd
 	q.cur = request{}
-	q.served++
 	req.doneArgFn(req.arg, start, end)
 	q.startNext()
 }
 
-// Busy reports whether the resource is serving or has waiting requests.
-func (q *FCFSQueue) Busy() bool { return q.busy || len(q.pending) > q.head }
-
 // QueueLength returns the number of requests waiting (not counting the
 // one in service).
 func (q *FCFSQueue) QueueLength() int { return len(q.pending) - q.head }
-
-// Served returns the number of completed services.
-func (q *FCFSQueue) Served() int { return q.served }

@@ -34,15 +34,12 @@ func TestFCFSQueuePopReleasesServedRequests(t *testing.T) {
 	if q.head != 0 || len(q.pending) != 0 {
 		t.Errorf("drained queue not reset: head=%d len=%d", q.head, len(q.pending))
 	}
-	if q.Busy() {
+	if q.busy {
 		t.Error("drained queue reports busy")
-	}
-	if q.Served() != n {
-		t.Errorf("served = %d, want %d", q.Served(), n)
 	}
 }
 
-// TestFCFSQueueLengthWithHeadIndex checks QueueLength/Busy account for
+// TestFCFSQueueLengthWithHeadIndex checks QueueLength accounts for
 // the consumed head region.
 func TestFCFSQueueLengthWithHeadIndex(t *testing.T) {
 	e := New()

@@ -282,21 +282,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil fires events with timestamps ≤ t, then advances the clock to
-// exactly t (even if no event lies there).
-func (e *Engine) RunUntil(t units.Seconds) {
-	for {
-		e.skipParked()
-		if len(e.order) == 0 || e.order[0].at > t {
-			break
-		}
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // release returns an arena slot to the free list, bumping its generation
 // so outstanding handles to the old occupant go stale.
 func (e *Engine) release(slot int32) {

@@ -111,26 +111,6 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var fired []units.Seconds
-	for _, ts := range []units.Seconds{1, 2, 3, 4} {
-		ts := ts
-		at(e, ts, func() { fired = append(fired, ts) })
-	}
-	e.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Errorf("RunUntil(2.5) fired %v", fired)
-	}
-	if e.Now() != 2.5 {
-		t.Errorf("clock after RunUntil = %v, want 2.5", e.Now())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Errorf("remaining events did not fire: %v", fired)
-	}
-}
-
 func TestPending(t *testing.T) {
 	e := New()
 	h := at(e, 1, func() {})
@@ -187,9 +167,6 @@ func TestFCFSQueueSerializesInOrder(t *testing.T) {
 			t.Errorf("service %d = [%v, %v], want [%v, %v]", i, sp.s, sp.e, wantStart, wantStart+10)
 		}
 	}
-	if q.Served() != 3 {
-		t.Errorf("Served = %d", q.Served())
-	}
 }
 
 func TestFCFSQueueDurationSeesServiceStart(t *testing.T) {
@@ -221,22 +198,6 @@ func TestFCFSQueueLateArrival(t *testing.T) {
 	e.Run()
 	if start2 != 10 {
 		t.Errorf("request arriving at idle queue started at %v, want 10", start2)
-	}
-}
-
-func TestFCFSQueueBusy(t *testing.T) {
-	e := New()
-	q := NewFCFSQueue(e)
-	if q.Busy() {
-		t.Error("fresh queue reports busy")
-	}
-	enqueue(q, func(units.Seconds) units.Seconds { return 1 }, func(_, _ units.Seconds) {})
-	if !q.Busy() {
-		t.Error("queue with pending work reports idle")
-	}
-	e.Run()
-	if q.Busy() {
-		t.Error("drained queue reports busy")
 	}
 }
 

@@ -56,9 +56,6 @@ func (s Seconds) Duration() time.Duration {
 	return time.Duration(d)
 }
 
-// FromDuration converts a wall-clock duration to model seconds.
-func FromDuration(d time.Duration) Seconds { return Seconds(d.Seconds()) }
-
 // String renders a duration in a human-scaled form (µs .. h).
 func (s Seconds) String() string {
 	v := float64(s)
@@ -97,33 +94,3 @@ func (b Bytes) String() string {
 
 // String renders a load amount.
 func (l Load) String() string { return fmt.Sprintf("%.6g units", float64(l)) }
-
-// Clamp limits l to [lo, hi].
-func (l Load) Clamp(lo, hi Load) Load {
-	if l < lo {
-		return lo
-	}
-	if l > hi {
-		return hi
-	}
-	return l
-}
-
-// Positive reports whether the load is meaningfully greater than zero,
-// tolerating the floating-point dust that accumulates when algorithms
-// subtract planned chunks from a running total.
-func (l Load) Positive() bool { return float64(l) > 1e-9 }
-
-// NearlyEqual reports approximate equality with a relative tolerance,
-// used by schedulers to decide whether a plan fully covers the load.
-func NearlyEqual(a, b, relTol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale == 0 {
-		return diff == 0
-	}
-	return diff/scale <= relTol
-}

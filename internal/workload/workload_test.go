@@ -40,7 +40,9 @@ func TestSyntheticWithRatio(t *testing.T) {
 	if err := app.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	got := app.CommCompRatio(92e3)
+	// r against one speed-1 worker on the reference rate.
+	ref := &model.Platform{Workers: []model.Worker{{Speed: 1, Bandwidth: 92e3}}}
+	got := model.PlatformRatio(app, ref)
 	if math.Abs(got-50) > 1e-9 {
 		t.Errorf("r = %g, want exactly 50", got)
 	}
