@@ -11,6 +11,7 @@ FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                divide:FuzzContinuousCutAfter divide:FuzzWorkUnitsCutAfter \
                divide:FuzzScanSeparators sim:FuzzHeapInvariant \
                sim:FuzzTimersMatchReference grid:FuzzMultiWorldConserves \
+               grid:FuzzLinkFlowsMatchReference \
                engine:FuzzClosureBackendCompletions \
                transport:FuzzServerFrames transport:FuzzClientFrames \
                daemon:FuzzDecodeWire \

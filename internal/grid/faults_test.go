@@ -173,30 +173,43 @@ func TestCrashCutsEveryOp(t *testing.T) {
 		op   issuer
 		// full is the op's uncut duration; at is a crash instant inside it.
 		full, at float64
+		// events, when not zero, is how many engine events the op issued
+		// at 0 fires when the crash at at cuts it, and uncut is how many
+		// it fires without a crash.
+		events, uncut int
 	}{
 		// 2 s latency + 5e5 B at 1e6 B/s.
-		{"transfer/star", star, transfer, 2.5, 1},
-		{"peer/star", star, peer, 2.5, 1},
+		{"transfer/star", star, transfer, 2.5, 1, 0, 0},
+		{"peer/star", star, peer, 2.5, 1, 0, 0},
 		// 1.5 s of link latency, then 5e5 B alone on the 1e6 B/s uplink.
-		{"transfer/tree/latency", tree, transfer, 2, 1},
-		{"transfer/tree/flow", tree, transfer, 2, 1.75},
+		// Alone on the net, the uncut transfer is one event; a crash that
+		// would cut it keeps the latency phase's end as an event of its
+		// own (see linkNet.start).
+		{"transfer/tree/latency", tree, transfer, 2, 1, 1, 1},
+		{"transfer/tree/flow", tree, transfer, 2, 1.75, 2, 1},
 		// The peer route is the two 1e7 B/s leaves: 1 s, then 0.05 s.
-		{"peer/tree/latency", tree, peer, 1.05, 0.5},
-		{"peer/tree/flow", tree, peer, 1.05, 1.025},
+		{"peer/tree/latency", tree, peer, 1.05, 0.5, 1, 2},
+		{"peer/tree/flow", tree, peer, 1.05, 1.025, 2, 2},
 		// 0.5 s launch + 10 units × 0.1 s.
-		{"execute", star, execute, 1.5, 1},
+		{"execute", star, execute, 1.5, 1, 0, 0},
 		// 2 s latency + 5e5 B at 1e6 B/s on the downlink.
-		{"return", star, ret, 2.5, 1},
+		{"return", star, ret, 2.5, 1, 0, 0},
+	}
+	// crashing returns a backend whose worker 0 crashes at crashAt.
+	crashing := func(t *testing.T, p *model.Platform, crashAt float64) *Backend {
+		t.Helper()
+		plan := &FaultPlan{Faults: []WorkerFault{{Worker: 0, Kind: FaultCrash, At: crashAt}}}
+		b, err := New(p, testApp(0), Config{Seed: 1, Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
 	// run issues op at issueAt on a backend whose worker 0 crashes at
 	// crashAt and returns what its one completion reported.
 	run := func(t *testing.T, p *model.Platform, op issuer, crashAt, issueAt float64) (start, end float64, err error) {
 		t.Helper()
-		plan := &FaultPlan{Faults: []WorkerFault{{Worker: 0, Kind: FaultCrash, At: crashAt}}}
-		b, berr := New(p, testApp(0), Config{Seed: 1, Faults: plan})
-		if berr != nil {
-			t.Fatal(berr)
-		}
+		b := crashing(t, p, crashAt)
 		calls := 0
 		b.AfterFunc(issueAt, func(uint64) {
 			op(b, func(_ uint64, s, e float64, opErr error) {
@@ -224,6 +237,19 @@ func TestCrashCutsEveryOp(t *testing.T) {
 				}
 				if wantEnd := max(tc.at, issueAt); start != issueAt || end != wantEnd {
 					t.Errorf("issued at %g: op ran [%g, %g], want [%g, %g]", issueAt, start, end, issueAt, wantEnd)
+				}
+			}
+			if tc.events == 0 {
+				return
+			}
+			for _, c := range []struct {
+				crashAt float64
+				want    int
+			}{{tc.at, tc.events}, {1e9, tc.uncut}} {
+				b := crashing(t, tc.p, c.crashAt)
+				tc.op(b, func(uint64, float64, float64, error) {})
+				if n := engineSteps(b); n != c.want {
+					t.Errorf("crash at %g: op fired %d engine events, want %d", c.crashAt, n, c.want)
 				}
 			}
 		})

@@ -7,9 +7,13 @@ package grid
 // min over its route of capacity/activeFlows — and every flow start or
 // finish preemptively re-scales the others through the fluid record
 // MultiWorld's compute stations use for CPU shares: bank the progress
-// made at the old rate, recompute rates, reschedule completions. A nil
+// made at the old rate, recompute rates, re-key completions. A nil
 // topology never constructs a linkNet, so the star model stays
 // byte-identical to the pinned goldens.
+//
+// A flow costs two events, the end of its latency phase and its
+// completion, except a master transfer alone on the net: it schedules
+// only its completion, at the same float (see start).
 //
 // Peer transfers (worker-to-worker redistribution) ride the same fluid
 // model over model.Topology.AppendPeerRoute. Semantics: the source worker's
@@ -42,8 +46,13 @@ type fluid struct {
 // floating point (it can move the end by an ulp), so whether a user
 // banks members whose rate did not change is part of its arithmetic:
 // linkNet.rescale banks every active flow, computeStation.revise skips
-// an unchanged share.
+// an unchanged share. Banking when no time has passed is a no-op: a
+// peer flow between workers on one route crosses no link and runs at
+// an infinite rate, where Inf × 0 would make rem NaN.
 func (f *fluid) bank(now units.Seconds) {
+	if now == f.last {
+		return
+	}
 	f.rem -= f.rate * float64(now-f.last)
 	if f.rem < 0 {
 		f.rem = 0
@@ -64,13 +73,24 @@ type linkFlow struct {
 	active bool  // joined the fluid pool (latency phase done)
 }
 
+// masterRoute is a worker's master route priced once: its latency (the
+// link latencies summed in route order, as start sums them) and its
+// bottleneck capacity (the rate rescale gives a flow alone on the net).
+type masterRoute struct {
+	lat, rate float64
+}
+
 // linkNet is the fluid contention state over one topology.
 type linkNet struct {
 	b      *Backend
 	active []int // per-link count of flows crossing it
+	routes []masterRoute
 
 	flows    []linkFlow
 	flowFree []int32
+	// solo is the slot of the flow that took the one-event path, -1
+	// when there is none (see start).
+	solo int32
 
 	enterFn  func(uint64) // latency phase done: join the fluid pool
 	finishFn func(uint64) // flow completion (or crash truncation)
@@ -78,7 +98,16 @@ type linkNet struct {
 
 // newLinkNet builds the contention state for the backend's topology.
 func newLinkNet(b *Backend) *linkNet {
-	n := &linkNet{b: b, active: make([]int, len(b.platform.Topology.Links))}
+	top := b.platform.Topology
+	n := &linkNet{b: b, active: make([]int, len(top.Links)), solo: -1}
+	for w := range top.Routes {
+		r := masterRoute{rate: math.Inf(1)}
+		for _, li := range top.Route(w) {
+			r.lat += float64(top.Links[li].Latency)
+			r.rate = min(r.rate, float64(top.Links[li].Capacity))
+		}
+		n.routes = append(n.routes, r)
+	}
 	n.enterFn = n.enter
 	n.finishFn = n.finish
 	return n
@@ -87,6 +116,7 @@ func newLinkNet(b *Backend) *linkNet {
 // reset rewinds the net for a fresh run, clearing all occupancy and
 // flow state. Reuses every slice, route buffers included.
 func (n *linkNet) reset() {
+	n.solo = -1
 	for i := range n.active {
 		n.active[i] = 0
 	}
@@ -129,10 +159,36 @@ func (n *linkNet) freeFlow(slot int32) {
 // its master route, or over the peer route from worker from when from
 // is not negative: a fixed latency phase (the summed link latencies),
 // then a fluid flow through the shared links.
+//
+// The two-event path is needed only by a flow that can change another
+// flow's rate. A master transfer that starts on an empty net cannot, so
+// it schedules just its completion, at te + bytes/rate with te = now +
+// the route's latency and rate its bottleneck capacity: the floats
+// enter and rescale would compute. It keeps the two events when its
+// worker's crash would cut it (or is already past), because a cut end
+// ties with the worker's other ops at the crash instant, where sequence
+// numbers order them.
 func (n *linkNet) start(opSlot int32, bytes float64, from int) {
 	b := n.b
 	top := b.platform.Topology
 	o := &b.ops[opSlot]
+	if n.solo >= 0 {
+		// The solo flow and this one may share a link from now on.
+		n.unsolo()
+	} else if from < 0 && len(n.flows) == len(n.flowFree) {
+		// Alone on the net: this flow can change no other flow's rate.
+		r := n.routes[o.w]
+		te := o.start + units.Seconds(r.lat)
+		end := float64(te) + bytes/r.rate
+		if b.faults == nil || b.faults[o.w].crashAt >= end && b.faults[o.w].crashAt > float64(o.start) {
+			slot := n.allocFlow()
+			f := &n.flows[slot]
+			f.rem, f.opSlot, f.last = bytes, opSlot, te
+			f.end = b.eng.AtArg(units.Seconds(end), n.finishFn, uint64(slot))
+			n.solo = slot
+			return
+		}
+	}
 	slot := n.allocFlow()
 	f := &n.flows[slot]
 	if from < 0 {
@@ -149,6 +205,29 @@ func (n *linkNet) start(opSlot int32, bytes float64, from int) {
 	delay, err := b.cut(int(o.w), o.start, lat)
 	o.err = err
 	b.eng.AfterArg(delay, n.enterFn, uint64(slot))
+}
+
+// unsolo puts the solo flow back on the two-event path as another flow
+// starts. In its latency phase, its completion is re-keyed into the
+// enter event at te (held in last). Past te, it joins the pool as enter
+// would have left it at te: last = te, rate the route's bottleneck, and
+// the completion already pending at the end rescale would have set.
+func (n *linkNet) unsolo() {
+	slot := n.solo
+	n.solo = -1
+	f := &n.flows[slot]
+	w := n.b.ops[f.opSlot].w
+	f.route = append(f.route, n.b.platform.Topology.Route(int(w))...)
+	if n.b.eng.Now() <= f.last {
+		n.b.eng.MoveArg(f.end, f.last, n.enterFn, uint64(slot))
+		f.end = sim.Handle{}
+		return
+	}
+	for _, li := range f.route {
+		n.active[li]++
+	}
+	f.active = true
+	f.rate = n.routes[w].rate
 }
 
 // enter ends a flow's latency phase: crash-truncated or zero-byte flows
@@ -208,9 +287,15 @@ func (n *linkNet) rescale(now units.Seconds) {
 }
 
 // finish ends one flow — natural completion (rem drained) or crash
-// truncation — releasing its links and re-scaling the survivors.
+// truncation — releasing its links and re-scaling the survivors. The
+// solo flow holds no links and leaves no survivors.
 func (n *linkNet) finish(arg uint64) {
 	slot := int32(arg)
+	if slot == n.solo {
+		n.solo = -1
+		n.complete(slot)
+		return
+	}
 	f := &n.flows[slot]
 	for _, li := range f.route {
 		n.active[li]--

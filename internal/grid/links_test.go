@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -19,7 +20,7 @@ import (
 // leaves (fast, so never the bottleneck) through one shared uplink.
 // Worker CommLatency is deliberately non-zero: under a topology, only
 // the route's link latencies may matter.
-func linkPlatform(t *testing.T, upLat, leafLat units.Seconds) *model.Platform {
+func linkPlatform(t testing.TB, upLat, leafLat units.Seconds) *model.Platform {
 	t.Helper()
 	top, err := model.NewTopology().
 		Link("up", 1e6, upLat).
@@ -77,7 +78,9 @@ func TestLinkFairShare(t *testing.T) {
 // banked and the completion re-made from the banked remainder. In
 // floating point that is not a no-op (here it moves the end by an ulp),
 // which is why rescale banks every active flow instead of skipping the
-// unchanged ones.
+// unchanged ones. Flow 0 starts alone and takes the one-event path;
+// flow 1 starts after flow 0's latency phase, so this is also the case
+// of a solo flow joining the pool as if it had entered at its te.
 func TestLinkRescaleBanksEveryFlow(t *testing.T) {
 	top, err := model.NewTopology().
 		Link("a", 3e5, 0).
@@ -133,6 +136,182 @@ func TestLinkRouteLatency(t *testing.T) {
 		t.Errorf("end = %g, want 2.5", end)
 	}
 }
+
+// engineSteps drains the backend's engine one event at a time and
+// returns how many events fired.
+func engineSteps(b *Backend) int {
+	n := 0
+	for b.eng.Step() {
+		n++
+	}
+	return n
+}
+
+// TestLinkSoloTransferIsOneEvent pins the one-event path: a transfer
+// that starts on an empty net fires nothing but its completion, at the
+// route latency (summed in route order) plus bytes at the bottleneck
+// capacity — bit for bit what the latency phase's end and a rescale
+// would compute.
+func TestLinkSoloTransferIsOneEvent(t *testing.T) {
+	const upLat, leafLat, bytes = 0.3, 0.1, 7e5
+	b, err := New(linkPlatform(t, upLat, leafLat), testApp(0), Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var end float64
+	b.TransferOp(0, bytes, 0, func(_ uint64, _, e float64, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		end = e
+	})
+	if n := engineSteps(b); n != 1 {
+		t.Errorf("a lone transfer took %d engine events, want 1", n)
+	}
+	lat := 0.0
+	for _, l := range []float64{upLat, leafLat} {
+		lat += l
+	}
+	if want := lat + bytes/1e6; end != want {
+		t.Errorf("end = %v, want %v", end, want)
+	}
+	if b.links.solo != -1 || len(b.links.flows) != len(b.links.flowFree) {
+		t.Error("the finished solo flow left state behind")
+	}
+}
+
+// TestLinkSoloRejoinsTwoEventPath pins a solo flow that another flow
+// joins before it has entered the pool: its completion becomes the
+// latency phase's end, and from there the fluid model runs as if it had
+// never been solo. Both flows share the 1e6 B/s uplink after 0.5 s of
+// latency each; every time below is exact in binary.
+//
+//	second starts at 0.25 (w0 still in its latency phase):
+//	  w0 enters at 0.5, alone at 1e6 B/s until w1 enters at 0.75
+//	  w1: 2.5e5 B at 5e5 B/s                             → done at 1.25
+//	  w0: 1e6 B = 2.5e5 + 2.5e5 at half rate + 5e5 alone → done at 1.75
+//	second starts at 0.5, w0's te exactly (re-keyed into the enter
+//	event; joining as if entered at te would give the same floats):
+//	  w0 enters at 0.5, alone until w1 enters at 1.0: 5e5 B
+//	  w1: 2.5e5 B at 5e5 B/s                             → done at 1.5
+//	  w0: 2.5e5 B at half rate, 2.5e5 alone              → done at 1.75
+func TestLinkSoloRejoinsTwoEventPath(t *testing.T) {
+	for _, tc := range []struct {
+		second, end0, end1 float64
+	}{
+		{0.25, 1.75, 1.25},
+		{0.5, 1.75, 1.5},
+	} {
+		b, err := New(linkPlatform(t, 0.25, 0.25), testApp(0), Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var end0, end1 float64
+		b.Transfer(0, 1e6, func(_, e float64, err error) {
+			if err != nil {
+				t.Errorf("w0: %v", err)
+			}
+			end0 = e
+		})
+		if b.links.solo < 0 {
+			t.Fatal("a transfer on an empty net did not take the one-event path")
+		}
+		b.AfterFunc(tc.second, func(uint64) {
+			b.Transfer(1, 2.5e5, func(_, e float64, err error) {
+				if err != nil {
+					t.Errorf("w1: %v", err)
+				}
+				end1 = e
+			})
+		})
+		b.Run()
+		if end0 != tc.end0 || end1 != tc.end1 {
+			t.Errorf("second flow at %g: ends = [%v, %v], want [%v, %v]", tc.second, end0, end1, tc.end0, tc.end1)
+		}
+	}
+}
+
+// TestLinkResetClearsSolo pins Reset against the one-event path: a
+// backend reused after a run cancelled while a solo flow was in flight,
+// and again after a reset that found a solo flow pending, replays the
+// identical event stream and makespan a fresh backend produces. The
+// daemon reuses a slot's backend this way.
+func TestLinkResetClearsSolo(t *testing.T) {
+	platform := workload.WithTreeTopology(workload.Mixed(2, 2))
+	app := workload.Synthetic(0.10)
+	cfg := Config{Seed: 7}
+	exec := func(b engine.Backend, ctx context.Context, sink obs.Sink) (float64, []obs.Event, error) {
+		ebuf := obs.NewBuffer()
+		if sink == nil {
+			sink = ebuf
+		}
+		tr, err := runEngineOn(ctx, b, app, platform, sink, nil)
+		return tr.Makespan(), ebuf.Events(), err
+	}
+	fresh, err := New(platform, app, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMakespan, wantEvents, err := exec(fresh, context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(b *Backend, after string) {
+		t.Helper()
+		if err := b.Reset(app, cfg); err != nil {
+			t.Fatal(err)
+		}
+		makespan, events, err := exec(b, context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if makespan != wantMakespan || !reflect.DeepEqual(events, wantEvents) {
+			t.Errorf("after %s: replay differs from a fresh backend (makespan %v, want %v)", after, makespan, wantMakespan)
+		}
+	}
+
+	reused, err := New(platform, app, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The engine marks a run cancelled before it stops a Stopper
+	// backend, so once Stop is called the next callback aborts the run.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stoppable := stopSignal{reused, make(chan struct{})}
+	sawSolo := false
+	_, _, err = exec(stoppable, ctx, sinkFunc(func(*obs.Event) {
+		if !sawSolo && reused.links.solo >= 0 {
+			sawSolo = true
+			cancel()
+			<-stoppable.stopped
+		}
+	}))
+	if !sawSolo || !errors.Is(err, context.Canceled) {
+		t.Fatalf("run saw a solo flow: %v, ended with %v; want a run cancelled while one was in flight", sawSolo, err)
+	}
+	replay(reused, "a cancelled run")
+
+	reused.TransferOp(0, 1e6, 0, func(uint64, float64, float64, error) {})
+	if reused.links.solo < 0 {
+		t.Fatal("a transfer on an empty net did not take the one-event path")
+	}
+	replay(reused, "a reset with a solo flow pending")
+}
+
+// stopSignal is a Backend the engine can stop; Stop only reports that
+// it was called.
+type stopSignal struct {
+	*Backend
+	stopped chan struct{}
+}
+
+func (s stopSignal) Stop() { close(s.stopped) }
+
+// sinkFunc adapts a function to obs.Sink.
+type sinkFunc func(*obs.Event)
+
+func (f sinkFunc) EmitPtr(e *obs.Event) { f(e) }
 
 // TestPeerTransferCrashSemantics pins the site-storage contract on both
 // network models: a crashed *source* still serves a peer transfer (the
@@ -202,7 +381,7 @@ func TestLinkResetByteIdentical(t *testing.T) {
 	}
 	exec := func(b *Backend, arena *engine.Arena) outcome {
 		ebuf := obs.NewBuffer()
-		tr, err := runEngineOn(t, b, app, platform, ebuf, arena)
+		tr, err := runEngineOn(context.Background(), b, app, platform, ebuf, arena)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,11 +415,42 @@ func TestLinkResetByteIdentical(t *testing.T) {
 }
 
 // runEngineOn drives one full RUMR execution against the backend.
-func runEngineOn(t *testing.T, b *Backend, app *model.Application, p *model.Platform, events obs.Sink, arena *engine.Arena) (*trace.Trace, error) {
-	t.Helper()
-	return engine.Execute(context.Background(), engine.Request{
+func runEngineOn(ctx context.Context, b engine.Backend, app *model.Application, p *model.Platform, events obs.Sink, arena *engine.Arena) (*trace.Trace, error) {
+	return engine.Execute(ctx, engine.Request{
 		Backend: b, Algorithm: dls.NewRUMR(), App: app, Platform: p,
 		Config: engine.Config{Events: events},
 		Arena:  arena,
 	})
+}
+
+// BenchmarkLinkTransfer is the link model's own number: the cost of a
+// transfer on linkPlatform alone on the net (the one-event path) and as
+// one of two overlapping flows sharing the uplink (the two-event path
+// with a rescale at every membership change), in ns and engine events
+// per transfer.
+func BenchmarkLinkTransfer(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		flows int
+	}{{"lone", 1}, {"overlapping", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			be, err := New(linkPlatform(b, 0.25, 0.25), testApp(0), Config{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			done := func(uint64, float64, float64, error) {}
+			events := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for w := 0; w < bc.flows; w++ {
+					be.TransferOp(w, 1e6, 0, done)
+				}
+				events += engineSteps(be)
+			}
+			transfers := float64(b.N * bc.flows)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/transfers, "ns/transfer")
+			b.ReportMetric(float64(events)/transfers, "events/transfer")
+		})
+	}
 }
