@@ -64,13 +64,16 @@ fuzz-smoke:
 		$(GO) test ./internal/$$pkg/ -run '^$$' -fuzz "^$$target$$" -fuzztime 2s || exit 1; \
 	done
 
-# bench-smoke runs every root benchmark for one iteration: the paper's
-# table, figure, case-study and ablation series still run. It asserts
+# bench-smoke runs every root benchmark and every layer benchmark under
+# internal/ for one iteration: the paper's table, figure, case-study and
+# ablation series still run, and so do the per-layer benchmarks (link
+# transfers, stage deadlines, served jobs, the event codec, the ring),
+# which nothing else in `make check` compiles into a run. It asserts
 # nothing; performance is measured by `bash bench/run.sh` and the
 # structural budgets (disabled tracing and the obs emit path allocate
 # nothing, every pool width gives the same bytes) are tier-1 tests.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/...
 
 # lint runs go vet, fails when gofmt would change any Go file of the
 # root module or of bench/ (it only reads bench/), and runs staticcheck

@@ -41,6 +41,15 @@ const warmRunAllocs = 8
 // allocation per cut op, failed chunk or peer transfer exceeds it.
 const warmTreeRunAllocs = 5
 
+// warmRetryRunAllocs bounds a warm repeat of the canonical run with the
+// retry layer on and no fault: every stage of every chunk arms a
+// deadline and cancels it again. Measured at 4, the canonical run's own
+// count, both with the grid's timer wheel holding one timer per stage
+// and with the engine's deadline set holding one backend timer per run:
+// the set, the timer table and the event arena all grow once and are
+// reused, so arming a deadline allocates nothing.
+const warmRetryRunAllocs = 4
+
 // paperRunAllocs bounds what one run of the paper's experiments
 // allocates when experiment.Spec.Run replays them at width 1, warm — the
 // sim_paper workload's allocs_per_op: the run's algorithm and
@@ -124,8 +133,9 @@ func warmAllocs(t *testing.T, repeats int, alg string, seed func(int) uint64, se
 }
 
 // TestResetRunAllocationRegression asserts that a warm run stays under
-// the absolute bound, and that periodic recalibration adds nothing to
-// it: its measurements are arena chunks like the probing round's.
+// the absolute bound, and that neither periodic recalibration nor the
+// retry layer's stage deadlines add anything to it: recalibration's
+// measurements are arena chunks like the probing round's.
 func TestResetRunAllocationRegression(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
@@ -137,6 +147,11 @@ func TestResetRunAllocationRegression(t *testing.T) {
 	if recal := warmAllocs(t, 10, "umr", seed42, canonicalRun(engine.Config{RecalibrateInterval: 500})); recal > warm {
 		t.Errorf("recalibrating every 500 s added %.0f allocs to a warm run (%.0f vs %.0f); want none",
 			recal-warm, recal, warm)
+	}
+	retry := warmAllocs(t, 10, "umr", seed42, canonicalRun(engine.Config{Retry: &engine.RetryPolicy{}}))
+	if retry > warmRetryRunAllocs || retry > warm {
+		t.Errorf("a warm run with the retry layer on allocated %.0f allocs/op (%.0f without); want <= %d and no more than without",
+			retry, warm, warmRetryRunAllocs)
 	}
 }
 

@@ -142,19 +142,20 @@ func NewArena() *Arena { return &Arena{} }
 type TimerID = uint64
 
 // Timer is an optional Backend interface giving the engine one-shot
-// timers on the backend clock, used to arm per-chunk stage deadlines.
-// The simulator implements it on the virtual clock over a timer wheel
-// (so deadlines are deterministic and the armed-then-cancelled common
-// case is O(1) with no allocation), the live runtime on the wall clock.
+// timers on the backend clock. The engine keeps its per-chunk stage
+// deadlines itself and holds at most one timer per execution, armed for
+// the earliest of them (see armDeadline). The simulator implements it on
+// the virtual clock with one plain event per timer, so deadlines are as
+// deterministic as everything else; the live runtime on the wall clock.
 // A backend without Timer still runs under a retry policy — failures
 // are then detected only when the backend reports them, never by
 // deadline.
 type Timer interface {
 	// AfterFunc arms fn to run once d seconds of backend time have
 	// elapsed and returns an id for CancelTimer. fn receives that same
-	// id, so one long-lived handler can serve every timer the caller
-	// arms and find the deadline it belongs to by id comparison; ids are
-	// never reused. A firing is a callback under the Backend contract.
+	// id, so the caller can tell a current firing from a stale one; ids
+	// are never reused. A firing is a callback under the Backend
+	// contract.
 	AfterFunc(d float64, fn func(id TimerID)) TimerID
 	// CancelTimer disarms an armed timer. Cancelling a zero, fired, or
 	// stale id is a no-op.
@@ -467,9 +468,19 @@ type execution struct {
 	retry         RetryPolicy
 	timer         Timer
 	timeoutFn     func(TimerID) // onDeadline as a method value, built once
-	ests          []model.Estimate
-	dests         []model.Estimate // deadline estimates (see plan)
-	lossAware     dls.WorkerLossAware
+	// Stage deadlines (see armDeadline): the armed stages in no order,
+	// the arming counter that orders stages due at one instant, and the
+	// one backend timer serving them all — its id (0: none armed) and
+	// the instant it fires, never later than the earliest deadline.
+	// firing is set while onDeadline times stages out.
+	deadlines   []stageDeadline
+	deadlineSeq uint64
+	timerID     TimerID
+	timerAt     float64
+	firing      bool
+	ests        []model.Estimate
+	dests       []model.Estimate // deadline estimates (see plan)
+	lossAware   dls.WorkerLossAware
 	// Redistribution (RetryPolicy.Redistribute on a PeerBackend): failed
 	// attempts whose input already reached a site re-dispatch over the
 	// peer path instead of the master uplink.
@@ -571,6 +582,8 @@ func (e *execution) beginRun(req Request) {
 	e.retryOn = false
 	e.retry = RetryPolicy{}
 	e.timer = nil
+	e.deadlines = e.deadlines[:0]
+	e.deadlineSeq, e.timerID, e.firing = 0, 0, false
 	e.lossAware = nil
 	e.peerBackend = nil
 	e.redistAware = nil
@@ -579,8 +592,8 @@ func (e *execution) beginRun(req Request) {
 		e.retry = cfg.Retry.withDefaults()
 		e.timer, _ = b.(Timer)
 		if e.timer != nil && e.timeoutFn == nil {
-			// One handler serves every deadline (see onDeadline), so
-			// arming a timer never builds a closure.
+			// One handler serves the execution's one deadline timer
+			// (see onDeadline), so arming it never builds a closure.
 			e.timeoutFn = e.onDeadline
 		}
 		e.lossAware, _ = alg.(dls.WorkerLossAware)

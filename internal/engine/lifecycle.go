@@ -16,10 +16,11 @@ import (
 //	Planned → Transferring → Computing → Returning → Done
 //	                 \______________\________\→ Failed (→ re-dispatch)
 //
-// Transitions happen one callback at a time (see Backend); callbacks and
-// deadline timers from an abandoned attempt are fenced off by the
-// chunk's epoch (see chunk.epoch), so a stale completion can never
-// advance a state it no longer owns.
+// Transitions happen one callback at a time (see Backend); callbacks
+// from an abandoned attempt are fenced off by the chunk's epoch (see
+// chunk.epoch), so a stale completion can never advance a state it no
+// longer owns, and the attempt's deadline leaves the deadline set as it
+// is abandoned (see cancelDeadline).
 type chunkState int
 
 const (
@@ -80,8 +81,8 @@ type chunk struct {
 	// for deadline bookkeeping and stall diagnostics.
 	stageStart float64
 	// epoch increments every time the attempt is (re)launched or
-	// abandoned, and when the slot is recycled; op tokens and timers
-	// capture it and no-op on mismatch. It is monotonic across the
+	// abandoned, and when the slot is recycled; op tokens capture it
+	// and no-op on mismatch. It is monotonic across the
 	// arena's whole life — never reset between runs — so a callback
 	// surviving from a previous run can never match a current chunk.
 	epoch uint32
@@ -90,14 +91,13 @@ type chunk struct {
 	// completed, it is what makes peer redistribution possible — the
 	// input survives on the failed worker's site storage.
 	dataAt int32
-	// Deadline state for the current stage: the backend timer id, the
-	// armed duration (for the timeout event/error), and whether a
-	// deadline is currently armed. The handler itself is shared by the
-	// whole execution (see onDeadline) and matches firings to chunks by
-	// id, so arming a deadline allocates nothing.
-	deadline      TimerID
-	deadlineDur   float64
-	deadlineArmed bool
+	// Deadline state for the current stage: the armed duration (for the
+	// timeout event and error) and the stage's position in the
+	// execution's deadline set plus one (0: no deadline armed). The set
+	// and its one backend timer belong to the execution (see
+	// armDeadline), so arming a deadline allocates nothing.
+	deadlineDur float64
+	deadlineIdx int32
 	// Tracing (zero when off): the chunk's umbrella span id and its
 	// first-launch time. Both survive retries — every attempt's stage
 	// spans parent under the same umbrella.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"apstdv/internal/obs"
 	"apstdv/internal/trace"
@@ -88,48 +89,27 @@ func (e *execution) returnEstimate(c *chunk) float64 {
 	return est.CommLatency + c.size*est.UnitComm*ratio
 }
 
-// onDeadline is the execution's single stage-timeout handler: every
-// deadline armed by armDeadline fires through this one method value,
-// identified by the timer id the backend hands back. The firing is
-// matched to the in-flight chunk whose armed deadline carries that id;
-// ids are never reused, so a firing that matches no armed deadline
-// no-ops. Timeouts are rare (faults, stalls), so the O(in-flight) scan
-// is off the hot path.
-func (e *execution) onDeadline(id TimerID) {
-	e.poll()
-	if e.err != nil {
-		return
-	}
-	var c *chunk
-	for i := range e.chunkSlots {
-		cand := &e.chunkSlots[i]
-		if cand.used && cand.deadlineArmed && cand.deadline == id {
-			c = cand
-			break
-		}
-	}
-	if c == nil {
-		return // stale firing: the deadline was cancelled or re-armed
-	}
-	c.deadlineArmed = false
-	c.deadline = 0
-	d := c.deadlineDur
-	if ev := e.event(obs.ChunkTimeout, c.worker); ev != nil {
-		ev.Chunk, ev.Size, ev.Dur, ev.Attempt = c.id, c.size, d, c.attempt
-		e.emit(ev)
-	}
-	e.chunkFailed(c,
-		fmt.Errorf("stage %s exceeded its %.3gs deadline", c.state, d),
-		c.state == stateTransferring)
-	e.tryDispatch()
+// stageDeadline is one armed stage in the execution's deadline set:
+// the chunk's arena slot, the absolute instant the stage times out, and
+// the arming sequence number that orders stages due at the same
+// instant.
+type stageDeadline struct {
+	at   float64
+	seq  uint64
+	slot int32
 }
 
-// armDeadline starts the deadline timer of the stage c has just
-// entered (c.state), derived from the algorithm's cost estimate for the
-// stage. No-op without a retry policy or a Timer-capable backend, which
-// then computes no estimate either.
+// armDeadline starts the deadline of the stage c has just entered
+// (c.state), derived from the algorithm's cost estimate for the stage.
+// The stage joins the deadline set at at = c.stageStart + d: the stage
+// started in this callback, so that is the instant the backend's own
+// clock arithmetic gives a timer of delay d armed now. The one
+// backend timer is re-armed only when there is none or at comes before
+// its instant, and then with delay d itself, so it fires at exactly at.
+// No-op without a retry policy or a Timer-capable backend, which then
+// computes no estimate either, and once the run has failed.
 func (e *execution) armDeadline(c *chunk) {
-	if !e.retryOn || e.timer == nil {
+	if !e.retryOn || e.timer == nil || e.err != nil {
 		return
 	}
 	var estimate float64
@@ -142,18 +122,113 @@ func (e *execution) armDeadline(c *chunk) {
 		estimate = e.returnEstimate(c)
 	}
 	d := timeoutFactor*estimate + minTimeout
+	at := c.stageStart + d
 	c.deadlineDur = d
-	c.deadlineArmed = true
-	c.deadline = e.timer.AfterFunc(d, e.timeoutFn)
+	e.deadlineSeq++
+	e.deadlines = append(e.deadlines, stageDeadline{at: at, seq: e.deadlineSeq, slot: c.slot})
+	c.deadlineIdx = int32(len(e.deadlines))
+	if e.firing || (e.timerID != 0 && at >= e.timerAt) {
+		return
+	}
+	if e.timerID != 0 {
+		e.timer.CancelTimer(e.timerID)
+	}
+	e.timerAt = at
+	e.timerID = e.timer.AfterFunc(d, e.timeoutFn)
 }
 
-// cancelDeadline stops the armed stage deadline, if any.
+// cancelDeadline takes c's armed stage, if any, out of the deadline
+// set. The backend timer is cancelled only when the set empties, so no
+// timer outlives the last deadline; otherwise it fires at an instant no
+// later than every deadline left, and onDeadline re-arms it.
 func (e *execution) cancelDeadline(c *chunk) {
-	if c.deadlineArmed {
-		c.deadlineArmed = false
-		e.timer.CancelTimer(c.deadline)
-		c.deadline = 0
+	i := c.deadlineIdx - 1
+	if i < 0 {
+		return
 	}
+	c.deadlineIdx = 0
+	last := int32(len(e.deadlines) - 1)
+	if i != last {
+		moved := e.deadlines[last]
+		e.deadlines[i] = moved
+		e.chunkSlots[moved.slot].deadlineIdx = i + 1
+	}
+	e.deadlines = e.deadlines[:last]
+	if last == 0 && e.timerID != 0 {
+		e.timer.CancelTimer(e.timerID)
+		e.timerID = 0
+	}
+}
+
+// onDeadline is the backend timer's handler, the one method value every
+// arming passes. Every armed stage due by now times out, in (at, seq)
+// order, exactly as its own timer firing would: a ChunkTimeout event,
+// chunkFailed, tryDispatch. Stages armed meanwhile only join the set;
+// afterwards the timer is re-armed once, for the earliest deadline
+// left. A firing whose id is no longer the armed timer's no-ops.
+func (e *execution) onDeadline(id TimerID) {
+	if id != e.timerID {
+		return
+	}
+	e.timerID = 0
+	now := e.backend.Now()
+	e.firing = true
+	defer func() { e.firing = false }()
+	for {
+		e.poll()
+		if e.err != nil || len(e.deadlines) == 0 {
+			return
+		}
+		next := e.earliestDeadline()
+		if next.at > now {
+			e.timerAt = next.at
+			e.timerID = e.timer.AfterFunc(delayTo(now, next.at), e.timeoutFn)
+			return
+		}
+		c := &e.chunkSlots[next.slot]
+		e.cancelDeadline(c)
+		d := c.deadlineDur
+		if ev := e.event(obs.ChunkTimeout, c.worker); ev != nil {
+			ev.Chunk, ev.Size, ev.Dur, ev.Attempt = c.id, c.size, d, c.attempt
+			e.emit(ev)
+		}
+		e.chunkFailed(c,
+			fmt.Errorf("stage %s exceeded its %.3gs deadline", c.state, d),
+			c.state == stateTransferring)
+		e.tryDispatch()
+	}
+}
+
+// earliestDeadline returns the armed stage first in (at, seq) order;
+// the set must not be empty. at and seq sit inline in the set, so the
+// scan touches no chunk record.
+func (e *execution) earliestDeadline() stageDeadline {
+	best := e.deadlines[0]
+	for _, s := range e.deadlines[1:] {
+		if s.at < best.at || s.at == best.at && s.seq < best.seq {
+			best = s
+		}
+	}
+	return best
+}
+
+// delayTo returns the timer delay from now to at (at > now): a d with
+// now + d == at in float64, the sum the backend's clock takes. at − now
+// alone can miss: when now lies halfway between two multiples of at's
+// last place and at's last bit is odd, every sum that should give at
+// ties to an even neighbour instead. No d reaches at then, and delayTo
+// returns the largest d that lands before it; that firing finds nothing
+// due and re-arms from within a factor two of at, where at − now is
+// exact and so is the sum.
+func delayTo(now, at float64) float64 {
+	d := at - now
+	for now+d < at {
+		d = math.Nextafter(d, math.Inf(1))
+	}
+	for now+d > at {
+		d = math.Nextafter(d, math.Inf(-1))
+	}
+	return d
 }
 
 // chunkFailed abandons the chunk's current attempt: the load leaves the

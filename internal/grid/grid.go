@@ -71,7 +71,6 @@ type gridOp struct {
 // Backend simulates a Platform executing an Application.
 type Backend struct {
 	eng      *sim.Engine
-	timers   *sim.Timers
 	platform *model.Platform
 	app      *model.Application
 	cfg      Config
@@ -96,6 +95,22 @@ type Backend struct {
 	execDoneFn     func(uint64, units.Seconds, units.Seconds)
 	returnDurFn    func(uint64, units.Seconds) units.Seconds
 	returnDoneFn   func(uint64, units.Seconds, units.Seconds)
+
+	// Timer table (see AfterFunc): one slot per armed timer, reused
+	// through a free list, and the one callback every timer event fires
+	// through, built once in New.
+	timers      []gridTimer
+	timerFree   []int32
+	timerFireFn func(uint64)
+}
+
+// gridTimer is one armed engine.Timer: its callback and the event that
+// fires it. gen fences ids: it moves on each time the slot is taken, so
+// the id of a fired or cancelled timer never matches a later one.
+type gridTimer struct {
+	fn  func(uint64)
+	h   sim.Handle
+	gen uint32
 }
 
 // New validates the models and returns a backend positioned at time zero.
@@ -106,7 +121,6 @@ func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) 
 	eng := sim.New()
 	b := &Backend{
 		eng:      eng,
-		timers:   sim.NewTimers(eng, 0),
 		platform: p,
 		downlink: sim.NewFCFSQueue(eng),
 	}
@@ -115,6 +129,7 @@ func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) 
 	b.execDoneFn = b.execDone
 	b.returnDurFn = b.returnDur
 	b.returnDoneFn = b.returnDone
+	b.timerFireFn = b.timerFire
 	if p.Topology != nil {
 		b.links = newLinkNet(b)
 	}
@@ -141,8 +156,8 @@ func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) 
 
 // Reset rewinds the backend to time zero for a fresh run of app under
 // cfg on the same platform, reusing every structure New built: the event
-// arena, timer wheel, FCFS queues, rng streams (reseeded in place), and
-// the op table. A reset backend produces output bit-identical to a
+// arena, FCFS queues, rng streams (reseeded in place), and the op and
+// timer tables. A reset backend produces output bit-identical to a
 // freshly constructed one with the same arguments — stream seeds are
 // derived from the same labels, the clock and event sequence restart
 // from zero, and every stochastic process re-initializes exactly as in
@@ -163,7 +178,11 @@ func (b *Backend) Reset(a *model.Application, cfg Config) error {
 	b.app = a
 	b.cfg = cfg
 	b.eng.Reset()
-	b.timers.Reset()
+	b.timerFree = b.timerFree[:0]
+	for i := range b.timers {
+		b.timers[i].fn, b.timers[i].h = nil, sim.Handle{}
+		b.timerFree = append(b.timerFree, int32(i))
+	}
 	b.downlink.Reset()
 	for i := range b.platform.Workers {
 		b.compute[i].Reset()
@@ -247,18 +266,68 @@ func (b *Backend) Run() { b.eng.Run() }
 
 // AfterFunc implements engine.Timer on the virtual clock, so engine
 // stage deadlines are as deterministic as everything else in the
-// simulation. Timers go through the hierarchical timer wheel
-// (sim.Timers): a deadline armed and then cancelled on normal stage
-// completion — the overwhelmingly common case — costs O(1) and
-// allocates nothing, instead of churning the event heap.
+// simulation. A timer is one plain event at now + d, fired through one
+// long-lived callback by a slot of the timer table: arming and
+// cancelling allocate nothing once the table has grown, and the engine
+// holds at most one timer per run. The id packs the slot's generation
+// (high half, never 0) and the slot (low half).
 func (b *Backend) AfterFunc(d float64, fn func(uint64)) uint64 {
-	return b.timers.After(units.Seconds(d), fn)
+	var slot int32
+	if n := len(b.timerFree); n > 0 {
+		slot = b.timerFree[n-1]
+		b.timerFree = b.timerFree[:n-1]
+	} else {
+		b.timers = append(b.timers, gridTimer{})
+		slot = int32(len(b.timers) - 1)
+	}
+	t := &b.timers[slot]
+	if t.gen++; t.gen == 0 {
+		t.gen = 1 // wrapped: 0 would make id 0, "no timer"
+	}
+	id := uint64(t.gen)<<32 | uint64(slot)
+	t.fn = fn
+	t.h = b.eng.AfterArg(units.Seconds(d), b.timerFireFn, id)
+	return id
 }
 
-// CancelTimer implements engine.Timer. Cancelled timers leave no trace
-// in the event stream.
+// CancelTimer implements engine.Timer: the timer's event leaves the
+// schedule at once, so a cancelled timer leaves no trace in the event
+// stream. A zero, fired, cancelled or pre-Reset id is a no-op.
 func (b *Backend) CancelTimer(id uint64) {
-	b.timers.Cancel(id)
+	if t := b.armedTimer(id); t != nil {
+		t.h.Cancel()
+		b.freeTimer(int32(uint32(id)))
+	}
+}
+
+// timerFire is every timer event's callback. Its timer is armed: a
+// cancel or a Reset takes the event off the schedule with it. The slot
+// is freed first, so fn may arm the next timer into it.
+func (b *Backend) timerFire(id uint64) {
+	slot := int32(uint32(id))
+	fn := b.timers[slot].fn
+	b.freeTimer(slot)
+	fn(id)
+}
+
+// armedTimer returns the table slot id names while its timer is armed,
+// or nil.
+func (b *Backend) armedTimer(id uint64) *gridTimer {
+	slot := int(uint32(id))
+	if slot >= len(b.timers) {
+		return nil
+	}
+	t := &b.timers[slot]
+	if t.fn == nil || t.gen != uint32(id>>32) {
+		return nil
+	}
+	return t
+}
+
+// freeTimer returns a timer slot to the free list.
+func (b *Backend) freeTimer(slot int32) {
+	b.timers[slot].fn, b.timers[slot].h = nil, sim.Handle{}
+	b.timerFree = append(b.timerFree, slot)
 }
 
 // TransferOp moves bytes to worker w over the master uplink, reporting

@@ -23,13 +23,18 @@ const wheelBuckets = 64
 // than one bucket are scheduled exactly.
 const DefaultTimerGranularity units.Seconds = 4
 
-// Timers is a hierarchical timer wheel over an Engine, tuned for the
-// deadline pattern: a timer armed and cancelled before it fires costs
-// O(1) — an arena write plus a list link, no heap traffic — because
-// timers are filed into coarse time buckets and only the bucket
-// boundary is an engine event. A timer that survives to its bucket is
-// re-filed into finer levels (cascading) and finally scheduled exactly,
-// so firing times are exact, not rounded to bucket edges.
+// Timers is a hierarchical timer wheel over an Engine. No program in
+// the module arms one any more: the engine keeps its stage deadlines
+// itself behind one backend timer per run, which the grid serves with a
+// plain event. The wheel stays because the benchmark measures it.
+//
+// It is tuned for the deadline pattern: a timer armed and cancelled
+// before it fires costs O(1) — an arena write plus a list link, no heap
+// traffic — because timers are filed into coarse time buckets and only
+// the bucket boundary is an engine event. A timer that survives to its
+// bucket is re-filed into finer levels (cascading) and finally
+// scheduled exactly, so firing times are exact, not rounded to bucket
+// edges.
 //
 // Like the engine's event arena, timer slots live in a flat arena with
 // a free list and generation counters; buckets are intrusive linked
