@@ -294,9 +294,13 @@ func (b *Backend) AfterFunc(d float64, fn func(uint64)) uint64 {
 // schedule at once, so a cancelled timer leaves no trace in the event
 // stream. A zero, fired, cancelled or pre-Reset id is a no-op.
 func (b *Backend) CancelTimer(id uint64) {
-	if t := b.armedTimer(id); t != nil {
+	slot := int(uint32(id))
+	if slot >= len(b.timers) {
+		return
+	}
+	if t := &b.timers[slot]; t.fn != nil && t.gen == uint32(id>>32) {
 		t.h.Cancel()
-		b.freeTimer(int32(uint32(id)))
+		b.freeTimer(int32(slot))
 	}
 }
 
@@ -308,20 +312,6 @@ func (b *Backend) timerFire(id uint64) {
 	fn := b.timers[slot].fn
 	b.freeTimer(slot)
 	fn(id)
-}
-
-// armedTimer returns the table slot id names while its timer is armed,
-// or nil.
-func (b *Backend) armedTimer(id uint64) *gridTimer {
-	slot := int(uint32(id))
-	if slot >= len(b.timers) {
-		return nil
-	}
-	t := &b.timers[slot]
-	if t.fn == nil || t.gen != uint32(id>>32) {
-		return nil
-	}
-	return t
 }
 
 // freeTimer returns a timer slot to the free list.
