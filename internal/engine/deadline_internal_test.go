@@ -326,8 +326,17 @@ func TestRearmedDeadlineFiresAtItsOwnInstant(t *testing.T) {
 	if len(timeouts) != 1 || timeouts[0].Worker != 1 {
 		t.Fatalf("timeouts %+v; want one, on the stalled worker 1", timeouts)
 	}
-	if _, missed := rearmedTimeouts(p, evs); missed == 0 {
-		t.Fatal("no firing re-armed for an instant at from a now where now + (at − now) ≠ at; the scenario no longer covers it")
+	at, covered := 0.0, false
+	for _, op := range p.ops {
+		if op.chunk == timeouts[0].Chunk && op.attempt == timeouts[0].Attempt && op.start < timeouts[0].T {
+			at = op.at // the stage in flight when the attempt timed out
+		}
+	}
+	for _, a := range p.arms {
+		covered = covered || a.inFiring && a.target == at && a.now+(at-a.now) != at
+	}
+	if !covered {
+		t.Fatalf("no firing re-armed for the deadline %v from a now where now + (at − now) ≠ at; the scenario no longer covers it", at)
 	}
 	if n := checkDeadlines(t, "exact-instant", p, evs); n != 1 {
 		t.Errorf("checkDeadlines counted %d timeouts, want 1", n)
