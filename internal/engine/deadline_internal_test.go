@@ -24,12 +24,12 @@ type stageOp struct {
 	start, at, end float64
 }
 
-// timerArm is one AfterFunc call: the clock when it was made, its
-// delay, the deadline instant the engine armed it for, and whether it
-// was made from inside a timer firing.
+// timerArm is one AfterFunc call: the clock when it was made, the
+// deadline instant the engine armed it for, and whether it was made
+// from inside a timer firing.
 type timerArm struct {
-	now, d, target float64
-	inFiring       bool
+	now, target float64
+	inFiring    bool
 }
 
 // deadlineProbe wraps a simulated backend to observe the deadline path
@@ -101,7 +101,7 @@ func (p *deadlineProbe) PeerTransferOp(from, to int, bytes float64, op uint64, d
 }
 
 func (p *deadlineProbe) AfterFunc(d float64, fn func(TimerID)) TimerID {
-	p.arms = append(p.arms, timerArm{now: p.Now(), d: d, target: p.e.timerAt, inFiring: p.firing})
+	p.arms = append(p.arms, timerArm{now: p.Now(), target: p.e.timerAt, inFiring: p.firing})
 	id := p.Backend.AfterFunc(d, func(id TimerID) {
 		delete(p.armed, id)
 		p.lastFire = max(p.lastFire, p.Now())
