@@ -96,21 +96,8 @@ type Backend struct {
 	returnDurFn    func(uint64, units.Seconds) units.Seconds
 	returnDoneFn   func(uint64, units.Seconds, units.Seconds)
 
-	// Timer table (see AfterFunc): one slot per armed timer, reused
-	// through a free list, and the one callback every timer event fires
-	// through, built once in New.
-	timers      []gridTimer
-	timerFree   []int32
-	timerFireFn func(uint64)
-}
-
-// gridTimer is one armed engine.Timer: its callback and the event that
-// fires it. gen fences ids: it moves on each time the slot is taken, so
-// the id of a fired or cancelled timer never matches a later one.
-type gridTimer struct {
-	fn  func(uint64)
-	h   sim.Handle
-	gen uint32
+	// timers serves engine.Timer (see AfterFunc).
+	timers *sim.Timers
 }
 
 // New validates the models and returns a backend positioned at time zero.
@@ -129,7 +116,7 @@ func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) 
 	b.execDoneFn = b.execDone
 	b.returnDurFn = b.returnDur
 	b.returnDoneFn = b.returnDone
-	b.timerFireFn = b.timerFire
+	b.timers = sim.NewTimers(eng, 0)
 	if p.Topology != nil {
 		b.links = newLinkNet(b)
 	}
@@ -178,11 +165,7 @@ func (b *Backend) Reset(a *model.Application, cfg Config) error {
 	b.app = a
 	b.cfg = cfg
 	b.eng.Reset()
-	b.timerFree = b.timerFree[:0]
-	for i := range b.timers {
-		b.timers[i].fn, b.timers[i].h = nil, sim.Handle{}
-		b.timerFree = append(b.timerFree, int32(i))
-	}
+	b.timers.Reset()
 	b.downlink.Reset()
 	for i := range b.platform.Workers {
 		b.compute[i].Reset()
@@ -266,59 +249,14 @@ func (b *Backend) Run() { b.eng.Run() }
 
 // AfterFunc implements engine.Timer on the virtual clock, so engine
 // stage deadlines are as deterministic as everything else in the
-// simulation. A timer is one plain event at now + d, fired through one
-// long-lived callback by a slot of the timer table: arming and
-// cancelling allocate nothing once the table has grown, and the engine
-// holds at most one timer per run. The id packs the slot's generation
-// (high half, never 0) and the slot (low half).
+// simulation: a timer is one plain event at now + d (see sim.Timers).
 func (b *Backend) AfterFunc(d float64, fn func(uint64)) uint64 {
-	var slot int32
-	if n := len(b.timerFree); n > 0 {
-		slot = b.timerFree[n-1]
-		b.timerFree = b.timerFree[:n-1]
-	} else {
-		b.timers = append(b.timers, gridTimer{})
-		slot = int32(len(b.timers) - 1)
-	}
-	t := &b.timers[slot]
-	if t.gen++; t.gen == 0 {
-		t.gen = 1 // wrapped: 0 would make id 0, "no timer"
-	}
-	id := uint64(t.gen)<<32 | uint64(slot)
-	t.fn = fn
-	t.h = b.eng.AfterArg(units.Seconds(d), b.timerFireFn, id)
-	return id
+	return b.timers.After(units.Seconds(d), fn)
 }
 
-// CancelTimer implements engine.Timer: the timer's event leaves the
-// schedule at once, so a cancelled timer leaves no trace in the event
-// stream. A zero, fired, cancelled or pre-Reset id is a no-op.
-func (b *Backend) CancelTimer(id uint64) {
-	slot := int(uint32(id))
-	if slot >= len(b.timers) {
-		return
-	}
-	if t := &b.timers[slot]; t.fn != nil && t.gen == uint32(id>>32) {
-		t.h.Cancel()
-		b.freeTimer(int32(slot))
-	}
-}
-
-// timerFire is every timer event's callback. Its timer is armed: a
-// cancel or a Reset takes the event off the schedule with it. The slot
-// is freed first, so fn may arm the next timer into it.
-func (b *Backend) timerFire(id uint64) {
-	slot := int32(uint32(id))
-	fn := b.timers[slot].fn
-	b.freeTimer(slot)
-	fn(id)
-}
-
-// freeTimer returns a timer slot to the free list.
-func (b *Backend) freeTimer(slot int32) {
-	b.timers[slot].fn, b.timers[slot].h = nil, sim.Handle{}
-	b.timerFree = append(b.timerFree, slot)
-}
+// CancelTimer implements engine.Timer. A zero, fired, cancelled or
+// pre-Reset id is a no-op.
+func (b *Backend) CancelTimer(id uint64) { b.timers.Cancel(id) }
 
 // TransferOp moves bytes to worker w over the master uplink, reporting
 // completion as done(op, start, end, err) through a long-lived callback

@@ -14,17 +14,6 @@ import (
 	"apstdv/internal/workload"
 )
 
-// armedTimers counts the timer-table slots still holding a timer.
-func (b *Backend) armedTimers() int {
-	n := 0
-	for i := range b.timers {
-		if b.timers[i].fn != nil {
-			n++
-		}
-	}
-	return n
-}
-
 func TestTimerFiresOnceAtItsInstant(t *testing.T) {
 	b, _ := New(testPlatform(1), testApp(0), Config{Seed: 1})
 	var fired []float64
@@ -134,7 +123,7 @@ func TestRetryRunsLeaveNothingPending(t *testing.T) {
 				if n := b.eng.Pending(); n != 0 {
 					t.Errorf("platform %d/%s/seed %d: %d events pending after the run", pi, alg, seed, n)
 				}
-				if n := b.armedTimers(); n != 0 {
+				if n := b.timers.Pending(); n != 0 {
 					t.Errorf("platform %d/%s/seed %d: %d timers armed after the run", pi, alg, seed, n)
 				}
 			}

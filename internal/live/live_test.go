@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,23 +14,42 @@ import (
 	"apstdv/internal/transport"
 )
 
+// Compute burns CPU for a load it can count and refuses any other
+// before queueing: int(NaN·…) is MinInt64 on amd64, as is an iteration
+// count past MaxInt64, so such a load would run zero iterations and
+// report success.
 func TestWorkerServiceCompute(t *testing.T) {
-	svc := NewWorkerService(10000, 1)
-	var reply ComputeReply
-	if err := svc.Compute(ComputeArgs{Chunk: 1, Units: 10}, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Checksum == 0 {
-		t.Error("no work performed")
-	}
-	if reply.Units != 10 {
-		t.Errorf("echoed units %g", reply.Units)
-	}
-	if svc.Computed() != 1 {
-		t.Errorf("computed count %d", svc.Computed())
-	}
-	if err := svc.Compute(ComputeArgs{Units: -1}, &reply); err == nil {
-		t.Error("negative units accepted")
+	for _, tc := range []struct {
+		units float64
+		ok    bool
+	}{
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false}, {-1, false}, {1e300, false},
+		{0, true}, {10, true},
+	} {
+		svc := NewWorkerService(10000, 1)
+		var reply ComputeReply
+		err := svc.Compute(ComputeArgs{Chunk: 1, Units: tc.units}, &reply)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("units %g accepted (checksum %g)", tc.units, reply.Checksum)
+			}
+			if svc.Computed() != 0 {
+				t.Errorf("units %g: computed count %d after a refusal", tc.units, svc.Computed())
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("units %g: %v", tc.units, err)
+		}
+		if tc.units > 0 && reply.Checksum == 0 {
+			t.Errorf("units %g: no work performed", tc.units)
+		}
+		if reply.Units != tc.units {
+			t.Errorf("units %g: echoed units %g", tc.units, reply.Units)
+		}
+		if svc.Computed() != 1 {
+			t.Errorf("units %g: computed count %d", tc.units, svc.Computed())
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -123,15 +124,19 @@ func (s *WorkerService) Store(args StoreArgs, reply *StoreReply) error {
 // chunk's load. The checksum prevents the loop from being optimized away
 // and lets callers verify work happened.
 func (s *WorkerService) Compute(args ComputeArgs, reply *ComputeReply) error {
-	if args.Units < 0 {
-		return errors.New("live: negative units")
+	// A load the loop cannot count would run no iteration and report
+	// success: a negative one, and a NaN, infinite or past-MaxInt64 one,
+	// which converts to MinInt64 on amd64. Refuse it before queueing.
+	work := args.Units * float64(s.WorkPerUnit) / s.SpeedFactor
+	if !(args.Units >= 0 && work < math.MaxInt64) {
+		return fmt.Errorf("live: compute units %g out of range", args.Units)
 	}
 	// Sample the abort generation before queueing on the CPU: an Abort
 	// issued while this request waits its FIFO turn kills it too.
 	gen := s.aborts.Load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	iters := int(args.Units * float64(s.WorkPerUnit) / s.SpeedFactor)
+	iters := int(work)
 	x := 1.000000019
 	sum := 0.0
 	for i := 0; i < iters; i++ {

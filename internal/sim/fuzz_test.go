@@ -8,23 +8,23 @@ import (
 )
 
 // FuzzHeapInvariant interprets the input as a script of schedule /
-// cancel / step / re-key / park operations and checks the arena-heap
-// invariant (heap order, pos back-references, free-list consistency)
-// and Pending after every one. Two bytes per op: the first picks the
-// operation, the second its operand (a delay for schedule, a handle
-// index for cancel, re-key and park). Every callback reads one more
-// byte n and runs the next n%4 operations from inside Step, so the hole
-// Step leaves at the root is filled by none, one or several schedules,
-// sifted around by cancels and re-keys, and stepped over by a nested
-// Step. Pending is checked against a count of the handles the engine
-// still calls live, which knows nothing of the hole.
+// cancel / step / re-key operations and checks the arena-heap invariant
+// (heap order, pos back-references, free-list consistency) and Pending
+// after every one. Two bytes per op: the first picks the operation, the
+// second its operand (a delay for schedule, a handle index for cancel
+// and re-key). Every callback reads one more byte n and runs the next
+// n%4 operations from inside Step, so the hole Step leaves at the root
+// is filled by none, one or several schedules, sifted around by cancels
+// and re-keys, and stepped over by a nested Step. Pending is checked
+// against a count of the handles the engine still calls live, which
+// knows nothing of the hole.
 func FuzzHeapInvariant(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 3, 2, 0, 1, 0})                          // ties then step then cancel
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 1, 1, 1, 0, 2, 0})              // cancel-heavy
 	f.Add([]byte{0, 5, 1, 0, 0, 5, 1, 0})                          // slot reuse
 	f.Add([]byte{0, 3, 0, 6, 4, 1, 4, 0, 2, 0, 4, 0})              // re-key both ways, then a fired handle
 	f.Add([]byte{0, 2, 0, 4, 2, 0, 3, 0, 5, 0, 7, 4, 9, 5, 1})     // a callback schedules many
-	f.Add([]byte{0, 1, 0, 3, 0, 6, 2, 0, 3, 1, 1, 4, 13, 5, 0, 0}) // a callback cancels, re-keys and parks
+	f.Add([]byte{0, 1, 0, 3, 0, 6, 2, 0, 3, 1, 1, 4, 13, 5, 0, 0}) // a callback cancels, re-keys and schedules
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := New()
 		var live []Handle
@@ -64,7 +64,7 @@ func FuzzHeapInvariant(f *testing.F) {
 		fn := func() { nested() }
 		fnArg := func(uint64) { nested() }
 		do = func(op, arg byte) {
-			switch op % 6 {
+			switch op % 5 {
 			case 0: // schedule; small delays force timestamp collisions
 				h := after(e, units.Seconds(arg%8), fn)
 				live = append(live, h)
@@ -97,14 +97,6 @@ func FuzzHeapInvariant(f *testing.F) {
 						t.Fatalf("MoveArg of a handle pending=%v took Pending %d -> %d", was, pending, e.Pending())
 					}
 				}
-			case 5: // park a handle: it keeps its place, and Pending counts it
-				if len(live) > 0 {
-					j := int(arg) % len(live)
-					pending := e.Pending()
-					if was := e.live(live[j]); e.park(live[j]) != was || e.Pending() != pending {
-						t.Fatalf("park of a handle pending=%v took Pending %d -> %d", was, pending, e.Pending())
-					}
-				}
 			}
 		}
 		for pos+1 < len(script) {
@@ -122,23 +114,21 @@ func FuzzHeapInvariant(f *testing.F) {
 }
 
 // FuzzTimersMatchReference runs an arm / cancel / step script through
-// the timer wheel and through a naive reference — a plain list of armed
+// Timers and through a naive reference — a plain list of armed
 // deadlines — and checks that every timer fires exactly at its deadline,
 // that none fires while an earlier deadline is still armed (equal
 // deadlines may fire in either order), that cancelled timers never fire
-// and that none is lost. It also checks the parking rules: with no
-// timer armed the engine holds no event, and every step moves the clock
-// to the earliest event that is not parked, so Now() never stops on a
-// parked one. Two bytes per op: the
-// first picks the operation, the second its operand (a delay code for
-// arm, an id index for cancel).
+// and that none is lost. Each armed timer is one engine event, so the
+// engine holds exactly as many events as timers are armed. Two bytes
+// per op: the first picks the operation, the second its operand (a
+// delay code for arm, an id index for cancel).
 func FuzzTimersMatchReference(f *testing.F) {
-	f.Add([]byte{0, 40, 0, 80, 1, 1, 2, 0, 2, 0, 2, 0})         // park, then re-key
-	f.Add([]byte{0, 200, 0, 3, 0, 100, 1, 2, 1, 0, 2, 0})       // levels, cancels to idle
+	f.Add([]byte{0, 40, 0, 80, 1, 1, 2, 0, 2, 0, 2, 0})         // cancel, then re-arm a slot
+	f.Add([]byte{0, 200, 0, 3, 0, 100, 1, 2, 1, 0, 2, 0})       // long delays, cancels to idle
 	f.Add([]byte{0, 10, 0, 10, 0, 42, 0, 10, 1, 2, 2, 0, 2, 0}) // ties
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := New()
-		w := NewTimers(e, 4)
+		w := NewTimers(e, 0)
 		type ref struct {
 			id TimerID
 			at units.Seconds
@@ -161,41 +151,20 @@ func FuzzTimersMatchReference(f *testing.F) {
 			}
 			armed = slices.Delete(armed, i, i+1)
 		}
-		step := func() {
-			// The earliest event not parked, by (at, seq).
-			var next *entry
-			for i := range e.order {
-				x := &e.order[i]
-				if slices.Contains(w.parked, Handle{e, x.slot, e.arena[x.slot].gen}) {
-					continue
-				}
-				if next == nil || less(x, next) {
-					next = x
-				}
-			}
-			want, before := e.Now(), e.Now()
-			if next != nil {
-				want = next.at
-			}
-			if fired := e.Step(); fired != (next != nil) || e.Now() != want {
-				t.Fatalf("step from %v fired=%v to %v; want the earliest unparked event, at %v (one pending: %v)",
-					before, fired, e.Now(), want, next != nil)
-			}
-		}
 		check := func() {
 			if w.Pending() != len(armed) {
-				t.Fatalf("wheel reports %d armed, reference %d", w.Pending(), len(armed))
+				t.Fatalf("table reports %d armed, reference %d", w.Pending(), len(armed))
 			}
-			if w.Pending() == 0 && e.Pending() != 0 {
-				t.Fatalf("no timer armed but the engine holds %d events", e.Pending())
+			if e.Pending() != w.Pending() {
+				t.Fatalf("%d timers armed but the engine holds %d events", w.Pending(), e.Pending())
 			}
 			e.checkInvariant()
 		}
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i], script[i+1]
 			switch op % 3 {
-			case 0: // arm: up to 31 units of 4^0..4^7 s, so every wheel level
-				d := units.Seconds(arg&31) * pow(4, int(arg>>5))
+			case 0: // arm: up to 31 units of 4^0..4^7 s
+				d := units.Seconds(arg&31) * units.Seconds(uint64(1)<<(2*(arg>>5)))
 				id := w.After(d, fire)
 				armed = append(armed, ref{id, e.Now() + d})
 				ids = append(ids, id)
@@ -206,12 +175,11 @@ func FuzzTimersMatchReference(f *testing.F) {
 					armed = slices.DeleteFunc(armed, func(r ref) bool { return r.id == id })
 				}
 			case 2:
-				step()
+				e.Step()
 			}
 			check()
 		}
-		for e.Pending() > 0 {
-			step()
+		for e.Step() {
 			check()
 		}
 		if len(armed) != 0 {

@@ -20,7 +20,6 @@ type refSchedule struct {
 	h         refHeap
 	seq       uint64
 	cancelled map[uint64]bool // lazy tombstones, skipped at pop
-	parked    map[uint64]bool // pending but stripped of their callback, skipped at pop
 	popped    map[uint64]bool // fired or discarded events; cancelling them is a no-op
 }
 
@@ -44,7 +43,7 @@ func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 func newRefSchedule() *refSchedule {
-	return &refSchedule{cancelled: make(map[uint64]bool), parked: make(map[uint64]bool), popped: make(map[uint64]bool)}
+	return &refSchedule{cancelled: make(map[uint64]bool), popped: make(map[uint64]bool)}
 }
 
 func (r *refSchedule) schedule(at units.Seconds, id int) uint64 {
@@ -61,27 +60,17 @@ func (r *refSchedule) cancel(seq uint64) {
 	}
 }
 
-// park mirrors Engine.park: it reports whether seq was pending.
-func (r *refSchedule) park(seq uint64) bool {
-	if r.popped[seq] || r.cancelled[seq] {
-		return false
-	}
-	r.parked[seq] = true
-	return true
-}
-
-// pending counts the events still scheduled, parked ones included.
+// pending counts the events still scheduled.
 func (r *refSchedule) pending() int { return len(r.h) - len(r.cancelled) }
 
 // pop returns the next live event, or ok=false when drained. Cancelled
-// and parked events on the way are dropped.
+// events on the way are dropped.
 func (r *refSchedule) pop() (refEvent, bool) {
 	for r.h.Len() > 0 {
 		ev := heap.Pop(&r.h).(refEvent)
 		r.popped[ev.seq] = true
-		if r.cancelled[ev.seq] || r.parked[ev.seq] {
+		if r.cancelled[ev.seq] {
 			delete(r.cancelled, ev.seq)
-			delete(r.parked, ev.seq)
 			continue
 		}
 		return ev, true
@@ -98,12 +87,12 @@ type firing struct {
 
 // TestHeapMatchesReferenceSchedule drives the Engine and the
 // container/heap reference with the same randomized schedule / cancel /
-// re-key / park / step script and requires byte-identical firing
-// sequences. A re-key (MoveArg) is modelled in the reference as a cancel
-// followed by a schedule. Every callback runs a few more script
-// operations from inside Step — scheduling none, one or many events,
-// cancelling, re-keying and parking — so the hole Step leaves at the
-// root is filled, left empty, and sifted around. Ties (many events at
+// re-key / step script and requires byte-identical firing sequences. A
+// re-key (MoveArg) is modelled in the reference as a cancel followed by
+// a schedule. Every callback runs a few more script operations from
+// inside Step — scheduling none, one or many events, cancelling and
+// re-keying — so the hole Step leaves at the root is filled, left
+// empty, and sifted around. Ties (many events at
 // one timestamp) and heavy cancellation are exercised on purpose; the
 // arena invariant and Pending are checked after every mutation, inside
 // callbacks too.
@@ -141,7 +130,7 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 			live = append(live, livePair{h, ref.schedule(at, id)})
 		}
 		// mutate applies one non-step operation: k < 5 schedules, then
-		// cancel, re-key and park a random handle (which may have fired).
+		// cancel and re-key a random handle (which may have fired).
 		mutate := func(k int) {
 			if k < 5 {
 				schedule()
@@ -157,17 +146,13 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 				ref.cancel(live[i].seq)
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
-			case k < 10:
+			default:
 				at := e.Now() + units.Seconds(src.Intn(16))
 				id := nextID
 				nextID++
 				live[i].h = e.MoveArg(live[i].h, at, fire, uint64(id))
 				ref.cancel(live[i].seq)
 				live[i].seq = ref.schedule(at, id)
-			default:
-				if got, want := e.park(live[i].h), ref.park(live[i].seq); got != want {
-					t.Fatalf("seed %d: park reported pending=%v, reference %v", seed, got, want)
-				}
 			}
 		}
 		onFire = func(id int) {
@@ -178,7 +163,7 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 			}
 			scheduled = 0
 			for n := src.Intn(5); n > 0; n-- {
-				mutate(src.Intn(11))
+				mutate(src.Intn(10))
 				check("inside a callback")
 			}
 			if scheduled > 0 && e.hole {
@@ -200,7 +185,7 @@ func TestHeapMatchesReferenceSchedule(t *testing.T) {
 		}
 
 		for op := 0; op < 4000; op++ {
-			if k := src.Intn(13); k < 11 {
+			if k := src.Intn(12); k < 10 {
 				mutate(k)
 			} else {
 				stepBoth()

@@ -19,8 +19,7 @@
 // Re-keying: MoveArg moves a pending event to a new time in place — one
 // sift instead of a removal and an insert — with exactly the ordering
 // Cancel followed by AtArg would give. Users whose events are routinely
-// rescheduled (the link model's flow completions) and the timer wheel's
-// parked bucket events (see Timers) go through it.
+// rescheduled (the link model's flow completions) go through it.
 //
 // Firing in place: Step fires the root without removing it first. Its
 // heap position becomes a hole that keeps the fired key, and the first
@@ -29,9 +28,9 @@
 // instead of a removal and an insert. A hole the callback leaves unfilled
 // is removed when it returns. The hole's key is the smallest in the heap
 // — every pending key has at ≥ Now and, at equal times, a later sequence
-// number — so nothing a callback does (Cancel, MoveArg, parking) sifts
-// past it, and because firing order depends only on the unique (at, seq)
-// keys, it is the order a remove-then-insert heap gives.
+// number — so nothing a callback does (Cancel, MoveArg) sifts past it,
+// and because firing order depends only on the unique (at, seq) keys,
+// it is the order a remove-then-insert heap gives.
 package sim
 
 import (
@@ -47,7 +46,7 @@ import (
 // occupant of the slot can never cancel its successor.
 type event struct {
 	// fnArg(arg) is the callback: one long-lived function shared by many
-	// events, told which one fired. nil marks a parked event (see park).
+	// events, told which one fired.
 	fnArg func(uint64)
 	arg   uint64
 	gen   uint32
@@ -104,9 +103,9 @@ func (e *Engine) Now() units.Seconds { return e.now }
 
 // AtArg schedules fnArg(arg) at absolute virtual time t. Callers
 // schedule many events through one long-lived callback dispatched by
-// argument (the timer wheel, the grid backend's op table), so an event
-// costs no closure. Scheduling in the past panics: it always indicates
-// a modelling bug, and silently clamping would corrupt causality.
+// argument (Timers, the grid backend's op table), so an event costs no
+// closure. Scheduling in the past panics: it always indicates a
+// modelling bug, and silently clamping would corrupt causality.
 func (e *Engine) AtArg(t units.Seconds, fnArg func(uint64), arg uint64) Handle {
 	h := e.schedule(t)
 	ev := &e.arena[h.slot]
@@ -139,34 +138,6 @@ func (e *Engine) MoveArg(h Handle, t units.Seconds, fnArg func(uint64), arg uint
 	e.seq++
 	e.fix(i)
 	return h
-}
-
-// park strips the pending event h of its callback without re-keying
-// it, reporting whether h was pending. A parked event keeps its place
-// until MoveArg re-keys it or Cancel drops it; one that reaches the top
-// of the heap is discarded without moving the clock. The timer wheel
-// parks bucket events this way (see Timers).
-func (e *Engine) park(h Handle) bool {
-	if h.e != e || !e.live(h) {
-		return false
-	}
-	ev := &e.arena[h.slot]
-	ev.fnArg, ev.arg = nil, 0
-	return true
-}
-
-// skipParked discards parked events from the top of the heap, and the
-// hole of a callback that steps the engine itself.
-func (e *Engine) skipParked() {
-	e.closeHole()
-	for len(e.order) > 0 {
-		slot := e.order[0].slot
-		if e.arena[slot].fnArg != nil {
-			return
-		}
-		e.removeAt(0)
-		e.release(slot)
-	}
 }
 
 // live reports whether h names an event still in the schedule.
@@ -214,9 +185,9 @@ func (e *Engine) schedule(t units.Seconds) Handle {
 	return Handle{e, slot, e.arena[slot].gen}
 }
 
-// Pending returns the number of live scheduled events, parked ones
-// included. Cancellation is eager, so this is the heap length less an
-// unfilled hole — O(1), never a scan.
+// Pending returns the number of live scheduled events. Cancellation is
+// eager, so this is the heap length less an unfilled hole — O(1), never
+// a scan.
 func (e *Engine) Pending() int {
 	if e.hole {
 		return len(e.order) - 1
@@ -245,13 +216,13 @@ func (e *Engine) Reset() {
 	}
 }
 
-// Step fires the earliest event and advances the clock to it; parked
-// events ahead of it are discarded without moving the clock. It returns
-// false when no live events remain. The fired event's heap position is
-// left as a hole for the first event its callback schedules (see the
-// package comment).
+// Step fires the earliest event and advances the clock to it. It
+// returns false when no live events remain. The fired event's heap
+// position is left as a hole for the first event its callback schedules
+// (see the package comment); a Step nested in that callback closes it
+// first.
 func (e *Engine) Step() bool {
-	e.skipParked()
+	e.closeHole()
 	if len(e.order) == 0 {
 		return false
 	}

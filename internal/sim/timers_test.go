@@ -1,23 +1,19 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"apstdv/internal/rng"
 	"apstdv/internal/units"
 )
 
-// Firing times must be exact — never rounded to a bucket edge — at
-// every wheel level: sub-granule, level 0, level 1, level 2.
+// Firing times must be exact, from zero delay to hundreds of thousands
+// of seconds.
 func TestTimersFireExactly(t *testing.T) {
 	e := New()
-	w := NewTimers(e, 4)
-	delays := []units.Seconds{
-		0, 0.5, 3.9, // exact path (d < granularity)
-		4, 17.25, 255, // level 0 (4..256)
-		256, 1000.125, 16383, // level 1 (256..16384)
-		16384, 500000.5, // level 2
-	}
+	w := NewTimers(e, 0)
+	delays := []units.Seconds{0, 0.5, 3.9, 4, 17.25, 255, 256, 1000.125, 16383, 16384, 500000.5}
 	fired := make(map[units.Seconds]units.Seconds)
 	for _, d := range delays {
 		d := d
@@ -40,11 +36,11 @@ func TestTimersFireExactly(t *testing.T) {
 	}
 }
 
-// A cancelled timer must never fire, and cancelling the last timer in a
-// bucket must also release its engine boundary event.
+// A cancelled timer must never fire, and its event must leave the
+// engine's schedule with it.
 func TestTimersCancel(t *testing.T) {
 	e := New()
-	w := NewTimers(e, 4)
+	w := NewTimers(e, 0)
 	id := w.After(100, func(TimerID) { t.Error("cancelled timer fired") })
 	if e.Pending() == 0 {
 		t.Fatal("arming a timer scheduled no engine event")
@@ -54,16 +50,16 @@ func TestTimersCancel(t *testing.T) {
 		t.Errorf("Pending = %d after Cancel, want 0", w.Pending())
 	}
 	if e.Pending() != 0 {
-		t.Errorf("engine still holds %d events after the bucket emptied", e.Pending())
+		t.Errorf("engine still holds %d events after the only timer was cancelled", e.Pending())
 	}
 	e.Run()
 }
 
-// Cancelling one of several same-bucket timers must not disturb the
-// others, and the survivors still fire exactly.
+// Cancelling one of several timers armed close together must not
+// disturb the others, and the survivors still fire exactly.
 func TestTimersCancelOneOfBucket(t *testing.T) {
 	e := New()
-	w := NewTimers(e, 4)
+	w := NewTimers(e, 0)
 	var fired []units.Seconds
 	w.After(100, func(TimerID) { fired = append(fired, e.Now()) })
 	id := w.After(101, func(TimerID) { t.Error("cancelled timer fired") })
@@ -79,7 +75,7 @@ func TestTimersCancelOneOfBucket(t *testing.T) {
 // slot was reused — are all no-ops.
 func TestTimersStaleIDs(t *testing.T) {
 	e := New()
-	w := NewTimers(e, 4)
+	w := NewTimers(e, 0)
 	w.Cancel(0) // zero id
 
 	id1 := w.After(50, func(TimerID) { t.Error("cancelled timer fired") })
@@ -103,7 +99,7 @@ func TestTimersStaleIDs(t *testing.T) {
 // can fence stale wall-clock firings by comparison.
 func TestTimersCallbackReceivesOwnID(t *testing.T) {
 	e := New()
-	w := NewTimers(e, 4)
+	w := NewTimers(e, 0)
 	got := make(map[TimerID]bool)
 	handler := func(id TimerID) { got[id] = true }
 	ids := []TimerID{w.After(1, handler), w.After(40, handler), w.After(400, handler)}
@@ -115,11 +111,10 @@ func TestTimersCallbackReceivesOwnID(t *testing.T) {
 	}
 }
 
-// Equal-deadline timers fire in arming order, even when cascading
-// through shared buckets.
+// Equal-deadline timers fire in arming order.
 func TestTimersTiesFireInArmingOrder(t *testing.T) {
 	e := New()
-	w := NewTimers(e, 4)
+	w := NewTimers(e, 0)
 	var got []int
 	for i := 0; i < 8; i++ {
 		i := i
@@ -138,16 +133,16 @@ func TestTimersTiesFireInArmingOrder(t *testing.T) {
 
 // Differential check against the plain engine: the same randomized
 // arm/cancel script must produce the same firing sequence whether run
-// through the wheel or scheduled directly.
+// through Timers or scheduled directly.
 func TestTimersMatchPlainEngine(t *testing.T) {
 	type rec struct {
 		at units.Seconds
 		id int
 	}
-	run := func(seed uint64, useWheel bool) []rec {
+	run := func(seed uint64, useTimers bool) []rec {
 		src := rng.Stream(seed, "sim/timers-differential")
 		e := New()
-		w := NewTimers(e, 4)
+		w := NewTimers(e, 0)
 		var got []rec
 		type armed struct {
 			tid TimerID
@@ -159,11 +154,11 @@ func TestTimersMatchPlainEngine(t *testing.T) {
 		for op := 0; op < 2000; op++ {
 			switch k := src.Intn(8); {
 			case k < 4:
-				// Mix of sub-granule, in-level, and cross-level delays.
+				// Delays from under a second to over a thousand.
 				d := units.Seconds(src.Float64()) * units.Seconds(uint64(1)<<uint(src.Intn(12)))
 				id := nextID
 				nextID++
-				if useWheel {
+				if useTimers {
 					tid := w.After(d, func(TimerID) { got = append(got, rec{e.Now(), id}) })
 					live = append(live, armed{tid: tid})
 				} else {
@@ -173,7 +168,7 @@ func TestTimersMatchPlainEngine(t *testing.T) {
 			case k < 6:
 				if len(live) > 0 {
 					j := src.Intn(len(live))
-					if useWheel {
+					if useTimers {
 						w.Cancel(live[j].tid)
 					} else {
 						live[j].h.Cancel()
@@ -182,11 +177,9 @@ func TestTimersMatchPlainEngine(t *testing.T) {
 					live = live[:len(live)-1]
 				}
 			default:
-				// Advance both runs to the same wall time. (Step counts would
-				// diverge: the wheel spends engine events on bucket
-				// boundaries, the plain engine does not.)
+				// Advance both runs to the same virtual time.
 				clock += units.Seconds(src.Intn(64))
-				for e.skipParked(); len(e.order) > 0 && e.order[0].at <= clock; e.skipParked() {
+				for e.closeHole(); len(e.order) > 0 && e.order[0].at <= clock; e.closeHole() {
 					e.Step()
 				}
 				e.now = clock
@@ -196,16 +189,46 @@ func TestTimersMatchPlainEngine(t *testing.T) {
 		return got
 	}
 	for _, seed := range []uint64{3, 99, 2024} {
-		wheel := run(seed, true)
+		timers := run(seed, true)
 		plain := run(seed, false)
-		if len(wheel) != len(plain) {
-			t.Fatalf("seed %d: wheel fired %d, plain engine %d", seed, len(wheel), len(plain))
+		if len(timers) != len(plain) {
+			t.Fatalf("seed %d: Timers fired %d, plain engine %d", seed, len(timers), len(plain))
 		}
-		for i := range wheel {
-			if wheel[i] != plain[i] {
-				t.Fatalf("seed %d: firing %d diverged: wheel %+v, plain %+v", seed, i, wheel[i], plain[i])
+		for i := range timers {
+			if timers[i] != plain[i] {
+				t.Fatalf("seed %d: firing %d diverged: Timers %+v, plain %+v", seed, i, timers[i], plain[i])
 			}
 		}
+	}
+}
+
+// A timer is one plain event: armed among AfterArg events at equal
+// instants, it fires in call order with them, and cancelling the last
+// armed timer leaves the engine with nothing pending.
+func TestTimersTieWithPlainEvents(t *testing.T) {
+	e := New()
+	w := NewTimers(e, 0)
+	var got []int
+	plain := func(arg uint64) { got = append(got, int(arg)) }
+	ids := map[TimerID]int{}
+	timer := func(id TimerID) { got = append(got, ids[id]) }
+	for i := 0; i < 12; i++ {
+		at := units.Seconds(i % 3) // four calls at each of three instants
+		if i%2 == 0 {
+			e.AfterArg(at, plain, uint64(i))
+		} else {
+			ids[w.After(at, timer)] = i
+		}
+	}
+	e.Run()
+	if want := []int{0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	first, last := w.After(1, timer), w.After(1, timer)
+	w.Cancel(first)
+	w.Cancel(last)
+	if w.Pending() != 0 || e.Pending() != 0 {
+		t.Errorf("Pending: timers %d, engine %d after cancelling the last timer, want 0, 0", w.Pending(), e.Pending())
 	}
 }
 
@@ -213,7 +236,7 @@ func TestTimersMatchPlainEngine(t *testing.T) {
 // must not allocate once the arenas are warm.
 func TestTimersAfterCancelSteadyStateAllocFree(t *testing.T) {
 	e := New()
-	w := NewTimers(e, 4)
+	w := NewTimers(e, 0)
 	fn := func(TimerID) {}
 	var ids []TimerID
 	for i := 0; i < 64; i++ {
@@ -240,6 +263,6 @@ func TestTimersNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	e := New()
-	w := NewTimers(e, 4)
+	w := NewTimers(e, 0)
 	w.After(-1, func(TimerID) {})
 }
