@@ -39,8 +39,11 @@ race:
 # bench-module builds and tests the nested benchmark module. It is its
 # own Go module, so ./... at the root cannot see it: without this step
 # an internal API change would break the frozen benchmark silently.
+# Build it with -o /dev/null, as here, never with a plain `go build` in
+# bench/: that writes its main package's binary over the committed
+# bench/bench.
 bench-module:
-	cd bench && $(GO) vet ./... && $(GO) test ./...
+	cd bench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 # serve-smoke runs the two serving workloads of the benchmark for two
 # seconds each: a daemon in a child process, real clients over the frame

@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"apstdv/internal/model"
+	"apstdv/internal/trace"
 )
 
 // Plan carries everything an algorithm may plan with.
@@ -85,21 +86,10 @@ type Decision struct {
 	Size   float64
 }
 
-// Observation reports one completed chunk.
-type Observation struct {
-	Worker int
-	Size   float64
-	// Probe marks calibration chunks from the probing round.
-	Probe bool
-	// Timeline of the chunk, in seconds since execution start.
-	SendStart, SendEnd, CompStart, CompEnd float64
-}
-
-// TransferTime returns the observed transfer duration.
-func (o Observation) TransferTime() float64 { return o.SendEnd - o.SendStart }
-
-// ComputeTime returns the observed computation duration.
-func (o Observation) ComputeTime() float64 { return o.CompEnd - o.CompStart }
+// Observation reports one completed chunk: it is the engine's record of
+// the attempt, the same value the run's trace keeps (probe chunks
+// included, marked Probe), in seconds since execution start.
+type Observation = trace.Record
 
 // Algorithm is a divisible load scheduling policy.
 type Algorithm interface {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"apstdv/internal/dls"
 	"apstdv/internal/obs"
 	otrace "apstdv/internal/obs/trace"
 	"apstdv/internal/trace"
@@ -393,10 +392,22 @@ func (e *execution) finishChunk(c *chunk) {
 	e.dispatchReturn(c, outBytes)
 }
 
-// completeChunk retires a successful attempt: accounting, trace record,
-// algorithm notification, events, and the next dispatch.
-func (e *execution) completeChunk(c *chunk, outputEnd float64) {
-	c.state = stateDone
+// record is the attempt's one record, closed at outputEnd (the output's
+// arrival, or the moment a failed attempt was given up): the trace
+// keeps it, the algorithm observes it and the chunk_done event copies
+// it.
+func (c *chunk) record(outputEnd float64) trace.Record {
+	return trace.Record{
+		Chunk: c.id, Worker: c.worker, Offset: c.offset, Size: c.size,
+		Probe:     c.kind == kindProbe,
+		SendStart: c.sendStart, SendEnd: c.sendEnd,
+		CompStart: c.compStart, CompEnd: c.compEnd, OutputEnd: outputEnd,
+		Attempt: c.attempt,
+	}
+}
+
+// attemptEnded takes an ended attempt's load off its worker.
+func (e *execution) attemptEnded(c *chunk) {
 	w := c.worker
 	e.pending[w] -= c.size
 	if e.pending[w] < 0 {
@@ -404,19 +415,19 @@ func (e *execution) completeChunk(c *chunk, outputEnd float64) {
 	}
 	e.pendingChunks[w]--
 	e.inflight--
+}
+
+// completeChunk retires a successful attempt: accounting, its record
+// (traced, observed and emitted), and the next dispatch.
+func (e *execution) completeChunk(c *chunk, outputEnd float64) {
+	c.state = stateDone
+	w := c.worker
+	e.attemptEnded(c)
 	e.completed += c.size
 	e.consecFail[w] = 0
-	e.trace.Add(trace.Record{
-		Chunk: c.id, Worker: w, Offset: c.offset, Size: c.size,
-		SendStart: c.sendStart, SendEnd: c.sendEnd,
-		CompStart: c.compStart, CompEnd: c.compEnd, OutputEnd: outputEnd,
-		Attempt: c.attempt,
-	})
-	e.alg.Observe(dls.Observation{
-		Worker: w, Size: c.size,
-		SendStart: c.sendStart, SendEnd: c.sendEnd,
-		CompStart: c.compStart, CompEnd: c.compEnd,
-	})
+	r := c.record(outputEnd)
+	e.trace.Add(r)
+	e.alg.Observe(r)
 	if e.traceOn {
 		// The umbrella span closes over the chunk's whole life — first
 		// launch to output return, retries included.
@@ -424,11 +435,11 @@ func (e *execution) completeChunk(c *chunk, outputEnd float64) {
 			e.traceNs(c.traceStart), e.traceNs(outputEnd), true, "")
 	}
 	if ev := e.event(obs.ChunkDone, w); ev != nil {
-		ev.Chunk, ev.Size, ev.Remaining = c.id, c.size, e.remaining
-		ev.SendStart, ev.SendEnd = c.sendStart, c.sendEnd
-		ev.CompStart, ev.CompEnd, ev.OutputEnd = c.compStart, c.compEnd, outputEnd
-		if c.attempt > 1 {
-			ev.Attempt = c.attempt
+		ev.Chunk, ev.Size, ev.Remaining = r.Chunk, r.Size, e.remaining
+		ev.SendStart, ev.SendEnd = r.SendStart, r.SendEnd
+		ev.CompStart, ev.CompEnd, ev.OutputEnd = r.CompStart, r.CompEnd, r.OutputEnd
+		if r.Attempt > 1 {
+			ev.Attempt = r.Attempt
 		}
 		e.emit(ev)
 	}

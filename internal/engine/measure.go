@@ -6,7 +6,6 @@ import (
 	"apstdv/internal/dls"
 	"apstdv/internal/model"
 	"apstdv/internal/obs"
-	"apstdv/internal/trace"
 )
 
 // chunkKind says what a chunk record carries. A work chunk is a slice of
@@ -87,7 +86,7 @@ func (e *execution) measure(k chunkKind, w int) {
 	c := e.allocChunk()
 	c.kind, c.worker, c.state = k, w, stateTransferring
 	if k == kindProbe {
-		c.size, c.bytes = e.probeLoad, e.probeLoad*float64(e.app.BytesPerUnit)
+		c.offset, c.size, c.bytes = -1, e.probeLoad, e.probeLoad*float64(e.app.BytesPerUnit)
 	}
 	e.uplinkBusy(c)
 	e.dispatchTransfer(c)
@@ -134,7 +133,8 @@ func (e *execution) measureTransferred(c *chunk, start, end float64, err error) 
 // measureComputed retires a measurement whose job completed or failed,
 // handing the result to the probing round or to the algorithm.
 func (e *execution) measureComputed(c *chunk, start, end float64, err error) {
-	k, w, id, sendStart, sendEnd := c.kind, c.worker, c.id, c.sendStart, c.sendEnd
+	c.compStart, c.compEnd = start, end
+	k, w, r := c.kind, c.worker, c.record(end)
 	e.releaseChunk(c)
 	switch {
 	case err != nil:
@@ -144,27 +144,20 @@ func (e *execution) measureComputed(c *chunk, start, end float64, err error) {
 		}
 	case k == kindRecal:
 		if rc, ok := e.alg.(dls.Recalibrator); ok {
-			rc.Recalibrate(w, sendEnd-sendStart, end-start)
+			rc.Recalibrate(w, r.TransferTime(), r.ComputeTime())
 		}
 		if ev := e.event(obs.Recalibrate, w); ev != nil {
-			ev.CommLatency, ev.CompLatency = sendEnd-sendStart, end-start
+			ev.CommLatency, ev.CompLatency = r.TransferTime(), r.ComputeTime()
 			e.emit(ev)
 		}
 		e.tryDispatch()
 	case k == kindLatency:
-		e.probes[w].noopExec = end - start
+		e.probes[w].noopExec = r.ComputeTime()
 		e.probeExecDone(w)
 	default:
-		e.probes[w].probeExec = end - start
-		e.trace.Add(trace.Record{
-			Chunk: id, Worker: w, Offset: -1, Size: e.probeLoad,
-			Probe: true, SendStart: sendStart, SendEnd: sendEnd,
-			CompStart: start, CompEnd: end, OutputEnd: end,
-		})
-		e.alg.Observe(dls.Observation{
-			Worker: w, Size: e.probeLoad, Probe: true,
-			SendStart: sendStart, SendEnd: sendEnd, CompStart: start, CompEnd: end,
-		})
+		e.probes[w].probeExec = r.ComputeTime()
+		e.trace.Add(r)
+		e.alg.Observe(r)
 		e.probeExecDone(w)
 	}
 }

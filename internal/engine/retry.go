@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"apstdv/internal/obs"
-	"apstdv/internal/trace"
 )
 
 // RetryPolicy configures the engine's fault-tolerance layer. The zero
@@ -262,19 +261,10 @@ func (e *execution) chunkFailed(c *chunk, cause error, holdsUplink bool) {
 		}
 		e.uplinkFreed(c, c.stageStart, e.backend.Now())
 	}
-	e.pending[w] -= c.size
-	if e.pending[w] < 0 {
-		e.pending[w] = 0
-	}
-	e.pendingChunks[w]--
-	e.inflight--
-	e.trace.Add(trace.Record{
-		Chunk: c.id, Worker: w, Offset: c.offset, Size: c.size,
-		SendStart: c.sendStart, SendEnd: c.sendEnd,
-		CompStart: c.compStart, CompEnd: c.compEnd,
-		OutputEnd: e.backend.Now(),
-		Attempt:   c.attempt, Failed: true,
-	})
+	e.attemptEnded(c)
+	r := c.record(e.backend.Now())
+	r.Failed = true
+	e.trace.Add(r)
 	if !e.retryOn {
 		e.fail(fmt.Errorf("engine: chunk %d on worker %d failed: %w", c.id, w, cause))
 		return

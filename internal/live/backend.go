@@ -373,17 +373,34 @@ func (b *Backend) call(w int, method uint16, args transport.Appender, reply tran
 
 func (b *Backend) nextChunk() int64 { return b.chunkSeq.Add(1) }
 
-// Transfer implements engine.Backend: move `bytes` of real data to the
-// worker over RPC, paced by the worker's network model. The engine
-// guarantees serialization (one outstanding Transfer).
-func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, err error)) {
+// op runs one worker operation on a goroutine of its own: a span named
+// span (none when empty), the call, and the delivery of done. A failed
+// call is recorded through opFailed as "live: <what> worker w: <err>".
+func (b *Backend) op(w int, span, what string, done func(start, end float64, err error), call func() error) {
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		// One span covers the whole fragment loop — per-fragment spans
-		// would flood the ring on large transfers.
-		sp := b.opSpan("worker.store")
+		var sp otrace.Span
+		if span != "" {
+			sp = b.opSpan(span)
+		}
 		start := b.Now()
+		err := call()
+		if err != nil {
+			err = b.opFailed(fmt.Errorf("live: %s worker %d: %w", what, w, err))
+		}
+		sp.End(err)
+		b.complete(done, start, b.Now(), err)
+	}()
+}
+
+// Transfer implements engine.Backend: move `bytes` of real data to the
+// worker over RPC, paced by the worker's network model. The engine
+// guarantees serialization (one outstanding Transfer). One span covers
+// the whole fragment loop — per-fragment spans would flood the ring on
+// large transfers.
+func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, err error)) {
+	b.op(w, "worker.store", "store on", done, func() error {
 		nm := b.nets[w]
 		if nm.Latency > 0 {
 			time.Sleep(nm.Latency)
@@ -399,10 +416,7 @@ func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, e
 			args := StoreArgs{Chunk: int(chunk), Data: buf[:n], Last: n == remaining}
 			var reply StoreReply
 			if err := b.call(w, methodStore, &args, &reply); err != nil {
-				err = b.opFailed(fmt.Errorf("live: store on worker %d: %w", w, err))
-				sp.End(err)
-				b.complete(done, start, b.Now(), err)
-				return
+				return err
 			}
 			remaining -= n
 			sent += n
@@ -413,52 +427,45 @@ func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, e
 				break
 			}
 		}
-		sp.End(nil)
-		b.complete(done, start, b.Now(), nil)
-	}()
+		return nil
+	})
 }
 
 // Execute implements engine.Backend: RPC the worker's compute loop.
-// FIFO ordering comes from the worker's internal mutex.
+// FIFO ordering comes from the worker's internal mutex. Probe RPCs stay
+// unspanned, matching the engine's decision to keep calibration out of
+// the per-chunk latency picture. A worker that reports computing other
+// than size units has failed the operation.
 func (b *Backend) Execute(w int, size float64, probe bool, done func(start, end float64, err error)) {
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		// Probe RPCs stay unspanned, matching the engine's decision to
-		// keep calibration out of the per-chunk latency picture.
-		var sp otrace.Span
-		if !probe {
-			sp = b.opSpan("worker.compute")
-		}
-		start := b.Now()
+	span := "worker.compute"
+	if probe {
+		span = ""
+	}
+	b.op(w, span, "compute on", done, func() error {
 		args := ComputeArgs{Chunk: int(b.nextChunk()), Units: size, Probe: probe}
 		var reply ComputeReply
 		if err := b.call(w, methodCompute, &args, &reply); err != nil {
-			err = b.opFailed(fmt.Errorf("live: compute on worker %d: %w", w, err))
-			sp.End(err)
-			b.complete(done, start, b.Now(), err)
-			return
+			return err
 		}
-		sp.End(nil)
-		b.complete(done, start, b.Now(), nil)
-	}()
+		if reply.Units != size {
+			return fmt.Errorf("worker %d: computed %g units of %g", w, reply.Units, size)
+		}
+		return nil
+	})
 }
 
-// ReturnOutput implements engine.Backend: fetch output bytes back.
+// ReturnOutput implements engine.Backend: fetch output bytes back. A
+// worker that returns other than the requested byte count has failed
+// the operation.
 func (b *Backend) ReturnOutput(w int, bytes float64, done func(start, end float64, err error)) {
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		sp := b.opSpan("worker.fetch")
-		start := b.Now()
+	b.op(w, "worker.fetch", "fetch from", done, func() error {
 		var reply FetchReply
 		if err := b.call(w, methodFetch, &FetchArgs{Bytes: int(bytes)}, &reply); err != nil {
-			err = b.opFailed(fmt.Errorf("live: fetch from worker %d: %w", w, err))
-			sp.End(err)
-			b.complete(done, start, b.Now(), err)
-			return
+			return err
 		}
-		sp.End(nil)
-		b.complete(done, start, b.Now(), nil)
-	}()
+		if len(reply.Data) != int(bytes) {
+			return fmt.Errorf("worker %d: returned %d of %d output bytes", w, len(reply.Data), int(bytes))
+		}
+		return nil
+	})
 }

@@ -26,8 +26,8 @@ type Record struct {
 	// OutputEnd is when the chunk's output arrived back at the master
 	// (equal to CompEnd when the application returns no output).
 	OutputEnd float64
-	// Attempt is the dispatch attempt this record describes (1-based; 0
-	// in records predating the retry layer, which means "first").
+	// Attempt is the dispatch attempt this record describes, 1-based;
+	// a probe chunk's record, which no retry can re-dispatch, holds 0.
 	Attempt int
 	// Failed marks an abandoned attempt: the timeline holds whatever
 	// stages completed before the failure, and OutputEnd the failure
