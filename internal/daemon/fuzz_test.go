@@ -49,11 +49,11 @@ var wireSeeds = []wireMsg{
 	&TraceStatsArgs{},
 	&TraceStatsReply{Enabled: true, Recorded: 5, Retained: 4, Stages: []otrace.StageStat{
 		{Stage: "queue", Count: 5, Sampled: 4, P50Ms: 1, P90Ms: 2, P99Ms: 3, MaxMs: 4}}},
-	&live.StoreArgs{Chunk: 3, Data: []byte("chunk"), Last: true},
+	&live.StoreArgs{Data: []byte("chunk")},
 	&live.StoreReply{Received: 5},
-	&live.ComputeArgs{Chunk: 3, Units: 2.5, Probe: true},
+	&live.ComputeArgs{Units: 2.5, Probe: true},
 	&live.ComputeReply{Checksum: 1.25, Units: 2.5},
-	&live.FetchArgs{Chunk: 3, Bytes: 64},
+	&live.FetchArgs{Bytes: 64},
 	&live.FetchReply{Data: []byte("out")},
 	&live.AbortArgs{},
 	&live.AbortReply{},

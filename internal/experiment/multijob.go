@@ -143,6 +143,7 @@ func runMultiWorld(w *grid.MultiWorld, views []*grid.JobView, apps []*model.Appl
 		case <-v.Entered():
 		case <-entered.C:
 			w.Abort()
+			wg.Wait()
 			return nil, fmt.Errorf("experiment: multi-job %d never entered Run", i)
 		}
 	}

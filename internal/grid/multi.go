@@ -47,8 +47,9 @@
 // latency and work ends through Engine.AtArg keyed by a station id. So
 // issuing an operation allocates nothing once the tables have grown.
 // JobView offers only engine.Backend's closure forms, not
-// engine.OpBackend: the engine wraps its op token into one bridge
-// closure per operation, and that closure is the op's one allocation.
+// engine.OpBackend: the engine hands each operation a pooled completion
+// cell's method value as done, so a JobView op allocates nothing either
+// once the engine's cell list has grown.
 // Exposing the op forms would change the optional-interface set the
 // bench module's tracing decorator mirrors.
 package grid

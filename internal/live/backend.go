@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"apstdv/internal/obs"
@@ -15,6 +14,11 @@ import (
 // fragmentSize is the Store fragment granularity: Transfer moves a
 // chunk's bytes in frames of at most this many.
 const fragmentSize = 256 << 10
+
+// zeros is the payload of every Store fragment. It is never written:
+// the worker counts the bytes without reading meaning into them, and
+// the transport copies them into its frame.
+var zeros [fragmentSize]byte
 
 // Config carries the backend's cross-cutting dependencies. The zero
 // value is valid: no metrics, no tracing.
@@ -44,8 +48,7 @@ type WorkerConn struct {
 // Operation failures (broken connection, worker crash, RPC timeout) are
 // reported per-operation through the done callbacks, so the engine's
 // retry layer can re-dispatch the chunk to a surviving worker instead
-// of the whole run dying with the first worker. The first error is
-// also retained for Err().
+// of the whole run dying with the first worker.
 //
 // Every operation runs on a goroutine of its own, but the backend keeps
 // the engine's callback contract (see engine.Backend): a completion
@@ -65,7 +68,6 @@ type Backend struct {
 	closed  bool
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
-	err     error
 
 	// cbMu serializes callbacks and guards the rest: held keeps the
 	// callbacks that arrived before Run was entered, entered and
@@ -73,8 +75,6 @@ type Backend struct {
 	cbMu              sync.Mutex
 	held              []func()
 	entered, returned bool
-
-	chunkSeq atomic.Int64
 
 	// Wall-clock deadline timers armed through the engine.Timer
 	// interface, keyed by the ids AfterFunc hands out.
@@ -335,25 +335,6 @@ func (b *Backend) CancelTimer(id uint64) {
 	b.timerMu.Unlock()
 }
 
-// Err returns the first transport error observed.
-func (b *Backend) Err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
-}
-
-// opFailed records an operation error for Err() and returns it for the
-// done callback. Unlike the pre-retry backend it does NOT stop the run:
-// the engine decides whether a failure is fatal.
-func (b *Backend) opFailed(err error) error {
-	b.mu.Lock()
-	if b.err == nil {
-		b.err = err
-	}
-	b.mu.Unlock()
-	return err
-}
-
 // call performs one RPC bounded by CallTimeout. The transport retires
 // a timed-out request id, so the connection survives a deadline.
 func (b *Backend) call(w int, method uint16, args transport.Appender, reply transport.Decoder) error {
@@ -371,11 +352,10 @@ func (b *Backend) call(w int, method uint16, args transport.Appender, reply tran
 	return nil
 }
 
-func (b *Backend) nextChunk() int64 { return b.chunkSeq.Add(1) }
-
 // op runs one worker operation on a goroutine of its own: a span named
 // span (none when empty), the call, and the delivery of done. A failed
-// call is recorded through opFailed as "live: <what> worker w: <err>".
+// call reaches done as "live: <what> worker w: <err>"; the engine
+// decides whether it is fatal.
 func (b *Backend) op(w int, span, what string, done func(start, end float64, err error), call func() error) {
 	b.wg.Add(1)
 	go func() {
@@ -387,7 +367,7 @@ func (b *Backend) op(w int, span, what string, done func(start, end float64, err
 		start := b.Now()
 		err := call()
 		if err != nil {
-			err = b.opFailed(fmt.Errorf("live: %s worker %d: %w", what, w, err))
+			err = fmt.Errorf("live: %s worker %d: %w", what, w, err)
 		}
 		sp.End(err)
 		b.complete(done, start, b.Now(), err)
@@ -398,36 +378,31 @@ func (b *Backend) op(w int, span, what string, done func(start, end float64, err
 // worker over RPC, paced by the worker's network model. The engine
 // guarantees serialization (one outstanding Transfer). One span covers
 // the whole fragment loop — per-fragment spans would flood the ring on
-// large transfers.
+// large transfers. A worker that acknowledges a fragment with other
+// than its length has failed the operation.
 func (b *Backend) Transfer(w int, bytes float64, done func(start, end float64, err error)) {
 	b.op(w, "worker.store", "store on", done, func() error {
 		nm := b.nets[w]
 		if nm.Latency > 0 {
 			time.Sleep(nm.Latency)
 		}
-		chunk := b.nextChunk()
-		remaining := int(bytes)
-		// One fragment's worth at most; the probing round's empty
-		// transfers send buf[:0] of an empty buffer.
-		buf := make([]byte, min(remaining, fragmentSize))
-		sent := 0
-		for remaining > 0 || sent == 0 {
+		// The probing round's empty transfers send one empty fragment.
+		for remaining := int(bytes); ; {
 			n := min(remaining, fragmentSize)
-			args := StoreArgs{Chunk: int(chunk), Data: buf[:n], Last: n == remaining}
 			var reply StoreReply
-			if err := b.call(w, methodStore, &args, &reply); err != nil {
+			if err := b.call(w, methodStore, &StoreArgs{Data: zeros[:n]}, &reply); err != nil {
 				return err
 			}
-			remaining -= n
-			sent += n
+			if reply.Received != n {
+				return fmt.Errorf("worker %d: stored %d of %d bytes", w, reply.Received, n)
+			}
 			if nm.Bandwidth > 0 && n > 0 {
 				time.Sleep(time.Duration(float64(n) / nm.Bandwidth * float64(time.Second)))
 			}
-			if n == 0 {
-				break
+			if remaining -= n; remaining <= 0 {
+				return nil
 			}
 		}
-		return nil
 	})
 }
 
@@ -442,9 +417,8 @@ func (b *Backend) Execute(w int, size float64, probe bool, done func(start, end 
 		span = ""
 	}
 	b.op(w, span, "compute on", done, func() error {
-		args := ComputeArgs{Chunk: int(b.nextChunk()), Units: size, Probe: probe}
 		var reply ComputeReply
-		if err := b.call(w, methodCompute, &args, &reply); err != nil {
+		if err := b.call(w, methodCompute, &ComputeArgs{Units: size, Probe: probe}, &reply); err != nil {
 			return err
 		}
 		if reply.Units != size {

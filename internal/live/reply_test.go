@@ -12,15 +12,23 @@ import (
 	"apstdv/internal/transport"
 )
 
-// serveLiar serves the worker protocol with a worker that stores
-// honestly but reports one unit more than it was asked to compute and
-// returns one byte less output than was asked for.
-func serveLiar(t *testing.T) string {
+// serveFrames serves s on a loopback listener until the test ends and
+// returns its address.
+func serveFrames(t *testing.T, s *transport.Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	go s.Serve(ln)
+	t.Cleanup(func() { s.Close() })
+	return ln.Addr().String()
+}
+
+// serveLiar serves the worker protocol with a worker that stores
+// honestly but reports one unit more than it was asked to compute and
+// returns one byte less output than was asked for.
+func serveLiar(t *testing.T) string {
 	s := transport.NewServer(transport.ServerConfig{})
 	transport.Register[StoreArgs, StoreReply](s, methodStore,
 		func(a *StoreArgs, r *StoreReply) error { r.Received = len(a.Data); return nil })
@@ -28,14 +36,12 @@ func serveLiar(t *testing.T) string {
 		func(a *ComputeArgs, r *ComputeReply) error { r.Units = a.Units + 1; return nil })
 	transport.Register[FetchArgs, FetchReply](s, methodFetch,
 		func(a *FetchArgs, r *FetchReply) error { r.Data = make([]byte, max(a.Bytes-1, 0)); return nil })
-	go s.Serve(ln)
-	t.Cleanup(func() { s.Close() })
-	return ln.Addr().String()
+	return serveFrames(t, s)
 }
 
 // A reply that does not match the request fails the operation: the
-// backend records it for Err and hands it to done, and an engine run on
-// the lying worker fails as it would on any other worker fault.
+// backend hands it to done, and an engine run on the lying worker fails
+// as it would on any other worker fault.
 func TestBackendRejectsMismatchedReplies(t *testing.T) {
 	addr := serveLiar(t)
 	b, err := Dial([]WorkerConn{{Addr: addr}})
@@ -61,10 +67,6 @@ func TestBackendRejectsMismatchedReplies(t *testing.T) {
 			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
-	if b.Err() == nil {
-		t.Error("Err is nil after failed operations")
-	}
-
 	run, err := Dial([]WorkerConn{{Addr: addr}})
 	if err != nil {
 		t.Fatal(err)
@@ -76,5 +78,24 @@ func TestBackendRejectsMismatchedReplies(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "units of") {
 		t.Errorf("engine run on a lying worker: err = %v, want the compute mismatch", err)
+	}
+}
+
+// A worker that acknowledges a fragment with less than it was sent
+// fails the transfer: each Store ack must equal its fragment's length.
+func TestBackendRejectsShortStoreAck(t *testing.T) {
+	s := transport.NewServer(transport.ServerConfig{})
+	transport.Register[StoreArgs, StoreReply](s, methodStore,
+		func(a *StoreArgs, r *StoreReply) error { r.Received = len(a.Data) - 1; return nil })
+	b, err := Dial([]WorkerConn{{Addr: serveFrames(t, s)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	running(t, b)
+	got := make(chan error, 1)
+	b.Transfer(0, 100, func(_, _ float64, err error) { got <- err })
+	if err := <-got; err == nil || !strings.Contains(err.Error(), "stored 99 of 100 bytes") {
+		t.Errorf("short ack: err = %v, want one naming %q", err, "stored 99 of 100 bytes")
 	}
 }

@@ -125,7 +125,7 @@ func TestAbortKillsRunningCompute(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var reply ComputeReply
-		done <- svc.Compute(ComputeArgs{Chunk: 1, Units: 10}, &reply)
+		done <- svc.Compute(ComputeArgs{Units: 10}, &reply)
 	}()
 	// Let the loop start, then abort.
 	time.Sleep(50 * time.Millisecond)
@@ -143,7 +143,7 @@ func TestAbortKillsRunningCompute(t *testing.T) {
 	}
 	// A computation submitted after the abort runs normally.
 	var reply ComputeReply
-	if err := svc.Compute(ComputeArgs{Chunk: 2, Units: 0.001}, &reply); err != nil {
+	if err := svc.Compute(ComputeArgs{Units: 0.001}, &reply); err != nil {
 		t.Fatalf("post-abort compute failed: %v", err)
 	}
 	if svc.Computed() != 1 {

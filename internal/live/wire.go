@@ -13,20 +13,12 @@ const (
 )
 
 // AppendWire implements transport.Appender.
-func (a *StoreArgs) AppendWire(b []byte) []byte {
-	b = transport.AppendVarint(b, int64(a.Chunk))
-	b = transport.AppendBytes(b, a.Data)
-	return transport.AppendBool(b, a.Last)
-}
+func (a *StoreArgs) AppendWire(b []byte) []byte { return transport.AppendBytes(b, a.Data) }
 
 // DecodeWire implements transport.Decoder. Data aliases the frame
 // buffer and is only valid during the handler — Store reads it and
 // returns, never retaining.
-func (a *StoreArgs) DecodeWire(d *transport.Dec) {
-	a.Chunk = int(d.Varint())
-	a.Data = d.Bytes()
-	a.Last = d.Bool()
-}
+func (a *StoreArgs) DecodeWire(d *transport.Dec) { a.Data = d.Bytes() }
 
 // AppendWire implements transport.Appender.
 func (r *StoreReply) AppendWire(b []byte) []byte {
@@ -38,14 +30,12 @@ func (r *StoreReply) DecodeWire(d *transport.Dec) { r.Received = int(d.Varint())
 
 // AppendWire implements transport.Appender.
 func (a *ComputeArgs) AppendWire(b []byte) []byte {
-	b = transport.AppendVarint(b, int64(a.Chunk))
 	b = transport.AppendF64(b, a.Units)
 	return transport.AppendBool(b, a.Probe)
 }
 
 // DecodeWire implements transport.Decoder.
 func (a *ComputeArgs) DecodeWire(d *transport.Dec) {
-	a.Chunk = int(d.Varint())
 	a.Units = d.F64()
 	a.Probe = d.Bool()
 }
@@ -63,16 +53,10 @@ func (r *ComputeReply) DecodeWire(d *transport.Dec) {
 }
 
 // AppendWire implements transport.Appender.
-func (a *FetchArgs) AppendWire(b []byte) []byte {
-	b = transport.AppendVarint(b, int64(a.Chunk))
-	return transport.AppendVarint(b, int64(a.Bytes))
-}
+func (a *FetchArgs) AppendWire(b []byte) []byte { return transport.AppendVarint(b, int64(a.Bytes)) }
 
 // DecodeWire implements transport.Decoder.
-func (a *FetchArgs) DecodeWire(d *transport.Dec) {
-	a.Chunk = int(d.Varint())
-	a.Bytes = int(d.Varint())
-}
+func (a *FetchArgs) DecodeWire(d *transport.Dec) { a.Bytes = int(d.Varint()) }
 
 // AppendWire implements transport.Appender.
 func (r *FetchReply) AppendWire(b []byte) []byte {

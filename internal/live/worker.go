@@ -25,22 +25,19 @@ import (
 	"apstdv/internal/transport"
 )
 
-// StoreArgs carries chunk data to a worker.
+// StoreArgs carries one fragment of chunk data to a worker.
 type StoreArgs struct {
-	Chunk int
-	Data  []byte
-	// Last marks the final fragment of a chunk transfer.
-	Last bool
+	Data []byte
 }
 
 // StoreReply acknowledges a fragment.
 type StoreReply struct {
+	// Received is the fragment's length as the worker counted it.
 	Received int
 }
 
 // ComputeArgs requests computation of a stored chunk.
 type ComputeArgs struct {
-	Chunk int
 	// Units is the chunk size in load units; the worker burns
 	// WorkPerUnit floating-point iterations per unit.
 	Units float64
@@ -59,7 +56,6 @@ type ComputeReply struct {
 
 // FetchArgs requests output bytes back from the worker.
 type FetchArgs struct {
-	Chunk int
 	Bytes int
 }
 
@@ -79,10 +75,8 @@ type WorkerService struct {
 	SpeedFactor float64
 
 	mu       sync.Mutex // serializes Compute: one CPU
-	storeMu  sync.Mutex
-	received map[int]int
 	computed int
-	bytesIn  int64
+	bytesIn  atomic.Int64
 
 	// aborts is the abort generation: Abort increments it, and any
 	// computation whose request predates the increment — running or
@@ -98,25 +92,16 @@ func NewWorkerService(workPerUnit int, speed float64) *WorkerService {
 	if speed <= 0 {
 		speed = 1
 	}
-	return &WorkerService{
-		WorkPerUnit: workPerUnit,
-		SpeedFactor: speed,
-		received:    make(map[int]int),
-	}
+	return &WorkerService{WorkPerUnit: workPerUnit, SpeedFactor: speed}
 }
 
-// Store implements the data path: fragments of a chunk arrive and are
-// accounted (the data itself is load, not meaning — the synthetic
-// application reads it and computes).
+// Store implements the data path: a fragment arrives, is counted and
+// acknowledged with its length (the data itself is load, not meaning —
+// the synthetic application reads it and computes). The worker keeps
+// nothing per chunk.
 func (s *WorkerService) Store(args StoreArgs, reply *StoreReply) error {
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
-	s.received[args.Chunk] += len(args.Data)
-	s.bytesIn += int64(len(args.Data))
-	reply.Received = s.received[args.Chunk]
-	if args.Last {
-		delete(s.received, args.Chunk)
-	}
+	s.bytesIn.Add(int64(len(args.Data)))
+	reply.Received = len(args.Data)
 	return nil
 }
 
@@ -200,11 +185,7 @@ func (s *WorkerService) Computed() int {
 }
 
 // BytesReceived returns the total chunk bytes stored.
-func (s *WorkerService) BytesReceived() int64 {
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
-	return s.bytesIn
-}
+func (s *WorkerService) BytesReceived() int64 { return s.bytesIn.Load() }
 
 // Serve exposes the service on a loopback TCP listener, returning the
 // address and a shutdown function. The shutdown function kills the
