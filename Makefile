@@ -106,8 +106,8 @@ lint: vet
 lines:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 wc -l \
-		| awk '$$2 != "total" { split($$2, p, "/"); n[p[2]] += $$1 } END { for (d in n) print d, n[d] }' \
+		| awk '$$2 != "total" { split($$2, p, "/"); n[p[2]] += $$1; if (p[2] == "internal") n["internal/" p[3]] += $$1 } END { for (d in n) print d, n[d] }' \
 		| sort \
-		| awk '{ printf "%-10s %6d\n", $$1, $$2; t += $$2 } END { printf "%-10s %6d\n", "total", t }'
+		| awk '{ printf "%-20s %6d\n", $$1, $$2; if ($$1 !~ /\//) t += $$2 } END { printf "%-20s %6d\n", "total", t }'
 
 check: build vet race bench-module serve-smoke fuzz-smoke bench-smoke lint

@@ -268,14 +268,13 @@ func TestCoschedRefusesOversubscribedRevision(t *testing.T) {
 }
 
 // seqRunner is a gate runner whose jobs write into their rings the way
-// execute's engine does, numbering densely from the ring's NextSeq at
-// start: a dispatch, then the gate, then two chunk_done events.
+// execute's engine does, numbering densely from 0: a dispatch, then the
+// gate, then two chunk_done events.
 type seqRunner struct{ gateRunner }
 
 func (s *seqRunner) run(ctx context.Context, p *pendingJob) (*trace.Trace, error) {
-	base := p.ring.NextSeq()
 	emit := func(k int64, typ obs.EventType) {
-		ev := obs.Event{Seq: base + k, Type: typ}
+		ev := obs.Event{Seq: k, Type: typ}
 		p.ring.EmitPtr(&ev)
 	}
 	emit(0, obs.Dispatch)

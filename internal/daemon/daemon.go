@@ -670,7 +670,7 @@ func (d *Daemon) putSlotLocked(s *runSlot) {
 
 // execute runs the job on the configured backend, in the slot the
 // scheduler gave it, streaming its events through p into the job's ring
-// (numbered after the daemon's lifecycle events via SeqBase) and the
+// (numbered after the daemon's lifecycle events by the ring) and the
 // shared registry's engine metrics. The trace the engine returns lives
 // in the slot's arena and the slot's next job overwrites it, so the job
 // keeps a copy.
@@ -680,8 +680,7 @@ func (d *Daemon) execute(ctx context.Context, p *pendingJob) (*trace.Trace, erro
 		Arena: p.slot.arena,
 		Config: engine.Config{
 			Divider: p.divider, ProbeLoad: p.probeLoad,
-			Events:  p,
-			SeqBase: p.ring.NextSeq(),
+			Events: p,
 			// Chunk spans parent under the job.execute span and anchor
 			// the backend clock at "now" on the collector timeline.
 			Trace: d.tracer, TraceID: p.traceID,

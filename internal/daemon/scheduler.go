@@ -60,11 +60,12 @@ func classIndex(p string) int {
 // The ring carries one monotonic stream across two emitters: the daemon
 // appends its lifecycle events (job_queued, job_started, job_cancelled,
 // job_rejected) with Ring.Append, which numbers them after whatever the
-// ring has seen, and hands the engine Config.SeqBase = Ring.NextSeq(),
-// from which the engine numbers densely. A co-scheduling revision
-// appends job_reshared to a running job's ring mid-run; the ring then
-// stores each later engine event one past the highest number it holds
-// (obs.Ring), so the numbers stay unique. Pollers reading the Events
+// ring has seen, and the engine numbers its run's events densely from
+// 0. The ring stores each event under the larger of its own number and
+// one past the highest it holds (obs.Ring), so the run's events land
+// right after the lifecycle events, and a job_reshared a co-scheduling
+// revision appends mid-run pushes every later engine event past it: the
+// numbers stay unique. Pollers reading the Events
 // RPC therefore see one gap-free cursor across both layers, and each
 // event costs one lock: the ring's.
 //

@@ -128,40 +128,6 @@ func TestExecuteRequestValidation(t *testing.T) {
 	}
 }
 
-// TestExecuteSeqBaseOffsetsEvents pins the daemon's ring-splicing
-// contract: with SeqBase set, the run's events are numbered from the
-// base but are otherwise identical to a zero-based run.
-func TestExecuteSeqBaseOffsetsEvents(t *testing.T) {
-	run := func(base int64) []obs.Event {
-		platform := workload.Meteor(3)
-		app := &model.Application{Name: "x", TotalLoad: 500, UnitCost: 0.1, BytesPerUnit: 10}
-		backend, err := grid.New(platform, app, grid.Config{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := obs.NewBuffer()
-		_, err = engine.Execute(context.Background(), engine.Request{
-			Backend: backend, Algorithm: dls.NewUMR(), App: app, Platform: platform,
-			Config: engine.Config{ProbeLoad: 5, Events: buf, SeqBase: base},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf.Events()
-	}
-	zero, offset := run(0), run(10)
-	if len(zero) != len(offset) {
-		t.Fatalf("event counts differ: %d vs %d", len(zero), len(offset))
-	}
-	for i := range zero {
-		want := zero[i]
-		want.Seq += 10
-		if offset[i] != want {
-			t.Fatalf("event %d: %+v, want %+v", i, offset[i], want)
-		}
-	}
-}
-
 // TestStallErrorIsTyped pins errors.Is on the stall sentinel.
 func TestStallErrorIsTyped(t *testing.T) {
 	platform := workload.Meteor(2)

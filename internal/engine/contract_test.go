@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,6 +23,12 @@ import (
 // forwards Stop to a wrapped Stopper.
 type checked struct {
 	engine.Backend
+	*contract
+}
+
+// contract is the checks' state. The views of one shared world share
+// one, so a callback of one job overlapping another job's is caught too.
+type contract struct {
 	t              *testing.T
 	inRun, busy    atomic.Bool
 	calls, firings atomic.Int64
@@ -131,10 +136,10 @@ func (c checkedPeer) PeerTransferOp(from, to int, bytes float64, op uint64, done
 	})
 }
 
-// check wraps b for the contract checks, offering the optional
-// interfaces b implements.
-func check(t *testing.T, b engine.Backend) (engine.Backend, *checked) {
-	c := &checked{Backend: b, t: t}
+// check wraps b for the contract checks kept in k, offering the
+// optional interfaces b implements.
+func check(k *contract, b engine.Backend) (engine.Backend, *checked) {
+	c := &checked{Backend: b, contract: k}
 	_, timer := b.(engine.Timer)
 	_, peer := b.(engine.PeerBackend)
 	switch {
@@ -165,7 +170,7 @@ func TestGridBackendKeepsCallbackContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, c := check(t, backend)
+		b, c := check(&contract{t: t}, backend)
 		_, err = engine.Execute(context.Background(), engine.Request{
 			Backend: b, Algorithm: dls.NewWeightedFactoring(), App: app, Platform: platform,
 			Config: engine.Config{ProbeLoad: 20, RecalibrateInterval: 50,
@@ -184,52 +189,38 @@ func TestGridBackendKeepsCallbackContract(t *testing.T) {
 	}
 }
 
-// TestJobViewsKeepCallbackContract runs three jobs in one shared world,
-// each view under its own contract checks: every job's callbacks come
-// from the one driver goroutine, inside that job's Run.
+// TestJobViewsKeepCallbackContract runs three jobs in one shared world
+// through engine.ExecuteShared, every view under one set of contract
+// checks: every callback of every job happens inside the drive
+// function, and no two at once.
 func TestJobViewsKeepCallbackContract(t *testing.T) {
 	w, err := grid.NewMultiWorld(workload.DAS2(6), grid.FairPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const jobs = 3
-	apps := make([]*model.Application, jobs)
-	views := make([]*grid.JobView, jobs)
-	for i := range views {
-		apps[i] = &model.Application{Name: "contract", TotalLoad: 600, BytesPerUnit: 1000,
+	k := &contract{t: t}
+	reqs := make([]engine.Request, jobs)
+	for i := range reqs {
+		app := &model.Application{Name: "contract", TotalLoad: 600, BytesPerUnit: 1000,
 			OutputBytesPerUnit: 50, UnitCost: 0.4, MinChunk: 10}
-		if views[i], err = w.AddJob(apps[i], []int{0, 1, 2, 3, 4, 5}, float64(20*i)); err != nil {
+		v, err := w.AddJob(app, []int{0, 1, 2, 3, 4, 5}, float64(20*i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		b, _ := check(k, v)
+		reqs[i] = engine.Request{Backend: b, Algorithm: dls.NewWeightedFactoring(), App: app}
 	}
-	cs := make([]*checked, jobs)
-	errs := make([]error, jobs)
-	var wg sync.WaitGroup
-	for i, v := range views {
-		var b engine.Backend
-		b, cs[i] = check(t, v)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = engine.Execute(context.Background(), engine.Request{
-				Backend: b, Algorithm: dls.NewWeightedFactoring(), App: apps[i],
-			})
-		}()
-		select {
-		case <-v.Entered():
-		case <-time.After(30 * time.Second):
-			w.Abort()
-			t.Fatalf("job %d never entered Run", i)
-		}
+	run := func() {
+		k.inRun.Store(true)
+		w.Run()
+		k.inRun.Store(false)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		if cs[i].calls.Load() == 0 {
-			t.Fatalf("job %d: no callback was checked", i)
-		}
+	if _, err := engine.ExecuteShared(run, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if k.calls.Load() == 0 {
+		t.Fatal("no callback was checked")
 	}
 }
 
@@ -244,7 +235,7 @@ func TestLiveBackendKeepsCallbackContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cleanup()
-	b, c := check(t, backend)
+	b, c := check(&contract{t: t}, backend)
 	c.late = 20 * time.Millisecond
 	app := &model.Application{Name: "contract", TotalLoad: 120, BytesPerUnit: 4096,
 		OutputBytesPerUnit: 64, UnitCost: 1, MinChunk: 1}
@@ -272,7 +263,7 @@ func TestLiveBackendTimersFireOnlyInsideRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cleanup()
-	b, c := check(t, backend)
+	b, c := check(&contract{t: t}, backend)
 	c.late = 20 * time.Millisecond
 	timer := b.(engine.Timer)
 	early, late := make(chan struct{}), make(chan struct{}, 1)

@@ -83,7 +83,9 @@ type Backend interface {
 // (the live runtime); the simulator simply drains its event queue. The
 // engine calls Stop at most once per run: from a callback when the run
 // finishes or fails, or — when the run's context is cancelled — from the
-// context's goroutine, so a blocked Run returns.
+// context's goroutine, so a blocked Run returns. A multi-job world's
+// view (grid.JobView) uses Stop as its in-virtual-time completion hook,
+// handing the job's shares to its peers, not to unblock a Run.
 type Stopper interface{ Stop() }
 
 // OpBackend is an optional Backend interface offering closure-free forms
@@ -214,11 +216,6 @@ type Config struct {
 	// identical streams regardless of host concurrency. nil disables
 	// emission entirely.
 	Events obs.Sink
-	// SeqBase offsets the run's event sequence numbers. The daemon uses
-	// it to splice engine events after the job-lifecycle events it has
-	// already emitted into the same ring, keeping one monotonic cursor.
-	// Zero (the default) leaves streams exactly as before.
-	SeqBase int64
 	// Trace attaches per-chunk lifecycle spans (one umbrella span per
 	// chunk, one child per stage attempt) to the job's trace, parented
 	// under TraceParent. The engine runs on the backend clock — virtual
@@ -266,61 +263,91 @@ type Request struct {
 // context.Canceled / context.DeadlineExceeded works). The partial trace
 // accumulated so far is returned alongside the error.
 func Execute(ctx context.Context, req Request) (*trace.Trace, error) {
-	b, alg, app, cfg := req.Backend, req.Algorithm, req.App, req.Config
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if b == nil {
-		return nil, errors.New("engine: request has no backend")
-	}
-	if alg == nil {
-		return nil, errors.New("engine: request has no algorithm")
-	}
-	if app == nil {
-		return nil, errors.New("engine: request has no application")
-	}
-	if err := app.Validate(); err != nil {
+	if err := validate(req); err != nil {
 		return nil, err
-	}
-	if b.Workers() == 0 {
-		return nil, errors.New("engine: backend has no workers")
-	}
-	if cfg.WorkerShares != nil {
-		if len(cfg.WorkerShares) != b.Workers() {
-			return nil, fmt.Errorf("engine: %d worker shares for %d workers", len(cfg.WorkerShares), b.Workers())
-		}
-		for w, s := range cfg.WorkerShares {
-			if s <= 0 || s > 1 {
-				return nil, fmt.Errorf("engine: share %g for worker %d outside (0, 1]", s, w)
-			}
-		}
 	}
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
-	if req.Arena != nil {
-		if req.Arena.e == nil {
-			req.Arena.e = &execution{}
+	e := begin(ctx, req)
+	e.backend.Run()
+	return e.finish(req.Arena == nil)
+}
+
+// ExecuteShared runs requests whose backends share one world, which run
+// drives: every request is validated, then each begins in index order on
+// the calling goroutine, run is called once — every callback of every
+// request must happen inside it — and each finishes. No backend's own
+// Run is called, and each request needs its own Arena or none. The
+// error is the lowest-index request's, naming its index.
+func ExecuteShared(run func(), reqs []Request) ([]*trace.Trace, error) {
+	for i, req := range reqs {
+		if err := validate(req); err != nil {
+			return nil, fmt.Errorf("engine: request %d: %w", i, err)
 		}
-		return req.Arena.e.execute(ctx, req)
 	}
-	// No arena: borrow a pooled workspace, so an arena-less run allocates
-	// like one with an arena. The caller gets a right-sized copy of the
-	// trace; the workspace keeps its buffers for the next borrower.
-	e := workspaces.Get().(*execution)
-	tr, err := e.execute(ctx, req)
-	tr = tr.Clone()
-	e.release()
-	workspaces.Put(e)
-	return tr, err
+	es := make([]*execution, len(reqs))
+	for i, req := range reqs {
+		es[i] = begin(context.Background(), req)
+	}
+	run()
+	trs := make([]*trace.Trace, len(reqs))
+	var first error
+	for i, e := range es {
+		var err error
+		if trs[i], err = e.finish(reqs[i].Arena == nil); err != nil && first == nil {
+			first = fmt.Errorf("engine: request %d: %w", i, err)
+		}
+	}
+	return trs, first
+}
+
+// validate checks a request before any of it runs.
+func validate(req Request) error {
+	b, app, shares := req.Backend, req.App, req.Config.WorkerShares
+	if b == nil {
+		return errors.New("engine: request has no backend")
+	}
+	if req.Algorithm == nil {
+		return errors.New("engine: request has no algorithm")
+	}
+	if app == nil {
+		return errors.New("engine: request has no application")
+	}
+	if err := app.Validate(); err != nil {
+		return err
+	}
+	if b.Workers() == 0 {
+		return errors.New("engine: backend has no workers")
+	}
+	if shares != nil && len(shares) != b.Workers() {
+		return fmt.Errorf("engine: %d worker shares for %d workers", len(shares), b.Workers())
+	}
+	for w, s := range shares {
+		if s <= 0 || s > 1 {
+			return fmt.Errorf("engine: share %g for worker %d outside (0, 1]", s, w)
+		}
+	}
+	return nil
 }
 
 // workspaces recycles the workspaces of arena-less runs.
 var workspaces = sync.Pool{New: func() any { return &execution{} }}
 
-// execute runs one validated request on the workspace. The trace it
-// returns is the workspace's own.
-func (e *execution) execute(ctx context.Context, req Request) (*trace.Trace, error) {
+// begin starts a validated request on its workspace — the arena's, or a
+// pooled one, so an arena-less run allocates like one with an arena —
+// and issues its first actions.
+func begin(ctx context.Context, req Request) *execution {
+	var e *execution
+	if req.Arena == nil {
+		e = workspaces.Get().(*execution)
+	} else if e = req.Arena.e; e == nil {
+		e = &execution{}
+		req.Arena.e = e
+	}
 	e.beginRun(req)
 	e.ctx = ctx
 	if ctx.Done() != nil {
@@ -328,13 +355,18 @@ func (e *execution) execute(ctx context.Context, req Request) (*trace.Trace, err
 		// nothing on the scheduling path.
 		gen := e.runGen
 		s, _ := req.Backend.(Stopper)
-		stop := context.AfterFunc(ctx, func() { e.cancel(gen, s) })
-		defer stop()
+		e.stopCtx = context.AfterFunc(ctx, func() { e.cancel(gen, s) })
 	}
 	e.start()
-	e.backend.Run()
+	return e
+}
+
+// finish ends a run whose callbacks are over: it closes the event
+// stream, retires the run and returns its trace and error. The trace is
+// the workspace's own, unless the workspace is pooled: then it is a
+// right-sized copy, and the workspace returns to the pool.
+func (e *execution) finish(pooled bool) (*trace.Trace, error) {
 	e.poll()
-	defer e.retire()
 	if ev := e.event(obs.RunFinished, -1); ev != nil {
 		ev.Makespan, ev.Chunks = e.trace.Makespan(), e.trace.Len()
 		if e.err != nil {
@@ -342,14 +374,22 @@ func (e *execution) execute(ctx context.Context, req Request) (*trace.Trace, err
 		}
 		e.emit(ev)
 	}
-	if e.err != nil {
-		return e.trace, e.err
-	}
-	if e.remaining > 1e-9 || e.inflight > 0 || len(e.retryQ) > 0 {
-		return e.trace, fmt.Errorf("%w: %s with %.6g load undispatched and %d chunks in flight%s",
+	tr, err := e.trace, e.err
+	if err == nil && (e.remaining > 1e-9 || e.inflight > 0 || len(e.retryQ) > 0) {
+		err = fmt.Errorf("%w: %s with %.6g load undispatched and %d chunks in flight%s",
 			ErrStalled, e.alg.Name(), e.remaining, e.inflight, e.stallDetail())
 	}
-	return e.trace, nil
+	e.retire()
+	if stop := e.stopCtx; stop != nil {
+		e.stopCtx = nil
+		stop()
+	}
+	if pooled {
+		tr = tr.Clone()
+		e.release()
+		workspaces.Put(e)
+	}
+	return tr, err
 }
 
 // cancel is the run's context cancellation, on the context's goroutine:
@@ -430,6 +470,7 @@ func platformName(p *model.Platform) string {
 
 type execution struct {
 	ctx      context.Context
+	stopCtx  func() bool // unregisters ctx's cancellation hook (nil: none)
 	backend  Backend
 	alg      dls.Algorithm
 	app      *model.Application
@@ -617,7 +658,7 @@ func (e *execution) beginRun(req Request) {
 	e.stopNotified = false
 	e.lastCal, e.calWorker, e.calibrating = 0, 0, false
 	e.ests, e.dests = nil, nil
-	e.eventSeq = cfg.SeqBase
+	e.eventSeq = 0
 }
 
 // resize returns s with length n and every element zeroed, growing only

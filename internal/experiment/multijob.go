@@ -8,11 +8,8 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
@@ -120,44 +117,6 @@ func jain(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sq)
 }
 
-// runMultiWorld executes one batch per the package protocol: sequential
-// goroutine launches, each waiting for the previous execution to enter
-// Run. Returns per-job makespans (finish minus arrival).
-func runMultiWorld(w *grid.MultiWorld, views []*grid.JobView, apps []*model.Application) ([]float64, error) {
-	errs := make([]error, len(views))
-	var wg sync.WaitGroup
-	// One timer for the batch: entering Run takes microseconds, and a job
-	// that has not after 30 s never will.
-	entered := time.NewTimer(30 * time.Second)
-	defer entered.Stop()
-	for i, v := range views {
-		wg.Add(1)
-		go func(i int, v *grid.JobView) {
-			defer wg.Done()
-			_, err := engine.Execute(context.Background(), engine.Request{
-				Backend: v, Algorithm: dls.NewRUMR(), App: apps[i],
-			})
-			errs[i] = err
-		}(i, v)
-		select {
-		case <-v.Entered():
-		case <-entered.C:
-			w.Abort()
-			wg.Wait()
-			return nil, fmt.Errorf("experiment: multi-job %d never entered Run", i)
-		}
-	}
-	wg.Wait()
-	makespans := make([]float64, len(views))
-	for i, v := range views {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("experiment: multi-job %d: %w", i, errs[i])
-		}
-		makespans[i] = w.FinishedAt(i) - v.Arrival()
-	}
-	return makespans, nil
-}
-
 // Run executes the sweep. Every cell is deterministic (the shared world
 // is noise-free), so there is no run fan-out to parallelize.
 func (s *MultiJobSweep) Run() ([]MultiJobCell, error) {
@@ -214,23 +173,21 @@ func (s *MultiJobSweep) Run() ([]MultiJobCell, error) {
 			if err != nil {
 				return nil, err
 			}
-			var views []*grid.JobView
-			var apps []*model.Application
-			for i := 0; i < j; i++ {
+			reqs := make([]engine.Request, j)
+			for i := range reqs {
 				app := multiJobApp(s.Loads[i])
 				v, err := w.AddJob(app, subsets[i], 0)
 				if err != nil {
 					return nil, err
 				}
-				views = append(views, v)
-				apps = append(apps, app)
+				reqs[i] = engine.Request{Backend: v, Algorithm: dls.NewRUMR(), App: app}
 			}
-			makespans, err := runMultiWorld(w, views, apps)
-			if err != nil {
-				return nil, err
+			if _, err := engine.ExecuteShared(w.Run, reqs); err != nil {
+				return nil, fmt.Errorf("experiment: multi-job batch: %w", err)
 			}
 			cell := MultiJobCell{Jobs: j, Policy: name, Reshares: w.Reshares()}
-			for i, m := range makespans {
+			for i := range reqs {
+				m := w.FinishedAt(i) // the makespan: every job arrives at 0
 				if m > cell.Aggregate {
 					cell.Aggregate = m
 				}

@@ -26,15 +26,16 @@
 //     stochastic noise — the quantities under study are scheduling
 //     effects, and determinism makes the policy comparison exact.
 //
-// Concurrency protocol: each job's engine.Execute call runs in its own
-// goroutine and blocks in JobView.Run. The LAST view to reach Run
-// drives the shared event heap to quiescence; the others block until it
-// finishes. Callers MUST start the executions sequentially — launch the
-// goroutine for job i, wait for its Entered channel, then launch i+1 —
-// so all event-heap writes are ordered (this also makes the event
-// interleaving, and therefore the whole simulation, deterministic).
-// After the barrier the heap drains on the single driver goroutine, so
-// world state needs no locking beyond the barrier's own mutex.
+// Driving a world: add every job, then pass one engine.Request per view
+// to engine.ExecuteShared with the world's Run as the drive function.
+// The jobs begin in order on the calling goroutine, which fixes the
+// order of their initial events and so makes the whole simulation
+// deterministic; Run then drains the shared heap on that goroutine,
+// where every callback of every job happens, so world state needs no
+// locking. JobView.Run's barrier, Entered and Abort are kept only for
+// bench/'s frozen copy of the older protocol: one goroutine per job,
+// launched in order behind the previous view's Entered, the last view
+// in Run draining the heap while the others wait.
 //
 // Dispatch: every operation a view issues (a transfer, an execution, a
 // return) takes a slot in the world's op table, which holds what its
@@ -159,7 +160,7 @@ type multiOp struct {
 }
 
 // NewMultiWorld returns an empty world over the platform. Add jobs with
-// AddJob, then start their engine executions per the package protocol.
+// AddJob, then run their executions (see the package header).
 func NewMultiWorld(p *model.Platform, policy SharePolicy) (*MultiWorld, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -279,6 +280,10 @@ func (w *MultiWorld) Reshares() int { return w.reshares }
 // FinishedAt returns the virtual time a job's execution stopped (its
 // engine finished or failed), valid once every execution has returned.
 func (w *MultiWorld) FinishedAt(job int) float64 { return w.finishedAt[job] }
+
+// Run drives the shared event heap to quiescence: the drive function
+// engine.ExecuteShared calls once every job has begun.
+func (w *MultiWorld) Run() { w.eng.Run() }
 
 // Abort unblocks every view waiting in Run without draining the world;
 // their executions then return with a stall error. It exists so an

@@ -4,14 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"apstdv/internal/dls"
 	"apstdv/internal/engine"
@@ -32,37 +32,66 @@ func mjApp(load units.Load) *model.Application {
 	}
 }
 
-// executeMultiWorld drives a world's jobs per the package protocol:
-// sequential launches, each waiting for the previous execution to enter
-// Run, with the last launched goroutine draining the shared heap.
-// Returns each job's trace.
+// executeMultiWorld runs a world's jobs on its drive loop (see
+// engine.ExecuteShared) and returns each job's trace.
 func executeMultiWorld(t *testing.T, w *MultiWorld, views []*JobView, apps []*model.Application) []*trace.Trace {
 	t.Helper()
-	trs := make([]*trace.Trace, len(views))
-	errs := make([]error, len(views))
-	var wg sync.WaitGroup
-	for i, v := range views {
-		wg.Add(1)
-		go func(i int, v *JobView) {
-			defer wg.Done()
-			trs[i], errs[i] = engine.Execute(context.Background(), engine.Request{
-				Backend: v, Algorithm: dls.NewRUMR(), App: apps[i],
-			})
-		}(i, v)
-		select {
-		case <-v.Entered():
-		case <-time.After(30 * time.Second):
-			w.Abort()
-			t.Fatalf("job %d never entered Run", i)
-		}
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
+	trs, err := engine.ExecuteShared(w.Run, rumrRequests(views, apps))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return trs
+}
+
+// rumrRequests returns one RUMR request per view.
+func rumrRequests(views []*JobView, apps []*model.Application) []engine.Request {
+	reqs := make([]engine.Request, len(views))
+	for i, v := range views {
+		reqs[i] = engine.Request{Backend: v, Algorithm: dls.NewRUMR(), App: apps[i]}
+	}
+	return reqs
+}
+
+// planRefused is RUMR whose Plan fails.
+type planRefused struct{ dls.Algorithm }
+
+var errPlanRefused = errors.New("plan refused")
+
+func (planRefused) Plan(dls.Plan) error { return errPlanRefused }
+
+// TestExecuteSharedErrors pins ExecuteShared's two kinds of failure on
+// one world. An invalid request fails the batch before any request
+// begins: no job issues an operation, the drive function never runs,
+// and the world is left untouched for a later batch. A job whose plan
+// fails does not stop the others, which still conserve their load. The
+// error is the lowest-index failure's, naming its index.
+func TestExecuteSharedErrors(t *testing.T) {
+	loads := []units.Load{3000, 1000, 2000, 1500}
+	w, views, apps := newTestWorld(t, FairPolicy(), loads, []float64{0, 50, 100, 150}, true, 0)
+	reqs := rumrRequests(views, apps)
+	reqs[1].Algorithm = nil
+	reqs[2].Config.WorkerShares = []float64{1}
+	ran := false
+	trs, err := engine.ExecuteShared(func() { ran = true }, reqs)
+	if err == nil || !strings.Contains(err.Error(), "request 1: engine: request has no algorithm") {
+		t.Fatalf("error %v, want request 1's missing algorithm", err)
+	}
+	if trs != nil || ran || len(w.ops) != 0 || w.Reshares() != 0 || slices.Max(w.finishedAt) != 0 {
+		t.Fatalf("a request began: traces %v, drive ran %v, %d ops, %d reshares, finish times %v",
+			trs, ran, len(w.ops), w.Reshares(), w.finishedAt)
+	}
+	reqs[1].Algorithm = planRefused{dls.NewRUMR()}
+	reqs[2].Config.WorkerShares = nil
+	reqs[3].Algorithm = planRefused{dls.NewRUMR()}
+	trs, err = engine.ExecuteShared(w.Run, reqs)
+	if !errors.Is(err, errPlanRefused) || !strings.Contains(err.Error(), "request 1:") {
+		t.Fatalf("error %v, want request 1's plan failure", err)
+	}
+	for _, i := range []int{0, 2} {
+		if got, want := trs[i].BuildReport(8).TotalLoad, float64(loads[i]); math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("job %d computed %v of load %v", i, got, want)
+		}
+	}
 }
 
 // newTestWorld builds a DAS-2×8 world with one multijob application per
@@ -338,15 +367,15 @@ func goldenWorldHash(t *testing.T, policy string, jobs int, outBytes units.Bytes
 }
 
 // multiWorldAllocBudget bounds the allocations of one whole shared
-// world: three fair-shared RUMR jobs on DAS-2×8, built, executed and
-// drained. Issuing an operation allocates nothing once the world's op
-// table and the engine's completion cells have grown (JobView is not an
-// engine.OpBackend, so the engine reaches it through pooled cells), and
-// the arena-less executions borrow pooled workspaces; what is left is
-// the world's construction, the algorithms and each job's trace copy.
-// The closure-dispatch world took about 1 550, the op-table world with
-// a bridge closure per operation about 550; this one takes about 210.
-const multiWorldAllocBudget = 250
+// world: three fair-shared RUMR jobs on DAS-2×8, built, executed on the
+// drive loop (engine.ExecuteShared) and drained. Issuing an operation
+// allocates nothing once the world's op table and the engine's
+// completion cells have grown (JobView is not an engine.OpBackend, so
+// the engine reaches it through pooled cells), and the arena-less
+// executions borrow pooled workspaces; what is left, 155 allocations,
+// is the world's construction, the algorithms and each job's trace
+// copy. One goroutine per job behind JobView.Run's barrier takes 170.
+const multiWorldAllocBudget = 160
 
 // TestMultiWorldAllocationRegression pins the closure-free dispatch of
 // the shared world: a per-operation closure or a per-station pointer

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ func TestWorkerServiceCompute(t *testing.T) {
 		ok    bool
 	}{
 		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false}, {-1, false}, {1e300, false},
+		{1e12, false}, // 10^16 iterations: countable, but past the limit
 		{0, true}, {10, true},
 	} {
 		svc := NewWorkerService(10000, 1)
@@ -32,6 +34,8 @@ func TestWorkerServiceCompute(t *testing.T) {
 		if !tc.ok {
 			if err == nil {
 				t.Errorf("units %g accepted (checksum %g)", tc.units, reply.Checksum)
+			} else if !strings.Contains(err.Error(), "limit 1099511627776") {
+				t.Errorf("units %g: error %q does not name the limit", tc.units, err)
 			}
 			if svc.Computed() != 0 {
 				t.Errorf("units %g: computed count %d after a refusal", tc.units, svc.Computed())

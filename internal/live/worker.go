@@ -17,7 +17,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -110,11 +109,11 @@ func (s *WorkerService) Store(args StoreArgs, reply *StoreReply) error {
 // and lets callers verify work happened.
 func (s *WorkerService) Compute(args ComputeArgs, reply *ComputeReply) error {
 	// A load the loop cannot count would run no iteration and report
-	// success: a negative one, and a NaN, infinite or past-MaxInt64 one,
-	// which converts to MinInt64 on amd64. Refuse it before queueing.
+	// success (a negative or NaN one), and one past maxComputeIters
+	// would hold the CPU until an Abort. Refuse either before queueing.
 	work := args.Units * float64(s.WorkPerUnit) / s.SpeedFactor
-	if !(args.Units >= 0 && work < math.MaxInt64) {
-		return fmt.Errorf("live: compute units %g out of range", args.Units)
+	if !(args.Units >= 0 && work <= maxComputeIters) {
+		return fmt.Errorf("live: compute units %g out of range (%g iterations, limit %d)", args.Units, work, maxComputeIters)
 	}
 	// Sample the abort generation before queueing on the CPU: an Abort
 	// issued while this request waits its FIFO turn kills it too.
@@ -144,6 +143,11 @@ func (s *WorkerService) Compute(args ComputeArgs, reply *ComputeReply) error {
 	reply.Units = args.Units
 	return nil
 }
+
+// maxComputeIters bounds one Compute's loop: 2^40 iterations, about 35
+// minutes of one CPU at 2 ns an iteration. Any peer can send a Compute,
+// and nothing but an Abort stops a loop once it runs.
+const maxComputeIters = 1 << 40
 
 // errAborted reports a computation killed by Worker.Abort.
 var errAborted = errors.New("live: compute aborted")

@@ -79,8 +79,8 @@ const (
 	RunFinished EventType = "run_finished"
 
 	// Job-scheduler lifecycle events, emitted by the daemon into each
-	// job's ring around the engine's run stream (the engine's events are
-	// sequence-spliced after them via Config.SeqBase). Class carries the
+	// job's ring around the engine's run stream (the ring numbers the
+	// engine's events after them; see Ring). Class carries the
 	// job's priority class; T is seconds since submission.
 	//
 	// JobQueued: admitted but waiting for a run slot.
@@ -257,8 +257,7 @@ type Ring struct {
 	// until the first event that carries one.
 	errs map[int]string
 	// nextSeq is one past the highest Seq emitted so far: what Append
-	// stamps, and what a run spliced after the ring's current events
-	// should number from.
+	// stamps, and the least number putLocked stores an event under.
 	nextSeq int64
 	types   intern // EventType values (a dozen distinct)
 	algs    intern // algorithm names (a handful distinct)
