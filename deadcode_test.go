@@ -1,10 +1,12 @@
-// deadcode_test.go guards against exported code nothing calls: every
-// exported function, method, type, var or const declared under internal/
-// must be named by some non-test file of the module (internal/, cmd/,
-// examples/ or the nested bench/ module) outside its own declaration.
-// Tests do not count as callers, so code kept alive only by its own
-// tests fails here. It parses source with go/parser and resolves nothing,
-// so a name counts as used wherever an identifier spells it.
+// deadcode_test.go guards against code nothing calls: every exported
+// function, method, type, var or const declared under internal/ must be
+// named by some non-test file of the module (internal/, cmd/, examples/
+// or the nested bench/ module) outside its own declaration, and every
+// unexported function or method outside bench/ by some non-test file of
+// its own package. Tests do not count as callers, so code kept alive
+// only by its own tests fails here. It parses source with go/parser and
+// resolves nothing, so a name counts as used wherever an identifier
+// spells it.
 package main
 
 import (
@@ -28,10 +30,17 @@ var deadcodeAllowed = map[string]string{
 	"Collector.Snapshot": "the tests' only way to read a whole collector; no exported equivalent",
 }
 
+// unexportedAllowed names the unexported functions and methods the scan
+// may flag, each with the reason it stays, keyed "pkg.Name" or
+// "pkg.Recv.Name". An entry that stops matching fails the test.
+var unexportedAllowed = map[string]string{
+	"sim.Engine.checkInvariant": "the heap invariant check the sim fuzz and heap tests call after every operation",
+}
+
 // deadcodeRoots are the trees whose non-test files count as callers.
 var deadcodeRoots = []string{"internal", "cmd", "examples", "bench"}
 
-type exportedDecl struct {
+type decl struct {
 	key, file  string
 	line       int
 	start, end token.Pos
@@ -69,10 +78,12 @@ func TestNoUncalledExportedCode(t *testing.T) {
 
 	// Declaring identifiers are not uses; every other identifier is.
 	declNames := map[*ast.Ident]bool{}
-	var decls []exportedDecl
+	var decls, unexported []decl
 	for _, f := range files {
 		path := fset.File(f.Pos()).Name()
 		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		// The frozen benchmark module is a caller, not scanned code.
+		benchmark := strings.HasPrefix(filepath.ToSlash(path), "bench/")
 		add := func(id *ast.Ident, recv string, node ast.Node) {
 			declNames[id] = true
 			if !internal || !id.IsExported() {
@@ -82,12 +93,19 @@ func TestNoUncalledExportedCode(t *testing.T) {
 			if recv != "" {
 				key = recv + "." + key
 			}
-			decls = append(decls, exportedDecl{key, path, fset.Position(id.Pos()).Line, node.Pos(), node.End()})
+			decls = append(decls, decl{key, path, fset.Position(id.Pos()).Line, node.Pos(), node.End()})
 		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
 			case *ast.FuncDecl:
 				add(d.Name, receiverName(d), d)
+				if name := d.Name.Name; !benchmark && !d.Name.IsExported() && name != "init" && name != "main" && name != "_" {
+					key := f.Name.Name + "."
+					if recv := receiverName(d); recv != "" {
+						key += recv + "."
+					}
+					unexported = append(unexported, decl{key + name, path, fset.Position(d.Name.Pos()).Line, d.Pos(), d.End()})
+				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
@@ -136,6 +154,36 @@ func TestNoUncalledExportedCode(t *testing.T) {
 	for key := range deadcodeAllowed {
 		if !allowed[key] {
 			t.Errorf("allowlisted %s is no longer flagged; drop it from deadcodeAllowed", key)
+		}
+	}
+
+	// An unexported function counts as used only where its own package
+	// names it: the uses in non-test files of the same directory.
+	dead = dead[:0]
+	clear(allowed)
+	for _, d := range unexported {
+		var local []token.Pos
+		for _, p := range uses[lastName(d.key)] {
+			if filepath.Dir(fset.File(p).Name()) == filepath.Dir(d.file) {
+				local = append(local, p)
+			}
+		}
+		if usedOutside(local, d.start, d.end) {
+			continue
+		}
+		if _, ok := unexportedAllowed[d.key]; ok {
+			allowed[d.key] = true
+			continue
+		}
+		dead = append(dead, d.file+":"+strconv.Itoa(d.line)+": "+d.key)
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is unexported but no non-test file of its package names it; call it, delete it, move it into the tests, or allowlist it with a reason", d)
+	}
+	for key := range unexportedAllowed {
+		if !allowed[key] {
+			t.Errorf("allowlisted %s is no longer flagged; drop it from unexportedAllowed", key)
 		}
 	}
 }

@@ -170,17 +170,18 @@ func (d *Daemon) summaryLocked(j *Job) Job {
 const (
 	// jobEventRing bounds each job's retained event tail: long jobs keep
 	// the most recent events; pollers that fall behind skip ahead. The
-	// ring takes its storage a 64-event page at a time from the daemon's
-	// page pool, so a short job holds one page and only a job that emits
-	// this many events holds all 128.
+	// ring takes its storage a 53-event page (16 112 B) at a time from
+	// the daemon's page pool, so a short job holds one or two pages and
+	// only a job that emits this many events holds all 155 (2.5 MB).
 	jobEventRing = 8192
 	// pagePoolBytes bounds the idle ring pages the daemon keeps for its
-	// jobs: two full rings' worth, because a strip or an eviction frees
-	// one job's pages while the next big job is still filling its own.
+	// jobs: 260 pages, more than one full ring's worth, because a strip
+	// or an eviction frees one job's pages while the next big job is
+	// still filling its own.
 	pagePoolBytes = 4 << 20
 	// payloadBudget bounds the event pages plus trace records held by
-	// terminal jobs: room for about twelve maximal jobs (8192 events and
-	// 4000 chunks, ≈ 2.4 MB) or thousands of small ones, and small enough
+	// terminal jobs: room for about eleven maximal jobs (8192 events and
+	// 4000 chunks, ≈ 2.9 MB) or thousands of small ones, and small enough
 	// that the collector's doubled heap target stays under 100 MB.
 	payloadBudget = 32 << 20
 )

@@ -25,12 +25,6 @@ type batchState struct {
 	extBusyUntil float64
 }
 
-func newBatchState(cfg *model.BatchQueue, src *rng.Source) *batchState {
-	b := &batchState{cfg: cfg, src: src}
-	b.reset()
-	return b
-}
-
 // reset re-derives the batch state from its (re-seeded) source, drawing
 // exactly as construction does.
 func (b *batchState) reset() {

@@ -9,6 +9,14 @@ import (
 	"apstdv/internal/stats"
 )
 
+// newBatchState builds a worker's batch state the way Backend.Reset
+// derives it from its source.
+func newBatchState(cfg *model.BatchQueue, src *rng.Source) *batchState {
+	b := &batchState{cfg: cfg, src: src}
+	b.reset()
+	return b
+}
+
 func TestBatchCycleQuantization(t *testing.T) {
 	cfg := &model.BatchQueue{CycleInterval: 10}
 	bs := newBatchState(cfg, rng.New(1))

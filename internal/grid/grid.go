@@ -437,12 +437,6 @@ type bgProcess struct {
 	nextSwitch float64
 }
 
-func newBGProcess(cfg *model.BackgroundLoad, src *rng.Source) *bgProcess {
-	p := &bgProcess{cfg: cfg, src: src}
-	p.reset()
-	return p
-}
-
 // reset re-derives the process's initial state from its (re-seeded)
 // source, drawing exactly as construction does.
 func (p *bgProcess) reset() {

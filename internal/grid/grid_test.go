@@ -274,6 +274,14 @@ func TestBackgroundLoadConservesWork(t *testing.T) {
 	b.Run()
 }
 
+// newBGProcess builds a worker's background process the way
+// Backend.Reset derives it from its source.
+func newBGProcess(cfg *model.BackgroundLoad, src *rng.Source) *bgProcess {
+	p := &bgProcess{cfg: cfg, src: src}
+	p.reset()
+	return p
+}
+
 func TestBGProcessMonotonicTimeline(t *testing.T) {
 	cfg := &model.BackgroundLoad{MeanOn: 5, MeanOff: 5, Share: 0.5}
 	bp := newBGProcess(cfg, rngStream(13))

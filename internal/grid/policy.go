@@ -20,27 +20,14 @@ package grid
 // stretch the retry layer would have to absorb; the floor bounds both.
 const srptShareFloor = 0.05
 
-// growCounts returns s with length n and every element zeroed, growing
-// only when capacity is short; growShares is its float64 twin.
-func growCounts(s []int, n int) []int {
+// grow returns s with length n and every element zeroed, growing only
+// when capacity is short.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func growShares(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
@@ -49,7 +36,7 @@ func growShares(s []float64, n int) []float64 {
 func FairPolicy() SharePolicy {
 	var counts []int
 	return func(active []MultiJobStatus, workers int, shares [][]float64) {
-		counts = growCounts(counts, workers)
+		counts = grow(counts, workers)
 		for _, j := range active {
 			for _, w := range j.Workers {
 				counts[w]++
@@ -77,7 +64,7 @@ func SRPTPolicy() SharePolicy {
 	var counts []int
 	return func(active []MultiJobStatus, workers int, shares [][]float64) {
 		const epsLoad = 1e-9
-		weight = growShares(weight, len(active))
+		weight = grow(weight, len(active))
 		for i, j := range active {
 			r := j.Remaining
 			if r < epsLoad {
@@ -85,8 +72,8 @@ func SRPTPolicy() SharePolicy {
 			}
 			weight[i] = 1 / r
 		}
-		sum = growShares(sum, workers)
-		counts = growCounts(counts, workers)
+		sum = grow(sum, workers)
+		counts = grow(counts, workers)
 		for i, j := range active {
 			for _, w := range j.Workers {
 				sum[w] += weight[i]

@@ -236,16 +236,11 @@ func (b *Buffer) Len() int {
 // — the daemon's per-job tail store: bounded memory however long the
 // job, with cursor-based reads for pollers.
 //
-// The storage is pointer-free and paged: events are stored as eventCore
-// records whose string fields are interned indexes, in fixed-size pages
-// (see page) the ring takes one at a time as events arrive. A ring that
-// holds its n events reuses its oldest page in place, so nothing is
-// ever copied or zeroed to grow, Emit performs no allocation once the
-// ring is at capacity, and the garbage collector never scans the
-// (potentially multi-megabyte) event storage. Error texts — arbitrary
-// strings, but present on almost no events — live in a sparse side
-// table that is the only scannable part. Events are reconstructed on
-// the cold read paths.
+// The storage is paged: events are stored as they are, in fixed-size
+// pages (see page) the ring takes one at a time as events arrive. A
+// ring that holds its n events reuses its oldest page in place, so
+// nothing is ever copied or zeroed to grow, and Emit performs no
+// allocation once the ring is at capacity.
 type Ring struct {
 	mu    sync.Mutex
 	pool  *PagePool // where pages come from and go back to; nil = the heap
@@ -253,14 +248,9 @@ type Ring struct {
 	max   int       // retention target, in events
 	next  int       // slot the next event lands in
 	full  bool      // the ring has wrapped: all max slots are live
-	// errs maps a slot to its event's Err text; absent means "". nil
-	// until the first event that carries one.
-	errs map[int]string
 	// nextSeq is one past the highest Seq emitted so far: what Append
 	// stamps, and the least number putLocked stores an event under.
 	nextSeq int64
-	types   intern // EventType values (a dozen distinct)
-	algs    intern // algorithm names (a handful distinct)
 }
 
 // NewRing returns a ring holding the last n events (n ≥ 1) whose pages
@@ -268,10 +258,9 @@ type Ring struct {
 // garbage collector. A PagePool's NewRing is the recycling form.
 func NewRing(n int) *Ring { return (*PagePool)(nil).NewRing(n) }
 
-// EmitPtr implements Sink: one mutex hold and one pointer-free
-// record write — once the ring holds its n events (or while its pages
-// come from a pool that has them), no allocation and no write barriers
-// on the event storage.
+// EmitPtr implements Sink: one mutex hold and one event copy into a
+// page — once the ring holds its n events (or while its pages come from
+// a pool that has them), no allocation.
 func (r *Ring) EmitPtr(ev *Event) {
 	r.mu.Lock()
 	r.putLocked(ev)
@@ -307,19 +296,10 @@ func (r *Ring) putLocked(ev *Event) {
 	if pi == len(r.pages) {
 		r.pages = append(r.pages, r.pool.get())
 	}
-	rec := &r.pages[pi][r.next%pageEvents]
-	rec.pack(ev, &r.types, &r.algs)
-	rec.seq = max(ev.Seq, r.nextSeq)
-	if r.full && len(r.errs) > 0 {
-		delete(r.errs, r.next) // the overwritten event's text, if it had one
-	}
-	if ev.Err != "" {
-		if r.errs == nil {
-			r.errs = make(map[int]string)
-		}
-		r.errs[r.next] = ev.Err
-	}
-	r.nextSeq = rec.seq + 1
+	slot := &r.pages[pi][r.next%pageEvents]
+	*slot = *ev
+	slot.Seq = max(ev.Seq, r.nextSeq)
+	r.nextSeq = slot.Seq + 1
 	r.next++
 	if r.next == r.max {
 		r.next = 0
@@ -336,7 +316,7 @@ func (r *Ring) Release() {
 	for _, pg := range r.pages {
 		r.pool.put(pg)
 	}
-	r.pages, r.errs = nil, nil
+	r.pages = nil
 	r.next, r.full = 0, false
 	r.mu.Unlock()
 }
@@ -348,61 +328,50 @@ func (r *Ring) Bytes() int {
 	return len(r.pages) * pageBytes
 }
 
-// heldLocked returns how many events the ring retains and the slot of
-// the oldest one.
-func (r *Ring) heldLocked() (n, first int) {
-	if r.full {
-		return r.max, r.next
-	}
-	return r.next, 0
-}
-
-// atLocked returns the record i positions after the oldest retained
-// event, and its slot.
-func (r *Ring) atLocked(first, i int) (*eventCore, int) {
+// atLocked returns the event i positions after the oldest retained one,
+// which sits in slot first.
+func (r *Ring) atLocked(first, i int) *Event {
 	slot := first + i
 	if slot >= r.max {
 		slot -= r.max
 	}
-	return &r.pages[slot/pageEvents][slot%pageEvents], slot
+	return &r.pages[slot/pageEvents][slot%pageEvents]
 }
 
 // After returns the retained events with Seq strictly greater than seq,
 // in emission order — the tail-follow read. Pass -1 for "from the
 // beginning of what the ring still holds". It relies on the stored
 // sequence numbers ascending in emission order (putLocked keeps them
-// so) to seek to the first event past seq and unpack only from there:
-// a poll costs what it returns, not what the ring holds.
+// so) to seek to the first event past seq and copy only from there: a
+// poll costs what it returns, not what the ring holds.
 func (r *Ring) After(seq int64) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n, first := r.heldLocked()
-	from := sort.Search(n, func(i int) bool {
-		c, _ := r.atLocked(first, i)
-		return c.seq > seq
-	})
+	n, first := r.next, 0
+	if r.full {
+		n, first = r.max, r.next
+	}
+	from := sort.Search(n, func(i int) bool { return r.atLocked(first, i).Seq > seq })
 	if from == n {
 		return nil
 	}
 	out := make([]Event, 0, n-from)
 	for i := from; i < n; i++ {
-		c, slot := r.atLocked(first, i)
-		out = append(out, c.unpack(r.errs[slot], &r.types, &r.algs))
+		out = append(out, *r.atLocked(first, i))
 	}
 	return out
 }
 
-// pageEvents is the number of event records in one page: 64 × 248 B is
-// just under 16 kB, so the single page most jobs ever need is small and
-// an 8192-event tail is 128 pages; a power of two keeps the slot-to-page
-// split a shift and a mask.
-const pageEvents = 64
+// pageEvents is the number of events in one page: as many as fit in
+// 16 KiB, so a page stays in the allocator's 16 KiB size class: 53
+// events of 304 B. A closed-loop serving job of 68 events holds two
+// pages, an 8192-event tail 155.
+const pageEvents = (16 << 10) / int(unsafe.Sizeof(Event{}))
 
-// page is the unit of ring storage and of recycling. It holds no
-// pointers, so the collector allocates it in a no-scan span and never
-// looks inside; a page is never zeroed for reuse, because a ring reads
-// only the slots it has written since it took the page.
-type page [pageEvents]eventCore
+// page is the unit of ring storage and of recycling. A page is never
+// zeroed for reuse, because a ring reads only the slots it has written
+// since it took the page.
+type page [pageEvents]Event
 
 const pageBytes = int(unsafe.Sizeof(page{}))
 

@@ -9,9 +9,8 @@ import (
 )
 
 // fillEvent sets every field of an Event to a distinct non-zero value
-// via reflection, so a field added to Event but forgotten in
-// eventCore.pack/unpack shows up as a round-trip mismatch instead of a
-// silently dropped column.
+// via reflection, so a round trip that loses or mixes up any field —
+// one added to Event later included — shows up as a mismatch.
 func fillEvent(t *testing.T, n int) Event {
 	t.Helper()
 	var ev Event
@@ -28,15 +27,14 @@ func fillEvent(t *testing.T, n int) Event {
 		case reflect.Bool:
 			f.SetBool(true)
 		default:
-			t.Fatalf("Event field %s has kind %v — teach fillEvent and eventCore about it",
+			t.Fatalf("Event field %s has kind %v — teach fillEvent about it",
 				v.Type().Field(i).Name, f.Kind())
 		}
 	}
 	return ev
 }
 
-// Every Event field must survive the pack/unpack through the
-// pointer-free ring storage.
+// Every Event field must survive the trip through the ring's pages.
 func TestRingRoundTripsEveryField(t *testing.T) {
 	r := NewRing(8)
 	want := []Event{fillEvent(t, 1), fillEvent(t, 2), fillEvent(t, 3)}
@@ -86,16 +84,15 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-// The steady state — emitting events whose Type/Alg strings are already
-// interned, whose Err is empty, into a ring that is at capacity (every
-// page it will ever hold is taken) — must not allocate; that is the
-// whole point of the pointer-free core.
+// The steady state — emitting into a ring that is at capacity, so every
+// page it will ever hold is taken — must not allocate: an emit is one
+// event copy into a page the ring already has.
 func TestRingEmitSteadyStateAllocFree(t *testing.T) {
 	const n = 2*pageEvents + 5
 	r := NewRing(n)
 	ev := Event{Type: ChunkDone, Alg: "fixed-rumr", Worker: 3, Size: 12.5}
 	for i := 0; i < n; i++ {
-		r.EmitPtr(&ev) // warm the intern tables and fill to capacity
+		r.EmitPtr(&ev) // fill to capacity
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ev.Seq++
@@ -191,8 +188,8 @@ func (m *lastN) after(seq int64) []Event {
 	return out
 }
 
-// randomEvent draws an event with a handful of distinct interned
-// strings and, on about one event in five, an error text.
+// randomEvent draws an event with a handful of distinct strings and,
+// on about one event in five, an error text.
 func randomEvent(rnd *rand.Rand, seq int64) Event {
 	types := []EventType{Dispatch, ChunkDone, UplinkBusy, UplinkIdle, ChunkRetry}
 	ev := Event{
@@ -208,7 +205,7 @@ func randomEvent(rnd *rand.Rand, seq int64) Event {
 }
 
 // The paged ring equals the last-n slice model — order, Err texts,
-// interned strings — for capacities around the page size and emission
+// every string field — for capacities around the page size and emission
 // counts past several wraps; a released ring reads empty, and a second
 // ring that takes over the very same pages is not polluted by what the
 // first left in them.
@@ -254,7 +251,7 @@ func TestRingMatchesLastNModel(t *testing.T) {
 	}
 }
 
-// After seeks instead of unpacking the whole ring: for random emission
+// After seeks instead of copying the whole ring: for random emission
 // counts, capacities and cursors — a wrapped ring and a cursor older
 // than the tail included — it returns what filtering the whole ring
 // (After(-1), which seeks nowhere) returns, and it allocates the

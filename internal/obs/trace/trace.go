@@ -3,10 +3,9 @@
 // header → daemon admission/queue/lease → engine chunk lifecycle →
 // live worker RPCs).
 //
-// The collector follows the obs ring idiom (see obs/ringcore.go): span
-// records live in a preallocated, pointer-free arena the GC never
-// scans, span names are interned once, and timestamps come from one
-// monotonic clock read per edge. Recording a span with an already-
+// The collector keeps finished spans as SpanRecords in a preallocated
+// ring, interns span names once for the per-name aggregates, and reads
+// the monotonic clock once per edge. Recording a span with an already-
 // interned name allocates nothing, so tracing can stay on under load.
 // A nil *Collector is a valid no-op: every method checks the receiver,
 // and Begin on a zero trace id returns an inert Span — the disabled
@@ -32,20 +31,8 @@ type TraceID uint64
 // "no span" (used for absent parents).
 type SpanID uint64
 
-// spanCore is the pointer-free arena record mirroring SpanRecord: the
-// GC never scans the span ring. Error strings, the only pointer-ish
-// field, live in a parallel slice that stays nil-heavy.
-type spanCore struct {
-	trace   uint64
-	id      uint64
-	parent  uint64
-	start   int64 // nanos since collector start (see BackendClock)
-	end     int64
-	name    int32 // interned
-	backend bool  // backend-clock (virtual under sim) rather than wall
-}
-
-// SpanRecord is one finished span, unpacked for callers and exporters.
+// SpanRecord is one finished span. Start and End are nanoseconds since
+// the collector started.
 type SpanRecord struct {
 	Trace  uint64 `json:"trace"`
 	ID     uint64 `json:"id"`
@@ -104,9 +91,9 @@ func (a *agg) add(d int64) {
 	}
 }
 
-// intern maps span names to dense int32 indexes, the ringcore idiom:
-// the working set is a handful of fixed names, so a linear scan over a
-// small slice beats a map and allocates nothing after warm-up.
+// intern maps span names to dense int32 indexes, the index of a name's
+// agg: the working set is a handful of fixed names, so a linear scan
+// over a small slice beats a map and allocates nothing after warm-up.
 type intern struct{ vals []string }
 
 func (in *intern) index(s string) int32 {
@@ -130,9 +117,8 @@ type Collector struct {
 	nextTrace atomic.Uint64
 
 	mu       sync.Mutex
-	spans    []spanCore
-	errs     []string // parallel to spans
-	next     int      // overwrite cursor once the ring is full
+	spans    []SpanRecord
+	next     int // overwrite cursor once the ring is full
 	names    intern
 	aggs     []agg // indexed by interned name
 	exp      Exporter
@@ -156,8 +142,7 @@ func New(capacity int) *Collector {
 	// probability), so a daemon span can safely parent under a
 	// client-minted id.
 	c.base = uint64(c.t0.UnixNano()) << 16
-	c.spans = make([]spanCore, 0, capacity)
-	c.errs = make([]string, 0, capacity)
+	c.spans = make([]SpanRecord, 0, capacity)
 	c.names = intern{vals: []string{""}}
 	return c
 }
@@ -270,13 +255,14 @@ func (c *Collector) record(tid, id, parent uint64, name string, start, end int64
 		c.aggs = append(c.aggs, agg{})
 	}
 	c.aggs[ni].add(end - start)
-	sc := spanCore{trace: tid, id: id, parent: parent, start: start, end: end, name: ni, backend: backend}
+	rec := SpanRecord{
+		Trace: tid, ID: id, Parent: parent, Name: name,
+		Start: start, End: end, BackendClock: backend, Err: errMsg,
+	}
 	if len(c.spans) < cap(c.spans) {
-		c.spans = append(c.spans, sc)
-		c.errs = append(c.errs, errMsg)
+		c.spans = append(c.spans, rec)
 	} else {
-		c.spans[c.next] = sc
-		c.errs[c.next] = errMsg
+		c.spans[c.next] = rec
 		c.next++
 		if c.next == len(c.spans) {
 			c.next = 0
@@ -289,10 +275,7 @@ func (c *Collector) record(tid, id, parent uint64, name string, start, end int64
 		// expMu serializes exports without holding the record lock, so
 		// a slow exporter stalls other exports but never span capture.
 		c.expMu.Lock()
-		exp.ExportSpan(SpanRecord{
-			Trace: tid, ID: id, Parent: parent, Name: name,
-			Start: start, End: end, BackendClock: backend, Err: errMsg,
-		})
+		exp.ExportSpan(rec)
 		c.expMu.Unlock()
 	}
 }
@@ -339,30 +322,13 @@ func (c *Collector) collect(tid uint64) []SpanRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]SpanRecord, 0, len(c.spans))
-	emit := func(i int) {
-		sc := c.spans[i]
-		if tid != 0 && sc.trace != tid {
-			return
-		}
-		out = append(out, SpanRecord{
-			Trace: sc.trace, ID: sc.id, Parent: sc.parent,
-			Name: c.names.vals[sc.name], Start: sc.start, End: sc.end,
-			BackendClock: sc.backend, Err: c.errs[i],
-		})
-	}
-	// Recording order: once the ring has wrapped, the oldest span sits
-	// at the overwrite cursor.
-	if len(c.spans) == cap(c.spans) {
-		for i := c.next; i < len(c.spans); i++ {
-			emit(i)
-		}
-	}
-	for i := 0; i < c.next; i++ {
-		emit(i)
-	}
-	if len(c.spans) < cap(c.spans) {
-		for i := c.next; i < len(c.spans); i++ {
-			emit(i)
+	// Recording order: the oldest span sits at the overwrite cursor,
+	// which stays 0 until the ring has wrapped.
+	for _, part := range [2][]SpanRecord{c.spans[c.next:], c.spans[:c.next]} {
+		for _, rec := range part {
+			if tid == 0 || rec.Trace == tid {
+				out = append(out, rec)
+			}
 		}
 	}
 	return out
