@@ -14,7 +14,7 @@ FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                grid:FuzzLinkFlowsMatchReference \
                engine:FuzzClosureBackendCompletions \
                transport:FuzzServerFrames transport:FuzzClientFrames \
-               daemon:FuzzDecodeWire \
+               daemon:FuzzDecodeWire live:FuzzWorkerService \
                dls:FuzzUMRSearchMatchesReference \
                dls:FuzzPlanConservesOrRefuses \
                trace:FuzzReportRenderersMatchReference \

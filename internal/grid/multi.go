@@ -32,27 +32,40 @@
 // order of their initial events and so makes the whole simulation
 // deterministic; Run then drains the shared heap on that goroutine,
 // where every callback of every job happens, so world state needs no
-// locking. JobView.Run's barrier, Entered and Abort are kept only for
-// bench/'s frozen copy of the older protocol: one goroutine per job,
-// launched in order behind the previous view's Entered, the last view
-// in Run draining the heap while the others wait.
+// locking. A world drains once: after it, only its results are left
+// (FinishedAt, Reshares, and the drained clock that JobView.Now keeps
+// returning for the engine's closing event), and Stop changes nothing.
+// JobView.Run's barrier, Entered and Abort are kept only for bench/'s
+// frozen copy of the older protocol: one goroutine per job, launched in
+// order behind the previous view's Entered, the last view in Run
+// draining the heap while the others wait.
 //
-// Dispatch: every operation a view issues (a transfer, an execution, a
-// return) takes a slot in the world's op table, which holds what its
-// duration and completion need: the view, the kind, the local worker,
-// the bytes or load, the probe flag and the engine's done callback.
-// The slot's index is the argument of a handful of long-lived callbacks
-// built once in NewMultiWorld: the uplink and downlink serve through
+// Dispatch: everything a world simulates lives in one multiBlock — the
+// event heap, the uplink and downlink queues, one record per job, the
+// jobs' compute stations, worker lists and share rows in flat storage,
+// the op table and its free list, the reshare scratch, and the
+// long-lived callbacks every event dispatches through. Every operation
+// a view issues (a transfer, an execution, a return) takes a slot in
+// the op table, which holds what its duration and completion need: the
+// job, the flat worker index, the kind, the bytes or load, the probe
+// flag and the engine's done callback. The slot's index is the argument
+// of the block's callbacks: the uplink and downlink serve through
 // sim.FCFSQueue.EnqueueArg, deferral to a job's arrival and the
 // zero-byte return through Engine.AfterArg, and a compute station's
-// latency and work ends through Engine.AtArg keyed by a station id. So
-// issuing an operation allocates nothing once the tables have grown.
-// JobView offers only engine.Backend's closure forms, not
-// engine.OpBackend: the engine hands each operation a pooled completion
-// cell's method value as done, so a JobView op allocates nothing either
-// once the engine's cell list has grown.
-// Exposing the op forms would change the optional-interface set the
-// bench module's tracing decorator mirrors.
+// latency and work ends through Engine.AtArg keyed by the station's
+// flat index. Blocks come from a sync.Pool: NewMultiWorld takes one and
+// resets it, and the world returns it exactly once, right after its
+// heap drains, holding no reference to the world's platform, policy or
+// callbacks. A reset heap restarts its sequence numbers, and
+// firing order depends only on (time, sequence), so reusing a block
+// reorders nothing. Once the pool's blocks have grown, a world
+// allocates only itself, its views and the results it keeps, and
+// issuing an operation allocates nothing. JobView offers only
+// engine.Backend's closure forms, not engine.OpBackend: the engine hands
+// each operation a pooled completion cell's method value as done, so a
+// JobView op allocates nothing either once the engine's cell list has
+// grown. Exposing the op forms would change the optional-interface set
+// the bench module's tracing decorator mirrors.
 package grid
 
 import (
@@ -92,21 +105,43 @@ type SharePolicy func(active []MultiJobStatus, workers int, shares [][]float64)
 const minShare = 1e-6
 
 // MultiWorld is the shared simulation: one event heap, one platform,
-// one serialized uplink, many concurrently executing jobs.
+// one serialized uplink, many concurrently executing jobs. While it
+// runs, its state is a pooled multiBlock; once the heap drains, the
+// block goes back to the pool and the world keeps only its results.
 type MultiWorld struct {
-	eng      *sim.Engine
-	platform *model.Platform
-	uplink   *sim.FCFSQueue
-	downlink *sim.FCFSQueue
-	policy   SharePolicy
+	b    *multiBlock // nil once the world has drained
+	jobs int
 
-	views      []*JobView
-	share      [][]float64 // [job][global worker], revised by the policy
-	remaining  []float64
-	active     []bool
-	finished   []bool
+	// The results, kept when the block is returned.
 	finishedAt []float64
 	reshares   int
+	now        float64 // the drained clock
+
+	mu       sync.Mutex // guards the Run barrier only
+	runCalls int
+	runDone  chan struct{}
+	aborted  bool
+}
+
+// multiBlock is everything one world simulates, reused from world to
+// world so a world does not regrow what an earlier one grew. The
+// callbacks are its own method values, built once per block.
+type multiBlock struct {
+	eng      *sim.Engine
+	uplink   *sim.FCFSQueue
+	downlink *sim.FCFSQueue
+	platform *model.Platform
+	policy   SharePolicy
+
+	jobs []multiJob
+	// Flat per-job storage: job j's compute stations and global worker
+	// indexes are stations[first:first+n] and workers[first:first+n],
+	// and its share row, over every platform worker, is
+	// shares[j*P:(j+1)*P] for a platform of P workers.
+	stations []computeStation
+	workers  []int
+	shares   []float64
+	reshares int
 
 	// reshare scratch, reused across revisions so the event path stays
 	// allocation-free once every job has arrived.
@@ -114,8 +149,7 @@ type MultiWorld struct {
 	rowBuf [][]float64
 
 	// Op table (see multiOp) and the long-lived callbacks every
-	// operation and station event dispatches through, built once in
-	// NewMultiWorld.
+	// operation and station event dispatches through.
 	ops          []multiOp
 	opFree       []int32
 	activateFn   func(uint64) // a job's arrival, by job index
@@ -123,13 +157,19 @@ type MultiWorld struct {
 	linkDurFn    func(uint64, units.Seconds) units.Seconds
 	linkDoneFn   func(uint64, units.Seconds, units.Seconds)
 	returnNowFn  func(uint64) // the zero-byte return
-	latencyEndFn func(uint64) // by station id
-	workEndFn    func(uint64) // by station id
+	latencyEndFn func(uint64) // by station index
+	workEndFn    func(uint64) // by station index
+}
 
-	mu       sync.Mutex // guards the Run barrier only
-	runCalls int
-	runDone  chan struct{}
-	aborted  bool
+// multiJob is one job's record in its world's block.
+type multiJob struct {
+	unitCost   float64 // the application's compute seconds per unit
+	arrival    float64
+	remaining  float64 // load (units) not yet computed
+	finishedAt float64
+	first, n   int32 // the job's span of stations and workers
+	active     bool  // arrived
+	finished   bool  // its execution stopped
 }
 
 // opKind is what a multiOp does once its job has arrived.
@@ -146,10 +186,10 @@ const (
 // completes because the world drains, so no generation fencing is
 // needed.
 type multiOp struct {
-	view  *JobView
+	job   int32
+	at    int32 // the flat station and worker index (multiBlock)
 	kind  opKind
 	probe bool
-	wl    int32 // local worker index
 	// size is bytes for a transfer or a return, load units for an
 	// execution.
 	size float64
@@ -159,29 +199,53 @@ type multiOp struct {
 	next int32
 }
 
+// blocks recycles the blocks of drained worlds.
+var blocks = sync.Pool{New: func() any { return newMultiBlock() }}
+
+func newMultiBlock() *multiBlock {
+	b := &multiBlock{eng: sim.New()}
+	b.uplink = sim.NewFCFSQueue(b.eng)
+	b.downlink = sim.NewFCFSQueue(b.eng)
+	b.activateFn = b.activate
+	b.startFn = b.start
+	b.linkDurFn = b.linkDur
+	b.linkDoneFn = b.linkDone
+	b.returnNowFn = b.returnNow
+	b.latencyEndFn = b.latencyEnd
+	b.workEndFn = b.workEnd
+	return b
+}
+
+// reset readies a block for a new world over the platform: an empty
+// heap with its clock and sequence at zero, idle queues, and no jobs or
+// ops, every buffer keeping its capacity.
+func (b *multiBlock) reset(p *model.Platform, policy SharePolicy) {
+	b.eng.Reset()
+	b.uplink.Reset()
+	b.downlink.Reset()
+	b.platform, b.policy = p, policy
+	b.jobs = b.jobs[:0]
+	b.stations = b.stations[:0]
+	b.workers = b.workers[:0]
+	b.shares = b.shares[:0]
+	b.reshares = 0
+	b.ops = b.ops[:0]
+	b.opFree = b.opFree[:0]
+}
+
 // NewMultiWorld returns an empty world over the platform. Add jobs with
 // AddJob, then run their executions (see the package header).
 func NewMultiWorld(p *model.Platform, policy SharePolicy) (*MultiWorld, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	eng := sim.New()
-	w := &MultiWorld{
-		eng:      eng,
-		platform: p,
-		uplink:   sim.NewFCFSQueue(eng),
-		downlink: sim.NewFCFSQueue(eng),
-		policy:   policy,
-		runDone:  make(chan struct{}),
-	}
-	w.activateFn = w.activate
-	w.startFn = w.start
-	w.linkDurFn = w.linkDur
-	w.linkDoneFn = w.linkDone
-	w.returnNowFn = w.returnNow
-	w.latencyEndFn = w.latencyEnd
-	w.workEndFn = w.workEnd
-	return w, nil
+	return newMultiWorld(p, policy, blocks.Get().(*multiBlock)), nil
+}
+
+// newMultiWorld builds a world on block b, which it resets.
+func newMultiWorld(p *model.Platform, policy SharePolicy, b *multiBlock) *MultiWorld {
+	b.reset(p, policy)
+	return &MultiWorld{b: b, runDone: make(chan struct{})}
 }
 
 // AddJob registers a job over a subset of the platform's workers
@@ -196,7 +260,8 @@ func (w *MultiWorld) AddJob(app *model.Application, workers []int, arrival float
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("grid: multi-world job needs workers")
 	}
-	n := len(w.platform.Workers)
+	b := w.b
+	n := len(b.platform.Workers)
 	for _, g := range workers {
 		if g < 0 || g >= n {
 			return nil, fmt.Errorf("grid: multi-world worker %d outside platform of %d", g, n)
@@ -205,85 +270,115 @@ func (w *MultiWorld) AddJob(app *model.Application, workers []int, arrival float
 	if arrival < 0 {
 		return nil, fmt.Errorf("grid: negative arrival %g", arrival)
 	}
-	idx := len(w.views)
-	v := &JobView{
-		world:   w,
-		idx:     idx,
-		app:     app,
-		workers: append([]int(nil), workers...),
-		arrival: arrival,
-		compute: make([]computeStation, len(workers)),
-		entered: make(chan struct{}),
-	}
-	for wl, g := range workers {
-		v.compute[wl] = computeStation{world: w, job: idx, worker: g, id: stationID(idx, wl), waitHead: -1, waitTail: -1}
-	}
-	shares := make([]float64, n)
+	idx := len(b.jobs)
+	v := &JobView{world: w, idx: idx, workers: len(workers), arrival: arrival, entered: make(chan struct{})}
+	first := len(b.stations)
+	row := len(b.shares)
+	b.shares = append(b.shares, make([]float64, n)...)
 	for _, g := range workers {
-		shares[g] = 1
+		id := int32(len(b.stations))
+		b.stations = append(b.stations, computeStation{b: b, id: id, job: int32(idx), shareAt: row + g, waitHead: -1, waitTail: -1})
+		b.workers = append(b.workers, g)
+		b.shares[row+g] = 1
 	}
-	w.views = append(w.views, v)
-	w.share = append(w.share, shares)
-	w.remaining = append(w.remaining, float64(app.TotalLoad))
-	w.active = append(w.active, false)
-	w.finished = append(w.finished, false)
-	w.finishedAt = append(w.finishedAt, 0)
+	b.jobs = append(b.jobs, multiJob{
+		unitCost: float64(app.UnitCost), arrival: arrival, remaining: float64(app.TotalLoad),
+		first: int32(first), n: int32(len(workers)),
+	})
+	w.jobs++
 	// The activation event is scheduled now, before any execution
 	// starts, so at its virtual time the share revision precedes every
 	// operation the arriving job issues.
-	w.eng.AtArg(units.Seconds(arrival), w.activateFn, uint64(idx))
+	b.eng.AtArg(units.Seconds(arrival), b.activateFn, uint64(idx))
 	return v, nil
 }
 
+// shareRow returns job j's share vector over every platform worker.
+func (b *multiBlock) shareRow(j int) []float64 {
+	n := len(b.platform.Workers)
+	return b.shares[j*n : (j+1)*n]
+}
+
 // activate admits job idx to share revision at its arrival.
-func (w *MultiWorld) activate(idx uint64) {
-	w.active[idx] = true
-	w.reshare()
+func (b *multiBlock) activate(idx uint64) {
+	b.jobs[idx].active = true
+	b.reshare()
 }
 
 // reshare recomputes the active jobs' share vectors through the policy.
 // Runs on the driver goroutine (activation and completion events).
-func (w *MultiWorld) reshare() {
-	if w.policy == nil {
+func (b *multiBlock) reshare() {
+	if b.policy == nil {
 		return
 	}
-	act := w.actBuf[:0]
-	rows := w.rowBuf[:0]
-	for i, v := range w.views {
-		if w.active[i] && !w.finished[i] {
-			act = append(act, MultiJobStatus{Job: i, Remaining: w.remaining[i], Workers: v.workers})
-			rows = append(rows, w.share[i])
+	act := b.actBuf[:0]
+	rows := b.rowBuf[:0]
+	for i := range b.jobs {
+		j := &b.jobs[i]
+		if j.active && !j.finished {
+			act = append(act, MultiJobStatus{Job: i, Remaining: j.remaining, Workers: b.workers[j.first : j.first+j.n]})
+			rows = append(rows, b.shareRow(i))
 		}
 	}
-	w.actBuf, w.rowBuf = act, rows
+	b.actBuf, b.rowBuf = act, rows
 	if len(act) == 0 {
 		return
 	}
 	// The policy rewrites the live share vectors in place — no vectors
 	// change hands, so a revision allocates nothing.
-	w.policy(act, len(w.platform.Workers), rows)
-	w.reshares++
+	b.policy(act, len(b.platform.Workers), rows)
+	b.reshares++
 	// Preempt: in-flight chunks of every surviving job progress at the
 	// revised rate from this instant (finished jobs have no in-flight
 	// compute, and their zeroed vectors must not stretch anything).
 	for _, st := range act {
-		stations := w.views[st.Job].compute
-		for i := range stations {
-			stations[i].revise()
+		j := &b.jobs[st.Job]
+		for k := j.first; k < j.first+j.n; k++ {
+			b.stations[k].revise()
 		}
 	}
 }
 
 // Reshares returns how many share revisions the policy performed.
-func (w *MultiWorld) Reshares() int { return w.reshares }
+func (w *MultiWorld) Reshares() int {
+	if b := w.b; b != nil {
+		return b.reshares
+	}
+	return w.reshares
+}
 
 // FinishedAt returns the virtual time a job's execution stopped (its
 // engine finished or failed), valid once every execution has returned.
-func (w *MultiWorld) FinishedAt(job int) float64 { return w.finishedAt[job] }
+func (w *MultiWorld) FinishedAt(job int) float64 {
+	if b := w.b; b != nil {
+		return b.jobs[job].finishedAt
+	}
+	return w.finishedAt[job]
+}
 
-// Run drives the shared event heap to quiescence: the drive function
-// engine.ExecuteShared calls once every job has begun.
-func (w *MultiWorld) Run() { w.eng.Run() }
+// Run drives the shared event heap to quiescence — it is the drive
+// function engine.ExecuteShared calls once every job has begun — then
+// keeps the world's results and returns its block to the pool. A
+// drained world has nothing left to run, so a second call does nothing.
+func (w *MultiWorld) Run() {
+	b := w.b
+	if b == nil {
+		return
+	}
+	b.eng.Run()
+	w.now = float64(b.eng.Now())
+	w.reshares = b.reshares
+	w.finishedAt = make([]float64, len(b.jobs))
+	for i := range b.jobs {
+		w.finishedAt[i] = b.jobs[i].finishedAt
+	}
+	w.b = nil
+	// A block waiting in the pool must hold no finished world alive. Its
+	// job records hold no pointers, and its op table holds no done
+	// callback: every op has completed, and complete zeroes the slot.
+	b.platform, b.policy = nil, nil
+	blocks.Put(b)
+}
 
 // Abort unblocks every view waiting in Run without draining the world;
 // their executions then return with a stall error. It exists so an
@@ -298,75 +393,77 @@ func (w *MultiWorld) Abort() {
 	}
 }
 
-// issue reserves an op-table slot for an operation of view v.
-func (w *MultiWorld) issue(v *JobView, kind opKind, wl int, size float64, probe bool, done func(start, end float64, err error)) int32 {
+// issue reserves an op-table slot for an operation of job j on its
+// local worker wl.
+func (b *multiBlock) issue(j int, kind opKind, wl int, size float64, probe bool, done func(start, end float64, err error)) int32 {
 	var slot int32
-	if n := len(w.opFree); n > 0 {
-		slot = w.opFree[n-1]
-		w.opFree = w.opFree[:n-1]
+	if n := len(b.opFree); n > 0 {
+		slot = b.opFree[n-1]
+		b.opFree = b.opFree[:n-1]
 	} else {
-		w.ops = append(w.ops, multiOp{})
-		slot = int32(len(w.ops) - 1)
+		b.ops = append(b.ops, multiOp{})
+		slot = int32(len(b.ops) - 1)
 	}
-	w.ops[slot] = multiOp{view: v, kind: kind, probe: probe, wl: int32(wl), size: size, done: done}
+	at := b.jobs[j].first + int32(wl)
+	b.ops[slot] = multiOp{job: int32(j), at: at, kind: kind, probe: probe, size: size, done: done}
 	return slot
 }
 
 // complete frees an op's slot and reports its service window to the
 // engine. The slot is free before done runs, so whatever done issues
 // may reuse it.
-func (w *MultiWorld) complete(slot int32, start, end float64) {
-	done := w.ops[slot].done
-	w.ops[slot] = multiOp{}
-	w.opFree = append(w.opFree, slot)
+func (b *multiBlock) complete(slot int32, start, end float64) {
+	done := b.ops[slot].done
+	b.ops[slot] = multiOp{}
+	b.opFree = append(b.opFree, slot)
 	done(start, end, nil)
 }
 
 // startOp starts an op once the shared clock has reached its job's
 // arrival, deferring it to the arrival otherwise; a job's first
 // operations are what realize its staggered arrival.
-func (w *MultiWorld) startOp(slot int32) {
-	v := w.ops[slot].view
-	now := float64(w.eng.Now())
-	if now < v.arrival {
-		w.eng.AfterArg(units.Seconds(v.arrival-now), w.startFn, uint64(slot))
+func (b *multiBlock) startOp(slot int32) {
+	arrival := b.jobs[b.ops[slot].job].arrival
+	now := float64(b.eng.Now())
+	if now < arrival {
+		b.eng.AfterArg(units.Seconds(arrival-now), b.startFn, uint64(slot))
 		return
 	}
-	w.start(uint64(slot))
+	b.start(uint64(slot))
 }
 
 // start begins an arrived op: a transfer or a return joins its shared
-// link's FCFS queue, an execution its job's compute station.
-func (w *MultiWorld) start(arg uint64) {
+// link's FCFS queue, an execution its compute station.
+func (b *multiBlock) start(arg uint64) {
 	slot := int32(arg)
-	o := &w.ops[slot]
+	o := &b.ops[slot]
 	switch o.kind {
 	case opTransfer:
-		w.uplink.EnqueueArg(arg, w.linkDurFn, w.linkDoneFn)
+		b.uplink.EnqueueArg(arg, b.linkDurFn, b.linkDoneFn)
 	case opReturn:
-		w.downlink.EnqueueArg(arg, w.linkDurFn, w.linkDoneFn)
+		b.downlink.EnqueueArg(arg, b.linkDurFn, b.linkDoneFn)
 	case opExecute:
-		o.view.compute[o.wl].enqueue(slot)
+		b.stations[o.at].enqueue(slot)
 	}
 }
 
 // linkDur is every uplink and downlink service's duration: the
 // worker's link latency plus the op's bytes at full link bandwidth.
-func (w *MultiWorld) linkDur(arg uint64, _ units.Seconds) units.Seconds {
-	o := &w.ops[int32(arg)]
-	wk := &w.platform.Workers[o.view.workers[o.wl]]
+func (b *multiBlock) linkDur(arg uint64, _ units.Seconds) units.Seconds {
+	o := &b.ops[int32(arg)]
+	wk := &b.platform.Workers[b.workers[o.at]]
 	return units.Seconds(float64(wk.CommLatency) + o.size/float64(wk.Bandwidth))
 }
 
 // linkDone is every uplink and downlink service's completion.
-func (w *MultiWorld) linkDone(arg uint64, start, end units.Seconds) {
-	w.complete(int32(arg), float64(start), float64(end))
+func (b *multiBlock) linkDone(arg uint64, start, end units.Seconds) {
+	b.complete(int32(arg), float64(start), float64(end))
 }
 
 // returnNow completes a zero-byte return at its issue instant.
-func (w *MultiWorld) returnNow(arg uint64) {
-	now := float64(w.eng.Now())
-	w.complete(int32(arg), now, now)
+func (b *multiBlock) returnNow(arg uint64) {
+	now := float64(b.eng.Now())
+	b.complete(int32(arg), now, now)
 }
 
 // JobView adapts one job's slice of the world to engine.Backend: local
@@ -375,13 +472,16 @@ func (w *MultiWorld) returnNow(arg uint64) {
 // transfers ride the world's shared serialized uplink. It implements
 // engine.Stopper; the engine's completion callback is the world's
 // in-virtual-time hook for returning the job's shares to its peers.
+//
+// A view is driven with a context that never cancels, as
+// engine.ExecuteShared and bench/'s barrier protocol both do: a
+// cancellable context would call Stop on the context's goroutine,
+// racing the drive loop that owns the world's state.
 type JobView struct {
 	world   *MultiWorld
 	idx     int
-	app     *model.Application
-	workers []int // global worker indexes
+	workers int // the subset's size
 	arrival float64
-	compute []computeStation // per local worker
 	entered chan struct{}
 }
 
@@ -392,18 +492,24 @@ func (v *JobView) Entered() <-chan struct{} { return v.entered }
 // Arrival returns the job's arrival time (virtual seconds).
 func (v *JobView) Arrival() float64 { return v.arrival }
 
-// Now implements engine.Backend on the shared clock.
-func (v *JobView) Now() float64 { return float64(v.world.eng.Now()) }
+// Now implements engine.Backend on the shared clock; once the world has
+// drained, it is the time of the last event.
+func (v *JobView) Now() float64 {
+	if b := v.world.b; b != nil {
+		return float64(b.eng.Now())
+	}
+	return v.world.now
+}
 
 // Workers implements engine.Backend: the size of the job's subset.
-func (v *JobView) Workers() int { return len(v.workers) }
+func (v *JobView) Workers() int { return v.workers }
 
 // Transfer implements engine.Backend over the world's shared uplink:
 // one FCFS queue serializes every job's transfers, so cross-job link
 // contention appears as queueing delay at full link bandwidth.
 func (v *JobView) Transfer(wl int, bytes float64, done func(start, end float64, err error)) {
-	w := v.world
-	w.startOp(w.issue(v, opTransfer, wl, bytes, false, done))
+	b := v.world.b
+	b.startOp(b.issue(v.idx, opTransfer, wl, bytes, false, done))
 }
 
 // Execute implements engine.Backend: the chunk queues FIFO behind the
@@ -411,20 +517,20 @@ func (v *JobView) Transfer(wl int, bytes float64, done func(start, end float64, 
 // policy currently grants, re-scaled mid-flight at every revision (see
 // computeStation).
 func (v *JobView) Execute(wl int, size float64, probe bool, done func(start, end float64, err error)) {
-	w := v.world
-	w.startOp(w.issue(v, opExecute, wl, size, probe, done))
+	b := v.world.b
+	b.startOp(b.issue(v.idx, opExecute, wl, size, probe, done))
 }
 
 // ReturnOutput implements engine.Backend over the world's shared
 // downlink queue. Zero bytes complete at once, arrival or not.
 func (v *JobView) ReturnOutput(wl int, bytes float64, done func(start, end float64, err error)) {
-	w := v.world
-	slot := w.issue(v, opReturn, wl, bytes, false, done)
+	b := v.world.b
+	slot := b.issue(v.idx, opReturn, wl, bytes, false, done)
 	if bytes <= 0 {
-		w.eng.AfterArg(0, w.returnNowFn, uint64(slot))
+		b.eng.AfterArg(0, b.returnNowFn, uint64(slot))
 		return
 	}
-	w.startOp(slot)
+	b.startOp(slot)
 }
 
 // Run implements engine.Backend with the world barrier: the last view
@@ -437,14 +543,14 @@ func (v *JobView) Run() {
 	w := v.world
 	w.mu.Lock()
 	w.runCalls++
-	last := w.runCalls == len(w.views)
+	last := w.runCalls == w.jobs
 	aborted := w.aborted
 	w.mu.Unlock()
 	if !last || aborted {
 		<-w.runDone
 		return
 	}
-	w.eng.Run()
+	w.Run()
 	w.mu.Lock()
 	if !w.aborted {
 		w.aborted = true // reuse the latch: the world only drains once
@@ -456,18 +562,21 @@ func (v *JobView) Run() {
 // Stop implements engine.Stopper. The engine calls it — on the driver
 // goroutine, at the job's completion instant in virtual time — when the
 // job finishes or fails, which is exactly when a work-conserving policy
-// must hand the job's shares to its surviving peers.
+// must hand the job's shares to its surviving peers. After the drain
+// the results are final, and Stop does nothing.
 func (v *JobView) Stop() {
-	w := v.world
-	if w.finished[v.idx] {
+	b := v.world.b
+	if b == nil {
 		return
 	}
-	w.finished[v.idx] = true
-	w.finishedAt[v.idx] = float64(w.eng.Now())
-	for g := range w.share[v.idx] {
-		w.share[v.idx][g] = 0
+	j := &b.jobs[v.idx]
+	if j.finished {
+		return
 	}
-	w.reshare()
+	j.finished = true
+	j.finishedAt = float64(b.eng.Now())
+	clear(b.shareRow(v.idx))
+	b.reshare()
 }
 
 // computeStation serves one job's chunks on one worker, FIFO. A chunk's
@@ -478,13 +587,14 @@ func (v *JobView) Stop() {
 // the old rate and reschedules the completion at the new one.
 // Preemptive re-scaling is what makes the policies work-conserving in
 // the model: a chunk launched moments before a peer departs still
-// collects the freed capacity.
+// collects the freed capacity. A station's engine events carry its
+// index in the block's stations.
 type computeStation struct {
 	fluid
-	world  *MultiWorld
-	job    int
-	worker int    // global index
-	id     uint64 // the station's engine-event argument (stationID)
+	b       *multiBlock
+	id      int32 // the station's index in b.stations
+	job     int32
+	shareAt int // the job's share of this worker: an index into b.shares
 
 	// FIFO of waiting op slots, linked through multiOp.next (-1: empty).
 	waitHead, waitTail int32
@@ -498,17 +608,8 @@ type computeStation struct {
 	inWork bool
 }
 
-// stationID packs a job index and a local worker index into the
-// argument a station's engine events carry.
-func stationID(job, wl int) uint64 { return uint64(job)<<32 | uint64(uint32(wl)) }
-
-// station returns the compute station a stationID names.
-func (w *MultiWorld) station(id uint64) *computeStation {
-	return &w.views[id>>32].compute[uint32(id)]
-}
-
 func (s *computeStation) enqueue(slot int32) {
-	ops := s.world.ops
+	ops := s.b.ops
 	ops[slot].next = -1
 	if s.waitTail < 0 {
 		s.waitHead = slot
@@ -522,7 +623,7 @@ func (s *computeStation) enqueue(slot int32) {
 }
 
 func (s *computeStation) share() float64 {
-	sh := s.world.share[s.job][s.worker]
+	sh := s.b.shares[s.shareAt]
 	if sh < minShare {
 		sh = minShare
 	}
@@ -534,46 +635,47 @@ func (s *computeStation) startNext() {
 		s.busy = false
 		return
 	}
-	w := s.world
+	b := s.b
 	slot := s.waitHead
-	o := &w.ops[slot]
+	o := &b.ops[slot]
 	if s.waitHead = o.next; s.waitHead < 0 {
 		s.waitTail = -1
 	}
 	s.busy = true
-	wk := &w.platform.Workers[s.worker]
-	now := float64(w.eng.Now())
+	wk := &b.platform.Workers[b.workers[o.at]]
+	now := float64(b.eng.Now())
 	s.cur = slot
 	s.start = now
-	s.rem = o.size * float64(o.view.app.UnitCost) / wk.Speed
+	s.rem = o.size * b.jobs[s.job].unitCost / wk.Speed
 	s.inWork = false
-	w.eng.AtArg(units.Seconds(now+float64(wk.CompLatency)), w.latencyEndFn, s.id)
+	b.eng.AtArg(units.Seconds(now+float64(wk.CompLatency)), b.latencyEndFn, uint64(s.id))
 }
 
 // latencyEnd ends a station's launch latency: the chunk's work starts
 // progressing at the job's current share.
-func (w *MultiWorld) latencyEnd(id uint64) {
-	s := w.station(id)
+func (b *multiBlock) latencyEnd(id uint64) {
+	s := &b.stations[id]
 	s.inWork = true
-	s.last = w.eng.Now()
+	s.last = b.eng.Now()
 	s.rate = s.share()
-	s.end = w.eng.AtArg(s.last+units.Seconds(s.rem/s.rate), w.workEndFn, id)
+	s.end = b.eng.AtArg(s.last+units.Seconds(s.rem/s.rate), b.workEndFn, id)
 }
 
 // workEnd completes a station's chunk, counts its load off the job's
 // remaining (measurements excepted) and starts the next one.
-func (w *MultiWorld) workEnd(id uint64) {
-	s := w.station(id)
-	end := float64(w.eng.Now())
+func (b *multiBlock) workEnd(id uint64) {
+	s := &b.stations[id]
+	end := float64(b.eng.Now())
 	s.inWork = false
-	o := &w.ops[s.cur]
+	o := &b.ops[s.cur]
 	if !o.probe {
-		w.remaining[s.job] -= o.size
-		if w.remaining[s.job] < 0 {
-			w.remaining[s.job] = 0
+		j := &b.jobs[s.job]
+		j.remaining -= o.size
+		if j.remaining < 0 {
+			j.remaining = 0
 		}
 	}
-	w.complete(s.cur, s.start, end)
+	b.complete(s.cur, s.start, end)
 	s.startNext()
 }
 
@@ -588,9 +690,9 @@ func (s *computeStation) revise() {
 	if rate == s.rate {
 		return // unchanged: banking would still move rem (see fluid.bank)
 	}
-	w := s.world
-	now := w.eng.Now()
+	b := s.b
+	now := b.eng.Now()
 	s.bank(now)
 	s.rate = rate
-	s.end = w.eng.MoveArg(s.end, now+units.Seconds(s.rem/rate), w.workEndFn, s.id)
+	s.end = b.eng.MoveArg(s.end, now+units.Seconds(s.rem/rate), b.workEndFn, uint64(s.id))
 }

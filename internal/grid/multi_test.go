@@ -76,9 +76,9 @@ func TestExecuteSharedErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "request 1: engine: request has no algorithm") {
 		t.Fatalf("error %v, want request 1's missing algorithm", err)
 	}
-	if trs != nil || ran || len(w.ops) != 0 || w.Reshares() != 0 || slices.Max(w.finishedAt) != 0 {
-		t.Fatalf("a request began: traces %v, drive ran %v, %d ops, %d reshares, finish times %v",
-			trs, ran, len(w.ops), w.Reshares(), w.finishedAt)
+	if trs != nil || ran || len(w.b.ops) != 0 || w.Reshares() != 0 || slices.ContainsFunc(w.b.jobs, func(j multiJob) bool { return j.finishedAt != 0 }) {
+		t.Fatalf("a request began: traces %v, drive ran %v, %d ops, %d reshares, jobs %v",
+			trs, ran, len(w.b.ops), w.Reshares(), w.b.jobs)
 	}
 	reqs[1].Algorithm = planRefused{dls.NewRUMR()}
 	reqs[2].Config.WorkerShares = nil
@@ -100,9 +100,22 @@ func TestExecuteSharedErrors(t *testing.T) {
 // disjoint split.
 func newTestWorld(t *testing.T, policy SharePolicy, loads []units.Load, arrivals []float64, shared bool, outBytes units.Bytes) (*MultiWorld, []*JobView, []*model.Application) {
 	t.Helper()
-	w, err := NewMultiWorld(workload.DAS2(8), policy)
-	if err != nil {
-		t.Fatal(err)
+	return newTestWorldOn(t, nil, policy, loads, arrivals, shared, outBytes)
+}
+
+// newTestWorldOn is newTestWorld on block b, or on a pooled block when b
+// is nil.
+func newTestWorldOn(t *testing.T, b *multiBlock, policy SharePolicy, loads []units.Load, arrivals []float64, shared bool, outBytes units.Bytes) (*MultiWorld, []*JobView, []*model.Application) {
+	t.Helper()
+	p := workload.DAS2(8)
+	var w *MultiWorld
+	if b != nil {
+		w = newMultiWorld(p, policy, b)
+	} else {
+		var err error
+		if w, err = NewMultiWorld(p, policy); err != nil {
+			t.Fatal(err)
+		}
 	}
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	var views []*JobView
@@ -303,11 +316,11 @@ func TestMultiWorldMatchesGolden(t *testing.T) {
 	var got strings.Builder
 	for _, policy := range []string{"partition", "fair", "srpt", "fairsplit"} {
 		for jobs := 2; jobs <= 4; jobs++ {
-			fmt.Fprintf(&got, "%x %s/%d\n", goldenWorldHash(t, policy, jobs, 0), policy, jobs)
+			fmt.Fprintf(&got, "%x %s/%d\n", goldenWorldHash(t, nil, policy, jobs, 0), policy, jobs)
 		}
 	}
 	for _, policy := range []string{"partition", "fair"} {
-		fmt.Fprintf(&got, "%x %s-output/3\n", goldenWorldHash(t, policy, 3, 500), policy)
+		fmt.Fprintf(&got, "%x %s-output/3\n", goldenWorldHash(t, nil, policy, 3, 500), policy)
 	}
 	if got.String() != string(want) {
 		t.Errorf("multi-world schedules drifted from testdata/multiworld_golden.sha256; computed manifest:\n%s", got.String())
@@ -316,8 +329,9 @@ func TestMultiWorldMatchesGolden(t *testing.T) {
 
 // goldenWorldHash runs one TestMultiWorldMatchesGolden world on DAS-2×8
 // — jobs RUMR jobs arriving 500 s apart, each returning outBytes per
-// unit — and returns the sha256 of its schedules.
-func goldenWorldHash(t *testing.T, policy string, jobs int, outBytes units.Bytes) [sha256.Size]byte {
+// unit — on block blk (nil: a pooled one) and returns the sha256 of its
+// schedules.
+func goldenWorldHash(t *testing.T, blk *multiBlock, policy string, jobs int, outBytes units.Bytes) [sha256.Size]byte {
 	t.Helper()
 	var sp SharePolicy
 	switch policy {
@@ -329,7 +343,7 @@ func goldenWorldHash(t *testing.T, policy string, jobs int, outBytes units.Bytes
 	loads := []units.Load{40000, 8000, 20000, 12000}[:jobs]
 	arrivals := []float64{0, 500, 1000, 1500}[:jobs]
 	shared := sp != nil && policy != "fairsplit"
-	w, views, apps := newTestWorld(t, sp, loads, arrivals, shared, outBytes)
+	w, views, apps := newTestWorldOn(t, blk, sp, loads, arrivals, shared, outBytes)
 	var buf []byte
 	u := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	f := func(v float64) { u(math.Float64bits(v)) }
@@ -368,14 +382,20 @@ func goldenWorldHash(t *testing.T, policy string, jobs int, outBytes units.Bytes
 
 // multiWorldAllocBudget bounds the allocations of one whole shared
 // world: three fair-shared RUMR jobs on DAS-2×8, built, executed on the
-// drive loop (engine.ExecuteShared) and drained. Issuing an operation
-// allocates nothing once the world's op table and the engine's
-// completion cells have grown (JobView is not an engine.OpBackend, so
-// the engine reaches it through pooled cells), and the arena-less
-// executions borrow pooled workspaces; what is left, 155 allocations,
-// is the world's construction, the algorithms and each job's trace
-// copy. One goroutine per job behind JobView.Run's barrier takes 170.
-const multiWorldAllocBudget = 160
+// drive loop (engine.ExecuteShared) and drained. The world's heap,
+// queues, op table, stations and share rows live in a pooled block, the
+// engine's completion cells and the arena-less executions' workspaces
+// are pooled too, so issuing an operation allocates nothing. What is
+// left, 79 allocations, is: RUMR's planning and phase switch (about 35:
+// its round plans, γ estimates and switch-log text); this test's
+// fixture (about 25: the DAS-2×8 platform, the applications, the policy
+// and its scratch, the view and request slices); the engine (8: its
+// result slices and each job's right-sized trace copy); and the world
+// (9: itself, its barrier latch, each view with its Entered channel,
+// and the finish times it keeps after the drain). A world that grows
+// its block from zero takes 155; driving this one by JobView.Run's
+// barrier instead, one goroutine per job (executeBarrier), takes 82.
+const multiWorldAllocBudget = 82
 
 // TestMultiWorldAllocationRegression pins the closure-free dispatch of
 // the shared world: a per-operation closure or a per-station pointer

@@ -25,10 +25,10 @@ func warmPolicyWorld(t *testing.T, policy SharePolicy) *MultiWorld {
 			t.Fatal(err)
 		}
 	}
-	for i := range w.active {
-		w.active[i] = true
+	for i := range w.b.jobs {
+		w.b.jobs[i].active = true
 	}
-	w.reshare()
+	w.b.reshare()
 	return w
 }
 
@@ -46,15 +46,15 @@ func TestReshareAllocationFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := warmPolicyWorld(t, tc.policy)
-			if allocs := testing.AllocsPerRun(100, w.reshare); allocs > 0 {
+			if allocs := testing.AllocsPerRun(100, w.b.reshare); allocs > 0 {
 				t.Fatalf("reshare on a warm world allocated %.1f allocs/op; want 0", allocs)
 			}
 			// Sanity: after in-place revision every worker's share mass
 			// across active jobs still sums to exactly 1.
 			for g := 0; g < 4; g++ {
 				sum := 0.0
-				for j := range w.share {
-					sum += w.share[j][g]
+				for j := range w.b.jobs {
+					sum += w.b.shareRow(j)[g]
 				}
 				if math.Abs(sum-1) > 1e-9 {
 					t.Fatalf("worker %d shares sum to %g after reshare; want 1", g, sum)
