@@ -54,9 +54,10 @@ const warmRetryRunAllocs = 4
 // allocates when experiment.Spec.Run replays them at width 1, warm — the
 // sim_paper workload's allocs_per_op: the run's algorithm and
 // application values, its plan, MeasureGamma's buckets, and each
-// Spec.Run's share of its pool slot and cells. Measured at 20.4; a
-// trace.Report built per run to keep two of its numbers would add two.
-const paperRunAllocs = 21
+// Spec.Run's share of its pool slot and cells. Measured at 17.25 (18.64
+// while RUMR's switch log regrew after every drain); a trace.Report
+// built per run to keep two of its numbers would add two.
+const paperRunAllocs = 20
 
 // treeRun is the tree condition of algorithms_golden.sha256: Mixed(4, 4)
 // behind a two-level link graph, worker 1 crashing at 1 500 s and worker

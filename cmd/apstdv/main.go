@@ -131,8 +131,14 @@ func main() {
 			// console restarted after a disconnect passes its last seen
 			// seq and never re-prints events it already delivered.
 			ctx, cancel := context.WithTimeout(context.Background(), *wait)
+			// Each event is flushed as it arrives, so a watcher sees it
+			// while the job runs. A write error sticks in the sink and
+			// the Flush below reports it.
 			err := c.FollowEventsFrom(ctx, *jobID, *after, 100*time.Millisecond,
-				func(ev obs.Event) { sink.EmitPtr(&ev) })
+				func(ev obs.Event) {
+					sink.EmitPtr(&ev)
+					sink.Flush()
+				})
 			cancel()
 			if ferr := sink.Flush(); err == nil {
 				err = ferr

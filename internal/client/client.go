@@ -145,12 +145,6 @@ func (c *Client) Algorithms() ([]string, error) {
 	return reply.Names, err
 }
 
-// Jobs lists all jobs.
-func (c *Client) Jobs() ([]daemon.Job, error) {
-	reply, err := c.ListJobs()
-	return reply.Jobs, err
-}
-
 // ListJobs returns the full job listing reply, including the daemon's
 // co-scheduling policy alongside the job summaries.
 func (c *Client) ListJobs() (daemon.ListJobsReply, error) {

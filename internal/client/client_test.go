@@ -62,10 +62,11 @@ func TestSubmitStatusReportFlow(t *testing.T) {
 	if rep.Summary == "" || rep.CSV == "" || rep.Gantt == "" {
 		t.Error("report incomplete")
 	}
-	jobs, err := c.Jobs()
+	listing, err := c.ListJobs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs := listing.Jobs
 	if len(jobs) != 1 || jobs[0].ID != reply.JobID {
 		t.Errorf("jobs list: %v", jobs)
 	}

@@ -82,10 +82,11 @@ func TestSchedulerAcceptanceLive(t *testing.T) {
 	}
 
 	// The jobs listing shows the whole picture, priority before FIFO.
-	jobs, err := c.Jobs()
+	listing, err := c.ListJobs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs := listing.Jobs
 	if len(jobs) != 5 {
 		t.Fatalf("listed %d jobs, want 5 (including the rejected one)", len(jobs))
 	}

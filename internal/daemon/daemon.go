@@ -15,9 +15,11 @@
 package daemon
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -190,37 +192,37 @@ const (
 type Daemon struct {
 	cfg Config
 
-	mu   sync.Mutex
-	jobs map[int]*Job
-	// order holds the retained jobs in ascending ID order (admission
-	// appends, eviction removes), so listing costs what is retained and
-	// not what was ever issued.
-	order  []*Job
-	nextID int
-	wg     sync.WaitGroup
+	// The job collections, one per lifecycle phase (guarded by mu).
+	// jobs holds every retained job in ascending ID order (admission
+	// appends, eviction removes; lookups binary-search it), so listing
+	// costs what is retained and not what was ever issued. Each of them
+	// is in exactly one of the other three: queue, the admitted jobs
+	// waiting for a slot in dispatch order (class rank, then ID, so a
+	// job's QueuePos is its index + 1); running, in ascending ID order
+	// (their Leased and Shares are the live-worker allocation); and
+	// retired, the terminal jobs in retirement order. RetainJobs evicts
+	// from the head of retired, and the payload budget strips from
+	// retired[stripped]: no job before that cursor holds a payload, and
+	// payloadSize totals those from it on. payloadMax is the budget — a
+	// field only so that in-package tests can lower it.
+	mu          sync.Mutex
+	jobs        []*Job
+	queue       []*pendingJob
+	running     []*pendingJob
+	retired     []*Job
+	stripped    int
+	payloadSize int
+	payloadMax  int
+	nextID      int
+	wg          sync.WaitGroup
 
-	// Scheduler state (guarded by mu): per-class FIFO queues, the
-	// running jobs in ascending job ID order (whose Leased and Shares
-	// are the live-worker allocation), and the resolved concurrency cap.
-	queues   [len(classes)][]*pendingJob
-	queued   int
-	running  []*pendingJob
 	draining bool
 	effCap   int // 0 = unlimited
 	// Live-mode co-scheduling: the normalized policy name and its
 	// share-vector function (nil for partition). See cosched.go.
 	cosched   string
 	coschedFn grid.SharePolicy
-	idle      *sync.Cond // broadcast when running and queued are empty
-	// terminal is the retirement-order FIFO backing Config.RetainJobs
-	// eviction (unused when RetainJobs is 0).
-	terminal []int
-	// Payload retention (see payloadBudget): the terminal jobs that still
-	// hold a payload, in retirement order, their total, and the budget —
-	// a field only so that in-package tests can lower it.
-	payloads    []*Job
-	payloadSize int
-	payloadMax  int
+	idle      *sync.Cond // broadcast when running and queue are empty
 	// pages recycles ring pages across jobs; slots is the free list of
 	// execution slots (see runSlot).
 	pages *obs.PagePool
@@ -307,7 +309,6 @@ func New(cfg Config) (*Daemon, error) {
 	reg := obs.NewRegistry()
 	d := &Daemon{
 		cfg:           cfg,
-		jobs:          make(map[int]*Job),
 		specCache:     make(map[string]*spec.Task),
 		payloadMax:    payloadBudget,
 		pages:         obs.NewPagePool(pagePoolBytes),
@@ -367,10 +368,6 @@ func New(cfg Config) (*Daemon, error) {
 	d.runFn = d.execute
 	return d, nil
 }
-
-// Registry exposes the daemon's metric registry (telemetry handler,
-// tests).
-func (d *Daemon) Registry() *obs.Registry { return d.registry }
 
 // SubmitArgs is the Submit RPC request.
 type SubmitArgs struct {
@@ -526,9 +523,23 @@ func (d *Daemon) newJobLocked(j Job) *Job {
 	d.nextID++
 	j.ID = d.nextID
 	job := &j
-	d.jobs[job.ID] = job
-	d.order = append(d.order, job)
+	d.jobs = append(d.jobs, job)
 	return job
+}
+
+// jobIndexLocked binary-searches d.jobs for an ID: the job's index and
+// true, or where it would go and false. Caller holds d.mu.
+func (d *Daemon) jobIndexLocked(id int) (int, bool) {
+	return slices.BinarySearchFunc(d.jobs, id, func(j *Job, id int) int { return cmp.Compare(j.ID, id) })
+}
+
+// jobLocked returns the retained job with the given ID, or nil. Caller
+// holds d.mu.
+func (d *Daemon) jobLocked(id int) *Job {
+	if i, ok := d.jobIndexLocked(id); ok {
+		return d.jobs[i]
+	}
+	return nil
 }
 
 // errText is err.Error() tolerating nil, for retroactive span records.
@@ -567,12 +578,8 @@ func (d *Daemon) fastReject(prio string) error {
 		return nil
 	}
 	now := time.Now()
-	job := d.newJobLocked(Job{
-		Priority: prio, State: JobRejected,
-		Submitted: now, Finished: now, Err: rej.msg, Code: rej.code,
-	})
-	d.jobsRejected.Inc()
-	d.retireLocked(job)
+	job := d.newJobLocked(Job{Priority: prio, Submitted: now})
+	d.endLocked(job, now, JobRejected, rej.msg, rej.code)
 	return rej.err
 }
 
@@ -762,8 +769,8 @@ type StatusReply struct {
 func (d *Daemon) Status(args StatusArgs, reply *StatusReply) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	job, ok := d.jobs[args.JobID]
-	if !ok {
+	job := d.jobLocked(args.JobID)
+	if job == nil {
 		return fmt.Errorf("daemon: no job %d: %w", args.JobID, ErrJobNotFound)
 	}
 	reply.Job = d.summaryLocked(job)
@@ -791,14 +798,14 @@ func (d *Daemon) Report(args ReportArgs, reply *ReportReply) error {
 	// The run goroutine writes State and tr under d.mu, so both are read
 	// under it; the trace itself is immutable once the job is done.
 	d.mu.Lock()
-	job, ok := d.jobs[args.JobID]
+	job := d.jobLocked(args.JobID)
 	var state JobState
 	var tr *trace.Trace
-	if ok {
+	if job != nil {
 		state, tr = job.State, job.tr
 	}
 	d.mu.Unlock()
-	if !ok {
+	if job == nil {
 		return fmt.Errorf("daemon: no job %d: %w", args.JobID, ErrJobNotFound)
 	}
 	if state != JobDone {
@@ -859,10 +866,10 @@ func (d *Daemon) ListJobs(args ListJobsArgs, reply *ListJobsReply) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	reply.Policy = d.cosched
-	if len(d.order) > 0 {
-		reply.Jobs = make([]Job, 0, len(d.order))
+	if len(d.jobs) > 0 {
+		reply.Jobs = make([]Job, 0, len(d.jobs))
 	}
-	for _, j := range d.order {
+	for _, j := range d.jobs {
 		reply.Jobs = append(reply.Jobs, d.summaryLocked(j))
 	}
 	return nil
@@ -872,7 +879,7 @@ func (d *Daemon) ListJobs(args ListJobsArgs, reply *ListJobsReply) error {
 // queued (used by tests and clean shutdown).
 func (d *Daemon) Wait() {
 	d.mu.Lock()
-	for len(d.running) > 0 || d.queued > 0 {
+	for len(d.running) > 0 || len(d.queue) > 0 {
 		d.idle.Wait()
 	}
 	d.mu.Unlock()

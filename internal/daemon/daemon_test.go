@@ -211,10 +211,11 @@ func TestListJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	jobs, err := c.Jobs()
+	listing, err := c.ListJobs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs := listing.Jobs
 	if len(jobs) != 3 {
 		t.Fatalf("%d jobs listed", len(jobs))
 	}

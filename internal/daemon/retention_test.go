@@ -47,10 +47,11 @@ func TestPayloadBudgetOverTheWire(t *testing.T) {
 	d.SetPayloadBudget(2*one + one/2)
 	ids = append(ids, runJobs(t, c, 5)...)
 
-	jobs, err := c.Jobs()
+	listing, err := c.ListJobs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs := listing.Jobs
 	if len(jobs) != len(ids) {
 		t.Fatalf("%d summaries for %d jobs", len(jobs), len(ids))
 	}

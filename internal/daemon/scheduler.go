@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -17,14 +18,15 @@ import (
 )
 
 // Priority classes, highest first. Admission drains high before normal
-// before low; within a class jobs run in submission (FIFO) order.
+// before low; within a class jobs run in submission (FIFO) order, which
+// is ID order.
 const (
 	PriorityHigh   = "high"
 	PriorityNormal = "normal"
 	PriorityLow    = "low"
 )
 
-// classes orders the priority names by rank; queue index == rank.
+// classes orders the priority names by rank; the queue sorts on rank.
 var classes = [...]string{PriorityHigh, PriorityNormal, PriorityLow}
 
 // normalizePriority maps the wire value to a class name ("" defaults to
@@ -107,7 +109,9 @@ func (p *pendingJob) EmitPtr(ev *obs.Event) {
 func (d *Daemon) admitLocked(p *pendingJob) error {
 	job := p.job
 	if rej := d.refusalLocked(); rej != nil {
-		return d.rejectLocked(p, rej)
+		p.cancel(rej.err)
+		d.endLocked(job, time.Now(), JobRejected, rej.msg, rej.code)
+		return rej.err
 	}
 	d.jobsSubmitted.Inc()
 	job.run = p
@@ -121,9 +125,9 @@ func (d *Daemon) admitLocked(p *pendingJob) error {
 		d.startLocked(p)
 		return nil
 	}
-	d.queues[classIndex(job.Priority)] = append(d.queues[classIndex(job.Priority)], p)
-	d.queued++
-	d.jobsQueuedG.Set(float64(d.queued))
+	i, _ := d.queueIndexLocked(job)
+	d.queue = slices.Insert(d.queue, i, p)
+	d.jobsQueuedG.Set(float64(len(d.queue)))
 	return nil
 }
 
@@ -136,37 +140,76 @@ func (d *Daemon) refusalLocked() *rejection {
 	case d.draining:
 		return &d.rejDraining
 	case d.effCap > 0 && len(d.running) >= d.effCap &&
-		d.cfg.QueueDepth > 0 && d.queued >= d.cfg.QueueDepth:
+		d.cfg.QueueDepth > 0 && len(d.queue) >= d.cfg.QueueDepth:
 		return &d.rejFull
 	}
 	return nil
 }
 
-// rejectLocked records a terminal rejected job (it stays visible in job
-// listings) and returns the typed error for the client.
-func (d *Daemon) rejectLocked(p *pendingJob, rej *rejection) error {
-	job := p.job
-	job.State = JobRejected
-	job.Finished = time.Now()
-	job.Err = rej.msg
-	job.Code = rej.code
-	d.jobsRejected.Inc()
-	p.cancel(rej.err)
-	p.ring.Append(&obs.Event{Type: obs.JobRejected, Class: job.Priority, Err: rej.msg})
-	d.retireLocked(job)
-	return rej.err
+// queueIndexLocked binary-searches d.queue, which is in dispatch order
+// (class rank, then ID), for a job: its index and true while it is
+// queued, or where it belongs and false. Caller holds d.mu.
+func (d *Daemon) queueIndexLocked(job *Job) (int, bool) {
+	rank := classIndex(job.Priority)
+	return slices.BinarySearchFunc(d.queue, job, func(p *pendingJob, job *Job) int {
+		if c := cmp.Compare(classIndex(p.job.Priority), rank); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.job.ID, job.ID)
+	})
 }
 
-// retireLocked records a job's terminal transition and applies the two
+// queuePosLocked returns a queued job's 1-based dispatch position, 0
+// for a job that is not queued. Caller holds d.mu.
+func (d *Daemon) queuePosLocked(job *Job) int {
+	if job.State != JobQueued {
+		return 0
+	}
+	if i, ok := d.queueIndexLocked(job); ok {
+		return i + 1
+	}
+	return 0
+}
+
+// endLocked is every job's one terminal transition: it stamps the state,
+// the finish time now and the error text and code, counts the outcome,
+// appends the lifecycle event a cancellation or a rejection carries to
+// the job's ring (a fast-rejected job has none), and retires the job. A
+// done job's trace is set before the call, since it joins the payload.
+// Caller holds d.mu and has taken the job out of the queue or running.
+func (d *Daemon) endLocked(job *Job, now time.Time, state JobState, msg, code string) {
+	job.State, job.Finished, job.Err, job.Code = state, now, msg, code
+	switch state {
+	case JobDone:
+		d.jobsDone.Inc()
+	case JobFailed:
+		d.jobsFailed.Inc()
+	case JobCancelled:
+		d.jobsCancelled.Inc()
+		job.events.Append(&obs.Event{
+			Type: obs.JobCancelled, T: time.Since(job.Submitted).Seconds(),
+			Class: job.Priority, Err: msg,
+		})
+	case JobRejected:
+		d.jobsRejected.Inc()
+		if job.events != nil {
+			job.events.Append(&obs.Event{Type: obs.JobRejected, Class: job.Priority, Err: msg})
+		}
+	}
+	d.retireLocked(job)
+}
+
+// retireLocked appends a terminal job to d.retired and applies the two
 // retention bounds. The job's payload (event pages plus trace records)
 // joins the budgeted total, and while that exceeds the budget the
-// longest-finished payloads are stripped — never the retiring job's
-// own, so the newest job's events and report can always be read. Then,
-// when Config.RetainJobs bounds retention, the longest-finished
-// terminal jobs beyond the bound are evicted outright. Caller holds
-// d.mu.
+// longest-retired payloads are stripped from the cursor on — never the
+// retiring job's own, so the newest job's events and report can always
+// be read. Then, when Config.RetainJobs bounds retention, the
+// longest-retired jobs beyond the bound are evicted outright. Caller
+// holds d.mu.
 func (d *Daemon) retireLocked(job *Job) {
 	job.run = nil
+	d.retired = append(d.retired, job)
 	if job.events != nil {
 		job.nextSeq = job.events.NextSeq()
 		job.payload = job.events.Bytes()
@@ -174,28 +217,23 @@ func (d *Daemon) retireLocked(job *Job) {
 			job.payload += job.tr.Bytes()
 		}
 		d.payloadSize += job.payload
-		d.payloads = append(d.payloads, job)
-		for d.payloadSize > d.payloadMax && len(d.payloads) > 1 {
-			d.stripLocked(d.payloads[0])
+		for d.payloadSize > d.payloadMax && d.stripped < len(d.retired)-1 {
+			d.stripLocked(d.retired[d.stripped])
+			d.stripped++
 		}
 	}
 	if d.cfg.RetainJobs <= 0 {
 		return
 	}
-	d.terminal = append(d.terminal, job.ID)
-	for len(d.terminal) > d.cfg.RetainJobs {
-		id := d.terminal[0]
-		d.terminal = d.terminal[1:]
-		d.evictLocked(d.jobs[id])
+	for len(d.retired) > d.cfg.RetainJobs {
+		d.evictLocked()
 	}
-	d.jobsRetained.Set(float64(len(d.terminal)))
+	d.jobsRetained.Set(float64(len(d.retired)))
 }
 
 // stripLocked drops a terminal job's payload and keeps its summary: the
 // ring's pages go back to the pool and the trace to the collector.
-// Payloads leave in the order they arrived (both bounds take the
-// longest-finished first), so the search ends at the head of
-// d.payloads. Caller holds d.mu.
+// Caller holds d.mu.
 func (d *Daemon) stripLocked(job *Job) {
 	if job.events == nil {
 		return
@@ -204,20 +242,18 @@ func (d *Daemon) stripLocked(job *Job) {
 	job.events, job.tr = nil, nil
 	d.payloadSize -= job.payload
 	job.payload = 0
-	for i, j := range d.payloads {
-		if j == job {
-			d.payloads = append(d.payloads[:i], d.payloads[i+1:]...)
-			break
-		}
-	}
 }
 
-// evictLocked forgets a terminal job entirely. Caller holds d.mu.
-func (d *Daemon) evictLocked(job *Job) {
+// evictLocked forgets the longest-retired job entirely. Caller holds
+// d.mu.
+func (d *Daemon) evictLocked() {
+	job := d.retired[0]
 	d.stripLocked(job)
-	delete(d.jobs, job.ID)
-	i := sort.Search(len(d.order), func(i int) bool { return d.order[i].ID >= job.ID })
-	d.order = append(d.order[:i], d.order[i+1:]...)
+	d.retired[0] = nil
+	d.retired = d.retired[1:]
+	d.stripped = max(d.stripped-1, 0)
+	i, _ := d.jobIndexLocked(job.ID)
+	d.jobs = slices.Delete(d.jobs, i, i+1)
 	d.jobsEvicted.Inc()
 }
 
@@ -258,7 +294,7 @@ func (d *Daemon) runJob(p *pendingJob) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	job := p.job
-	job.Finished = time.Now()
+	now := time.Now()
 	if !panicked {
 		// A panic can leave the slot's backend and arena mid-run, so
 		// such a slot is dropped, not reused.
@@ -268,36 +304,24 @@ func (d *Daemon) runJob(p *pendingJob) {
 	i := slices.Index(d.running, p)
 	d.running = slices.Delete(d.running, i, i+1)
 	d.jobsRunning.Dec()
-	d.runSeconds[job.Priority].Observe(job.Finished.Sub(job.Started).Seconds())
-	switch {
-	case err == nil:
-		job.State = JobDone
-		job.tr = tr
-		job.Makespan = tr.Makespan()
-		job.Chunks = tr.Len()
-		d.jobsDone.Inc()
-		d.jobSeconds.Observe(job.Makespan)
-	case p.ctx.Err() != nil:
-		cause := context.Cause(p.ctx)
-		job.State = JobCancelled
-		job.Err = cause.Error()
-		job.Code = errcode.Code(cause)
-		d.jobsCancelled.Inc()
-		p.ring.Append(&obs.Event{
-			Type: obs.JobCancelled, T: time.Since(job.Submitted).Seconds(),
-			Class: job.Priority, Err: cause.Error(),
-		})
-	default:
-		job.State = JobFailed
-		job.Err = err.Error()
-		job.Code = errcode.Code(err)
-		d.jobsFailed.Inc()
-	}
+	d.runSeconds[job.Priority].Observe(now.Sub(job.Started).Seconds())
 	// Release after the job left d.running so the reshare it triggers
 	// redistributes only among the survivors, and before scheduleLocked
 	// so the next admission sees the freed capacity.
 	d.releaseSharesLocked(p)
-	d.retireLocked(job)
+	switch {
+	case err == nil:
+		job.tr = tr
+		job.Makespan = tr.Makespan()
+		job.Chunks = tr.Len()
+		d.jobSeconds.Observe(job.Makespan)
+		d.endLocked(job, now, JobDone, "", "")
+	case p.ctx.Err() != nil:
+		cause := context.Cause(p.ctx)
+		d.endLocked(job, now, JobCancelled, cause.Error(), errcode.Code(cause))
+	default:
+		d.endLocked(job, now, JobFailed, err.Error(), errcode.Code(err))
+	}
 	d.scheduleLocked()
 	d.notifyIfIdleLocked()
 }
@@ -316,84 +340,29 @@ func (d *Daemon) runRecovered(p *pendingJob) (tr *trace.Trace, panicked bool, er
 	return tr, false, err
 }
 
-// scheduleLocked fills free concurrency slots from the queues, highest
-// priority class first, FIFO within a class. Caller holds d.mu.
+// scheduleLocked fills free concurrency slots from the head of the
+// queue. Caller holds d.mu.
 func (d *Daemon) scheduleLocked() {
-	for !d.draining && (d.effCap == 0 || len(d.running) < d.effCap) {
-		p := d.popLocked()
-		if p == nil {
-			break
-		}
+	for !d.draining && len(d.queue) > 0 && (d.effCap == 0 || len(d.running) < d.effCap) {
+		p := d.queue[0]
+		d.queue[0] = nil
+		d.queue = d.queue[1:]
 		d.startLocked(p)
 	}
-	d.jobsQueuedG.Set(float64(d.queued))
+	d.jobsQueuedG.Set(float64(len(d.queue)))
 }
 
-// popLocked removes and returns the next job to run, or nil.
-func (d *Daemon) popLocked() *pendingJob {
-	for c := range d.queues {
-		if len(d.queues[c]) > 0 {
-			p := d.queues[c][0]
-			d.queues[c] = d.queues[c][1:]
-			d.queued--
-			return p
-		}
-	}
-	return nil
-}
-
-// removeQueuedLocked takes a specific job out of its class queue.
-func (d *Daemon) removeQueuedLocked(p *pendingJob) {
-	c := classIndex(p.job.Priority)
-	for i, e := range d.queues[c] {
-		if e == p {
-			d.queues[c] = append(d.queues[c][:i], d.queues[c][i+1:]...)
-			d.queued--
-			d.jobsQueuedG.Set(float64(d.queued))
-			return
-		}
-	}
-}
-
-// cancelQueuedLocked finalizes a queued job as cancelled with the given
-// cause. Caller holds d.mu and has already removed it from its queue.
+// cancelQueuedLocked ends a queued job as cancelled with the given
+// cause. Caller holds d.mu and takes it out of d.queue.
 func (d *Daemon) cancelQueuedLocked(p *pendingJob, cause error) {
-	job := p.job
-	job.State = JobCancelled
 	p.queueSpan.End(cause)
-	job.Finished = time.Now()
-	job.Err = cause.Error()
-	job.Code = errcode.Code(cause)
-	d.jobsCancelled.Inc()
 	p.cancel(cause)
-	p.ring.Append(&obs.Event{
-		Type: obs.JobCancelled, T: time.Since(job.Submitted).Seconds(),
-		Class: job.Priority, Err: cause.Error(),
-	})
-	d.retireLocked(job)
-}
-
-// queuePosLocked computes a queued job's 1-based dispatch position
-// across all classes (the order popLocked would drain them).
-func (d *Daemon) queuePosLocked(job *Job) int {
-	if job.State != JobQueued {
-		return 0
-	}
-	pos := 0
-	for c := range d.queues {
-		for _, p := range d.queues[c] {
-			pos++
-			if p.job == job {
-				return pos
-			}
-		}
-	}
-	return 0
+	d.endLocked(p.job, time.Now(), JobCancelled, cause.Error(), errcode.Code(cause))
 }
 
 // notifyIfIdleLocked wakes Wait callers once nothing runs or queues.
 func (d *Daemon) notifyIfIdleLocked() {
-	if len(d.running) == 0 && d.queued == 0 {
+	if len(d.running) == 0 && len(d.queue) == 0 {
 		d.idle.Broadcast()
 	}
 }
@@ -410,13 +379,10 @@ const drainGrace = 5 * time.Second
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
 	d.draining = true
-	for c := range d.queues {
-		for _, p := range d.queues[c] {
-			d.cancelQueuedLocked(p, fmt.Errorf("daemon: job cancelled: %w", ErrDraining))
-		}
-		d.queues[c] = nil
+	for _, p := range d.queue {
+		d.cancelQueuedLocked(p, fmt.Errorf("daemon: job cancelled: %w", ErrDraining))
 	}
-	d.queued = 0
+	d.queue = nil
 	d.jobsQueuedG.Set(0)
 	d.notifyIfIdleLocked()
 	d.mu.Unlock()
@@ -462,15 +428,16 @@ type CancelReply struct{ State JobState }
 func (d *Daemon) Cancel(args CancelArgs, reply *CancelReply) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	job, ok := d.jobs[args.JobID]
-	if !ok {
+	job := d.jobLocked(args.JobID)
+	if job == nil {
 		return fmt.Errorf("daemon: no job %d: %w", args.JobID, ErrJobNotFound)
 	}
 	switch job.State {
 	case JobQueued:
-		p := job.run
-		d.removeQueuedLocked(p)
-		d.cancelQueuedLocked(p, fmt.Errorf("daemon: job cancelled: %w", ErrJobCancelled))
+		i, _ := d.queueIndexLocked(job)
+		d.queue = slices.Delete(d.queue, i, i+1)
+		d.jobsQueuedG.Set(float64(len(d.queue)))
+		d.cancelQueuedLocked(job.run, fmt.Errorf("daemon: job cancelled: %w", ErrJobCancelled))
 		d.notifyIfIdleLocked()
 	case JobRunning:
 		job.run.cancel(fmt.Errorf("daemon: job cancelled: %w", ErrJobCancelled))

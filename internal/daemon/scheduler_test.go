@@ -24,11 +24,13 @@ const schedTask = `<task executable="app" input="big">
 </task>`
 
 // gateRunner replaces runFn: each job blocks until released (or its
-// context is cancelled) and the start order is recorded.
+// context is cancelled) and the start order is recorded. A released job
+// finishes, or fails or panics as end scripted it.
 type gateRunner struct {
-	mu    sync.Mutex
-	order []int
-	gates map[int]chan struct{}
+	mu       sync.Mutex
+	order    []int
+	gates    map[int]chan struct{}
+	outcomes map[int]string
 }
 
 func (g *gateRunner) gate(id int) chan struct{} {
@@ -53,11 +55,31 @@ func (g *gateRunner) run(ctx context.Context, p *pendingJob) (*trace.Trace, erro
 	case <-ctx.Done():
 		return nil, context.Cause(ctx)
 	case <-g.gate(p.job.ID):
+		g.mu.Lock()
+		outcome := g.outcomes[p.job.ID]
+		g.mu.Unlock()
+		switch outcome {
+		case "fail":
+			return nil, errors.New("scripted failure")
+		case "panic":
+			panic("scripted panic")
+		}
 		return trace.New("fake", "fake"), nil
 	}
 }
 
 func (g *gateRunner) release(id int) { close(g.gate(id)) }
+
+// end releases a job to the outcome given: "finish", "fail" or "panic".
+func (g *gateRunner) end(id int, outcome string) {
+	g.mu.Lock()
+	if g.outcomes == nil {
+		g.outcomes = map[int]string{}
+	}
+	g.outcomes[id] = outcome
+	g.mu.Unlock()
+	g.release(id)
+}
 
 func (g *gateRunner) started() []int {
 	g.mu.Lock()

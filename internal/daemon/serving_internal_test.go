@@ -3,8 +3,8 @@ package daemon
 // In-package tests of what a served job costs to run and to keep: slot
 // reuse, the retained-id index behind ListJobs, and the race-freedom of
 // the read RPCs against a stream of jobs finishing, being stripped and
-// being evicted. They reach unexported state (d.slots, d.order,
-// d.payloadMax) the way the scheduler tests swap runFn.
+// being evicted. They reach unexported state (d.slots, d.jobs,
+// d.retired, d.payloadMax) the way the scheduler tests swap runFn.
 
 import (
 	"context"
@@ -118,7 +118,7 @@ func TestReportReplyMatchesWriterForms(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.mu.Lock()
-		tr := d.jobs[id].tr
+		tr := d.jobLocked(id).tr
 		d.mu.Unlock()
 		workers := len(d.cfg.Platform.Workers)
 		var csv, gantt strings.Builder
@@ -296,8 +296,8 @@ func TestListJobsCostFollowsRetention(t *testing.T) {
 			t.Fatalf("entry %d: id %d state %s code %q, want rejected job %d", i, j.ID, j.State, j.Code, want)
 		}
 	}
-	if len(old.order) != retain || len(old.jobs) != retain || old.nextID != burned {
-		t.Fatalf("index holds %d jobs, map %d, after %d ids", len(old.order), len(old.jobs), old.nextID)
+	if len(old.jobs) != retain || len(old.retired) != retain || old.nextID != burned {
+		t.Fatalf("index holds %d jobs, %d retired, after %d ids", len(old.jobs), len(old.retired), old.nextID)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		var r ListJobsReply
@@ -372,10 +372,10 @@ func TestReadRPCsRaceWithRetirement(t *testing.T) {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.jobs) != 3 || len(d.order) != 3 {
-		t.Errorf("%d jobs retained (%d indexed), want 3", len(d.jobs), len(d.order))
+	if len(d.jobs) != 3 || len(d.retired) != 3 {
+		t.Errorf("%d jobs retained (%d retired), want 3", len(d.jobs), len(d.retired))
 	}
-	if len(d.payloads) != 1 || d.payloads[0].ID != d.terminal[len(d.terminal)-1] {
-		t.Errorf("%d payloads retained under a 1-byte budget, want only the last job to finish", len(d.payloads))
+	if d.stripped != len(d.retired)-1 || d.retired[d.stripped].events == nil {
+		t.Errorf("payloads retained from cursor %d of %d retired under a 1-byte budget, want only the last job to finish", d.stripped, len(d.retired))
 	}
 }

@@ -42,13 +42,13 @@ func (d *Daemon) Events(args EventsArgs, reply *EventsReply) error {
 	// own lock and is read outside, where a long tail cannot stall the
 	// scheduler.
 	d.mu.Lock()
-	job, ok := d.jobs[args.JobID]
+	job := d.jobLocked(args.JobID)
 	var ring *obs.Ring
-	if ok {
+	if job != nil {
 		ring = job.events
 	}
 	d.mu.Unlock()
-	if !ok {
+	if job == nil {
 		return fmt.Errorf("daemon: no job %d: %w", args.JobID, ErrJobNotFound)
 	}
 	// Two kinds of job have no ring and answer an empty tail: fast-
@@ -108,7 +108,7 @@ func (d *Daemon) TelemetryHandler() http.Handler {
 			Mode:          string(d.cfg.Mode),
 			UptimeSeconds: time.Since(d.started).Seconds(),
 			JobsRunning:   len(d.running),
-			JobsQueued:    d.queued,
+			JobsQueued:    len(d.queue),
 			JobsTotal:     len(d.jobs),
 		}
 		d.mu.Unlock()

@@ -24,9 +24,9 @@ func (d *Daemon) Trace(args TraceArgs, reply *TraceReply) error {
 		return fmt.Errorf("daemon: no trace for job %d: %w", args.JobID, ErrTracingOff)
 	}
 	d.mu.Lock()
-	job, ok := d.jobs[args.JobID]
+	job := d.jobLocked(args.JobID)
 	d.mu.Unlock()
-	if !ok {
+	if job == nil {
 		return fmt.Errorf("daemon: no job %d: %w", args.JobID, ErrJobNotFound)
 	}
 	reply.TraceID = job.TraceID

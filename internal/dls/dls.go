@@ -180,7 +180,10 @@ type SwitchDecision struct {
 // events; algorithms that never accumulate entries cost nothing.
 type SwitchObservable interface {
 	// DrainSwitchDecisions returns the evaluations recorded since the
-	// last drain and clears the log. It returns nil when empty.
+	// last drain and clears the log. It returns nil when empty. The
+	// returned slice shares the log's storage: it is valid until the
+	// algorithm's next call, so a caller uses it (the engine emits each
+	// entry at once) or copies it before calling the algorithm again.
 	DrainSwitchDecisions() []SwitchDecision
 }
 

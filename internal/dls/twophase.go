@@ -150,7 +150,7 @@ func (c *twoPhase) DrainSwitchDecisions() []SwitchDecision {
 		return nil
 	}
 	out := c.decisions
-	c.decisions = nil
+	c.decisions = c.decisions[:0]
 	return out
 }
 

@@ -35,9 +35,6 @@ type Error struct {
 // rides any %w / %v formatting and any transport that keeps the string.
 func (e *Error) Error() string { return e.msg + " [code=" + e.code + "]" }
 
-// Code returns the sentinel's stable code.
-func (e *Error) Code() string { return e.code }
-
 var (
 	mu       sync.Mutex
 	registry = map[string]*Error{}

@@ -341,21 +341,6 @@ func (r *Result) Cell(alg string, gamma float64) (Cell, bool) {
 	return Cell{}, false
 }
 
-// Best returns the fastest algorithm name at γ.
-func (r *Result) Best(gamma float64) string {
-	cells := r.CellsAt(gamma)
-	if len(cells) == 0 {
-		return ""
-	}
-	best := cells[0]
-	for _, c := range cells[1:] {
-		if c.Summary.Mean < best.Summary.Mean {
-			best = c
-		}
-	}
-	return best.Algorithm
-}
-
 // Bars renders the result as horizontal bar charts, one per γ — the
 // visual form of the paper's Figures 2–4.
 func (r *Result) Bars(width int) string {

@@ -89,8 +89,8 @@ func All() []*Spec {
 	return []*Spec{Figure2(), Figure3(), Figure4(), CaseStudy()}
 }
 
-// DiscussionAverages reproduces §4.3's cross-experiment summary: the
-// average slowdown of SIMPLE-1, SIMPLE-5 (all cells) and UMR (under
+// DiscussionSummary is §4.3's cross-experiment summary: the average
+// slowdown of SIMPLE-1, SIMPLE-5 (all cells) and UMR (under
 // uncertainty) versus the best algorithm, across Figures 2–4.
 type DiscussionSummary struct {
 	AvgSimple1Pct float64 // paper: ~28%

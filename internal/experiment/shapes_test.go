@@ -275,3 +275,18 @@ func TestPlatformRatiosInSpecs(t *testing.T) {
 func modelRatio(app *model.Application, p *model.Platform) float64 {
 	return model.PlatformRatio(app, p)
 }
+
+// Best returns the fastest algorithm name at γ.
+func (r *Result) Best(gamma float64) string {
+	cells := r.CellsAt(gamma)
+	if len(cells) == 0 {
+		return ""
+	}
+	best := cells[0]
+	for _, c := range cells[1:] {
+		if c.Summary.Mean < best.Summary.Mean {
+			best = c
+		}
+	}
+	return best.Algorithm
+}

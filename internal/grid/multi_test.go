@@ -385,17 +385,19 @@ func goldenWorldHash(t *testing.T, blk *multiBlock, policy string, jobs int, out
 // drive loop (engine.ExecuteShared) and drained. The world's heap,
 // queues, op table, stations and share rows live in a pooled block, the
 // engine's completion cells and the arena-less executions' workspaces
-// are pooled too, so issuing an operation allocates nothing. What is
-// left, 79 allocations, is: RUMR's planning and phase switch (about 35:
-// its round plans, γ estimates and switch-log text); this test's
-// fixture (about 25: the DAS-2×8 platform, the applications, the policy
-// and its scratch, the view and request slices); the engine (8: its
-// result slices and each job's right-sized trace copy); and the world
-// (9: itself, its barrier latch, each view with its Entered channel,
-// and the finish times it keeps after the drain). A world that grows
-// its block from zero takes 155; driving this one by JobView.Run's
-// barrier instead, one goroutine per job (executeBarrier), takes 82.
-const multiWorldAllocBudget = 82
+// are pooled too, so issuing an operation allocates nothing, and RUMR's
+// switch log keeps its storage from drain to drain. What is left, 71
+// allocations, is: RUMR's planning and phase switch (about 27: its
+// round plans, γ estimates and switch-log text); this test's fixture
+// (about 25: the DAS-2×8 platform, the applications, the policy and
+// its scratch, the view and request slices); the engine (8: its result
+// slices and each job's right-sized trace copy); and the world (9:
+// itself, its barrier latch, each view with its Entered channel, and
+// the finish times it keeps after the drain). A world that grew its
+// block from zero took 155, with a switch log that regrew after every
+// drain; driving this one by JobView.Run's barrier instead, one
+// goroutine per job (executeBarrier), takes 74.
+const multiWorldAllocBudget = 74
 
 // TestMultiWorldAllocationRegression pins the closure-free dispatch of
 // the shared world: a per-operation closure or a per-station pointer

@@ -225,13 +225,6 @@ func (b *Buffer) Events() []Event {
 	return append([]Event(nil), b.evs...)
 }
 
-// Len returns the number of buffered events.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.evs)
-}
-
 // Ring keeps the most recent events in a fixed-capacity circular buffer
 // — the daemon's per-job tail store: bounded memory however long the
 // job, with cursor-based reads for pollers.
@@ -426,30 +419,15 @@ func (p *PagePool) put(pg *page) {
 	p.mu.Unlock()
 }
 
-// jsonlBatch is the JSONL pending-buffer capacity: emits cost one event
-// copy until the batch fills, and encoding (reflection, buffer writes)
-// happens once per batch instead of once per event.
-const jsonlBatch = 64
-
-// jsonlPool recycles pending-event batches across JSONL sinks — the
-// parallel experiment runner creates one short-lived sink per dumped
-// run, and pooling keeps that churn out of the allocator.
-var jsonlPool = sync.Pool{New: func() any {
-	b := make([]Event, 0, jsonlBatch)
-	return &b
-}}
-
-// JSONL streams events as JSON Lines to a writer. Emits are batched:
-// events accumulate in a pooled scratch buffer and are encoded when the
-// batch fills or Flush is called, so the per-emit cost is one copy.
-// Call Flush before reading the destination. The first write error
-// sticks and suppresses further output.
+// JSONL streams events as JSON Lines to a writer: each emit encodes its
+// event into a buffer over the writer, and Flush drains the buffer — call
+// it before reading the destination, or after each event to stream them.
+// The first write error sticks and suppresses further output.
 type JSONL struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	enc     *json.Encoder
-	pending *[]Event
-	err     error
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	enc *json.Encoder
+	err error
 }
 
 // NewJSONL returns a JSONL sink over w.
@@ -462,43 +440,18 @@ func NewJSONL(w io.Writer) *JSONL {
 func (s *JSONL) EmitPtr(ev *Event) {
 	s.mu.Lock()
 	if s.err == nil {
-		if s.pending == nil {
-			s.pending = jsonlPool.Get().(*[]Event)
-		}
-		*s.pending = append(*s.pending, *ev)
-		if len(*s.pending) == cap(*s.pending) {
-			s.encodePending()
-		}
+		s.err = s.enc.Encode(ev)
 	}
 	s.mu.Unlock()
 }
 
-// encodePending encodes and clears the batch. Caller holds the mutex.
-func (s *JSONL) encodePending() {
-	for i := range *s.pending {
-		if s.err != nil {
-			break
-		}
-		s.err = s.enc.Encode((*s.pending)[i])
-	}
-	*s.pending = (*s.pending)[:0]
-}
-
-// Flush encodes any pending events, drains the buffer, and returns the
-// first error seen. The scratch batch goes back to the pool, so a sink
-// flushed after its run holds no event memory.
+// Flush drains the buffer and returns the first error seen.
 func (s *JSONL) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pending != nil {
-		s.encodePending()
-		jsonlPool.Put(s.pending)
-		s.pending = nil
+	if s.err == nil {
+		s.err = s.bw.Flush()
 	}
-	if s.err != nil {
-		return s.err
-	}
-	s.err = s.bw.Flush()
 	return s.err
 }
 

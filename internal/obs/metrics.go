@@ -222,18 +222,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.counts {
-		n += atomic.LoadInt64(&h.counts[i])
-	}
-	return n
-}
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 {
 	if h == nil {

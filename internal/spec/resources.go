@@ -165,14 +165,3 @@ func (r *Resources) Platform(name string) (*model.Platform, error) {
 	}
 	return p, nil
 }
-
-// EncodeResources writes the description as indented XML.
-func (r *Resources) Encode(w io.Writer) error {
-	enc := xml.NewEncoder(w)
-	enc.Indent("", " ")
-	if err := enc.Encode(r); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
-}

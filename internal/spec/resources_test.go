@@ -82,7 +82,7 @@ func TestResourcesEncodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.Encode(&buf); err != nil {
+	if err := encodeXML(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	again, err := ParseResources(&buf)

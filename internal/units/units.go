@@ -13,7 +13,6 @@ package units
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Load is an amount of divisible load in application-defined load units.
@@ -41,20 +40,6 @@ const (
 	MB Bytes = 1e6
 	GB Bytes = 1e9
 )
-
-// Duration converts simulated seconds to a time.Duration, saturating at
-// the int64 bounds. Useful when the live backend must sleep for a model
-// delay.
-func (s Seconds) Duration() time.Duration {
-	d := float64(s) * float64(time.Second)
-	switch {
-	case d > math.MaxInt64:
-		return time.Duration(math.MaxInt64)
-	case d < math.MinInt64:
-		return time.Duration(math.MinInt64)
-	}
-	return time.Duration(d)
-}
 
 // String renders a duration in a human-scaled form (µs .. h).
 func (s Seconds) String() string {

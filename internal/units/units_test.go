@@ -1,37 +1,6 @@
 package units
 
-import (
-	"math"
-	"testing"
-	"time"
-)
-
-func TestSecondsDuration(t *testing.T) {
-	cases := []struct {
-		in   Seconds
-		want time.Duration
-	}{
-		{0, 0},
-		{1, time.Second},
-		{0.5, 500 * time.Millisecond},
-		{-2, -2 * time.Second},
-		{1e-6, time.Microsecond},
-	}
-	for _, c := range cases {
-		if got := c.in.Duration(); got != c.want {
-			t.Errorf("Seconds(%v).Duration() = %v, want %v", float64(c.in), got, c.want)
-		}
-	}
-}
-
-func TestSecondsDurationSaturates(t *testing.T) {
-	if got := Seconds(1e300).Duration(); got != time.Duration(math.MaxInt64) {
-		t.Errorf("huge duration did not saturate high: %v", got)
-	}
-	if got := Seconds(-1e300).Duration(); got != time.Duration(math.MinInt64) {
-		t.Errorf("huge negative duration did not saturate low: %v", got)
-	}
-}
+import "testing"
 
 func TestSecondsString(t *testing.T) {
 	cases := []struct {

@@ -110,24 +110,6 @@ func Table1() []Table1App {
 	}
 }
 
-// Application converts a Table 1 profile into a schedulable application
-// with the given uncertainty (one load unit = 1 MB of input).
-func (t Table1App) Application() *model.Application {
-	gamma := t.GammaPct / 100
-	if gamma < 0 {
-		gamma = 0
-	}
-	return &model.Application{
-		Name:         t.Name,
-		TotalLoad:    units.Load(t.InputMB),
-		BytesPerUnit: units.MB,
-		UnitCost:     units.Seconds(t.RunTimeSec / t.InputMB),
-		Gamma:        gamma,
-		Uncertainty:  model.PerChunk,
-		MinChunk:     1,
-	}
-}
-
 // Table1ReferenceRate is the effective transfer rate the paper computes r
 // against ("assuming a 100Mb/sec network", evaluated at 10 MB/s — the
 // reported r values only reproduce at that effective rate).

@@ -11,8 +11,6 @@ import (
 type UnitCostSampler interface {
 	// Sample returns one unit's compute time in seconds.
 	Sample(src *rng.Source) float64
-	// MeanCost returns the distribution's mean unit cost.
-	MeanCost() float64
 }
 
 // NormalSampler draws from a truncated Normal — the model the paper uses
@@ -39,9 +37,6 @@ func (n NormalSampler) Sample(src *rng.Source) float64 {
 	}
 	return x
 }
-
-// MeanCost implements UnitCostSampler.
-func (n NormalSampler) MeanCost() float64 { return n.Mean }
 
 // MixtureSampler models rare extreme units: with probability OutlierProb
 // a unit costs OutlierFactor times the mean; all others follow a tight
@@ -71,6 +66,3 @@ func (m MixtureSampler) Sample(src *rng.Source) float64 {
 func (m MixtureSampler) baseMean() float64 {
 	return m.Mean * (1 - m.OutlierProb*m.OutlierFactor) / (1 - m.OutlierProb)
 }
-
-// MeanCost implements UnitCostSampler.
-func (m MixtureSampler) MeanCost() float64 { return m.Mean }
