@@ -12,6 +12,7 @@ FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                divide:FuzzScanSeparators sim:FuzzHeapInvariant \
                sim:FuzzTimersMatchReference grid:FuzzMultiWorldConserves \
                grid:FuzzLinkFlowsMatchReference \
+               grid:FuzzSharedFaultPlanMatchesFresh \
                engine:FuzzClosureBackendCompletions \
                transport:FuzzServerFrames transport:FuzzClientFrames \
                daemon:FuzzDecodeWire live:FuzzWorkerService \

@@ -35,10 +35,12 @@ const warmRunAllocs = 8
 // UMR: two crashes cutting transfers, computations and link flows, the
 // blacklist, peer redistribution over the link graph, and UMR's loss
 // handling. Measured at 5 allocs (37 before the fault path stopped
-// allocating): the canonical run's 4 and UMR's loss scratch. Every op a
-// crash cuts shares its worker's error, and the blacklist causes, peer
-// routes and fault state are reused from the previous run, so one
-// allocation per cut op, failed chunk or peer transfer exceeds it.
+// allocating): the canonical run's 4 and UMR's loss scratch. The fault
+// plan is compiled once, on its first run, crash errors included, and
+// every later run of it shares that state; every op a crash cuts shares
+// its worker's error, and the blacklist causes and peer routes live in
+// the backend and arena, so one allocation per cut op, failed chunk or
+// peer transfer exceeds it.
 const warmTreeRunAllocs = 5
 
 // warmRetryRunAllocs bounds a warm repeat of the canonical run with the
@@ -50,14 +52,22 @@ const warmTreeRunAllocs = 5
 // reused, so arming a deadline allocates nothing.
 const warmRetryRunAllocs = 4
 
+// freshPlanTreeRunAllocs bounds a warm tree run on a crash plan no run
+// has used yet (see TestFreshFaultPlansCostTheirCompile). Measured at
+// 10.5; it was 11.3 while each run compiled its plan into the backend's
+// buffers and built one error per crashed worker its ops hit, which is
+// the bound: a plan that runs once must cost no more than it did then.
+const freshPlanTreeRunAllocs = 11.3
+
 // paperRunAllocs bounds what one run of the paper's experiments
 // allocates when experiment.Spec.Run replays them at width 1, warm — the
 // sim_paper workload's allocs_per_op: the run's algorithm and
-// application values, its plan, MeasureGamma's buckets, and each
-// Spec.Run's share of its pool slot and cells. Measured at 17.25 (18.64
-// while RUMR's switch log regrew after every drain); a trace.Report
-// built per run to keep two of its numbers would add two.
-const paperRunAllocs = 20
+// application values, its plan, and each Spec.Run's share of its pool
+// slot and cells. Measured at 14.87 (17.25 while SIMPLE formatted its
+// name on every run and MeasureGamma's buckets and costs were on the
+// heap, 18.64 while RUMR's switch log regrew after every drain); a
+// trace.Report built per run to keep two of its numbers would add two.
+const paperRunAllocs = 17
 
 // treeRun is the tree condition of algorithms_golden.sha256: Mixed(4, 4)
 // behind a two-level link graph, worker 1 crashing at 1 500 s and worker
@@ -99,6 +109,11 @@ func canonicalRuns(t testing.TB, n, width int, alg string, seed func(run int) ui
 // runs executes n runs of alg configured by setup on a pool `width`
 // wide through experiment.RunAll and returns the makespans in run order.
 func runs(t testing.TB, n, width int, alg string, seed func(run int) uint64, setup func(*experiment.Run)) []float64 {
+	return runsBy(t, n, width, alg, seed, func(_ int, r *experiment.Run) { setup(r) })
+}
+
+// runsBy is runs with a setup that sees the run's index.
+func runsBy(t testing.TB, n, width int, alg string, seed func(run int) uint64, setup func(run int, r *experiment.Run)) []float64 {
 	t.Helper()
 	spans := make([]float64, n)
 	err := experiment.RunAll(n, width, func(run int, r *experiment.Run) {
@@ -107,7 +122,7 @@ func runs(t testing.TB, n, width int, alg string, seed func(run int) uint64, set
 			t.Error(err)
 		}
 		*r = experiment.Run{Algorithm: a, Grid: grid.Config{Seed: seed(run)}}
-		setup(r)
+		setup(run, r)
 	}, func(run int, _ *experiment.Run, tr *trace.Trace, err error) error {
 		if err == nil {
 			spans[run] = tr.Makespan()
@@ -134,9 +149,10 @@ func warmAllocs(t *testing.T, repeats int, alg string, seed func(int) uint64, se
 }
 
 // TestResetRunAllocationRegression asserts that a warm run stays under
-// the absolute bound, and that neither periodic recalibration nor the
-// retry layer's stage deadlines add anything to it: recalibration's
-// measurements are arena chunks like the probing round's.
+// the absolute bound, and that neither periodic recalibration, the
+// retry layer's stage deadlines nor oracle estimates add anything to it:
+// recalibration's measurements are arena chunks like the probing
+// round's, and the oracle's estimates go into the arena's buffer.
 func TestResetRunAllocationRegression(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; counts only hold in normal builds")
@@ -148,6 +164,9 @@ func TestResetRunAllocationRegression(t *testing.T) {
 	if recal := warmAllocs(t, 10, "umr", seed42, canonicalRun(engine.Config{RecalibrateInterval: 500})); recal > warm {
 		t.Errorf("recalibrating every 500 s added %.0f allocs to a warm run (%.0f vs %.0f); want none",
 			recal-warm, recal, warm)
+	}
+	if oracle := warmAllocs(t, 10, "umr", seed42, canonicalRun(engine.Config{Oracle: true})); oracle > warm {
+		t.Errorf("oracle estimates added %.0f allocs to a warm run (%.0f vs %.0f); want none", oracle-warm, oracle, warm)
 	}
 	retry := warmAllocs(t, 10, "umr", seed42, canonicalRun(engine.Config{Retry: &engine.RetryPolicy{}}))
 	if retry > warmRetryRunAllocs || retry > warm {
@@ -204,6 +223,112 @@ func TestTreeFaultRunAllocationRegression(t *testing.T) {
 	}
 	if warm := warmAllocs(t, 10, "umr", seed42, tree); warm > warmTreeRunAllocs {
 		t.Errorf("warm repeat of the tree fault run allocated %.0f allocs/op; want <= %d", warm, warmTreeRunAllocs)
+	}
+}
+
+// TestCycledFaultPlansAllocateNothingMore asserts that the fault path
+// adds nothing to a warm run when every run brings its own crash plan,
+// as sim_fault_tree's runs do pass after pass: four tree runs whose
+// crash times differ, cycled, allocate what a warm repeat of one plan
+// does. Each plan is compiled on its first run, crash errors included,
+// so a warm run of any of them formats and builds nothing.
+func TestCycledFaultPlansAllocateNothingMore(t *testing.T) {
+	tree := treeRun()
+	plans := make([]*grid.FaultPlan, 4)
+	for k := range plans {
+		shift := 100 * float64(k)
+		plans[k] = &grid.FaultPlan{Faults: []grid.WorkerFault{
+			{Worker: 1, Kind: grid.FaultCrash, At: 1500 + shift},
+			{Worker: 6, Kind: grid.FaultCrash, At: 4000 - shift},
+		}}
+	}
+	cycled := func(events obs.Sink) func(run int, r *experiment.Run) {
+		return func(run int, r *experiment.Run) {
+			tree(r)
+			r.Grid.Faults = plans[run%len(plans)]
+			r.Engine.Events = events
+		}
+	}
+	events := obs.NewBuffer()
+	runsBy(t, len(plans), 1, "umr", seed42, cycled(events))
+	lost := 0
+	for _, ev := range events.Events() {
+		if ev.Type == obs.WorkerLost {
+			lost++
+		}
+	}
+	if lost != 2*len(plans) {
+		t.Fatalf("%d cycled tree runs lost %d workers; want two per run", len(plans), lost)
+	}
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; counts only hold in normal builds")
+	}
+	one := testing.AllocsPerRun(5, func() { runsBy(t, len(plans), 1, "umr", seed42, cycled(nil)) })
+	long := testing.AllocsPerRun(5, func() { runsBy(t, 3*len(plans), 1, "umr", seed42, cycled(nil)) })
+	warm := math.Round((long - one) / float64(2*len(plans)))
+	if same := warmAllocs(t, 10, "umr", seed42, tree); warm > same {
+		t.Errorf("a warm tree run cycling %d crash plans allocated %.0f allocs; want no more than the %.0f of a warm repeat of one plan",
+			len(plans), warm, same)
+	}
+}
+
+// TestFreshFaultPlansCostTheirCompile asserts what a plan that runs only
+// once costs, as each plan of the failure sweep does: warm tree runs
+// given fresh RandomCrashPlans allocate no more than warm reruns of the
+// same plans already compiled plus, per plan, its compiled state and
+// one error text per crash, and no more than freshPlanTreeRunAllocs.
+// The fresh plans are drawn before the measurement, so it counts the
+// fault path alone. The five plans crash 1 to 4 workers and every run
+// completes.
+func TestFreshFaultPlansCostTheirCompile(t *testing.T) {
+	tree := treeRun()
+	seeds := []uint64{7, 1, 11, 19, 6}
+	draw := func(run int) *grid.FaultPlan {
+		return grid.RandomCrashPlan(seeds[run%len(seeds)]*7919, 8, 0.3, 1000, 4000)
+	}
+	const n, calls = 10, 6 // warm runs per pass; calls of each measured pass
+	compiled := 0
+	for run := 1; run <= n; run++ {
+		compiled += 1 + len(draw(run).Faults)
+	}
+	pass := func(runs int, fresh bool) func() {
+		shared := make([]*grid.FaultPlan, len(seeds))
+		for k := range shared {
+			shared[k] = draw(k)
+		}
+		// pools[run] holds one fresh plan per call for run index run.
+		pools := make([][]*grid.FaultPlan, runs)
+		for run := range pools {
+			for c := 0; c < calls; c++ {
+				pools[run] = append(pools[run], draw(run))
+			}
+		}
+		return func() {
+			runsBy(t, runs, 1, "umr", seed42, func(run int, r *experiment.Run) {
+				tree(r)
+				r.Grid.Faults = shared[run%len(shared)]
+				if fresh {
+					r.Grid.Faults, pools[run] = pools[run][0], pools[run][1:]
+				}
+			})
+		}
+	}
+	if raceflag.Enabled {
+		pass(n, true)()
+		t.Skip("race instrumentation allocates; counts only hold in normal builds")
+	}
+	warm := func(fresh bool) float64 {
+		one := testing.AllocsPerRun(calls-1, pass(1, fresh))
+		long := testing.AllocsPerRun(calls-1, pass(1+n, fresh))
+		return math.Round(long - one)
+	}
+	fresh, rerun := warm(true), warm(false)
+	if fresh-rerun > float64(compiled) {
+		t.Errorf("%d warm tree runs on fresh crash plans allocated %.0f more than reruns of the compiled plans; want <= %d (one state per plan, one text per crash)",
+			n, fresh-rerun, compiled)
+	}
+	if per := fresh / n; per > freshPlanTreeRunAllocs {
+		t.Errorf("a warm tree run on a fresh crash plan allocated %.1f allocs; want <= %.1f", per, freshPlanTreeRunAllocs)
 	}
 }
 

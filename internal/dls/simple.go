@@ -1,6 +1,9 @@
 package dls
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Simple is the SIMPLE-n "static chunking" baseline (§3.6): the input is
 // divided uniformly among the workers — equal shares regardless of worker
@@ -23,8 +26,23 @@ type Simple struct {
 // NewSimple returns a SIMPLE-n policy. n must be at least 1.
 func NewSimple(n int) *Simple { return &Simple{N: n} }
 
+// simpleNames holds "simple-n" for every n up to 256, built once: the
+// engine names the algorithm on every run, and every run builds a fresh
+// Simple, so a name built per value would still be formatted per run.
+var simpleNames = func() (names [257]string) {
+	for n := range names {
+		names[n] = "simple-" + strconv.Itoa(n)
+	}
+	return names
+}()
+
 // Name implements Algorithm.
-func (s *Simple) Name() string { return fmt.Sprintf("simple-%d", s.N) }
+func (s *Simple) Name() string {
+	if s.N >= 0 && s.N < len(simpleNames) {
+		return simpleNames[s.N]
+	}
+	return fmt.Sprintf("simple-%d", s.N)
+}
 
 // UsesProbing implements Algorithm: static chunking needs no resource
 // information.

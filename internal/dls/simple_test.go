@@ -1,10 +1,22 @@
 package dls
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
+// TestSimpleName checks the name table and the formatted names past it,
+// across both of its ends, and that a name from the table costs no
+// allocation.
 func TestSimpleName(t *testing.T) {
-	if NewSimple(1).Name() != "simple-1" || NewSimple(5).Name() != "simple-5" {
-		t.Error("SIMPLE-n names wrong")
+	for _, n := range []int{-3, -1, 0, 1, 5, 50, 250, 255, 256, 257, 1000} {
+		if got, want := NewSimple(n).Name(), fmt.Sprintf("simple-%d", n); got != want {
+			t.Errorf("NewSimple(%d).Name() = %q, want %q", n, got, want)
+		}
+	}
+	s := NewSimple(250)
+	if allocs := testing.AllocsPerRun(10, func() { _ = s.Name() }); allocs != 0 {
+		t.Errorf("NewSimple(250).Name() allocated %v times; want 0", allocs)
 	}
 }
 

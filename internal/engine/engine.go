@@ -763,7 +763,8 @@ func (e *execution) start() {
 // oracle truth, or blind equal-speed stubs.
 func (e *execution) initialEstimates() []model.Estimate {
 	if e.cfg.Oracle && e.platform != nil {
-		return model.TrueEstimates(e.app, e.platform)
+		e.estBuf = model.TrueEstimates(e.estBuf, e.app, e.platform)
+		return e.estBuf
 	}
 	e.estBuf = resize(e.estBuf, e.backend.Workers())
 	ests := e.estBuf
@@ -797,21 +798,24 @@ func (e *execution) plan(ests []model.Estimate) {
 	e.planned = true
 	e.ests = ests
 	e.dests = ests
-	if e.retryOn && len(e.probes) == 0 && !e.cfg.Oracle && e.platform != nil {
+	fromModel := e.retryOn && len(e.probes) == 0 && !e.cfg.Oracle && e.platform != nil
+	if fromModel {
 		// Blind algorithms plan over stub estimates that carry no timing
 		// information; deriving their stage deadlines from those would
 		// make every healthy chunk look late. Deadlines are an engine
 		// safety net, not scheduling input, so take them from the
 		// declared platform model — the algorithm stays blind.
-		e.dests = model.TrueEstimates(e.app, e.platform)
+		e.destBuf = model.TrueEstimates(e.destBuf, e.app, e.platform)
+		e.dests = e.destBuf
 	}
 	if shares := e.cfg.WorkerShares; len(shares) == len(e.dests) {
 		// Co-scheduled jobs run each worker at a fraction of its speed
 		// and the master link at a fraction of its bandwidth. Deadlines
 		// derived from dedicated-rate estimates would misread that
 		// slowdown as failure, so scale the per-unit costs by 1/share.
-		// e.dests aliases the slice the algorithm plans over — copy
-		// before scaling so scheduling input stays share-blind.
+		// Unless they come from the model, e.dests alias the slice the
+		// algorithm plans over — copy before scaling so scheduling input
+		// stays share-blind; the model's are scaled in place.
 		scaled := false
 		for _, s := range shares {
 			if s > 0 && s < 1 {
@@ -820,16 +824,16 @@ func (e *execution) plan(ests []model.Estimate) {
 			}
 		}
 		if scaled {
-			e.destBuf = resize(e.destBuf, len(e.dests))
-			copy(e.destBuf, e.dests)
-			d := e.destBuf
-			for w := range d {
+			if !fromModel {
+				e.destBuf = append(e.destBuf[:0], e.dests...)
+				e.dests = e.destBuf
+			}
+			for w := range e.dests {
 				if s := shares[w]; s > 0 && s < 1 {
-					d[w].UnitComp /= s
-					d[w].UnitComm /= s
+					e.dests[w].UnitComp /= s
+					e.dests[w].UnitComm /= s
 				}
 			}
-			e.dests = d
 		}
 	}
 	minChunk := float64(e.app.MinChunk)

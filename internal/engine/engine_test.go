@@ -59,7 +59,7 @@ func TestProbingRecoversTrueCosts(t *testing.T) {
 	if _, err := runEngine(backend, cap, app, platform, engine.Config{ProbeLoad: 50}); err != nil {
 		t.Fatal(err)
 	}
-	truth := model.TrueEstimates(app, platform)
+	truth := model.TrueEstimates(nil, app, platform)
 	for i, got := range cap.got {
 		want := truth[i]
 		if math.Abs(got.UnitComp-want.UnitComp)/want.UnitComp > 0.01 {

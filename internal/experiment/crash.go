@@ -31,7 +31,8 @@ type crashGrid struct {
 	// describe fills in the platform, application, algorithm and retry
 	// policy of a run of the given group and variant; the protocol adds
 	// the seeds, the fault plan and the instrumentation. Baselines run
-	// variant 0.
+	// variant 0. The variants of a group run on platforms of one size,
+	// since they share the group's plans (see plans).
 	describe func(group, variant int, r *Run)
 }
 
@@ -84,15 +85,17 @@ func (f *faultCounter) EmitPtr(ev *obs.Event) {
 // pass executes runs-per-cell runs of every cell, with faults timed
 // against baseline (nil for the crash-free pass).
 func (g *crashGrid) pass(cells []crashCell, baseline []float64) ([]crashRun, error) {
+	plans, err := g.plans(cells, baseline)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]crashRun, len(cells)*g.runs)
-	err := RunAll(len(out), g.width, func(idx int, r *Run) {
+	err = RunAll(len(out), g.width, func(idx int, r *Run) {
 		c, run := cells[idx/g.runs], idx%g.runs
 		g.describe(c.group, c.variant, r)
 		r.Grid = grid.Config{Seed: g.seed + uint64(run)*1000003}
-		if baseline != nil {
-			faultSeed := g.seed + uint64(c.prob)*999983 + uint64(run)*7919
-			r.Grid.Faults = grid.RandomCrashPlan(faultSeed, len(r.Platform.Workers),
-				g.probs[c.prob], 0.15*baseline[c.group], 0.60*baseline[c.group])
+		if plans != nil {
+			r.Grid.Faults = plans[(c.group*len(g.probs)+c.prob)*g.runs+run]
 		}
 		r.Engine.ProbeLoad = sectionFourProbeLoad
 		r.Engine.Events = &out[idx].faultCounter
@@ -107,6 +110,41 @@ func (g *crashGrid) pass(cells []crashCell, baseline []float64) ([]crashRun, err
 		return nil
 	})
 	return out, err
+}
+
+// plans draws the crash plan of every (group, probability, run), timed
+// against baseline, in that order; nil for the crash-free pass. A
+// group's variants share each plan, which is compiled on its first run
+// (see grid.FaultPlan), so it is drawn for the size of the group's
+// platform, and a cell whose variant runs on another size is an error.
+func (g *crashGrid) plans(cells []crashCell, baseline []float64) ([]*grid.FaultPlan, error) {
+	if baseline == nil {
+		return nil, nil
+	}
+	workers := make([]int, len(g.groups))
+	for gi := range g.groups {
+		var r Run
+		g.describe(gi, 0, &r)
+		workers[gi] = len(r.Platform.Workers)
+	}
+	for _, c := range cells {
+		var r Run
+		if g.describe(c.group, c.variant, &r); len(r.Platform.Workers) != workers[c.group] {
+			return nil, fmt.Errorf("%s: variant %d of %s runs on %d workers, variant 0 on %d; a group's variants must share a platform size",
+				g.what, c.variant, g.groups[c.group], len(r.Platform.Workers), workers[c.group])
+		}
+	}
+	plans := make([]*grid.FaultPlan, 0, len(g.groups)*len(g.probs)*g.runs)
+	for gi := range g.groups {
+		for pi, prob := range g.probs {
+			for run := 0; run < g.runs; run++ {
+				faultSeed := g.seed + uint64(pi)*999983 + uint64(run)*7919
+				plans = append(plans, grid.RandomCrashPlan(faultSeed, workers[gi],
+					prob, 0.15*baseline[gi], 0.60*baseline[gi]))
+			}
+		}
+	}
+	return plans, nil
 }
 
 // run executes both passes and returns each group's baseline and each

@@ -263,6 +263,10 @@ func (s *Spec) writeEvents(gamma float64, alg string, run int, events []obs.Even
 	return f.Close()
 }
 
+// gammaCosts is how many measured records MeasureGamma holds on the
+// stack; a paper run dispatches a few dozen chunks.
+const gammaCosts = 512
+
 // MeasureGamma estimates the paper's γ from one run's trace: the CV of
 // per-unit compute times, normalized per worker (so heterogeneity does
 // not masquerade as uncertainty). This is the quantity the case study
@@ -272,12 +276,20 @@ func (s *Spec) writeEvents(gamma float64, alg string, run int, events []obs.Even
 // counts; the counts carve one array into per-worker buckets, the
 // second pass fills them, and normalization compacts the array in
 // place (a ratio is written at or before the cost it was read from).
+// On up to 64 workers and gammaCosts measured records, the buckets and
+// the array live on the stack, as uplinkAndIdle's sums do.
 func MeasureGamma(tr *trace.Trace, p *model.Platform) float64 {
 	type bucket struct {
 		stats.RunningStats
 		end int // one past this worker's last filled cost
 	}
-	perWorker := make([]bucket, len(p.Workers))
+	var bucketBuf [64]bucket
+	var perWorker []bucket
+	if n := len(p.Workers); n <= len(bucketBuf) {
+		perWorker = bucketBuf[:n]
+	} else {
+		perWorker = make([]bucket, n)
+	}
 	recs := tr.Records()
 	unitCost := func(r *trace.Record) (float64, bool) {
 		if r.Probe || r.Size <= 0 || r.Worker < 0 || r.Worker >= len(perWorker) {
@@ -295,7 +307,13 @@ func MeasureGamma(tr *trace.Trace, p *model.Platform) float64 {
 		perWorker[w].end = total // the bucket's start until it is filled
 		total += perWorker[w].N()
 	}
-	costs := make([]float64, total)
+	var costBuf [gammaCosts]float64
+	var costs []float64
+	if total <= len(costBuf) {
+		costs = costBuf[:total]
+	} else {
+		costs = make([]float64, total)
+	}
 	for i := range recs {
 		if v, ok := unitCost(&recs[i]); ok {
 			b := &perWorker[recs[i].Worker]

@@ -68,7 +68,9 @@ func sameGamma(t *testing.T, what string, tr *trace.Trace, p *model.Platform) {
 // bit for bit: on every (γ, algorithm, run) cell of the paper's four
 // experiments, which is what Spec.Run measures, and on seeded traces
 // with what no run produces — workers outside the platform or with a
-// single chunk, zero, negative, NaN and infinite sizes and durations.
+// single chunk, zero, negative, NaN and infinite sizes and durations —
+// and on either side of MeasureGamma's stack storage: 63 to 65 and 100
+// workers, 511 to 513 and 1 000 measured records.
 func TestMeasureGammaMatchesReference(t *testing.T) {
 	cells := 0
 	for _, s := range All() {
@@ -116,5 +118,29 @@ func TestMeasureGammaMatchesReference(t *testing.T) {
 			})
 		}
 		sameGamma(t, "random", tr, p)
+	}
+
+	// Exactly `measured` records count (positive size, not a probe, a
+	// worker of the platform), among probes and strays that do not.
+	for _, workers := range []int{63, 64, 65, 100} {
+		p := workload.DAS2(workers)
+		for _, measured := range []int{511, gammaCosts, 513, 1000} {
+			tr := trace.New("limits", p.Name)
+			for n := 0; n < measured; {
+				start := float64(rnd.Intn(4000)) / 8
+				r := trace.Record{Worker: rnd.Intn(workers), Size: float64(1+rnd.Intn(400)) / 8,
+					CompStart: start, CompEnd: start + float64(1+rnd.Intn(400))/8}
+				switch rnd.Intn(10) {
+				case 0:
+					r.Probe = true
+				case 1:
+					r.Worker = workers + rnd.Intn(3)
+				default:
+					n++
+				}
+				tr.Add(r)
+			}
+			sameGamma(t, "limits", tr, p)
+		}
 	}
 }

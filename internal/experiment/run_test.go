@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"apstdv/internal/dls"
@@ -110,5 +111,93 @@ func TestRunAllRoutesErrors(t *testing.T) {
 	}, func(int, *Run, *trace.Trace, error) error { return stop })
 	if !errors.Is(err, stop) {
 		t.Errorf("collect's error: got %v, want it returned", err)
+	}
+}
+
+// TestSharedFaultPlanMatchesFreshCopies shares one fault plan across
+// every run of a RunAll pass four wide — its first use compiles it on
+// whichever goroutine gets there first — and then across a pass one
+// wide, and checks every run's makespan and error text against runs
+// that each bring a fresh copy of the plan. Runs with retry complete
+// around the crashes; runs without it fail with the crash error. Under
+// -race this is the check that the compiled plan is read-only.
+func TestSharedFaultPlanMatchesFreshCopies(t *testing.T) {
+	platform := workload.WithTreeTopology(workload.Mixed(4, 4))
+	app := workload.Synthetic(0.10)
+	faults := []grid.WorkerFault{
+		{Worker: 1, Kind: grid.FaultCrash, At: 1500},
+		{Worker: 6, Kind: grid.FaultCrash, At: 4000},
+		{Worker: 3, Kind: grid.FaultStall, At: 800, Duration: 300},
+		{Worker: 4, Kind: grid.FaultSlowdown, At: 200, Duration: 2000, Factor: 3},
+	}
+	algs := []string{"umr", "rumr", "wf", "simple-5"}
+	type outcome struct {
+		makespan float64
+		err      string
+	}
+	const n = 16
+	pass := func(width int, plan func() *grid.FaultPlan) []outcome {
+		t.Helper()
+		out := make([]outcome, n)
+		err := RunAll(n, width, func(i int, r *Run) {
+			a, err := dls.New(algs[i%len(algs)])
+			if err != nil {
+				t.Error(err)
+			}
+			*r = Run{Platform: platform, App: app, Algorithm: a,
+				Grid:   grid.Config{Seed: uint64(1 + i/2), Faults: plan()},
+				Engine: engine.Config{ProbeLoad: 200}}
+			if i%2 == 0 {
+				r.Engine.Retry = &engine.RetryPolicy{Redistribute: true}
+			}
+		}, func(i int, _ *Run, tr *trace.Trace, err error) error {
+			if err != nil {
+				out[i].err = err.Error()
+			} else {
+				out[i].makespan = tr.Makespan()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	fresh := pass(1, func() *grid.FaultPlan {
+		return &grid.FaultPlan{Faults: append([]grid.WorkerFault(nil), faults...)}
+	})
+	for i, o := range fresh {
+		if retried := i%2 == 0; retried != (o.err == "") || !retried && !strings.Contains(o.err, "grid: worker down: worker ") {
+			t.Fatalf("run %d (retry %v): makespan %v, error %q; want retried runs to complete and the rest to fail on a crash",
+				i, retried, o.makespan, o.err)
+		}
+	}
+	shared := &grid.FaultPlan{Faults: faults}
+	for _, width := range []int{4, 1} {
+		for i, o := range pass(width, func() *grid.FaultPlan { return shared }) {
+			if o != fresh[i] {
+				t.Errorf("width %d, run %d: shared plan gave %+v, a fresh copy %+v", width, i, o, fresh[i])
+			}
+		}
+	}
+}
+
+// A crash grid shares each (group, probability, run) plan across the
+// group's variants, so a variant on a platform of another size is
+// refused before any run rather than counted as failed runs.
+func TestCrashGridRefusesVariantsOfAnotherSize(t *testing.T) {
+	g := &crashGrid{
+		what: "test sweep", groups: []string{"g"}, probs: []float64{0.5}, runs: 1, seed: 1, width: 1,
+		cells: []crashCell{{variant: 0}, {variant: 1}},
+		describe: func(_, variant int, r *Run) {
+			r.Platform = workload.Meteor(4 + variant)
+			r.App = workload.Synthetic(0.1)
+			r.Algorithm = dls.NewUMR()
+			r.Engine.Retry = &engine.RetryPolicy{}
+		},
+	}
+	_, _, err := g.run()
+	if err == nil || !strings.Contains(err.Error(), "variant 1 of g runs on 5 workers, variant 0 on 4") {
+		t.Fatalf("variants on 4 and 5 workers: error %v, want the size mismatch named", err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 
 	"apstdv/internal/errcode"
 	"apstdv/internal/rng"
@@ -71,8 +72,22 @@ type WorkerFault struct {
 }
 
 // FaultPlan is the full injection schedule for one run.
+//
+// A plan is compiled once, on its first run, into the per-worker state
+// the backend reads: the crash instant, the sorted stall and slowdown
+// windows, and the crash error with its text. That state is cached on
+// the plan and shared read-only by every backend that runs it on a
+// platform of that first run's size, on any goroutine, so a plan must
+// not be modified after a run has used it: later runs would keep the
+// schedule compiled first. Build a new plan instead.
 type FaultPlan struct {
 	Faults []WorkerFault
+
+	// The plan compiled for the platform size of its first run (see
+	// compile).
+	once     sync.Once
+	workers  int
+	compiled []faultState
 }
 
 // RandomCrashPlan draws an independent crash for each worker with the
@@ -110,23 +125,20 @@ type faultWindow struct {
 	start, end, rate float64
 }
 
-// faultState is one worker's compiled fault schedule.
+// faultState is one worker's compiled fault schedule. It is built once
+// per plan and read-only after (see FaultPlan.compile).
 type faultState struct {
 	crashAt float64 // +Inf when the worker never crashes
 	windows []faultWindow
-	// err is the error every op the crash cuts fails with, built on the
-	// first cut (see Backend.crashErr) and kept while crashAt stays the
-	// same, so cutting an op formats nothing.
-	err *crashError
+	// err is the error every op the crash cuts fails with; its text is
+	// empty when the worker never crashes.
+	err crashError
 }
 
 // validate refuses a plan that compileFaults could only drop from in
 // silence: a fault on a worker outside the platform, or one with a NaN
 // field. All errors wrap ErrInvalidFaultPlan.
 func (p *FaultPlan) validate(workers int) error {
-	if p == nil {
-		return nil
-	}
 	for i, f := range p.Faults {
 		if f.Worker < 0 || f.Worker >= workers {
 			return fmt.Errorf("%w: fault %d (%s) names worker %d of a %d-worker platform",
@@ -140,24 +152,39 @@ func (p *FaultPlan) validate(workers int) error {
 	return nil
 }
 
-// compileFaults turns a validated plan into per-worker state, reusing
-// buf's storage (window lists and built crash errors included). Returns
-// nil for a nil/empty plan so the hot paths can gate on one pointer
-// check.
-func compileFaults(buf []faultState, plan *FaultPlan, workers int) []faultState {
-	if plan == nil || len(plan.Faults) == 0 {
+// compile returns the plan's per-worker state on a platform of the
+// given size: nil for a nil or empty plan, so the hot paths can gate on
+// one nil check. The plan is compiled on its first valid use and the
+// state cached on it; every backend that runs the plan on that size,
+// on any goroutine, then shares it read-only. A run on another size
+// compiles the plan afresh.
+func (p *FaultPlan) compile(workers int) ([]faultState, error) {
+	if p == nil {
+		return nil, nil
+	}
+	if err := p.validate(workers); err != nil {
+		return nil, err
+	}
+	p.once.Do(func() { p.workers, p.compiled = workers, compileFaults(p.Faults, workers) })
+	if p.workers != workers {
+		return compileFaults(p.Faults, workers), nil
+	}
+	return p.compiled, nil
+}
+
+// compileFaults turns validated faults into per-worker state, each
+// crashed worker's error built with its final text. It allocates the
+// state and one string per crashed worker (plus the window lists of
+// stalls and slowdowns).
+func compileFaults(faults []WorkerFault, workers int) []faultState {
+	if len(faults) == 0 {
 		return nil
 	}
-	fs := buf[:0]
-	for i := 0; i < workers; i++ {
-		if i < len(buf) {
-			fs = append(fs, faultState{windows: buf[i].windows[:0], err: buf[i].err})
-		} else {
-			fs = append(fs, faultState{})
-		}
+	fs := make([]faultState, workers)
+	for i := range fs {
 		fs[i].crashAt = math.Inf(1)
 	}
-	for _, f := range plan.Faults {
+	for _, f := range faults {
 		st := &fs[f.Worker]
 		switch f.Kind {
 		case FaultCrash:
@@ -175,10 +202,22 @@ func compileFaults(buf []faultState, plan *FaultPlan, workers int) []faultState 
 		}
 	}
 	for i := range fs {
-		if len(fs[i].windows) > 1 {
-			sort.Slice(fs[i].windows, func(a, b int) bool {
-				return fs[i].windows[a].start < fs[i].windows[b].start
+		st := &fs[i]
+		if len(st.windows) > 1 {
+			sort.Slice(st.windows, func(a, b int) bool {
+				return st.windows[a].start < st.windows[b].start
 			})
+		}
+		if !math.IsInf(st.crashAt, 1) {
+			// "grid: worker down: worker W crashed at t=%.3gs", written
+			// with strconv so that it costs the string only.
+			var buf [64]byte
+			msg := append(buf[:0], ErrWorkerDown.Error()...)
+			msg = append(msg, ": worker "...)
+			msg = strconv.AppendInt(msg, int64(i), 10)
+			msg = append(msg, " crashed at t="...)
+			msg = strconv.AppendFloat(msg, st.crashAt, 'g', 3, 64)
+			st.err.msg = string(append(msg, 's'))
 		}
 	}
 	return fs
@@ -227,31 +266,17 @@ func (f *faultState) stretch(start, work float64) float64 {
 	return t - start
 }
 
-// crashError is the operation error of a crashed worker. It is built
-// once per crashed worker and run, never changed after, and shared by
-// every op the crash cuts; errors.Is(err, ErrWorkerDown) holds.
+// crashError is the operation error of a crashed worker. It lives in
+// the compiled plan's state, is never changed after compiling, and is
+// shared by every op the crash cuts, in every run of the plan that
+// shares that state; errors.Is(err, ErrWorkerDown) holds.
 type crashError struct {
-	at  float64
 	msg string
 }
 
 func (e *crashError) Error() string { return e.msg }
 func (e *crashError) Unwrap() error { return ErrWorkerDown }
 
-// crashErr returns the error of an op worker w's crash cuts. Its text
-// is "grid: worker down: worker W crashed at t=%.3gs", written with
-// strconv so that building it costs the text and the value only.
-func (b *Backend) crashErr(w int) error {
-	f := &b.faults[w]
-	if f.err == nil || f.err.at != f.crashAt {
-		var buf [64]byte
-		msg := append(buf[:0], ErrWorkerDown.Error()...)
-		msg = append(msg, ": worker "...)
-		msg = strconv.AppendInt(msg, int64(w), 10)
-		msg = append(msg, " crashed at t="...)
-		msg = strconv.AppendFloat(msg, f.crashAt, 'g', 3, 64)
-		msg = append(msg, 's')
-		f.err = &crashError{at: f.crashAt, msg: string(msg)}
-	}
-	return f.err
-}
+// crashErr returns the error of an op worker w's crash cuts: "grid:
+// worker down: worker W crashed at t=%.3gs".
+func (b *Backend) crashErr(w int) error { return &b.faults[w].err }

@@ -298,14 +298,18 @@ func TestFaultPlanRefusesUnknownWorkerAndNaN(t *testing.T) {
 	}
 }
 
-// A crashed worker's error is built once and shared by the ops its
-// crash cuts, and a Reset onto a plan that moves the crash builds a new
-// one: the error an earlier run returned never changes.
+// A crashed worker's error is built once per plan, when the plan is
+// compiled, and shared by the ops its crash cuts in every run of the
+// plan; a Reset onto another plan uses that plan's error, and the error
+// an earlier run returned never changes.
 func TestCrashErrorFollowsResetPlan(t *testing.T) {
 	b := faultBackend(t, 1, nil)
-	cut := func(at float64) []error {
+	crashAt := func(at float64) *FaultPlan {
+		return &FaultPlan{Faults: []WorkerFault{{Worker: 0, Kind: FaultCrash, At: at}}}
+	}
+	cut := func(plan *FaultPlan) []error {
 		t.Helper()
-		if err := b.Reset(testApp(0), Config{Faults: &FaultPlan{Faults: []WorkerFault{{Worker: 0, Kind: FaultCrash, At: at}}}}); err != nil {
+		if err := b.Reset(testApp(0), Config{Faults: plan}); err != nil {
 			t.Fatal(err)
 		}
 		var errs []error
@@ -315,15 +319,38 @@ func TestCrashErrorFollowsResetPlan(t *testing.T) {
 		b.Run()
 		return errs
 	}
-	first := cut(3)
+	at3 := crashAt(3)
+	first := cut(at3)
 	if len(first) != 2 || first[0] != first[1] {
 		t.Fatalf("two ops cut by one crash failed with %v; want one shared error", first)
 	}
-	second := cut(4)
+	second := cut(crashAt(4))
 	if got, want := first[0].Error(), "grid: worker down: worker 0 crashed at t=3s"; got != want {
 		t.Errorf("first run's error after a second run = %q, want %q", got, want)
 	}
 	if got, want := second[0].Error(), "grid: worker down: worker 0 crashed at t=4s"; got != want {
 		t.Errorf("second run's error = %q, want %q", got, want)
+	}
+	if third := cut(at3); third[0] != first[0] {
+		t.Errorf("a second run of the first plan failed with a new error %p; want the plan's own %p", third[0], first[0])
+	}
+}
+
+// A plan is compiled per platform size: one valid on three workers is
+// refused on two, and still runs on three after that.
+func TestFaultPlanCompiledPerPlatformSize(t *testing.T) {
+	plan := &FaultPlan{Faults: []WorkerFault{{Worker: 2, Kind: FaultCrash, At: 1}}}
+	if _, err := New(testPlatform(3), testApp(0), Config{Faults: plan}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(testPlatform(2), testApp(0), Config{Faults: plan}); !errors.Is(err, ErrInvalidFaultPlan) {
+		t.Fatalf("a plan naming worker 2 on a 2-worker platform: error %v, want ErrInvalidFaultPlan", err)
+	}
+	b := faultBackend(t, 3, plan)
+	var opErr error
+	b.ExecuteOp(2, 100, false, 0, func(_ uint64, _, _ float64, err error) { opErr = err })
+	b.Run()
+	if !errors.Is(opErr, ErrWorkerDown) {
+		t.Fatalf("op on the crashed worker 2: error %v, want ErrWorkerDown", opErr)
 	}
 }

@@ -81,10 +81,10 @@ type Backend struct {
 	compRNG []*rng.Source // per-worker compute noise
 	bg      []*bgProcess
 	batch   []*batchState
-	faults  []faultState // nil when no faults are injected
-	// faultBuf keeps the compiled fault state's storage across Resets.
-	faultBuf []faultState
-	links    *linkNet // nil unless the platform carries a Topology
+	// faults is the plan's compiled state, shared read-only with every
+	// backend that runs the plan; nil when no faults are injected.
+	faults []faultState
+	links  *linkNet // nil unless the platform carries a Topology
 
 	// Op table (see gridOp) and the long-lived callbacks all operations
 	// dispatch through, built once in New.
@@ -159,7 +159,8 @@ func (b *Backend) Reset(a *model.Application, cfg Config) error {
 	if cfg.ProbeBias < 0 {
 		return fmt.Errorf("grid: negative probe bias %g", cfg.ProbeBias)
 	}
-	if err := cfg.Faults.validate(len(b.platform.Workers)); err != nil {
+	faults, err := cfg.Faults.compile(len(b.platform.Workers))
+	if err != nil {
 		return err
 	}
 	b.app = a
@@ -179,10 +180,7 @@ func (b *Backend) Reset(a *model.Application, cfg Config) error {
 			b.batch[i].reset()
 		}
 	}
-	b.faults = compileFaults(b.faultBuf, cfg.Faults, len(b.platform.Workers))
-	if b.faults != nil {
-		b.faultBuf = b.faults
-	}
+	b.faults = faults
 	b.ops = b.ops[:0]
 	b.opFree = b.opFree[:0]
 	if b.links != nil {

@@ -278,20 +278,25 @@ func (e Estimate) Validate() error {
 }
 
 // TrueEstimates derives noise-free estimates from the model — what a
-// perfect information service would report. Used by oracle ablations and
-// as the ground truth probing is validated against in tests.
-func TrueEstimates(a *Application, p *Platform) []Estimate {
-	out := make([]Estimate, len(p.Workers))
+// perfect information service would report — into dst's storage when it
+// has room, and returns them. Used by oracle ablations, for the stage
+// deadlines of blind algorithms, and as the ground truth probing is
+// validated against in tests.
+func TrueEstimates(dst []Estimate, a *Application, p *Platform) []Estimate {
+	if cap(dst) < len(p.Workers) {
+		dst = make([]Estimate, 0, len(p.Workers))
+	}
+	dst = dst[:0]
 	for i, w := range p.Workers {
-		out[i] = Estimate{
+		dst = append(dst, Estimate{
 			Worker:      i,
 			UnitComm:    float64(a.BytesPerUnit) / float64(w.Bandwidth),
 			CommLatency: float64(w.CommLatency),
 			UnitComp:    float64(a.UnitCost) / w.Speed,
 			CompLatency: float64(w.CompLatency),
-		}
+		})
 	}
-	return out
+	return dst
 }
 
 // BySpeed returns worker indices sorted fastest-first according to the

@@ -133,7 +133,7 @@ func TestPlatformRatioHomogeneous(t *testing.T) {
 func TestTrueEstimates(t *testing.T) {
 	p := validPlatform()
 	a := validApp()
-	ests := TrueEstimates(a, p)
+	ests := TrueEstimates(nil, a, p)
 	if len(ests) != 3 {
 		t.Fatalf("got %d estimates", len(ests))
 	}
