@@ -1,7 +1,9 @@
 # Standard gates for the repository. `make check` is the bar every
-# change must clear: build, vet, the full test suite under the race
-# detector (the parallel experiment runner is on by default, so -race
-# coverage is non-negotiable), and lint.
+# change must clear: build, vet, the full test suite once plain (every
+# allocation budget skips under the race detector, so only this run
+# asserts them) and once under the race detector (the parallel
+# experiment runner is on by default, so -race coverage is
+# non-negotiable), and lint.
 
 GO ?= go
 
@@ -111,4 +113,4 @@ lines:
 		| sort \
 		| awk '{ printf "%-20s %6d\n", $$1, $$2; if ($$1 !~ /\//) t += $$2 } END { printf "%-20s %6d\n", "total", t }'
 
-check: build vet race bench-module serve-smoke fuzz-smoke bench-smoke lint
+check: build vet test race bench-module serve-smoke fuzz-smoke bench-smoke lint

@@ -23,8 +23,9 @@ import (
 
 // warmRunAllocs bounds the allocations one warm repeat of the canonical
 // run (UMR, DAS-2×16, γ=10%, probing on) may make: the per-run algorithm
-// value and its plan, measured at 4 allocs against ~245 for a cold run
-// and ~10,400 before the arena work. Probing and recalibration launch
+// value and its plan's one decision slice, measured at 2 allocs (4 while
+// a UMR plan allocated its rounds three times) against ~245 for a cold
+// run and ~10,400 before the arena work. Probing and recalibration launch
 // their measurements from the chunk arena through the same op-token
 // handlers as work chunks, so no chunk, measurement or event allocates;
 // any per-operation closure or buffer would exceed the bound.
@@ -34,27 +35,29 @@ const warmRunAllocs = 8
 // internal/experiment's algorithms_golden.sha256 (see treeRun) under
 // UMR: two crashes cutting transfers, computations and link flows, the
 // blacklist, peer redistribution over the link graph, and UMR's loss
-// handling. Measured at 5 allocs (37 before the fault path stopped
-// allocating): the canonical run's 4 and UMR's loss scratch. The fault
+// handling. Measured at 3 allocs (5 while a UMR plan allocated its
+// rounds three times, 37 before the fault path stopped allocating): the
+// canonical run's 2 and UMR's loss scratch. The fault
 // plan is compiled once, on its first run, crash errors included, and
 // every later run of it shares that state; every op a crash cuts shares
 // its worker's error, and the blacklist causes and peer routes live in
 // the backend and arena, so one allocation per cut op, failed chunk or
 // peer transfer exceeds it.
-const warmTreeRunAllocs = 5
+const warmTreeRunAllocs = 3
 
 // warmRetryRunAllocs bounds a warm repeat of the canonical run with the
 // retry layer on and no fault: every stage of every chunk arms a
-// deadline and cancels it again. Measured at 4, the canonical run's own
-// count, both with the grid's timer wheel holding one timer per stage
+// deadline and cancels it again. Measured at 2, the canonical run's own
+// count (4 while a UMR plan allocated its rounds three times), both with the grid's timer wheel holding one timer per stage
 // and with the engine's deadline set holding one backend timer per run:
 // the set, the timer table and the event arena all grow once and are
 // reused, so arming a deadline allocates nothing.
-const warmRetryRunAllocs = 4
+const warmRetryRunAllocs = 2
 
 // freshPlanTreeRunAllocs bounds a warm tree run on a crash plan no run
 // has used yet (see TestFreshFaultPlansCostTheirCompile). Measured at
-// 10.5; it was 11.3 while each run compiled its plan into the backend's
+// 8.5 (10.5 while a UMR plan allocated its rounds three times); it was
+// 11.3 while each run compiled its plan into the backend's
 // buffers and built one error per crashed worker its ops hit, which is
 // the bound: a plan that runs once must cost no more than it did then.
 const freshPlanTreeRunAllocs = 11.3
@@ -63,11 +66,15 @@ const freshPlanTreeRunAllocs = 11.3
 // allocates when experiment.Spec.Run replays them at width 1, warm — the
 // sim_paper workload's allocs_per_op: the run's algorithm and
 // application values, its plan, and each Spec.Run's share of its pool
-// slot and cells. Measured at 14.87 (17.25 while SIMPLE formatted its
-// name on every run and MeasureGamma's buckets and costs were on the
-// heap, 18.64 while RUMR's switch log regrew after every drain); a
-// trace.Report built per run to keep two of its numbers would add two.
-const paperRunAllocs = 17
+// slot and cells. Measured at 4.98 (14.87 while each run's PaperSet
+// allocated its six planners and their slice apart, a UMR plan its
+// rounds three times, the synthetic application formatted its name and
+// each fresh backend regrew its compute queues; 17.25 while SIMPLE
+// formatted its name on every run and MeasureGamma's buckets and costs
+// were on the heap, 18.64 while RUMR's switch log regrew after every
+// drain); a trace.Report built per run to keep two of its numbers would
+// add two.
+const paperRunAllocs = 5
 
 // treeRun is the tree condition of algorithms_golden.sha256: Mixed(4, 4)
 // behind a two-level link graph, worker 1 crashing at 1 500 s and worker

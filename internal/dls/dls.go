@@ -230,15 +230,6 @@ func (s *sequencePlayer) reset(seq []Decision) {
 	clear(s.dead)
 }
 
-// flatten concatenates planned rounds into one dispatch sequence.
-func flatten(rounds [][]Decision) []Decision {
-	seq := make([]Decision, 0, len(rounds)*len(rounds[0]))
-	for _, r := range rounds {
-		seq = append(seq, r...)
-	}
-	return seq
-}
-
 // WorkerLost implements WorkerLossAware: it retargets every unserved
 // decision aimed at the lost worker onto the surviving workers, rotating
 // through them in index order so the orphaned share spreads instead of

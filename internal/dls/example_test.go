@@ -31,18 +31,16 @@ func ExamplePlanUMRRounds() {
 		})
 	}
 	plan := dls.Plan{TotalLoad: 100000, MinChunk: 1, Workers: ests}
-	rounds, predicted, err := dls.PlanUMRRounds(plan, plan.TotalLoad)
+	seq, roundLen, predicted, err := dls.PlanUMRRounds(plan, plan.TotalLoad)
 	if err != nil {
 		panic(err)
 	}
 	total := 0.0
-	for _, round := range rounds {
-		for _, d := range round {
-			total += d.Size
-		}
+	for _, d := range seq {
+		total += d.Size
 	}
 	fmt.Printf("rounds: %d, load covered: %.0f, makespan predicted: %.0fs\n",
-		len(rounds), total, predicted)
+		len(seq)/roundLen, total, predicted)
 	// Output: rounds: 9, load covered: 100000, makespan predicted: 2518s
 }
 

@@ -17,6 +17,9 @@ const phase1Fraction = 0.8
 // estimates γ, so its one logged switch carries γ̂ = -1.
 type FixedRUMR struct {
 	twoPhase
+	// phase2 is the factoring phase, held by value: Plan plans it in
+	// place and points the core's factoring at it.
+	phase2 WeightedFactoring
 }
 
 // NewFixedRUMR returns Fixed-RUMR with the paper's 80/20 split.
@@ -39,11 +42,11 @@ func (f *FixedRUMR) Plan(p Plan) error {
 	if err := f.playRounds(p.TotalLoad * phase1Fraction); err != nil {
 		return fmt.Errorf("fixed-rumr: %w", err)
 	}
-	wf := NewWeightedFactoring()
-	if err := wf.Plan(p); err != nil {
+	f.phase2 = WeightedFactoring{Adaptive: true}
+	if err := f.phase2.Plan(p); err != nil {
 		return fmt.Errorf("fixed-rumr: %w", err)
 	}
-	f.factoring = wf
+	f.factoring = &f.phase2
 	return nil
 }
 

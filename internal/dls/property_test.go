@@ -70,10 +70,11 @@ func TestPropertyAllAlgorithmsCoverRandomPlatforms(t *testing.T) {
 func TestPropertyUMREqualFinishRandom(t *testing.T) {
 	f := func(seedRaw uint16) bool {
 		p := randomPlan(uint64(seedRaw) + 77777)
-		rounds, _, err := PlanUMRRounds(p, p.TotalLoad)
-		if err != nil {
+		plan := result(PlanUMRRounds(p, p.TotalLoad))
+		if plan.err != nil {
 			return false
 		}
+		rounds := plan.rounds()
 		for j, round := range rounds {
 			if j == len(rounds)-1 {
 				continue

@@ -83,14 +83,28 @@ func Names() []string {
 }
 
 // PaperSet returns fresh instances of the six algorithm variants the
-// paper's evaluation compares, in the order the figures list them.
+// paper's evaluation compares, in the order the figures list them. The
+// six and the slice that names them are one allocation (paperSet); no
+// two calls share a planner.
 func PaperSet() []Algorithm {
-	return []Algorithm{
-		NewSimple(1),
-		NewSimple(5),
-		NewUMR(),
-		NewWeightedFactoring(),
-		NewRUMR(),
-		NewFixedRUMR(),
+	// The fields the constructors set, set in place: copying whole
+	// planners in from New* values costs more than the allocation saves.
+	s := &paperSet{
+		simple1: Simple{N: 1}, simple5: Simple{N: 5},
+		wf: WeightedFactoring{Adaptive: true}, rumr: RUMR{KnownGamma: -1},
 	}
+	s.algs = [...]Algorithm{&s.simple1, &s.simple5, &s.umr, &s.wf, &s.rumr, &s.fixedRUMR}
+	return s.algs[:]
+}
+
+// paperSet is the storage of one PaperSet call. The experiments build a
+// set per run and keep one planner of it, which keeps the whole block
+// (about a kilobyte) alive for that run.
+type paperSet struct {
+	algs             [6]Algorithm
+	simple1, simple5 Simple
+	umr              UMR
+	wf               WeightedFactoring
+	rumr             RUMR
+	fixedRUMR        FixedRUMR
 }

@@ -1,7 +1,10 @@
 package dls
 
 import (
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -65,8 +68,11 @@ func TestNewReturnsFreshInstances(t *testing.T) {
 	}
 }
 
+// TestPaperSetMatchesFiguresOrder checks the set's order and that each
+// planner starts out as its constructor builds it.
 func TestPaperSetMatchesFiguresOrder(t *testing.T) {
 	want := []string{"simple-1", "simple-5", "umr", "wf", "rumr", "fixed-rumr"}
+	built := []Algorithm{NewSimple(1), NewSimple(5), NewUMR(), NewWeightedFactoring(), NewRUMR(), NewFixedRUMR()}
 	set := PaperSet()
 	if len(set) != len(want) {
 		t.Fatalf("PaperSet has %d algorithms, want %d", len(set), len(want))
@@ -75,7 +81,50 @@ func TestPaperSetMatchesFiguresOrder(t *testing.T) {
 		if alg.Name() != want[i] {
 			t.Errorf("PaperSet[%d] = %q, want %q", i, alg.Name(), want[i])
 		}
+		if !reflect.DeepEqual(alg, built[i]) {
+			t.Errorf("PaperSet[%d] = %+v, want %+v as its constructor builds it", i, alg, built[i])
+		}
 	}
+}
+
+// TestPaperSetsShareNoPlanner checks that the one block a PaperSet call
+// allocates is its own: running every planner of one set (plan,
+// dispatch, observe) leaves a second set equal to a fresh one, and no
+// planner of one set is a planner of the other. It then runs the six
+// planners of another set on six goroutines at once, as the parallel
+// runner may, so that the race detector sees neighbours in one block.
+func TestPaperSetsShareNoPlanner(t *testing.T) {
+	used, kept, fresh := PaperSet(), PaperSet(), PaperSet()
+	for _, alg := range used {
+		f := newFakeEngine(das2Estimates(8), 24000, 10)
+		if err := f.run(alg); err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		if !nearly(f.completed, 24000, 1e-9) {
+			t.Fatalf("%s completed %v of 24000", alg.Name(), f.completed)
+		}
+	}
+	for i, alg := range kept {
+		if slices.Contains(used, alg) {
+			t.Errorf("%s is in both sets", alg.Name())
+		}
+		if !reflect.DeepEqual(alg, fresh[i]) {
+			t.Errorf("%s changed while the other set's planners ran:\n%+v\nwant %+v", alg.Name(), alg, fresh[i])
+		}
+	}
+
+	var wg sync.WaitGroup
+	for _, alg := range PaperSet() {
+		wg.Add(1)
+		go func(alg Algorithm) {
+			defer wg.Done()
+			f := newFakeEngine(das2Estimates(8), 24000, 10)
+			if err := f.run(alg); err != nil {
+				t.Errorf("%s: %v", alg.Name(), err)
+			}
+		}(alg)
+	}
+	wg.Wait()
 }
 
 func TestSimpleNRoundTripProperty(t *testing.T) {

@@ -39,12 +39,12 @@ func (c *twoPhase) start(p Plan) {
 // playRounds plans load with UMR over c.plan's estimates and plays the
 // rounds, retargeted away from every worker lost so far.
 func (c *twoPhase) playRounds(load float64) error {
-	rounds, _, err := PlanUMRRounds(c.plan, load)
+	seq, roundLen, _, err := PlanUMRRounds(c.plan, load)
 	if err != nil {
 		return err
 	}
-	c.player.reset(flatten(rounds))
-	c.roundLen = len(rounds[0])
+	c.player.reset(seq)
+	c.roundLen = roundLen
 	for _, w := range c.lost {
 		c.player.WorkerLost(w, 0)
 	}

@@ -1,8 +1,10 @@
 package dls
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"apstdv/internal/model"
@@ -56,13 +58,13 @@ func (u *UMR) UsesProbing() bool { return true }
 
 // Plan implements Algorithm.
 func (u *UMR) Plan(p Plan) error {
-	rounds, pred, err := PlanUMRRounds(p, p.TotalLoad)
+	seq, roundLen, pred, err := PlanUMRRounds(p, p.TotalLoad)
 	if err != nil {
 		return err
 	}
-	u.Rounds = len(rounds)
+	u.Rounds = len(seq) / roundLen
 	u.PredictedMakespan = pred
-	u.reset(flatten(rounds))
+	u.reset(seq)
 	return nil
 }
 
@@ -74,31 +76,32 @@ func (u *UMR) Plan(p Plan) error {
 const maxUMRRounds = 128
 
 // PlanUMRRounds computes the UMR schedule for the given amount of load
-// under the plan's cost estimates. It returns the per-round dispatch
-// decisions (workers in fastest-first order within each round) and the
-// predicted makespan of the schedule. RUMR and Fixed-RUMR reuse it for
-// their first phase, planning only a fraction of the total load.
+// under the plan's cost estimates. It returns the dispatch decisions
+// round after round in one freshly allocated slice, every round roundLen
+// decisions long (workers in fastest-first order within each round), and
+// the predicted makespan of the schedule. RUMR and Fixed-RUMR reuse it
+// for their first phase, planning only a fraction of the total load.
 //
 // The round count is found by trying every M = 1…maxUMRRounds and keeping
 // the smallest predicted makespan (the first such M on a tie). There is
 // deliberately no rule that stops once the prediction has passed a
 // minimum: it is not unimodal in M (TestUMRPredictionIsNotUnimodal).
-func PlanUMRRounds(p Plan, load float64) ([][]Decision, float64, error) {
+func PlanUMRRounds(p Plan, load float64) (seq []Decision, roundLen int, pred float64, err error) {
 	if err := p.Validate(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if load <= 0 || load > p.TotalLoad*(1+1e-9) {
-		return nil, 0, fmt.Errorf("umr: load %g outside (0, total %g]", load, p.TotalLoad)
+		return nil, 0, 0, fmt.Errorf("umr: load %g outside (0, total %g]", load, p.TotalLoad)
 	}
 
 	sc := umrScratchPool.Get().(*umrScratch)
-	rounds, pred, err := sc.plan(p, load)
+	seq, roundLen, pred, err = sc.plan(p, load)
 	umrScratchPool.Put(sc)
-	return rounds, pred, err
+	return seq, roundLen, pred, err
 }
 
 // plan is PlanUMRRounds on validated input.
-func (sc *umrScratch) plan(p Plan, load float64) ([][]Decision, float64, error) {
+func (sc *umrScratch) plan(p Plan, load float64) ([]Decision, int, float64, error) {
 	// Probes are noise-free, so the runs of a sweep cell plan the very
 	// same input one after another; a scratch that still holds this
 	// input's tables also holds the answer of the search over them.
@@ -111,15 +114,11 @@ func (sc *umrScratch) plan(p Plan, load float64) ([][]Decision, float64, error) 
 		return oneWeightedRound(p, load)
 	}
 	// Materialize the winner through the same arithmetic the search ran,
-	// so decisions and prediction are bit-identical to the search pass:
-	// one backing array, one header per round, nothing shared with sc.
-	backing := make([]Decision, m*w)
-	pred, _ := sc.candidate(m, backing)
-	rounds := make([][]Decision, m)
-	for j := 0; j < m; j++ {
-		rounds[j] = backing[j*w : (j+1)*w : (j+1)*w]
-	}
-	return rounds, pred, nil
+	// so decisions and prediction are bit-identical to the search pass,
+	// into the one allocation of a plan: nothing is shared with sc.
+	seq := make([]Decision, m*w)
+	pred, _ := sc.candidate(m, seq)
+	return seq, w, pred, nil
 }
 
 // oneWeightedRound is the plan for an input no round count fits: some
@@ -129,9 +128,9 @@ func (sc *umrScratch) plan(p Plan, load float64) ([][]Decision, float64, error) 
 // round, fastest-first, without the slowest workers whose share would
 // not be positive; a single worker always takes the whole of a finite
 // load, so only input that is not finite (which Plan.Validate does not
-// catch) is refused. It returns the round and its predicted makespan on
-// the estimated cost model.
-func oneWeightedRound(p Plan, load float64) ([][]Decision, float64, error) {
+// catch) is refused. It returns the round, its length and its predicted
+// makespan on the estimated cost model.
+func oneWeightedRound(p Plan, load float64) ([]Decision, int, float64, error) {
 	p.TotalLoad = load
 	order := model.BySpeed(p.Workers)
 	sizes, ok := solveOneRound(p, order)
@@ -140,7 +139,7 @@ func oneWeightedRound(p Plan, load float64) ([][]Decision, float64, error) {
 		sizes, ok = solveOneRound(p, order)
 	}
 	if !ok {
-		return nil, 0, fmt.Errorf("umr: no finite schedule for load %g on %d workers", load, len(p.Workers))
+		return nil, 0, 0, fmt.Errorf("umr: no finite schedule for load %g on %d workers", load, len(p.Workers))
 	}
 	// Absorb floating-point drift in proportion, as candidate does for a
 	// last round.
@@ -161,7 +160,7 @@ func oneWeightedRound(p Plan, load float64) ([][]Decision, float64, error) {
 		linkFree += e.CommLatency + sizes[i]*e.UnitComm
 		makespan = math.Max(makespan, linkFree+e.CompLatency+sizes[i]*e.UnitComp)
 	}
-	return [][]Decision{round}, makespan, nil
+	return round, len(round), makespan, nil
 }
 
 // umrWorker is one worker's estimate together with the search's state for
@@ -247,8 +246,9 @@ func (sc *umrScratch) holds(p Plan, load float64) bool {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // prepare derives everything that does not depend on M: the aggregate
-// cost-model constants, the fastest-first worker array and the geometric
-// tables.
+// cost-model constants, the fastest-first worker array (sorted stably in
+// place, so ties keep index order, as model.BySpeed has them) and the
+// geometric tables.
 func (sc *umrScratch) prepare(p Plan, load float64) {
 	sc.load, sc.minChunk = load, p.MinChunk
 	sc.ests = append(sc.ests[:0], p.Workers...)
@@ -263,12 +263,12 @@ func (sc *umrScratch) prepare(p Plan, load float64) {
 	}
 	sc.sumP, sc.sumC = sumP, sumC
 	sc.workers = sc.workers[:0]
-	for _, i := range model.BySpeed(p.Workers) {
-		e := &p.Workers[i]
+	for i, e := range p.Workers {
 		sc.workers = append(sc.workers, umrWorker{
 			id: i, commLat: e.CommLatency, unitComm: e.UnitComm, compLat: e.CompLatency, unitComp: e.UnitComp,
 		})
 	}
+	slices.SortStableFunc(sc.workers, func(a, b umrWorker) int { return cmp.Compare(a.unitComp, b.unitComp) })
 
 	sc.limit = maxUMRRounds + 1
 	switch {

@@ -48,12 +48,12 @@ func aggregate(p Plan) umrAggregates {
 }
 
 // referencePlanUMRRounds is PlanUMRRounds as a full scan.
-func (sc *refScratch) referencePlanUMRRounds(p Plan, load float64) ([][]Decision, float64, error) {
+func (sc *refScratch) referencePlanUMRRounds(p Plan, load float64) ([]Decision, int, float64, error) {
 	if err := p.Validate(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if load <= 0 || load > p.TotalLoad*(1+1e-9) {
-		return nil, 0, fmt.Errorf("umr: load %g outside (0, total %g]", load, p.TotalLoad)
+		return nil, 0, 0, fmt.Errorf("umr: load %g outside (0, total %g]", load, p.TotalLoad)
 	}
 	agg := aggregate(p)
 	sc.scan(p, load, agg)
@@ -64,17 +64,10 @@ func (sc *refScratch) referencePlanUMRRounds(p Plan, load float64) ([][]Decision
 		}
 	}
 	if bestM == 0 {
-		return nil, 0, fmt.Errorf("umr: no feasible round count for load %g on %d workers", load, len(p.Workers))
+		return nil, 0, 0, fmt.Errorf("umr: no feasible round count for load %g on %d workers", load, len(p.Workers))
 	}
 	flat, _ := sc.umrCandidate(p, load, bestM, agg)
-	backing := make([]Decision, len(flat))
-	copy(backing, flat)
-	w := len(p.Workers)
-	rounds := make([][]Decision, bestM)
-	for j := 0; j < bestM; j++ {
-		rounds[j] = backing[j*w : (j+1)*w : (j+1)*w]
-	}
-	return rounds, bestPred, nil
+	return append([]Decision(nil), flat...), len(p.Workers), bestPred, nil
 }
 
 // scan fills sc.landscape: every round count M = 1…maxUMRRounds is built

@@ -71,26 +71,49 @@ func searchCase(src *rng.Source) (Plan, float64) {
 	return p, total * []float64{1, 0.8, 0.5}[src.Intn(3)]
 }
 
+// umrResult is one PlanUMRRounds answer held as a value, so tests can
+// compare answers and cut them into rounds.
+type umrResult struct {
+	seq      []Decision
+	roundLen int
+	pred     float64
+	err      error
+}
+
+// result collects a PlanUMRRounds-shaped answer: result(PlanUMRRounds(p, load)).
+func result(seq []Decision, roundLen int, pred float64, err error) umrResult {
+	return umrResult{seq, roundLen, pred, err}
+}
+
+// rounds cuts the schedule into its rounds. A sequence that is not a
+// whole number of rounds is a broken plan, not a view to work around.
+func (r umrResult) rounds() [][]Decision {
+	if len(r.seq) > 0 && (r.roundLen <= 0 || len(r.seq)%r.roundLen != 0) {
+		panic(fmt.Sprintf("%d decisions are not whole rounds of %d", len(r.seq), r.roundLen))
+	}
+	var out [][]Decision
+	for s := r.seq; len(s) > 0; s = s[r.roundLen:] {
+		out = append(out, s[:r.roundLen:r.roundLen])
+	}
+	return out
+}
+
 // sameUMRPlan reports the first difference between two PlanUMRRounds
 // results, comparing floats by bit pattern, or "" when there is none.
-func sameUMRPlan(gotRounds [][]Decision, gotPred float64, gotErr error, wantRounds [][]Decision, wantPred float64, wantErr error) string {
+func sameUMRPlan(got, want umrResult) string {
 	switch {
-	case gotErr != nil || wantErr != nil:
-		return fmt.Sprintf("a refusal: got %v, want %v", gotErr, wantErr)
-	case len(gotRounds) != len(wantRounds):
+	case got.err != nil || want.err != nil:
+		return fmt.Sprintf("a refusal: got %v, want %v", got.err, want.err)
+	case got.roundLen != want.roundLen:
+		return "different round widths"
+	case len(got.seq) != len(want.seq):
 		return "different round counts"
-	case !sameBits(gotPred, wantPred):
+	case !sameBits(got.pred, want.pred):
 		return "different predicted makespans"
 	}
-	for j := range wantRounds {
-		if len(gotRounds[j]) != len(wantRounds[j]) {
-			return "different round widths"
-		}
-		for i, want := range wantRounds[j] {
-			got := gotRounds[j][i]
-			if got.Worker != want.Worker || !sameBits(got.Size, want.Size) {
-				return "different decisions"
-			}
+	for i, w := range want.seq {
+		if g := got.seq[i]; g.Worker != w.Worker || !sameBits(g.Size, w.Size) {
+			return "different decisions"
 		}
 	}
 	return ""
@@ -100,15 +123,15 @@ func sameUMRPlan(gotRounds [][]Decision, gotPred float64, gotErr error, wantRoun
 // round production falls back to where no round count is feasible: one
 // round, each worker at most once, positive finite sizes that add up to
 // the load. It returns "" for a sound one.
-func oneRoundDefect(rounds [][]Decision, err error, p Plan, load float64) string {
-	if err != nil {
-		return "refused: " + err.Error()
+func oneRoundDefect(r umrResult, p Plan, load float64) string {
+	if r.err != nil {
+		return "refused: " + r.err.Error()
 	}
-	if len(rounds) != 1 || len(rounds[0]) == 0 || len(rounds[0]) > len(p.Workers) {
+	if r.roundLen != len(r.seq) || len(r.seq) == 0 || len(r.seq) > len(p.Workers) {
 		return "not one round over some of the workers"
 	}
 	served := make(map[int]bool)
-	for _, d := range rounds[0] {
+	for _, d := range r.seq {
 		if d.Worker < 0 || d.Worker >= len(p.Workers) || served[d.Worker] {
 			return fmt.Sprintf("worker %d is out of range or served twice", d.Worker)
 		}
@@ -117,7 +140,7 @@ func oneRoundDefect(rounds [][]Decision, err error, p Plan, load float64) string
 			return fmt.Sprintf("size %v is not positive and finite", d.Size)
 		}
 	}
-	if got := sumSizes(rounds[0]); !nearly(got, load, 1e-9) {
+	if got := sumSizes(r.seq); !nearly(got, load, 1e-9) {
 		return fmt.Sprintf("dispatches %v of %v", got, load)
 	}
 	return ""
@@ -134,19 +157,19 @@ func oneRoundDefect(rounds [][]Decision, err error, p Plan, load float64) string
 // exact drift check accepts. It reports whether the input was feasible.
 func checkUMRSearchMatchesReference(t *testing.T, ref *refScratch, sc *umrScratch, p Plan, load float64) bool {
 	t.Helper()
-	wantRounds, wantPred, wantErr := ref.referencePlanUMRRounds(p, load)
-	feasible := wantErr == nil
+	want := result(ref.referencePlanUMRRounds(p, load))
+	feasible := want.err == nil
 	if !feasible {
-		wantRounds, wantPred, wantErr = sc.plan(p, load)
-		if defect := oneRoundDefect(wantRounds, wantErr, p, load); defect != "" {
-			t.Fatalf("fallback plan: %s\npredicted %v, rounds %v\nload %v of %+v", defect, wantPred, wantRounds, load, p)
+		want = result(sc.plan(p, load))
+		if defect := oneRoundDefect(want, p, load); defect != "" {
+			t.Fatalf("fallback plan: %s\npredicted %v, decisions %v\nload %v of %+v", defect, want.pred, want.seq, load, p)
 		}
 	}
 	for _, pass := range []string{"searched", "repeated"} {
-		gotRounds, gotPred, gotErr := sc.plan(p, load)
-		if diff := sameUMRPlan(gotRounds, gotPred, gotErr, wantRounds, wantPred, wantErr); diff != "" {
-			t.Fatalf("%s plan: %s\nproduction: %d rounds, predicted %v, err %v\nreference:  %d rounds, predicted %v, err %v\nload %v of %+v",
-				pass, diff, len(gotRounds), gotPred, gotErr, len(wantRounds), wantPred, wantErr, load, p)
+		got := result(sc.plan(p, load))
+		if diff := sameUMRPlan(got, want); diff != "" {
+			t.Fatalf("%s plan: %s\nproduction: %d decisions in rounds of %d, predicted %v, err %v\nreference:  %d decisions in rounds of %d, predicted %v, err %v\nload %v of %+v",
+				pass, diff, len(got.seq), got.roundLen, got.pred, got.err, len(want.seq), want.roundLen, want.pred, want.err, load, p)
 		}
 	}
 	for m, want := range ref.landscape {
@@ -245,15 +268,11 @@ func TestUMRPlansConserveAtExtremeMagnitudes(t *testing.T) {
 	}
 	// planned returns what the plan for p adds up to.
 	planned := func(p Plan) float64 {
-		rounds, _, err := PlanUMRRounds(p, p.TotalLoad)
+		seq, _, _, err := PlanUMRRounds(p, p.TotalLoad)
 		if err != nil {
 			t.Fatalf("refused %+v: %v", p, err)
 		}
-		total := 0.0
-		for _, r := range rounds {
-			total += sumSizes(r)
-		}
-		return total
+		return sumSizes(seq)
 	}
 	// runs drives the UMR family on p. Fixed-RUMR only has to plan: it
 	// always hands a fifth of the load to weighted factoring, which at
@@ -380,19 +399,18 @@ func FuzzUMRSearchMatchesReference(f *testing.F) {
 func TestUMRScratchRepeatsOnlyTheSameInput(t *testing.T) {
 	a := Plan{TotalLoad: 240000, MinChunk: 10, Workers: das2Estimates(16)}
 	b := Plan{TotalLoad: 96000, MinChunk: 1, Workers: das2Estimates(7)}
-	cold := func(p Plan, load float64) ([][]Decision, float64, error) {
-		return new(umrScratch).plan(p, load)
+	cold := func(p Plan, load float64) umrResult {
+		return result(new(umrScratch).plan(p, load))
 	}
 
 	t.Run("A B A equals three cold plans", func(t *testing.T) {
 		var sc umrScratch
 		for i, p := range []Plan{a, b, a, a} {
-			gotRounds, gotPred, gotErr := sc.plan(p, p.TotalLoad)
-			wantRounds, wantPred, wantErr := cold(p, p.TotalLoad)
-			if wantErr != nil {
-				t.Fatal(wantErr)
+			got, want := result(sc.plan(p, p.TotalLoad)), cold(p, p.TotalLoad)
+			if want.err != nil {
+				t.Fatal(want.err)
 			}
-			if diff := sameUMRPlan(gotRounds, gotPred, gotErr, wantRounds, wantPred, wantErr); diff != "" {
+			if diff := sameUMRPlan(got, want); diff != "" {
 				t.Errorf("plan %d: %s", i, diff)
 			}
 		}
@@ -400,7 +418,7 @@ func TestUMRScratchRepeatsOnlyTheSameInput(t *testing.T) {
 
 	t.Run("any changed bit misses", func(t *testing.T) {
 		var sc umrScratch
-		if _, _, err := sc.plan(a, a.TotalLoad); err != nil {
+		if _, _, _, err := sc.plan(a, a.TotalLoad); err != nil {
 			t.Fatal(err)
 		}
 		if !sc.holds(a, a.TotalLoad) {
@@ -434,7 +452,7 @@ func TestUMRScratchRepeatsOnlyTheSameInput(t *testing.T) {
 		// +0 and −0 are different inputs to a bit-exact function.
 		zero := changed(func(e *model.Estimate) { e.CommLatency = 0 })
 		negZero := changed(func(e *model.Estimate) { e.CommLatency = math.Copysign(0, -1) })
-		if _, _, err := sc.plan(zero, zero.TotalLoad); err != nil {
+		if _, _, _, err := sc.plan(zero, zero.TotalLoad); err != nil {
 			t.Fatal(err)
 		}
 		if sc.holds(negZero, negZero.TotalLoad) {
@@ -444,45 +462,39 @@ func TestUMRScratchRepeatsOnlyTheSameInput(t *testing.T) {
 
 	t.Run("a miss plans the new input", func(t *testing.T) {
 		var sc umrScratch
-		if _, _, err := sc.plan(a, a.TotalLoad); err != nil {
+		if _, _, _, err := sc.plan(a, a.TotalLoad); err != nil {
 			t.Fatal(err)
 		}
-		gotRounds, gotPred, gotErr := sc.plan(a, 0.8*a.TotalLoad)
-		wantRounds, wantPred, wantErr := cold(a, 0.8*a.TotalLoad)
-		if diff := sameUMRPlan(gotRounds, gotPred, gotErr, wantRounds, wantPred, wantErr); diff != "" {
+		got, want := result(sc.plan(a, 0.8*a.TotalLoad)), cold(a, 0.8*a.TotalLoad)
+		if diff := sameUMRPlan(got, want); diff != "" {
 			t.Errorf("80%% plan after a 100%% plan: %s", diff)
 		}
 	})
 
 	t.Run("nothing is shared with the caller", func(t *testing.T) {
 		var sc umrScratch
-		first, _, err := sc.plan(a, a.TotalLoad)
+		first, _, _, err := sc.plan(a, a.TotalLoad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRounds, wantPred, _ := cold(a, a.TotalLoad)
-		for _, round := range first {
-			for i := range round {
-				round[i] = Decision{Worker: -1, Size: math.NaN()}
-			}
+		want := cold(a, a.TotalLoad)
+		for i := range first {
+			first[i] = Decision{Worker: -1, Size: math.NaN()}
 		}
-		again, pred, err := sc.plan(a, a.TotalLoad)
-		if diff := sameUMRPlan(again, pred, err, wantRounds, wantPred, nil); diff != "" {
+		if diff := sameUMRPlan(result(sc.plan(a, a.TotalLoad)), want); diff != "" {
 			t.Errorf("re-plan after the caller scribbled over the first result: %s", diff)
 		}
 		// Nor is the caller's estimate slice the key: reusing it for other
 		// estimates must be seen as another input.
 		reused := Plan{TotalLoad: a.TotalLoad, MinChunk: a.MinChunk, Workers: das2Estimates(16)}
-		if _, _, err := sc.plan(reused, reused.TotalLoad); err != nil {
+		if _, _, _, err := sc.plan(reused, reused.TotalLoad); err != nil {
 			t.Fatal(err)
 		}
 		reused.Workers[3].UnitComp *= 2
 		if sc.holds(reused, reused.TotalLoad) {
 			t.Fatal("the scratch keys on the caller's slice, not on a copy")
 		}
-		wantRounds, wantPred, wantErr := cold(reused, reused.TotalLoad)
-		again, pred, err = sc.plan(reused, reused.TotalLoad)
-		if diff := sameUMRPlan(again, pred, err, wantRounds, wantPred, wantErr); diff != "" {
+		if diff := sameUMRPlan(result(sc.plan(reused, reused.TotalLoad)), cold(reused, reused.TotalLoad)); diff != "" {
 			t.Errorf("plan over the caller's edited estimates: %s", diff)
 		}
 	})
@@ -494,15 +506,14 @@ func TestUMRScratchRepeatsOnlyTheSameInput(t *testing.T) {
 		p := Plan{TotalLoad: 96, MinChunk: 1, Workers: homogeneousEstimates(3, 0.01, 0, 0.1, 0)}
 		p.Workers[2].CompLatency = 1000
 		var sc umrScratch
-		first, pred1, err1 := sc.plan(p, p.TotalLoad)
-		if defect := oneRoundDefect(first, err1, p, p.TotalLoad); defect != "" {
+		first := result(sc.plan(p, p.TotalLoad))
+		if defect := oneRoundDefect(first, p, p.TotalLoad); defect != "" {
 			t.Fatal(defect)
 		}
-		if len(first[0]) != 2 || first[0][0].Worker == 2 || first[0][1].Worker == 2 {
-			t.Errorf("round %v does not leave out the worker that cannot help", first[0])
+		if len(first.seq) != 2 || first.seq[0].Worker == 2 || first.seq[1].Worker == 2 {
+			t.Errorf("round %v does not leave out the worker that cannot help", first.seq)
 		}
-		again, pred2, err2 := sc.plan(p, p.TotalLoad)
-		if diff := sameUMRPlan(again, pred2, err2, first, pred1, nil); diff != "" {
+		if diff := sameUMRPlan(result(sc.plan(p, p.TotalLoad)), first); diff != "" {
 			t.Errorf("second plan from the same scratch: %s", diff)
 		}
 	})
@@ -519,17 +530,11 @@ func TestUMRConcurrentPlanners(t *testing.T) {
 		{TotalLoad: 96000, MinChunk: 1, Workers: das2Estimates(5)},
 		{TotalLoad: 10000, MinChunk: 0, Workers: homogeneousEstimates(8, 0.5, 1, 0.4, 0.1)},
 	}
-	type result struct {
-		rounds [][]Decision
-		pred   float64
-	}
-	want := make([]result, len(plans))
+	want := make([]umrResult, len(plans))
 	for i, p := range plans {
-		rounds, pred, err := new(umrScratch).plan(p, p.TotalLoad)
-		if err != nil {
-			t.Fatal(err)
+		if want[i] = result(new(umrScratch).plan(p, p.TotalLoad)); want[i].err != nil {
+			t.Fatal(want[i].err)
 		}
-		want[i] = result{rounds, pred}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -538,8 +543,7 @@ func TestUMRConcurrentPlanners(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := (g + i*(1+g%3)) % len(plans)
-				rounds, pred, err := PlanUMRRounds(plans[k], plans[k].TotalLoad)
-				if diff := sameUMRPlan(rounds, pred, err, want[k].rounds, want[k].pred, nil); diff != "" {
+				if diff := sameUMRPlan(result(PlanUMRRounds(plans[k], plans[k].TotalLoad)), want[k]); diff != "" {
 					t.Errorf("goroutine %d, plan %d: %s", g, k, diff)
 					return
 				}
@@ -564,7 +568,7 @@ func TestUMRPredictionIsNotUnimodal(t *testing.T) {
 	}}
 	const localMin, globalMin = 3, 16
 	var sc umrScratch
-	rounds, chosen, err := sc.plan(p, p.TotalLoad)
+	seq, roundLen, chosen, err := sc.plan(p, p.TotalLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,9 +590,9 @@ func TestUMRPredictionIsNotUnimodal(t *testing.T) {
 	if !(pred[globalMin] < pred[localMin]) {
 		t.Errorf("M = %d (%.3f) does not beat the first local minimum M = %d (%.3f)", globalMin, pred[globalMin], localMin, pred[localMin])
 	}
-	if len(rounds) != globalMin || chosen != pred[globalMin] {
+	if len(seq)/roundLen != globalMin || chosen != pred[globalMin] {
 		t.Errorf("planned %d rounds predicting %.3f; want the global minimum, %d rounds predicting %.3f (an early stop gives %d)",
-			len(rounds), chosen, globalMin, pred[globalMin], localMin)
+			len(seq)/roundLen, chosen, globalMin, pred[globalMin], localMin)
 	}
 }
 
@@ -653,5 +657,43 @@ func TestUMRDriftGuardRejectsOverdispatch(t *testing.T) {
 				t.Fatalf("M = %d is feasible with a chunk of %v", m, d.Size)
 			}
 		}
+	}
+}
+
+// TestUMRPlanAllocatesOnlyItsDecisions pins what a UMR plan costs: a
+// searched plan and a repeated one each allocate the returned decision
+// slice and nothing else. The search works in the pooled scratch, sorts
+// the workers there in place, and the plan is one flat slice with no
+// per-round headers; UMR.Plan plays that slice as it is.
+func TestUMRPlanAllocatesOnlyItsDecisions(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; counts only hold in normal builds")
+	}
+	// Heterogeneous speeds, so the fastest-first sort has work to do.
+	a := Plan{TotalLoad: 240000, MinChunk: 10, Workers: das2Estimates(16)}
+	for i := range a.Workers {
+		a.Workers[i].UnitComp *= 1 + float64((7*i)%5)/4
+	}
+	b := Plan{TotalLoad: 96000, MinChunk: 1, Workers: das2Estimates(7)}
+	plan := func(p Plan) {
+		if _, _, _, err := PlanUMRRounds(p, p.TotalLoad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Alternating two inputs misses the scratch's one-entry memo on
+	// every call, so each plan searches.
+	if searched := testing.AllocsPerRun(20, func() { plan(a); plan(b) }) / 2; searched != 1 {
+		t.Errorf("a searched plan allocated %v times; want 1 (its decisions)", searched)
+	}
+	if repeated := testing.AllocsPerRun(20, func() { plan(a) }); repeated != 1 {
+		t.Errorf("a repeated plan allocated %v times; want 1 (its decisions)", repeated)
+	}
+	u := NewUMR()
+	if played := testing.AllocsPerRun(20, func() {
+		if err := u.Plan(a); err != nil {
+			t.Fatal(err)
+		}
+	}); played != 1 {
+		t.Errorf("UMR.Plan allocated %v times; want 1 (the plan's decisions)", played)
 	}
 }

@@ -7,15 +7,11 @@ import (
 
 func TestUMRPlanCoversLoad(t *testing.T) {
 	p := Plan{TotalLoad: 240000, MinChunk: 10, Workers: das2Estimates(16)}
-	rounds, _, err := PlanUMRRounds(p, p.TotalLoad)
+	seq, _, _, err := PlanUMRRounds(p, p.TotalLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0.0
-	for _, r := range rounds {
-		total += sumSizes(r)
-	}
-	if !nearly(total, 240000, 1e-9) {
+	if total := sumSizes(seq); !nearly(total, 240000, 1e-9) {
 		t.Errorf("rounds cover %.6f of 240000", total)
 	}
 }
@@ -28,10 +24,11 @@ func TestUMRRoundsFollowRecurrenceAndGrow(t *testing.T) {
 	// whose early rounds sit near the recurrence's fixed point, where
 	// growth is slow — that is still a valid UMR schedule).
 	p := Plan{TotalLoad: 240000, MinChunk: 10, Workers: das2Estimates(16)}
-	rounds, _, err := PlanUMRRounds(p, p.TotalLoad)
-	if err != nil {
-		t.Fatal(err)
+	plan := result(PlanUMRRounds(p, p.TotalLoad))
+	if plan.err != nil {
+		t.Fatal(plan.err)
 	}
+	rounds := plan.rounds()
 	if len(rounds) < 3 {
 		t.Fatalf("expected a multi-round plan, got %d rounds", len(rounds))
 	}
@@ -73,10 +70,11 @@ func TestUMRUniformRounds(t *testing.T) {
 	ests[1].UnitComp = 0.2 // heterogeneous speeds
 	ests[2].UnitComp = 0.8
 	p := Plan{TotalLoad: 100000, MinChunk: 1, Workers: ests}
-	rounds, _, err := PlanUMRRounds(p, p.TotalLoad)
-	if err != nil {
-		t.Fatal(err)
+	plan := result(PlanUMRRounds(p, p.TotalLoad))
+	if plan.err != nil {
+		t.Fatal(plan.err)
 	}
+	rounds := plan.rounds()
 	for j, round := range rounds {
 		if len(round) != 4 {
 			t.Fatalf("round %d has %d chunks, want 4", j, len(round))
@@ -99,11 +97,11 @@ func TestUMRUniformRounds(t *testing.T) {
 
 func TestUMREachWorkerOncePerRound(t *testing.T) {
 	p := Plan{TotalLoad: 240000, MinChunk: 10, Workers: das2Estimates(16)}
-	rounds, _, err := PlanUMRRounds(p, p.TotalLoad)
-	if err != nil {
-		t.Fatal(err)
+	plan := result(PlanUMRRounds(p, p.TotalLoad))
+	if plan.err != nil {
+		t.Fatal(plan.err)
 	}
-	for j, round := range rounds {
+	for j, round := range plan.rounds() {
 		seen := map[int]bool{}
 		for _, d := range round {
 			if seen[d.Worker] {
@@ -122,19 +120,18 @@ func TestUMRChoosesMultipleRoundsWhenLatencyAllows(t *testing.T) {
 	// costs the optimum collapses toward fewer rounds.
 	cheap := Plan{TotalLoad: 240000, MinChunk: 1,
 		Workers: homogeneousEstimates(16, 0.01, 0.1, 0.4, 0.01)}
-	cheapRounds, _, err := PlanUMRRounds(cheap, cheap.TotalLoad)
-	if err != nil {
-		t.Fatal(err)
+	cheapPlan := result(PlanUMRRounds(cheap, cheap.TotalLoad))
+	if cheapPlan.err != nil {
+		t.Fatal(cheapPlan.err)
 	}
 	pricey := Plan{TotalLoad: 240000, MinChunk: 1,
 		Workers: homogeneousEstimates(16, 0.01, 200, 0.4, 100)}
-	priceyRounds, _, err := PlanUMRRounds(pricey, pricey.TotalLoad)
-	if err != nil {
-		t.Fatal(err)
+	priceyPlan := result(PlanUMRRounds(pricey, pricey.TotalLoad))
+	if priceyPlan.err != nil {
+		t.Fatal(priceyPlan.err)
 	}
-	if len(cheapRounds) <= len(priceyRounds) {
-		t.Errorf("cheap start-ups chose %d rounds, expensive chose %d — want cheap > expensive",
-			len(cheapRounds), len(priceyRounds))
+	if c, p := len(cheapPlan.rounds()), len(priceyPlan.rounds()); c <= p {
+		t.Errorf("cheap start-ups chose %d rounds, expensive chose %d — want cheap > expensive", c, p)
 	}
 }
 
@@ -142,7 +139,7 @@ func TestUMRBeatsOneRoundPrediction(t *testing.T) {
 	// The chosen plan's predicted makespan must not exceed the 1-round
 	// plan's — the optimizer considered M=1.
 	p := Plan{TotalLoad: 240000, MinChunk: 10, Workers: das2Estimates(16)}
-	_, best, err := PlanUMRRounds(p, p.TotalLoad)
+	_, _, best, err := PlanUMRRounds(p, p.TotalLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,25 +164,21 @@ func umrSinglePrediction(p Plan) (float64, bool) {
 
 func TestUMRPartialLoadForRUMRPhases(t *testing.T) {
 	p := Plan{TotalLoad: 240000, MinChunk: 10, Workers: das2Estimates(16)}
-	rounds, _, err := PlanUMRRounds(p, 0.8*p.TotalLoad)
+	seq, _, _, err := PlanUMRRounds(p, 0.8*p.TotalLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0.0
-	for _, r := range rounds {
-		total += sumSizes(r)
-	}
-	if !nearly(total, 192000, 1e-9) {
+	if total := sumSizes(seq); !nearly(total, 192000, 1e-9) {
 		t.Errorf("80%% plan covers %.1f, want 192000", total)
 	}
 }
 
 func TestUMRRejectsBadLoad(t *testing.T) {
 	p := Plan{TotalLoad: 100, MinChunk: 1, Workers: das2Estimates(2)}
-	if _, _, err := PlanUMRRounds(p, 0); err == nil {
+	if _, _, _, err := PlanUMRRounds(p, 0); err == nil {
 		t.Error("zero load accepted")
 	}
-	if _, _, err := PlanUMRRounds(p, 200); err == nil {
+	if _, _, _, err := PlanUMRRounds(p, 200); err == nil {
 		t.Error("load above total accepted")
 	}
 }

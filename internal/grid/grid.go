@@ -100,6 +100,12 @@ type Backend struct {
 	timers *sim.Timers
 }
 
+// computeQueueDepth is how many requests each worker's compute queue
+// holds before it grows. A queue reuses its buffer only once it drains,
+// so it must hold every chunk of a busy period, served or waiting: up to
+// 25 in the paper's experiments, though at most four wait at once.
+const computeQueueDepth = 32
+
 // New validates the models and returns a backend positioned at time zero.
 func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) {
 	if err := p.Validate(); err != nil {
@@ -120,19 +126,19 @@ func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) 
 	if p.Topology != nil {
 		b.links = newLinkNet(b)
 	}
-	for i := range p.Workers {
-		b.compute = append(b.compute, sim.NewFCFSQueue(eng))
-		b.compRNG = append(b.compRNG, rng.New(0))
-		w := p.Workers[i]
+	n := len(p.Workers)
+	b.compute = sim.NewFCFSQueues(eng, n, computeQueueDepth)
+	compRNG := make([]rng.Source, n) // seeded by Reset
+	b.compRNG = make([]*rng.Source, n)
+	b.bg = make([]*bgProcess, n)
+	b.batch = make([]*batchState, n)
+	for i, w := range p.Workers {
+		b.compRNG[i] = &compRNG[i]
 		if w.Background != nil {
-			b.bg = append(b.bg, &bgProcess{cfg: w.Background, src: rng.New(0)})
-		} else {
-			b.bg = append(b.bg, nil)
+			b.bg[i] = &bgProcess{cfg: w.Background, src: rng.New(0)}
 		}
 		if w.Batch != nil {
-			b.batch = append(b.batch, &batchState{cfg: w.Batch, src: rng.New(0)})
-		} else {
-			b.batch = append(b.batch, nil)
+			b.batch[i] = &batchState{cfg: w.Batch, src: rng.New(0)}
 		}
 	}
 	if err := b.Reset(a, cfg); err != nil {

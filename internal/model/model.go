@@ -17,9 +17,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"apstdv/internal/units"
 )
@@ -301,14 +302,13 @@ func TrueEstimates(dst []Estimate, a *Application, p *Platform) []Estimate {
 
 // BySpeed returns worker indices sorted fastest-first according to the
 // estimates (smallest UnitComp first), the order one-round DLS theory
-// prescribes for dispatching.
+// prescribes for dispatching. The sort is stable: equally fast workers
+// keep index order.
 func BySpeed(ests []Estimate) []int {
 	idx := make([]int, len(ests))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return ests[idx[a]].UnitComp < ests[idx[b]].UnitComp
-	})
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(ests[a].UnitComp, ests[b].UnitComp) })
 	return idx
 }

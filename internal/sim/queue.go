@@ -44,6 +44,24 @@ func NewFCFSQueue(eng *Engine) *FCFSQueue {
 	return q
 }
 
+// NewFCFSQueues returns n idle queues on eng, carved from one block
+// together with their pending buffers, each holding depth requests
+// before it grows on its own. A backend builds its per-worker queues
+// this way instead of growing each from empty.
+func NewFCFSQueues(eng *Engine, n, depth int) []*FCFSQueue {
+	qs := make([]FCFSQueue, n)
+	out := make([]*FCFSQueue, n)
+	pending := make([]request, n*depth)
+	for i := range qs {
+		q := &qs[i]
+		q.eng = eng
+		q.pending = pending[i*depth : i*depth : (i+1)*depth]
+		q.fireFn = q.fire
+		out[i] = q
+	}
+	return out
+}
+
 // EnqueueArg requests service for a duration durFn(arg, start) that may
 // depend on the service start time; done(arg, start, end) fires when
 // service completes. Both are long-lived callbacks that receive arg

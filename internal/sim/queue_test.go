@@ -62,3 +62,30 @@ func TestFCFSQueueLengthWithHeadIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestFCFSQueuesShareNoSlots checks NewFCFSQueues' one block: queues
+// that outgrow their depth, enqueued to in turn, each serve exactly
+// their own requests in order.
+func TestFCFSQueuesShareNoSlots(t *testing.T) {
+	e := New()
+	qs := NewFCFSQueues(e, 3, 2)
+	served := make([][]uint64, len(qs))
+	for k := 0; k < 5; k++ {
+		for i, q := range qs {
+			q.EnqueueArg(uint64(10*i+k),
+				func(uint64, units.Seconds) units.Seconds { return 1 },
+				func(arg uint64, _, _ units.Seconds) { served[i] = append(served[i], arg) })
+		}
+	}
+	e.Run()
+	for i, got := range served {
+		for k := 0; k < 5; k++ {
+			if k >= len(got) || got[k] != uint64(10*i+k) {
+				t.Fatalf("queue %d served %v; want %d..%d in order", i, got, 10*i, 10*i+4)
+			}
+		}
+		if len(got) != 5 {
+			t.Fatalf("queue %d served %v; want 5 requests", i, got)
+		}
+	}
+}

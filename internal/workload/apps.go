@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"apstdv/internal/model"
 	"apstdv/internal/units"
@@ -27,7 +28,7 @@ import (
 // the paper (the two clusters differ in bandwidth, not in the app).
 func Synthetic(gamma float64) *model.Application {
 	return &model.Application{
-		Name:         fmt.Sprintf("synthetic(γ=%g%%)", gamma*100),
+		Name:         syntheticName(gamma),
 		TotalLoad:    240000, // units of 1 kB → 240 MB input
 		BytesPerUnit: 1000,   // 1 kB per unit
 		UnitCost:     0.402,  // s/unit ⇒ 26.8 CPU-hours total
@@ -35,6 +36,26 @@ func Synthetic(gamma float64) *model.Application {
 		Uncertainty:  model.PerChunk,
 		MinChunk:     10, // the XML example's stepsize: cuts every 10 units
 	}
+}
+
+// syntheticNames holds Synthetic's name for every whole percent from 0
+// to 100, built once: the experiments build a fresh application per run.
+var syntheticNames = func() (names [101]string) {
+	for pct := range names {
+		names[pct] = fmt.Sprintf("synthetic(γ=%g%%)", float64(pct))
+	}
+	return names
+}()
+
+// syntheticName is Synthetic's name for gamma, from the table when
+// gamma·100 is a whole percent (not −0, which %g prints with its sign)
+// and formatted otherwise.
+func syntheticName(gamma float64) string {
+	pct := gamma * 100
+	if k := int(pct); float64(k) == pct && k >= 0 && k < len(syntheticNames) && !math.Signbit(pct) {
+		return syntheticNames[k]
+	}
+	return fmt.Sprintf("synthetic(γ=%g%%)", pct)
 }
 
 // SyntheticWithRatio returns a synthetic application whose r against the

@@ -37,6 +37,24 @@ func TestSyntheticGammaPassthrough(t *testing.T) {
 	}
 }
 
+// TestSyntheticName checks the name table against the formatting it
+// replaces, at whole percents and off them, at both ends of the table
+// and past them, and for −0 and non-finite γ; a name from the table
+// costs no allocation.
+func TestSyntheticName(t *testing.T) {
+	for _, gamma := range []float64{
+		0, 0.01, 0.07, 0.1, 0.2, 0.3, 0.5, 0.99, 1, 1.01, 2, 0.123, 0.005,
+		-0.1, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1e300,
+	} {
+		if got, want := Synthetic(gamma).Name, fmt.Sprintf("synthetic(γ=%g%%)", gamma*100); got != want {
+			t.Errorf("Synthetic(%v).Name = %q, want %q", gamma, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = syntheticName(0.1) }); allocs != 0 {
+		t.Errorf("syntheticName(0.1) allocated %v times; want 0", allocs)
+	}
+}
+
 func TestSyntheticWithRatio(t *testing.T) {
 	app := SyntheticWithRatio(50, 0.05, 92e3)
 	if err := app.Validate(); err != nil {
