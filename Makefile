@@ -15,6 +15,7 @@ FUZZ_TARGETS = divide:FuzzUniformCutAfter divide:FuzzIndexCutAfter \
                sim:FuzzTimersMatchReference grid:FuzzMultiWorldConserves \
                grid:FuzzLinkFlowsMatchReference \
                grid:FuzzSharedFaultPlanMatchesFresh \
+               grid:FuzzNoiseTapesMatchFresh \
                engine:FuzzClosureBackendCompletions \
                transport:FuzzServerFrames transport:FuzzClientFrames \
                daemon:FuzzDecodeWire live:FuzzWorkerService \

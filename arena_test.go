@@ -279,6 +279,29 @@ func TestCycledFaultPlansAllocateNothingMore(t *testing.T) {
 	}
 }
 
+// TestCycledSeedsAllocateNothingMore asserts that the compute-noise
+// tapes add nothing to a warm run when runs cycle through more seeds
+// than a backend keeps tapes for (see grid's noiseStore): 40 seeds,
+// cycled through one slot after a first round has filled every tape,
+// allocate per run what a warm repeat of one seed does. Each new seed
+// reseeds the oldest entry's tapes and refills them within the capacity
+// they already have.
+func TestCycledSeedsAllocateNothingMore(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; counts only hold in normal builds")
+	}
+	const seeds = 40
+	cycled := func(run int) uint64 { return 42 + uint64(run%seeds)*1000003 }
+	setup := canonicalRun(engine.Config{})
+	one := testing.AllocsPerRun(5, func() { runs(t, seeds, 1, "factoring-plain", cycled, setup) })
+	long := testing.AllocsPerRun(5, func() { runs(t, 3*seeds, 1, "factoring-plain", cycled, setup) })
+	warm := math.Round((long - one) / (2 * seeds))
+	if same := warmAllocs(t, 10, "factoring-plain", seed42, setup); warm > same {
+		t.Errorf("a warm run cycling %d seeds allocated %.0f allocs; want no more than the %.0f of a warm repeat of one seed",
+			seeds, warm, same)
+	}
+}
+
 // TestFreshFaultPlansCostTheirCompile asserts what a plan that runs only
 // once costs, as each plan of the failure sweep does: warm tree runs
 // given fresh RandomCrashPlans allocate no more than warm reruns of the

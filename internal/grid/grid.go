@@ -78,9 +78,9 @@ type Backend struct {
 	compute  []*sim.FCFSQueue // one per worker CPU
 	downlink *sim.FCFSQueue   // output return path, parallel to the uplink
 
-	compRNG []*rng.Source // per-worker compute noise
-	bg      []*bgProcess
-	batch   []*batchState
+	noise noiseStore // per-worker compute noise, recorded per run seed
+	bg    []*bgProcess
+	batch []*batchState
 	// faults is the plan's compiled state, shared read-only with every
 	// backend that runs the plan; nil when no faults are injected.
 	faults []faultState
@@ -101,10 +101,11 @@ type Backend struct {
 }
 
 // computeQueueDepth is how many requests each worker's compute queue
-// holds before it grows. A queue reuses its buffer only once it drains,
-// so it must hold every chunk of a busy period, served or waiting: up to
-// 25 in the paper's experiments, though at most four wait at once.
-const computeQueueDepth = 32
+// holds before it grows. A busy queue slides its waiting requests back
+// over the served slots once those fill half of it, so it grows only
+// when more than half of it waits: at most four wait in the paper's
+// experiments.
+const computeQueueDepth = 8
 
 // New validates the models and returns a backend positioned at time zero.
 func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) {
@@ -128,12 +129,9 @@ func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) 
 	}
 	n := len(p.Workers)
 	b.compute = sim.NewFCFSQueues(eng, n, computeQueueDepth)
-	compRNG := make([]rng.Source, n) // seeded by Reset
-	b.compRNG = make([]*rng.Source, n)
 	b.bg = make([]*bgProcess, n)
 	b.batch = make([]*batchState, n)
 	for i, w := range p.Workers {
-		b.compRNG[i] = &compRNG[i]
 		if w.Background != nil {
 			b.bg[i] = &bgProcess{cfg: w.Background, src: rng.New(0)}
 		}
@@ -154,7 +152,10 @@ func New(p *model.Platform, a *model.Application, cfg Config) (*Backend, error) 
 // freshly constructed one with the same arguments — stream seeds are
 // derived from the same labels, the clock and event sequence restart
 // from zero, and every stochastic process re-initializes exactly as in
-// New. Call it only between runs (never while the engine is mid-drain).
+// New. The compute-noise streams are the exception that changes no
+// output: a run on a seed the backend has run before replays the pairs
+// recorded then instead of drawing them again (see noiseStore). Call it
+// only between runs (never while the engine is mid-drain).
 func (b *Backend) Reset(a *model.Application, cfg Config) error {
 	if err := a.Validate(); err != nil {
 		return err
@@ -174,9 +175,11 @@ func (b *Backend) Reset(a *model.Application, cfg Config) error {
 	b.eng.Reset()
 	b.timers.Reset()
 	b.downlink.Reset()
+	if !(a.Gamma <= 0) { // computeNoise's test, so a NaN γ draws too
+		b.noise.reset(cfg.Seed, len(b.platform.Workers))
+	}
 	for i := range b.platform.Workers {
 		b.compute[i].Reset()
-		b.compRNG[i].Seed(rng.IndexedStreamSeed(cfg.Seed, "comp/", i))
 		if b.bg[i] != nil {
 			b.bg[i].src.Seed(rng.IndexedStreamSeed(cfg.Seed, "bg/", i))
 			b.bg[i].reset()
@@ -333,7 +336,7 @@ func (b *Backend) execDur(arg uint64, start units.Seconds) units.Seconds {
 	if o.probe {
 		base *= b.cfg.ProbeBias
 	} else {
-		base *= b.noise(w, o.size)
+		base *= b.computeNoise(w, o.size)
 	}
 	hold := 0.0
 	if b.batch[w] != nil {
@@ -371,9 +374,9 @@ func (b *Backend) Execute(w int, size float64, probe bool, done func(start, end 
 	})
 }
 
-// noise returns the multiplicative compute-time perturbation for a chunk
-// of the given size, per the application's uncertainty model.
-func (b *Backend) noise(w int, size float64) float64 {
+// computeNoise returns the multiplicative compute-time perturbation for
+// a chunk of the given size, per the application's uncertainty model.
+func (b *Backend) computeNoise(w int, size float64) float64 {
 	g := b.app.Gamma
 	if g <= 0 || size <= 0 {
 		return 1
@@ -384,7 +387,7 @@ func (b *Backend) noise(w int, size float64) float64 {
 		// square root of the number of units.
 		cv = g / math.Sqrt(size)
 	}
-	return b.compRNG[w].TruncNormal(1, cv, 0.1)
+	return b.noise.draw(w, cv)
 }
 
 // ReturnOutputOp moves output bytes from worker w back to the master

@@ -151,22 +151,32 @@ func (s *Source) Intn(n int) int {
 	}
 }
 
+// Polar returns one accepted pair of the Marsaglia polar method: u is
+// the first coordinate of a point (u, v) drawn uniformly from the unit
+// disc and w = sqrt(-2 ln q / q) with q = u² + v², so u·w is a standard
+// normal draw. Normal is mean + stddev·u·w of one
+// pair; a caller that keeps the pairs can replay a stream's normal
+// draws for any mean and stddev without drawing again.
+func (s *Source) Polar() (u, w float64) {
+	for {
+		u = 2*s.Float64() - 1
+		v := 2*s.Float64() - 1
+		q := u*u + v*v
+		if q == 0 || q >= 1 {
+			continue
+		}
+		return u, math.Sqrt(-2 * math.Log(q) / q)
+	}
+}
+
 // Normal returns a draw from Normal(mean, stddev) using the
 // Marsaglia polar method.
 func (s *Source) Normal(mean, stddev float64) float64 {
 	if stddev <= 0 {
 		return mean
 	}
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q == 0 || q >= 1 {
-			continue
-		}
-		w := math.Sqrt(-2 * math.Log(q) / q)
-		return mean + stddev*u*w
-	}
+	u, w := s.Polar()
+	return mean + stddev*u*w
 }
 
 // TruncNormal returns a Normal(mean, stddev) draw truncated below at lo

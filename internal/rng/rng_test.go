@@ -150,6 +150,24 @@ func TestNormalZeroStdDev(t *testing.T) {
 	}
 }
 
+// TestPolarMatchesNormal checks that a Normal draw is mean + stddev·u·w
+// of the stream's next polar pair, bit for bit, and that both consume
+// the stream alike — the property a replayed pair relies on.
+func TestPolarMatchesNormal(t *testing.T) {
+	a, b := New(11), New(11)
+	for i := 0; i < 100000; i++ {
+		mean, sd := 1.0, 0.01+float64(i%25)/100
+		want := a.Normal(mean, sd)
+		u, w := b.Polar()
+		if got := mean + sd*u*w; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: replayed %v, Normal %v", i, got, want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Error("Polar and Normal left the stream in different states")
+	}
+}
+
 func TestTruncNormalFloor(t *testing.T) {
 	s := New(10)
 	for i := 0; i < 100000; i++ {

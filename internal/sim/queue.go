@@ -17,7 +17,8 @@ type FCFSQueue struct {
 	// pending[head:] are the waiting requests. Popping advances head and
 	// zeroes the slot (so served requests' callbacks become collectable)
 	// instead of re-slicing, which would keep every served request
-	// reachable through the backing array for the queue's lifetime.
+	// reachable through the backing array for the queue's lifetime;
+	// startNext slides the waiting requests back to the front.
 	pending []request
 	head    int
 	// cur is the request in service, with its service window; fireFn is
@@ -89,9 +90,19 @@ func (q *FCFSQueue) Reset() {
 }
 
 func (q *FCFSQueue) startNext() {
-	if q.head == len(q.pending) {
-		q.pending = q.pending[:0]
+	// Once the served slots fill half the buffer, slide the waiting
+	// requests (no more than were served) to the front: a queue that
+	// stays busy reuses its buffer instead of growing it by every
+	// request of the busy period, and grows only when more than half of
+	// it waits. Sliding at every service start instead, whenever the
+	// served slots outnumber the waiting, costs a copy per request.
+	if waiting := len(q.pending) - q.head; waiting == 0 || 2*q.head >= cap(q.pending) {
+		copy(q.pending, q.pending[q.head:])
+		clear(q.pending[q.head:])
+		q.pending = q.pending[:waiting]
 		q.head = 0
+	}
+	if len(q.pending) == 0 {
 		q.busy = false
 		return
 	}

@@ -89,3 +89,46 @@ func TestFCFSQueuesShareNoSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestBusyQueueReusesItsBuffer keeps a queue busy through 10 000
+// requests, never more than three waiting (each completion enqueues the
+// next), so it never drains: it must slide its waiting requests back
+// over the served slots instead of growing its buffer by every request,
+// and still serve them in FIFO order at the times a queue's sum of
+// service durations gives.
+func TestBusyQueueReusesItsBuffer(t *testing.T) {
+	const n = 10000
+	e := New()
+	q := NewFCFSQueue(e)
+	dur := func(k uint64, _ units.Seconds) units.Seconds { return units.Seconds(1 + k%4) }
+	served, maxCap := uint64(0), 0
+	var at units.Seconds
+	var done func(k uint64, start, end units.Seconds)
+	done = func(k uint64, start, end units.Seconds) {
+		if k != served {
+			t.Fatalf("served request %d; want %d next", k, served)
+		}
+		if want := at + dur(k, 0); start != at || end != want {
+			t.Fatalf("request %d served over [%v, %v]; want [%v, %v]", k, start, end, at, want)
+		}
+		served++
+		at = end
+		if next := k + 3; next < n {
+			q.EnqueueArg(next, dur, done)
+		}
+		if w := q.QueueLength(); w > 3 {
+			t.Fatalf("%d requests waiting; the test keeps at most 3", w)
+		}
+		maxCap = max(maxCap, cap(q.pending))
+	}
+	for k := uint64(0); k < 3; k++ {
+		q.EnqueueArg(k, dur, done)
+	}
+	e.Run()
+	if served != n {
+		t.Fatalf("%d of %d requests served", served, n)
+	}
+	if maxCap > 8 {
+		t.Errorf("a busy queue with at most 3 waiting grew its buffer to %d slots; want at most 8", maxCap)
+	}
+}
